@@ -21,9 +21,9 @@ use std::collections::BTreeSet;
 use wbe_ir::{Insn, InsnAddr, Method, Program};
 
 use crate::config::AnalysisConfig;
-use crate::fixpoint::run_fixpoint;
+use crate::fixpoint::MethodSolution;
 use crate::intval::IntLat;
-use crate::state::{AbsState, AbsValue, MethodCtx};
+use crate::state::{AbsState, AbsValue};
 use crate::transfer::transfer_insn;
 
 /// Result of the bounds analysis for one method.
@@ -56,7 +56,7 @@ fn is_array_access(insn: &Insn) -> bool {
 
 /// Checks one access given the pre-state: index provably in
 /// `[0, len)` for every receiver.
-fn access_is_safe(st: &AbsState, _ctx: &MethodCtx<'_>, insn: &Insn) -> bool {
+fn access_is_safe(st: &AbsState, insn: &Insn) -> bool {
     // Stack layout before the access:
     //   AaLoad/IaLoad:  [.., arr, idx]
     //   AaStore/IaStore: [.., arr, idx, val]
@@ -100,31 +100,35 @@ fn access_is_safe(st: &AbsState, _ctx: &MethodCtx<'_>, insn: &Insn) -> bool {
     })
 }
 
-/// Runs the bounds analysis on one method (requires the array analysis
-/// machinery; `config.array_analysis` is forced on).
+/// Runs the bounds analysis on one method, solving it under
+/// [`AnalysisConfig::full`] (the client needs the array analysis's
+/// `Len`).
 pub fn analyze_method(program: &Program, method: &Method) -> BoundsAnalysis {
-    let config = AnalysisConfig::full();
-    let ctx = MethodCtx::new(program, method, &config);
-    // Degraded: every site keeps its bounds check (conservative).
-    let states = run_fixpoint(&ctx)
-        .map(|(s, _, _)| s)
-        .unwrap_or_else(|_| vec![None; method.blocks.len()]);
+    analyze_solved(&MethodSolution::solve(
+        program,
+        method,
+        &AnalysisConfig::full(),
+    ))
+}
+
+/// The bounds client over an already solved method. The answer reflects
+/// the configuration `solution` was solved under: without the array
+/// analysis no length is known and every check stays.
+pub fn analyze_solved(solution: &MethodSolution<'_>) -> BoundsAnalysis {
+    let ctx = solution.ctx();
     let mut out = BoundsAnalysis::default();
-    for (bid, block) in method.iter_blocks() {
-        for insn in &block.insns {
-            if is_array_access(insn) {
-                out.total_sites += 1;
-            }
-        }
-        let Some(entry) = &states[bid.index()] else {
+    for (bid, block) in ctx.method.iter_blocks() {
+        out.total_sites += block.insns.iter().filter(|i| is_array_access(i)).count();
+        // Degraded: every site keeps its bounds check (conservative).
+        let Some(entry) = solution.fixed_point().and_then(|s| s[bid.index()].as_ref()) else {
             continue;
         };
         let mut st = entry.clone();
         for (idx, insn) in block.insns.iter().enumerate() {
-            if is_array_access(insn) && access_is_safe(&st, &ctx, insn) {
+            if is_array_access(insn) && access_is_safe(&st, insn) {
                 out.safe.insert(InsnAddr::new(bid, idx));
             }
-            let _ = transfer_insn(&mut st, &ctx, insn);
+            let _ = transfer_insn(&mut st, ctx, insn);
         }
     }
     out

@@ -4,8 +4,9 @@
 //! For each reachable block the dump shows the abstract entry state
 //! (locals, escaped set, non-default σ/Len/NR entries) and, for every
 //! barrier-relevant store, the judgment with a *reason* when the
-//! barrier must stay. Reasons come from the same derivation as the
-//! [`ledger`](crate::ledger), so the dump and `wbe_tool explain` agree.
+//! barrier must stay. The per-site lines are rendered from the
+//! [`ledger`](crate::ledger)'s records, so the dump and `wbe_tool
+//! explain` agree.
 //!
 //! Degraded methods no longer collapse to one line: blocks the driver
 //! reached before the guardrail fired are rendered from the partial
@@ -17,33 +18,36 @@ use std::fmt::Write as _;
 use wbe_ir::{Method, Program};
 
 use crate::config::AnalysisConfig;
-use crate::fixpoint::{solve_method, Solved};
-use crate::ledger::keep_reason;
-use crate::state::{AbsState, AbsValue, FieldKey, MethodCtx};
-use crate::transfer::{is_barrier_site, transfer_insn};
+use crate::fixpoint::{AnalysisOutcome, MethodSolution};
+use crate::ledger::{SiteRecord, Verdict, WOULD_ELIDE};
+use crate::state::{AbsState, AbsValue, FieldKey};
 
-/// Renders the fixed point of `method` as text.
+/// Renders the fixed point of `method` as text. Standalone entry point:
+/// it solves the method itself;
+/// [`analyze_program_with`](crate::fixpoint::analyze_program_with)
+/// renders the same text next to the elision result from one solve.
 pub fn dump_method(program: &Program, method: &Method, config: &AnalysisConfig) -> String {
-    let mut ctx = MethodCtx::new(program, method, config);
-    let (states, iterations, degraded) = match solve_method(&mut ctx, config.flow_sensitive_escape)
-    {
-        Solved::Converged { states, iterations } => (states, iterations, None),
-        Solved::Degraded { reason, partial } => (partial, 0, Some(reason)),
-    };
-    let ctx = ctx;
+    let solution = MethodSolution::solve(program, method, config);
+    render(&solution, &solution.replay(true).records)
+}
 
+/// Renders `solution` as text; `records` are its replay's records, the
+/// source of the per-site lines.
+pub(crate) fn render(solution: &MethodSolution<'_>, records: &[SiteRecord]) -> String {
+    let (program, method) = (solution.ctx().program, solution.ctx().method);
+    let degraded = solution.outcome().is_degraded();
     let mut out = String::new();
-    match &degraded {
-        None => {
+    match solution.outcome() {
+        AnalysisOutcome::Complete => {
             let _ = writeln!(
                 out,
                 "=== analysis of {} ({} blocks, {} fixpoint iterations) ===",
                 method.name,
                 method.blocks.len(),
-                iterations
+                solution.iterations()
             );
         }
-        Some(reason) => {
+        AnalysisOutcome::Degraded(reason) => {
             let _ = writeln!(
                 out,
                 "=== analysis of {} DEGRADED ({reason}): no elisions ===",
@@ -55,35 +59,29 @@ pub fn dump_method(program: &Program, method: &Method, config: &AnalysisConfig) 
             );
         }
     }
+    let mut records = records.iter().peekable();
     for (bid, block) in method.iter_blocks() {
-        let Some(entry) = &states[bid.index()] else {
-            if degraded.is_some() {
+        let sites = std::iter::from_fn(|| records.next_if(|r| r.block == bid.index()));
+        let Some(entry) = &solution.entry_states()[bid.index()] else {
+            if degraded {
                 let _ = writeln!(out, "{bid}: (not reached before degradation)");
             } else {
                 let _ = writeln!(out, "{bid}: (unreachable)");
             }
+            sites.for_each(drop);
             continue;
         };
         render_entry_state(&mut out, program, bid, entry);
-        // Replay, annotating barrier stores.
-        let mut st = entry.clone();
-        for (idx, insn) in block.insns.iter().enumerate() {
-            let pre = st.clone();
-            let judgment = transfer_insn(&mut st, &ctx, insn);
-            if !is_barrier_site(program, insn) {
-                continue;
-            }
-            let verdict = match (judgment, &degraded) {
-                (Some(true), None) => "ELIDED (pre-null)".to_string(),
-                (Some(true), Some(_)) => {
+        for rec in sites {
+            let verdict = match rec.verdict {
+                Verdict::Elide => "ELIDED (pre-null)".to_string(),
+                Verdict::Degraded if rec.keep_code == WOULD_ELIDE => {
                     "barrier KEPT — analysis degraded (partial state had no failing condition)"
                         .to_string()
                 }
-                (Some(false), _) => {
-                    format!("barrier KEPT — {}", keep_reason(&pre, &ctx, insn).detail)
-                }
-                (None, _) => continue,
+                _ => format!("barrier KEPT — {}", rec.keep_detail),
             };
+            let (idx, insn) = (rec.index, &block.insns[rec.index]);
             let _ = writeln!(out, "  {bid}[{idx}] {insn:?}: {verdict}");
         }
     }

@@ -10,6 +10,14 @@
 //! point, because "the last such judgment (at the fixed point of the
 //! analysis) is correct" (§2.4).
 //!
+//! A method's fixed point is solved **once**, into a
+//! [`MethodSolution`], and that extra pass
+//! ([`MethodSolution::replay`]) is the only judgment loop: it yields
+//! the [`MethodAnalysis`] and, when asked, the ledger's records, from
+//! which the text dump is rendered too. [`analyze_program_with`]
+//! returns any combination from one solve per method — §6's "integrated
+//! static analysis framework that provides a variety of information".
+//!
 //! The driver is **guardrailed**: non-convergence within the iteration
 //! cap, wall-clock budget exhaustion, and panics inside the transfer
 //! functions all degrade the method to the conservative "elide nothing"
@@ -22,11 +30,13 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use wbe_ir::{cfg, InsnAddr, Method, MethodId, Program};
+use wbe_ir::{cfg, Insn, InsnAddr, Method, MethodId, Program};
 
 use crate::config::AnalysisConfig;
+use crate::dump;
 use crate::intval::VarAlloc;
-use crate::refs::Ref;
+use crate::ledger::{self, ElisionLedger, SiteRecord};
+use crate::refs::RefSet;
 use crate::state::{AbsState, MethodCtx};
 use crate::transfer::{is_barrier_site, transfer_insn, transfer_term};
 
@@ -117,7 +127,11 @@ impl MethodAnalysis {
 pub struct ProgramAnalysis {
     /// Per-method results.
     pub methods: BTreeMap<MethodId, MethodAnalysis>,
-    /// Wall-clock analysis time (Figure 2's compile-time axis).
+    /// Wall-clock analysis time (Figure 2's compile-time axis): every
+    /// method's solve plus the one replay over it. When the same pass
+    /// also builds the ledger or the dump ([`analyze_program_with`]),
+    /// rendering their evidence strings is inside this time; the fixed
+    /// points are not solved again for them.
     pub elapsed: Duration,
 }
 
@@ -153,17 +167,68 @@ impl ProgramAnalysis {
     }
 }
 
+/// The by-products [`analyze_program_with`] derives from the same
+/// solved fixed points as the [`ProgramAnalysis`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Products {
+    /// Build the per-site [`ElisionLedger`].
+    pub ledger: bool,
+    /// Render the text dump of every method ([`crate::dump`]).
+    pub dump: bool,
+}
+
+/// What one pass over a program produced: each method solved once,
+/// replayed once.
+#[derive(Clone, Debug)]
+pub struct Analyzed {
+    /// The elision result.
+    pub analysis: ProgramAnalysis,
+    /// The provenance ledger, when asked for.
+    pub ledger: Option<ElisionLedger>,
+    /// The text dump of every method in program order, when asked for.
+    pub dump: Option<String>,
+}
+
 /// Runs the analyses on every method of `program`.
 pub fn analyze_program(program: &Program, config: &AnalysisConfig) -> ProgramAnalysis {
+    analyze_program_with(program, config, Products::default()).analysis
+}
+
+/// Runs the analyses on every method of `program` and derives the
+/// requested [`Products`] from the same solve and replay.
+pub fn analyze_program_with(
+    program: &Program,
+    config: &AnalysisConfig,
+    products: Products,
+) -> Analyzed {
     let _span = wbe_telemetry::span!("analysis.program");
     let start = Instant::now();
     let mut methods = BTreeMap::new();
+    let mut records = Vec::new();
+    let mut dump = String::new();
     for (mid, method) in program.iter_methods() {
-        methods.insert(mid, analyze_method(program, method, config));
+        let _span = wbe_telemetry::span!("analysis.fixpoint", "{}", method.name);
+        let solution = MethodSolution::solve(program, method, config);
+        // The dump's per-site lines are rendered from the records.
+        let replay = solution.replay(products.ledger || products.dump);
+        if products.dump {
+            dump.push_str(&dump::render(&solution, &replay.records));
+        }
+        if products.ledger {
+            records.extend(replay.records);
+        }
+        publish_method(&replay.analysis);
+        methods.insert(mid, replay.analysis);
     }
     let elapsed = start.elapsed();
     wbe_telemetry::histogram("analysis.wall.us").record_duration(elapsed);
-    ProgramAnalysis { methods, elapsed }
+    Analyzed {
+        analysis: ProgramAnalysis { methods, elapsed },
+        ledger: products
+            .ledger
+            .then(|| ElisionLedger::from_records(records)),
+        dump: products.dump.then_some(dump),
+    }
 }
 
 /// Runs the analyses on one method.
@@ -178,189 +243,254 @@ pub fn analyze_method(
     config: &AnalysisConfig,
 ) -> MethodAnalysis {
     let _span = wbe_telemetry::span!("analysis.fixpoint", "{}", method.name);
+    let result = MethodSolution::solve(program, method, config)
+        .replay(false)
+        .analysis;
+    publish_method(&result);
+    result
+}
 
-    // Site counting is a cheap syntactic pass, kept outside the guarded
-    // region so degraded methods still report their barrier sites.
-    let mut result = MethodAnalysis::default();
-    for (_, block) in method.iter_blocks() {
-        for insn in block.insns.iter() {
-            if is_barrier_site(program, insn) {
-                result.barrier_sites += 1;
-                if matches!(insn, wbe_ir::Insn::AaStore) {
-                    result.array_sites += 1;
-                } else {
-                    result.field_sites += 1;
-                }
-            }
-        }
-    }
-
-    let judged = if config.isolate_panics {
-        catch_unwind(AssertUnwindSafe(|| judge_method(program, method, config))).unwrap_or_else(
-            |payload| {
-                Err(DegradeReason::Panicked {
-                    message: panic_message(payload.as_ref()),
-                })
-            },
-        )
-    } else {
-        judge_method(program, method, config)
-    };
-    match judged {
-        Ok((elided, iterations)) => {
-            result.elided = elided;
-            result.iterations = iterations;
-        }
-        Err(reason) => {
-            result.outcome = AnalysisOutcome::Degraded(reason);
-            wbe_telemetry::counter("analysis.degraded").inc();
-        }
+/// Publishes one method's result to the telemetry registry.
+fn publish_method(result: &MethodAnalysis) {
+    if result.outcome.is_degraded() {
+        wbe_telemetry::counter("analysis.degraded").inc();
     }
     wbe_telemetry::counter("analysis.methods_analyzed").inc();
     wbe_telemetry::counter("analysis.barrier_sites").add(result.barrier_sites as u64);
     wbe_telemetry::counter("analysis.elided_sites").add(result.elided.len() as u64);
     wbe_telemetry::histogram("analysis.fixpoint.iterations").record(result.iterations as u64);
-    result
 }
 
-/// Renders a `catch_unwind` payload for [`DegradeReason::Panicked`].
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// Runs `f`, turning a panic into [`DegradeReason::Panicked`] when
+/// `isolate` is set ([`AnalysisConfig::isolate_panics`]).
+fn isolated<T>(isolate: bool, f: impl FnOnce() -> T) -> Result<T, DegradeReason> {
+    if !isolate {
+        return Ok(f());
     }
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        DegradeReason::Panicked { message }
+    })
 }
 
-/// The fallible core of [`analyze_method`]: fixpoint(s) plus the final
-/// judgment pass. Returns the elided sites and iteration count, or the
-/// reason the method must degrade.
-fn judge_method(
-    program: &Program,
-    method: &Method,
-    config: &AnalysisConfig,
-) -> Result<(BTreeSet<InsnAddr>, usize), DegradeReason> {
-    let mut ctx = MethodCtx::new(program, method, config);
-    let (entry_states, iterations) = match solve_method(&mut ctx, config.flow_sensitive_escape) {
-        Solved::Converged { states, iterations } => (states, iterations),
-        Solved::Degraded { reason, .. } => return Err(reason),
-    };
-    let ctx = ctx;
+/// One method's solved fixed point — the artefact every product is
+/// derived from: the elision result, the ledger's records, the text
+/// dump, and the §6 clients ([`crate::bounds`], [`crate::stackalloc`],
+/// [`crate::Framework`]).
+///
+/// The guardrails (iteration cap, wall-clock budget, panic isolation)
+/// are applied here and nowhere else, so a method that degrades does so
+/// identically in every product.
+#[derive(Debug)]
+pub struct MethodSolution<'p> {
+    ctx: MethodCtx<'p>,
+    /// Per-block entry states: the fixed point when `outcome` is
+    /// `Complete`; otherwise whatever the driver had reached when the
+    /// guardrail fired (nothing, after a panic).
+    states: Vec<Option<AbsState>>,
+    iterations: usize,
+    outcome: AnalysisOutcome,
+}
 
-    // Final judgment pass over the fixed point.
-    let mut elided = BTreeSet::new();
-    for (bid, block) in method.iter_blocks() {
-        let Some(entry) = &entry_states[bid.index()] else {
-            continue; // unreachable block: no judgments
+/// What [`MethodSolution::replay`] derives from a solution.
+#[derive(Clone, Debug)]
+pub struct Replay {
+    /// The elision result.
+    pub analysis: MethodAnalysis,
+    /// One record per barrier site in (block, instruction) order; empty
+    /// unless asked for.
+    pub records: Vec<SiteRecord>,
+}
+
+impl<'p> MethodSolution<'p> {
+    /// Solves `method`'s fixed point under `config`.
+    ///
+    /// Never panics on any input program when
+    /// [`AnalysisConfig::isolate_panics`] is set, and neither does any
+    /// later [`replay`](Self::replay) of the result.
+    pub fn solve(program: &'p Program, method: &'p Method, config: &AnalysisConfig) -> Self {
+        let isolate = config.isolate_panics;
+        let mut ctx = MethodCtx::new(program, method, config);
+        let unreached = || vec![None; method.blocks.len()];
+        let solved = isolated(isolate, || {
+            solve_method(&mut ctx, config.flow_sensitive_escape)
+        })
+        // Partial states from a panicked run are not trusted even for
+        // reporting.
+        .unwrap_or_else(|reason| {
+            Err(FixpointDegrade {
+                reason,
+                partial: unreached(),
+            })
+        });
+        let (states, iterations, outcome) = match solved {
+            Ok((states, iterations)) => (states, iterations, AnalysisOutcome::Complete),
+            Err(d) => (d.partial, 0, AnalysisOutcome::Degraded(d.reason)),
         };
-        let mut st = entry.clone();
-        for (idx, insn) in block.insns.iter().enumerate() {
-            let judgment = transfer_insn(&mut st, &ctx, insn);
-            if judgment == Some(true) {
-                elided.insert(InsnAddr::new(bid, idx));
+        let mut solution = MethodSolution {
+            ctx,
+            states,
+            iterations,
+            outcome,
+        };
+        // Partial states can include blocks the driver never got to
+        // transfer, which on malformed IR may panic when replayed; find
+        // out now, so that the solution handed out is safe to replay.
+        if isolate && solution.outcome.is_degraded() {
+            if let Err(reason) = isolated(true, || solution.replay(true)) {
+                solution.states = unreached();
+                solution.outcome = AnalysisOutcome::Degraded(reason);
             }
         }
+        solution
     }
-    Ok((elided, iterations))
+
+    /// The analysis context the solution was computed in.
+    pub fn ctx(&self) -> &MethodCtx<'p> {
+        &self.ctx
+    }
+
+    /// How the solve concluded.
+    pub fn outcome(&self) -> &AnalysisOutcome {
+        &self.outcome
+    }
+
+    /// Blocks processed until the fixed point (0 when degraded).
+    pub fn iterations(&self) -> usize {
+        self.iterations
+    }
+
+    /// Per-block entry states (`None` = no state known for the block).
+    /// For a degraded method these are **not** fixed points: they are
+    /// sound only for *reporting* (the dump and the ledger use them to
+    /// explain sites reached before degradation), never for decisions.
+    pub fn entry_states(&self) -> &[Option<AbsState>] {
+        &self.states
+    }
+
+    /// The entry states if they are a fixed point (`None` = the method
+    /// degraded; clients must fall back to their conservative answer).
+    pub fn fixed_point(&self) -> Option<&[Option<AbsState>]> {
+        (!self.outcome.is_degraded()).then_some(&self.states[..])
+    }
+
+    /// The final judgment pass: replays every block from its entry
+    /// state, taking the elision judgments "at the fixed point of the
+    /// analysis" (§2.4) and, `with_records`, the evidence behind each.
+    pub fn replay(&self, with_records: bool) -> Replay {
+        let (program, method) = (self.ctx.program, self.ctx.method);
+        let degraded = match &self.outcome {
+            AnalysisOutcome::Degraded(reason) => Some(reason.to_string()),
+            AnalysisOutcome::Complete => None,
+        };
+        let mut analysis = MethodAnalysis {
+            iterations: self.iterations,
+            outcome: self.outcome.clone(),
+            ..MethodAnalysis::default()
+        };
+        let mut records = Vec::new();
+        // A degraded method elides nothing: its states matter only to
+        // the records.
+        let use_states = with_records || degraded.is_none();
+        for (bid, block) in method.iter_blocks() {
+            let mut st = self.states[bid.index()]
+                .as_ref()
+                .filter(|_| use_states)
+                .cloned();
+            for (idx, insn) in block.insns.iter().enumerate() {
+                let barrier = is_barrier_site(program, insn);
+                let pre = if barrier && with_records {
+                    st.clone()
+                } else {
+                    None
+                };
+                let judgment = st.as_mut().and_then(|s| transfer_insn(s, &self.ctx, insn));
+                if !barrier {
+                    continue;
+                }
+                analysis.barrier_sites += 1;
+                if matches!(insn, Insn::AaStore) {
+                    analysis.array_sites += 1;
+                } else {
+                    analysis.field_sites += 1;
+                }
+                let addr = InsnAddr::new(bid, idx);
+                if judgment == Some(true) && degraded.is_none() {
+                    analysis.elided.insert(addr);
+                }
+                if with_records {
+                    records.push(ledger::site_record(
+                        &self.ctx,
+                        addr,
+                        insn,
+                        pre.as_ref(),
+                        judgment,
+                        degraded.as_deref(),
+                    ));
+                }
+            }
+        }
+        Replay { analysis, records }
+    }
 }
 
 /// Computes the fixed-point entry state of every reachable block — the
-/// white-box view used by the dump module, the §6 clients, and tests
-/// that follow the paper's §3.5 walkthrough.
+/// white-box view for tests that follow the paper's §3.5 walkthrough.
+/// All `None` when the method degrades.
 pub fn entry_states(
     program: &Program,
     method: &Method,
     config: &AnalysisConfig,
 ) -> Vec<Option<AbsState>> {
-    let ctx = MethodCtx::new(program, method, config);
-    match run_fixpoint(&ctx) {
-        Ok((states, _, _)) => states,
-        // Degraded: no entry states are known; clients treat every
-        // block as unreachable-for-judgment (conservative).
-        Err(_) => vec![None; method.blocks.len()],
+    let solution = MethodSolution::solve(program, method, config);
+    match solution.fixed_point() {
+        Some(states) => states.to_vec(),
+        None => vec![None; method.blocks.len()],
     }
 }
 
-/// Successful fixpoint result: per-block entry states, the union of NL
-/// over every program point, and the iteration count.
-pub(crate) type FixpointResult = (Vec<Option<AbsState>>, BTreeSet<Ref>, usize);
-
 /// A guardrail interruption, carrying whatever per-block entry states
-/// the driver had computed when it fired. The partial states are **not**
-/// fixed points — they are sound only for *reporting* (the dump and the
-/// elision ledger use them to explain sites reached before degradation),
-/// never for elision decisions.
-pub(crate) struct FixpointDegrade {
+/// the driver had computed when it fired.
+struct FixpointDegrade {
     /// The guardrail that fired.
-    pub reason: DegradeReason,
+    reason: DegradeReason,
     /// Entry states computed so far (`None` = block not yet reached).
-    pub partial: Vec<Option<AbsState>>,
-}
-
-/// Outcome of [`solve_method`]: the method-level fixed point, covering
-/// the classic-escape ablation's double fixpoint.
-pub(crate) enum Solved {
-    /// The fixpoint(s) converged; `states` are final entry states.
-    Converged {
-        /// Per-block fixed-point entry states.
-        states: Vec<Option<AbsState>>,
-        /// Total blocks processed across all fixpoint runs.
-        iterations: usize,
-    },
-    /// A guardrail fired; `partial` is the pre-convergence snapshot.
-    Degraded {
-        /// The guardrail that fired.
-        reason: DegradeReason,
-        /// Entry states computed before the guardrail fired.
-        partial: Vec<Option<AbsState>>,
-    },
+    partial: Vec<Option<AbsState>>,
 }
 
 /// Runs the method-level fixed point honoring the flow-sensitivity
 /// ablation: flow-sensitive mode is one fixpoint; classic-escape mode
 /// runs twice, pinning everything that escaped anywhere as escaped from
-/// the start of the second run. Shared by the judgment pass, the dump,
-/// and the elision ledger so all three see identical states.
-pub(crate) fn solve_method(ctx: &mut MethodCtx<'_>, flow_sensitive: bool) -> Solved {
+/// the start of the second run. Returns the entry states and the total
+/// blocks processed.
+fn solve_method(
+    ctx: &mut MethodCtx<'_>,
+    flow_sensitive: bool,
+) -> Result<(Vec<Option<AbsState>>, usize), FixpointDegrade> {
     if flow_sensitive {
-        match run_fixpoint(ctx) {
-            Ok((states, _, iterations)) => Solved::Converged { states, iterations },
-            Err(d) => Solved::Degraded {
-                reason: d.reason,
-                partial: d.partial,
-            },
-        }
-    } else {
-        let (_, nl_anywhere, it1) = match run_fixpoint(ctx) {
-            Ok(r) => r,
-            Err(d) => {
-                return Solved::Degraded {
-                    reason: d.reason,
-                    partial: d.partial,
-                }
-            }
-        };
-        ctx.pinned_nl = nl_anywhere;
-        match run_fixpoint(ctx) {
-            Ok((states, _, it2)) => Solved::Converged {
-                states,
-                iterations: it1 + it2,
-            },
-            Err(d) => Solved::Degraded {
-                reason: d.reason,
-                partial: d.partial,
-            },
-        }
+        return run_fixpoint(ctx, None);
     }
+    let mut nl_anywhere = RefSet::new();
+    let (_, first) = run_fixpoint(ctx, Some(&mut nl_anywhere))?;
+    ctx.pinned_nl = nl_anywhere;
+    let (states, second) = run_fixpoint(ctx, None)?;
+    Ok((states, first + second))
 }
 
-/// Worklist fixpoint. `extra_nl` (the classic-escape ablation) is merged
-/// into the entry NL. Returns per-block entry states, the union of NL
-/// over every program point (for the classic-escape ablation), and the
-/// iteration count — or the guardrail that fired, with partial states.
-pub(crate) fn run_fixpoint(ctx: &MethodCtx<'_>) -> Result<FixpointResult, FixpointDegrade> {
+/// Worklist fixpoint. Returns per-block entry states and the iteration
+/// count — or the guardrail that fired, with partial states. The NL of
+/// every program point is added to `nl_anywhere` (the classic-escape
+/// ablation's first pass).
+fn run_fixpoint(
+    ctx: &MethodCtx<'_>,
+    mut nl_anywhere: Option<&mut RefSet>,
+) -> Result<(Vec<Option<AbsState>>, usize), FixpointDegrade> {
     let method = ctx.method;
     let nblocks = method.blocks.len();
     let rpo = cfg::reverse_postorder(method);
@@ -383,7 +513,6 @@ pub(crate) fn run_fixpoint(ctx: &MethodCtx<'_>) -> Result<FixpointResult, Fixpoi
 
     // Worklist keyed by RPO position for fast convergence.
     let mut worklist: BTreeSet<usize> = [0].into_iter().collect();
-    let mut nl_anywhere: BTreeSet<Ref> = BTreeSet::new();
     let mut iterations = 0usize;
     let mut state_merges = 0u64;
     let mut widenings = 0u64;
@@ -392,8 +521,7 @@ pub(crate) fn run_fixpoint(ctx: &MethodCtx<'_>) -> Result<FixpointResult, Fixpoi
     let default_cap = (nblocks + 1) * (ctx.method.size + 8) * 4 + 10_000;
     let cap = ctx.max_iterations.unwrap_or(default_cap);
 
-    while let Some(&pos) = worklist.iter().next() {
-        worklist.remove(&pos);
+    while let Some(pos) = worklist.pop_first() {
         iterations += 1;
         if iterations > cap {
             return Err(FixpointDegrade {
@@ -425,19 +553,28 @@ pub(crate) fn run_fixpoint(ctx: &MethodCtx<'_>) -> Result<FixpointResult, Fixpoi
             let _ = transfer_insn(&mut st, ctx, insn);
         }
         transfer_term(&mut st, &block.term);
-        nl_anywhere.extend(st.nl.iter().copied());
-        for succ in block.term.successors() {
+        if let Some(nl) = nl_anywhere.as_deref_mut() {
+            nl.union_with(&st.nl);
+        }
+        // The last successor takes the out-state itself, earlier ones a
+        // copy.
+        let mut out = Some(st);
+        let mut succs = block.term.successors().peekable();
+        while let Some(succ) = succs.next() {
+            let last = succs.peek().is_none();
+            let hand_over =
+                |out: &mut Option<AbsState>| if last { out.take() } else { out.clone() };
             let changed = match &mut entry_states[succ.index()] {
                 slot @ None => {
-                    *slot = Some(st.clone());
+                    *slot = hand_over(&mut out);
                     true
                 }
                 Some(existing) if incoming_edges[succ.index()] <= 1 => {
                     // Not a join point: the new iterate replaces the old.
-                    if *existing == st {
+                    if out.as_ref() == Some(&*existing) {
                         false
                     } else {
-                        *existing = st.clone();
+                        *existing = hand_over(&mut out).expect("taken only at the last successor");
                         true
                     }
                 }
@@ -446,7 +583,8 @@ pub(crate) fn run_fixpoint(ctx: &MethodCtx<'_>) -> Result<FixpointResult, Fixpoi
                     let widen = merge_counts[succ.index()] >= ctx.widen_after;
                     state_merges += 1;
                     widenings += widen as u64;
-                    existing.merge_from(&st, ctx, &mut alloc, widen)
+                    let st = out.as_ref().expect("taken only at the last successor");
+                    existing.merge_from(st, ctx, &mut alloc, widen)
                 }
             };
             if changed {
@@ -457,7 +595,7 @@ pub(crate) fn run_fixpoint(ctx: &MethodCtx<'_>) -> Result<FixpointResult, Fixpoi
     wbe_telemetry::counter("analysis.fixpoint.blocks_processed").add(iterations as u64);
     wbe_telemetry::counter("analysis.state_merges").add(state_merges);
     wbe_telemetry::counter("analysis.widenings").add(widenings);
-    Ok((entry_states, nl_anywhere, iterations))
+    Ok((entry_states, iterations))
 }
 
 #[cfg(test)]
@@ -869,6 +1007,37 @@ mod tests {
         };
         let hit = catch_unwind(AssertUnwindSafe(|| analyze_method(&p, &p.methods[0], &cfg)));
         assert!(hit.is_err());
+    }
+
+    /// A guardrail can stop the driver before it has transferred a
+    /// block that cannot be transferred (malformed IR): the solution
+    /// must find that out itself, so that replaying it never panics
+    /// and every product reports the same reason.
+    #[test]
+    fn unreplayable_partial_states_degrade_to_panicked_everywhere() {
+        let (mut p, m) = looped_store_program();
+        // Underflow in the loop head, which a one-block cap leaves on
+        // the worklist with an entry state but never processes.
+        p.methods[m.index()].blocks[1]
+            .insns
+            .insert(0, wbe_ir::Insn::Pop);
+        let cfg = AnalysisConfig::full().with_max_iterations(1);
+        let solution = MethodSolution::solve(&p, p.method(m), &cfg);
+        assert!(matches!(
+            solution.outcome(),
+            AnalysisOutcome::Degraded(DegradeReason::Panicked { .. })
+        ));
+        assert!(solution.entry_states().iter().all(Option::is_none));
+        let replay = solution.replay(true);
+        assert_eq!(&replay.analysis.outcome, solution.outcome());
+        assert_eq!(replay.analysis.barrier_sites, 1);
+        assert_eq!(replay.records.len(), 1);
+        assert_eq!(replay.records[0].keep_code, "not-reached");
+        assert!(replay.records[0].degraded.contains("panicked"));
+        assert_eq!(
+            analyze_method(&p, p.method(m), &cfg).outcome,
+            replay.analysis.outcome
+        );
     }
 
     /// Degrade reasons render for humans.

@@ -3,11 +3,12 @@
 //! information to inform subsequent compilation steps, of which SATB
 //! write barrier removal is just one."
 //!
-//! [`Framework`] computes each method's fixed point **once** and serves
-//! every client from it: barrier elision, null-or-same, bounds-check
-//! removal, and stack allocation. Clients replay the cached entry
-//! states instead of re-running the iteration, so adding a client costs
-//! one linear pass, not another fixpoint.
+//! [`Framework`] computes each method's fixed point **once**
+//! ([`MethodSolution`]) and serves every client of that domain from it:
+//! barrier elision, bounds-check removal, and stack allocation. Clients
+//! replay the solved entry states instead of re-running the iteration,
+//! so adding a client costs one linear pass, not another fixpoint.
+//! (Null-or-same works over a different domain and keeps its own.)
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -15,9 +16,7 @@ use std::time::{Duration, Instant};
 use wbe_ir::{InsnAddr, MethodId, Program, SiteId};
 
 use crate::config::AnalysisConfig;
-use crate::fixpoint::entry_states;
-use crate::state::{AbsState, MethodCtx};
-use crate::transfer::{is_barrier_site, transfer_insn};
+use crate::fixpoint::MethodSolution;
 use crate::{bounds, nullsame, stackalloc};
 
 /// Per-method results served by the framework.
@@ -48,53 +47,28 @@ pub struct Framework {
 
 impl Framework {
     /// Analyzes every method of `program` once and derives all client
-    /// results.
+    /// results. The bounds and stack-allocation answers reflect
+    /// `config`, like the elision one (their standalone entry points
+    /// solve under [`AnalysisConfig::full`]).
     pub fn analyze(program: &Program, config: &AnalysisConfig) -> Framework {
         let start = Instant::now();
         let mut methods = BTreeMap::new();
         for (mid, method) in program.iter_methods() {
-            let ctx = MethodCtx::new(program, method, config);
-            let states = entry_states(program, method, config);
-            let mut info = MethodInfo::default();
-
-            // Shared replay: pre-null judgments + site counting.
-            for (bid, block) in method.iter_blocks() {
-                for insn in &block.insns {
-                    if is_barrier_site(program, insn) {
-                        info.barrier_sites += 1;
-                    }
-                    if matches!(
-                        insn,
-                        wbe_ir::Insn::AaLoad
-                            | wbe_ir::Insn::AaStore
-                            | wbe_ir::Insn::IaLoad
-                            | wbe_ir::Insn::IaStore
-                    ) {
-                        info.array_accesses += 1;
-                    }
-                    if insn.allocation_site().is_some() {
-                        info.alloc_sites += 1;
-                    }
-                }
-                let Some(entry) = &states[bid.index()] else {
-                    continue;
-                };
-                let mut st: AbsState = entry.clone();
-                for (idx, insn) in block.insns.iter().enumerate() {
-                    if transfer_insn(&mut st, &ctx, insn) == Some(true) {
-                        info.elided.insert(InsnAddr::new(bid, idx));
-                    }
-                }
-            }
-            // The other clients run their own (linear or small) passes.
-            // null-or-same has a distinct domain, so it keeps its own
-            // fixpoint; bounds and stack allocation reuse this one's
-            // structure (their modules re-derive states, kept simple —
-            // the framework interface is the contract, the sharing an
-            // implementation detail that can deepen without API change).
-            info.null_or_same = nullsame::analyze_method(program, method);
-            info.bounds_safe = bounds::analyze_method(program, method).safe;
-            info.stack_allocatable = stackalloc::analyze_method(program, method).stack_allocatable;
+            let solution = MethodSolution::solve(program, method, config);
+            let elision = solution.replay(false).analysis;
+            let bounds = bounds::analyze_solved(&solution);
+            let info = MethodInfo {
+                elided: elision.elided,
+                null_or_same: nullsame::analyze_method(program, method),
+                bounds_safe: bounds.safe,
+                stack_allocatable: stackalloc::analyze_solved(&solution).stack_allocatable,
+                barrier_sites: elision.barrier_sites,
+                array_accesses: bounds.total_sites,
+                alloc_sites: method
+                    .iter_insns()
+                    .filter(|(_, _, i)| i.allocation_site().is_some())
+                    .count(),
+            };
             methods.insert(mid, info);
         }
         Framework {
@@ -185,17 +159,55 @@ mod tests {
 
     #[test]
     fn framework_matches_standalone_analyses() {
-        // The framework must agree with the individual entry points.
+        // The framework must agree with the individual entry points,
+        // under the classic-escape ablation's double fixpoint too.
         let p = rich_program();
-        let fw = Framework::analyze(&p, &AnalysisConfig::full());
-        let standalone = crate::analyze_program(&p, &AnalysisConfig::full());
-        let fw_elided: BTreeSet<_> = fw.all_elided().into_iter().collect();
-        let st_elided: BTreeSet<_> = standalone.iter_elided().collect();
-        assert_eq!(fw_elided, st_elided);
-        for (mid, m) in p.iter_methods() {
-            let info = fw.method(mid).unwrap();
-            assert_eq!(info.null_or_same, nullsame::analyze_method(&p, m));
-            assert_eq!(info.bounds_safe, bounds::analyze_method(&p, m).safe);
+        let classic = AnalysisConfig {
+            flow_sensitive_escape: false,
+            ..AnalysisConfig::full()
+        };
+        for config in [AnalysisConfig::full(), classic] {
+            let fw = Framework::analyze(&p, &config);
+            let standalone = crate::analyze_program(&p, &config);
+            let fw_elided: BTreeSet<_> = fw.all_elided().into_iter().collect();
+            let st_elided: BTreeSet<_> = standalone.iter_elided().collect();
+            assert_eq!(fw_elided, st_elided, "{config:?}");
+            for (mid, m) in p.iter_methods() {
+                let info = fw.method(mid).unwrap();
+                assert_eq!(info.null_or_same, nullsame::analyze_method(&p, m));
+                assert_eq!(info.bounds_safe, bounds::analyze_method(&p, m).safe);
+            }
         }
+    }
+
+    #[test]
+    fn classic_escape_ablation_reaches_the_framework() {
+        // `o` escapes after its initializing store: flow-sensitively the
+        // store is elided, under classic escape it is not — and the
+        // framework must see the configuration it was given.
+        let mut pb = ProgramBuilder::new();
+        let c = pb.class("C");
+        let f = pb.field(c, "f", Ty::Ref(c));
+        let g = pb.static_field("g", Ty::Ref(c));
+        pb.method("publish", vec![Ty::Ref(c)], None, 1, |mb| {
+            let arg = mb.local(0);
+            let o = mb.local(1);
+            mb.new_object(c).store(o);
+            mb.load(o).load(arg).putfield(f);
+            mb.load(o).putstatic(g);
+            mb.return_();
+        });
+        let p = pb.finish();
+        assert_eq!(
+            Framework::analyze(&p, &AnalysisConfig::full())
+                .all_elided()
+                .len(),
+            1
+        );
+        let classic = AnalysisConfig {
+            flow_sensitive_escape: false,
+            ..AnalysisConfig::full()
+        };
+        assert!(Framework::analyze(&p, &classic).all_elided().is_empty());
     }
 }

@@ -11,30 +11,29 @@
 //! the order the judgment checks them (escape before field nullness,
 //! matching §2.4; escape before null-range membership for arrays, §3).
 //!
-//! Records are built from the same [`solve_method`] fixed point as the
-//! elision judgment itself, so ledger verdicts agree with
-//! [`analyze_method`](crate::analyze_method) by construction. For
-//! degraded methods the replay uses the driver's *partial*
-//! (pre-convergence) states: sites in blocks reached before the
-//! guardrail fired still get a best-effort reason, clearly marked;
-//! everything in a degraded method has verdict `Degraded` because a
-//! degraded method elides nothing.
+//! Records come out of the same replay of the same
+//! [`MethodSolution`] as the elision judgment itself
+//! ([`MethodSolution::replay`]), so ledger verdicts agree with
+//! [`analyze_method`](crate::analyze_method) by construction and cost
+//! no second fixed point. For degraded methods the replay uses the
+//! driver's *partial* (pre-convergence) states: sites in blocks reached
+//! before the guardrail fired still get a best-effort reason, clearly
+//! marked; everything in a degraded method has verdict `Degraded`
+//! because a degraded method elides nothing.
 //!
 //! Serialization is NDJSON (one record per line) with no timestamps or
 //! other run-varying data, so the same program and configuration
 //! produce a byte-identical ledger — the property `wbe_tool
 //! ledger-diff` relies on.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use wbe_ir::{Insn, Method, Program};
+use wbe_ir::{Insn, InsnAddr, Program};
 use wbe_telemetry::json::ObjWriter;
 
 use crate::config::AnalysisConfig;
-use crate::fixpoint::{panic_message, solve_method, DegradeReason, Solved};
+use crate::fixpoint::MethodSolution;
 use crate::refs::singleton;
 use crate::state::{AbsState, AbsValue, FieldKey, MethodCtx};
-use crate::transfer::{is_barrier_site, transfer_insn};
+use crate::transfer::BarrierJudgment;
 
 /// What the analysis decided about one store site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,13 +203,27 @@ pub struct ElisionLedger {
 }
 
 impl ElisionLedger {
-    /// Builds the ledger for every method of `program`.
+    /// Builds the ledger for every method of `program`. Standalone
+    /// entry point: it solves each method itself. A caller that also
+    /// wants the elision result should ask
+    /// [`analyze_program_with`](crate::fixpoint::analyze_program_with)
+    /// for both, which solves once.
     pub fn build(program: &Program, config: &AnalysisConfig) -> ElisionLedger {
         let _span = wbe_telemetry::span!("analysis.ledger");
-        let mut records = Vec::new();
-        for (_, method) in program.iter_methods() {
-            records.extend(build_method(program, method, config));
-        }
+        let records = program
+            .iter_methods()
+            .flat_map(|(_, method)| {
+                MethodSolution::solve(program, method, config)
+                    .replay(true)
+                    .records
+            })
+            .collect();
+        ElisionLedger::from_records(records)
+    }
+
+    /// Wraps records already in (method, block, instruction) order,
+    /// publishing their count (`analysis.ledger.records`).
+    pub(crate) fn from_records(records: Vec<SiteRecord>) -> ElisionLedger {
         wbe_telemetry::counter("analysis.ledger.records").add(records.len() as u64);
         ElisionLedger { records }
     }
@@ -325,67 +338,31 @@ impl ElisionLedger {
     }
 }
 
-/// Builds the records for one method. Panics inside the analysis are
-/// isolated (per `config.isolate_panics`) exactly like
-/// [`analyze_method`](crate::analyze_method): the method's sites all
-/// degrade instead of unwinding into the caller.
-pub fn build_method(
-    program: &Program,
-    method: &Method,
-    config: &AnalysisConfig,
-) -> Vec<SiteRecord> {
-    if config.isolate_panics {
-        catch_unwind(AssertUnwindSafe(|| {
-            build_method_inner(program, method, config)
-        }))
-        .unwrap_or_else(|payload| {
-            let reason = DegradeReason::Panicked {
-                message: panic_message(payload.as_ref()),
-            };
-            all_degraded(program, method, &reason.to_string())
-        })
-    } else {
-        build_method_inner(program, method, config)
-    }
-}
+/// Keep-code of a site in a degraded method whose partial state showed
+/// no failing condition.
+pub(crate) const WOULD_ELIDE: &str = "degraded-would-elide";
 
-/// Every site in the method as `Degraded` with no partial evidence —
-/// the shape used when the analysis panicked (partial states from a
-/// panicked run are not trusted even for reporting).
-fn all_degraded(program: &Program, method: &Method, reason: &str) -> Vec<SiteRecord> {
-    let mut records = Vec::new();
-    for (bid, block) in method.iter_blocks() {
-        for (idx, insn) in block.insns.iter().enumerate() {
-            if !is_barrier_site(program, insn) {
-                continue;
-            }
-            let mut rec = blank_record(program, method, bid.index(), idx, insn);
-            rec.verdict = Verdict::Degraded;
-            rec.keep_code = "not-reached".to_string();
-            rec.keep_detail = "site not reached before degradation".to_string();
-            rec.degraded = reason.to_string();
-            records.push(rec);
-        }
-    }
-    records
-}
-
-fn blank_record(
-    program: &Program,
-    method: &Method,
-    block: usize,
-    index: usize,
+/// The record for the barrier site `insn` at `addr`: `pre` is the state
+/// before it (`None` = its block has no entry state), `judgment` what
+/// the transfer function returned there, and `degraded` the method's
+/// degrade reason, if it degraded.
+pub(crate) fn site_record(
+    ctx: &MethodCtx<'_>,
+    addr: InsnAddr,
     insn: &Insn,
+    pre: Option<&AbsState>,
+    judgment: BarrierJudgment,
+    degraded: Option<&str>,
 ) -> SiteRecord {
     let (kind, target) = match insn {
-        Insn::PutField(f) => ("putfield", program.field(*f).name.clone()),
+        Insn::PutField(f) => ("putfield", ctx.program.field(*f).name.clone()),
         Insn::AaStore => ("aastore", "[]".to_string()),
         _ => ("", String::new()),
     };
-    SiteRecord {
-        method: method.name.clone(),
-        block,
-        index,
+    let mut rec = SiteRecord {
+        method: ctx.method.name.clone(),
+        block: addr.block.index(),
+        index: addr.index,
         kind,
         target,
         verdict: Verdict::Keep,
@@ -394,90 +371,44 @@ fn blank_record(
         facts: Vec::new(),
         keep_code: String::new(),
         keep_detail: String::new(),
-        degraded: String::new(),
+        degraded: degraded.unwrap_or_default().to_string(),
         null_or_same: false,
         revoked: false,
         revoke_reason: String::new(),
         oracle_executions: 0,
         oracle_necessary: 0,
         oracle_witness: String::new(),
-    }
-}
-
-fn build_method_inner(
-    program: &Program,
-    method: &Method,
-    config: &AnalysisConfig,
-) -> Vec<SiteRecord> {
-    let mut ctx = MethodCtx::new(program, method, config);
-    let (states, degraded) = match solve_method(&mut ctx, config.flow_sensitive_escape) {
-        Solved::Converged { states, .. } => (states, None),
-        Solved::Degraded { reason, partial } => (partial, Some(reason.to_string())),
     };
-    let ctx = ctx;
-
-    let mut records = Vec::new();
-    for (bid, block) in method.iter_blocks() {
-        let mut st = states[bid.index()].clone();
-        for (idx, insn) in block.insns.iter().enumerate() {
-            let barrier = is_barrier_site(program, insn);
-            let pre = if barrier { st.clone() } else { None };
-            let judgment = match &mut st {
-                Some(s) => transfer_insn(s, &ctx, insn),
-                None => None,
-            };
-            if !barrier {
-                continue;
-            }
-            let mut rec = blank_record(program, method, bid.index(), idx, insn);
-            match (&pre, &degraded) {
-                (None, Some(reason)) => {
-                    rec.verdict = Verdict::Degraded;
-                    rec.keep_code = "not-reached".to_string();
-                    rec.keep_detail = "site not reached before degradation".to_string();
-                    rec.degraded = reason.clone();
-                }
-                (None, None) => {
-                    rec.verdict = Verdict::Keep;
-                    rec.keep_code = "unreachable-block".to_string();
-                    rec.keep_detail = "block unreachable (no entry state)".to_string();
-                }
-                (Some(pre), _) => {
-                    let (receiver, nl, facts) = evidence(pre, &ctx, insn);
-                    rec.receiver = receiver;
-                    rec.nl = nl;
-                    rec.facts = facts;
-                    match &degraded {
-                        Some(reason) => {
-                            rec.verdict = Verdict::Degraded;
-                            rec.degraded = reason.clone();
-                            if judgment == Some(false) {
-                                let r = keep_reason(pre, &ctx, insn);
-                                rec.keep_code = r.code.to_string();
-                                rec.keep_detail = r.detail;
-                            } else {
-                                rec.keep_code = "degraded-would-elide".to_string();
-                                rec.keep_detail =
-                                    "no failing condition in the partial (pre-convergence) state"
-                                        .to_string();
-                            }
-                        }
-                        None => match judgment {
-                            Some(true) => rec.verdict = Verdict::Elide,
-                            _ => {
-                                rec.verdict = Verdict::Keep;
-                                let r = keep_reason(pre, &ctx, insn);
-                                rec.keep_code = r.code.to_string();
-                                rec.keep_detail = r.detail;
-                            }
-                        },
-                    }
-                }
-            }
-            records.push(rec);
-        }
+    let reason = |code, detail: &str| KeepReason {
+        code,
+        detail: detail.to_string(),
+    };
+    let keep = match (pre, degraded) {
+        (None, Some(_)) => Some(reason("not-reached", "site not reached before degradation")),
+        (None, None) => Some(reason(
+            "unreachable-block",
+            "block unreachable (no entry state)",
+        )),
+        (Some(_), None) if judgment == Some(true) => None,
+        (Some(_), Some(_)) if judgment != Some(false) => Some(reason(
+            WOULD_ELIDE,
+            "no failing condition in the partial (pre-convergence) state",
+        )),
+        (Some(pre), _) => Some(keep_reason(pre, ctx, insn)),
+    };
+    rec.verdict = match (degraded, &keep) {
+        (Some(_), _) => Verdict::Degraded,
+        (None, None) => Verdict::Elide,
+        (None, Some(_)) => Verdict::Keep,
+    };
+    if let Some(keep) = keep {
+        rec.keep_code = keep.code.to_string();
+        rec.keep_detail = keep.detail;
     }
-    records
+    if let Some(pre) = pre {
+        (rec.receiver, rec.nl, rec.facts) = evidence(pre, ctx, insn);
+    }
+    rec
 }
 
 /// Renders the abstract receiver set and the facts the judgment

@@ -23,6 +23,9 @@
 //!
 //! The entry point is [`analyze_program`] (or [`analyze_method`]);
 //! results list the store sites whose SATB barrier may be omitted.
+//! Each method's fixed point is a [`MethodSolution`], solved once; the
+//! elision result, the [`ledger`], the [`dump`] and the §6 clients are
+//! all read off it ([`analyze_program_with`] for several at once).
 //! [`nullsame`] adds the §4.3 "null-or-same" extension.
 //!
 //! # Example
@@ -74,8 +77,8 @@ pub mod transfer;
 pub use bounds::BoundsAnalysis;
 pub use config::AnalysisConfig;
 pub use fixpoint::{
-    analyze_method, analyze_program, AnalysisOutcome, DegradeReason, MethodAnalysis,
-    ProgramAnalysis,
+    analyze_method, analyze_program, analyze_program_with, AnalysisOutcome, Analyzed,
+    DegradeReason, MethodAnalysis, MethodSolution, Products, ProgramAnalysis,
 };
 pub use framework::{Framework, MethodInfo};
 pub use intval::{IntLat, IntVal, UnkId, VarId};

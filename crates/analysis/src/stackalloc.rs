@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use wbe_ir::{Insn, Method, Program, SiteId, Terminator};
 
 use crate::config::AnalysisConfig;
-use crate::fixpoint::run_fixpoint;
+use crate::fixpoint::MethodSolution;
 use crate::refs::Ref;
 use crate::state::{AbsState, AbsValue, MethodCtx};
 use crate::transfer::{transfer_insn, transfer_term};
@@ -63,11 +63,21 @@ fn peek(st: &AbsState, depth: usize) -> Option<&AbsValue> {
     st.stack.len().checked_sub(depth + 1).map(|i| &st.stack[i])
 }
 
-/// Runs the analysis on one method.
+/// Runs the analysis on one method, solving it under
+/// [`AnalysisConfig::full`].
 pub fn analyze_method(program: &Program, method: &Method) -> StackAllocAnalysis {
-    let config = AnalysisConfig::full();
-    let ctx = MethodCtx::new(program, method, &config);
-    let Ok((states, _, _)) = run_fixpoint(&ctx) else {
+    analyze_solved(&MethodSolution::solve(
+        program,
+        method,
+        &AnalysisConfig::full(),
+    ))
+}
+
+/// The stack-allocation client over an already solved method.
+pub fn analyze_solved(solution: &MethodSolution<'_>) -> StackAllocAnalysis {
+    let ctx = solution.ctx();
+    let (program, method) = (ctx.program, ctx.method);
+    let Some(states) = solution.fixed_point() else {
         // Degraded: conservatively, nothing is stack-allocatable.
         return StackAllocAnalysis {
             total_sites: ctx.sites.len(),
@@ -87,29 +97,29 @@ pub fn analyze_method(program: &Program, method: &Method) -> StackAllocAnalysis 
             match insn {
                 Insn::PutField(_) | Insn::PutStatic(_) => {
                     if let Some(v) = peek(&st, 0) {
-                        taint_from_value(v, &ctx, &mut tainted);
+                        taint_from_value(v, ctx, &mut tainted);
                     }
                 }
                 Insn::AaStore => {
                     if let Some(v) = peek(&st, 0) {
-                        taint_from_value(v, &ctx, &mut tainted);
+                        taint_from_value(v, ctx, &mut tainted);
                     }
                 }
                 Insn::Invoke(callee) => {
                     let n = program.method(*callee).sig.params.len();
                     for d in 0..n {
                         if let Some(v) = peek(&st, d) {
-                            taint_from_value(v, &ctx, &mut tainted);
+                            taint_from_value(v, ctx, &mut tainted);
                         }
                     }
                 }
                 _ => {}
             }
-            let _ = transfer_insn(&mut st, &ctx, insn);
+            let _ = transfer_insn(&mut st, ctx, insn);
         }
         if let Terminator::ReturnValue = block.term {
             if let Some(v) = peek(&st, 0) {
-                taint_from_value(v, &ctx, &mut tainted);
+                taint_from_value(v, ctx, &mut tainted);
             }
         }
         transfer_term(&mut st, &block.term);

@@ -5,6 +5,7 @@
 //! *canonical*: entries equal to their context-determined default are
 //! absent, so structural equality detects fixed points.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -62,12 +63,33 @@ impl AbsValue {
     /// Merge (the lattice meet the paper calls it; union for ref sets,
     /// Figure 1 for integers, `Any` on type confusion).
     pub fn merge(&self, other: &AbsValue, ctx: &mut MergeCtx<'_>) -> AbsValue {
-        match (self, other) {
-            (AbsValue::Bottom, x) | (x, AbsValue::Bottom) => x.clone(),
-            (AbsValue::Any, _) | (_, AbsValue::Any) => AbsValue::Any,
-            (AbsValue::Refs(a), AbsValue::Refs(b)) => AbsValue::Refs(a.union(b).copied().collect()),
-            (AbsValue::Int(a), AbsValue::Int(b)) => AbsValue::Int(merge_intvals(a, b, ctx)),
-            _ => AbsValue::Any,
+        let mut out = self.clone();
+        out.merge_into(other, ctx);
+        out
+    }
+
+    /// [`merge`](Self::merge) in place; returns true if `self` changed.
+    pub fn merge_into(&mut self, other: &AbsValue, ctx: &mut MergeCtx<'_>) -> bool {
+        match (&mut *self, other) {
+            (_, AbsValue::Bottom) | (AbsValue::Any, _) => false,
+            (AbsValue::Bottom, x) => {
+                *self = x.clone();
+                true
+            }
+            (AbsValue::Refs(a), AbsValue::Refs(b)) => a.union_with(b),
+            (AbsValue::Int(a), AbsValue::Int(b)) => {
+                if a == b {
+                    return false;
+                }
+                let merged = merge_intvals(a, b, ctx);
+                let changed = merged != *a;
+                *a = merged;
+                changed
+            }
+            _ => {
+                *self = AbsValue::Any;
+                true
+            }
         }
     }
 
@@ -77,7 +99,7 @@ impl AbsValue {
         match (self, other) {
             (AbsValue::Bottom, x) | (x, AbsValue::Bottom) => x.clone(),
             (AbsValue::Any, _) | (_, AbsValue::Any) => AbsValue::Any,
-            (AbsValue::Refs(a), AbsValue::Refs(b)) => AbsValue::Refs(a.union(b).copied().collect()),
+            (AbsValue::Refs(a), AbsValue::Refs(b)) => AbsValue::Refs(a.union(b)),
             (AbsValue::Int(a), AbsValue::Int(b)) => {
                 if a == b {
                     AbsValue::Int(a.clone())
@@ -127,7 +149,7 @@ pub struct MethodCtx<'p> {
     /// References forced non-thread-local everywhere (the classic-escape
     /// ablation pins every reference that escapes anywhere). Re-asserted
     /// after allocation renames.
-    pub pinned_nl: BTreeSet<Ref>,
+    pub pinned_nl: RefSet,
     /// Guardrail: iteration cap override for the fixpoint driver.
     pub max_iterations: Option<usize>,
     /// Guardrail: wall-clock budget and the absolute deadline derived
@@ -160,7 +182,7 @@ impl<'p> MethodCtx<'p> {
             two_refs: config.two_refs_per_site,
             stride_inference: config.stride_inference,
             widen_after: config.widen_after,
-            pinned_nl: BTreeSet::new(),
+            pinned_nl: RefSet::new(),
             max_iterations: config.max_iterations,
             deadline: config
                 .time_budget
@@ -247,7 +269,7 @@ pub struct AbsState {
     /// `stk`: the operand stack.
     pub stack: Vec<AbsValue>,
     /// `NL`: references known possibly non-thread-local (escaped).
-    pub nl: BTreeSet<Ref>,
+    pub nl: RefSet,
     /// `σ`: abstract store (canonical: defaults absent).
     pub sigma: BTreeMap<(Ref, FieldKey), AbsValue>,
     /// `Len`: array lengths (canonical: ⊤ absent).
@@ -267,12 +289,34 @@ impl fmt::Debug for AbsState {
     }
 }
 
+/// Calls `f` for every key of either map, in ascending order, with
+/// each side's entry.
+fn for_each_key<K: Ord, V>(
+    a: &BTreeMap<K, V>,
+    b: &BTreeMap<K, V>,
+    mut f: impl FnMut(&K, Option<&V>, Option<&V>),
+) {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    loop {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => return,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+        };
+        let left = if order.is_le() { a.next() } else { None };
+        let right = if order.is_ge() { b.next() } else { None };
+        let key = left.or(right).expect("one side has a key").0;
+        f(key, left.map(|e| e.1), right.map(|e| e.1));
+    }
+}
+
 impl AbsState {
     /// The initial state at method entry (§2.3, §3.4).
     pub fn entry(ctx: &MethodCtx<'_>) -> AbsState {
         let m = ctx.method;
         let mut locals = vec![AbsValue::Bottom; m.num_locals as usize];
-        let mut nl: BTreeSet<Ref> = [Ref::Global].into_iter().collect();
+        let mut nl: RefSet = [Ref::Global].into_iter().collect();
         let mut len = BTreeMap::new();
         for (i, &ty) in m.sig.params.iter().enumerate() {
             let arg = Ref::Arg(i as u16);
@@ -296,7 +340,7 @@ impl AbsState {
                 }
             }
         }
-        nl.extend(ctx.pinned_nl.iter().copied());
+        nl.union_with(&ctx.pinned_nl);
         AbsState {
             locals,
             stack: Vec::new(),
@@ -378,8 +422,8 @@ impl AbsState {
 
     /// Escape closure: all references transitively reachable from `roots`
     /// through σ (the paper's `AllNonTL` reachability).
-    pub fn reachable_from(&self, _ctx: &MethodCtx<'_>, roots: &RefSet) -> BTreeSet<Ref> {
-        let mut seen: BTreeSet<Ref> = BTreeSet::new();
+    pub fn reachable_from(&self, _ctx: &MethodCtx<'_>, roots: &RefSet) -> RefSet {
+        let mut seen = RefSet::new();
         let mut work: Vec<Ref> = roots.iter().copied().collect();
         while let Some(r) = work.pop() {
             if !seen.insert(r) {
@@ -417,7 +461,7 @@ impl AbsState {
     /// them.
     pub fn escape(&mut self, ctx: &MethodCtx<'_>, vals: &RefSet) {
         let closure = self.reachable_from(ctx, vals);
-        self.nl.extend(closure);
+        self.nl.union_with(&closure);
     }
 
     /// Merges `incoming` into `self`; returns true if `self` changed.
@@ -438,68 +482,65 @@ impl AbsState {
         let mut mctx = MergeCtx::new(alloc, widen || !ctx.stride_inference);
         let mut changed = false;
 
-        for i in 0..self.locals.len() {
-            let merged = self.locals[i].merge(&incoming.locals[i], &mut mctx);
-            if merged != self.locals[i] {
-                self.locals[i] = merged;
-                changed = true;
-            }
+        let slots = self.locals.iter_mut().chain(self.stack.iter_mut());
+        for (mine, theirs) in slots.zip(incoming.locals.iter().chain(&incoming.stack)) {
+            changed |= mine.merge_into(theirs, &mut mctx);
         }
-        for i in 0..self.stack.len() {
-            let merged = self.stack[i].merge(&incoming.stack[i], &mut mctx);
-            if merged != self.stack[i] {
-                self.stack[i] = merged;
-                changed = true;
-            }
-        }
-        let nl_before = self.nl.len();
-        self.nl.extend(incoming.nl.iter().copied());
-        changed |= self.nl.len() != nl_before;
+        changed |= self.nl.union_with(&incoming.nl);
 
-        // σ: union of keys; absent = default.
-        let keys: BTreeSet<(Ref, FieldKey)> = self
-            .sigma
-            .keys()
-            .chain(incoming.sigma.keys())
-            .copied()
-            .collect();
-        for (r, key) in keys {
-            let a = self.sigma_raw(ctx, r, key);
-            let b = incoming.sigma_raw(ctx, r, key);
-            let merged = a.merge(&b, &mut mctx);
-            if merged != a {
-                changed = true;
+        // σ, Len and NR walk the union of both sides' keys in order (the
+        // order stride variables are named in); an absent entry is its
+        // default. Entries equal on both sides merge to themselves, so
+        // only the differing ones are merged and written back.
+        let mut sigma_updates = Vec::new();
+        for_each_key(&self.sigma, &incoming.sigma, |&(r, key), a, b| {
+            if a.is_some() && a == b {
+                return;
             }
-            self.sigma_set(ctx, r, key, merged);
+            let default = ctx.sigma_default(r, key);
+            let a = a.unwrap_or(&default);
+            let merged = a.merge(b.unwrap_or(&default), &mut mctx);
+            if merged != *a {
+                sigma_updates.push((r, key, merged));
+            }
+        });
+        changed |= !sigma_updates.is_empty();
+        for (r, key, v) in sigma_updates {
+            self.sigma_set(ctx, r, key, v);
         }
 
-        // Len: absent = ⊤.
-        let keys: BTreeSet<Ref> = self
-            .len
-            .keys()
-            .chain(incoming.len.keys())
-            .copied()
-            .collect();
-        for r in keys {
-            let a = self.len_lookup(r);
-            let b = incoming.len_lookup(r);
-            let merged = merge_intvals(&a, &b, &mut mctx);
-            if merged != a {
-                changed = true;
+        // Len: absent = ⊤, which absorbs whatever the other side has.
+        let mut len_updates = Vec::new();
+        for_each_key(&self.len, &incoming.len, |&r, a, b| match (a, b) {
+            (Some(a), Some(b)) if a != b => {
+                let merged = merge_intvals(a, b, &mut mctx);
+                if merged != *a {
+                    len_updates.push((r, merged));
+                }
             }
-            self.len_set(r, merged);
+            (Some(_), None) => len_updates.push((r, IntLat::Top)),
+            _ => {}
+        });
+        changed |= !len_updates.is_empty();
+        for (r, v) in len_updates {
+            self.len_set(r, v);
         }
 
-        // NR: absent = empty.
-        let keys: BTreeSet<Ref> = self.nr.keys().chain(incoming.nr.keys()).copied().collect();
-        for r in keys {
-            let a = self.nr_lookup(r);
-            let b = incoming.nr_lookup(r);
-            let merged = a.merge(&b, &mut mctx);
-            if merged != a {
-                changed = true;
+        // NR: absent = empty, likewise absorbing.
+        let mut nr_updates = Vec::new();
+        for_each_key(&self.nr, &incoming.nr, |&r, a, b| match (a, b) {
+            (Some(a), Some(b)) if a != b => {
+                let merged = a.merge(b, &mut mctx);
+                if merged != *a {
+                    nr_updates.push((r, merged));
+                }
             }
-            self.nr_set(r, merged);
+            (Some(_), None) => nr_updates.push((r, IntRange::Empty)),
+            _ => {}
+        });
+        changed |= !nr_updates.is_empty();
+        for (r, v) in nr_updates {
+            self.nr_set(r, v);
         }
         changed
     }

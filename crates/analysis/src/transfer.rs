@@ -352,7 +352,7 @@ pub fn transfer_insn(st: &mut AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Bar
             for _ in 0..sig.params.len() {
                 let v = pop(st);
                 if !matches!(v, AbsValue::Int(_)) {
-                    escaping.extend(as_refs(&v, ctx));
+                    escaping.union_with(&as_refs(&v, ctx));
                 }
             }
             // nAllNonTL: every reference argument escapes (no

@@ -145,7 +145,7 @@ use wbe_interp::{
 };
 use wbe_ir::display::{method_display, program_display};
 use wbe_ir::{parse_program, Program};
-use wbe_opt::{compile, OptMode, PipelineConfig};
+use wbe_opt::{compile, compile_with_dump, OptMode, PipelineConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -1035,7 +1035,11 @@ fn main() {
             }
             let mut cfg = PipelineConfig::new(mode, inline);
             cfg.null_or_same = nos;
-            let compiled = compile(&program, &cfg);
+            let (compiled, dump_text) = if dump {
+                compile_with_dump(&program, &cfg)
+            } else {
+                (compile(&program, &cfg), None)
+            };
             println!(
                 "inlined {} calls; analysis time {:?}",
                 compiled.inline_stats.inlined_calls,
@@ -1063,15 +1067,17 @@ fn main() {
                 compiled.code_size()
             );
             if dump {
-                let cfg = mode
-                    .analysis_config()
-                    .unwrap_or_else(wbe_analysis::AnalysisConfig::full);
-                for (_, m) in compiled.program.iter_methods() {
-                    print!(
-                        "{}",
-                        wbe_analysis::dump::dump_method(&compiled.program, m, &cfg)
-                    );
-                }
+                // Rendered by the compile above, from the fixed points it
+                // solved. Baseline mode solved none: dump those now.
+                let text = dump_text.unwrap_or_else(|| {
+                    let cfg = wbe_analysis::AnalysisConfig::full();
+                    compiled
+                        .program
+                        .iter_methods()
+                        .map(|(_, m)| wbe_analysis::dump::dump_method(&compiled.program, m, &cfg))
+                        .collect()
+                });
+                print!("{text}");
             }
         }
         "run" => {

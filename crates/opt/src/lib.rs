@@ -35,5 +35,5 @@ pub mod rearrange;
 pub use codesize::{insn_bytes, method_code_size, program_code_size, BARRIER_BYTES};
 pub use fold::{fold_method, fold_program, FoldStats};
 pub use inline::{inline_program, InlineConfig, InlineStats};
-pub use pipeline::{compile, Compiled, OptMode, PipelineConfig};
+pub use pipeline::{compile, compile_with_dump, Compiled, OptMode, PipelineConfig};
 pub use rearrange::{plan_program, RearrangePlan, ShiftGroup, ShiftRole};

@@ -10,7 +10,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-use wbe_analysis::{analyze_program, nullsame, AnalysisConfig, ElisionLedger, ProgramAnalysis};
+use wbe_analysis::{
+    analyze_program_with, nullsame, AnalysisConfig, ElisionLedger, Products, ProgramAnalysis,
+};
 use wbe_ir::{InsnAddr, MethodId, Program};
 
 use crate::codesize;
@@ -67,9 +69,12 @@ pub struct PipelineConfig {
     /// inlining, before the analyses (off by default so experiment
     /// instruction counts stay directly comparable to the source).
     pub fold: bool,
-    /// Also build the per-site [`ElisionLedger`] (off by default: the
-    /// ledger replays the fixpoint for evidence, which would distort
-    /// the analysis-time measurements the benches report).
+    /// Also build the per-site [`ElisionLedger`]. Its records come out
+    /// of the same solve and replay as the elision result, so this
+    /// costs no second fixed point — only rendering each site's
+    /// evidence, which is then part of [`Compiled::analysis_time`]
+    /// (off by default so the Figure 2 series times the analysis
+    /// alone).
     pub ledger: bool,
 }
 
@@ -193,6 +198,17 @@ impl Compiled {
 
 /// Runs the pipeline on `program`.
 pub fn compile(program: &Program, config: &PipelineConfig) -> Compiled {
+    run(program, config, false).0
+}
+
+/// [`compile`], plus the analysis's text dump of every compiled method
+/// (`wbe_analysis::dump`) rendered from the same solved fixed points —
+/// `None` in baseline mode, which runs no analysis.
+pub fn compile_with_dump(program: &Program, config: &PipelineConfig) -> (Compiled, Option<String>) {
+    run(program, config, true)
+}
+
+fn run(program: &Program, config: &PipelineConfig, dump: bool) -> (Compiled, Option<String>) {
     let _span = wbe_telemetry::span!("opt.compile", "mode {}", config.mode.label());
     let t0 = std::time::Instant::now();
     let (mut inlined, inline_stats) = inline_program(program, config.inline);
@@ -210,36 +226,24 @@ pub fn compile(program: &Program, config: &PipelineConfig) -> Compiled {
     let analysis_config = config
         .analysis_override
         .or_else(|| config.mode.analysis_config());
-    let analysis = analysis_config.map(|c| analyze_program(&inlined, &c));
+    // One solve and one replay per method, whatever is derived from it.
+    let products = Products {
+        ledger: config.ledger,
+        dump,
+    };
+    let analyzed = analysis_config.map(|c| analyze_program_with(&inlined, &c, products));
+    let (analysis, mut ledger, dump) = match analyzed {
+        Some(a) => (Some(a.analysis), a.ledger, a.dump),
+        None => (None, None, None),
+    };
     let null_or_same = if config.null_or_same {
         nullsame::analyze_program(&inlined)
     } else {
         BTreeMap::new()
     };
-    let ledger = if config.ledger {
-        analysis_config.map(|c| {
-            let mut ledger = ElisionLedger::build(&inlined, &c);
-            // Annotate records that the §4.3 null-or-same extension
-            // would elide with a W_NS barrier. Method names survive
-            // inlining unchanged, so they key the lookup.
-            if !null_or_same.is_empty() {
-                for rec in &mut ledger.records {
-                    let Some((mid, _)) = inlined.iter_methods().find(|(_, m)| m.name == rec.method)
-                    else {
-                        continue;
-                    };
-                    if let Some(sites) = null_or_same.get(&mid) {
-                        let addr =
-                            wbe_ir::InsnAddr::new(wbe_ir::BlockId(rec.block as u32), rec.index);
-                        rec.null_or_same = sites.contains(&addr);
-                    }
-                }
-            }
-            ledger
-        })
-    } else {
-        None
-    };
+    if let Some(ledger) = &mut ledger {
+        annotate_null_or_same(ledger, &inlined, &null_or_same);
+    }
     let compiled = Compiled {
         program: inlined,
         inline_stats,
@@ -259,7 +263,36 @@ pub fn compile(program: &Program, config: &PipelineConfig) -> Compiled {
         wbe_telemetry::counter("opt.code_size.saved_bytes")
             .add(before.saturating_sub(after) as u64);
     }
-    compiled
+    (compiled, dump)
+}
+
+/// Marks the records that the §4.3 null-or-same extension would elide
+/// with a `W_NS` barrier. The ledger holds each method's records
+/// together, in program order, and a method's records and its
+/// null-or-same sites are both in (block, instruction) order, so one
+/// walk over all three resolves every record.
+fn annotate_null_or_same(
+    ledger: &mut ElisionLedger,
+    program: &Program,
+    null_or_same: &BTreeMap<MethodId, BTreeSet<InsnAddr>>,
+) {
+    if null_or_same.is_empty() {
+        return;
+    }
+    let mut records = ledger.records.iter_mut().peekable();
+    for (mid, method) in program.iter_methods() {
+        let mut sites = null_or_same
+            .get(&mid)
+            .into_iter()
+            .flatten()
+            .map(|a| (a.block.index(), a.index))
+            .peekable();
+        while let Some(rec) = records.next_if(|r| r.method == method.name) {
+            let at = (rec.block, rec.index);
+            while sites.next_if(|&site| site < at).is_some() {}
+            rec.null_or_same = sites.peek() == Some(&at);
+        }
+    }
 }
 
 #[cfg(test)]
