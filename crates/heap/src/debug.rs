@@ -6,6 +6,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use crate::heap::Heap;
+use crate::mix::fnv1a;
 use crate::object::ObjKind;
 use crate::value::{GcRef, Value};
 
@@ -51,20 +52,6 @@ impl fmt::Display for HeapSummary {
         }
         Ok(())
     }
-}
-
-/// FNV-1a over a byte stream; the digest primitive for world digests.
-fn fnv1a(seed: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = if seed == 0 {
-        0xcbf2_9ce4_8422_2325
-    } else {
-        seed
-    };
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 fn value_bytes(v: Value) -> [u8; 9] {
@@ -177,7 +164,9 @@ pub fn dump_object(heap: &Heap, r: GcRef) -> String {
             };
             format!(
                 "{r}: class #{} {} ({:?})",
-                obj.class_tag, body, obj.trace_state
+                obj.class_tag,
+                body,
+                heap.gc.trace_state(&heap.store, r)
             )
         }
     }

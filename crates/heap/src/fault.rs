@@ -16,6 +16,8 @@
 
 use std::fmt;
 
+use crate::mix::SplitMix64;
+
 /// Probabilities (in per-mille) and knobs for one fault schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultConfig {
@@ -163,7 +165,7 @@ impl fmt::Display for FaultStats {
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     cfg: FaultConfig,
-    state: u64,
+    rng: SplitMix64,
     grace: u32,
     /// Decisions taken so far.
     pub stats: FaultStats,
@@ -174,7 +176,7 @@ impl FaultPlan {
     pub fn new(cfg: FaultConfig) -> Self {
         FaultPlan {
             cfg,
-            state: cfg.seed,
+            rng: SplitMix64(cfg.seed),
             grace: 0,
             stats: FaultStats::default(),
         }
@@ -190,19 +192,10 @@ impl FaultPlan {
         self.cfg.seed
     }
 
-    /// SplitMix64: the next raw value of the decision stream.
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     /// One biased coin flip with probability `pm`/1000.
     fn roll(&mut self, pm: u16) -> bool {
         self.stats.decisions += 1;
-        self.next() % 1000 < u64::from(pm)
+        self.rng.next() % 1000 < u64::from(pm)
     }
 
     /// Should a *due* marking start be deferred at this allocation?
@@ -284,7 +277,7 @@ impl FaultPlan {
     /// A digest of the plan's entire history: equal digests mean equal
     /// decision streams. Used to assert seed-reproducibility.
     pub fn digest(&self) -> u64 {
-        let mut d = self.state ^ self.cfg.seed.rotate_left(17);
+        let mut d = self.rng.0 ^ self.cfg.seed.rotate_left(17);
         for part in [
             self.stats.decisions,
             self.stats.deferred_starts,

@@ -17,9 +17,16 @@
 //!   object — including all objects allocated and initialized during
 //!   marking — which is why its pauses are often an order of magnitude
 //!   longer (§1, §4.5 of the paper).
+//!
+//! All per-cycle state is indexed by slot number and lives in dense bit
+//! sets beside the [`Store`], never on the objects (DESIGN §16). Three
+//! orders are observable — slot reuse, hence every world digest,
+//! depends on them — and `tests/gc_differential.rs` pins them: the grey
+//! stack is LIFO with children shaded in field/element order; the dirty
+//! and retrace sets drain in ascending slot order; sweep frees in
+//! ascending slot order.
 
-use std::collections::BTreeSet;
-
+use crate::bitset::BitSet;
 use crate::heap::Store;
 use crate::object::{ObjKind, TraceState};
 use crate::value::GcRef;
@@ -195,16 +202,24 @@ pub const PHASE_REMARK: &str = "heap.gc.pause.remark.work_units";
 /// sweep; work = slots examined).
 pub const PHASE_SWEEP: &str = "heap.gc.pause.sweep.work_units";
 
-/// Collector state: mark bits, grey stack, mutator-barrier buffers.
+/// Collector state: the mark bit set, the grey stack, the barriers'
+/// buffers (SATB log; dirty and retrace bit sets) and the §4.3 trace
+/// state of arrays. [`GcState::begin_marking`] resets all of it and the
+/// allocator hook clears a reused slot's bits.
 #[derive(Debug)]
 pub struct GcState {
     style: MarkStyle,
     phase: Phase,
-    mark: Vec<bool>,
+    mark: BitSet,
     grey: Vec<GcRef>,
     satb_buf: Vec<GcRef>,
-    dirty: BTreeSet<GcRef>,
-    retrace: BTreeSet<GcRef>,
+    dirty: BitSet,
+    retrace: BitSet,
+    /// Arrays whose scan has started this cycle ...
+    tracing: BitSet,
+    /// ... and those whose scan has finished: [`TraceState::Traced`] if
+    /// here, [`TraceState::Tracing`] if only in `tracing`.
+    traced: BitSet,
     /// Cumulative statistics.
     pub stats: GcStats,
     /// Portion of `stats` already mirrored into the registry.
@@ -220,11 +235,13 @@ impl GcState {
         GcState {
             style,
             phase: Phase::Idle,
-            mark: Vec::new(),
+            mark: BitSet::default(),
             grey: Vec::new(),
             satb_buf: Vec::new(),
-            dirty: BTreeSet::new(),
-            retrace: BTreeSet::new(),
+            dirty: BitSet::default(),
+            retrace: BitSet::default(),
+            tracing: BitSet::default(),
+            traced: BitSet::default(),
             stats: GcStats::default(),
             published: GcStats::default(),
             metrics: None,
@@ -281,13 +298,7 @@ impl GcState {
 
     /// True if `r` is marked in the current/most recent cycle.
     pub fn is_marked(&self, r: GcRef) -> bool {
-        self.mark.get(r.index()).copied().unwrap_or(false)
-    }
-
-    fn ensure_mark_capacity(&mut self, r: GcRef) {
-        if self.mark.len() <= r.index() {
-            self.mark.resize(r.index() + 1, false);
-        }
+        self.mark.get(r.index())
     }
 
     /// Clears `r`'s mark bit. **Fault injection only**: this forges the
@@ -295,25 +306,27 @@ impl GcState {
     /// the cycle never shaded), so the chaos harness can exercise the
     /// recovery path on demand. Never called by the collector itself.
     pub fn clear_mark(&mut self, r: GcRef) {
-        if let Some(bit) = self.mark.get_mut(r.index()) {
-            *bit = false;
-        }
+        self.mark.remove(r.index());
     }
 
     /// Allocator hook. During SATB marking, new objects are allocated
     /// black (implicitly marked): they are not part of the snapshot and
     /// the marker never examines them — the key SATB advantage.
     pub fn on_allocate(&mut self, r: GcRef) {
-        self.ensure_mark_capacity(r);
+        let slot = r.index();
         match (self.phase, self.style) {
             (Phase::Marking, MarkStyle::Satb) => {
-                self.mark[r.index()] = true;
+                self.mark.insert(slot);
                 self.stats.allocated_black += 1;
             }
-            _ => {
-                // Slot reuse must not inherit a stale mark bit.
-                self.mark[r.index()] = false;
-            }
+            // Slot reuse must not inherit a stale mark bit.
+            _ => self.mark.remove(slot),
+        }
+        // Nor the previous occupant's trace state (`traced` is a subset
+        // of `tracing`, so one read covers the common case).
+        if self.tracing.get(slot) {
+            self.tracing.remove(slot);
+            self.traced.remove(slot);
         }
     }
 
@@ -373,13 +386,19 @@ impl GcState {
     pub fn dirty(&mut self, obj: GcRef) {
         self.stats.dirty_marks += 1;
         if self.phase == Phase::Marking {
-            self.dirty.insert(obj);
+            self.dirty.insert(obj.index());
         }
     }
 
     /// §4.3 protocol: current tracing state of the array at `r`.
     pub fn trace_state(&self, store: &Store, r: GcRef) -> TraceState {
-        store.get(r).map(|o| o.trace_state).unwrap_or_default()
+        match (self.tracing.get(r.index()), self.traced.get(r.index())) {
+            // A freed slot keeps its bits until it is handed out again.
+            _ if !store.is_live(r) => TraceState::Untraced,
+            (_, true) => TraceState::Traced,
+            (true, false) => TraceState::Tracing,
+            (false, false) => TraceState::Untraced,
+        }
     }
 
     /// §4.3 protocol: the mutator detected possible interference with the
@@ -387,7 +406,7 @@ impl GcState {
     /// retracing during the pause.
     pub fn push_retrace(&mut self, arr: GcRef) {
         if self.phase == Phase::Marking {
-            self.retrace.insert(arr);
+            self.retrace.insert(arr.index());
         }
     }
 
@@ -420,21 +439,14 @@ impl GcState {
             return Err(CycleInProgress);
         }
         self.phase = Phase::Marking;
-        self.mark.clear();
-        self.mark.resize(store.capacity(), false);
+        let capacity = store.capacity();
+        self.mark.reset(capacity);
+        self.dirty.reset(capacity);
+        self.retrace.reset(capacity);
+        self.tracing.reset(capacity);
+        self.traced.reset(capacity);
         self.grey.clear();
         self.satb_buf.clear();
-        self.dirty.clear();
-        self.retrace.clear();
-        // trace_state is per-cycle; reset it on every live object.
-        for slot in 0..store.capacity() {
-            let r = GcRef(slot as u32);
-            if store.is_live(r) {
-                if let Ok(o) = store.get_mut(r) {
-                    o.trace_state = TraceState::Untraced;
-                }
-            }
-        }
         for &r in roots {
             self.shade(r);
         }
@@ -445,39 +457,32 @@ impl GcState {
         Ok(())
     }
 
-    /// Marks `r` grey if it is live and unmarked.
+    /// Marks `r` grey if it is unmarked.
     fn shade(&mut self, r: GcRef) {
-        self.ensure_mark_capacity(r);
-        if !self.mark[r.index()] {
-            self.mark[r.index()] = true;
+        if self.mark.insert(r.index()) {
             self.grey.push(r);
         }
     }
 
-    /// Scans one object: traces its outgoing references, shading each.
-    /// Returns the number of references traced.
-    fn scan(&mut self, store: &mut Store, r: GcRef) -> usize {
-        let Ok(obj) = store.get_mut(r) else {
+    /// Scans one object: traces its outgoing references, shading each
+    /// in field/element order. Returns the number of references traced.
+    fn scan(&mut self, store: &Store, r: GcRef) -> usize {
+        let Ok(obj) = store.get(r) else {
             return 0;
         };
         let is_array = matches!(obj.kind, ObjKind::RefArray(_));
         if is_array {
-            obj.trace_state = TraceState::Tracing;
+            self.tracing.insert(r.index());
         }
-        let outgoing: Vec<GcRef> = obj.outgoing_refs().collect();
-        if is_array {
-            // Re-borrow to flip the state after collecting the refs; the
-            // mutator in stepped mode cannot interleave inside scan, but
-            // the threaded mode observes Tracing between the two writes.
-            if let Ok(obj) = store.get_mut(r) {
-                obj.trace_state = TraceState::Traced;
-            }
-        }
-        let n = outgoing.len();
-        for child in outgoing {
+        let mut traced = 0;
+        obj.outgoing_refs().for_each(|child| {
             self.shade(child);
+            traced += 1;
+        });
+        if is_array {
+            self.traced.insert(r.index());
         }
-        n
+        traced
     }
 
     /// Performs up to `budget` units of concurrent marking work (one unit
@@ -523,7 +528,7 @@ impl GcState {
     pub fn remark(&mut self, store: &mut Store, roots: &[GcRef]) -> PauseReport {
         assert_eq!(self.phase, Phase::Marking, "remark while idle");
         let _span = wbe_telemetry::span!("heap.gc.remark");
-        let pause_start = std::time::Instant::now();
+        let pause_start = wbe_telemetry::metrics_enabled().then(std::time::Instant::now);
         let mut pause = PauseReport::default();
         for &r in roots {
             pause.roots_examined += 1;
@@ -531,14 +536,17 @@ impl GcState {
         }
         // §4.3: arrays whose rearrangement raced with tracing are traced
         // again, conservatively, with the world stopped.
-        let retrace: Vec<GcRef> = std::mem::take(&mut self.retrace).into_iter().collect();
-        for arr in retrace {
+        // (Moved out for the walk, put back empty to reuse its words.)
+        let mut retrace = std::mem::take(&mut self.retrace);
+        retrace.drain(|slot| {
+            let arr = GcRef(slot as u32);
             if self.is_marked(arr) {
                 pause.retraced += 1;
                 pause.objects_scanned += 1;
                 pause.refs_traced += self.scan(store, arr);
             }
-        }
+        });
+        self.retrace = retrace;
         match self.style {
             MarkStyle::Satb => {
                 while let Some(old) = self.satb_buf.pop() {
@@ -554,14 +562,16 @@ impl GcState {
                 // Rescan marked dirty objects; then trace to completion.
                 // Unmarked dirty objects are scanned if tracing reaches
                 // them (their scan is then a fresh, correct scan).
-                let dirty: Vec<GcRef> = std::mem::take(&mut self.dirty).into_iter().collect();
-                for d in dirty {
+                let mut dirty = std::mem::take(&mut self.dirty);
+                dirty.drain(|slot| {
+                    let d = GcRef(slot as u32);
                     if self.is_marked(d) {
                         pause.dirty_rescanned += 1;
                         pause.objects_scanned += 1;
                         pause.refs_traced += self.scan(store, d);
                     }
-                }
+                });
+                self.dirty = dirty;
                 while let Some(r) = self.grey.pop() {
                     pause.objects_scanned += 1;
                     pause.refs_traced += self.scan(store, r);
@@ -573,7 +583,9 @@ impl GcState {
         if let Some(m) = self.metrics() {
             m.pause_work_units.record(pause.work_units() as u64);
             m.pause_remark.record(pause.work_units() as u64);
-            m.pause_us.record_duration(pause_start.elapsed());
+            if let Some(start) = pause_start {
+                m.pause_us.record_duration(start.elapsed());
+            }
         }
         self.publish_metrics();
         pause
@@ -587,14 +599,7 @@ impl GcState {
     /// Panics if called while marking is in progress.
     pub fn sweep(&mut self, store: &mut Store) -> usize {
         assert_eq!(self.phase, Phase::Idle, "sweep during marking");
-        let mut freed = 0;
-        for slot in 0..store.capacity() {
-            let r = GcRef(slot as u32);
-            if store.is_live(r) && !self.is_marked(r) {
-                store.remove(r);
-                freed += 1;
-            }
-        }
+        let freed = store.sweep(self.mark.words());
         self.stats.swept += freed as u64;
         // Sweep-slice work: every slot is examined once.
         if let Some(m) = self.metrics() {
@@ -834,6 +839,120 @@ mod tests {
                 "{key} recorded no samples"
             );
         }
+    }
+
+    #[test]
+    fn trace_state_reads_the_same_through_collector_and_dump() {
+        use crate::debug::dump_object;
+        let mut h = Heap::new(MarkStyle::Satb);
+        let arr = h.alloc_ref_array(0, 2).unwrap();
+        let plain = obj(&mut h);
+        h.set_elem(arr, 0, Some(plain)).unwrap();
+        h.gc.begin_marking(&mut h.store, &[arr]);
+        assert_eq!(h.gc.trace_state(&h.store, arr), TraceState::Untraced);
+        assert!(dump_object(&h, arr).ends_with("(Untraced)"));
+        // What a reader would see while `scan` is inside the array.
+        h.gc.tracing.insert(arr.index());
+        assert_eq!(h.gc.trace_state(&h.store, arr), TraceState::Tracing);
+        assert!(dump_object(&h, arr).ends_with("(Tracing)"));
+        while h.gc.mark_step(&mut h.store, 8) > 0 {}
+        assert_eq!(h.gc.trace_state(&h.store, arr), TraceState::Traced);
+        assert!(dump_object(&h, arr).ends_with("(Traced)"));
+        // Only reference arrays carry the state, it outlives the cycle,
+        // and the next cycle starts from a clean slate.
+        assert_eq!(h.gc.trace_state(&h.store, plain), TraceState::Untraced);
+        h.gc.remark(&mut h.store, &[arr]);
+        assert_eq!(h.gc.trace_state(&h.store, arr), TraceState::Traced);
+        assert_eq!(h.gc.trace_state(&h.store, GcRef(999)), TraceState::Untraced);
+        h.gc.begin_marking(&mut h.store, &[]);
+        assert_eq!(h.gc.trace_state(&h.store, arr), TraceState::Untraced);
+    }
+
+    #[test]
+    fn slot_reused_while_idle_inherits_no_mark_or_trace_bit() {
+        let mut h = Heap::new(MarkStyle::Satb);
+        let arr = h.alloc_ref_array(0, 2).unwrap();
+        h.gc.begin_marking(&mut h.store, &[arr]);
+        h.gc.remark(&mut h.store, &[arr]);
+        assert!(h.gc.is_marked(arr));
+        assert_eq!(h.gc.trace_state(&h.store, arr), TraceState::Traced);
+        // Freed outside a sweep (the interpreter's arena does this), so
+        // the slot goes back with both bits still set.
+        h.store.remove(arr);
+        assert_eq!(h.gc.trace_state(&h.store, arr), TraceState::Untraced);
+        let reused = h.alloc_ref_array(0, 2).unwrap();
+        assert_eq!(reused, arr);
+        assert!(!h.gc.is_marked(reused));
+        assert_eq!(h.gc.trace_state(&h.store, reused), TraceState::Untraced);
+    }
+
+    #[test]
+    fn allocation_past_the_bit_sets_during_marking() {
+        for style in [MarkStyle::Satb, MarkStyle::IncrementalUpdate] {
+            let mut h = Heap::new(style);
+            let root = h.alloc_ref_array(0, 2).unwrap();
+            for _ in 1..64 {
+                obj(&mut h);
+            }
+            // One word per set: slots 0..64.
+            h.gc.begin_marking(&mut h.store, &[root]);
+            while h.gc.mark_step(&mut h.store, 8) > 0 {}
+            let kept = h.alloc_ref_array(0, 1).unwrap();
+            let dropped = obj(&mut h);
+            assert_eq!((kept.index(), dropped.index()), (64, 65));
+            assert_eq!(h.gc.is_marked(kept), style == MarkStyle::Satb);
+            h.set_elem(root, 0, Some(kept)).unwrap();
+            h.gc.push_retrace(kept);
+            if style == MarkStyle::IncrementalUpdate {
+                h.gc.dirty(root);
+                h.gc.dirty(kept);
+                h.gc.dirty(kept);
+                assert_eq!(h.gc.dirty_backlog(), 2, "distinct objects");
+            }
+            let pause = h.gc.remark(&mut h.store, &[root]);
+            assert!(h.gc.is_marked(kept));
+            assert_eq!(h.gc.trace_state(&h.store, kept), TraceState::Traced);
+            match style {
+                // Allocated black: marked, so the retrace scans it.
+                MarkStyle::Satb => assert_eq!(pause.retraced, 1),
+                // White when the retrace set is drained. The dirty set
+                // drains in ascending order: rescanning `root` shades
+                // `kept` before its own turn comes, so both are rescanned.
+                MarkStyle::IncrementalUpdate => {
+                    assert_eq!((pause.retraced, pause.dirty_rescanned), (0, 2));
+                }
+            }
+            assert_eq!(h.gc.dirty_backlog(), 0);
+            // SATB keeps `dropped` (black); IU frees it and the 63
+            // unreachable objects alike.
+            let expect = if style == MarkStyle::Satb { 63 } else { 64 };
+            assert_eq!(h.sweep(), expect, "{style:?}");
+            assert!(h.store.is_live(kept) && h.store.is_live(root));
+        }
+    }
+
+    #[test]
+    fn sweep_frees_in_ascending_slot_order_across_words() {
+        let mut h = Heap::new(MarkStyle::Satb);
+        let all: Vec<GcRef> = (0..150).map(|_| obj(&mut h)).collect();
+        // Keep every third object, and all of slots 64..128 so one mark
+        // word is full.
+        let roots: Vec<GcRef> = all
+            .iter()
+            .copied()
+            .filter(|r| r.index() % 3 == 0 || (64..128).contains(&r.index()))
+            .collect();
+        h.gc.begin_marking(&mut h.store, &roots);
+        h.gc.remark(&mut h.store, &roots);
+        let garbage: Vec<GcRef> = all.iter().copied().filter(|r| !roots.contains(r)).collect();
+        assert_eq!(h.sweep(), garbage.len());
+        assert_eq!(h.store.live_count(), roots.len());
+        // The free list is a stack: allocation hands slots back in
+        // descending order of the ascending sweep.
+        let reused: Vec<GcRef> = garbage.iter().map(|_| obj(&mut h)).collect();
+        let mut expected = garbage;
+        expected.reverse();
+        assert_eq!(reused, expected);
     }
 
     #[test]

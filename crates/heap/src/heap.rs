@@ -4,7 +4,7 @@ use std::fmt;
 
 use crate::fault::FaultPlan;
 use crate::gc::{GcState, MarkStyle};
-use crate::object::{HeapObject, ObjKind, TraceState};
+use crate::object::{HeapObject, ObjKind};
 use crate::value::{FieldShape, GcRef, Value};
 use crate::witness::WitnessTable;
 
@@ -133,6 +133,26 @@ impl Store {
         self.slots.get(r.index()).is_some_and(|s| s.is_some())
     }
 
+    /// Frees, in ascending slot order (later allocations depend on it),
+    /// every live slot whose bit in `marked` is clear: bit `i % 64` of
+    /// word `i / 64` is slot `i`, slots past the last word are unmarked.
+    /// Returns the number freed.
+    pub(crate) fn sweep(&mut self, marked: &[u64]) -> usize {
+        let before = self.free.len();
+        for (w, chunk) in self.slots.chunks_mut(64).enumerate() {
+            let mut unmarked = !marked.get(w).copied().unwrap_or(0);
+            while unmarked != 0 {
+                let bit = unmarked.trailing_zeros() as usize;
+                unmarked &= unmarked - 1;
+                // (`get_mut`: the last chunk may be shorter than a word.)
+                if chunk.get_mut(bit).and_then(Option::take).is_some() {
+                    self.free.push((w * 64 + bit) as u32);
+                }
+            }
+        }
+        self.free.len() - before
+    }
+
     /// Iterates over live `(GcRef, &HeapObject)` pairs.
     pub fn iter_live(&self) -> impl Iterator<Item = (GcRef, &HeapObject)> {
         self.slots
@@ -162,7 +182,7 @@ pub struct HeapStats {
 pub struct Heap {
     /// Object storage.
     pub store: Store,
-    /// Collector state (marker style, phase, mark bits, buffers).
+    /// Collector state (style, phase, bit sets, grey stack, SATB log).
     pub gc: GcState,
     /// Static (global) variables.
     statics: Vec<Value>,
@@ -317,7 +337,6 @@ impl Heap {
         let fields = shapes.iter().map(|s| s.zero_value()).collect();
         Ok(self.finish_alloc(HeapObject {
             class_tag,
-            trace_state: TraceState::Untraced,
             kind: ObjKind::Object(fields),
         }))
     }
@@ -333,7 +352,6 @@ impl Heap {
         self.check_alloc_fault()?;
         Ok(self.finish_alloc(HeapObject {
             class_tag,
-            trace_state: TraceState::Untraced,
             kind: ObjKind::RefArray(vec![None; n]),
         }))
     }
@@ -349,7 +367,6 @@ impl Heap {
         self.check_alloc_fault()?;
         Ok(self.finish_alloc(HeapObject {
             class_tag: HeapObject::INT_ARRAY_TAG,
-            trace_state: TraceState::Untraced,
             kind: ObjKind::IntArray(vec![0; n]),
         }))
     }

@@ -45,11 +45,13 @@
 //! # Ok::<(), wbe_heap::HeapError>(())
 //! ```
 
+mod bitset;
 pub mod debug;
 pub mod fault;
 pub mod gc;
 pub mod heap;
 pub mod mcheck;
+mod mix;
 pub mod object;
 pub mod overload;
 pub mod pressure;

@@ -5,7 +5,8 @@ use crate::value::{GcRef, Value};
 /// Tracing state of an object array, for the §4.3 optimistic
 /// array-rearrangement protocol: the concurrent marker records whether it
 /// has started/finished scanning the array, and rearrangement loops whose
-/// barriers were elided consult the state to detect interference.
+/// barriers were elided consult the state to detect interference. Read
+/// it with [`crate::gc::GcState::trace_state`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TraceState {
     /// The marker has not reached this array in the current cycle.
@@ -28,17 +29,15 @@ pub enum ObjKind {
     IntArray(Vec<i64>),
 }
 
-/// A heap object: a class/array tag, the §4.3 tracing state, and the
-/// payload.
+/// A heap object: a class/array tag and the payload. Collector state
+/// (mark bit, §4.3 tracing state) is kept per slot by
+/// [`crate::gc::GcState`], not here.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HeapObject {
     /// Class id for instances, element-class id for reference arrays,
     /// [`HeapObject::INT_ARRAY_TAG`] for int arrays. The heap never
     /// interprets the tag; the interpreter uses it for dynamic checks.
     pub class_tag: u32,
-    /// §4.3 array tracing state (meaningful for arrays; kept on all
-    /// objects for uniformity).
-    pub trace_state: TraceState,
     /// Payload.
     pub kind: ObjKind,
 }
@@ -93,7 +92,6 @@ mod tests {
     fn outgoing_refs_of_object() {
         let o = HeapObject {
             class_tag: 0,
-            trace_state: TraceState::default(),
             kind: ObjKind::Object(vec![Value::Int(3), Value::Ref(Some(GcRef(7))), Value::NULL]),
         };
         assert_eq!(o.outgoing_refs().collect::<Vec<_>>(), vec![GcRef(7)]);
@@ -105,7 +103,6 @@ mod tests {
     fn outgoing_refs_of_ref_array() {
         let o = HeapObject {
             class_tag: 1,
-            trace_state: TraceState::Untraced,
             kind: ObjKind::RefArray(vec![None, Some(GcRef(2)), Some(GcRef(4))]),
         };
         assert_eq!(
@@ -118,7 +115,6 @@ mod tests {
     fn int_arrays_have_no_outgoing_refs() {
         let o = HeapObject {
             class_tag: HeapObject::INT_ARRAY_TAG,
-            trace_state: TraceState::Untraced,
             kind: ObjKind::IntArray(vec![1, 2, 3]),
         };
         assert_eq!(o.outgoing_refs().count(), 0);

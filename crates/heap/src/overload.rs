@@ -38,6 +38,7 @@ use std::fmt;
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::gc::MarkStyle;
 use crate::heap::{Heap, HeapError};
+use crate::mix::{fnv1a, SplitMix64};
 use crate::pressure::{PressureConfig, PressureController, PressureLevel, PressureTransition};
 use crate::safepoint::{EpochState, SatbBuffer};
 use crate::value::{FieldShape, GcRef, Value};
@@ -55,34 +56,6 @@ const NODE: [FieldShape; 2] = [FieldShape::Ref, FieldShape::Ref];
 /// many consecutive head inserts, bounding the live set so the
 /// collector has something to reclaim.
 const CHAIN_RESET: u64 = 8;
-
-/// SplitMix64 — the repo's standard deterministic stream generator.
-#[derive(Clone, Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-/// FNV-1a over a byte stream (digest primitive, same as the scheduler).
-fn fnv1a(seed: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = if seed == 0 {
-        0xcbf2_9ce4_8422_2325
-    } else {
-        seed
-    };
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Request-mix shape: relative weights of the three request types
 /// (session put, cache publish, connection churn).

@@ -44,6 +44,7 @@ use std::fmt;
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::gc::MarkStyle;
 use crate::heap::{Heap, HeapError};
+use crate::mix::{fnv1a, SplitMix64};
 use crate::safepoint::{EpochState, SatbBuffer};
 use crate::value::{FieldShape, GcRef, Value};
 use crate::verify;
@@ -58,21 +59,6 @@ const WARMUP_CHAIN: usize = 4;
 
 /// Field shape of every chain node: `f0` = next link, `f1` = cross-link.
 const NODE: [FieldShape; 2] = [FieldShape::Ref, FieldShape::Ref];
-
-/// SplitMix64 — the same deterministic stream generator the fault layer
-/// uses; kept private and tiny so the scheduler has no RNG dependency.
-#[derive(Clone, Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
 
 /// Workload shape: relative weights of the four mutator operations
 /// (alloc-link, unlink, publish, cross-link).
@@ -388,20 +374,6 @@ impl SchedCounters {
             wbe_telemetry::counter(name).add(v);
         }
     }
-}
-
-/// FNV-1a over a byte stream; the digest primitive for schedule traces.
-fn fnv1a(seed: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = if seed == 0 {
-        0xcbf2_9ce4_8422_2325
-    } else {
-        seed
-    };
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// The result of running one schedule to completion.

@@ -53,7 +53,7 @@ pub enum StwError {
     /// A wait exceeded the coordinator's deadline: some thread never
     /// reached the expected safepoint state.
     Timeout {
-        /// What the wait was for (`"parks"`, `"resume"`).
+        /// What the wait was for (`"acks"`, `"snapshot"`, `"parks"`, `"resume"`).
         waiting_for: &'static str,
         /// Backoff iterations spent before giving up.
         spins: u64,
@@ -483,6 +483,14 @@ impl ConcurrentCycle {
     /// [`MutatorHandle::safepoint`] (or retire); otherwise the snapshot
     /// handshake never completes.
     ///
+    /// **On return**, if no mutator's acknowledgement is outstanding
+    /// (at once when none are registered), the marker has left the
+    /// armed phase — snapshot taken, or cycle abandoned — or the wait
+    /// timeout has passed: what such a caller allocates next is
+    /// allocated during marking. With an acknowledgement outstanding
+    /// `start` returns armed (that mutator may be on this thread) and
+    /// [`MutatorHandle::local_marking`] tells the two sides apart.
+    ///
     /// # Errors
     ///
     /// [`CycleInProgress`] if a cycle is already running — on this
@@ -563,6 +571,16 @@ impl ConcurrentCycle {
                 total
             })
         };
+        let mut backoff = Backoff::new(ctl.wait_timeout());
+        while ctl.phase.load(Ordering::SeqCst) == PHASE_ARMED
+            && ctl.all_acked(epoch)
+            && !marker.is_finished()
+        {
+            if !backoff.wait() {
+                let _ = ctl.watchdog_timeout("snapshot", backoff.spins);
+                break;
+            }
+        }
         Ok(ConcurrentCycle {
             heap,
             ctl,
