@@ -1,5 +1,5 @@
-//! Criterion benchmarks regenerating the paper's tables/figures under
-//! the bench harness, plus ablation benches for the design choices
-//! DESIGN.md calls out. The headline experiment *numbers* come from the
-//! `experiments` binary in `wbe-harness`; these benches measure the
-//! *costs* (analysis time, interpretation throughput, pause work).
+//! Home of `benches/ablations.rs`: the analysis with one design choice
+//! switched off at a time (two-refs-per-site, flow-sensitive escape,
+//! stride inference), timed over the suite with the elision counts
+//! printed once — the table DESIGN.md §5 cites. Every other
+//! measurement is `wbe_bench/`'s, the repo's one benchmark.

@@ -15,7 +15,7 @@ use wbe_heap::gc::MarkStyle;
 use wbe_interp::{
     BarrierConfig, BarrierMode, GcPolicy, Interp, RearrangeRole, RearrangeSites, Value,
 };
-use wbe_opt::{plan_program, OptMode, PipelineConfig, ShiftRole};
+use wbe_opt::{plan_program, OptMode, PipelineConfig, RearrangePlan, ShiftRole};
 use wbe_workloads::standard_suite;
 
 /// One workload's protocol results.
@@ -51,6 +51,20 @@ pub struct RearrangeReport {
     pub rows: Vec<RearrangeRow>,
 }
 
+/// The recognizer's plan as the interpreter's site set: every store of
+/// every recognized group, with its role.
+pub fn protocol_sites(plan: &RearrangePlan) -> RearrangeSites {
+    let mut sites = RearrangeSites::new();
+    for (m, a, role) in plan.iter() {
+        let role = match role {
+            ShiftRole::First => RearrangeRole::First,
+            ShiftRole::Member => RearrangeRole::Member,
+        };
+        sites.insert(m, a, role);
+    }
+    sites
+}
+
 /// Runs the experiment at `scale`.
 pub fn run(scale: f64) -> RearrangeReport {
     let mut rows = Vec::new();
@@ -58,15 +72,7 @@ pub fn run(scale: f64) -> RearrangeReport {
         let iters = ((w.default_iters as f64 * scale) as i64).max(64);
         let compiled = wbe_opt::compile(&w.program, &PipelineConfig::new(OptMode::Baseline, 100));
         let plan = plan_program(&compiled.program);
-        let mut sites = RearrangeSites::new();
-        for (m, a, role) in plan.iter() {
-            let r = match role {
-                ShiftRole::First => RearrangeRole::First,
-                ShiftRole::Member => RearrangeRole::Member,
-            };
-            sites.insert(m, a, r);
-        }
-        let config = BarrierConfig::new(BarrierMode::Checked).with_rearrange(sites);
+        let config = BarrierConfig::new(BarrierMode::Checked).with_rearrange(protocol_sites(&plan));
         let mut interp = Interp::with_style(&compiled.program, config, MarkStyle::Satb);
         interp.set_gc_policy(GcPolicy {
             alloc_trigger: 200,

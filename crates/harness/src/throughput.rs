@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierConfig, BarrierMode, Engine, EngineKind, GcPolicy, Value};
+use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, GcPolicy, Interp, Value};
 use wbe_opt::OptMode;
 use wbe_workloads::Workload;
 
@@ -148,7 +148,7 @@ fn overhead_pct(base: Duration, cfg: Duration) -> f64 {
 /// (a pure function of the workload) until `duration_ops` instructions
 /// have executed, so equal options execute identical streams.
 fn run_mutator(
-    engine: &mut dyn Engine,
+    engine: &mut Interp,
     w: &Workload,
     duration_ops: u64,
 ) -> Result<MutatorFacts, wbe_interp::Trap> {
@@ -192,7 +192,7 @@ pub fn measure_workload(w: &Workload, opts: &ThroughputOptions) -> ThroughputRow
                 s.spawn(move || {
                     let mut engine = opts.engine.build(program, config, MarkStyle::Satb);
                     engine.set_gc_policy(GC_POLICY);
-                    run_mutator(engine.as_mut(), w, opts.duration_ops)
+                    run_mutator(&mut engine, w, opts.duration_ops)
                         .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name))
                 })
             })
@@ -215,7 +215,7 @@ pub fn measure_workload(w: &Workload, opts: &ThroughputOptions) -> ThroughputRow
     let trio = |config: BarrierConfig| -> Duration {
         let start = Instant::now();
         let mut engine = opts.engine.build(program, config, MarkStyle::Satb);
-        run_mutator(engine.as_mut(), w, opts.duration_ops)
+        run_mutator(&mut engine, w, opts.duration_ops)
             .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name));
         start.elapsed()
     };

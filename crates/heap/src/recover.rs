@@ -131,13 +131,6 @@ pub struct RecoveryController {
     in_attempt: bool,
     revoked: BTreeSet<SiteKey>,
     revocations: Vec<RevocationRecord>,
-    /// Monotonic revocation generation: bumped on every panic-mode
-    /// entry and every per-site revocation. Compiled execution engines
-    /// bake elided fast paths against generation 0 and fall back to the
-    /// guarded slow path once the counter moves, so self-healing
-    /// revocations invalidate stale superinstructions without patching
-    /// code.
-    generation: u64,
     /// Lifetime counters.
     pub stats: RecoveryStats,
     published: RecoveryStats,
@@ -154,7 +147,6 @@ impl RecoveryController {
             in_attempt: false,
             revoked: BTreeSet::new(),
             revocations: Vec::new(),
-            generation: 0,
             stats: RecoveryStats::default(),
             published: RecoveryStats::default(),
         }
@@ -177,15 +169,6 @@ impl RecoveryController {
         &self.panic_reason
     }
 
-    /// The revocation generation. Zero means no elision has ever been
-    /// invalidated: compiled fast paths for statically-elided sites are
-    /// valid exactly while this stays 0. Bumped on panic entry and on
-    /// each per-site revocation; never reset (panic is sticky and
-    /// revocations are first-wins, so staleness is monotonic too).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Reports a detected violation. Returns [`RecoveryAction::Recover`]
     /// while the consecutive-failure budget lasts — entering (sticky)
     /// panic mode and opening a recovery attempt — or
@@ -199,7 +182,6 @@ impl RecoveryController {
             self.panic_mode = true;
             self.panic_reason = reason.to_string();
             self.stats.panic_entries += 1;
-            self.generation += 1;
         }
         self.stats.attempted += 1;
         self.in_attempt = true;
@@ -251,7 +233,6 @@ impl RecoveryController {
         if !self.revoked.insert(site) {
             return;
         }
-        self.generation += 1;
         self.stats.revoked_sites += 1;
         self.revocations.push(RevocationRecord {
             method: method.to_string(),
@@ -426,23 +407,6 @@ mod tests {
         rc.attempt_failed();
         assert_eq!(rc.revocations().len(), 1);
         assert_eq!(rc.stats.revoked_sites, 1);
-    }
-
-    #[test]
-    fn generation_moves_on_panic_entry_and_each_revocation() {
-        let mut rc = RecoveryController::new(RecoveryPolicy::default());
-        assert_eq!(rc.generation(), 0, "fresh controller: fast paths valid");
-        rc.on_violation("post-mark");
-        assert_eq!(rc.generation(), 1, "panic entry bumps");
-        rc.on_violation("post-mark again");
-        assert_eq!(rc.generation(), 1, "sticky panic: no second bump");
-        rc.revoke((1, 0, 0), "m", "oracle", "oracle");
-        rc.revoke((1, 0, 1), "m", "oracle", "oracle");
-        assert_eq!(rc.generation(), 3, "each distinct revocation bumps");
-        rc.revoke((1, 0, 0), "m", "dup", "oracle");
-        assert_eq!(rc.generation(), 3, "duplicate revocation does not");
-        rc.recovered();
-        assert_eq!(rc.generation(), 3, "recovery never rolls back");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! bit-identical schedule digest and identical telemetry counters.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use wbe_heap::gc::MarkStyle;
@@ -55,6 +56,17 @@ fn multiple_mutators_with_safepoint_protocol_preserve_the_snapshot() {
                         // Periodic safepoint poll: ack pending epochs,
                         // flush the SATB buffer.
                         handle.safepoint(&heap).unwrap();
+                    }
+                    if i == 0 {
+                        // The marker snapshots once every mutator has
+                        // acked. Stores wait for it: a worker that got
+                        // through its ops first would log nothing, and
+                        // the buffers this test is about stay empty.
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while !heap.lock().gc.is_marking() {
+                            assert!(Instant::now() < deadline, "snapshot never taken");
+                            std::thread::yield_now();
+                        }
                     }
                     let mut h = heap.lock();
                     let n = h.alloc_object(2, &[FieldShape::Ref]).unwrap();

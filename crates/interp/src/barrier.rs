@@ -231,40 +231,19 @@ impl SiteStats {
     }
 }
 
-/// Per-site dynamic barrier statistics for a run.
+/// Per-site dynamic barrier statistics: the public per-site report,
+/// filled at run boundaries (see [`BarrierStats::add_site`]).
 #[derive(Clone, Debug, Default)]
 pub struct BarrierStats {
     sites: HashMap<(MethodId, InsnAddr, StoreKind), SiteStats>,
 }
 
 impl BarrierStats {
-    /// Records one execution of the store at `addr`.
-    pub fn record(
-        &mut self,
-        method: MethodId,
-        addr: InsnAddr,
-        kind: StoreKind,
-        pre_value_null: bool,
-    ) {
-        let s = self.sites.entry((method, addr, kind)).or_default();
-        s.executions += 1;
-        if pre_value_null {
-            s.pre_null += 1;
-        }
-    }
-
-    /// Charges `cycles` abstract barrier cycles to the store at `addr`.
-    /// Separate from [`record`](Self::record) so the interpreter can
-    /// attribute the exact cost its barrier path computed (which varies
-    /// with marking phase and pre-value) after the execution count.
-    pub fn add_cycles(&mut self, method: MethodId, addr: InsnAddr, kind: StoreKind, cycles: u64) {
-        self.sites.entry((method, addr, kind)).or_default().cycles += cycles;
-    }
-
-    /// Folds a pre-aggregated per-site block into the map in one call —
-    /// the flush path for the compiled engine's flat site accumulators,
-    /// which count executions outside this `HashMap` and reconcile at
-    /// run boundaries.
+    /// Adds one site's counts: `executions` executions of the store at
+    /// `addr`, `pre_null` of them over a null pre-value, charged
+    /// `cycles` abstract barrier cycles in all. The interpreter counts
+    /// per site in flat arrays while it runs and calls this once per
+    /// executed site at the end of each run.
     pub fn add_site(
         &mut self,
         method: MethodId,
@@ -294,11 +273,8 @@ impl BarrierStats {
     /// Accumulates `other`'s per-site counters into `self`, so harness
     /// code can aggregate runs without hand-summing summary fields.
     pub fn merge(&mut self, other: &BarrierStats) {
-        for (&key, stats) in &other.sites {
-            let s = self.sites.entry(key).or_default();
-            s.executions += stats.executions;
-            s.pre_null += stats.pre_null;
-            s.cycles += stats.cycles;
+        for (&(method, addr, kind), s) in &other.sites {
+            self.add_site(method, addr, kind, s.executions, s.pre_null, s.cycles);
         }
     }
 
@@ -439,10 +415,8 @@ mod tests {
     fn site_stats_potential_pre_null() {
         let mut st = BarrierStats::default();
         let m = MethodId(0);
-        st.record(m, addr(0), StoreKind::Field, true);
-        st.record(m, addr(0), StoreKind::Field, true);
-        st.record(m, addr(1), StoreKind::Field, true);
-        st.record(m, addr(1), StoreKind::Field, false);
+        st.add_site(m, addr(0), StoreKind::Field, 2, 2, 0);
+        st.add_site(m, addr(1), StoreKind::Field, 2, 1, 0);
         let sites: HashMap<_, _> = st.iter().map(|(k, v)| (*k, *v)).collect();
         assert!(sites[&(m, addr(0), StoreKind::Field)].potentially_pre_null());
         assert!(!sites[&(m, addr(1), StoreKind::Field)].potentially_pre_null());
@@ -453,11 +427,9 @@ mod tests {
         let mut st = BarrierStats::default();
         let m = MethodId(0);
         // Site 0: field, 3 executions, always pre-null, elided.
-        for _ in 0..3 {
-            st.record(m, addr(0), StoreKind::Field, true);
-        }
+        st.add_site(m, addr(0), StoreKind::Field, 3, 3, 0);
         // Site 1: array, 1 execution, not pre-null, not elided.
-        st.record(m, addr(1), StoreKind::Array, false);
+        st.add_site(m, addr(1), StoreKind::Array, 1, 0, 0);
         let mut elided = ElidedBarriers::new();
         elided.insert(m, addr(0));
         let s = st.summarize(&elided);
@@ -500,9 +472,9 @@ mod tests {
         let mut st = BarrierStats::default();
         let m = MethodId(0);
         for i in 0..3 {
-            st.record(m, addr(i), StoreKind::Field, true);
+            st.add_site(m, addr(i), StoreKind::Field, 1, 1, 0);
         }
-        st.record(m, addr(3), StoreKind::Array, true);
+        st.add_site(m, addr(3), StoreKind::Array, 1, 1, 0);
         let elided: ElidedBarriers = (0..4).map(|i| (m, addr(i))).collect();
         let s = st.summarize(&elided);
         assert_eq!(s.total(), 4);
@@ -517,11 +489,10 @@ mod tests {
     fn merge_sums_per_site_and_display_reports_totals() {
         let m = MethodId(0);
         let mut a = BarrierStats::default();
-        a.record(m, addr(0), StoreKind::Field, true);
-        a.record(m, addr(0), StoreKind::Field, false);
+        a.add_site(m, addr(0), StoreKind::Field, 2, 1, 0);
         let mut b = BarrierStats::default();
-        b.record(m, addr(0), StoreKind::Field, true);
-        b.record(m, addr(1), StoreKind::Array, true);
+        b.add_site(m, addr(0), StoreKind::Field, 1, 1, 0);
+        b.add_site(m, addr(1), StoreKind::Array, 1, 1, 0);
         a.merge(&b);
         assert_eq!(a.site_count(), 2);
         assert_eq!(a.totals(), (4, 3));
@@ -535,8 +506,7 @@ mod tests {
     fn merge_of_empty_stats_is_identity_both_ways() {
         let m = MethodId(0);
         let mut populated = BarrierStats::default();
-        populated.record(m, addr(0), StoreKind::Field, true);
-        populated.add_cycles(m, addr(0), StoreKind::Field, 12);
+        populated.add_site(m, addr(0), StoreKind::Field, 1, 1, 12);
         let before: HashMap<_, _> = populated.iter().map(|(k, v)| (*k, *v)).collect();
 
         // populated.merge(empty) changes nothing.
@@ -569,8 +539,8 @@ mod tests {
         let mut total = BarrierStats::default();
         for run in 0..3u64 {
             let mut one = BarrierStats::default();
-            one.record(m, addr(5), StoreKind::Array, run % 2 == 0);
-            one.add_cycles(m, addr(5), StoreKind::Array, 10 + run);
+            let pre_null = u64::from(run % 2 == 0);
+            one.add_site(m, addr(5), StoreKind::Array, 1, pre_null, 10 + run);
             total.merge(&one);
         }
         assert_eq!(total.site_count(), 1);
@@ -588,8 +558,7 @@ mod tests {
         // StoreKind is part of the site key.
         let m = MethodId(3);
         let mut st = BarrierStats::default();
-        st.record(m, addr(7), StoreKind::Field, true);
-        st.record(m, addr(7), StoreKind::Field, true);
+        st.add_site(m, addr(7), StoreKind::Field, 2, 2, 0);
         let s = st.summarize(&ElidedBarriers::new());
         assert_eq!(s.field_total, 2);
         assert_eq!(s.array_total, 0);
@@ -600,7 +569,7 @@ mod tests {
         // each under its own row.
         let mut elided = ElidedBarriers::new();
         elided.insert(m, addr(7));
-        st.record(m, addr(7), StoreKind::Array, true);
+        st.add_site(m, addr(7), StoreKind::Array, 1, 1, 0);
         assert_eq!(st.site_count(), 2);
         let s = st.summarize(&elided);
         assert_eq!(s.field_total, 2);
@@ -610,17 +579,17 @@ mod tests {
     }
 
     #[test]
-    fn add_cycles_creates_site_and_display_ignores_cycles() {
+    fn cycles_alone_create_a_site_and_display_ignores_cycles() {
         let m = MethodId(4);
         let mut st = BarrierStats::default();
-        // Charging cycles before any record() creates the site with
-        // zero executions (the profiler treats that as suspicious but
+        // Cycles with no execution create the site with zero
+        // executions (the profiler treats that as suspicious but
         // merge/totals must stay consistent).
-        st.add_cycles(m, addr(0), StoreKind::Field, 7);
+        st.add_site(m, addr(0), StoreKind::Field, 0, 0, 7);
         assert_eq!(st.site_count(), 1);
         assert_eq!(st.totals(), (0, 0));
         assert_eq!(st.total_cycles(), 7);
-        st.record(m, addr(0), StoreKind::Field, false);
+        st.add_site(m, addr(0), StoreKind::Field, 1, 0, 0);
         assert_eq!(st.totals(), (1, 0));
         // Display keeps its pinned executions/pre_null shape.
         assert_eq!(format!("{st}"), "sites=1 executions=1 pre_null=0");

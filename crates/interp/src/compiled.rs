@@ -1,15 +1,14 @@
-//! The compiled direct-threaded execution engine.
+//! The compiled dispatch loop: [`Interp`]'s second way of executing a
+//! method, over the flat superinstruction code of [`mod@crate::translate`].
 //!
-//! [`CompiledEngine`] executes the flat superinstruction code produced
-//! by [`crate::translate`] over the same heap, GC driving, recovery,
-//! and statistics substrate as the classic [`Interp`] — it *contains*
-//! an `Interp` and reuses its slow paths (allocation recovery, barrier
-//! panic mode, emergency pauses), so the two engines are observably
-//! identical: same traps, same `BarrierStats`, same GC cycle and pause
-//! schedule, same world digests. What changes is the per-instruction
-//! work: one flat `Vec` index per op, pre-resolved offsets, and fused
-//! store+barrier superinstructions instead of per-execution
-//! configuration dispatch.
+//! It is a loop, not a machine: heap, GC driving, recovery, pressure,
+//! oracle, code cache, statistics and the store barrier
+//! (`Interp::store_barrier`) are the ones the classic loop in
+//! [`crate::machine`] uses, so the two are observably identical — same
+//! traps, same `BarrierStats`, same GC cycle and pause schedule, same
+//! world digests. What changes is the per-instruction work: one flat
+//! `Vec` index per op, pre-resolved offsets and jump targets, and the
+//! store-site verdict as an operand of the op.
 //!
 //! **Frame-state localization**: the dispatch loop keeps the active
 //! frame's program counter, operand stack, and locals in loop locals
@@ -17,10 +16,9 @@
 //! never re-borrows the frame vector per instruction. The state is
 //! swapped back in (`stash`) before every operation that can scan
 //! frames for GC roots — allocation (recovery retries and the post-
-//! allocation trigger), the deterministic GC poll, and the recovery
-//! slow paths of the fused stores — and on calls/returns, preserving
-//! the exact root sets and safepoint frame contents of the classic
-//! engine.
+//! allocation trigger), the deterministic GC poll, and the healing of
+//! an unsound elided store — and on calls/returns, preserving the exact
+//! root sets and safepoint frame contents of the classic loop.
 //!
 //! **Hot-loop telemetry discipline**: the dispatch loop below performs
 //! no telemetry-registry calls at all — counters accumulate in plain
@@ -30,32 +28,19 @@
 //! completely untouched; `tests/` pins that.
 //!
 //! **Safepoint/GC equivalence**: the loop counts `stats.insns` and
-//! polls the deterministic GC policy at exactly the classic engine's
+//! polls the deterministic GC policy at exactly the classic loop's
 //! points (after every op, with the same `insns % step_interval`
 //! schedule, plus the post-allocation trigger), so policy-driven
-//! marking, pauses, and digests are bit-identical across engines.
-//!
-//! **Revocation generations**: elided fast paths are compiled against
-//! revocation generation 0. `wbe_heap::recover` bumps its generation
-//! counter on panic entry and on every per-site revocation; the fused
-//! elided op checks the counter and, once it moves, permanently routes
-//! through the classic guarded dispatch (`Interp::apply_barrier`),
-//! which consults the controller per site. PR 7's self-healing
-//! semantics therefore survive compilation unchanged.
+//! marking, pauses, and digests are bit-identical across loops.
 
 use std::rc::Rc;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_heap::{
-    FaultPlan, GcRef, Heap, HeapError, ObjKind, PressureConfig, PressureController,
-    RecoveryController, RecoveryPolicy, Value,
-};
-use wbe_ir::{Cond, InsnAddr, MethodId, Program};
+use wbe_heap::{GcRef, HeapError, ObjKind, Value};
+use wbe_ir::{Cond, InsnAddr, MethodId};
 
-use crate::barrier::{BarrierConfig, ElisionKind, StoreKind};
-use crate::cost;
-use crate::machine::{site_key, GcPolicy, Interp, RunStats, Trap};
-use crate::translate::{translate, Cell, CompiledMethod, Fuse, Op};
+use crate::barrier::StoreKind;
+use crate::machine::{Interp, Trap, Unsound};
+use crate::translate::{Cell, CompiledMethod, Op};
 
 /// Pop two ints, apply `f`, push the result — expanded in place so each
 /// arithmetic opcode is a single dispatch-table jump.
@@ -124,378 +109,57 @@ fn unstash(interp: &mut Interp, af: &mut ActiveFrame) -> usize {
     top.ip
 }
 
-/// Flat per-site counters, reconciled into the shared
-/// [`crate::BarrierStats`] map at run boundaries. Indexed by the `site`
-/// slot baked into fused store ops — a `Vec` index in the hot loop
-/// where the classic engine pays a `HashMap` probe per store.
-#[derive(Clone, Copy, Debug, Default)]
-struct SiteAcc {
-    executions: u64,
-    pre_null: u64,
-    cycles: u64,
-}
-
-/// The closure-compiled / direct-threaded engine. Construct with
-/// [`CompiledEngine::new`]/[`CompiledEngine::with_style`] (same
-/// signatures as [`Interp`]), configure identically, then [`run`].
-///
-/// Methods are translated lazily, once each, on first activation;
-/// configuration setters that change translation-relevant state (the
-/// stack-allocation site set) drop the code cache.
-///
-/// [`run`]: CompiledEngine::run
-pub struct CompiledEngine<'p> {
-    interp: Interp<'p>,
-    code: Vec<Option<Rc<CompiledMethod>>>,
-    site_acc: Vec<Vec<SiteAcc>>,
-}
-
-impl<'p> CompiledEngine<'p> {
-    /// Creates a compiled engine with an SATB-style heap.
-    pub fn new(program: &'p Program, config: BarrierConfig) -> Self {
-        Self::with_style(program, config, MarkStyle::Satb)
-    }
-
-    /// Creates a compiled engine with the given marker style.
-    pub fn with_style(program: &'p Program, config: BarrierConfig, style: MarkStyle) -> Self {
-        let n = program.methods.len();
-        CompiledEngine {
-            interp: Interp::with_style(program, config, style),
-            code: vec![None; n],
-            site_acc: vec![Vec::new(); n],
-        }
-    }
-
-    /// The underlying interpreter state (heap, stats, controllers).
-    pub fn interp(&self) -> &Interp<'p> {
-        &self.interp
-    }
-
-    /// Mutable access to the underlying interpreter state.
-    pub fn interp_mut(&mut self) -> &mut Interp<'p> {
-        &mut self.interp
-    }
-
-    /// The managed heap.
-    pub fn heap(&self) -> &Heap {
-        &self.interp.heap
-    }
-
-    /// Mutable access to the managed heap.
-    pub fn heap_mut(&mut self) -> &mut Heap {
-        &mut self.interp.heap
-    }
-
-    /// Accumulated statistics (site counters are reconciled at the end
-    /// of every [`run`](CompiledEngine::run), so between runs this is
-    /// exactly what the classic engine would report).
-    pub fn stats(&self) -> &RunStats {
-        &self.interp.stats
-    }
-
-    /// Enables policy-driven concurrent marking during execution.
-    pub fn set_gc_policy(&mut self, policy: GcPolicy) {
-        self.interp.set_gc_policy(policy);
-    }
-
-    /// Installs a deterministic fault schedule (see [`wbe_heap::fault`]).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.interp.set_fault_plan(plan);
-    }
-
-    /// Enables heap-invariant verification at GC cycle boundaries.
-    pub fn set_verify_invariants(&mut self, on: bool) {
-        self.interp.set_verify_invariants(on);
-    }
-
-    /// Installs the self-healing recovery layer.
-    pub fn set_recovery(&mut self, policy: RecoveryPolicy) {
-        self.interp.set_recovery(policy);
-    }
-
-    /// The recovery controller, if installed.
-    pub fn recovery(&self) -> Option<&RecoveryController> {
-        self.interp.recovery()
-    }
-
-    /// Installs the heap-pressure controller.
-    pub fn set_pressure(&mut self, cfg: PressureConfig) {
-        self.interp.set_pressure(cfg);
-    }
-
-    /// The pressure controller, if installed.
-    pub fn pressure(&self) -> Option<&PressureController> {
-        self.interp.pressure()
-    }
-
-    /// Enables (or disables) the barrier-necessity oracle.
-    pub fn set_oracle(&mut self, on: bool) {
-        self.interp.set_oracle(on);
-    }
-
-    /// The oracle state, if enabled. No accumulator flush is needed:
-    /// oracle verdicts are recorded directly on the shared interpreter
-    /// at every hook, never batched like the site cycle counters.
-    pub fn oracle(&self) -> Option<&crate::oracle::OracleState> {
-        self.interp.oracle()
-    }
-
-    /// Declares frame-arena allocation sites. Invalidates any already-
-    /// translated code: the verdict is baked into `New` ops.
-    pub fn set_stack_sites(&mut self, sites: impl IntoIterator<Item = wbe_ir::SiteId>) {
-        self.interp.set_stack_sites(sites);
-        for slot in &mut self.code {
-            *slot = None;
-        }
-        for acc in &mut self.site_acc {
-            acc.clear();
-        }
-    }
-
-    /// The barrier configuration in force.
-    pub fn config(&self) -> &BarrierConfig {
-        self.interp.config()
-    }
-
-    /// Publishes statistics deltas to the telemetry registry (the only
-    /// place the engine consults `metrics_enabled()`).
-    pub fn publish_metrics(&mut self) {
-        self.interp.publish_metrics();
-    }
-
-    fn ensure_translated(&mut self, mid: MethodId) {
-        let i = mid.index();
-        if self.code[i].is_none() {
-            let cm = translate(
-                self.interp.program,
-                mid,
-                &self.interp.config,
-                self.interp.heap.gc.style(),
-                &self.interp.stack_sites,
-            );
-            self.site_acc[i] = vec![SiteAcc::default(); cm.sites.len()];
-            self.code[i] = Some(Rc::new(cm));
-        }
-    }
-
-    /// Reconciles the flat per-site accumulators into the shared
-    /// `BarrierStats` map so totals, Table 1 summaries, and ledger
-    /// joins see exactly what the classic engine would have recorded.
-    fn flush_site_stats(&mut self) {
-        for (i, accs) in self.site_acc.iter_mut().enumerate() {
-            let Some(cm) = &self.code[i] else { continue };
-            let mid = MethodId(i as u32);
-            for (s, acc) in accs.iter_mut().enumerate() {
-                if acc.executions == 0 && acc.cycles == 0 {
-                    continue;
-                }
-                let info = cm.sites[s];
-                self.interp.stats.barrier.add_site(
-                    mid,
-                    info.addr,
-                    info.kind,
-                    acc.executions,
-                    acc.pre_null,
-                    acc.cycles,
-                );
-                *acc = SiteAcc::default();
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn bump_site(&mut self, mid: MethodId, site: u32, pre_null: bool, cycles: u64) {
-        let a = &mut self.site_acc[mid.index()][site as usize];
-        a.executions += 1;
-        if pre_null {
-            a.pre_null += 1;
-        }
-        a.cycles += cycles;
-    }
-
-    /// The fused store+barrier tail: every reference store funnels here
-    /// with its translation-time [`Fuse`] verdict. Mirrors the classic
-    /// `apply_barrier`/rearrange dispatch outcome for outcome. The
-    /// recovery slow paths (stale-generation rerouting, unsound-elision
-    /// healing) can reach a full pause, so they [`stash`] the active
-    /// frame state first.
+impl Interp<'_> {
+    /// The compiled loop's way out of an [`Unsound`] store: healing can
+    /// pause, so the frame state and the counters go back first.
+    #[cold]
     #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn exec_ref_store(
+    fn heal_unsound_store(
         &mut self,
         mid: MethodId,
         at: InsnAddr,
         kind: StoreKind,
-        receiver: GcRef,
         old: Option<GcRef>,
-        new: Option<GcRef>,
         site: u32,
-        fuse: Fuse,
         af: &mut ActiveFrame,
         pc: usize,
         counts: &mut Counts,
     ) -> Result<(), Trap> {
-        let pre_null = old.is_none();
-        match fuse {
-            Fuse::Elided(ekind) => {
-                // Revocation-generation guard: generation 0 means no
-                // panic entry and no per-site revocation has ever
-                // happened, so the baked fast path is still valid. Once
-                // the counter moves, route through the classic guarded
-                // dispatch, which consults the controller per site and
-                // lazily records revocations — and can pause for a
-                // heal, so the frame state and counters go back first.
-                let stale = self
-                    .interp
-                    .recovery
-                    .as_ref()
-                    .is_some_and(|rc| rc.generation() != 0);
-                if stale {
-                    stash(&mut self.interp, af, pc);
-                    flush_counts(&mut self.interp, counts);
-                    let r = self.interp.apply_barrier(mid, at, kind, receiver, old, new);
-                    reload_counts(&self.interp, counts);
-                    r?;
-                    unstash(&mut self.interp, af);
-                    return Ok(());
-                }
-                self.bump_site(mid, site, pre_null, 0);
-                // Soundness oracle, baked per proof kind — the one
-                // dynamic check the fast path keeps.
-                let ok = match ekind {
-                    ElisionKind::PreNull => pre_null,
-                    ElisionKind::NullOrSame => pre_null || old == new,
-                };
-                if !ok {
-                    stash(&mut self.interp, af, pc);
-                    flush_counts(&mut self.interp, counts);
-                    let r = self
-                        .interp
-                        .unsound_elision(mid, at, kind, site_key(mid, at), old);
-                    reload_counts(&self.interp, counts);
-                    r?;
-                    unstash(&mut self.interp, af);
-                    return Ok(());
-                }
-                self.interp.stats.elided_executions += 1;
-                Ok(())
-            }
-            Fuse::KeptChecked => {
-                let marking = self.interp.heap.gc.is_marking();
-                let c = cost::checked_barrier_cost(marking, pre_null);
-                self.interp.stats.barrier_cycles += c;
-                counts.cycles += c;
-                self.bump_site(mid, site, pre_null, c);
-                self.interp
-                    .oracle_note_kept(mid, at, kind, Some(receiver), old);
-                if marking {
-                    if let Some(o) = old {
-                        self.interp.heap.gc.satb_log(o);
-                    }
-                }
-                Ok(())
-            }
-            Fuse::KeptAlways => {
-                let c = cost::always_log_barrier_cost(pre_null);
-                self.interp.stats.barrier_cycles += c;
-                counts.cycles += c;
-                self.bump_site(mid, site, pre_null, c);
-                self.interp
-                    .oracle_note_kept(mid, at, kind, Some(receiver), old);
-                if let Some(o) = old {
-                    self.interp.heap.gc.satb_log(o);
-                }
-                Ok(())
-            }
-            Fuse::KeptNone => {
-                self.bump_site(mid, site, pre_null, 0);
-                Ok(())
-            }
-            Fuse::IuDirty { mark } => {
-                self.interp.stats.barrier_cycles += 2;
-                counts.cycles += 2;
-                self.bump_site(mid, site, pre_null, 2);
-                if mark {
-                    self.interp.heap.gc.dirty(receiver);
-                }
-                Ok(())
-            }
-            Fuse::RearrangeMember => {
-                self.bump_site(mid, site, pre_null, 2);
-                self.interp.stats.rearrange_skipped += 1;
-                self.interp.stats.barrier_cycles += 2;
-                counts.cycles += 2;
-                if self.interp.heap.gc.is_marking()
-                    && self
-                        .interp
-                        .heap
-                        .gc
-                        .trace_state(&self.interp.heap.store, receiver)
-                        != wbe_heap::TraceState::Untraced
-                {
-                    self.interp.heap.gc.push_retrace(receiver);
-                    self.interp.stats.retraces_scheduled += 1;
-                }
-                Ok(())
-            }
-        }
+        stash(self, af, pc);
+        flush_counts(self, counts);
+        let r = self.unsound_elision(mid, at, kind, old, site);
+        reload_counts(self, counts);
+        r?;
+        unstash(self, af);
+        Ok(())
     }
 
-    /// Runs `method` with `args`, bounded by `fuel` instructions —
-    /// the compiled counterpart of [`Interp::run`], with identical
-    /// trap, fuel, statistics, and GC-driving semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`Trap`] on runtime failure, exactly as the classic
-    /// engine would for the same program and configuration.
-    pub fn run(
+    /// Runs `method` through the compiled loop; [`Interp::run`]'s body
+    /// for [`crate::EngineKind::Compiled`].
+    pub(crate) fn run_compiled(
         &mut self,
         method: MethodId,
         args: &[Value],
         fuel: u64,
     ) -> Result<Option<Value>, Trap> {
-        let m = self.interp.program.method(method);
-        if args.len() != m.sig.params.len() {
-            return Err(Trap::BadArgCount {
-                method,
-                expected: m.sig.params.len(),
-                got: args.len(),
-            });
-        }
-        let span = wbe_telemetry::span!("interp.run", "{}", m.name);
-        let result = self.run_inner(method, args, fuel);
-        if result.is_err() {
-            self.interp.frames.clear();
-        }
-        drop(span);
-        self.flush_site_stats();
-        self.interp.publish_metrics();
-        result
-    }
-
-    fn run_inner(
-        &mut self,
-        method: MethodId,
-        args: &[Value],
-        fuel: u64,
-    ) -> Result<Option<Value>, Trap> {
-        let base_depth = self.interp.frames.len();
-        self.ensure_translated(method);
-        self.interp.push_frame(method, args);
+        let base_depth = self.frames.len();
+        self.push_frame(method, args);
         // The instruction/cycle counters live in registers for the
         // duration of the dispatch loop; every exit path (including
         // traps) funnels through this writeback, and the loop flushes
         // them before any slow path that consults the shared fields.
         let mut counts = Counts {
-            insns: self.interp.stats.insns,
-            cycles: self.interp.stats.cycles,
+            insns: self.stats.insns,
+            cycles: self.stats.cycles,
         };
         let result = self.dispatch(method, base_depth, fuel, &mut counts);
-        flush_counts(&mut self.interp, &counts);
+        flush_counts(self, &counts);
         result
     }
 
+    /// The loop itself. Out of line on purpose: see the classic loop's
+    /// `run_inner`.
+    #[inline(never)]
     fn dispatch(
         &mut self,
         method: MethodId,
@@ -512,7 +176,7 @@ impl<'p> CompiledEngine<'p> {
             stack: Vec::new(),
             locals: Vec::new(),
         };
-        let mut pc = unstash(&mut self.interp, &mut af);
+        let mut pc = unstash(self, &mut af);
         // Call-argument staging buffer, reused across every `Invoke`.
         let mut argbuf: Vec<Value> = Vec::new();
         // GC polling by countdown instead of a per-instruction policy
@@ -520,7 +184,7 @@ impl<'p> CompiledEngine<'p> {
         // counts that are multiples of `step_interval` (the classic
         // engine's schedule). With no policy the counter just never
         // reaches 0 in any feasible run.
-        let interval = self.interp.gc_policy.map_or(0, |p| p.step_interval);
+        let interval = self.gc_policy.map_or(0, |p| p.step_interval);
         let mut until_poll: u64 = if interval == 0 {
             u64::MAX
         } else {
@@ -555,7 +219,9 @@ impl<'p> CompiledEngine<'p> {
                 // terminator (which never falls through); frame `ip`s
                 // are stashed return addresses of `Invoke` cells (also
                 // non-terminators) or 0, and retranslation after
-                // `set_stack_sites` preserves code length.
+                // `set_stack_sites` preserves code length. Debug builds
+                // (the fuzzer's among them) check it per fetch.
+                debug_assert!(cur < code.cells.len());
                 let Cell { op, addr: at } = unsafe { *code.cells.get_unchecked(cur) };
                 pc = cur + 1;
 
@@ -668,7 +334,7 @@ impl<'p> CompiledEngine<'p> {
                         // Single store lookup: the tag guard and the
                         // field read share the same object borrow (trap
                         // order matches the two-lookup classic path).
-                        let o = self.interp.heap.store.get(obj)?;
+                        let o = self.heap.store.get(obj)?;
                         if o.class_tag != tag {
                             return Err(Trap::TypeMismatch {
                                 method: mid,
@@ -691,7 +357,7 @@ impl<'p> CompiledEngine<'p> {
                         counts.cycles += 2;
                         let val = pop_any(&mut af.stack, mid, at)?;
                         let obj = pop_nonnull(&mut af.stack, mid, at)?;
-                        let o = self.interp.heap.store.get_mut(obj)?;
+                        let o = self.heap.store.get_mut(obj)?;
                         if o.class_tag != tag {
                             return Err(Trap::TypeMismatch {
                                 method: mid,
@@ -730,10 +396,10 @@ impl<'p> CompiledEngine<'p> {
                         let obj = pop_nonnull(&mut af.stack, mid, at)?;
                         // Tag guard and pre-value read share one lookup;
                         // the post-barrier write stays a checked
-                        // `set_field` because the barrier slow paths can
-                        // pause (and in principle sweep), exactly like
-                        // the classic engine's ordering.
-                        let o = self.interp.heap.store.get(obj)?;
+                        // `set_field` because healing an unsound store
+                        // can pause (and in principle sweep), exactly
+                        // like the classic loop's ordering.
+                        let o = self.heap.store.get(obj)?;
                         if o.class_tag != tag {
                             return Err(Trap::TypeMismatch {
                                 method: mid,
@@ -761,7 +427,7 @@ impl<'p> CompiledEngine<'p> {
                             },
                             _ => return Err(HeapError::WrongKind(obj).into()),
                         };
-                        self.exec_ref_store(
+                        match self.store_barrier(
                             mid,
                             at,
                             StoreKind::Field,
@@ -770,21 +436,30 @@ impl<'p> CompiledEngine<'p> {
                             new,
                             site,
                             fuse,
-                            &mut af,
-                            pc,
-                            counts,
-                        )?;
-                        self.interp.heap.set_field(obj, off as usize, val)?;
+                        ) {
+                            Ok(c) => counts.cycles += c,
+                            Err(Unsound) => self.heal_unsound_store(
+                                mid,
+                                at,
+                                StoreKind::Field,
+                                old,
+                                site,
+                                &mut af,
+                                pc,
+                                counts,
+                            )?,
+                        }
+                        self.heap.set_field(obj, off as usize, val)?;
                     }
                     Op::GetStatic(s) => {
                         counts.cycles += 2;
-                        let v = self.interp.heap.get_static(s as usize)?;
+                        let v = self.heap.get_static(s as usize)?;
                         af.stack.push(v);
                     }
                     Op::PutStaticInt(s) => {
                         counts.cycles += 2;
                         let val = pop_any(&mut af.stack, mid, at)?;
-                        self.interp.heap.set_static(s as usize, val)?;
+                        self.heap.set_static(s as usize, val)?;
                     }
                     Op::PutStaticRef(s) => {
                         counts.cycles += 2;
@@ -792,18 +467,18 @@ impl<'p> CompiledEngine<'p> {
                         // Inline SATB enqueue of the overwritten static;
                         // never an elision candidate (see the classic
                         // engine's PutStatic note).
-                        if let Ok(Value::Ref(Some(old))) = self.interp.heap.get_static(s as usize) {
-                            if self.interp.heap.gc.is_marking() {
-                                self.interp.heap.gc.satb_log(old);
+                        if let Ok(Value::Ref(Some(old))) = self.heap.get_static(s as usize) {
+                            if self.heap.gc.is_marking() {
+                                self.heap.gc.satb_log(old);
                             }
                         }
-                        self.interp.heap.set_static(s as usize, val)?;
+                        self.heap.set_static(s as usize, val)?;
                     }
                     Op::AaLoad => {
                         counts.cycles += 3;
                         let idx = pop_int(&mut af.stack, mid, at)?;
                         let arr = pop_nonnull(&mut af.stack, mid, at)?;
-                        let v = self.interp.heap.get_elem(arr, idx)?;
+                        let v = self.heap.get_elem(arr, idx)?;
                         af.stack.push(Value::Ref(v));
                     }
                     Op::AaStore { site, fuse } => {
@@ -813,8 +488,8 @@ impl<'p> CompiledEngine<'p> {
                         let arr = pop_nonnull(&mut af.stack, mid, at)?;
                         // Bounds check before the barrier, like the classic
                         // engine (a trapping store logs nothing).
-                        let old = self.interp.heap.get_elem(arr, idx)?;
-                        self.exec_ref_store(
+                        let old = self.heap.get_elem(arr, idx)?;
+                        match self.store_barrier(
                             mid,
                             at,
                             StoreKind::Array,
@@ -823,17 +498,26 @@ impl<'p> CompiledEngine<'p> {
                             val,
                             site,
                             fuse,
-                            &mut af,
-                            pc,
-                            counts,
-                        )?;
-                        self.interp.heap.set_elem(arr, idx, val)?;
+                        ) {
+                            Ok(c) => counts.cycles += c,
+                            Err(Unsound) => self.heal_unsound_store(
+                                mid,
+                                at,
+                                StoreKind::Array,
+                                old,
+                                site,
+                                &mut af,
+                                pc,
+                                counts,
+                            )?,
+                        }
+                        self.heap.set_elem(arr, idx, val)?;
                     }
                     Op::IaLoad => {
                         counts.cycles += 3;
                         let idx = pop_int(&mut af.stack, mid, at)?;
                         let arr = pop_nonnull(&mut af.stack, mid, at)?;
-                        let v = self.interp.heap.get_int_elem(arr, idx)?;
+                        let v = self.heap.get_int_elem(arr, idx)?;
                         af.stack.push(Value::Int(v));
                     }
                     Op::IaStore => {
@@ -841,91 +525,77 @@ impl<'p> CompiledEngine<'p> {
                         let val = pop_int(&mut af.stack, mid, at)?;
                         let idx = pop_int(&mut af.stack, mid, at)?;
                         let arr = pop_nonnull(&mut af.stack, mid, at)?;
-                        self.interp.heap.set_int_elem(arr, idx, val)?;
+                        self.heap.set_int_elem(arr, idx, val)?;
                     }
                     Op::ArrayLength => {
                         counts.cycles += 1;
                         let arr = pop_nonnull(&mut af.stack, mid, at)?;
-                        let len = self.interp.heap.array_len(arr)?;
+                        let len = self.heap.array_len(arr)?;
                         af.stack.push(Value::Int(len));
                     }
                     Op::New { class, arena } => {
                         counts.cycles += 12;
-                        let shapes = self.interp.class_shapes[class.index()].clone();
+                        let shapes = self.class_shapes[class.index()].clone();
                         // Allocation can pause (recovery retries, the post-
                         // allocation trigger): run it against the synced
                         // frame and counters so the pause sees the classic
                         // root set and schedule, and push the new object
                         // before driving GC so it is a root for any marking
                         // that starts.
-                        stash(&mut self.interp, &mut af, pc);
-                        flush_counts(&mut self.interp, counts);
-                        let r = self
-                            .interp
-                            .alloc_with_recovery(mid, at, |h| h.alloc_object(class.0, &shapes));
-                        reload_counts(&self.interp, counts);
+                        stash(self, &mut af, pc);
+                        flush_counts(self, counts);
+                        let r =
+                            self.alloc_with_recovery(mid, at, |h| h.alloc_object(class.0, &shapes));
+                        reload_counts(self, counts);
                         let r = r?;
-                        let top = self
-                            .interp
-                            .frames
-                            .last_mut()
-                            .expect("frame stack non-empty");
+                        let top = self.frames.last_mut().expect("frame stack non-empty");
                         if arena {
                             top.owned.push(r);
-                            self.interp.stats.stack_allocated += 1;
+                            self.stats.stack_allocated += 1;
                         }
-                        let top = self
-                            .interp
-                            .frames
-                            .last_mut()
-                            .expect("frame stack non-empty");
+                        let top = self.frames.last_mut().expect("frame stack non-empty");
                         top.stack.push(Value::from(r));
-                        let g = self.interp.drive_gc_after_alloc();
-                        reload_counts(&self.interp, counts);
+                        let g = self.drive_gc_after_alloc();
+                        reload_counts(self, counts);
                         g?;
-                        pc = unstash(&mut self.interp, &mut af);
+                        pc = unstash(self, &mut af);
                     }
                     Op::NewRefArray { class } => {
                         counts.cycles += 12;
                         let len = pop_int(&mut af.stack, mid, at)?;
-                        stash(&mut self.interp, &mut af, pc);
-                        flush_counts(&mut self.interp, counts);
-                        let r = self
-                            .interp
-                            .alloc_with_recovery(mid, at, |h| h.alloc_ref_array(class.0, len));
-                        reload_counts(&self.interp, counts);
+                        stash(self, &mut af, pc);
+                        flush_counts(self, counts);
+                        let r =
+                            self.alloc_with_recovery(mid, at, |h| h.alloc_ref_array(class.0, len));
+                        reload_counts(self, counts);
                         let r = r?;
-                        self.interp
-                            .frames
+                        self.frames
                             .last_mut()
                             .expect("frame stack non-empty")
                             .stack
                             .push(Value::from(r));
-                        let g = self.interp.drive_gc_after_alloc();
-                        reload_counts(&self.interp, counts);
+                        let g = self.drive_gc_after_alloc();
+                        reload_counts(self, counts);
                         g?;
-                        pc = unstash(&mut self.interp, &mut af);
+                        pc = unstash(self, &mut af);
                     }
                     Op::NewIntArray => {
                         counts.cycles += 12;
                         let len = pop_int(&mut af.stack, mid, at)?;
-                        stash(&mut self.interp, &mut af, pc);
-                        flush_counts(&mut self.interp, counts);
-                        let r = self
-                            .interp
-                            .alloc_with_recovery(mid, at, |h| h.alloc_int_array(len));
-                        reload_counts(&self.interp, counts);
+                        stash(self, &mut af, pc);
+                        flush_counts(self, counts);
+                        let r = self.alloc_with_recovery(mid, at, |h| h.alloc_int_array(len));
+                        reload_counts(self, counts);
                         let r = r?;
-                        self.interp
-                            .frames
+                        self.frames
                             .last_mut()
                             .expect("frame stack non-empty")
                             .stack
                             .push(Value::from(r));
-                        let g = self.interp.drive_gc_after_alloc();
-                        reload_counts(&self.interp, counts);
+                        let g = self.drive_gc_after_alloc();
+                        reload_counts(self, counts);
                         g?;
-                        pc = unstash(&mut self.interp, &mut af);
+                        pc = unstash(self, &mut af);
                     }
                     Op::Invoke { callee, nparams } => {
                         counts.cycles += 5;
@@ -944,14 +614,13 @@ impl<'p> CompiledEngine<'p> {
                         argbuf.clear();
                         argbuf.extend_from_slice(&af.stack[af.stack.len() - n..]);
                         af.stack.truncate(af.stack.len() - n);
-                        self.ensure_translated(callee);
                         // Save the caller (return address = advanced pc),
                         // then take the callee frame's state.
-                        stash(&mut self.interp, &mut af, pc);
-                        self.interp.push_frame(callee, &argbuf);
+                        stash(self, &mut af, pc);
+                        self.push_frame(callee, &argbuf);
                         mid = callee;
                         code = self.code[callee.index()].clone().expect("translated");
-                        pc = unstash(&mut self.interp, &mut af);
+                        pc = unstash(self, &mut af);
                     }
                     Op::Goto { target } => {
                         counts.cycles += 1;
@@ -992,26 +661,26 @@ impl<'p> CompiledEngine<'p> {
                         // The popped frame's real stack/locals live in `af`
                         // (the Frame holds placeholders); its arena is
                         // freed exactly as in the classic engine.
-                        let frame = self.interp.frames.pop().expect("frame stack non-empty");
-                        self.interp.free_frame_arena(frame);
-                        if self.interp.frames.len() == base_depth {
+                        let frame = self.frames.pop().expect("frame stack non-empty");
+                        self.free_frame_arena(frame);
+                        if self.frames.len() == base_depth {
                             return Ok(None);
                         }
-                        pc = unstash(&mut self.interp, &mut af);
-                        mid = self.interp.frames.last().expect("caller frame").method;
+                        pc = unstash(self, &mut af);
+                        mid = self.frames.last().expect("caller frame").method;
                         code = self.code[mid.index()].clone().expect("translated");
                     }
                     Op::ReturnValue => {
                         counts.cycles += 1;
                         let v = pop_any(&mut af.stack, mid, at)?;
-                        let frame = self.interp.frames.pop().expect("frame stack non-empty");
-                        self.interp.free_frame_arena(frame);
-                        if self.interp.frames.len() == base_depth {
+                        let frame = self.frames.pop().expect("frame stack non-empty");
+                        self.free_frame_arena(frame);
+                        if self.frames.len() == base_depth {
                             return Ok(Some(v));
                         }
-                        pc = unstash(&mut self.interp, &mut af);
+                        pc = unstash(self, &mut af);
                         af.stack.push(v);
-                        mid = self.interp.frames.last().expect("caller frame").method;
+                        mid = self.frames.last().expect("caller frame").method;
                         code = self.code[mid.index()].clone().expect("translated");
                     }
                 }
@@ -1022,28 +691,16 @@ impl<'p> CompiledEngine<'p> {
             // is a multiple of the step interval.
             if until_poll == 0 {
                 until_poll = if interval == 0 { u64::MAX } else { interval };
-                if self.interp.heap.gc.is_marking() {
-                    stash(&mut self.interp, &mut af, pc);
-                    flush_counts(&mut self.interp, counts);
-                    let g = self.interp.drive_gc_after_insn();
-                    reload_counts(&self.interp, counts);
+                if self.heap.gc.is_marking() {
+                    stash(self, &mut af, pc);
+                    flush_counts(self, counts);
+                    let g = self.drive_gc_after_insn();
+                    reload_counts(self, counts);
                     g?;
-                    pc = unstash(&mut self.interp, &mut af);
+                    pc = unstash(self, &mut af);
                 }
             }
         }
-    }
-}
-
-impl std::fmt::Debug for CompiledEngine<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledEngine")
-            .field(
-                "translated",
-                &self.code.iter().filter(|c| c.is_some()).count(),
-            )
-            .field("stats.insns", &self.interp.stats.insns)
-            .finish()
     }
 }
 

@@ -1,205 +1,28 @@
-//! The [`Engine`] abstraction: one mutator-execution interface, two
-//! implementations.
+//! [`EngineKind`]: which of [`Interp`]'s two dispatch loops runs.
 //!
-//! * [`Interp`] — the classic switch-dispatch interpreter. The
+//! * `Classic` — the switch-dispatch loop in [`crate::machine`]. The
 //!   reference semantics; every baseline, digest, and Table 1/2 row is
-//!   produced by this engine, and its output is pinned byte-identical
-//!   across PRs.
-//! * [`CompiledEngine`] — the direct-threaded engine built on
-//!   [`crate::translate`]. Observably equivalent (same traps,
-//!   `BarrierStats`, GC schedule, world digests), substantially faster
-//!   per instruction.
+//!   produced by it, and its output is pinned byte-identical across
+//!   PRs.
+//! * `Compiled` — the direct-threaded loop in [`crate::compiled`] over
+//!   [`mod@crate::translate`]'s flat code. Observably equivalent (same
+//!   traps, `BarrierStats`, GC schedule, world digests), substantially
+//!   faster per instruction.
 //!
-//! Harness code (workload runners, the throughput bench, differential
-//! tests) programs against this trait so an `--engine classic|compiled`
-//! flag is a constructor choice, not a code path.
+//! Both are the same machine — one heap, one store barrier, one set of
+//! hooks — so an `--engine classic|compiled` flag is a constructor
+//! argument and nothing else.
 
-use wbe_heap::{FaultPlan, Heap, RecoveryController, RecoveryPolicy, Value};
-use wbe_ir::{MethodId, SiteId};
+use crate::machine::Interp;
 
-use crate::compiled::CompiledEngine;
-use crate::machine::{GcPolicy, Interp, RunStats, Trap};
-use crate::oracle::OracleState;
-
-/// A mutator-execution engine over the shared heap/GC substrate.
-///
-/// Both implementations guarantee identical observable behaviour for
-/// identical inputs: traps, statistics, GC cycle/pause schedules, and
-/// final heap contents (world digests). The differential-equivalence
-/// suite pins this.
-pub trait Engine {
-    /// Engine identifier (`"classic"` or `"compiled"`), for reports.
-    fn name(&self) -> &'static str;
-
-    /// Runs `method` with `args` under an instruction `fuel` budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`Trap`] on runtime failure.
-    fn run(&mut self, method: MethodId, args: &[Value], fuel: u64) -> Result<Option<Value>, Trap>;
-
-    /// Accumulated run statistics.
-    fn stats(&self) -> &RunStats;
-
-    /// The managed heap.
-    fn heap(&self) -> &Heap;
-
-    /// Mutable access to the managed heap.
-    fn heap_mut(&mut self) -> &mut Heap;
-
-    /// Enables deterministic policy-driven concurrent marking.
-    fn set_gc_policy(&mut self, policy: GcPolicy);
-
-    /// Installs a deterministic fault schedule.
-    fn set_fault_plan(&mut self, plan: FaultPlan);
-
-    /// Enables heap-invariant verification at cycle boundaries.
-    fn set_verify_invariants(&mut self, on: bool);
-
-    /// Installs the self-healing recovery layer.
-    fn set_recovery(&mut self, policy: RecoveryPolicy);
-
-    /// The recovery controller, if installed.
-    fn recovery(&self) -> Option<&RecoveryController>;
-
-    /// Declares frame-arena allocation sites.
-    fn set_stack_sites(&mut self, sites: &[SiteId]);
-
-    /// Publishes statistics deltas to the telemetry registry.
-    fn publish_metrics(&mut self);
-
-    /// Enables the barrier-necessity oracle (and the heap witness
-    /// table it reads). See [`crate::oracle`].
-    fn set_oracle(&mut self, on: bool);
-
-    /// The oracle state, if enabled.
-    fn oracle(&self) -> Option<&OracleState>;
-}
-
-impl Engine for Interp<'_> {
-    fn name(&self) -> &'static str {
-        "classic"
-    }
-
-    fn run(&mut self, method: MethodId, args: &[Value], fuel: u64) -> Result<Option<Value>, Trap> {
-        Interp::run(self, method, args, fuel)
-    }
-
-    fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    fn heap(&self) -> &Heap {
-        &self.heap
-    }
-
-    fn heap_mut(&mut self) -> &mut Heap {
-        &mut self.heap
-    }
-
-    fn set_gc_policy(&mut self, policy: GcPolicy) {
-        Interp::set_gc_policy(self, policy);
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        Interp::set_fault_plan(self, plan);
-    }
-
-    fn set_verify_invariants(&mut self, on: bool) {
-        Interp::set_verify_invariants(self, on);
-    }
-
-    fn set_recovery(&mut self, policy: RecoveryPolicy) {
-        Interp::set_recovery(self, policy);
-    }
-
-    fn recovery(&self) -> Option<&RecoveryController> {
-        Interp::recovery(self)
-    }
-
-    fn set_stack_sites(&mut self, sites: &[SiteId]) {
-        Interp::set_stack_sites(self, sites.iter().copied());
-    }
-
-    fn publish_metrics(&mut self) {
-        Interp::publish_metrics(self);
-    }
-
-    fn set_oracle(&mut self, on: bool) {
-        Interp::set_oracle(self, on);
-    }
-
-    fn oracle(&self) -> Option<&OracleState> {
-        Interp::oracle(self)
-    }
-}
-
-impl Engine for CompiledEngine<'_> {
-    fn name(&self) -> &'static str {
-        "compiled"
-    }
-
-    fn run(&mut self, method: MethodId, args: &[Value], fuel: u64) -> Result<Option<Value>, Trap> {
-        CompiledEngine::run(self, method, args, fuel)
-    }
-
-    fn stats(&self) -> &RunStats {
-        CompiledEngine::stats(self)
-    }
-
-    fn heap(&self) -> &Heap {
-        CompiledEngine::heap(self)
-    }
-
-    fn heap_mut(&mut self) -> &mut Heap {
-        CompiledEngine::heap_mut(self)
-    }
-
-    fn set_gc_policy(&mut self, policy: GcPolicy) {
-        CompiledEngine::set_gc_policy(self, policy);
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        CompiledEngine::set_fault_plan(self, plan);
-    }
-
-    fn set_verify_invariants(&mut self, on: bool) {
-        CompiledEngine::set_verify_invariants(self, on);
-    }
-
-    fn set_recovery(&mut self, policy: RecoveryPolicy) {
-        CompiledEngine::set_recovery(self, policy);
-    }
-
-    fn recovery(&self) -> Option<&RecoveryController> {
-        CompiledEngine::recovery(self)
-    }
-
-    fn set_stack_sites(&mut self, sites: &[SiteId]) {
-        CompiledEngine::set_stack_sites(self, sites.iter().copied());
-    }
-
-    fn publish_metrics(&mut self) {
-        CompiledEngine::publish_metrics(self);
-    }
-
-    fn set_oracle(&mut self, on: bool) {
-        CompiledEngine::set_oracle(self, on);
-    }
-
-    fn oracle(&self) -> Option<&OracleState> {
-        CompiledEngine::oracle(self)
-    }
-}
-
-/// Which execution engine to construct; parsed from `--engine`.
+/// Which dispatch loop to run; parsed from `--engine`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The classic switch-dispatch interpreter (the default: all
-    /// baselines and digests are pinned against it).
+    /// The classic switch-dispatch loop (the default: all baselines and
+    /// digests are pinned against it).
     #[default]
     Classic,
-    /// The direct-threaded compiled engine.
+    /// The direct-threaded compiled loop.
     Compiled,
 }
 
@@ -223,18 +46,17 @@ impl EngineKind {
         }
     }
 
-    /// Constructs the selected engine over `program`.
+    /// Constructs an interpreter over `program` that runs this loop.
     #[must_use]
     pub fn build<'p>(
         self,
         program: &'p wbe_ir::Program,
         config: crate::BarrierConfig,
         style: wbe_heap::gc::MarkStyle,
-    ) -> Box<dyn Engine + 'p> {
-        match self {
-            EngineKind::Classic => Box::new(Interp::with_style(program, config, style)),
-            EngineKind::Compiled => Box::new(CompiledEngine::with_style(program, config, style)),
-        }
+    ) -> Interp<'p> {
+        let mut interp = Interp::with_style(program, config, style);
+        interp.kind = self;
+        interp
     }
 }
 

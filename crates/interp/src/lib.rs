@@ -11,6 +11,13 @@
 //! charges abstract cycles so barrier modes can be compared end-to-end
 //! (Table 2).
 //!
+//! There is one machine, [`Interp`], with two dispatch loops picked by
+//! [`EngineKind`]: the classic loop over the IR ([`machine`]) and the
+//! compiled loop over [`mod@translate`]'s flat code ([`compiled`]). What a
+//! reference-store site does — elide, log, dirty a card, take part in
+//! a §4.3 rearrangement — is decided once per site by `translate` and
+//! executed by one function both loops call.
+//!
 //! Two safety oracles run during interpretation:
 //!
 //! * every *elided* barrier site asserts that the overwritten value is
@@ -53,8 +60,7 @@ pub use barrier::{
     BarrierConfig, BarrierMode, BarrierStats, BarrierSummary, ElidedBarriers, ElisionKind,
     RearrangeRole, RearrangeSites, SiteStats, StoreKind,
 };
-pub use compiled::CompiledEngine;
-pub use engine::{Engine, EngineKind};
+pub use engine::EngineKind;
 pub use machine::{GcPolicy, Interp, RunStats, Trap, PAUSE_EMERGENCY};
 pub use oracle::{NecessityVerdict, OracleState, SiteNecessity};
 pub use translate::{translate, CompiledMethod, Fuse, Op};

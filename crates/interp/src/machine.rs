@@ -1,6 +1,18 @@
-//! The interpreter proper.
+//! The machine: one [`Interp`] owns the heap, the GC driving, the
+//! recovery, pressure and oracle hooks, the per-method code cache and
+//! the statistics, and executes a program through one of two dispatch
+//! loops — the classic one in this file, which decodes [`Insn`]s block
+//! by block, and the compiled one in [`crate::compiled`], which runs
+//! the flat cells of [`mod@crate::translate`].
+//!
+//! Both loops execute a reference store's barrier through
+//! `Interp::store_barrier`, handing it the site's translation-time
+//! [`Fuse`] verdict: the compiled loop has it baked into its op, the
+//! classic loop reads it off the cell that stands for the instruction.
+//! Nothing else in the crate decides what a store site does.
 
 use std::fmt;
+use std::rc::Rc;
 
 use wbe_heap::gc::{MarkStyle, PauseReport};
 use wbe_heap::recover::SiteKey;
@@ -10,11 +22,11 @@ use wbe_heap::{
 };
 use wbe_ir::{BlockId, Cond, FieldId, Insn, InsnAddr, MethodId, Program, Terminator, Ty};
 
-use crate::barrier::{
-    BarrierConfig, BarrierMode, BarrierStats, ElisionKind, RearrangeRole, StoreKind,
-};
+use crate::barrier::{BarrierConfig, BarrierMode, BarrierStats, ElisionKind, SiteStats, StoreKind};
 use crate::cost;
+use crate::engine::EngineKind;
 use crate::oracle::{NecessityVerdict, OracleState};
+use crate::translate::{translate, CompiledMethod, Fuse, Op};
 
 /// Registry histogram key for emergency (allocation-failure) pause
 /// sizes, in remark work units. Complements the per-phase keys under
@@ -251,28 +263,47 @@ pub(crate) struct FieldRes {
     pub(crate) is_ref: bool,
 }
 
+/// The outcome of [`Interp::store_barrier`] that only an elided site
+/// can produce: the dynamic check of the static proof failed. Healing
+/// can pause, so the caller makes its frame state visible to a root
+/// scan before handing over to [`Interp::unsound_elision`].
+pub(crate) struct Unsound;
+
 /// The interpreter: owns a heap, executes methods of one program under a
 /// barrier configuration, accumulating [`RunStats`].
 pub struct Interp<'p> {
     pub(crate) program: &'p Program,
     /// The managed heap (public for tests and the harness).
     pub heap: Heap,
-    pub(crate) config: BarrierConfig,
+    config: BarrierConfig,
     /// Accumulated statistics.
     pub stats: RunStats,
     pub(crate) gc_policy: Option<GcPolicy>,
-    /// Allocation sites whose objects live in the frame arena.
-    pub(crate) stack_sites: std::collections::BTreeSet<wbe_ir::SiteId>,
+    /// Allocation sites whose objects live in the frame arena (read by
+    /// translation, like `config`'s site sets).
+    stack_sites: std::collections::BTreeSet<wbe_ir::SiteId>,
     pub(crate) class_shapes: Vec<Vec<FieldShape>>,
     /// Per-field resolved declaration facts, indexed by `FieldId`.
-    pub(crate) field_res: Vec<FieldRes>,
+    field_res: Vec<FieldRes>,
     allocs_since_cycle: u64,
     verify_invariants: bool,
-    pub(crate) recovery: Option<RecoveryController>,
+    recovery: Option<RecoveryController>,
     pressure: Option<PressureController>,
     oracle: Option<OracleState>,
     pub(crate) frames: Vec<Frame>,
     published: PublishedRunStats,
+    /// Which dispatch loop [`Interp::run`] enters.
+    pub(crate) kind: EngineKind,
+    /// Translated methods, indexed by `MethodId` and filled on first
+    /// activation: the compiled loop's code, and for both loops the
+    /// table of store-site verdicts.
+    pub(crate) code: Vec<Option<Rc<CompiledMethod>>>,
+    /// Per-method site counters, parallel to `code` and indexed by the
+    /// `site` slot of the method's fused store cells. Folded into
+    /// `stats.barrier` at run boundaries, so an executing store pays a
+    /// `Vec` index where the public per-site report would cost a hash
+    /// probe.
+    site_acc: Vec<Vec<SiteStats>>,
 }
 
 impl fmt::Debug for Interp<'_> {
@@ -331,7 +362,21 @@ impl<'p> Interp<'p> {
             oracle: None,
             frames: Vec::new(),
             published: PublishedRunStats::default(),
+            kind: EngineKind::Classic,
+            code: vec![None; program.methods.len()],
+            site_acc: vec![Vec::new(); program.methods.len()],
         }
+    }
+
+    /// Accumulated statistics. Per-site barrier counters are folded in
+    /// at the end of every [`Interp::run`].
+    pub fn stats(&self) -> &RunStats {
+        &self.stats
+    }
+
+    /// The managed heap.
+    pub fn heap(&self) -> &Heap {
+        &self.heap
     }
 
     /// Enables policy-driven concurrent marking during execution.
@@ -411,9 +456,11 @@ impl<'p> Interp<'p> {
     /// Declares allocation sites whose objects may live in the frame
     /// arena (from `wbe_analysis::stackalloc`). Objects allocated at
     /// these sites are freed when their frame returns; an analysis error
-    /// surfaces as a dangling-reference trap.
+    /// surfaces as a dangling-reference trap. Drops every translated
+    /// method: the verdict is baked into `Op::New`.
     pub fn set_stack_sites(&mut self, sites: impl IntoIterator<Item = wbe_ir::SiteId>) {
         self.stack_sites = sites.into_iter().collect();
+        self.code.fill(None);
     }
 
     /// The barrier configuration in force.
@@ -836,18 +883,58 @@ impl<'p> Interp<'p> {
             });
         }
         let span = wbe_telemetry::span!("interp.run", "{}", m.name);
-        let result = self.run_inner(method, args, fuel);
+        let result = match self.kind {
+            EngineKind::Classic => self.run_inner(method, args, fuel),
+            EngineKind::Compiled => self.run_compiled(method, args, fuel),
+        };
         // On a trap, abandon the frame stack so the interpreter can be
         // reused.
         if result.is_err() {
             self.frames.clear();
         }
         drop(span);
+        self.flush_site_stats();
         self.publish_metrics();
         result
     }
 
+    /// Folds the flat per-site counters into `stats.barrier`, the
+    /// public per-site report.
+    fn flush_site_stats(&mut self) {
+        for (i, accs) in self.site_acc.iter_mut().enumerate() {
+            let Some(cm) = &self.code[i] else { continue };
+            for (acc, info) in accs.iter_mut().zip(&cm.sites) {
+                if acc.executions == 0 && acc.cycles == 0 {
+                    continue;
+                }
+                self.stats.barrier.add_site(
+                    MethodId(i as u32),
+                    info.addr,
+                    info.kind,
+                    acc.executions,
+                    acc.pre_null,
+                    acc.cycles,
+                );
+                *acc = SiteStats::default();
+            }
+        }
+    }
+
+    /// Pushes an activation of `method`, translating it first if this
+    /// is its first one.
     pub(crate) fn push_frame(&mut self, method: MethodId, args: &[Value]) {
+        let i = method.index();
+        if self.code[i].is_none() {
+            let cm = translate(
+                self.program,
+                method,
+                &self.config,
+                self.heap.gc.style(),
+                &self.stack_sites,
+            );
+            self.site_acc[i] = vec![SiteStats::default(); cm.sites.len()];
+            self.code[i] = Some(Rc::new(cm));
+        }
         let m = self.program.method(method);
         let mut locals = vec![Value::Int(0); m.num_locals as usize];
         locals[..args.len()].copy_from_slice(args);
@@ -861,6 +948,10 @@ impl<'p> Interp<'p> {
         });
     }
 
+    /// The classic dispatch loop. Kept out of line, like the compiled
+    /// loop's `dispatch`: merged into one function with it, each loop's
+    /// register allocation suffers from the other's live state.
+    #[inline(never)]
     fn run_inner(
         &mut self,
         method: MethodId,
@@ -945,12 +1036,169 @@ impl<'p> Interp<'p> {
         self.frame_mut().stack.push(v);
     }
 
-    /// Applies the configured write barrier (or its elision) for a store
-    /// into `receiver` whose pre-value is `old`. Under an SATB heap the
-    /// barrier logs the pre-value; under an incremental-update heap it
-    /// dirties the receiver (card marking) — elision never applies
-    /// there, since IU must re-examine every modified location.
-    pub(crate) fn apply_barrier(
+    /// The barrier of one reference store into `receiver`, whose
+    /// pre-value is `old`: the only place a site's [`Fuse`] verdict is
+    /// acted on. Counts the execution at the site, does what the
+    /// verdict says, and returns the barrier cycles it charged to
+    /// `stats.barrier_cycles` so the calling loop can add them to its
+    /// own cycle counter. [`Unsound`] is the one outcome that can
+    /// pause; the store itself is the caller's, after this returns.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(crate) fn store_barrier(
+        &mut self,
+        mid: MethodId,
+        at: InsnAddr,
+        kind: StoreKind,
+        receiver: GcRef,
+        old: Option<GcRef>,
+        new: Option<GcRef>,
+        site: u32,
+        fuse: Fuse,
+    ) -> Result<u64, Unsound> {
+        let pre_null = old.is_none();
+        let cycles = match fuse {
+            Fuse::Elided(proof) => {
+                if self.recovery.is_some() && self.elision_gated(mid, at) {
+                    // The static proof is no longer trusted: the site
+                    // gets the barrier of the mode in force back.
+                    self.restored_barrier(mid, at, kind, Some(receiver), old)
+                } else {
+                    // Soundness oracle: the one dynamic check an elided
+                    // store keeps, per proof kind.
+                    let holds = match proof {
+                        ElisionKind::PreNull => pre_null,
+                        ElisionKind::NullOrSame => pre_null || old == new,
+                    };
+                    if !holds {
+                        self.bump_site(mid, site, false, 0);
+                        return Err(Unsound);
+                    }
+                    self.stats.elided_executions += 1;
+                    0
+                }
+            }
+            Fuse::KeptChecked => {
+                self.kept_barrier(BarrierMode::Checked, mid, at, kind, Some(receiver), old)
+            }
+            Fuse::KeptAlways => {
+                self.kept_barrier(BarrierMode::AlwaysLog, mid, at, kind, Some(receiver), old)
+            }
+            Fuse::KeptNone => 0,
+            // Card-marking barrier: cheap and unconditional.
+            Fuse::IuDirty { mark } => {
+                if mark {
+                    self.heap.gc.dirty(receiver);
+                }
+                2
+            }
+            // §4.3 member store: no log; a tracing-state check (2
+            // cycles, like a card mark) validates against the marker.
+            Fuse::RearrangeMember => {
+                self.stats.rearrange_skipped += 1;
+                if self.heap.gc.is_marking()
+                    && self.heap.gc.trace_state(&self.heap.store, receiver)
+                        != wbe_heap::TraceState::Untraced
+                {
+                    self.heap.gc.push_retrace(receiver);
+                    self.stats.retraces_scheduled += 1;
+                }
+                2
+            }
+        };
+        self.stats.barrier_cycles += cycles;
+        self.bump_site(mid, site, pre_null, cycles);
+        Ok(cycles)
+    }
+
+    #[inline(always)]
+    fn bump_site(&mut self, mid: MethodId, site: u32, pre_null: bool, cycles: u64) {
+        let a = &mut self.site_acc[mid.index()][site as usize];
+        a.executions += 1;
+        a.pre_null += u64::from(pre_null);
+        a.cycles += cycles;
+    }
+
+    /// A kept SATB barrier under `mode`: its cost, the necessity-oracle
+    /// note, the log. Returns the cycles to charge. The kept [`Fuse`]
+    /// arms pass their mode as a constant, so each is specialised; a
+    /// revoked elision passes the mode in force. `receiver` is absent
+    /// only when [`Interp::unsound_elision`] heals.
+    #[inline(always)]
+    fn kept_barrier(
+        &mut self,
+        mode: BarrierMode,
+        mid: MethodId,
+        at: InsnAddr,
+        kind: StoreKind,
+        receiver: Option<GcRef>,
+        old: Option<GcRef>,
+    ) -> u64 {
+        let pre_null = old.is_none();
+        let (cycles, log) = match mode {
+            // No enqueue ever happens, so there is nothing to judge.
+            BarrierMode::None => return 0,
+            BarrierMode::Checked => {
+                let marking = self.heap.gc.is_marking();
+                (cost::checked_barrier_cost(marking, pre_null), marking)
+            }
+            BarrierMode::AlwaysLog => (cost::always_log_barrier_cost(pre_null), true),
+        };
+        if self.oracle.is_some() {
+            self.oracle_note_kept(mid, at, kind, receiver, old);
+        }
+        if let (true, Some(o)) = (log, old) {
+            self.heap.gc.satb_log(o);
+        }
+        cycles
+    }
+
+    /// The barrier an elided site gets back once its proof is not
+    /// trusted: [`Interp::kept_barrier`] under the mode in force, out
+    /// of line because no healthy run comes here.
+    #[cold]
+    fn restored_barrier(
+        &mut self,
+        mid: MethodId,
+        at: InsnAddr,
+        kind: StoreKind,
+        receiver: Option<GcRef>,
+        old: Option<GcRef>,
+    ) -> u64 {
+        self.kept_barrier(self.config.mode, mid, at, kind, receiver, old)
+    }
+
+    /// Recovery consult for an elided site, reached only with a
+    /// controller installed: true once the static proof is no longer
+    /// trusted (barrier panic mode, or this site revoked). The
+    /// revocation is recorded the first time a gated site executes.
+    #[cold]
+    fn elision_gated(&mut self, mid: MethodId, at: InsnAddr) -> bool {
+        let site = site_key(mid, at);
+        let Some(rc) = self.recovery.as_mut() else {
+            return false;
+        };
+        if rc.elide_allowed(site) {
+            return false;
+        }
+        if !rc.site_revoked(site) {
+            let reason = format!("barrier panic mode: {}", rc.panic_reason());
+            rc.revoke(site, &self.program.method(mid).name, &reason, "invariant");
+        }
+        true
+    }
+
+    /// The translated op that stands for the instruction at `at`: where
+    /// the classic loop reads a site's translation-time verdict.
+    fn op_at(&self, mid: MethodId, at: InsnAddr) -> Op {
+        let cm = self.code[mid.index()]
+            .as_ref()
+            .expect("translated by push_frame");
+        cm.cells[cm.block_starts[at.block.index()] as usize + at.index].op
+    }
+
+    /// The classic loop's way into [`Interp::store_barrier`].
+    fn classic_store_barrier(
         &mut self,
         mid: MethodId,
         at: InsnAddr,
@@ -959,60 +1207,17 @@ impl<'p> Interp<'p> {
         old: Option<GcRef>,
         new: Option<GcRef>,
     ) -> Result<(), Trap> {
-        let pre_null = old.is_none();
-        self.stats.barrier.record(mid, at, kind, pre_null);
-        if self.heap.gc.style() == MarkStyle::IncrementalUpdate {
-            // Card-marking barrier: cheap and unconditional.
-            self.stats.barrier_cycles += 2;
-            self.stats.cycles += 2;
-            self.stats.barrier.add_cycles(mid, at, kind, 2);
-            if self.config.mode != BarrierMode::None {
-                self.heap.gc.dirty(receiver);
+        let (Op::PutFieldRef { site, fuse, .. } | Op::AaStore { site, fuse }) = self.op_at(mid, at)
+        else {
+            unreachable!("a reference store translates to a fused store op");
+        };
+        match self.store_barrier(mid, at, kind, receiver, old, new, site, fuse) {
+            Ok(cycles) => {
+                self.stats.cycles += cycles;
+                Ok(())
             }
-            return Ok(());
+            Err(Unsound) => self.unsound_elision(mid, at, kind, old, site),
         }
-        if self.config.elide {
-            if let Some(ekind) = self.config.elided.kind(mid, at) {
-                let site = site_key(mid, at);
-                // Runtime revocation consult: in barrier panic mode (or
-                // with this site individually revoked) the static proof
-                // is no longer trusted — take the conservative
-                // full-barrier path instead.
-                let gated = self
-                    .recovery
-                    .as_mut()
-                    .is_some_and(|rc| !rc.elide_allowed(site));
-                if gated {
-                    let program = self.program;
-                    if let Some(rc) = self.recovery.as_mut() {
-                        // Lazily record the revocation the first time
-                        // the gated site actually executes.
-                        if !rc.site_revoked(site) {
-                            let reason = format!("barrier panic mode: {}", rc.panic_reason());
-                            rc.revoke(site, &program.method(mid).name, &reason, "invariant");
-                        }
-                    }
-                    self.oracle_note_kept(mid, at, kind, Some(receiver), old);
-                    let c = self.satb_log_barrier(old);
-                    self.stats.barrier.add_cycles(mid, at, kind, c);
-                    return Ok(());
-                }
-                // Soundness oracle: validate the static proof dynamically.
-                let ok = match ekind {
-                    ElisionKind::PreNull => pre_null,
-                    ElisionKind::NullOrSame => pre_null || old == new,
-                };
-                if !ok {
-                    return self.unsound_elision(mid, at, kind, site, old);
-                }
-                self.stats.elided_executions += 1;
-                return Ok(());
-            }
-        }
-        self.oracle_note_kept(mid, at, kind, Some(receiver), old);
-        let c = self.satb_log_barrier(old);
-        self.stats.barrier.add_cycles(mid, at, kind, c);
-        Ok(())
     }
 
     /// An elided store's dynamic oracle failed: the static proof is
@@ -1020,14 +1225,15 @@ impl<'p> Interp<'p> {
     /// the barrier the store should have had, and heal the possibly
     /// corrupted mark state with a stop-the-world re-mark; without one
     /// (or once the consecutive-failure budget is exhausted) the
-    /// original [`Trap::UnsoundElision`] fires.
+    /// original [`Trap::UnsoundElision`] fires. `site` is the store's
+    /// slot in its method's site table.
     pub(crate) fn unsound_elision(
         &mut self,
         mid: MethodId,
         at: InsnAddr,
         kind: StoreKind,
-        site: SiteKey,
         old: Option<GcRef>,
+        site: u32,
     ) -> Result<(), Trap> {
         let trap = Trap::UnsoundElision { method: mid, at };
         let Some(mut rc) = self.recovery.take() else {
@@ -1045,14 +1251,20 @@ impl<'p> Interp<'p> {
         if wbe_telemetry::tracing_enabled() && !was_panicking {
             wbe_telemetry::trace::event("gc.recovery.panic", reason.clone());
         }
-        rc.revoke(site, &self.program.method(mid).name, &reason, "oracle");
+        rc.revoke(
+            site_key(mid, at),
+            &self.program.method(mid).name,
+            &reason,
+            "oracle",
+        );
         self.recovery = Some(rc);
         // Execute the barrier the elision skipped, then rebuild the
         // mark state with a full STW cycle (a nested violation inside
         // it is handled by `recover_from` against the same budget).
-        self.oracle_note_kept(mid, at, kind, None, old);
-        let c = self.satb_log_barrier(old);
-        self.stats.barrier.add_cycles(mid, at, kind, c);
+        let cycles = self.restored_barrier(mid, at, kind, None, old);
+        self.stats.barrier_cycles += cycles;
+        self.stats.cycles += cycles;
+        self.site_acc[mid.index()][site as usize].cycles += cycles;
         self.full_pause()?;
         if let Some(rc) = self.recovery.as_mut() {
             rc.recovered();
@@ -1062,13 +1274,9 @@ impl<'p> Interp<'p> {
     }
 
     /// Necessity-oracle hook for one kept-barrier execution (see
-    /// [`crate::oracle`]). Both engines call this at every kept SATB
-    /// barrier, immediately before the enqueue, so verdict streams are
-    /// engine-identical. `receiver` is absent only on the
-    /// unsound-elision healing path, where the store already happened.
-    /// No-op unless the oracle is enabled; `BarrierMode::None` runs are
-    /// excluded because no enqueue ever happens there.
-    pub(crate) fn oracle_note_kept(
+    /// [`crate::oracle`]), called by [`Interp::kept_barrier`]
+    /// immediately before the enqueue when the oracle is enabled.
+    fn oracle_note_kept(
         &mut self,
         mid: MethodId,
         at: InsnAddr,
@@ -1076,9 +1284,6 @@ impl<'p> Interp<'p> {
         receiver: Option<GcRef>,
         old: Option<GcRef>,
     ) {
-        if self.oracle.is_none() || self.config.mode == BarrierMode::None {
-            return;
-        }
         let verdict = if !self.heap.gc.is_marking() {
             NecessityVerdict::MarkingIdle
         } else {
@@ -1132,37 +1337,6 @@ impl<'p> Interp<'p> {
         };
         oracle.finish_cycle_audit(&self.heap);
         self.oracle = Some(oracle);
-    }
-
-    /// The mode-dependent SATB logging path (no elision, no per-site
-    /// recording). Returns the cycles charged so callers can attribute
-    /// them to the executing store site.
-    pub(crate) fn satb_log_barrier(&mut self, old: Option<GcRef>) -> u64 {
-        let pre_null = old.is_none();
-        match self.config.mode {
-            BarrierMode::None => 0,
-            BarrierMode::Checked => {
-                let marking = self.heap.gc.is_marking();
-                let c = cost::checked_barrier_cost(marking, pre_null);
-                self.stats.barrier_cycles += c;
-                self.stats.cycles += c;
-                if marking {
-                    if let Some(o) = old {
-                        self.heap.gc.satb_log(o);
-                    }
-                }
-                c
-            }
-            BarrierMode::AlwaysLog => {
-                let c = cost::always_log_barrier_cost(pre_null);
-                self.stats.barrier_cycles += c;
-                self.stats.cycles += c;
-                if let Some(o) = old {
-                    self.heap.gc.satb_log(o);
-                }
-                c
-            }
-        }
     }
 
     /// Resolves a field access against the pre-built [`FieldRes`]
@@ -1290,23 +1464,18 @@ impl<'p> Interp<'p> {
                 let obj = self.pop_nonnull(mid, at)?;
                 let off = self.field_offset_checked(obj, f, mid, at)?;
                 if self.field_res[f.index()].is_ref {
-                    let Value::Ref(_) = val else {
+                    let Value::Ref(new) = val else {
                         return Err(Trap::TypeMismatch {
                             method: mid,
                             at,
                             expected: "reference value for reference field",
                         });
                     };
-                    let old = self.heap.get_field(obj, off)?;
-                    let old_ref = match old {
+                    let old = match self.heap.get_field(obj, off)? {
                         Value::Ref(r) => r,
                         Value::Int(_) => None,
                     };
-                    let new_ref = match val {
-                        Value::Ref(r) => r,
-                        Value::Int(_) => None,
-                    };
-                    self.apply_barrier(mid, at, StoreKind::Field, obj, old_ref, new_ref)?;
+                    self.classic_store_barrier(mid, at, StoreKind::Field, obj, old, new)?;
                 } else {
                     let Value::Int(_) = val else {
                         return Err(Trap::TypeMismatch {
@@ -1350,44 +1519,7 @@ impl<'p> Interp<'p> {
                 // Bounds check before the barrier (a trapping store logs
                 // nothing — the §3.6 overflow argument depends on this).
                 let old = self.heap.get_elem(arr, idx)?;
-                // §4.3 rearrangement protocol (SATB only): member stores
-                // skip logging and validate against the marker via the
-                // array's tracing state.
-                let role = if self.heap.gc.style() == MarkStyle::Satb {
-                    self.config.rearrange.role(mid, at)
-                } else {
-                    None
-                };
-                match role {
-                    Some(RearrangeRole::First) => {
-                        self.stats
-                            .barrier
-                            .record(mid, at, StoreKind::Array, old.is_none());
-                        self.oracle_note_kept(mid, at, StoreKind::Array, Some(arr), old);
-                        let c = self.satb_log_barrier(old);
-                        self.stats.barrier.add_cycles(mid, at, StoreKind::Array, c);
-                    }
-                    Some(RearrangeRole::Member) => {
-                        self.stats
-                            .barrier
-                            .record(mid, at, StoreKind::Array, old.is_none());
-                        self.stats.rearrange_skipped += 1;
-                        // Tracing-state check (2 cycles, like a card mark).
-                        self.stats.barrier_cycles += 2;
-                        self.stats.cycles += 2;
-                        self.stats.barrier.add_cycles(mid, at, StoreKind::Array, 2);
-                        if self.heap.gc.is_marking()
-                            && self.heap.gc.trace_state(&self.heap.store, arr)
-                                != wbe_heap::TraceState::Untraced
-                        {
-                            self.heap.gc.push_retrace(arr);
-                            self.stats.retraces_scheduled += 1;
-                        }
-                    }
-                    None => {
-                        self.apply_barrier(mid, at, StoreKind::Array, arr, old, val)?;
-                    }
-                }
+                self.classic_store_barrier(mid, at, StoreKind::Array, arr, old, val)?;
                 self.heap.set_elem(arr, idx, val)?;
             }
             Insn::IaLoad => {
@@ -1407,10 +1539,13 @@ impl<'p> Interp<'p> {
                 let len = self.heap.array_len(arr)?;
                 self.push(Value::Int(len));
             }
-            Insn::New { class, site } => {
+            Insn::New { class, .. } => {
                 let shapes = self.class_shapes[class.index()].clone();
                 let r = self.alloc_with_recovery(mid, at, |h| h.alloc_object(class.0, &shapes))?;
-                if self.stack_sites.contains(&site) {
+                let Op::New { arena, .. } = self.op_at(mid, at) else {
+                    unreachable!("an allocation translates to an allocation op");
+                };
+                if arena {
                     self.frame_mut().owned.push(r);
                     self.stats.stack_allocated += 1;
                 }
@@ -2190,20 +2325,9 @@ mod tests {
         assert!(interp.stats.gc_cycles > 0);
     }
 
-    /// Serializes the tests that assert on global `interp.gc.*` counter
-    /// deltas or inject allocation failures: they all publish into the
-    /// shared registry, and the default test runner is multi-threaded.
-    fn emergency_lock() -> std::sync::MutexGuard<'static, ()> {
-        use std::sync::{Mutex, OnceLock};
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let lock = LOCK.get_or_init(|| Mutex::new(()));
-        lock.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn alloc_exhaustion_traps_oom_after_bounded_retries() {
         use wbe_heap::{FaultConfig, FaultPlan};
-        let _guard = emergency_lock();
         let (p, m) = churn_program();
         let mut interp = Interp::new(&p, checked());
         // Every allocation fails, with no grace window: the retry
@@ -2224,36 +2348,8 @@ mod tests {
     }
 
     #[test]
-    fn emergency_telemetry_deltas_match_run_stats() {
-        use wbe_heap::{FaultConfig, FaultPlan};
-        let _guard = emergency_lock();
-        let (p, m) = churn_program();
-        let mut interp = Interp::new(&p, checked());
-        interp.set_fault_plan(FaultPlan::new(FaultConfig {
-            alloc_fail_pm: 200,
-            alloc_grace: 8,
-            ..FaultConfig::from_seed(5)
-        }));
-        let before = wbe_telemetry::registry::global().snapshot();
-        let r = interp.run(m, &[Value::Int(150)], 1_000_000).unwrap();
-        assert_eq!(r, Some(Value::Int(150)));
-        assert!(interp.stats.emergency_pauses > 0, "fault path exercised");
-        let after = wbe_telemetry::registry::global().snapshot();
-        let delta =
-            |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
-        assert_eq!(
-            delta("interp.gc.emergency_pauses"),
-            interp.stats.emergency_pauses,
-            "published delta mirrors the run's emergency pauses"
-        );
-        assert_eq!(delta("interp.gc.alloc_retries"), interp.stats.alloc_retries);
-        assert_eq!(delta("interp.gc.cycles"), interp.stats.gc_cycles);
-    }
-
-    #[test]
     fn recovery_does_not_mask_oom() {
         use wbe_heap::{FaultConfig, FaultPlan};
-        let _guard = emergency_lock();
         let (p, m) = churn_program();
         let mut interp = Interp::new(&p, checked());
         interp.set_fault_plan(FaultPlan::new(FaultConfig {
@@ -2372,6 +2468,44 @@ mod tests {
         let rc = interp.recovery().unwrap();
         assert_eq!(rc.stats.attempted, 1, "no new attempt: site was gated");
         assert!(rc.stats.gated_elisions > 0);
+    }
+
+    #[test]
+    fn set_stack_sites_drops_the_code_cache_and_site_counts_survive() {
+        // `scratch` allocates a node that never leaves its frame and
+        // links it to itself: one allocation site, one store site.
+        let mut pb = ProgramBuilder::new();
+        let c = pb.class("Node");
+        let next = pb.field(c, "next", Ty::Ref(c));
+        let m = pb.method("scratch", vec![], None, 1, |mb| {
+            let o = mb.local(0);
+            mb.new_object(c).store(o);
+            mb.load(o).load(o).putfield(next);
+            mb.return_();
+        });
+        let p = pb.finish();
+        let Insn::New { site, .. } = p.method(m).blocks[0].insns[0] else {
+            panic!("scratch starts with its allocation");
+        };
+        let mut interp = Interp::new(&p, checked());
+        interp.run(m, &[], 100).unwrap();
+        assert!(interp.code[m.index()].is_some(), "translated on first run");
+        assert_eq!(interp.stats.stack_allocated, 0);
+        assert_eq!(interp.stats.barrier.totals(), (1, 1));
+
+        // The arena verdict is baked into `Op::New`, which both loops
+        // read: the cached translation is stale.
+        interp.set_stack_sites([site]);
+        assert!(interp.code.iter().all(Option::is_none));
+        interp.run(m, &[], 100).unwrap();
+        assert_eq!(interp.stats.stack_allocated, 1);
+        assert_eq!(interp.stats.stack_freed, 1);
+        // The first run's counts were folded into `stats.barrier`
+        // before the cache (and its flat counters) went.
+        let sites: Vec<_> = interp.stats.barrier.iter().collect();
+        assert_eq!(sites.len(), 1);
+        assert_eq!(sites[0].1.executions, 2);
+        assert_eq!(sites[0].1.pre_null, 2);
     }
 
     #[test]

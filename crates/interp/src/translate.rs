@@ -1,26 +1,28 @@
-//! One-time translation of IR methods into flat superinstruction code.
+//! One-time translation of IR methods into flat superinstruction code,
+//! and the one place a store site's barrier is decided.
 //!
-//! The classic engine re-decodes every instruction on every execution:
-//! method lookup, block lookup, bounds compare, field-declaration
-//! chase, barrier-configuration consult. This module hoists all of
-//! that into a single per-method translation pass, the compile-time
-//! half of the compiled engine (`crate::compiled`):
+//! [`crate::machine::Interp`] translates each method on its first
+//! activation, whichever dispatch loop it runs. The compiled loop
+//! (`crate::compiled`) executes the result; the classic loop keeps
+//! decoding the IR and reads only the store-site verdicts off it.
+//! Translation hoists out of execution:
 //!
 //! * **field offsets** are pre-resolved (`Program::field` runs once per
 //!   site, not once per execution) — the dynamic class-tag guard stays,
 //!   so shape-mismatch traps are unchanged;
 //! * **jump targets** are pre-computed: blocks are linearized into one
-//!   flat `Vec<Op>` and `Goto`/`If` carry absolute program counters;
-//! * **store+barrier superinstructions** are fused per site: the
-//!   elision ledger's verdict, the barrier mode, the marker style, and
-//!   the §4.3 rearrangement role are folded into a [`Fuse`] tag at
-//!   translation time, so the executed fast path has no per-store
-//!   configuration branch at all.
+//!   flat `Vec<Cell>` and `Goto`/`If` carry absolute program counters;
+//! * **the barrier verdict** of every reference store: the elision
+//!   set, the barrier mode, the marker style, and the §4.3
+//!   rearrangement role are folded into a [`Fuse`] tag, once. This
+//!   module is the only reader of `BarrierConfig::elided` and
+//!   `BarrierConfig::rearrange`; `Interp::store_barrier` is the only
+//!   code that acts on the tag.
 //!
 //! Translation bakes the *static* facts only. Everything dynamic — the
-//! pre-null soundness oracle, the revocation-generation guard that
-//! keeps PR 7's self-healing sound, marking phase, class-tag guards —
-//! still executes per store.
+//! soundness check of an elided store, the recovery controller's
+//! revocations, marking phase, class-tag guards — still executes per
+//! store.
 
 use std::collections::BTreeSet;
 
@@ -28,7 +30,6 @@ use wbe_heap::gc::MarkStyle;
 use wbe_ir::{ClassId, Cond, Insn, InsnAddr, MethodId, Program, SiteId, Terminator};
 
 use crate::barrier::{BarrierConfig, BarrierMode, ElisionKind, RearrangeRole, StoreKind};
-use crate::cost;
 
 /// The per-site fusion verdict for a reference store, decided once at
 /// translation from the barrier configuration, the elision ledger, the
@@ -41,10 +42,9 @@ pub enum Fuse {
         /// Whether the receiver is actually dirtied.
         mark: bool,
     },
-    /// Elided store fast path: no barrier-mode branch, just the
-    /// soundness oracle for the proof kind. Valid while the recovery
-    /// controller's revocation generation stays 0; afterwards the
-    /// engine falls back to the guarded classic dispatch.
+    /// Elided store: no barrier, just the soundness check for the proof
+    /// kind — unless a recovery controller is installed and has stopped
+    /// trusting the site, which gives it the kept barrier back.
     Elided(ElisionKind),
     /// Kept barrier with the `Checked` mode inlined (marking check,
     /// then pre-read + SATB enqueue).
@@ -62,7 +62,7 @@ pub enum Fuse {
 
 /// One direct-threaded superinstruction. Everything statically knowable
 /// is pre-resolved into the variant payload; `Vec` indices replace the
-/// classic engine's per-execution lookups.
+/// classic loop's per-execution lookups.
 #[derive(Clone, Copy, Debug)]
 pub enum Op {
     /// Push an integer constant.
@@ -196,8 +196,8 @@ pub enum Op {
 }
 
 /// A barrier site in translated code: the original address and store
-/// kind, used to flush the flat per-site accumulators back into
-/// [`crate::BarrierStats`] under the same keys the classic engine uses.
+/// kind, the key under which the site's flat counters are folded into
+/// [`crate::BarrierStats`].
 #[derive(Clone, Copy, Debug)]
 pub struct SiteInfo {
     /// Original instruction address.
@@ -215,25 +215,22 @@ pub struct Cell {
     pub op: Op,
     /// Original instruction address (trap attribution; for terminator
     /// ops this is one past the block's last instruction, matching the
-    /// classic engine's addressing).
+    /// classic loop's addressing).
     pub addr: InsnAddr,
 }
 
-/// A translated method: flat superinstruction code plus the parallel
-/// metadata the engine needs for traps, costs, and stat attribution.
+/// A translated method: flat superinstruction code plus the site and
+/// block tables both dispatch loops index it by.
 #[derive(Clone, Debug)]
 pub struct CompiledMethod {
     /// The flat superinstruction sequence with per-op trap addresses.
     pub cells: Vec<Cell>,
-    /// Abstract cycle cost of each op, pre-computed from the cost
-    /// model (barrier cycles are charged separately by the fuse path;
-    /// the engine charges the same values as match-arm constants — this
-    /// column is the reference the tests pin them against).
-    pub costs: Vec<u64>,
     /// Barrier sites in this method, indexed by the `site` slot baked
     /// into fused store ops.
     pub sites: Vec<SiteInfo>,
-    /// First op pc of each block, indexed by block id.
+    /// First op pc of each block, indexed by block id: the cell for
+    /// the instruction at `(block, index)` is `block_starts[block] +
+    /// index`.
     pub block_starts: Vec<u32>,
 }
 
@@ -245,9 +242,10 @@ fn kept(mode: BarrierMode) -> Fuse {
     }
 }
 
-/// The fusion verdict for an ordinary (non-rearrange) reference store,
-/// mirroring the classic `apply_barrier` dispatch order: marker style
-/// first, then the elision ledger, then the barrier mode.
+/// The fusion verdict for an ordinary (non-rearrange) reference store:
+/// marker style first (incremental update re-examines every modified
+/// location, so elision never applies there), then the elision set,
+/// then the barrier mode.
 fn fuse_for(config: &BarrierConfig, style: MarkStyle, mid: MethodId, at: InsnAddr) -> Fuse {
     if style == MarkStyle::IncrementalUpdate {
         return Fuse::IuDirty {
@@ -281,7 +279,6 @@ pub fn translate(
     }
     let mut cm = CompiledMethod {
         cells: Vec::with_capacity(len as usize),
-        costs: Vec::with_capacity(len as usize),
         sites: Vec::new(),
         block_starts,
     };
@@ -291,14 +288,12 @@ pub fn translate(
             let at = InsnAddr::new(bid, i);
             let op = translate_insn(program, mid, at, insn, config, style, stack_sites, &mut cm);
             cm.cells.push(Cell { op, addr: at });
-            cm.costs.push(cost::insn_cost(insn));
         }
         let term_at = InsnAddr::new(bid, b.insns.len());
         cm.cells.push(Cell {
             op: translate_term(&b.term, &cm.block_starts),
             addr: term_at,
         });
-        cm.costs.push(cost::term_cost());
     }
     cm
 }
@@ -378,9 +373,9 @@ fn translate_insn(
                 addr: at,
                 kind: StoreKind::Array,
             });
-            // §4.3 role takes precedence over elision, exactly like the
-            // classic dispatch; the First role keeps the one true SATB
-            // log, which is the kept path for the mode in force.
+            // §4.3 role takes precedence over elision; the First role
+            // keeps the one true SATB log, which is the kept path for
+            // the mode in force.
             let role = if style == MarkStyle::Satb {
                 config.rearrange.role(mid, at)
             } else {
@@ -460,7 +455,6 @@ mod tests {
         let method = p.method(m);
         let want: usize = method.blocks.iter().map(|b| b.insns.len() + 1).sum();
         assert_eq!(cm.cells.len(), want);
-        assert_eq!(cm.costs.len(), want);
         assert_eq!(cm.block_starts[0], 0);
         // Jump targets are absolute pcs into the flat code.
         for cell in &cm.cells {

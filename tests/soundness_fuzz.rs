@@ -23,8 +23,10 @@ use proptest::prelude::*;
 
 use wbe_repro::analysis::nullsame;
 use wbe_repro::analysis::{analyze_method, AnalysisConfig};
+use wbe_repro::heap::gc::MarkStyle;
 use wbe_repro::interp::{
-    BarrierConfig, BarrierMode, ElidedBarriers, ElisionKind, GcPolicy, Interp, Trap, Value,
+    BarrierConfig, BarrierMode, ElidedBarriers, ElisionKind, EngineKind, GcPolicy, Interp, Trap,
+    Value,
 };
 use wbe_repro::ir::builder::{MethodBuilder, ProgramBuilder};
 use wbe_repro::ir::{FieldId, MethodId, Program, StaticId, Ty};
@@ -363,35 +365,49 @@ fn run_case(stmts: &[Stmt], iters: i64) -> Result<(), TestCaseError> {
     // Elision (and folding, below) changes how much work the SATB
     // marker does per step, which shifts collection points and the
     // amount of floating garbage. The schedule-independent observables
-    // are the allocation count and the final *reachable* heap.
-    let run = |elide: bool| -> Result<(u64, usize), Trap> {
+    // are the allocation count and the final *reachable* heap; between
+    // the two dispatch loops nothing may differ at all.
+    type Observed = (Option<Value>, [u64; 4], (u64, usize));
+    let run = |kind: EngineKind, elide: bool| -> Result<Observed, Trap> {
         let bc = if elide {
             BarrierConfig::with_elision(BarrierMode::Checked, elided.clone())
         } else {
             BarrierConfig::new(BarrierMode::Checked)
         };
-        let mut interp = Interp::new(&program, bc);
+        let mut interp = kind.build(&program, bc, MarkStyle::Satb);
         interp.set_gc_policy(GcPolicy {
             alloc_trigger: 10,
             step_interval: 8,
             step_budget: 2,
         });
-        interp.run(main, &[Value::Int(iters)], 4_000_000)?;
+        let result = interp.run(main, &[Value::Int(iters)], 4_000_000)?;
         let roots = interp.heap.static_roots();
         let stats = wbe_repro::heap::debug::graph_stats(&interp.heap, &roots);
-        Ok((interp.heap.stats.allocations, stats.reachable))
+        let s = &interp.stats;
+        Ok((
+            result,
+            [s.insns, s.cycles, s.barrier_cycles, s.elided_executions],
+            (interp.heap.stats.allocations, stats.reachable),
+        ))
     };
 
-    let with_elision = run(true);
+    let with_elision = run(EngineKind::Classic, true);
     prop_assert!(
         with_elision.is_ok(),
         "trap with elision (oracle?): {:?}\nelided: {:?}\nstmts: {stmts:#?}",
         with_elision,
         elided
     );
-    let without = run(false);
+    // A debug build checks the translator's bounds invariant on every
+    // cell the compiled loop fetches.
+    prop_assert_eq!(
+        &run(EngineKind::Compiled, true),
+        &with_elision,
+        "dispatch loops diverged"
+    );
+    let without = run(EngineKind::Classic, false);
     prop_assert!(without.is_ok(), "trap without elision: {without:?}");
-    prop_assert_eq!(with_elision.unwrap(), without.clone().unwrap());
+    prop_assert_eq!(with_elision.unwrap().2, without.unwrap().2);
 
     // Constant folding must preserve behavior AND the soundness of a
     // fresh analysis over the folded program. Folding changes the
