@@ -20,12 +20,15 @@
 //! deliberately elides a barrier the analysis did *not* prove safe and
 //! confirms the same machinery catches it.
 
+use std::cmp::Reverse;
 use std::fmt;
 
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::{debug, FaultPlan, FaultStats};
-use wbe_interp::{BarrierConfig, BarrierMode, ElidedBarriers, GcPolicy, Interp, Trap, Value};
-use wbe_ir::{MethodId, Program};
+use wbe_interp::{
+    BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, GcPolicy, Interp, Trap, Value,
+};
+use wbe_ir::{InsnAddr, MethodId, Program};
 use wbe_opt::OptMode;
 use wbe_workloads::Workload;
 
@@ -276,6 +279,19 @@ pub enum DemoOutcome {
     Missed(String),
 }
 
+/// The site [`demo_unsound_detection`] corrupts: of the executed stores
+/// outside `sound` that overwrote a non-null value, the one that did so
+/// most often. `BarrierStats` iterates in hash order, so a tie goes to
+/// the smallest `(method, address)`, not to whichever came last.
+fn pick_victim(stats: &BarrierStats, sound: &ElidedBarriers) -> Option<(MethodId, InsnAddr)> {
+    stats
+        .iter()
+        .filter(|((m, a, _), s)| s.pre_null < s.executions && !sound.contains(*m, *a))
+        .map(|((m, a, _), s)| (s.executions - s.pre_null, Reverse((*m, *a))))
+        .max()
+        .map(|(_, Reverse(site))| site)
+}
+
 /// Deliberately elides a barrier the analysis did **not** prove safe —
 /// the most-executed site that observes non-null pre-values under full
 /// barriers — and runs the sweep expecting detection.
@@ -295,14 +311,7 @@ pub fn demo_unsound_detection(w: &Workload, opts: &VerifyOptions) -> DemoOutcome
     if let Err(t) = profiler.run(w.entry, &[Value::Int(iters)], fuel) {
         return DemoOutcome::Missed(format!("{}: profiling run trapped: {t}", w.name));
     }
-    let target = profiler
-        .stats
-        .barrier
-        .iter()
-        .filter(|((m, a, _), s)| s.pre_null < s.executions && !sound.contains(*m, *a))
-        .max_by_key(|(_, s)| s.executions - s.pre_null)
-        .map(|((m, a, _), _)| (*m, *a));
-    let Some((m, a)) = target else {
+    let Some((m, a)) = pick_victim(&profiler.stats.barrier, &sound) else {
         return DemoOutcome::NoCandidate(format!(
             "{}: every executed store is pre-null on this input; \
              no elision can be dynamically unsound",
@@ -392,6 +401,44 @@ mod tests {
             DemoOutcome::Detected(msg) => assert!(msg.contains("detected"), "{msg}"),
             other => panic!("expected detection, got {other:?}"),
         }
+    }
+
+    /// Four equally hot candidates, a hotter one that is soundly elided,
+    /// a hotter one that is always pre-null and a slightly cooler one. Every `BarrierStats`
+    /// hashes with fresh keys, so over many of them — filled in both
+    /// orders — a pick that followed iteration order would wander.
+    #[test]
+    fn victim_ties_go_to_the_smallest_site_whatever_the_order() {
+        use wbe_interp::StoreKind;
+        use wbe_ir::BlockId;
+
+        let site =
+            |m: u32, block: u32, index: usize| (MethodId(m), InsnAddr::new(BlockId(block), index));
+        // (site, executions, pre-null): the first four each overwrote a
+        // non-null value 40 times.
+        let rows = [
+            (site(10, 12, 65), 50, 10),
+            (site(10, 12, 55), 40, 0),
+            (site(9, 30, 1), 45, 5),
+            (site(10, 3, 99), 40, 0),
+            (site(2, 0, 0), 500, 0),   // hottest, but in `sound`
+            (site(1, 0, 0), 900, 900), // never overwrote non-null
+            (site(11, 0, 0), 39, 0),   // one short of the tie
+        ];
+        let sound: ElidedBarriers = [site(2, 0, 0)].into_iter().collect();
+        for trial in 0..32 {
+            let mut stats = BarrierStats::default();
+            let fill = |stats: &mut BarrierStats, &((m, a), executions, pre_null)| {
+                stats.add_site(m, a, StoreKind::Field, executions, pre_null, 0);
+            };
+            if trial % 2 == 0 {
+                rows.iter().for_each(|row| fill(&mut stats, row));
+            } else {
+                rows.iter().rev().for_each(|row| fill(&mut stats, row));
+            }
+            assert_eq!(pick_victim(&stats, &sound), Some(site(9, 30, 1)));
+        }
+        assert_eq!(pick_victim(&BarrierStats::default(), &sound), None);
     }
 
     #[test]

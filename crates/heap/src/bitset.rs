@@ -4,7 +4,8 @@
 //! mark bits, the incremental-update dirty set, the §4.3 retrace set
 //! and the two §4.3 trace-state sets, so a barrier or a shade costs one
 //! word access, clearing a cycle's state is a `memset`, and walking a
-//! set visits its members in ascending slot order.
+//! set visits its members in ascending slot order. The heap verifier's
+//! visited set ([`crate::verify::ReachSet`]) is the sixth use.
 
 /// A set of slot indices. Indices past the last word are absent;
 /// [`BitSet::insert`] grows the set to reach them.
@@ -61,6 +62,21 @@ impl BitSet {
     /// The backing words, for word-at-a-time walks.
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// The members in ascending order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(w * 64 + bit)
+            })
+        })
     }
 
     /// Removes every member, passing each to `visit` in ascending
@@ -139,6 +155,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(set.len(), model.len());
+                prop_assert!(set.iter().eq(model.iter().copied()));
                 let ones: u32 = set.words().iter().map(|w| w.count_ones()).sum();
                 prop_assert_eq!(ones as usize, model.len());
             }

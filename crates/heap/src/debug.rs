@@ -2,13 +2,14 @@
 //! statistics for debugging GC behaviour and writing assertions in
 //! tests.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::heap::Heap;
 use crate::mix::fnv1a;
 use crate::object::ObjKind;
 use crate::value::{GcRef, Value};
+use crate::verify::ReachSet;
 
 /// Aggregate heap statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -116,24 +117,28 @@ pub struct GraphStats {
     pub max_depth: usize,
 }
 
-/// BFS over the live object graph from `roots`.
+/// BFS over the live object graph from `roots`: the verifier's visited
+/// set, filled first-in first-out because depth is reported.
 pub fn graph_stats(heap: &Heap, roots: &[GcRef]) -> GraphStats {
-    let mut seen: BTreeSet<GcRef> = BTreeSet::new();
+    let store = &heap.store;
+    let mut seen = ReachSet::for_store(store);
     let mut queue: VecDeque<(GcRef, usize)> = VecDeque::new();
-    for &r in roots {
-        if heap.store.is_live(r) && seen.insert(r) {
-            queue.push_back((r, 0));
-        }
-    }
+    queue.extend(
+        roots
+            .iter()
+            .copied()
+            .filter(|&r| seen.reach(store, r))
+            .map(|r| (r, 0)),
+    );
     let mut max_depth = 0;
     while let Some((r, d)) = queue.pop_front() {
         max_depth = max_depth.max(d);
-        if let Ok(obj) = heap.store.get(r) {
-            for child in obj.outgoing_refs() {
-                if heap.store.is_live(child) && seen.insert(child) {
-                    queue.push_back((child, d + 1));
-                }
-            }
+        if let Ok(obj) = store.get(r) {
+            queue.extend(
+                obj.outgoing_refs()
+                    .filter(|&child| seen.reach(store, child))
+                    .map(|child| (child, d + 1)),
+            );
         }
     }
     GraphStats {

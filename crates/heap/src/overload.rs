@@ -32,7 +32,7 @@
 //! logical scheduler steps — so a run's entire outcome (counters,
 //! latency samples, ladder transitions) replays bit for bit.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::fault::{FaultConfig, FaultPlan};
@@ -380,7 +380,7 @@ pub struct ServeWorld {
     shared: GcRef,
     /// Head inserts per tenant since the chain was last reset.
     chain_age: Vec<u64>,
-    snapshot: Option<BTreeSet<GcRef>>,
+    snapshot: Option<verify::ReachSet>,
     pressure: PressureController,
     current_level: PressureLevel,
     emergency_requested: bool,
@@ -817,9 +817,10 @@ impl ServeWorld {
     }
 
     /// Stop-the-world tail of a cycle: final flushes, remark, invariant
-    /// checks, sweep, snapshot audit, resume. `end_epoch` says whether
-    /// an armed/marking epoch must be closed (false for an emergency
-    /// collection forced from marker-idle, where no epoch is open).
+    /// checks, sweep, snapshot audit, resume. The epoch is closed when
+    /// the marker is anywhere but idle or `end_epoch_override` says one
+    /// is open; an emergency collection forced from marker-idle passes
+    /// false and leaves it alone, because none is.
     fn finish_cycle_stw(&mut self, end_epoch_override: bool) {
         let end_epoch = end_epoch_override || !matches!(self.marker, MarkerState::Idle { .. });
         for tid in 0..self.cfg.connections {
@@ -835,7 +836,7 @@ impl ServeWorld {
         let swept = self.heap.sweep();
         self.counters.swept += swept as u64;
         if let Some(snapshot) = self.snapshot.take() {
-            for obj in snapshot {
+            for obj in snapshot.iter() {
                 if !self.heap.store.is_live(obj) {
                     self.violation(format!("snapshot-reachable {obj} freed by sweep"));
                 }

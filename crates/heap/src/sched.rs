@@ -38,7 +38,6 @@
 //! barrier on thread 0 — the negative control the model checker in
 //! [`crate::mcheck`] must catch.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::fault::{FaultConfig, FaultPlan};
@@ -474,7 +473,7 @@ struct World {
     shared: GcRef,
     /// Snapshot-reachable set recorded at the current cycle's
     /// `begin_marking`, audited at its sweep.
-    snapshot: Option<BTreeSet<GcRef>>,
+    snapshot: Option<verify::ReachSet>,
     /// Step at which the current epoch was armed; the watchdog measures
     /// ack latency against this.
     armed_at: Option<usize>,
@@ -957,7 +956,7 @@ impl World {
         // The model checker's core invariant: SATB promises that every
         // object in the snapshot survives this cycle's sweep.
         if let Some(snapshot) = self.snapshot.take() {
-            for obj in snapshot {
+            for obj in snapshot.iter() {
                 if !self.heap.store.is_live(obj) {
                     self.violation(
                         ViolationKind::LostObject,

@@ -17,11 +17,18 @@
 //!
 //! All checks are read-only and return the full violation list rather
 //! than failing fast, so a harness can report everything at once.
+//!
+//! The checks run at every boundary of every cycle, so they are built
+//! to cost what the collector they audit costs: the reachable set is a
+//! [`ReachSet`] — the collector's bit set, one bit per slot — and each
+//! check is a linear walk that allocates nothing per object. Sets and
+//! violation lists come out in ascending slot order.
 
-use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
-use crate::heap::Heap;
+use crate::bitset::BitSet;
+use crate::heap::{Heap, Store};
+use crate::object::HeapObject;
 use crate::value::GcRef;
 
 /// A single invariant violation.
@@ -77,54 +84,132 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Reference integrity: every reference held by a live object or a
-/// static must denote a live object.
-pub fn verify_refs(heap: &Heap) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (from, obj) in heap.store.iter_live() {
-        for target in obj.outgoing_refs() {
-            if !heap.store.is_live(target) {
-                out.push(Violation::DanglingField { from, target });
-            }
+/// A set of objects, one bit per slot: what [`reachable_set`] returns.
+/// Iteration is in ascending slot order.
+#[derive(Debug, Default)]
+pub struct ReachSet(BitSet);
+
+impl ReachSet {
+    /// An empty set sized for `store`'s slots.
+    pub(crate) fn for_store(store: &Store) -> ReachSet {
+        let mut bits = BitSet::default();
+        bits.reset(store.capacity());
+        ReachSet(bits)
+    }
+
+    /// Adds `r` if it is live in `store` and not yet a member; true if
+    /// it was added. The bit is tested first, so meeting a member again
+    /// costs one word read and never touches its slot.
+    pub(crate) fn reach(&mut self, store: &Store, r: GcRef) -> bool {
+        !self.0.get(r.index()) && store.is_live(r) && self.0.insert(r.index())
+    }
+
+    /// True if `r` is a member.
+    pub fn contains(&self, r: &GcRef) -> bool {
+        self.0.get(r.index())
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.0.len() == 0
+    }
+
+    /// The members in ascending slot order.
+    pub fn iter(&self) -> impl Iterator<Item = GcRef> + '_ {
+        self.0.iter().map(|slot| GcRef(slot as u32))
+    }
+}
+
+impl FromIterator<GcRef> for ReachSet {
+    fn from_iter<I: IntoIterator<Item = GcRef>>(refs: I) -> ReachSet {
+        let mut bits = BitSet::default();
+        for r in refs {
+            bits.insert(r.index());
+        }
+        ReachSet(bits)
+    }
+}
+
+/// Owning iteration, ascending, for callers that consume the set. The
+/// audits walk it by reference with [`ReachSet::iter`].
+impl IntoIterator for ReachSet {
+    type Item = GcRef;
+    type IntoIter = std::vec::IntoIter<GcRef>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter().collect::<Vec<_>>().into_iter()
+    }
+}
+
+/// Appends a [`Violation::DanglingField`] for every freed slot `obj`
+/// references.
+fn check_fields(store: &Store, from: GcRef, obj: &HeapObject, out: &mut Vec<Violation>) {
+    for target in obj.outgoing_refs() {
+        if !store.is_live(target) {
+            out.push(Violation::DanglingField { from, target });
         }
     }
+}
+
+/// Appends a [`Violation::DanglingStatic`] for every static that names
+/// a freed slot.
+fn check_statics(heap: &Heap, out: &mut Vec<Violation>) {
     for (index, target) in heap.static_ref_slots() {
         if !heap.store.is_live(target) {
             out.push(Violation::DanglingStatic { index, target });
         }
     }
+}
+
+/// Reference integrity: every reference held by a live object or a
+/// static must denote a live object.
+pub fn verify_refs(heap: &Heap) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (from, obj) in heap.store.iter_live() {
+        check_fields(&heap.store, from, obj, &mut out);
+    }
+    check_statics(heap, &mut out);
     out
 }
 
-/// BFS from `roots` over live objects. Public so the concurrency model
-/// checker ([`crate::mcheck`]) can record the snapshot-reachable set at
-/// `begin_marking` and audit it against every later sweep.
-pub fn reachable_set(heap: &Heap, roots: &[GcRef]) -> BTreeSet<GcRef> {
-    let mut seen: BTreeSet<GcRef> = BTreeSet::new();
-    let mut queue: VecDeque<GcRef> = VecDeque::new();
-    for &r in roots {
-        if heap.store.is_live(r) && seen.insert(r) {
-            queue.push_back(r);
-        }
-    }
-    while let Some(r) = queue.pop_front() {
-        if let Ok(obj) = heap.store.get(r) {
-            for child in obj.outgoing_refs() {
-                if heap.store.is_live(child) && seen.insert(child) {
-                    queue.push_back(child);
-                }
-            }
+/// The traversal behind [`reachable_set`] and [`verify_post_mark`].
+fn trace(heap: &Heap, roots: &[GcRef]) -> ReachSet {
+    let store = &heap.store;
+    let mut seen = ReachSet::for_store(store);
+    let mut stack: Vec<GcRef> = Vec::new();
+    stack.extend(roots.iter().copied().filter(|&r| seen.reach(store, r)));
+    while let Some(r) = stack.pop() {
+        if let Ok(obj) = store.get(r) {
+            stack.extend(
+                obj.outgoing_refs()
+                    .filter(|&child| seen.reach(store, child)),
+            );
         }
     }
     seen
+}
+
+/// The live objects reachable from `roots`. Public so the scheduler
+/// worlds ([`crate::sched`], [`crate::overload`]) can record the
+/// snapshot-reachable set at `begin_marking` and audit it against that
+/// cycle's sweep, and the necessity oracle can ask what is still rooted.
+pub fn reachable_set(heap: &Heap, roots: &[GcRef]) -> ReachSet {
+    let _span = wbe_telemetry::span!("heap.verify.snapshot");
+    trace(heap, roots)
 }
 
 /// SATB snapshot reachability, checked between `remark` and `sweep`:
 /// every object reachable from `roots` must be marked. Includes
 /// [`verify_refs`].
 pub fn verify_post_mark(heap: &Heap, roots: &[GcRef]) -> Vec<Violation> {
+    let _span = wbe_telemetry::span!("heap.verify.post_mark");
     let mut out = verify_refs(heap);
-    for obj in reachable_set(heap, roots) {
+    for obj in trace(heap, roots).iter() {
         if !heap.gc.is_marked(obj) {
             out.push(Violation::UnmarkedReachable { obj });
         }
@@ -134,14 +219,20 @@ pub fn verify_post_mark(heap: &Heap, roots: &[GcRef]) -> Vec<Violation> {
 
 /// Mark/sweep bitmap consistency, checked immediately after a sweep
 /// (before any further allocation): every surviving object is marked.
-/// Includes [`verify_refs`].
+/// Includes [`verify_refs`], whose findings come first; both are
+/// gathered in one walk over the live slots.
 pub fn verify_post_sweep(heap: &Heap) -> Vec<Violation> {
-    let mut out = verify_refs(heap);
-    for (obj, _) in heap.store.iter_live() {
-        if !heap.gc.is_marked(obj) {
-            out.push(Violation::UnmarkedLive { obj });
+    let _span = wbe_telemetry::span!("heap.verify.post_sweep");
+    let mut out = Vec::new();
+    let mut unmarked = Vec::new();
+    for (from, obj) in heap.store.iter_live() {
+        check_fields(&heap.store, from, obj, &mut out);
+        if !heap.gc.is_marked(from) {
+            unmarked.push(Violation::UnmarkedLive { obj: from });
         }
     }
+    check_statics(heap, &mut out);
+    out.append(&mut unmarked);
     out
 }
 
@@ -255,6 +346,38 @@ mod tests {
         let n = obj(&mut h);
         let v = verify_post_sweep(&h);
         assert!(v.contains(&Violation::UnmarkedLive { obj: n }));
+    }
+
+    #[test]
+    fn reach_set_is_an_ascending_set_of_refs() {
+        let refs = [GcRef(70), GcRef(3), GcRef(64), GcRef(3)];
+        let set: ReachSet = refs.into_iter().collect();
+        assert_eq!(set.len(), 3);
+        assert!(set.contains(&GcRef(64)));
+        assert!(!set.contains(&GcRef(65)) && !set.contains(&GcRef(1 << 20)));
+        let ascending = vec![GcRef(3), GcRef(64), GcRef(70)];
+        assert_eq!(set.iter().collect::<Vec<_>>(), ascending);
+        assert_eq!(set.into_iter().collect::<Vec<_>>(), ascending);
+        let empty = ReachSet::default();
+        assert!(empty.is_empty() && empty.iter().next().is_none());
+        assert!(!empty.contains(&GcRef(0)));
+    }
+
+    /// Dead and out-of-range refs, as roots or as children, are never
+    /// members, so the set never grows past the store it was sized for.
+    #[test]
+    fn reachable_set_skips_dead_roots_and_children() {
+        let mut h = Heap::new(MarkStyle::Satb);
+        let a = obj(&mut h);
+        let b = obj(&mut h);
+        let c = obj(&mut h);
+        h.set_field(a, 0, Value::from(b)).unwrap();
+        h.set_field(a, 1, Value::from(c)).unwrap();
+        h.set_field(c, 0, Value::from(a)).unwrap();
+        h.store.remove(b);
+        let set = reachable_set(&h, &[GcRef(900), b, a, a]);
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![a, c]);
+        assert!(!set.contains(&b) && !set.contains(&GcRef(900)));
     }
 
     #[test]

@@ -45,6 +45,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use wbe_heap::recover::SiteKey;
+use wbe_heap::verify::ReachSet;
 use wbe_heap::GcRef;
 
 use crate::barrier::StoreKind;
@@ -209,7 +210,7 @@ impl OracleState {
     /// Pre-remark half of the cycle audit: splits this cycle's
     /// necessary enqueues into sole-witness (target not in `reachable`,
     /// the root-reachable set at the remark rendezvous) vs shielded.
-    pub fn classify_witnesses(&mut self, reachable: &BTreeSet<GcRef>) {
+    pub fn classify_witnesses(&mut self, reachable: &ReachSet) {
         for &(key, r) in &self.cycle_enqueued {
             let Some(site) = self.sites.get_mut(&key) else {
                 continue;
@@ -340,7 +341,7 @@ mod tests {
             Some(r(11)),
             false,
         );
-        let reachable: BTreeSet<GcRef> = [r(11)].into_iter().collect();
+        let reachable: ReachSet = [r(11)].into_iter().collect();
         o.classify_witnesses(&reachable);
         let s = o.sites[&key(1)];
         assert_eq!(s.sole_witness, 1); // r(10) had only the log

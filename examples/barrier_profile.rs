@@ -58,7 +58,9 @@ fn main() {
         .iter()
         .filter(|((m, a, _), _)| !run.elided.contains(*m, *a))
         .collect();
-    sites.sort_by_key(|(_, st)| std::cmp::Reverse(st.executions));
+    // (`BarrierStats` iterates in hash order: equally hot sites rank by
+    // method and address, so two runs print the same table.)
+    sites.sort_by_key(|((m, a, _), st)| (std::cmp::Reverse(st.executions), *m, *a));
     let names: HashMap<_, _> = run
         .compiled
         .program
