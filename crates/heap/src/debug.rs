@@ -36,7 +36,7 @@ pub fn summarize(heap: &Heap) -> HeapSummary {
         s.live += 1;
         s.live_words += obj.size_words();
         *s.by_class.entry(obj.class_tag).or_default() += 1;
-        s.ref_edges += obj.outgoing_refs().count();
+        obj.for_each_ref(|_| s.ref_edges += 1);
     }
     s
 }
@@ -80,19 +80,19 @@ pub fn world_digest(heap: &Heap) -> u64 {
         match &obj.kind {
             ObjKind::Object(fields) => {
                 h = fnv1a(h, [0u8]);
-                for &v in fields {
+                for &v in fields.iter() {
                     h = fnv1a(h, value_bytes(v));
                 }
             }
             ObjKind::RefArray(elems) => {
                 h = fnv1a(h, [1u8]);
-                for &e in elems {
+                for &e in elems.iter() {
                     h = fnv1a(h, value_bytes(Value::Ref(e)));
                 }
             }
             ObjKind::IntArray(elems) => {
                 h = fnv1a(h, [2u8]);
-                for &e in elems {
+                for &e in elems.iter() {
                     h = fnv1a(h, e.to_le_bytes());
                 }
             }
@@ -134,11 +134,11 @@ pub fn graph_stats(heap: &Heap, roots: &[GcRef]) -> GraphStats {
     while let Some((r, d)) = queue.pop_front() {
         max_depth = max_depth.max(d);
         if let Ok(obj) = store.get(r) {
-            queue.extend(
-                obj.outgoing_refs()
-                    .filter(|&child| seen.reach(store, child))
-                    .map(|child| (child, d + 1)),
-            );
+            obj.for_each_ref(|child| {
+                if seen.reach(store, child) {
+                    queue.push_back((child, d + 1));
+                }
+            });
         }
     }
     GraphStats {

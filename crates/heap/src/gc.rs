@@ -475,7 +475,7 @@ impl GcState {
             self.tracing.insert(r.index());
         }
         let mut traced = 0;
-        obj.outgoing_refs().for_each(|child| {
+        obj.for_each_ref(|child| {
             self.shade(child);
             traced += 1;
         });

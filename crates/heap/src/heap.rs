@@ -4,7 +4,7 @@ use std::fmt;
 
 use crate::fault::FaultPlan;
 use crate::gc::{GcState, MarkStyle};
-use crate::object::{HeapObject, ObjKind};
+use crate::object::{HeapObject, ObjKind, Payload};
 use crate::value::{FieldShape, GcRef, Value};
 use crate::witness::WitnessTable;
 
@@ -346,13 +346,15 @@ impl Heap {
     /// # Errors
     ///
     /// [`HeapError::NegativeArrayLength`] if `len < 0`, or
-    /// [`HeapError::AllocationFailed`] from the fault plan.
+    /// [`HeapError::AllocationFailed`] from the fault plan or for a
+    /// length the allocator cannot reserve.
     pub fn alloc_ref_array(&mut self, class_tag: u32, len: i64) -> Result<GcRef, HeapError> {
         let n = usize::try_from(len).map_err(|_| HeapError::NegativeArrayLength(len))?;
         self.check_alloc_fault()?;
+        let elems = Payload::filled(None, n).map_err(|_| HeapError::AllocationFailed)?;
         Ok(self.finish_alloc(HeapObject {
             class_tag,
-            kind: ObjKind::RefArray(vec![None; n]),
+            kind: ObjKind::RefArray(elems),
         }))
     }
 
@@ -361,13 +363,15 @@ impl Heap {
     /// # Errors
     ///
     /// [`HeapError::NegativeArrayLength`] if `len < 0`, or
-    /// [`HeapError::AllocationFailed`] from the fault plan.
+    /// [`HeapError::AllocationFailed`] from the fault plan or for a
+    /// length the allocator cannot reserve.
     pub fn alloc_int_array(&mut self, len: i64) -> Result<GcRef, HeapError> {
         let n = usize::try_from(len).map_err(|_| HeapError::NegativeArrayLength(len))?;
         self.check_alloc_fault()?;
+        let elems = Payload::filled(0, n).map_err(|_| HeapError::AllocationFailed)?;
         Ok(self.finish_alloc(HeapObject {
             class_tag: HeapObject::INT_ARRAY_TAG,
-            kind: ObjKind::IntArray(vec![0; n]),
+            kind: ObjKind::IntArray(elems),
         }))
     }
 
@@ -568,6 +572,47 @@ mod tests {
             h.alloc_int_array(-1),
             Err(HeapError::NegativeArrayLength(-1))
         );
+    }
+
+    /// Lengths whose byte size overflows `isize`: the reservation fails
+    /// before the allocator is asked for anything, so this is
+    /// deterministic and reserves nothing.
+    #[test]
+    fn oversized_array_fails_as_an_allocation() {
+        let mut h = heap();
+        assert_eq!(
+            h.alloc_ref_array(0, i64::MAX),
+            Err(HeapError::AllocationFailed)
+        );
+        assert_eq!(h.alloc_int_array(1 << 60), Err(HeapError::AllocationFailed));
+        assert_eq!(h.stats, HeapStats::default(), "nothing was allocated");
+        assert_eq!(h.store.capacity(), 0);
+        // The heap is still usable, and a spilled length that fits is
+        // counted as before.
+        let a = h.alloc_int_array(100).unwrap();
+        assert_eq!(h.array_len(a).unwrap(), 100);
+        assert_eq!((h.stats.allocations, h.stats.words_allocated), (1, 102));
+    }
+
+    /// The fault plan is consulted before the payload is built, for an
+    /// oversized length as for any other.
+    #[test]
+    fn oversized_array_still_consults_the_fault_plan() {
+        use crate::fault::{FaultConfig, FaultPlan};
+        let mut h = heap();
+        h.fault = Some(FaultPlan::new(FaultConfig {
+            alloc_fail_pm: 0,
+            alloc_grace: 0,
+            ..FaultConfig::from_seed(3)
+        }));
+        assert_eq!(
+            h.alloc_ref_array(0, i64::MAX),
+            Err(HeapError::AllocationFailed)
+        );
+        h.alloc_int_array(2).unwrap();
+        let plan = h.fault.as_ref().unwrap();
+        assert_eq!(plan.stats.decisions, 2, "one roll per allocation");
+        assert_eq!(plan.stats.alloc_failures, 0, "the plan injected nothing");
     }
 
     #[test]

@@ -149,11 +149,11 @@ impl IntoIterator for ReachSet {
 /// Appends a [`Violation::DanglingField`] for every freed slot `obj`
 /// references.
 fn check_fields(store: &Store, from: GcRef, obj: &HeapObject, out: &mut Vec<Violation>) {
-    for target in obj.outgoing_refs() {
+    obj.for_each_ref(|target| {
         if !store.is_live(target) {
             out.push(Violation::DanglingField { from, target });
         }
-    }
+    });
 }
 
 /// Appends a [`Violation::DanglingStatic`] for every static that names
@@ -185,10 +185,11 @@ fn trace(heap: &Heap, roots: &[GcRef]) -> ReachSet {
     stack.extend(roots.iter().copied().filter(|&r| seen.reach(store, r)));
     while let Some(r) = stack.pop() {
         if let Ok(obj) = store.get(r) {
-            stack.extend(
-                obj.outgoing_refs()
-                    .filter(|&child| seen.reach(store, child)),
-            );
+            obj.for_each_ref(|child| {
+                if seen.reach(store, child) {
+                    stack.push(child);
+                }
+            });
         }
     }
     seen

@@ -46,7 +46,7 @@ fn reachable(heap: &Heap, pool: &[Option<GcRef>]) -> std::collections::BTreeSet<
             continue;
         }
         if let Ok(obj) = heap.store.get(r) {
-            work.extend(obj.outgoing_refs());
+            obj.for_each_ref(|child| work.push(child));
         }
     }
     seen

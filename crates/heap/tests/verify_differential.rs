@@ -83,11 +83,11 @@ fn model_reachable(heap: &Heap, roots: &[GcRef]) -> BTreeSet<GcRef> {
     }
     while let Some(r) = queue.pop_front() {
         if let Ok(obj) = heap.store.get(r) {
-            for child in obj.outgoing_refs() {
+            obj.for_each_ref(|child| {
                 if heap.store.is_live(child) && seen.insert(child) {
                     queue.push_back(child);
                 }
-            }
+            });
         }
     }
     seen
@@ -285,8 +285,13 @@ impl World {
             if matches!(obj.kind, ObjKind::RefArray(_)) != from_array {
                 return None;
             }
-            let target = obj.outgoing_refs().find(|&t| t != from)?;
-            Some((from, target))
+            let mut target = None;
+            obj.for_each_ref(|t| {
+                if target.is_none() && t != from {
+                    target = Some(t);
+                }
+            });
+            Some((from, target?))
         })
     }
 }

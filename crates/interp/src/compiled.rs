@@ -535,7 +535,7 @@ impl Interp<'_> {
                     }
                     Op::New { class, arena } => {
                         counts.cycles += 12;
-                        let shapes = self.class_shapes[class.index()].clone();
+                        let shapes = Rc::clone(&self.class_shapes[class.index()]);
                         // Allocation can pause (recovery retries, the post-
                         // allocation trigger): run it against the synced
                         // frame and counters so the pause sees the classic

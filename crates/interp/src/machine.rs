@@ -282,7 +282,9 @@ pub struct Interp<'p> {
     /// Allocation sites whose objects live in the frame arena (read by
     /// translation, like `config`'s site sets).
     stack_sites: std::collections::BTreeSet<wbe_ir::SiteId>,
-    pub(crate) class_shapes: Vec<Vec<FieldShape>>,
+    /// Field shapes per class, shared so `New` can hold one across the
+    /// allocation's `&mut self` without copying it.
+    pub(crate) class_shapes: Vec<Rc<[FieldShape]>>,
     /// Per-field resolved declaration facts, indexed by `FieldId`.
     field_res: Vec<FieldRes>,
     allocs_since_cycle: u64,
@@ -1540,7 +1542,7 @@ impl<'p> Interp<'p> {
                 self.push(Value::Int(len));
             }
             Insn::New { class, .. } => {
-                let shapes = self.class_shapes[class.index()].clone();
+                let shapes = Rc::clone(&self.class_shapes[class.index()]);
                 let r = self.alloc_with_recovery(mid, at, |h| h.alloc_object(class.0, &shapes))?;
                 let Op::New { arena, .. } = self.op_at(mid, at) else {
                     unreachable!("an allocation translates to an allocation op");

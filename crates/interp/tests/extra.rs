@@ -206,3 +206,42 @@ fn shape_mismatch_traps_survive_field_cache() {
         }
     }
 }
+
+/// An array length the allocator cannot reserve is an allocation
+/// failure like any other: four emergency pauses, then
+/// `Trap::OutOfMemory` — on both dispatch loops, which used to die in
+/// `vec![_; n]` with `capacity overflow`. (Lengths whose byte size
+/// overflows `isize`, so nothing is ever reserved.)
+#[test]
+fn oversized_array_length_traps_out_of_memory() {
+    use wbe_interp::{EngineKind, Trap};
+
+    let mut pb = ProgramBuilder::new();
+    let c = pb.class("C");
+    let refs = pb.method("refs", vec![], None, 0, |mb| {
+        mb.iconst(i64::MAX).new_ref_array(c).pop().return_();
+    });
+    let ints = pb.method("ints", vec![], None, 0, |mb| {
+        mb.iconst(1 << 60).new_int_array().pop().return_();
+    });
+    let p = pb.finish();
+    p.validate().unwrap();
+
+    for kind in [EngineKind::Classic, EngineKind::Compiled] {
+        for m in [refs, ints] {
+            let mut engine = kind.build(
+                &p,
+                BarrierConfig::new(BarrierMode::Checked),
+                MarkStyle::Satb,
+            );
+            let err = engine.run(m, &[], 1_000).unwrap_err();
+            assert!(
+                matches!(err, Trap::OutOfMemory { .. }),
+                "{}: got {err}",
+                kind.name()
+            );
+            assert_eq!(engine.stats.emergency_pauses, 4, "{}", kind.name());
+            assert_eq!(engine.heap.stats.allocations, 0, "{}", kind.name());
+        }
+    }
+}
