@@ -35,10 +35,11 @@ use wbe_ir::{cfg, Insn, InsnAddr, Method, MethodId, Program};
 use crate::config::AnalysisConfig;
 use crate::dump;
 use crate::intval::VarAlloc;
-use crate::ledger::{self, ElisionLedger, SiteRecord};
+use crate::ledger::{self, ElisionLedger, Evidence, SiteRecord};
 use crate::refs::RefSet;
 use crate::state::{AbsState, MethodCtx};
 use crate::transfer::{is_barrier_site, transfer_insn, transfer_term};
+use crate::worklist::Worklist;
 
 /// Why a method's analysis fell back to the conservative result.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -263,7 +264,7 @@ fn publish_method(result: &MethodAnalysis) {
 
 /// Runs `f`, turning a panic into [`DegradeReason::Panicked`] when
 /// `isolate` is set ([`AnalysisConfig::isolate_panics`]).
-fn isolated<T>(isolate: bool, f: impl FnOnce() -> T) -> Result<T, DegradeReason> {
+pub(crate) fn isolated<T>(isolate: bool, f: impl FnOnce() -> T) -> Result<T, DegradeReason> {
     if !isolate {
         return Ok(f());
     }
@@ -405,11 +406,11 @@ impl<'p> MethodSolution<'p> {
                 .cloned();
             for (idx, insn) in block.insns.iter().enumerate() {
                 let barrier = is_barrier_site(program, insn);
-                let pre = if barrier && with_records {
-                    st.clone()
-                } else {
-                    None
-                };
+                // Read before the transfer consumes the operands.
+                let pre = st
+                    .as_ref()
+                    .filter(|_| barrier && with_records)
+                    .map(|s| Evidence::gather(s, &self.ctx, insn));
                 let judgment = st.as_mut().and_then(|s| transfer_insn(s, &self.ctx, insn));
                 if !barrier {
                     continue;
@@ -429,7 +430,7 @@ impl<'p> MethodSolution<'p> {
                         &self.ctx,
                         addr,
                         insn,
-                        pre.as_ref(),
+                        pre,
                         judgment,
                         degraded.as_deref(),
                     ));
@@ -512,7 +513,8 @@ fn run_fixpoint(
     entry_states[0] = Some(AbsState::entry(ctx));
 
     // Worklist keyed by RPO position for fast convergence.
-    let mut worklist: BTreeSet<usize> = [0].into_iter().collect();
+    let mut worklist = Worklist::new(nblocks);
+    worklist.insert(0);
     let mut iterations = 0usize;
     let mut state_merges = 0u64;
     let mut widenings = 0u64;

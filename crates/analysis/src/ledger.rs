@@ -342,15 +342,39 @@ impl ElisionLedger {
 /// no failing condition.
 pub(crate) const WOULD_ELIDE: &str = "degraded-would-elide";
 
-/// The record for the barrier site `insn` at `addr`: `pre` is the state
-/// before it (`None` = its block has no entry state), `judgment` what
-/// the transfer function returned there, and `degraded` the method's
-/// degrade reason, if it degraded.
+/// What the state before a barrier site says about it, rendered while
+/// that state is still there to read: the transfer function that yields
+/// the judgment consumes it.
+pub(crate) struct Evidence {
+    receiver: String,
+    nl: Vec<String>,
+    facts: Vec<String>,
+    /// The first failing condition, should the site be kept.
+    keep: KeepReason,
+}
+
+impl Evidence {
+    /// Reads the evidence for the barrier site `insn` off its pre-state.
+    pub(crate) fn gather(pre: &AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Evidence {
+        let (receiver, nl, facts) = evidence(pre, ctx, insn);
+        Evidence {
+            receiver,
+            nl,
+            facts,
+            keep: keep_reason(pre, ctx, insn),
+        }
+    }
+}
+
+/// The record for the barrier site `insn` at `addr`: `pre` is what the
+/// state before it showed (`None` = its block has no entry state),
+/// `judgment` what the transfer function returned there, and `degraded`
+/// the method's degrade reason, if it degraded.
 pub(crate) fn site_record(
     ctx: &MethodCtx<'_>,
     addr: InsnAddr,
     insn: &Insn,
-    pre: Option<&AbsState>,
+    pre: Option<Evidence>,
     judgment: BarrierJudgment,
     degraded: Option<&str>,
 ) -> SiteRecord {
@@ -383,6 +407,7 @@ pub(crate) fn site_record(
         code,
         detail: detail.to_string(),
     };
+    let (pre, found) = pre.map(|e| (e.keep, (e.receiver, e.nl, e.facts))).unzip();
     let keep = match (pre, degraded) {
         (None, Some(_)) => Some(reason("not-reached", "site not reached before degradation")),
         (None, None) => Some(reason(
@@ -394,7 +419,7 @@ pub(crate) fn site_record(
             WOULD_ELIDE,
             "no failing condition in the partial (pre-convergence) state",
         )),
-        (Some(pre), _) => Some(keep_reason(pre, ctx, insn)),
+        (Some(pre), _) => Some(pre),
     };
     rec.verdict = match (degraded, &keep) {
         (Some(_), _) => Verdict::Degraded,
@@ -405,10 +430,18 @@ pub(crate) fn site_record(
         rec.keep_code = keep.code.to_string();
         rec.keep_detail = keep.detail;
     }
-    if let Some(pre) = pre {
-        (rec.receiver, rec.nl, rec.facts) = evidence(pre, ctx, insn);
+    if let Some(found) = found {
+        (rec.receiver, rec.nl, rec.facts) = found;
     }
     rec
+}
+
+/// The operand `depth` slots below the top of the stack. The transfer
+/// function that pops it runs after the evidence is read, so this is
+/// where a malformed method's underflow surfaces during a replay.
+fn operand(pre: &AbsState, depth: usize) -> &AbsValue {
+    let mut operands = pre.stack.iter().rev();
+    operands.nth(depth).expect("verified IR never underflows")
 }
 
 /// Renders the abstract receiver set and the facts the judgment
@@ -421,7 +454,7 @@ fn evidence(
 ) -> (String, Vec<String>, Vec<String>) {
     match insn {
         Insn::PutField(f) => {
-            let obj = &pre.stack[pre.stack.len() - 2];
+            let obj = operand(pre, 1);
             match obj {
                 AbsValue::Refs(s) => {
                     let fname = &ctx.program.field(*f).name;
@@ -445,8 +478,8 @@ fn evidence(
             }
         }
         Insn::AaStore => {
-            let arr = &pre.stack[pre.stack.len() - 3];
-            let idx = &pre.stack[pre.stack.len() - 2];
+            let arr = operand(pre, 2);
+            let idx = operand(pre, 1);
             match arr {
                 AbsValue::Refs(s) => {
                     let nl = s
@@ -485,7 +518,7 @@ fn fmt_refset<'a, I: Iterator<Item = &'a crate::refs::Ref>>(refs: I) -> String {
 pub(crate) fn keep_reason(pre: &AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> KeepReason {
     match insn {
         Insn::PutField(f) => {
-            let obj = &pre.stack[pre.stack.len() - 2];
+            let obj = operand(pre, 1);
             match obj {
                 AbsValue::Refs(s) => {
                     if s.iter().any(|r| pre.nl.contains(r)) {
@@ -521,7 +554,7 @@ pub(crate) fn keep_reason(pre: &AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> K
                     detail: "array analysis disabled (field-only configuration)".to_string(),
                 };
             }
-            let arr = &pre.stack[pre.stack.len() - 3];
+            let arr = operand(pre, 2);
             match arr {
                 AbsValue::Refs(s) if s.iter().any(|r| pre.nl.contains(r)) => KeepReason {
                     code: "array-may-escape",

@@ -73,6 +73,7 @@ pub mod refs;
 pub mod stackalloc;
 pub mod state;
 pub mod transfer;
+mod worklist;
 
 pub use bounds::BoundsAnalysis;
 pub use config::AnalysisConfig;

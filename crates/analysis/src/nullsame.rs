@@ -37,6 +37,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use wbe_ir::{cfg, Cond, Insn, InsnAddr, LocalId, Method, Program, StaticId, Terminator};
 
+use crate::fixpoint::{isolated, DegradeReason};
+use crate::worklist::Worklist;
+
 /// An object identity the analysis can name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Obj {
@@ -74,9 +77,10 @@ impl NosState {
         }
     }
 
-    /// Effective facts of a tag: its own plus everything known null.
-    fn effective(&self, tag: &Tag) -> BTreeSet<Fact> {
-        tag.nos.union(&self.known_null).copied().collect()
+    /// True if `fact` holds of a value tagged `tag`: the tag carries it,
+    /// or the field is known null outright.
+    fn holds(&self, tag: &Tag, fact: &Fact) -> bool {
+        tag.nos.contains(fact) || self.known_null.contains(fact)
     }
 
     /// Kills facts matching `pred` in every component.
@@ -98,7 +102,8 @@ impl NosState {
     }
 
     /// Merge: slot-wise; facts merge by intersection of *effective*
-    /// sets, identities by equality.
+    /// sets (a tag's own facts plus everything known null on its side),
+    /// identities by equality.
     fn merge_from(&mut self, other: &NosState) -> bool {
         assert_eq!(self.stack.len(), other.stack.len());
         let mut changed = false;
@@ -107,31 +112,29 @@ impl NosState {
             .intersection(&other.known_null)
             .copied()
             .collect();
-        let nlocals = self.locals.len();
-        for i in 0..nlocals + self.stack.len() {
-            let (a, b) = if i < nlocals {
-                (self.locals[i].clone(), &other.locals[i])
-            } else {
-                (self.stack[i - nlocals].clone(), &other.stack[i - nlocals])
-            };
-            let obj = if a.obj == b.obj { a.obj } else { None };
-            let ea = self.effective(&a);
-            let eb = other.effective(b);
+        let effective = |tag: &Tag, known_null: &BTreeSet<Fact>| -> BTreeSet<Fact> {
+            tag.nos.union(known_null).copied().collect()
+        };
+        let mine = self.locals.iter_mut().chain(self.stack.iter_mut());
+        for (a, b) in mine.zip(other.locals.iter().chain(&other.stack)) {
+            if a.obj.is_some() && a.obj != b.obj {
+                a.obj = None;
+                changed = true;
+            }
+            // An empty effective set intersects to nothing: the slot
+            // keeps its (empty) facts and no set is built.
+            if a.nos.is_empty() && self.known_null.is_empty() {
+                continue;
+            }
             // Subtract the merged known_null: it is added back by
-            // `effective` at use sites.
-            let nos: BTreeSet<Fact> = ea
-                .intersection(&eb)
+            // `holds` at use sites.
+            let nos: BTreeSet<Fact> = effective(a, &self.known_null)
+                .intersection(&effective(b, &other.known_null))
                 .filter(|f| !kn.contains(*f))
                 .copied()
                 .collect();
-            let new = Tag { obj, nos };
-            let slot = if i < nlocals {
-                &mut self.locals[i]
-            } else {
-                &mut self.stack[i - nlocals]
-            };
-            if *slot != new {
-                *slot = new;
+            if a.nos != nos {
+                a.nos = nos;
                 changed = true;
             }
         }
@@ -228,7 +231,7 @@ fn transfer(st: &mut NosState, program: &Program, insn: &Insn) -> Option<bool> {
             let is_ref = program.field(f).ty.is_ref_like();
             let judgment = if is_ref {
                 match recv.obj {
-                    Some(o) => Some(st.effective(&val).contains(&(o, f))),
+                    Some(o) => Some(st.holds(&val, &(o, f))),
                     None => Some(false),
                 }
             } else {
@@ -337,13 +340,11 @@ fn transfer_term(st: &NosState, term: &Terminator) -> Vec<NosState> {
                 Cond::IsNull => {
                     // then-branch: v == null ⇒ for every (o,f) with
                     // `v == o.f ∨ o.f == null`, o.f is null.
-                    let facts = then_state.effective(&popped[0]);
-                    then_state.known_null.extend(facts);
+                    then_state.known_null.extend(&popped[0].nos);
                 }
                 Cond::NonNull => {
                     // the else-branch is the null case.
-                    let facts = else_state.effective(&popped[0]);
-                    else_state.known_null.extend(facts);
+                    else_state.known_null.extend(&popped[0].nos);
                 }
                 _ => {}
             }
@@ -353,9 +354,43 @@ fn transfer_term(st: &NosState, term: &Terminator) -> Vec<NosState> {
     }
 }
 
+/// True if a null-or-same fact can be born in `method` (only at a
+/// `getfield`) and asked for (only at a reference-typed `putfield`).
+/// A method missing either has no elidable site whatever its fixed
+/// point is, so it is not solved.
+fn can_hold_a_fact(program: &Program, method: &Method) -> bool {
+    let (mut born, mut asked) = (false, false);
+    for (_, _, insn) in method.iter_insns() {
+        match *insn {
+            Insn::GetField(_) => born = true,
+            Insn::PutField(f) => asked |= program.field(f).ty.is_ref_like(),
+            _ => {}
+        }
+    }
+    born && asked
+}
+
 /// Runs the analysis on one method, returning the reference-field
 /// `putfield` sites provably null-or-same.
+///
+/// Never panics on any input program: a solve that exceeds its
+/// iteration cap, or panics on malformed IR, gives the method the
+/// empty set and is counted in `wbe-telemetry` under
+/// `analysis.degraded`.
 pub fn analyze_method(program: &Program, method: &Method) -> BTreeSet<InsnAddr> {
+    if !can_hold_a_fact(program, method) {
+        return BTreeSet::new();
+    }
+    isolated(true, || solve(program, method))
+        .and_then(|solved| solved)
+        .unwrap_or_else(|_| {
+            wbe_telemetry::counter("analysis.degraded").inc();
+            BTreeSet::new()
+        })
+}
+
+/// The worklist fixed point and the judgment pass over it.
+fn solve(program: &Program, method: &Method) -> Result<BTreeSet<InsnAddr>, DegradeReason> {
     let nblocks = method.blocks.len();
     let rpo = cfg::reverse_postorder(method);
     let mut rpo_pos = vec![usize::MAX; nblocks];
@@ -364,16 +399,15 @@ pub fn analyze_method(program: &Program, method: &Method) -> BTreeSet<InsnAddr> 
     }
     let mut entry: Vec<Option<NosState>> = vec![None; nblocks];
     entry[0] = Some(NosState::entry(method));
-    let mut worklist: BTreeSet<usize> = [0].into_iter().collect();
+    let mut worklist = Worklist::new(nblocks);
+    worklist.insert(0);
+    let cap = (nblocks + 2) * 1_000;
     let mut iterations = 0usize;
-    while let Some(&pos) = worklist.iter().next() {
-        worklist.remove(&pos);
+    while let Some(pos) = worklist.pop_first() {
         iterations += 1;
-        assert!(
-            iterations < (nblocks + 2) * 1_000,
-            "null-or-same analysis diverged in {}",
-            method.name
-        );
+        if iterations >= cap {
+            return Err(DegradeReason::IterationCap { limit: cap });
+        }
         let bid = rpo[pos];
         let mut st = entry[bid.index()].clone().expect("on worklist ⇒ has state");
         let block = method.block(bid);
@@ -407,7 +441,7 @@ pub fn analyze_method(program: &Program, method: &Method) -> BTreeSet<InsnAddr> 
             }
         }
     }
-    elidable
+    Ok(elidable)
 }
 
 /// Runs the analysis on every method.
@@ -619,5 +653,66 @@ mod tests {
         p.validate().unwrap();
         let sites = analyze_method(&p, p.method(m));
         assert_eq!(sites.len(), 1, "lazy-init store overwrites null: {sites:?}");
+    }
+
+    /// Facts are born only at `getfield` and asked for only at
+    /// reference `putfield`s: a method without both is not solved.
+    #[test]
+    fn methods_that_cannot_hold_a_fact_are_skipped() {
+        let mut pb = ProgramBuilder::new();
+        let c = pb.class("C");
+        let f = pb.field(c, "f", Ty::Ref(c));
+        let n = pb.field(c, "n", Ty::Int);
+        let store_only = pb.method("store_only", vec![Ty::Ref(c)], None, 0, |mb| {
+            let o = mb.local(0);
+            mb.load(o).load(o).putfield(f).return_();
+        });
+        let load_only = pb.method("load_only", vec![Ty::Ref(c)], None, 0, |mb| {
+            let o = mb.local(0);
+            mb.load(o).getfield(f).pop().return_();
+        });
+        let int_store = pb.method("int_store", vec![Ty::Ref(c)], None, 0, |mb| {
+            let o = mb.local(0);
+            mb.load(o).load(o).getfield(n).putfield(n).return_();
+        });
+        let both = pb.method("both", vec![Ty::Ref(c)], None, 0, |mb| {
+            let o = mb.local(0);
+            mb.load(o).load(o).getfield(f).putfield(f).return_();
+        });
+        let p = pb.finish();
+        for m in [store_only, load_only, int_store] {
+            assert!(!can_hold_a_fact(&p, p.method(m)), "{m}");
+            assert_eq!(solve(&p, p.method(m)), Ok(BTreeSet::new()), "{m}");
+            assert!(analyze_method(&p, p.method(m)).is_empty());
+        }
+        assert!(can_hold_a_fact(&p, p.method(both)));
+        assert_eq!(analyze_method(&p, p.method(both)).len(), 1);
+    }
+
+    /// The guardrail PR 2 gave the pre-null analysis covers this one
+    /// too: a method whose IR underflows the stack gets the empty set
+    /// and is counted as degraded; its neighbours are analysed as if it
+    /// were not there.
+    #[test]
+    fn malformed_method_degrades_instead_of_panicking() {
+        let mut pb = ProgramBuilder::new();
+        let c = pb.class("C");
+        let f = pb.field(c, "f", Ty::Ref(c));
+        let refresh = |mb: &mut wbe_ir::builder::MethodBuilder<'_>| {
+            let o = mb.local(0);
+            mb.load(o).load(o).getfield(f).putfield(f).return_();
+        };
+        let good = pb.method("good", vec![Ty::Ref(c)], None, 0, refresh);
+        let bad = pb.method("bad", vec![Ty::Ref(c)], None, 0, refresh);
+        let mut p = pb.finish();
+        p.methods[bad.index()].blocks[0].insns.insert(0, Insn::Swap);
+        assert!(can_hold_a_fact(&p, p.method(bad)), "the solver is reached");
+
+        let degraded = wbe_telemetry::counter("analysis.degraded");
+        let before = degraded.get();
+        let sites = analyze_program(&p);
+        assert!(sites[&bad].is_empty());
+        assert_eq!(sites[&good].len(), 1);
+        assert!(degraded.get() > before, "counted under analysis.degraded");
     }
 }

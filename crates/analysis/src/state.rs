@@ -4,10 +4,19 @@
 //! with the array analysis's `Len` and `NR` maps. Maps are kept
 //! *canonical*: entries equal to their context-determined default are
 //! absent, so structural equality detects fixed points.
+//!
+//! The three maps are *shared until written*: copies of a state point
+//! at the same map, and the first write through
+//! [`AbsState::sigma_set`] / [`len_set`](AbsState::len_set) /
+//! [`nr_set`](AbsState::nr_set) takes a private copy. Most blocks never
+//! write σ, so the fixed-point driver's per-visit copy of an entry
+//! state, its hand-over to each successor and the equality test on the
+//! way cost the locals and the stack, not the store.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::rc::Rc;
 
 use wbe_ir::{FieldId, Method, Program, SiteId, Ty};
 
@@ -155,6 +164,8 @@ pub struct MethodCtx<'p> {
     /// Guardrail: wall-clock budget and the absolute deadline derived
     /// from it at context construction.
     pub deadline: Option<(std::time::Instant, std::time::Duration)>,
+    /// Every reference that can occur in the method, built once.
+    universe: RefSet,
 }
 
 impl<'p> MethodCtx<'p> {
@@ -172,6 +183,14 @@ impl<'p> MethodCtx<'p> {
             .collect();
         sites.sort_unstable();
         sites.dedup();
+        let params = method.sig.params.iter().enumerate();
+        let args = params.filter_map(|(i, ty)| ty.is_ref_like().then_some(Ref::Arg(i as u16)));
+        let allocated = sites.iter().flat_map(|&s| [Ref::SiteA(s), Ref::SiteB(s)]);
+        let universe = [Ref::Global]
+            .into_iter()
+            .chain(args)
+            .chain(allocated)
+            .collect();
         MethodCtx {
             program,
             method,
@@ -187,6 +206,7 @@ impl<'p> MethodCtx<'p> {
             deadline: config
                 .time_budget
                 .map(|b| (std::time::Instant::now() + b, b)),
+            universe,
         }
     }
 
@@ -202,18 +222,8 @@ impl<'p> MethodCtx<'p> {
 
     /// Every abstract reference that can occur in this method — the
     /// concretization of `Any`.
-    pub fn universe(&self) -> Vec<Ref> {
-        let mut u = vec![Ref::Global];
-        for (i, ty) in self.method.sig.params.iter().enumerate() {
-            if ty.is_ref_like() {
-                u.push(Ref::Arg(i as u16));
-            }
-        }
-        for &s in &self.sites {
-            u.push(Ref::SiteA(s));
-            u.push(Ref::SiteB(s));
-        }
-        u
+    pub fn universe(&self) -> &RefSet {
+        &self.universe
     }
 
     /// The constant unknown for integer argument `i`'s initial value.
@@ -261,7 +271,54 @@ impl<'p> MethodCtx<'p> {
     }
 }
 
+/// A map that copies of a state share until one of them writes it.
+///
+/// Equality is pointer-first: two copies that were never written since
+/// they were taken are equal without looking at an entry, which is the
+/// common answer when the fixed-point driver asks whether a block's
+/// out-state still equals its successor's entry state.
+#[derive(Clone)]
+struct Shared<K, V>(Rc<BTreeMap<K, V>>);
+
+impl<K, V> Default for Shared<K, V> {
+    fn default() -> Self {
+        Shared(Rc::new(BTreeMap::new()))
+    }
+}
+
+impl<K: PartialEq, V: PartialEq> PartialEq for Shared<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        Rc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+
+impl<K: Eq, V: Eq> Eq for Shared<K, V> {}
+
+impl<K: Ord + Clone, V: Clone + PartialEq> Shared<K, V> {
+    /// The map for writing: a private copy if it is shared.
+    fn to_mut(&mut self) -> &mut BTreeMap<K, V> {
+        Rc::make_mut(&mut self.0)
+    }
+
+    /// Sets `key` to `value` (`None` = absent). A write that would
+    /// change nothing leaves the map shared.
+    fn set(&mut self, key: K, value: Option<V>) {
+        if self.0.get(&key) == value.as_ref() {
+            return;
+        }
+        match value {
+            Some(v) => self.to_mut().insert(key, v),
+            None => self.to_mut().remove(&key),
+        };
+    }
+}
+
 /// The abstract program state at one program point.
+///
+/// `σ`, `Len` and `NR` are private: they are written only through
+/// [`sigma_set`](Self::sigma_set), [`len_set`](Self::len_set) and
+/// [`nr_set`](Self::nr_set), which keep them canonical and take the
+/// private copy a shared map needs before its first write.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct AbsState {
     /// `ρ`: local variable slots.
@@ -271,11 +328,11 @@ pub struct AbsState {
     /// `NL`: references known possibly non-thread-local (escaped).
     pub nl: RefSet,
     /// `σ`: abstract store (canonical: defaults absent).
-    pub sigma: BTreeMap<(Ref, FieldKey), AbsValue>,
+    sigma: Shared<(Ref, FieldKey), AbsValue>,
     /// `Len`: array lengths (canonical: ⊤ absent).
-    pub len: BTreeMap<Ref, IntLat>,
+    len: Shared<Ref, IntLat>,
     /// `NR`: null ranges of object arrays (canonical: empty absent).
-    pub nr: BTreeMap<Ref, IntRange>,
+    nr: Shared<Ref, IntRange>,
 }
 
 impl fmt::Debug for AbsState {
@@ -283,20 +340,29 @@ impl fmt::Debug for AbsState {
         writeln!(f, "locals: {:?}", self.locals)?;
         writeln!(f, "stack:  {:?}", self.stack)?;
         writeln!(f, "NL:     {:?}", self.nl)?;
-        writeln!(f, "sigma:  {:?}", self.sigma)?;
-        writeln!(f, "len:    {:?}", self.len)?;
-        write!(f, "NR:     {:?}", self.nr)
+        writeln!(f, "sigma:  {:?}", self.sigma())?;
+        writeln!(f, "len:    {:?}", self.len())?;
+        write!(f, "NR:     {:?}", self.nr())
     }
 }
 
+/// The σ keys of `r`'s fields and elements.
+fn fields_of(r: Ref) -> std::ops::RangeInclusive<(Ref, FieldKey)> {
+    (r, FieldKey::Field(FieldId(0)))..=(r, FieldKey::Elems)
+}
+
 /// Calls `f` for every key of either map, in ascending order, with
-/// each side's entry.
+/// each side's entry — unless the two sides are one map still shared,
+/// which has no entry a merge could change.
 fn for_each_key<K: Ord, V>(
-    a: &BTreeMap<K, V>,
-    b: &BTreeMap<K, V>,
+    a: &Shared<K, V>,
+    b: &Shared<K, V>,
     mut f: impl FnMut(&K, Option<&V>, Option<&V>),
 ) {
-    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    if Rc::ptr_eq(&a.0, &b.0) {
+        return;
+    }
+    let (mut a, mut b) = (a.0.iter().peekable(), b.0.iter().peekable());
     loop {
         let order = match (a.peek(), b.peek()) {
             (None, None) => return,
@@ -317,7 +383,7 @@ impl AbsState {
         let m = ctx.method;
         let mut locals = vec![AbsValue::Bottom; m.num_locals as usize];
         let mut nl: RefSet = [Ref::Global].into_iter().collect();
-        let mut len = BTreeMap::new();
+        let mut len = Shared::default();
         for (i, &ty) in m.sig.params.iter().enumerate() {
             let arg = Ref::Arg(i as u16);
             match ty {
@@ -335,7 +401,8 @@ impl AbsState {
                     locals[i] = AbsValue::single(arg);
                     nl.insert(arg);
                     if ctx.track_arrays {
-                        len.insert(arg, IntLat::Val(IntVal::unknown(ctx.arg_length_unknown(i))));
+                        let unknown = IntVal::unknown(ctx.arg_length_unknown(i));
+                        len.set(arg, Some(IntLat::Val(unknown)));
                     }
                 }
             }
@@ -345,10 +412,25 @@ impl AbsState {
             locals,
             stack: Vec::new(),
             nl,
-            sigma: BTreeMap::new(),
+            sigma: Shared::default(),
             len,
-            nr: BTreeMap::new(),
+            nr: Shared::default(),
         }
+    }
+
+    /// `σ`'s explicit entries, in key order (defaults are absent).
+    pub fn sigma(&self) -> &BTreeMap<(Ref, FieldKey), AbsValue> {
+        &self.sigma.0
+    }
+
+    /// `Len`'s explicit entries, in key order (⊤ is absent).
+    pub fn len(&self) -> &BTreeMap<Ref, IntLat> {
+        &self.len.0
+    }
+
+    /// `NR`'s explicit entries, in key order (the empty range is absent).
+    pub fn nr(&self) -> &BTreeMap<Ref, IntRange> {
+        &self.nr.0
     }
 
     /// σ lookup with the paper's rule: non-thread-local references read
@@ -365,16 +447,13 @@ impl AbsState {
                 AbsValue::Int(IntLat::Top)
             };
         }
-        self.sigma
-            .get(&(r, key))
-            .cloned()
-            .unwrap_or_else(|| ctx.sigma_default(r, key))
+        self.sigma_raw(ctx, r, key)
     }
 
     /// Raw σ entry (explicit or default), ignoring NL — used by escape
     /// closure.
     pub fn sigma_raw(&self, ctx: &MethodCtx<'_>, r: Ref, key: FieldKey) -> AbsValue {
-        self.sigma
+        self.sigma()
             .get(&(r, key))
             .cloned()
             .unwrap_or_else(|| ctx.sigma_default(r, key))
@@ -382,42 +461,28 @@ impl AbsState {
 
     /// Stores into σ, keeping the map canonical.
     pub fn sigma_set(&mut self, ctx: &MethodCtx<'_>, r: Ref, key: FieldKey, v: AbsValue) {
-        if v == ctx.sigma_default(r, key) {
-            self.sigma.remove(&(r, key));
-        } else {
-            self.sigma.insert((r, key), v);
-        }
+        let explicit = v != ctx.sigma_default(r, key);
+        self.sigma.set((r, key), explicit.then_some(v));
     }
 
     /// `Len` lookup (⊤ when unknown).
     pub fn len_lookup(&self, r: Ref) -> IntLat {
-        self.len.get(&r).cloned().unwrap_or(IntLat::Top)
+        self.len().get(&r).cloned().unwrap_or(IntLat::Top)
     }
 
     /// Stores a length, keeping the map canonical.
     pub fn len_set(&mut self, r: Ref, v: IntLat) {
-        match v {
-            IntLat::Top => {
-                self.len.remove(&r);
-            }
-            v => {
-                self.len.insert(r, v);
-            }
-        }
+        self.len.set(r, (v != IntLat::Top).then_some(v));
     }
 
     /// `NR` lookup (empty when unknown).
     pub fn nr_lookup(&self, r: Ref) -> IntRange {
-        self.nr.get(&r).cloned().unwrap_or(IntRange::Empty)
+        self.nr().get(&r).cloned().unwrap_or(IntRange::Empty)
     }
 
     /// Stores a null range, keeping the map canonical.
     pub fn nr_set(&mut self, r: Ref, v: IntRange) {
-        if v == IntRange::Empty {
-            self.nr.remove(&r);
-        } else {
-            self.nr.insert(r, v);
-        }
+        self.nr.set(r, (v != IntRange::Empty).then_some(v));
     }
 
     /// Escape closure: all references transitively reachable from `roots`
@@ -441,10 +506,7 @@ impl AbsState {
                     }
                 _ => {}
             }
-            for ((er, _), v) in self.sigma.range((r, FieldKey::Field(FieldId(0)))..) {
-                if *er != r {
-                    break;
-                }
+            for (_, v) in self.sigma().range(fields_of(r)) {
                 if let AbsValue::Refs(s) = v {
                     for &child in s {
                         if !seen.contains(&child) {
@@ -547,59 +609,60 @@ impl AbsState {
 
     /// The allocation-site rename (§2.4 `newinstance`): retire the
     /// current `R_site/A` into `R_site/B` across every state component.
+    ///
+    /// Only what names `R_site/A` is touched; a component that does not
+    /// name it stays shared with the state's other copies.
     pub fn retire_site(&mut self, ctx: &MethodCtx<'_>, site: SiteId) {
         let a = Ref::SiteA(site);
         let b = Ref::SiteB(site);
-        for v in self.locals.iter_mut().chain(self.stack.iter_mut()) {
-            *v = v.subst_ref(a, b);
-        }
+        let rename = |v: &mut AbsValue| {
+            if let AbsValue::Refs(s) = v {
+                if s.remove(&a) {
+                    s.insert(b);
+                }
+            }
+        };
+        self.locals.iter_mut().for_each(rename);
+        self.stack.iter_mut().for_each(rename);
         // replS on NL.
         if self.nl.remove(&a) {
             self.nl.insert(b);
         }
-        // transfer on σ: move/merge A's entries into B's, substituting in
-        // values everywhere.
-        let old = std::mem::take(&mut self.sigma);
-        let mut merged_entries: BTreeMap<(Ref, FieldKey), AbsValue> = BTreeMap::new();
-        for ((r, key), v) in old {
-            let r2 = if r == a { b } else { r };
-            let v2 = v.subst_ref(a, b);
-            match merged_entries.entry((r2, key)) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(v2);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let m = e.get().merge_plain(&v2);
-                    e.insert(m);
-                }
-            }
+        // transfer on σ: substitute in the values that name A, then
+        // move A's entries onto B's. Where both `(A, k)` and `(B, k)`
+        // are explicit the two merge; an entry moved alone keeps its
+        // value, the allocation-zeroed default being the same for both
+        // names. Neither step can produce a default, so σ stays
+        // canonical; `sigma_set` checks all the same.
+        let names_a = |v: &AbsValue| matches!(v, AbsValue::Refs(s) if s.contains(&a));
+        if self.sigma().values().any(names_a) {
+            self.sigma
+                .to_mut()
+                .values_mut()
+                .filter(|v| names_a(v))
+                .for_each(rename);
         }
-        // If only one of (A,key)/(B,key) existed, the move must still
-        // merge with the *default* of the absent side. Site defaults are
-        // identical for A and B (allocation-zeroed), so a moved A entry
-        // merged with B's default equals merge_plain(v, default); handle
-        // by merging with default when the key changed owners.
-        self.sigma = BTreeMap::new();
-        for ((r, key), v) in merged_entries {
-            self.sigma_set(ctx, r, key, v);
+        let moved: Vec<FieldKey> = self.sigma().range(fields_of(a)).map(|(k, _)| k.1).collect();
+        for key in moved {
+            let v = self.sigma.to_mut().remove(&(a, key)).expect("just seen");
+            let merged = match self.sigma().get(&(b, key)) {
+                Some(summary) => v.merge_plain(summary),
+                None => v,
+            };
+            self.sigma_set(ctx, b, key, merged);
         }
 
         // Len / NR: A's info merges into B's conservative default
         // (⊤ / empty), i.e. it is dropped; B keeps whatever it had only
-        // if it agrees. Here we conservatively clear both A and B unless
-        // they already agree.
-        let len_a = self.len.remove(&a);
-        if let Some(la) = len_a {
+        // if it agrees.
+        if let Some(la) = self.len().get(&a).cloned() {
+            self.len.set(a, None);
             let lb = self.len_lookup(b);
-            let merged = if IntLat::Val(la.as_val().cloned().unwrap_or_default()) == lb {
-                lb
-            } else {
-                IntLat::Top
-            };
+            let merged = if la == lb { lb } else { IntLat::Top };
             self.len_set(b, merged);
         }
-        let nr_a = self.nr.remove(&a);
-        if let Some(ra) = nr_a {
+        if let Some(ra) = self.nr().get(&a).cloned() {
+            self.nr.set(a, None);
             let rb = self.nr_lookup(b);
             let merged = if ra == rb { rb } else { IntRange::Empty };
             self.nr_set(b, merged);
@@ -650,7 +713,7 @@ mod tests {
         assert!(st.nl.contains(&Ref::Arg(2)));
         assert!(st.nl.contains(&Ref::Global));
         // Array arg length is a constant unknown.
-        assert!(st.len.contains_key(&Ref::Arg(2)));
+        assert!(st.len().contains_key(&Ref::Arg(2)));
     }
 
     #[test]
@@ -765,8 +828,7 @@ mod tests {
         st.locals[3] = AbsValue::single(a);
         st.stack.push(AbsValue::single(a));
         st.nl.insert(a);
-        st.sigma
-            .insert((a, FieldKey::Field(FieldId(0))), AbsValue::single(a));
+        st.sigma_set(&ctx, a, FieldKey::Field(FieldId(0)), AbsValue::single(a));
         st.len_set(a, IntLat::constant(4));
         st.nr_set(a, IntRange::From(IntVal::constant(2)));
         st.retire_site(&ctx, site);
@@ -774,15 +836,15 @@ mod tests {
         assert_eq!(st.stack[0], AbsValue::single(b));
         assert!(st.nl.contains(&b) && !st.nl.contains(&a));
         assert_eq!(
-            st.sigma.get(&(b, FieldKey::Field(FieldId(0)))),
+            st.sigma().get(&(b, FieldKey::Field(FieldId(0)))),
             Some(&AbsValue::single(b))
         );
-        assert!(!st.sigma.contains_key(&(a, FieldKey::Field(FieldId(0)))));
+        assert!(!st.sigma().contains_key(&(a, FieldKey::Field(FieldId(0)))));
         // Len/NR for A are conservatively dropped (B summary keeps only
         // agreeing info; here B had none).
         assert_eq!(st.len_lookup(b), IntLat::Top);
         assert_eq!(st.nr_lookup(b), IntRange::Empty);
-        assert!(!st.len.contains_key(&a) && !st.nr.contains_key(&a));
+        assert!(!st.len().contains_key(&a) && !st.nr().contains_key(&a));
     }
 
     #[test]
@@ -796,8 +858,7 @@ mod tests {
         let a1 = Ref::SiteA(s1);
         let mut st = AbsState::entry(&ctx);
         // a0.f = a1
-        st.sigma
-            .insert((a0, FieldKey::Field(FieldId(0))), AbsValue::single(a1));
+        st.sigma_set(&ctx, a0, FieldKey::Field(FieldId(0)), AbsValue::single(a1));
         let roots: RefSet = [a0].into_iter().collect();
         st.escape(&ctx, &roots);
         assert!(st.nl.contains(&a0));
@@ -812,10 +873,10 @@ mod tests {
         let a = Ref::SiteA(wbe_ir::SiteId(0));
         let mut st = AbsState::entry(&ctx);
         st.sigma_set(&ctx, a, FieldKey::Field(FieldId(0)), AbsValue::null());
-        assert!(st.sigma.is_empty(), "default entries are not stored");
+        assert!(st.sigma().is_empty(), "default entries are not stored");
         st.len_set(a, IntLat::Top);
-        assert!(!st.len.contains_key(&a));
+        assert!(!st.len().contains_key(&a));
         st.nr_set(a, IntRange::Empty);
-        assert!(st.nr.is_empty());
+        assert!(st.nr().is_empty());
     }
 }

@@ -29,7 +29,7 @@ fn push(st: &mut AbsState, v: AbsValue) {
 fn as_refs(v: &AbsValue, ctx: &MethodCtx<'_>) -> RefSet {
     match v {
         AbsValue::Refs(s) => s.clone(),
-        AbsValue::Int(_) | AbsValue::Any | AbsValue::Bottom => ctx.universe().into_iter().collect(),
+        AbsValue::Int(_) | AbsValue::Any | AbsValue::Bottom => ctx.universe().clone(),
     }
 }
 

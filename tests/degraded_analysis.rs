@@ -4,10 +4,11 @@
 //! guardrail's whole contract is "pathological input costs performance,
 //! never soundness or availability".
 
-use wbe_repro::analysis::{analyze_program, AnalysisConfig, AnalysisOutcome};
+use wbe_repro::analysis::{analyze_program, nullsame, AnalysisConfig, AnalysisOutcome};
 use wbe_repro::interp::{BarrierConfig, BarrierMode, GcPolicy, Interp, Value};
-use wbe_repro::ir::builder::ProgramBuilder;
-use wbe_repro::ir::{CmpOp, MethodId, Program, Ty};
+use wbe_repro::ir::builder::{MethodBuilder, ProgramBuilder};
+use wbe_repro::ir::{CmpOp, Insn, MethodId, Program, Ty};
+use wbe_repro::opt::{compile, OptMode, PipelineConfig};
 
 /// A looped allocator-and-store method: enough blocks and stores that
 /// the fixpoint needs several sweeps, so a tiny iteration cap trips.
@@ -97,4 +98,55 @@ fn iteration_capped_method_degrades_and_still_runs() {
         capped.methods[&m].outcome,
         AnalysisOutcome::Degraded(_)
     ));
+}
+
+/// The §4.3 extension is inside the same contract. A method whose IR
+/// underflows the operand stack degrades in the pre-null analysis; the
+/// null-or-same solver, which runs after it, must give that method the
+/// empty set instead of panicking, and leave every other method's
+/// answer alone.
+#[test]
+fn null_or_same_degrades_a_malformed_method_instead_of_panicking() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.class("C");
+    let f = pb.field(c, "f", Ty::Ref(c));
+    // `o.f = o.f`: null-or-same, and not pre-null.
+    let refresh = |mb: &mut MethodBuilder<'_>| {
+        let o = mb.local(0);
+        mb.load(o).load(o).getfield(f).putfield(f).return_();
+    };
+    let good = pb.method("good", vec![Ty::Ref(c)], None, 0, refresh);
+    let bad = pb.method("bad", vec![Ty::Ref(c)], None, 0, refresh);
+    let mut program = pb.finish();
+    program.methods[bad.index()].blocks[0]
+        .insns
+        .insert(0, Insn::Swap);
+    assert!(program.validate().is_err(), "the verifier rejects it");
+
+    let degraded = wbe_repro::telemetry::counter("analysis.degraded");
+    let before = degraded.get();
+    let sites = nullsame::analyze_program(&program);
+    assert!(sites[&bad].is_empty(), "degraded elides nothing");
+    assert_eq!(sites[&good].len(), 1, "its neighbour is unaffected");
+    assert!(degraded.get() > before, "counted under analysis.degraded");
+
+    // Through the pipeline, where only an optimised build gets this
+    // far: a debug build stops at `compile`'s own `debug_assert!` on
+    // the verifier.
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let plain = compile(&program, &PipelineConfig::new(OptMode::Full, 100));
+    let with = compile(
+        &program,
+        &PipelineConfig::new(OptMode::Full, 100).with_null_or_same(),
+    );
+    for compiled in [&plain, &with] {
+        let analysis = compiled.analysis.as_ref().expect("analysis ran");
+        assert_eq!(analysis.degraded_count(), 1);
+        assert!(analysis.methods[&bad].outcome.is_degraded());
+    }
+    assert_eq!(plain.elided_sites(), with.elided_sites());
+    assert_eq!(with.null_or_same[&bad].len(), 0);
+    assert_eq!(with.null_or_same[&good].len(), 1);
 }
