@@ -146,3 +146,76 @@ fn mcheck_bad_flag_exits_two() {
         .expect("spawn wbe_tool");
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// The sustained-overload invocation of the serve exit contract: the
+/// ladder is walked to its last rung, no SLO is set.
+fn serve_overloaded() -> Command {
+    let mut cmd = tool();
+    cmd.args([
+        "serve",
+        "--mix",
+        "session",
+        "--seed",
+        "9",
+        "--requests",
+        "2000",
+        "--arrivals",
+        "6",
+        "--request-ops",
+        "8",
+        "--heap-budget",
+        "220",
+    ]);
+    cmd
+}
+
+#[test]
+fn serve_nominal_exits_zero() {
+    // A generous heap budget never leaves Nominal.
+    let out = tool()
+        .args([
+            "serve",
+            "--mix",
+            "session",
+            "--seed",
+            "9",
+            "--heap-budget",
+            "1000000",
+        ])
+        .output()
+        .expect("spawn wbe_tool");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
+}
+
+#[test]
+fn serve_degraded_within_ladder_exits_one_and_replays_byte_for_byte() {
+    // Sustained overload walks the ladder, but no SLO (none is set) is
+    // violated: exit 1. The same seed must write identical NDJSON.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let run = |name: &str| {
+        let path = dir.join(name);
+        let out = serve_overloaded()
+            .args(["--format", "ndjson", "--out"])
+            .arg(&path)
+            .output()
+            .expect("spawn wbe_tool");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+        std::fs::read(&path).expect("serve wrote its NDJSON")
+    };
+    let a = run("serve_exit_a.ndjson");
+    assert!(!a.is_empty());
+    assert_eq!(a, run("serve_exit_b.ndjson"), "same seed, same bytes");
+}
+
+#[test]
+fn serve_slo_violation_exits_two() {
+    // An unmeetable p99 budget must fail the run.
+    let out = serve_overloaded()
+        .args(["--slo-p99", "1"])
+        .output()
+        .expect("spawn wbe_tool");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "stdout:\n{stdout}");
+}

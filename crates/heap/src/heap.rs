@@ -511,6 +511,26 @@ impl Heap {
         }
     }
 
+    /// One concurrent marking slice of `budget` units, as the fault
+    /// plan lets it run: a skipped slice delays marking progress
+    /// (widening the race window) and returns `None`; a drain-pressure
+    /// boost multiplies the budget, forcing deep SATB-buffer drains.
+    /// `Some(0)` means the collector has no pending work. The one place
+    /// the plan's mark-step decisions are consulted, by the cooperative
+    /// worlds' marker and the interpreter's policy-driven steps alike.
+    #[inline]
+    pub fn mark_slice(&mut self, mut budget: usize) -> Option<usize> {
+        if let Some(plan) = self.fault.as_mut() {
+            if plan.skip_mark_step() {
+                return None;
+            }
+            if let Some(factor) = plan.drain_pressure() {
+                budget = budget.saturating_mul(factor);
+            }
+        }
+        Some(self.gc.mark_step(&mut self.store, budget))
+    }
+
     /// Sweeps unmarked objects after a completed marking cycle. See
     /// [`GcState::sweep`]; this convenience method also updates
     /// [`HeapStats::frees`].
@@ -527,6 +547,31 @@ mod tests {
 
     fn heap() -> Heap {
         Heap::new(MarkStyle::Satb)
+    }
+
+    #[test]
+    fn mark_slice_consults_the_plan_skip_first_then_scale() {
+        use crate::fault::FaultConfig;
+        let plan = |skip_step_pm, drain_boost_pm| {
+            Some(FaultPlan::new(FaultConfig {
+                skip_step_pm,
+                drain_boost_pm,
+                ..FaultConfig::from_seed(1)
+            }))
+        };
+        let mut h = heap();
+        let roots: Vec<GcRef> = (0..40).map(|_| h.alloc_object(0, &[]).unwrap()).collect();
+        h.gc.begin_marking(&mut h.store, &roots);
+        assert_eq!(h.mark_slice(3), Some(3), "no plan: the budget as given");
+        h.fault = plan(1000, 1000);
+        assert_eq!(h.mark_slice(3), None, "a skipped slice marks nothing");
+        let stats = h.fault.as_ref().unwrap().stats;
+        assert_eq!((stats.skipped_steps, stats.drain_boosts), (1, 0));
+        assert_eq!(stats.decisions, 1, "a skip does not roll for the boost");
+        h.fault = plan(0, 1000);
+        assert_eq!(h.mark_slice(2), Some(32), "boosted ×16");
+        assert_eq!(h.mark_slice(usize::MAX / 2), Some(5), "saturates");
+        assert_eq!(h.mark_slice(1), Some(0), "nothing pending");
     }
 
     #[test]

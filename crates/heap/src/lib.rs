@@ -46,6 +46,7 @@
 //! ```
 
 mod bitset;
+mod cycle;
 pub mod debug;
 pub mod fault;
 pub mod gc;

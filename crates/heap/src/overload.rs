@@ -21,10 +21,10 @@
 //!   by the controller's cooldown.
 //!
 //! Connections speak the same SATB safepoint protocol as the scheduler
-//! worlds (per-thread [`SatbBuffer`]s, epoch arm/ack, stop-the-world
-//! rendezvous), so the overload run is also a soundness run: the
-//! snapshot audit and heap invariant checks from [`crate::verify`] run
-//! at every cycle boundary.
+//! worlds — the one in `cycle.rs`: per-thread SATB buffers, epoch
+//! arm/ack, stop-the-world rendezvous — so the overload run is also a
+//! soundness run: the snapshot audit and heap invariant checks from
+//! [`crate::verify`] run at every cycle boundary.
 //!
 //! Everything is a pure function of [`ServeWorldConfig`]: arrivals,
 //! request mixes, scheduling choices, and fault decisions all come from
@@ -35,14 +35,13 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use crate::cycle::{self, CycleDriver, CycleEvent, CycleHost, CyclePhase, MarkerCtl};
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::gc::MarkStyle;
 use crate::heap::{Heap, HeapError};
 use crate::mix::{fnv1a, SplitMix64};
 use crate::pressure::{PressureConfig, PressureController, PressureLevel, PressureTransition};
-use crate::safepoint::{EpochState, SatbBuffer};
 use crate::value::{FieldShape, GcRef, Value};
-use crate::verify;
 
 /// Hard cap on scheduler steps per serve run; exceeding it surfaces as
 /// a protocol violation rather than a hang.
@@ -343,44 +342,30 @@ struct Request {
     pauses_at_admit: u64,
 }
 
-/// Per-connection logical-thread state.
+/// Per-connection logical-thread state (its share of the safepoint
+/// protocol is in the [`CycleDriver`]).
 #[derive(Debug)]
 struct Connection {
-    satb: SatbBuffer,
     queue: VecDeque<Request>,
-    since_poll: u32,
     /// Alternates under throttling: every other slice is forfeited.
     stalled_last: bool,
-    parked: bool,
     /// Consecutive head inserts per tenant chain are counted globally;
     /// this is the connection's scratch reference (a local GC root).
     held: Option<GcRef>,
 }
 
-/// Marker logical-thread state machine (the scheduler-world protocol).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MarkerState {
-    Idle { countdown: u32 },
-    Arming,
-    Marking,
-    Rendezvous,
-}
-
-/// The serve world: heap, epoch protocol, connections, marker, ladder.
+/// The serve world: heap, cycle protocol, connections, ladder.
 pub struct ServeWorld {
     cfg: ServeWorldConfig,
     heap: Heap,
-    epoch: EpochState,
+    cycle: CycleDriver,
     conns: Vec<Connection>,
-    marker: MarkerState,
-    stop_requested: bool,
     /// Shared root array: slots `[0..tenants)` = session-chain heads,
     /// `[tenants..tenants+lru_slots)` = LRU cache, the rest (one per
     /// connection) = connection-table entries.
     shared: GcRef,
     /// Head inserts per tenant since the chain was last reset.
     chain_age: Vec<u64>,
-    snapshot: Option<verify::ReachSet>,
     pressure: PressureController,
     current_level: PressureLevel,
     emergency_requested: bool,
@@ -420,24 +405,16 @@ impl ServeWorld {
         Ok(ServeWorld {
             cfg: cfg.clone(),
             heap,
-            epoch: EpochState::new(cfg.connections),
+            cycle: CycleDriver::new(cfg.connections, cfg.cycle_gap),
             conns: (0..cfg.connections)
                 .map(|_| Connection {
-                    satb: SatbBuffer::new(),
                     queue: VecDeque::new(),
-                    since_poll: 0,
                     stalled_last: false,
-                    parked: false,
                     held: None,
                 })
                 .collect(),
-            marker: MarkerState::Idle {
-                countdown: cfg.cycle_gap,
-            },
-            stop_requested: false,
             shared,
             chain_age: vec![0; cfg.tenants],
-            snapshot: None,
             pressure: PressureController::new(cfg.pressure),
             current_level: PressureLevel::Nominal,
             emergency_requested: false,
@@ -465,22 +442,11 @@ impl ServeWorld {
         self.arrivals_left == 0 && self.conns.iter().all(|c| c.queue.is_empty())
     }
 
-    fn all_parked(&self) -> bool {
-        self.conns.iter().all(|c| c.parked)
-    }
-
     fn finished(&self) -> bool {
         self.work_drained()
-            && matches!(self.marker, MarkerState::Idle { .. })
+            && matches!(self.cycle.phase(), CyclePhase::Idle { .. })
             && !self.emergency_requested
             && self.counters.cycles > 0
-    }
-
-    /// GC roots: the shared table plus every connection's held scratch.
-    fn roots(&self) -> Vec<GcRef> {
-        let mut roots = vec![self.shared];
-        roots.extend(self.conns.iter().filter_map(|c| c.held));
-        roots
     }
 
     /// Feeds occupancy to the ladder and latches its actuation signals
@@ -506,12 +472,11 @@ impl ServeWorld {
         if let Some(extra) = self.heap.fault.as_mut().and_then(FaultPlan::overload_burst) {
             self.counters.overload_bursts += 1;
             n += u64::from(extra);
-            if wbe_telemetry::tracing_enabled() {
-                wbe_telemetry::trace::event(
-                    "serve.fault.overload_burst",
-                    format!("+{extra} requests step {}", self.step),
-                );
-            }
+            wbe_telemetry::event!(
+                "serve.fault.overload_burst",
+                "+{extra} requests step {}",
+                self.step
+            );
         }
         let weights = self.cfg.scenario.weights();
         let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
@@ -555,23 +520,23 @@ impl ServeWorld {
     fn runnable_mask(&self) -> u32 {
         let mut mask = 0u32;
         for (tid, c) in self.conns.iter().enumerate() {
-            let has_duty = !c.queue.is_empty() || !self.epoch.acked(tid) || self.stop_requested;
-            if has_duty && !c.parked {
+            let has_duty = !c.queue.is_empty() || self.cycle.owes_poll(tid);
+            if has_duty && !self.cycle.halted(tid) {
                 mask |= 1 << tid;
             }
         }
         let marker_runnable = self.emergency_requested
-            || match self.marker {
-                MarkerState::Idle { .. } => {
+            || match self.cycle.phase() {
+                CyclePhase::Idle { .. } => {
                     if self.work_drained() {
                         self.counters.cycles == 0
                     } else {
                         true
                     }
                 }
-                MarkerState::Arming => self.epoch.all_acked(),
-                MarkerState::Marking => true,
-                MarkerState::Rendezvous => self.all_parked(),
+                CyclePhase::Arming => self.cycle.epoch().all_acked(),
+                CyclePhase::Marking => true,
+                CyclePhase::Rendezvous => self.cycle.all_halted(),
             };
         if marker_runnable {
             mask |= 1 << self.cfg.connections;
@@ -579,39 +544,14 @@ impl ServeWorld {
         mask
     }
 
-    /// SATB deletion barrier for `old`, via the per-connection buffer.
-    fn barrier_log(&mut self, tid: usize, old: GcRef) {
-        if self.epoch.local_marking(tid) {
-            self.conns[tid].satb.log(old);
-            self.counters.satb_logged += 1;
-        }
-    }
-
-    fn flush_buffer(&mut self, tid: usize) {
-        if self.conns[tid].satb.depth() == 0 {
-            return;
-        }
-        self.conns[tid].satb.flush_into(&mut self.heap.gc);
-        self.counters.flushes += 1;
-    }
-
     /// One step of connection `tid`: a safepoint poll when one is due
     /// (or when idle with protocol duties pending), a forfeited slice
     /// under throttling, else one unit of request work.
     fn connection_step(&mut self, tid: usize) {
         let idle = self.conns[tid].queue.is_empty();
-        let poll_due = self.conns[tid].since_poll >= self.cfg.poll_interval;
+        let poll_due = self.cycle.since_poll(tid) >= self.cfg.poll_interval;
         if idle || poll_due {
-            self.conns[tid].since_poll = 0;
-            self.flush_buffer(tid);
-            if !self.epoch.acked(tid) {
-                self.epoch.ack(tid);
-                self.counters.safepoint_acks += 1;
-            }
-            if self.stop_requested {
-                self.conns[tid].parked = true;
-                self.counters.parks += 1;
-            }
+            cycle::poll(self, tid, false);
             return;
         }
         if self.current_level >= PressureLevel::Throttling && !self.conns[tid].stalled_last {
@@ -624,7 +564,7 @@ impl ServeWorld {
             return;
         }
         self.conns[tid].stalled_last = false;
-        self.conns[tid].since_poll += 1;
+        self.cycle.count_op(tid);
         self.counters.ops += 1;
         let req = self.conns[tid].queue.front().copied();
         let Some(mut req) = req else { return };
@@ -672,14 +612,14 @@ impl ServeWorld {
                 self.chain_age[req.tenant] += 1;
                 if !self.chain_age[req.tenant].is_multiple_of(CHAIN_RESET) {
                     if let Some(h) = old_head {
-                        if self.epoch.elide_allowed(tid) {
+                        if self.cycle.elide_allowed(tid) {
                             self.counters.elided_stores += 1;
                         }
                         let _ = self.heap.set_field(new, 0, Value::from(h));
                     }
                 }
                 if let Some(old) = old_head {
-                    self.barrier_log(tid, old);
+                    cycle::barrier_log(self, tid, old);
                 }
                 let _ = self.heap.set_elem(self.shared, t, Some(new));
             }
@@ -689,7 +629,7 @@ impl ServeWorld {
                 let slot = (self.cfg.tenants + self.next_lru) as i64;
                 self.next_lru = (self.next_lru + 1) % self.cfg.lru_slots;
                 if let Ok(Some(old)) = self.heap.get_elem(self.shared, slot) {
-                    self.barrier_log(tid, old);
+                    cycle::barrier_log(self, tid, old);
                 }
                 let _ = self.heap.set_elem(self.shared, slot, Some(new));
             }
@@ -699,7 +639,7 @@ impl ServeWorld {
             _ => {
                 let slot = (self.cfg.tenants + self.cfg.lru_slots + tid) as i64;
                 if let Ok(Some(old)) = self.heap.get_elem(self.shared, slot) {
-                    self.barrier_log(tid, old);
+                    cycle::barrier_log(self, tid, old);
                     let _ = self.heap.set_field(new, 1, Value::from(old));
                 }
                 let _ = self.heap.set_elem(self.shared, slot, Some(new));
@@ -707,165 +647,50 @@ impl ServeWorld {
         }
     }
 
-    /// One step of the marker's state machine, with ladder pacing: at
-    /// `Pacing` or above the idle countdown collapses (the cycle arms
-    /// now) and the marking budget doubles.
+    /// One step of the marker, with ladder pacing: at `Pacing` or above
+    /// the idle countdown collapses (the cycle arms now) and the marking
+    /// budget doubles.
     fn marker_step(&mut self) {
         if self.emergency_requested {
             self.emergency_stw();
             return;
         }
-        match self.marker {
-            MarkerState::Idle { countdown } => {
-                let pacing = self.current_level >= PressureLevel::Pacing;
-                if countdown == 0 || self.work_drained() || pacing {
-                    if pacing && countdown > 0 {
-                        self.pressure.note_pace_start();
-                        if wbe_telemetry::tracing_enabled() {
-                            wbe_telemetry::trace::event(
-                                "serve.pressure.pace_start",
-                                format!("cycle armed early step {}", self.step),
-                            );
-                        }
-                    }
-                    self.epoch.arm();
-                    self.marker = MarkerState::Arming;
-                } else {
-                    self.marker = MarkerState::Idle {
-                        countdown: countdown - 1,
-                    };
-                }
-            }
-            MarkerState::Arming => {
-                if !self.epoch.all_acked() {
-                    return;
-                }
-                let roots = self.roots();
-                if let Err(e) = self.heap.gc.try_begin_marking(&mut self.heap.store, &roots) {
-                    self.violation(e.to_string());
-                    self.marker = MarkerState::Idle {
-                        countdown: self.cfg.cycle_gap,
-                    };
-                    return;
-                }
-                self.snapshot = Some(verify::reachable_set(&self.heap, &roots));
-                if let Err(e) = self.epoch.snapshot_taken() {
-                    self.violation(e.to_string());
-                }
-                self.marker = MarkerState::Marking;
-            }
-            MarkerState::Marking => {
-                let mut budget = self.cfg.mark_budget;
-                if self.current_level >= PressureLevel::Pacing {
-                    budget *= 2;
-                }
-                if let Some(plan) = self.heap.fault.as_mut() {
-                    if plan.skip_mark_step() {
-                        return;
-                    }
-                    if let Some(factor) = plan.drain_pressure() {
-                        budget = budget.saturating_mul(factor);
-                    }
-                }
-                let did = self.heap.gc.mark_step(&mut self.heap.store, budget);
-                self.counters.mark_work += did as u64;
-                if did == 0 {
-                    self.stop_requested = true;
-                    self.marker = MarkerState::Rendezvous;
-                }
-            }
-            MarkerState::Rendezvous => {
-                if !self.all_parked() {
-                    return;
-                }
-                self.finish_cycle_stw(false);
-            }
+        if self.pacing()
+            && matches!(self.cycle.phase(), CyclePhase::Idle { countdown } if countdown > 0)
+        {
+            self.pressure.note_pace_start();
+            wbe_telemetry::event!(
+                "serve.pressure.pace_start",
+                "cycle armed early step {}",
+                self.step
+            );
         }
+        let boost = if self.pacing() { 2 } else { 1 };
+        let ctl = MarkerCtl {
+            arm_now: self.work_drained() || self.pacing(),
+            give_up_arm: false,
+            budget: self.cfg.mark_budget.saturating_mul(boost),
+        };
+        cycle::step(self, ctl);
+    }
+
+    fn pacing(&self) -> bool {
+        self.current_level >= PressureLevel::Pacing
     }
 
     /// The ladder's final rung: a forced stop-the-world collection as
-    /// one atomic step — every connection is flushed by fiat (an
-    /// emergency safepoint), a cycle is opened if none is running, and
-    /// the remark + sweep complete immediately.
+    /// one atomic step ([`cycle::force_stw`]), whatever the marker was
+    /// doing.
     fn emergency_stw(&mut self) {
         self.emergency_requested = false;
         self.pressure.note_emergency_pause();
         self.counters.emergency_stw += 1;
-        if wbe_telemetry::tracing_enabled() {
-            wbe_telemetry::trace::event(
-                "serve.pressure.emergency_stw",
-                format!("forced collection step {}", self.step),
-            );
-        }
-        let epoch_open = !matches!(self.marker, MarkerState::Idle { .. });
-        if !self.heap.gc.is_marking() {
-            let roots = self.roots();
-            if self
-                .heap
-                .gc
-                .try_begin_marking(&mut self.heap.store, &roots)
-                .is_err()
-            {
-                // Cannot happen (not marking ⇒ a cycle can start), but
-                // the no-panic policy wants a reportable path.
-                self.violation("emergency cycle failed to open".to_string());
-                return;
-            }
-        }
-        self.finish_cycle_stw(epoch_open);
-        self.observe_pressure();
-    }
-
-    /// Stop-the-world tail of a cycle: final flushes, remark, invariant
-    /// checks, sweep, snapshot audit, resume. The epoch is closed when
-    /// the marker is anywhere but idle or `end_epoch_override` says one
-    /// is open; an emergency collection forced from marker-idle passes
-    /// false and leaves it alone, because none is.
-    fn finish_cycle_stw(&mut self, end_epoch_override: bool) {
-        let end_epoch = end_epoch_override || !matches!(self.marker, MarkerState::Idle { .. });
-        for tid in 0..self.cfg.connections {
-            self.flush_buffer(tid);
-        }
-        let roots = self.roots();
-        let pause = self.heap.gc.remark(&mut self.heap.store, &roots);
-        self.counters.pause_work += pause.work_units() as u64;
-        self.counters.cycles += 1;
-        for v in verify::verify_post_mark(&self.heap, &roots) {
-            self.violation(v.to_string());
-        }
-        let swept = self.heap.sweep();
-        self.counters.swept += swept as u64;
-        if let Some(snapshot) = self.snapshot.take() {
-            for obj in snapshot.iter() {
-                if !self.heap.store.is_live(obj) {
-                    self.violation(format!("snapshot-reachable {obj} freed by sweep"));
-                }
-            }
-        }
-        for v in verify::verify_post_sweep(&self.heap) {
-            self.violation(v.to_string());
-        }
-        if end_epoch {
-            self.epoch.end_cycle();
-        }
-        if wbe_telemetry::tracing_enabled() {
-            wbe_telemetry::trace::event(
-                "serve.gc.stw",
-                format!(
-                    "cycle {} pause {} swept {swept} step {}",
-                    self.counters.cycles,
-                    pause.work_units(),
-                    self.step
-                ),
-            );
-        }
-        self.stop_requested = false;
-        for c in &mut self.conns {
-            c.parked = false;
-        }
-        self.marker = MarkerState::Idle {
-            countdown: self.cfg.cycle_gap,
-        };
+        wbe_telemetry::event!(
+            "serve.pressure.emergency_stw",
+            "forced collection step {}",
+            self.step
+        );
+        cycle::force_stw(self);
         self.observe_pressure();
     }
 
@@ -916,6 +741,48 @@ impl ServeWorld {
             pressure: self.pressure.stats,
             high_water: self.pressure.high_water(),
             violations: self.violations,
+        }
+    }
+}
+
+impl CycleHost for ServeWorld {
+    fn parts(&mut self) -> (&mut CycleDriver, &mut Heap) {
+        (&mut self.cycle, &mut self.heap)
+    }
+
+    /// The shared table plus every connection's held scratch.
+    fn roots(&self) -> Vec<GcRef> {
+        let mut roots = vec![self.shared];
+        roots.extend(self.conns.iter().filter_map(|c| c.held));
+        roots
+    }
+
+    fn on(&mut self, event: CycleEvent) {
+        let c = &mut self.counters;
+        match event {
+            CycleEvent::Logged => c.satb_logged += 1,
+            CycleEvent::Flushed(..) => c.flushes += 1,
+            CycleEvent::Acked(_) => c.safepoint_acks += 1,
+            CycleEvent::Parked => c.parks += 1,
+            CycleEvent::Marked(Some(did)) => c.mark_work += did as u64,
+            CycleEvent::Violation(_, detail) => self.violation(detail),
+            // A collection changed occupancy: the ladder observes it
+            // before any connection resumes.
+            CycleEvent::Ended(pause, swept) => {
+                c.cycles += 1;
+                c.pause_work += pause.work_units() as u64;
+                c.swept += swept as u64;
+                wbe_telemetry::event!(
+                    "serve.gc.stw",
+                    "cycle {} pause {} swept {swept} step {}",
+                    c.cycles,
+                    pause.work_units(),
+                    self.step
+                );
+                self.observe_pressure();
+            }
+            // The rest is what only the scheduler world reports.
+            _ => {}
         }
     }
 }
@@ -1055,6 +922,27 @@ mod tests {
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.counters.overload_bursts > 0, "no burst ever fired");
         assert_eq!(run_serve(&cfg).digest(), out.digest());
+    }
+
+    #[test]
+    fn paced_and_boosted_mark_budget_saturates() {
+        // Pacing doubles the budget and every slice takes the drain
+        // boost (×16) on top: both scalings must saturate, where an
+        // unchecked `*=` panics a debug build.
+        for mark_budget in [usize::MAX / 2, usize::MAX] {
+            let cfg = ServeWorldConfig {
+                mark_budget,
+                fault: Some(FaultConfig {
+                    drain_boost_pm: 1000,
+                    skip_step_pm: 0,
+                    ..FaultConfig::from_seed(3)
+                }),
+                ..overloaded()
+            };
+            let out = run_serve(&cfg);
+            assert!(out.violations.is_empty(), "{:?}", out.violations);
+            assert!(out.pressure.pace_starts > 0, "the ladder paced");
+        }
     }
 
     #[test]

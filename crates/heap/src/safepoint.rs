@@ -1,7 +1,8 @@
 //! SATB safepoint protocol primitives.
 //!
-//! Shared by the deterministic scheduler ([`crate::sched`]) and the
-//! real-thread demo ([`crate::threaded`]):
+//! Shared by the marking-cycle driver of the cooperative worlds
+//! (`cycle.rs`, which runs [`crate::sched`] and [`crate::overload`];
+//! DESIGN §9.1) and the real-thread demo ([`crate::threaded`]):
 //!
 //! * [`SatbBuffer`] — a per-thread SATB log buffer. The mutator's write
 //!   barrier appends overwritten non-null references here instead of
@@ -21,8 +22,8 @@
 //!   ([`EpochState::elide_allowed`]): until the thread has synchronized
 //!   with the cycle, it takes the conservative full-barrier path.
 //!
-//! The types here are plain (no atomics): the deterministic scheduler
-//! uses them directly, and the threaded demo wraps them behind its own
+//! The types here are plain (no atomics): the cycle driver uses them
+//! directly, and the threaded demo wraps them behind its own
 //! synchronization.
 
 use std::fmt;
@@ -196,8 +197,10 @@ impl EpochState {
     }
 
     /// Ends the cycle: the remark + sweep completed and the world
-    /// resumed.
+    /// resumed (or the arm was abandoned). Only an open epoch can end;
+    /// debug builds assert it.
     pub fn end_cycle(&mut self) {
+        debug_assert_ne!(self.phase, EpochPhase::Idle, "no epoch is open");
         self.phase = EpochPhase::Idle;
     }
 

@@ -7,18 +7,11 @@
 //! (a seed, or an explicit choice script), so any schedule — including
 //! a failing one — replays bit for bit.
 //!
-//! The mutators speak the real SATB safepoint protocol from
-//! [`crate::safepoint`]:
-//!
-//! * barriers append to a **per-thread** [`SatbBuffer`], flushed into
-//!   the collector only at safepoint polls;
-//! * a marking cycle begins with an **epoch arm**; the snapshot is
-//!   taken only after every mutator has acknowledged the epoch at a
-//!   safepoint, and un-acknowledged threads may not run elided code
-//!   ([`EpochState::elide_allowed`]);
-//! * the cycle ends with a **stop-the-world rendezvous**: the marker
-//!   requests a stop, every mutator flushes and parks at its next
-//!   poll, and the remark + sweep run with the world stopped.
+//! The mutators speak the real SATB safepoint protocol — per-thread
+//! buffers flushed at polls, an epoch arm every mutator acknowledges
+//! before the snapshot, a stop-the-world rendezvous for the remark +
+//! sweep — which `cycle.rs` drives for this world and for
+//! [`crate::overload`].
 //!
 //! Two scheduling *hints* model the pacing a real runtime exhibits:
 //! the marker **rests** for one scheduling decision after the snapshot
@@ -40,13 +33,13 @@
 
 use std::fmt;
 
+use crate::cycle::{self, CycleDriver, CycleEvent, CycleHost, CyclePhase, MarkerCtl};
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::gc::MarkStyle;
 use crate::heap::{Heap, HeapError};
 use crate::mix::{fnv1a, SplitMix64};
-use crate::safepoint::{EpochState, SatbBuffer};
+use crate::safepoint::EpochPhase;
 use crate::value::{FieldShape, GcRef, Value};
-use crate::verify;
 
 /// Hard cap on scheduler steps per schedule; exceeding it is reported
 /// as a livelock violation rather than hanging the checker.
@@ -181,34 +174,7 @@ pub enum SchedulePolicy {
     },
 }
 
-/// What went wrong in a schedule, if anything.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ViolationKind {
-    /// A snapshot-reachable object was freed by that cycle's sweep —
-    /// the SATB guarantee was broken (a lost object).
-    LostObject,
-    /// A [`crate::verify`] heap-invariant check failed.
-    Invariant,
-    /// The elision oracle observed a non-null overwritten value at a
-    /// statically-elided (assumed pre-null) store site.
-    Oracle,
-    /// The schedule exceeded the step cap without terminating.
-    Livelock,
-    /// Internal protocol error (e.g. a cycle started twice).
-    Protocol,
-}
-
-impl fmt::Display for ViolationKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ViolationKind::LostObject => "lost-object",
-            ViolationKind::Invariant => "invariant",
-            ViolationKind::Oracle => "oracle",
-            ViolationKind::Livelock => "livelock",
-            ViolationKind::Protocol => "protocol",
-        })
-    }
-}
+pub use crate::cycle::ViolationKind;
 
 /// One soundness violation observed under one schedule.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -421,62 +387,39 @@ impl ScheduleOutcome {
     }
 }
 
-/// Per-mutator logical-thread state.
+/// Per-mutator logical-thread state (what [`CycleDriver`] does not
+/// hold: the buffer, the poll counter and the parked flag are its).
 #[derive(Debug)]
 struct Mutator {
     rng: SplitMix64,
-    satb: SatbBuffer,
     /// Last node of this thread's chain (a thread-local GC root).
     tail: Option<GcRef>,
     ops_done: usize,
-    /// Ops executed since the last safepoint poll.
-    since_poll: u32,
     /// Set for one scheduling decision after an epoch-ack handshake:
     /// the thread yields its slice, as a real safepoint handshake
     /// would. Creates a free (non-preemptive) switch point.
     yielded: bool,
-    parked: bool,
-    done: bool,
 }
 
-/// The marker's logical-thread state machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MarkerState {
-    /// Between cycles; arms a new epoch when the countdown expires.
-    Idle { countdown: u32 },
-    /// Epoch armed; waiting for every mutator to acknowledge before
-    /// taking the snapshot.
-    Arming,
-    /// Snapshot taken; performing budgeted concurrent mark steps.
-    Marking,
-    /// Stop requested; waiting for every mutator to park, then runs the
-    /// stop-the-world remark + sweep + audit as one atomic step.
-    Rendezvous,
-}
-
-/// The scheduled world: heap, epoch protocol, mutators, marker.
+/// The scheduled world: heap, cycle protocol, mutators.
 struct World {
     cfg: SchedConfig,
     heap: Heap,
-    epoch: EpochState,
+    cycle: CycleDriver,
     mutators: Vec<Mutator>,
-    marker: MarkerState,
-    /// Set after each marking slice: the marker is *paced* — it yields
-    /// to runnable mutators for one scheduling decision between
-    /// slices, like a real incremental collector interleaving with
-    /// mutator time. Without pacing, a non-preemptive schedule would
-    /// always mark to completion in one run, hiding every race.
+    /// Set by each marker step and consulted while marking: the marker
+    /// is *paced* — it yields to runnable mutators for one scheduling
+    /// decision between slices, like a real incremental collector
+    /// interleaving with mutator time. Without pacing, a non-preemptive
+    /// schedule would always mark to completion in one run, hiding
+    /// every race.
     marker_rest: bool,
-    stop_requested: bool,
+    /// Step at which the current epoch was armed; the watchdog measures
+    /// ack latency against this.
+    armed_at: usize,
     /// The shared root array: slot `tid` = chain head, slot
     /// `threads + tid` = the thread's published object.
     shared: GcRef,
-    /// Snapshot-reachable set recorded at the current cycle's
-    /// `begin_marking`, audited at its sweep.
-    snapshot: Option<verify::ReachSet>,
-    /// Step at which the current epoch was armed; the watchdog measures
-    /// ack latency against this.
-    armed_at: Option<usize>,
     counters: SchedCounters,
     violations: Vec<ScheduleViolation>,
     step: usize,
@@ -507,29 +450,20 @@ impl World {
             }
             mutators.push(Mutator {
                 rng: SplitMix64(world_seed ^ (tid as u64).wrapping_mul(0x9e37_79b9)),
-                satb: SatbBuffer::new(),
                 tail: prev,
                 ops_done: 0,
-                since_poll: 0,
                 yielded: false,
-                parked: false,
-                done: false,
             });
         }
         heap.fault = cfg.fault.map(FaultPlan::new);
         Ok(World {
             cfg: cfg.clone(),
             heap,
-            epoch: EpochState::new(cfg.threads),
+            cycle: CycleDriver::new(cfg.threads, cfg.cycle_gap),
             mutators,
-            marker: MarkerState::Idle {
-                countdown: cfg.cycle_gap,
-            },
             marker_rest: false,
-            stop_requested: false,
+            armed_at: 0,
             shared,
-            snapshot: None,
-            armed_at: None,
             counters: SchedCounters::default(),
             violations: Vec::new(),
             step: 0,
@@ -541,38 +475,28 @@ impl World {
         self.violations.push(ScheduleViolation {
             kind,
             step: self.step,
-            cycle: self.counters.cycles + u64::from(self.snapshot.is_some()),
+            // Cycles completed, plus the one between snapshot and end.
+            cycle: self.counters.cycles
+                + u64::from(self.cycle.epoch().phase() == EpochPhase::Marking),
             detail,
         });
-    }
-
-    fn all_done(&self) -> bool {
-        self.mutators.iter().all(|m| m.done)
-    }
-
-    fn all_parked(&self) -> bool {
-        self.mutators.iter().all(|m| m.done || m.parked)
     }
 
     /// Steps the current epoch has been armed without full
     /// acknowledgement (0 when no epoch is armed).
     fn arm_age(&self) -> usize {
-        match (self.marker, self.armed_at) {
-            (MarkerState::Arming, Some(at)) => self.step.saturating_sub(at),
+        match self.cycle.phase() {
+            CyclePhase::Arming => self.step - self.armed_at,
             _ => 0,
         }
     }
 
-    /// Watchdog level 1: past the deadline, stalled mutators are paced
-    /// (their next step polls immediately).
-    fn arm_overdue(&self) -> bool {
-        self.arm_age() > self.cfg.arm_deadline as usize
-    }
-
-    /// Watchdog level 2: past twice the deadline, the marker abandons
-    /// the arm in an emergency rendezvous rather than stall the world.
-    fn arm_emergency_due(&self) -> bool {
-        self.arm_age() > 2 * self.cfg.arm_deadline as usize
+    /// The watchdog: is the arm past `level` deadlines? Past one,
+    /// stalled mutators are paced (their next step polls immediately);
+    /// past two, the marker abandons the arm in an emergency rendezvous
+    /// rather than stall the world.
+    fn arm_overdue(&self, level: usize) -> bool {
+        self.arm_age() > level * self.cfg.arm_deadline as usize
     }
 
     /// Bitmask of runnable logical threads. A thread is runnable only
@@ -585,22 +509,22 @@ impl World {
         let mut mask = 0u32;
         for (tid, m) in self.mutators.iter().enumerate() {
             let resting = honor_rests && m.yielded;
-            if !(m.done || m.parked || resting) {
+            if !(self.cycle.halted(tid) || resting) {
                 mask |= 1 << tid;
             }
         }
-        let marker_runnable = match self.marker {
-            MarkerState::Idle { .. } => {
-                if self.all_done() {
+        let marker_runnable = match self.cycle.phase() {
+            CyclePhase::Idle { .. } => {
+                if self.cycle.all_retired() {
                     // One final cycle if none completed, else finished.
                     self.counters.cycles == 0
                 } else {
                     true
                 }
             }
-            MarkerState::Arming => self.epoch.all_acked() || self.arm_emergency_due(),
-            MarkerState::Marking => !(honor_rests && self.marker_rest),
-            MarkerState::Rendezvous => self.all_parked(),
+            CyclePhase::Arming => self.cycle.epoch().all_acked() || self.arm_overdue(2),
+            CyclePhase::Marking => !(honor_rests && self.marker_rest),
+            CyclePhase::Rendezvous => self.cycle.all_halted(),
         };
         if marker_runnable {
             mask |= 1 << self.cfg.threads;
@@ -610,41 +534,9 @@ impl World {
 
     /// True when the schedule is complete.
     fn finished(&self) -> bool {
-        self.all_done()
-            && matches!(self.marker, MarkerState::Idle { .. })
+        self.cycle.all_retired()
+            && matches!(self.cycle.phase(), CyclePhase::Idle { .. })
             && self.counters.cycles > 0
-    }
-
-    /// GC roots: the shared array plus every mutator's local tail.
-    fn roots(&self) -> Vec<GcRef> {
-        let mut roots = vec![self.shared];
-        roots.extend(self.mutators.iter().filter_map(|m| m.tail));
-        roots
-    }
-
-    fn flush_buffer(&mut self, tid: usize) {
-        if self.mutators[tid].satb.depth() == 0 {
-            return;
-        }
-        let depth = self.mutators[tid].satb.flush_into(&mut self.heap.gc);
-        self.counters.flushes += 1;
-        self.counters.flushed_entries += depth as u64;
-        self.depth_hist.record(depth as u64);
-        if wbe_telemetry::tracing_enabled() {
-            wbe_telemetry::trace::event(
-                "sched.satb.flush",
-                format!("t{tid} depth {depth} step {}", self.step),
-            );
-        }
-    }
-
-    /// SATB deletion barrier for `old`, routed through the per-thread
-    /// buffer; a no-op when the thread's local view of marking is idle.
-    fn barrier_log(&mut self, tid: usize, old: GcRef) {
-        if self.epoch.local_marking(tid) {
-            self.mutators[tid].satb.log(old);
-            self.counters.satb_logged += 1;
-        }
     }
 
     /// One step of mutator `tid`: a safepoint poll (flush + ack, and
@@ -654,56 +546,27 @@ impl World {
     /// like compiler-inserted polls at loop back-edges — so a thread
     /// genuinely runs operations between an epoch being armed and its
     /// acknowledgement. That window is exactly where
-    /// [`EpochState::elide_allowed`] forces the conservative
+    /// [`crate::EpochState::elide_allowed`] forces the conservative
     /// full-barrier path.
     fn mutator_step(&mut self, tid: usize) {
         let retiring = self.mutators[tid].ops_done >= self.cfg.ops_per_thread;
         // Watchdog pacing hint: a thread that has left an armed epoch
         // unacknowledged past the deadline polls now instead of at its
         // usual cadence, bounding how long the snapshot can stall.
-        let paced = self.arm_overdue() && !self.epoch.acked(tid);
+        let paced = self.arm_overdue(1) && !self.cycle.epoch().acked(tid);
         if paced {
             self.counters.watchdog_pacing += 1;
-            if wbe_telemetry::tracing_enabled() {
-                wbe_telemetry::trace::event(
-                    "sched.watchdog.pacing",
-                    format!("t{tid} step {} arm age {}", self.step, self.arm_age()),
-                );
-            }
+            let (step, age) = (self.step, self.arm_age());
+            wbe_telemetry::event!("sched.watchdog.pacing", "t{tid} step {step} arm age {age}");
         }
-        if retiring || paced || self.mutators[tid].since_poll >= self.cfg.poll_interval {
-            // Safepoint poll: flush the local buffer, acknowledge any
-            // pending epoch, honour a stop request, and (last poll)
-            // retire. Entries logged before the ack are pre-snapshot;
-            // the flush drops them (collector idle), which is sound.
-            self.mutators[tid].since_poll = 0;
-            if wbe_telemetry::tracing_enabled() {
-                wbe_telemetry::trace::event(
-                    "sched.safepoint.poll",
-                    format!("t{tid} step {}", self.step),
-                );
-            }
-            self.flush_buffer(tid);
-            if !self.epoch.acked(tid) {
-                self.epoch.ack(tid);
-                self.counters.safepoint_acks += 1;
-                self.mutators[tid].yielded = true;
-                if wbe_telemetry::tracing_enabled() {
-                    wbe_telemetry::trace::event(
-                        "sched.safepoint.ack",
-                        format!("t{tid} step {}", self.step),
-                    );
-                }
-            }
-            if self.stop_requested {
-                self.mutators[tid].parked = true;
-                self.counters.parks += 1;
-            } else if retiring {
-                self.mutators[tid].done = true;
-            }
+        if retiring || paced || self.cycle.since_poll(tid) >= self.cfg.poll_interval {
+            // Safepoint poll: flush, acknowledge, honour a stop request
+            // ([`cycle::poll`]), and (last poll) retire.
+            wbe_telemetry::event!("sched.safepoint.poll", "t{tid} step {}", self.step);
+            cycle::poll(self, tid, retiring);
             return;
         }
-        self.mutators[tid].since_poll += 1;
+        self.cycle.count_op(tid);
         self.mutators[tid].ops_done += 1;
         self.counters.mutator_ops += 1;
         let weights = self.cfg.scenario.weights();
@@ -746,7 +609,7 @@ impl World {
             return;
         };
         let old = self.heap.get_field(tail, 0).unwrap_or(Value::NULL);
-        if self.epoch.elide_allowed(tid) {
+        if self.cycle.elide_allowed(tid) {
             // Elided path: no barrier at all. The oracle asserts the
             // static pre-null claim held under this interleaving.
             if let Value::Ref(Some(o)) = old {
@@ -760,7 +623,7 @@ impl World {
             // Epoch armed but not yet acknowledged: the thread must run
             // the conservative full-barrier version of the code.
             if let Value::Ref(Some(o)) = old {
-                self.barrier_log(tid, o);
+                cycle::barrier_log(self, tid, o);
             }
         }
         let _ = self.heap.set_field(tail, 0, Value::from(new));
@@ -785,11 +648,11 @@ impl World {
         };
         let unsound = self.cfg.demo_unsound && tid == 0;
         if unsound {
-            if self.epoch.local_marking(tid) {
+            if self.cycle.epoch().local_marking(tid) {
                 self.counters.unsound_elisions += 1;
             }
         } else {
-            self.barrier_log(tid, victim);
+            cycle::barrier_log(self, tid, victim);
         }
         let _ = self.heap.set_field(head, 0, rest);
     }
@@ -804,7 +667,7 @@ impl World {
         };
         let slot = (self.cfg.threads + tid) as i64;
         if let Ok(Some(old)) = self.heap.get_elem(self.shared, slot) {
-            self.barrier_log(tid, old);
+            cycle::barrier_log(self, tid, old);
         }
         let _ = self.heap.set_elem(self.shared, slot, head);
     }
@@ -822,169 +685,83 @@ impl World {
             return;
         };
         if let Ok(Value::Ref(Some(old))) = self.heap.get_field(tail, 1) {
-            self.barrier_log(tid, old);
+            cycle::barrier_log(self, tid, old);
         }
         let _ = self.heap.set_field(tail, 1, Value::from(x));
     }
 
-    /// One step of the marker's state machine.
     fn marker_step(&mut self) {
-        match self.marker {
-            MarkerState::Idle { countdown } => {
-                if countdown == 0 || self.all_done() {
-                    self.epoch.arm();
-                    if wbe_telemetry::tracing_enabled() {
-                        wbe_telemetry::trace::event(
-                            "sched.epoch.arm",
-                            format!("step {}", self.step),
-                        );
-                    }
-                    // Retired threads cannot poll; they acknowledge
-                    // implicitly (their final safepoint already flushed).
-                    for tid in 0..self.cfg.threads {
-                        if self.mutators[tid].done {
-                            self.epoch.ack(tid);
-                        }
-                    }
-                    self.marker = MarkerState::Arming;
-                    self.armed_at = Some(self.step);
-                } else {
-                    self.marker = MarkerState::Idle {
-                        countdown: countdown - 1,
-                    };
-                }
-            }
-            MarkerState::Arming => {
-                if !self.epoch.all_acked() {
-                    if self.arm_emergency_due() {
-                        // Watchdog level 2: some mutator never reached a
-                        // safepoint within twice the deadline. Abandon
-                        // the arm — an emergency rendezvous back to idle
-                        // — rather than stall the world forever.
-                        self.counters.watchdog_emergency += 1;
-                        if wbe_telemetry::tracing_enabled() {
-                            wbe_telemetry::trace::event(
-                                "sched.watchdog.emergency",
-                                format!("step {} arm age {}", self.step, self.arm_age()),
-                            );
-                        }
-                        self.epoch.end_cycle();
-                        self.armed_at = None;
-                        self.marker = MarkerState::Idle {
-                            countdown: self.cfg.cycle_gap,
-                        };
-                        return;
-                    }
-                    self.counters.marker_waits += 1;
-                    return;
-                }
-                // Initial-mark pause: with every thread synchronized,
-                // take the snapshot and shade the roots.
-                let roots = self.roots();
-                if let Err(e) = self.heap.gc.try_begin_marking(&mut self.heap.store, &roots) {
-                    self.violation(ViolationKind::Protocol, e.to_string());
-                    self.armed_at = None;
-                    self.marker = MarkerState::Idle {
-                        countdown: self.cfg.cycle_gap,
-                    };
-                    return;
-                }
-                self.snapshot = Some(verify::reachable_set(&self.heap, &roots));
-                if let Err(e) = self.epoch.snapshot_taken() {
-                    // Unreachable (the all_acked gate above) but the
-                    // protocol error is reportable, not a panic.
-                    self.violation(ViolationKind::Protocol, e.to_string());
-                }
-                if wbe_telemetry::tracing_enabled() {
-                    wbe_telemetry::trace::event(
-                        "sched.epoch.snapshot",
-                        format!("step {} roots {}", self.step, roots.len()),
-                    );
-                }
-                self.armed_at = None;
-                self.marker = MarkerState::Marking;
-                self.marker_rest = true;
-            }
-            MarkerState::Marking => {
-                self.marker_rest = true;
-                let mut budget = self.cfg.mark_budget;
-                if let Some(plan) = self.heap.fault.as_mut() {
-                    if plan.skip_mark_step() {
-                        self.counters.fault_skipped_steps += 1;
-                        return;
-                    }
-                    if let Some(factor) = plan.drain_pressure() {
-                        budget *= factor;
-                    }
-                }
-                let did = self.heap.gc.mark_step(&mut self.heap.store, budget);
-                self.counters.mark_work += did as u64;
-                if did == 0 {
-                    self.stop_requested = true;
-                    self.marker = MarkerState::Rendezvous;
-                }
-            }
-            MarkerState::Rendezvous => {
-                if !self.all_parked() {
-                    self.counters.marker_waits += 1;
-                    return;
-                }
-                self.finish_cycle_stw();
-            }
-        }
+        let ctl = MarkerCtl {
+            arm_now: self.cycle.all_retired(),
+            give_up_arm: self.arm_overdue(2),
+            budget: self.cfg.mark_budget,
+        };
+        cycle::step(self, ctl);
+        self.marker_rest = true;
+    }
+}
+
+impl CycleHost for World {
+    fn parts(&mut self) -> (&mut CycleDriver, &mut Heap) {
+        (&mut self.cycle, &mut self.heap)
     }
 
-    /// The stop-the-world tail of the cycle: final flushes, remark,
-    /// invariant checks, sweep, lost-object audit, resume. Runs as one
-    /// atomic scheduler step because the world is stopped.
-    fn finish_cycle_stw(&mut self) {
-        let _span = wbe_telemetry::span!("sched.gc.stw", "cycle {}", self.counters.cycles + 1);
-        for tid in 0..self.cfg.threads {
-            if self.mutators[tid].satb.depth() > 0 {
-                self.flush_buffer(tid);
+    /// The shared array plus every mutator's local tail.
+    fn roots(&self) -> Vec<GcRef> {
+        let mut roots = vec![self.shared];
+        roots.extend(self.mutators.iter().filter_map(|m| m.tail));
+        roots
+    }
+
+    fn stw_span(&self) -> wbe_telemetry::SpanGuard {
+        wbe_telemetry::span!("sched.gc.stw", "cycle {}", self.counters.cycles + 1)
+    }
+
+    fn on(&mut self, event: CycleEvent) {
+        let (step, c) = (self.step, &mut self.counters);
+        match event {
+            CycleEvent::Logged => c.satb_logged += 1,
+            CycleEvent::Flushed(tid, depth) => {
+                c.flushes += 1;
+                c.flushed_entries += depth as u64;
+                self.depth_hist.record(depth as u64);
+                wbe_telemetry::event!("sched.satb.flush", "t{tid} depth {depth} step {step}");
+            }
+            CycleEvent::Acked(tid) => {
+                c.safepoint_acks += 1;
+                self.mutators[tid].yielded = true;
+                wbe_telemetry::event!("sched.safepoint.ack", "t{tid} step {step}");
+            }
+            CycleEvent::Parked => c.parks += 1,
+            CycleEvent::Armed => {
+                self.armed_at = step;
+                wbe_telemetry::event!("sched.epoch.arm", "step {step}");
+            }
+            // Watchdog level 2: some mutator never reached a safepoint
+            // within twice the deadline.
+            CycleEvent::Abandoned => {
+                c.watchdog_emergency += 1;
+                let age = self.arm_age();
+                wbe_telemetry::event!("sched.watchdog.emergency", "step {step} arm age {age}");
+            }
+            CycleEvent::Snapshot(roots) => {
+                wbe_telemetry::event!("sched.epoch.snapshot", "step {step} roots {roots}");
+            }
+            CycleEvent::Waited => c.marker_waits += 1,
+            CycleEvent::Marked(None) => c.fault_skipped_steps += 1,
+            CycleEvent::Marked(Some(did)) => c.mark_work += did as u64,
+            CycleEvent::Violation(kind, detail) => self.violation(kind, detail),
+            CycleEvent::Ended(pause, swept) => {
+                c.cycles += 1;
+                c.remark_drained += pause.log_drained as u64;
+                c.swept += swept as u64;
+                let cycle = c.cycles;
+                wbe_telemetry::event!(
+                    "sched.epoch.end_cycle",
+                    "step {step} cycle {cycle} swept {swept}"
+                );
             }
         }
-        let roots = self.roots();
-        let pause = self.heap.gc.remark(&mut self.heap.store, &roots);
-        self.counters.remark_drained += pause.log_drained as u64;
-        self.counters.cycles += 1;
-        for v in verify::verify_post_mark(&self.heap, &roots) {
-            self.violation(ViolationKind::Invariant, v.to_string());
-        }
-        let swept = self.heap.sweep();
-        self.counters.swept += swept as u64;
-        // The model checker's core invariant: SATB promises that every
-        // object in the snapshot survives this cycle's sweep.
-        if let Some(snapshot) = self.snapshot.take() {
-            for obj in snapshot.iter() {
-                if !self.heap.store.is_live(obj) {
-                    self.violation(
-                        ViolationKind::LostObject,
-                        format!("snapshot-reachable {obj} freed by sweep"),
-                    );
-                }
-            }
-        }
-        for v in verify::verify_post_sweep(&self.heap) {
-            self.violation(ViolationKind::Invariant, v.to_string());
-        }
-        self.epoch.end_cycle();
-        if wbe_telemetry::tracing_enabled() {
-            wbe_telemetry::trace::event(
-                "sched.epoch.end_cycle",
-                format!(
-                    "step {} cycle {} swept {swept}",
-                    self.step, self.counters.cycles
-                ),
-            );
-        }
-        self.stop_requested = false;
-        for m in &mut self.mutators {
-            m.parked = false;
-        }
-        self.marker = MarkerState::Idle {
-            countdown: self.cfg.cycle_gap,
-        };
     }
 }
 
@@ -1101,7 +878,7 @@ pub fn run_schedule(cfg: &SchedConfig, policy: &SchedulePolicy) -> ScheduleOutco
         world.step += 1;
     }
 
-    world.counters.gated_elisions = world.epoch.stats.gated_elisions;
+    world.counters.gated_elisions = world.cycle.epoch().stats.gated_elisions;
     world.heap.gc.publish_metrics();
     world.counters.publish();
     ScheduleOutcome {
@@ -1247,6 +1024,24 @@ mod tests {
             any_fault |= out.counters.alloc_faults > 0 || out.counters.fault_skipped_steps > 0;
         }
         assert!(any_fault, "fault plan injected nothing across 20 seeds");
+    }
+
+    #[test]
+    fn boosted_mark_budget_saturates() {
+        // Every slice takes the drain boost (×16): a budget this large
+        // must saturate, where an unchecked `*=` panics a debug build.
+        let c = SchedConfig {
+            mark_budget: usize::MAX / 2,
+            fault: Some(FaultConfig {
+                drain_boost_pm: 1000,
+                skip_step_pm: 0,
+                ..FaultConfig::from_seed(3)
+            }),
+            ..cfg(2, Scenario::Churn)
+        };
+        let out = run_schedule(&c, &SchedulePolicy::Random { seed: 1 });
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        assert!(out.counters.cycles >= 1);
     }
 
     #[test]

@@ -651,22 +651,11 @@ impl<'p> Interp<'p> {
         if policy.step_interval == 0 || !self.stats.insns.is_multiple_of(policy.step_interval) {
             return Ok(());
         }
-        let mut budget = policy.step_budget;
-        if let Some(plan) = self.heap.fault.as_mut() {
-            // Skipping a step delays marking progress (widening the race
-            // window); a drain boost forces deep SATB-buffer drains.
-            if plan.skip_mark_step() {
-                return Ok(());
-            }
-            if let Some(factor) = plan.drain_pressure() {
-                budget = budget.saturating_mul(factor);
-            }
-        }
-        let did = self.heap.gc.mark_step(&mut self.heap.store, budget);
         // No concurrent progress possible: finish the cycle. (For SATB,
         // did == 0 implies the log is drained; for incremental update the
         // remaining dirty set is exactly what the remark pause rescans.)
-        if did == 0 {
+        // A slice the fault plan skipped (`None`) is not that.
+        if self.heap.mark_slice(policy.step_budget) == Some(0) {
             self.full_pause()?;
         }
         Ok(())

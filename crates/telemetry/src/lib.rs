@@ -118,6 +118,18 @@ macro_rules! span {
     };
 }
 
+/// Records an instant trace event: `event!("sched.epoch.arm", "step
+/// {n}")`. Like [`span!`], the payload is formatted only when tracing
+/// is on, so a disabled probe costs one branch, not an allocation.
+#[macro_export]
+macro_rules! event {
+    ($name:expr, $($detail:tt)+) => {
+        if $crate::tracing_enabled() {
+            $crate::trace::event($name, format!($($detail)+));
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
