@@ -116,28 +116,6 @@ pub struct SiteRecord {
     /// with a `W_NS` barrier (annotated by the opt pipeline; always
     /// `false` straight out of [`ElisionLedger::build`]).
     pub null_or_same: bool,
-    /// Whether the *runtime* revoked this site's elision (barrier panic
-    /// mode or a failed per-site oracle). Always `false` straight out
-    /// of [`ElisionLedger::build`]; joined in afterwards from the
-    /// recovery controller's revocation table. Serialized only when
-    /// set, so static ledgers stay byte-identical.
-    pub revoked: bool,
-    /// Why the runtime revoked the site (empty unless `revoked`).
-    pub revoke_reason: String,
-    /// Kept-barrier executions witnessed by the necessity oracle.
-    /// Zero straight out of [`ElisionLedger::build`]; joined in
-    /// afterwards via [`ElisionLedger::join_oracle`]. Like the
-    /// revocation fields, the oracle triple is serialized only when
-    /// present, so purely-static ledgers stay byte-identical.
-    pub oracle_executions: u64,
-    /// Of those, executions whose SATB enqueue was semantically
-    /// necessary (white non-null old value during active marking,
-    /// not already pending).
-    pub oracle_necessary: u64,
-    /// The runtime witness refuting (or failing to refute) this
-    /// site's keep-code, rendered — e.g. `"receiver thread-local in
-    /// 421 executions"` (empty unless joined).
-    pub oracle_witness: String,
 }
 
 impl SiteRecord {
@@ -164,19 +142,6 @@ impl SiteRecord {
             .field_str("keep_detail", &self.keep_detail)
             .field_str("degraded", &self.degraded)
             .field_bool("null_or_same", self.null_or_same);
-        // Runtime-revocation fields are additive: absent (not `false`)
-        // on purely-static ledgers, so existing ledgers and their diffs
-        // are unaffected byte for byte.
-        if self.revoked {
-            w.field_bool("revoked", true)
-                .field_str("revoke_reason", &self.revoke_reason);
-        }
-        // Oracle-join fields follow the same additive rule.
-        if self.oracle_executions > 0 {
-            w.field_u64("oracle_executions", self.oracle_executions)
-                .field_u64("oracle_necessary", self.oracle_necessary)
-                .field_str("oracle_witness", &self.oracle_witness);
-        }
         w.finish();
         out
     }
@@ -271,60 +236,6 @@ impl ElisionLedger {
             .collect()
     }
 
-    /// Joins runtime revocations into the ledger: each `(method, block,
-    /// index, reason)` tuple marks the matching record `revoked`, so
-    /// `wbe_tool ledger`/`explain` show runtime revocations alongside
-    /// the static keep-codes. Returns how many tuples matched a record;
-    /// unmatched tuples (sites the static ledger never saw, e.g. from a
-    /// different program) are ignored.
-    pub fn join_revocations<'a>(
-        &mut self,
-        revocations: impl IntoIterator<Item = (&'a str, usize, usize, &'a str)>,
-    ) -> usize {
-        let mut joined = 0;
-        for (method, block, index, reason) in revocations {
-            for rec in &mut self.records {
-                if rec.method == method && rec.block == block && rec.index == index {
-                    rec.revoked = true;
-                    rec.revoke_reason = reason.to_string();
-                    joined += 1;
-                    break;
-                }
-            }
-        }
-        joined
-    }
-
-    /// Number of records carrying a runtime revocation.
-    pub fn runtime_revoked(&self) -> usize {
-        self.records.iter().filter(|r| r.revoked).count()
-    }
-
-    /// Joins dynamic necessity-oracle results into the ledger: each
-    /// `(method, block, index, executions, necessary, witness)` tuple
-    /// annotates the matching record, so `wbe_tool explain --oracle`
-    /// shows runtime evidence next to the static keep-code. Returns how
-    /// many tuples matched; unmatched tuples are ignored (a workload
-    /// subset exercises a subset of the program's sites).
-    pub fn join_oracle<'a>(
-        &mut self,
-        results: impl IntoIterator<Item = (&'a str, usize, usize, u64, u64, &'a str)>,
-    ) -> usize {
-        let mut joined = 0;
-        for (method, block, index, executions, necessary, witness) in results {
-            for rec in &mut self.records {
-                if rec.method == method && rec.block == block && rec.index == index {
-                    rec.oracle_executions = executions;
-                    rec.oracle_necessary = necessary;
-                    rec.oracle_witness = witness.to_string();
-                    joined += 1;
-                    break;
-                }
-            }
-        }
-        joined
-    }
-
     /// Number of kept/degraded records per keep-code, in deterministic
     /// code order. `Elide` records (empty code) are excluded.
     pub fn keep_code_counts(&self) -> std::collections::BTreeMap<String, usize> {
@@ -397,11 +308,6 @@ pub(crate) fn site_record(
         keep_detail: String::new(),
         degraded: degraded.unwrap_or_default().to_string(),
         null_or_same: false,
-        revoked: false,
-        revoke_reason: String::new(),
-        oracle_executions: 0,
-        oracle_necessary: 0,
-        oracle_witness: String::new(),
     };
     let reason = |code, detail: &str| KeepReason {
         code,
@@ -761,128 +667,5 @@ mod tests {
         let keys: std::collections::BTreeSet<_> =
             ledger.records.iter().map(|r| r.site_key()).collect();
         assert_eq!(keys.len(), ledger.records.len());
-    }
-
-    #[test]
-    fn revocation_join_is_additive_and_only_serialized_when_set() {
-        let p = mixed_program();
-        let cfg = AnalysisConfig::full();
-        let baseline = ElisionLedger::build(&p, &cfg).to_ndjson();
-        assert!(
-            !baseline.contains("revoked"),
-            "static ledgers never mention revocation"
-        );
-
-        let mut ledger = ElisionLedger::build(&p, &cfg);
-        let elided = ledger
-            .records
-            .iter()
-            .find(|r| r.verdict == Verdict::Elide)
-            .cloned()
-            .expect("mixed program has an elided site");
-        let joined = ledger.join_revocations([
-            (
-                elided.method.as_str(),
-                elided.block,
-                elided.index,
-                "barrier panic mode: post-mark verify failed",
-            ),
-            ("no-such-method", 0, 0, "ignored"),
-        ]);
-        assert_eq!(joined, 1, "unknown sites are skipped, not errors");
-        assert_eq!(ledger.runtime_revoked(), 1);
-
-        let ndjson = ledger.to_ndjson();
-        let mut revoked_lines = 0;
-        for line in ndjson.lines() {
-            let v = wbe_telemetry::json::parse(line).expect("valid JSON");
-            if v.get("revoked").is_some() {
-                revoked_lines += 1;
-                assert_eq!(
-                    v.get("revoke_reason").unwrap().as_str().unwrap(),
-                    "barrier panic mode: post-mark verify failed"
-                );
-                assert_eq!(
-                    v.get("method").unwrap().as_str().unwrap(),
-                    elided.method.as_str()
-                );
-            }
-        }
-        assert_eq!(
-            revoked_lines, 1,
-            "only the joined record carries the fields"
-        );
-
-        // Stripping the joined record's extra fields recovers the exact
-        // baseline line: the join is purely additive.
-        let stripped: String = ndjson
-            .lines()
-            .map(|l| {
-                l.replace(
-                    ",\"revoked\":true,\"revoke_reason\":\"barrier panic mode: post-mark verify failed\"",
-                    "",
-                ) + "\n"
-            })
-            .collect();
-        assert_eq!(stripped, baseline);
-    }
-
-    #[test]
-    fn oracle_join_is_additive_and_only_serialized_when_set() {
-        let p = mixed_program();
-        let cfg = AnalysisConfig::full();
-        let baseline = ElisionLedger::build(&p, &cfg).to_ndjson();
-        assert!(
-            !baseline.contains("oracle_"),
-            "static ledgers never mention the oracle"
-        );
-
-        let mut ledger = ElisionLedger::build(&p, &cfg);
-        let kept = ledger
-            .records
-            .iter()
-            .find(|r| r.verdict == Verdict::Keep)
-            .cloned()
-            .expect("mixed program has a kept site");
-        let joined = ledger.join_oracle([
-            (
-                kept.method.as_str(),
-                kept.block,
-                kept.index,
-                421,
-                0,
-                "receiver thread-local in 421 executions",
-            ),
-            ("no-such-method", 0, 0, 1, 1, "ignored"),
-        ]);
-        assert_eq!(joined, 1, "unknown sites are skipped, not errors");
-
-        let ndjson = ledger.to_ndjson();
-        let mut oracle_lines = 0;
-        for line in ndjson.lines() {
-            let v = wbe_telemetry::json::parse(line).expect("valid JSON");
-            if v.get("oracle_executions").is_some() {
-                oracle_lines += 1;
-                assert_eq!(v.get("oracle_executions").unwrap().as_u64(), Some(421));
-                assert_eq!(v.get("oracle_necessary").unwrap().as_u64(), Some(0));
-                assert_eq!(
-                    v.get("oracle_witness").unwrap().as_str().unwrap(),
-                    "receiver thread-local in 421 executions"
-                );
-            }
-        }
-        assert_eq!(oracle_lines, 1, "only the joined record carries the fields");
-
-        let stripped: String = ndjson
-            .lines()
-            .map(|l| {
-                l.replace(
-                    ",\"oracle_executions\":421,\"oracle_necessary\":0,\
-                     \"oracle_witness\":\"receiver thread-local in 421 executions\"",
-                    "",
-                ) + "\n"
-            })
-            .collect();
-        assert_eq!(stripped, baseline, "the oracle join is purely additive");
     }
 }

@@ -14,16 +14,16 @@
 //! `--update` remeasures and rewrites the file; the diff then goes
 //! through code review like any other change.
 
-use std::fmt::Write as _;
 use std::path::Path;
 
 use wbe_heap::gc::MarkStyle;
-use wbe_heap::{FaultConfig, FaultPlan, RecoveryPolicy};
-use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, GcPolicy, Interp, Value};
-use wbe_opt::{OptMode, PipelineConfig};
+use wbe_heap::FaultConfig;
+use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, Value};
+use wbe_opt::OptMode;
 use wbe_telemetry::json::ObjWriter;
 
-use crate::runner::compile_workload_with;
+use crate::runner::compile_workload;
+use crate::site::{observe, Chaos, RunSpec, Totals, BASELINE_GC};
 
 /// Default location of the committed baseline file, relative to the
 /// repository root.
@@ -165,28 +165,23 @@ fn bucket(v: u64) -> u64 {
 /// `scale`, using the same deterministic GC policy as `wbe_tool
 /// report`.
 pub fn measure(scale: f64) -> BaselineSuite {
-    let _guard = crate::registry_lock();
-    wbe_telemetry::configure(wbe_telemetry::TelemetryConfig {
-        metrics: true,
-        tracing: wbe_telemetry::tracing_enabled(),
-    });
+    let _guard = crate::measuring();
     let mut rows = Vec::new();
     let mut total = 0u64;
     let mut elim = 0u64;
     for w in &wbe_workloads::standard_suite() {
-        let (row, t, e) = measure_workload(w, scale);
+        let row = measure_workload(w, scale);
         // Only the six Table 1 mimics feed the suite elision rate: the
         // paper's headline number must not move when more families ride
         // along.
-        total += t;
-        elim += e;
+        total += row.dyn_total;
+        elim += row.dyn_elided;
         rows.push(row);
     }
     // The server family rows are gated like the rest but contribute
     // nothing to `pct_elided`.
     for w in &wbe_workloads::server_family() {
-        let (row, _, _) = measure_workload(w, scale);
-        rows.push(row);
+        rows.push(measure_workload(w, scale));
     }
     let (recoveries_attempted, recoveries_succeeded) = recovery_probe();
     let throughput = throughput_probe();
@@ -206,8 +201,8 @@ pub fn measure(scale: f64) -> BaselineSuite {
     }
 }
 
-/// Runs the necessity-oracle probe: the bench workloads under the
-/// baseline configuration with the oracle enabled, once per engine.
+/// Runs the necessity-oracle probe: the bench workloads through
+/// [`crate::oracle`]'s view of the baseline run, once per engine.
 /// Every pinned quantity is exact — the oracle's verdicts are a pure
 /// function of the deterministic execution, and classic/compiled rows
 /// must match, folding the oracle side of engine equivalence into the
@@ -216,46 +211,19 @@ fn oracle_probe(scale: f64) -> Vec<OracleBaseline> {
     let mut rows = Vec::new();
     for name in ["jess", "jbb"] {
         let w = wbe_workloads::by_name(name).expect("bench workload exists");
-        let cfg = PipelineConfig::new(OptMode::Full, 100);
-        let (compiled, elided) = compile_workload_with(&w, &cfg);
-        let iters = ((w.default_iters as f64 * scale) as i64).max(8);
         for kind in [EngineKind::Classic, EngineKind::Compiled] {
-            let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-            let mut engine = kind.build(&compiled.program, bc, MarkStyle::Satb);
-            engine.set_oracle(true);
-            engine.set_gc_policy(GcPolicy {
-                alloc_trigger: 400,
-                step_interval: 32,
-                step_budget: 4,
-            });
-            engine
-                .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-                .unwrap_or_else(|t| panic!("oracle probe {name} trapped: {t}"));
-            let o = engine.oracle().expect("probe enabled the oracle");
-            let (mut necessary, mut sole, mut shielded, mut never) = (0, 0, 0, 0);
-            for sn in o.sites.values() {
-                necessary += sn.necessary;
-                sole += sn.sole_witness;
-                shielded += sn.shielded;
-                if sn.never_necessary() {
-                    never += 1;
-                }
-            }
-            let witness = engine
-                .heap()
-                .witness
-                .as_ref()
-                .expect("oracle enables witnesses");
+            let o = crate::oracle::oracle_workload(&w, true, kind, scale)
+                .unwrap_or_else(|e| panic!("oracle probe: {e}"));
             rows.push(OracleBaseline {
                 bench: name.to_string(),
                 engine: kind.name().to_string(),
-                executions: o.total_executions(),
-                necessary,
-                never_sites: never,
-                sole_witness: sole,
-                shielded,
+                executions: o.kept_executions,
+                necessary: o.necessary_executions,
+                never_sites: o.never_necessary_sites,
+                sole_witness: o.sites.iter().map(|s| s.sole_witness).sum(),
+                shielded: o.sites.iter().map(|s| s.shielded).sum(),
                 cycles_audited: o.cycles_audited,
-                escaped_objects: witness.escaped_objects(),
+                escaped_objects: o.escaped_objects,
             });
         }
     }
@@ -272,13 +240,12 @@ fn throughput_probe() -> Vec<ThroughputBaseline> {
     let mut rows = Vec::new();
     for name in ["jess", "jbb"] {
         let w = wbe_workloads::by_name(name).expect("bench workload exists");
-        let cfg = PipelineConfig::new(OptMode::Full, 100);
-        let (compiled, elided) = compile_workload_with(&w, &cfg);
+        let (compiled, elided) = compile_workload(&w, OptMode::Full, 100);
         let chunk = (w.default_iters / 10).max(8);
         for kind in [EngineKind::Classic, EngineKind::Compiled] {
             let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
             let mut engine = kind.build(&compiled.program, bc, MarkStyle::Satb);
-            engine.set_gc_policy(crate::throughput::GC_POLICY);
+            engine.set_gc_policy(BASELINE_GC);
             while engine.stats().insns < THROUGHPUT_OPS {
                 engine
                     .run(w.entry, &[Value::Int(chunk)], w.fuel_for(chunk))
@@ -301,62 +268,36 @@ fn throughput_probe() -> Vec<ThroughputBaseline> {
     rows
 }
 
-/// Measures one workload's baseline row; also returns its (total,
-/// eliminated) dynamic execution counts for suite-rate accumulation.
-fn measure_workload(w: &wbe_workloads::Workload, scale: f64) -> (WorkloadBaseline, u64, u64) {
+/// Measures one workload's baseline row.
+fn measure_workload(w: &wbe_workloads::Workload, scale: f64) -> WorkloadBaseline {
     wbe_telemetry::registry::global().reset();
-    let cfg = PipelineConfig::new(OptMode::Full, 100).with_ledger();
-    let (compiled, elided) = compile_workload_with(w, &cfg);
-    let ledger = compiled.ledger.as_ref().expect("full mode builds a ledger");
-    let iters = ((w.default_iters as f64 * scale) as i64).max(8);
-    let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-    let mut interp = Interp::with_style(&compiled.program, bc, MarkStyle::Satb);
-    interp.set_gc_policy(GcPolicy {
-        alloc_trigger: 400,
-        step_interval: 32,
-        step_budget: 4,
-    });
-    interp
-        .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-        .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name));
-    let summary = interp.stats.barrier.summarize(&elided);
-    let snap = wbe_telemetry::registry::global().snapshot();
-    let max_pause = snap
+    let obs = observe(w, &RunSpec::baseline(scale))
+        .completed()
+        .unwrap_or_else(|e| panic!("{e}"));
+    let sites = obs.sites();
+    let totals = Totals::of(&sites);
+    let max_pause = obs
+        .telemetry
         .histogram("heap.gc.pause.work_units")
         .map_or(0, |h| h.max);
-    // Per-keep-code cycle attribution (same join as the profiler):
-    // the baseline pins the cost ranking's winner.
-    let ledger_index = ledger.index();
-    let mut code_cycles: std::collections::BTreeMap<String, u64> =
-        std::collections::BTreeMap::new();
-    for (&(mid, addr, _), stats) in interp.stats.barrier.iter() {
-        if elided.contains(mid, addr) {
-            continue;
-        }
-        let method = compiled.program.method(mid).name.as_str();
-        let code = ledger_index
-            .get(&(method, addr.block.index(), addr.index))
-            .filter(|rec| !rec.keep_code.is_empty())
-            .map_or_else(|| "unattributed".to_string(), |rec| rec.keep_code.clone());
-        *code_cycles.entry(code).or_insert(0) += stats.cycles;
-    }
-    let top_keep_code = code_cycles
-        .iter()
-        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-        .map(|(code, _)| code.clone())
+    // The profiler's cost ranking, with ties to the smaller code: the
+    // baseline pins its winner.
+    let top_keep_code = crate::profile::keep_code_costs(&sites)
+        .into_iter()
+        .max_by(|a, b| a.cycles.cmp(&b.cycles).then(b.code.cmp(&a.code)))
+        .map(|c| c.code)
         .unwrap_or_default();
-    let row = WorkloadBaseline {
+    WorkloadBaseline {
         workload: w.name.to_string(),
-        static_sites: ledger.records.len() as u64,
-        static_elided: ledger.elided() as u64,
-        dyn_total: summary.total(),
-        dyn_elided: summary.eliminated(),
-        gc_cycles: interp.heap.gc.stats.cycles,
+        static_sites: obs.ledger().records.len() as u64,
+        static_elided: obs.ledger().elided() as u64,
+        dyn_total: totals.executions,
+        dyn_elided: totals.elided_executions,
+        gc_cycles: obs.gc.cycles,
         max_pause_bucket: bucket(max_pause),
-        kept_cycles: interp.stats.barrier.total_cycles(),
+        kept_cycles: totals.cycles,
         top_keep_code,
-    };
-    (row, summary.total(), summary.eliminated())
+    }
 }
 
 /// Runs the pinned-seed recovery probe: one `db` run with post-remark
@@ -366,26 +307,23 @@ fn measure_workload(w: &wbe_workloads::Workload, scale: f64) -> (WorkloadBaselin
 /// (attempted, succeeded) counters are exact and gate-able.
 fn recovery_probe() -> (u64, u64) {
     let w = wbe_workloads::by_name("db").expect("db is a standard workload");
-    let cfg = PipelineConfig::new(OptMode::Full, 100);
-    let (compiled, elided) = compile_workload_with(&w, &cfg);
-    let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided);
-    let mut interp = Interp::with_style(&compiled.program, bc, MarkStyle::Satb);
-    interp.set_gc_policy(GcPolicy {
-        alloc_trigger: 64,
-        step_interval: 8,
-        step_budget: 4,
-    });
-    interp.set_fault_plan(FaultPlan::new(FaultConfig {
-        corrupt_mark_pm: RECOVERY_CORRUPT_PM,
-        ..FaultConfig::from_seed(RECOVERY_FAULT_SEED)
-    }));
-    interp.set_verify_invariants(true);
-    interp.set_recovery(RecoveryPolicy { max_attempts: 5 });
-    let iters = ((w.default_iters as f64 * RECOVERY_SCALE) as i64).max(8);
-    interp
-        .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-        .unwrap_or_else(|t| panic!("recovery probe trapped: {t}"));
-    let rc = interp.recovery().expect("probe installed a controller");
+    let obs = observe(
+        &w,
+        &RunSpec {
+            gc: crate::soak::CHAOS_GC,
+            chaos: Some(Chaos {
+                faults: FaultConfig {
+                    corrupt_mark_pm: RECOVERY_CORRUPT_PM,
+                    ..FaultConfig::from_seed(RECOVERY_FAULT_SEED)
+                },
+                max_attempts: 5,
+            }),
+            ..RunSpec::baseline(RECOVERY_SCALE)
+        },
+    )
+    .completed()
+    .unwrap_or_else(|e| panic!("recovery probe: {e}"));
+    let rc = obs.recovery.expect("the spec installed a controller");
     (rc.stats.attempted, rc.stats.succeeded)
 }
 
@@ -408,12 +346,14 @@ impl BaselineSuite {
             w.finish();
             out.push('\n');
         }
-        let _ = writeln!(
-            out,
-            "{{\"workload\":\"__suite__\",\"pct_elided\":{:.3},\"scale\":{},\
-             \"recoveries_attempted\":{},\"recoveries_succeeded\":{}}}",
-            self.pct_elided, self.scale, self.recoveries_attempted, self.recoveries_succeeded
-        );
+        let mut w = ObjWriter::new(&mut out);
+        w.field_str("workload", "__suite__")
+            .field_raw("pct_elided", &format!("{:.3}", self.pct_elided))
+            .field_raw("scale", &self.scale.to_string())
+            .field_u64("recoveries_attempted", self.recoveries_attempted)
+            .field_u64("recoveries_succeeded", self.recoveries_succeeded);
+        w.finish();
+        out.push('\n');
         // Throughput rows come last so adding them never moves the
         // pre-existing lines of a committed file.
         for t in &self.throughput {

@@ -9,7 +9,7 @@
 //! wbe_tool run     <file.wbe|workload> <method> [int args...] [--elide] [--fuel N]
 //! wbe_tool export  <workload>                      print a workload as .wbe text
 //! wbe_tool explain <file.wbe|workload> [--method M] [--site N]
-//!                  [--mode A|F] [--inline N] [--nos] [--oracle F.ndjson]
+//!                  [--mode A|F] [--inline N] [--nos]
 //! wbe_tool ledger  <file.wbe|workload> [--out l.ndjson] [--demo-flip]
 //!                  [--mode A|F] [--inline N] [--nos]
 //! wbe_tool ledger-diff <old.ndjson> <new.ndjson>
@@ -58,7 +58,13 @@
 //! `explain` is the human view of the elision provenance ledger: the
 //! verdict at every barrier-relevant store site with its evidence
 //! chain, and for kept barriers the first failing elision condition.
-//! `ledger` emits the machine view (NDJSON, deterministic);
+//! Given a built-in workload it also runs it, once, under the baseline
+//! configuration with the necessity oracle on, and prints under each
+//! stanza what happened there: executions, null pre-values, barrier
+//! cycles, and for a kept site how many of its barrier executions
+//! marking needed, with the refuting witness when none did. A `.wbe`
+//! file has no entry point and gets the static view only. `ledger`
+//! emits the machine view (NDJSON, deterministic);
 //! `ledger-diff` compares two such files site-by-site and exits 1 on a
 //! regression (newly-kept, newly-degraded, or vanished elided site);
 //! `bench --check-baselines` gates the standard suite's numbers against
@@ -84,7 +90,8 @@
 //! wall-clock barrier-overhead trio (barrier-free vs always-log kept vs
 //! always-log + elision); `--format ndjson` emits only the
 //! engine-independent facts (instruction/allocation counts, digests) —
-//! byte-identical between the two engines, which CI diffs.
+//! byte-identical between the two engines, which
+//! `tests/cli_exit_codes.rs` compares.
 //!
 //! `profile` joins the interpreter's per-site dynamic barrier counters
 //! with the provenance ledger: per-keep-code execution/cycle
@@ -110,9 +117,8 @@
 //! and a ranked worklist of kept sites no execution ever needed.
 //! `--format ndjson` is deterministic *and engine-independent*:
 //! classic and compiled runs of the same seed emit byte-identical
-//! files (CI diffs them). `explain --oracle F.ndjson` joins such a
-//! file back onto the static ledger, rendering each site's measured
-//! necessity next to its keep-code.
+//! files (`tests/site_views.rs` compares them). `explain <workload>`
+//! shows the same verdicts site by site, under the static stanzas.
 //!
 //! ## Exit codes
 //!
@@ -125,7 +131,7 @@
 //!
 //! | command | 0 | 1 | 2 |
 //! |---------|---|---|---|
-//! | `verify <file>` | valid + type-checks | invalid | usage |
+//! | `verify <file>` | valid + type-checks | invalid | usage/unreadable |
 //! | `verify --faults` | all schedules sound | divergence/violation | usage/unknown workload |
 //! | `ledger-diff` | no regression | regression | usage/IO/parse |
 //! | `bench --check-baselines` | baselines hold | drift | usage/IO/parse |
@@ -139,9 +145,10 @@
 use std::process::exit;
 
 use wbe_analysis::nullsame;
-use wbe_heap::gc::MarkStyle;
+use wbe_harness::site::{observe, RunSpec};
 use wbe_interp::{
-    BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, ElisionKind, GcPolicy, Interp, Value,
+    BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, ElisionKind, EngineKind, Interp,
+    Value,
 };
 use wbe_ir::display::{method_display, program_display};
 use wbe_ir::{parse_program, Program};
@@ -152,7 +159,7 @@ fn usage() -> ! {
         "usage: wbe_tool <verify|dump|analyze|explain|ledger|ledger-diff|run|export|report|bench|profile|oracle|throughput|soak|serve|mcheck> [<file.wbe|workload>] [options]\n\
          verify:  <file.wbe>  — or —  [workload ...] --faults N [--seed S] [--scale F] [--demo-unsound]\n\
          analyze: [--mode A|F] [--inline N] [--nos]\n\
-         explain: [--method M] [--site N] [--mode A|F] [--inline N] [--nos] [--oracle F.ndjson]\n\
+         explain: [--method M] [--site N] [--mode A|F] [--inline N] [--nos]\n\
          ledger:  [--out l.ndjson] [--demo-flip] [--mode A|F] [--inline N] [--nos]\n\
          ledger-diff: <old.ndjson> <new.ndjson>\n\
          run:     <method> [int args...] [--elide] [--fuel N]\n\
@@ -185,13 +192,59 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// One subcommand's arguments, read left to right. A flag whose value
+/// is missing or does not parse is a usage error (exit 2).
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    fn new(rest: &'a [String]) -> Self {
+        Args(rest.iter())
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value of the flag just read.
+    fn value<T: std::str::FromStr>(&mut self) -> T {
+        self.next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| usage())
+    }
+
+    /// `--format text|ndjson`: whether NDJSON was asked for.
+    fn format(&mut self) -> bool {
+        match self.next() {
+            Some("text") => false,
+            Some("ndjson") => true,
+            _ => usage(),
+        }
+    }
+
+    /// `--engine classic|compiled`.
+    fn engine(&mut self) -> EngineKind {
+        self.next()
+            .and_then(EngineKind::parse)
+            .unwrap_or_else(|| usage())
+    }
+}
+
+/// Writes `body` to `path`; a failure is the tool failing, not a
+/// finding (exit 2).
+fn write_or_exit(path: &str, body: &str) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("cannot write {path}: {e}");
+        exit(2);
+    }
+}
+
 fn load(source: &str) -> Program {
     if let Some(w) = wbe_workloads::by_name(source) {
         return w.program;
     }
     let text = std::fs::read_to_string(source).unwrap_or_else(|e| {
         eprintln!("cannot read {source}: {e}");
-        exit(1)
+        exit(2)
     });
     parse_program(&text).unwrap_or_else(|e| {
         eprintln!("{source}: {e}");
@@ -210,6 +263,18 @@ fn check(program: &Program, source: &str) {
     }
 }
 
+/// Prints `body`, or writes it where `--out` said and notes that on
+/// stderr.
+fn emit(out: Option<&str>, body: &str, what: &str) {
+    match out {
+        Some(path) => {
+            write_or_exit(path, body);
+            eprintln!("{what} written to {path}");
+        }
+        None => print!("{body}"),
+    }
+}
+
 /// `wbe_tool report`: run workloads end-to-end under telemetry and
 /// export the collected metrics and (optionally) the trace stream.
 fn report(rest: &[String]) {
@@ -219,23 +284,14 @@ fn report(rest: &[String]) {
     let mut ndjson = false;
     let mut scale = 0.25f64;
     let mut sources: Vec<String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--metrics-out" => metrics_out = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--trace-out" => trace_out = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--chrome-trace" => chrome_trace = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => ndjson = false,
-                Some("ndjson") => ndjson = true,
-                _ => usage(),
-            },
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+    let mut args = Args::new(rest);
+    while let Some(a) = args.next() {
+        match a {
+            "--metrics-out" => metrics_out = Some(args.value()),
+            "--trace-out" => trace_out = Some(args.value()),
+            "--chrome-trace" => chrome_trace = Some(args.value()),
+            "--format" => ndjson = args.format(),
+            "--scale" => scale = args.value(),
             s if s.starts_with("--") => usage(),
             s => sources.push(s.to_string()),
         }
@@ -249,43 +305,28 @@ fn report(rest: &[String]) {
     // and heap); bare .wbe files are compiled and analyzed only.
     let mut gc_total = wbe_heap::gc::GcStats::default();
     let mut barriers = BarrierStats::default();
-    let run_builtin = |w: &wbe_workloads::Workload,
-                       gc_total: &mut wbe_heap::gc::GcStats,
-                       barriers: &mut BarrierStats| {
-        let iters = ((w.default_iters as f64 * scale) as i64).max(8);
-        let policy = GcPolicy {
-            alloc_trigger: 400,
-            step_interval: 32,
-            step_budget: 4,
-        };
-        let run = wbe_harness::runner::try_run_workload(
-            w,
-            OptMode::Full,
-            100,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::Satb,
-            Some(policy),
-        )
-        .unwrap_or_else(|t| {
-            eprintln!("workload {} trapped: {t}", w.name);
-            exit(1)
-        });
-        gc_total.merge(&run.gc);
-        barriers.merge(&run.stats.barrier);
+    let mut run_builtin = |w: &wbe_workloads::Workload| {
+        let obs = observe(w, &RunSpec::baseline(scale))
+            .completed()
+            .unwrap_or_else(|e| {
+                eprintln!("{e}");
+                exit(1)
+            });
+        gc_total.merge(&obs.gc);
+        barriers.merge(&obs.stats.barrier);
         println!(
             "{:<8} barriers: {}; gc: {}",
-            run.name, run.stats.barrier, run.gc
+            obs.workload, obs.stats.barrier, obs.gc
         );
     };
     if sources.is_empty() {
         for w in wbe_workloads::standard_suite() {
-            run_builtin(&w, &mut gc_total, &mut barriers);
+            run_builtin(&w);
         }
     } else {
         for s in &sources {
             if let Some(w) = wbe_workloads::by_name(s) {
-                run_builtin(&w, &mut gc_total, &mut barriers);
+                run_builtin(&w);
             } else {
                 let program = load(s);
                 check(&program, s);
@@ -310,7 +351,7 @@ fn report(rest: &[String]) {
     if let Some(path) = &metrics_out {
         if let Err(e) = wbe_telemetry::export::write_metrics_json(std::path::Path::new(path)) {
             eprintln!("cannot write {path}: {e}");
-            exit(1);
+            exit(2);
         }
         println!("metrics written to {path}");
     }
@@ -319,10 +360,7 @@ fn report(rest: &[String]) {
     if trace_out.is_some() || chrome_trace.is_some() {
         let events = wbe_telemetry::trace::drain();
         let write = |path: &str, body: String| {
-            if let Err(e) = std::fs::write(path, body) {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
+            write_or_exit(path, &body);
             println!("trace written to {path}");
         };
         if let Some(path) = &trace_out {
@@ -334,8 +372,8 @@ fn report(rest: &[String]) {
     }
 }
 
-/// Shared flag parsing for `explain` and `ledger`: builds the ledger of
-/// `source`'s program under the requested pipeline configuration.
+/// Flags shared by `explain` and `ledger`: the pipeline whose ledger is
+/// shown, and what to show of it.
 struct LedgerArgs {
     mode: OptMode,
     inline: usize,
@@ -344,7 +382,6 @@ struct LedgerArgs {
     site: Option<usize>,
     out: Option<String>,
     demo_flip: bool,
-    oracle: Option<String>,
 }
 
 fn parse_ledger_args(rest: &[String]) -> LedgerArgs {
@@ -356,34 +393,21 @@ fn parse_ledger_args(rest: &[String]) -> LedgerArgs {
         site: None,
         out: None,
         demo_flip: false,
-        oracle: None,
     };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--mode" => match it.next().map(String::as_str) {
+    let mut args = Args::new(rest);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--mode" => match args.next() {
                 Some("A") => a.mode = OptMode::Full,
                 Some("F") => a.mode = OptMode::FieldOnly,
                 _ => usage(),
             },
-            "--inline" => {
-                a.inline = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--inline" => a.inline = args.value(),
             "--nos" => a.nos = true,
-            "--method" => a.method = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--site" => {
-                a.site = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--out" => a.out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--method" => a.method = Some(args.value()),
+            "--site" => a.site = Some(args.value()),
+            "--out" => a.out = Some(args.value()),
             "--demo-flip" => a.demo_flip = true,
-            "--oracle" => a.oracle = Some(it.next().unwrap_or_else(|| usage()).clone()),
             _ => usage(),
         }
     }
@@ -431,44 +455,16 @@ fn profile(rest: &[String]) -> i32 {
     let mut opts = wbe_harness::profile::ProfileOptions::default();
     let mut ndjson = false;
     let mut out: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workload" => opts
-                .workloads
-                .push(it.next().unwrap_or_else(|| usage()).clone()),
-            "--top" => {
-                opts.top = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--scale" => {
-                opts.scale = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--slo-max-pause" => {
-                opts.slo_max_pause = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--slo-p99-pause" => {
-                opts.slo_p99_pause = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => ndjson = false,
-                Some("ndjson") => ndjson = true,
-                _ => usage(),
-            },
-            "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+    let mut args = Args::new(rest);
+    while let Some(a) = args.next() {
+        match a {
+            "--workload" => opts.workloads.push(args.value()),
+            "--top" => opts.top = args.value(),
+            "--scale" => opts.scale = args.value(),
+            "--slo-max-pause" => opts.slo_max_pause = Some(args.value()),
+            "--slo-p99-pause" => opts.slo_p99_pause = Some(args.value()),
+            "--format" => ndjson = args.format(),
+            "--out" => out = Some(args.value()),
             _ => usage(),
         }
     }
@@ -482,36 +478,15 @@ fn oracle(rest: &[String]) -> i32 {
     let mut opts = wbe_harness::oracle::OracleOptions::default();
     let mut ndjson = false;
     let mut out: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workload" => opts
-                .workloads
-                .push(it.next().unwrap_or_else(|| usage()).clone()),
-            "--engine" => {
-                opts.engine = it
-                    .next()
-                    .and_then(|s| wbe_interp::EngineKind::parse(s))
-                    .unwrap_or_else(|| usage())
-            }
-            "--scale" => {
-                opts.scale = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--top" => {
-                opts.top = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => ndjson = false,
-                Some("ndjson") => ndjson = true,
-                _ => usage(),
-            },
-            "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+    let mut args = Args::new(rest);
+    while let Some(a) = args.next() {
+        match a {
+            "--workload" => opts.workloads.push(args.value()),
+            "--engine" => opts.engine = args.engine(),
+            "--scale" => opts.scale = args.value(),
+            "--top" => opts.top = args.value(),
+            "--format" => ndjson = args.format(),
+            "--out" => out = Some(args.value()),
             _ => usage(),
         }
     }
@@ -520,43 +495,26 @@ fn oracle(rest: &[String]) -> i32 {
 
 /// `wbe_tool throughput`: the multi-mutator throughput bench. Text
 /// output carries the timings; `--format ndjson` emits only the
-/// deterministic engine-independent facts (CI diffs classic against
-/// compiled).
+/// deterministic engine-independent facts (classic and compiled must
+/// print the same bytes).
 fn throughput(rest: &[String]) -> i32 {
     use wbe_harness::throughput::{render_ndjson, render_text, run_throughput, ThroughputOptions};
     let mut opts = ThroughputOptions::default();
     let mut out: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--engine" => {
-                opts.engine = it
-                    .next()
-                    .and_then(|s| wbe_interp::EngineKind::parse(s))
-                    .unwrap_or_else(|| usage())
-            }
+    let mut args = Args::new(rest);
+    while let Some(a) = args.next() {
+        match a {
+            "--engine" => opts.engine = args.engine(),
             "--mutators" => {
-                opts.mutators = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
+                opts.mutators = args.value();
+                if opts.mutators < 1 {
+                    usage();
+                }
             }
-            "--duration-ops" => {
-                opts.duration_ops = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--workload" => opts
-                .workloads
-                .push(it.next().unwrap_or_else(|| usage()).clone()),
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => opts.ndjson = false,
-                Some("ndjson") => opts.ndjson = true,
-                _ => usage(),
-            },
-            "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--duration-ops" => opts.duration_ops = args.value(),
+            "--workload" => opts.workloads.push(args.value()),
+            "--format" => opts.ndjson = args.format(),
+            "--out" => out = Some(args.value()),
             _ => usage(),
         }
     }
@@ -572,16 +530,7 @@ fn throughput(rest: &[String]) -> i32 {
     } else {
         render_text(&rows, &opts)
     };
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &body) {
-                eprintln!("cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("throughput report written to {path}");
-        }
-        None => print!("{body}"),
-    }
+    emit(out.as_deref(), &body, "throughput report");
     0
 }
 
@@ -590,12 +539,12 @@ fn bench(rest: &[String]) -> i32 {
     let mut check = false;
     let mut update = false;
     let mut path = wbe_harness::baselines::DEFAULT_PATH.to_string();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut args = Args::new(rest);
+    while let Some(a) = args.next() {
+        match a {
             "--check-baselines" => check = true,
             "--update" => update = true,
-            "--baselines" => path = it.next().unwrap_or_else(|| usage()).clone(),
+            "--baselines" => path = args.value(),
             _ => usage(),
         }
     }
@@ -617,63 +566,24 @@ fn soak(rest: &[String]) -> i32 {
     let mut opts = SoakOptions::default();
     let mut out: Option<String> = None;
     let mut flight_out = "soak-flight.trace.json".to_string();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--rounds" => {
-                opts.rounds = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--scale" => {
-                opts.scale = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--max-attempts" => {
-                opts.max_attempts = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--threshold" => {
-                opts.threshold = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+    let mut args = Args::new(rest);
+    while let Some(a) = args.next() {
+        match a {
+            "--rounds" => opts.rounds = args.value(),
+            "--seed" => opts.seed = args.value(),
+            "--scale" => opts.scale = args.value(),
+            "--max-attempts" => opts.max_attempts = args.value(),
+            "--threshold" => opts.threshold = args.value(),
             "--escalate" => opts.escalate = true,
             "--unrecoverable" => opts.unrecoverable = true,
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => opts.ndjson = false,
-                Some("ndjson") => opts.ndjson = true,
-                _ => usage(),
-            },
-            "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--flight-out" => flight_out = it.next().unwrap_or_else(|| usage()).clone(),
+            "--format" => opts.ndjson = args.format(),
+            "--out" => out = Some(args.value()),
+            "--flight-out" => flight_out = args.value(),
             _ => usage(),
         }
     }
     let outcome = run_soak(&opts);
-    let report = outcome.render(&opts);
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &report) {
-                eprintln!("cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("soak report written to {path}");
-        }
-        None => print!("{report}"),
-    }
+    emit(out.as_deref(), &outcome.render(&opts), "soak report");
     if outcome.exit_code != 0 {
         if let Err(e) = std::fs::write(&flight_out, outcome.flight_chrome_trace()) {
             eprintln!("cannot write flight recorder to {flight_out}: {e}");
@@ -698,105 +608,31 @@ fn serve(rest: &[String]) -> i32 {
     let mut opts = ServeOptions::default();
     let mut out: Option<String> = None;
     let mut trace_out: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tenants" => {
-                opts.tenants = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--connections" => {
-                opts.connections = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--mix" => {
-                opts.mix = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--requests" => {
-                opts.requests = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--arrivals" => {
-                opts.arrivals_per_window = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--request-ops" => {
-                opts.request_ops = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--heap-budget" => {
-                opts.heap_budget = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+    let mut args = Args::new(rest);
+    while let Some(a) = args.next() {
+        match a {
+            "--tenants" => opts.tenants = args.value(),
+            "--connections" => opts.connections = args.value(),
+            "--mix" => opts.mix = args.value(),
+            "--requests" => opts.requests = args.value(),
+            "--arrivals" => opts.arrivals_per_window = args.value(),
+            "--request-ops" => opts.request_ops = args.value(),
+            "--seed" => opts.seed = args.value(),
+            "--heap-budget" => opts.heap_budget = args.value(),
             "--chaos" => opts.chaos = true,
-            "--overload-pm" => {
-                opts.overload_pm = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--slo-p99" => {
-                opts.slo_p99 = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--slo-shed-pct" => {
-                opts.slo_shed_pct = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => opts.ndjson = false,
-                Some("ndjson") => opts.ndjson = true,
-                _ => usage(),
-            },
-            "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--trace-out" => trace_out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--overload-pm" => opts.overload_pm = args.value(),
+            "--slo-p99" => opts.slo_p99 = Some(args.value()),
+            "--slo-shed-pct" => opts.slo_shed_pct = Some(args.value()),
+            "--format" => opts.ndjson = args.format(),
+            "--out" => out = Some(args.value()),
+            "--trace-out" => trace_out = Some(args.value()),
             _ => usage(),
         }
     }
     let report = run_serve_cmd(&opts);
-    let body = report.render();
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &body) {
-                eprintln!("cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("serve report written to {path}");
-        }
-        None => print!("{body}"),
-    }
+    emit(out.as_deref(), &report.render(), "serve report");
     if let Some(path) = &trace_out {
-        if let Err(e) = std::fs::write(path, report.trace_chrome_json()) {
-            eprintln!("cannot write trace to {path}: {e}");
-            return 2;
-        }
+        write_or_exit(path, &report.trace_chrome_json());
         eprintln!(
             "serve trace written to {path} ({} events)",
             report.trace.len()
@@ -816,27 +652,12 @@ fn verify_faults(rest: &[String]) {
     let mut opts = VerifyOptions::default();
     let mut demo_unsound = false;
     let mut names: Vec<String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" => {
-                opts.schedules = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--scale" => {
-                opts.scale = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+    let mut args = Args::new(rest);
+    while let Some(a) = args.next() {
+        match a {
+            "--faults" => opts.schedules = args.value(),
+            "--seed" => opts.seed = args.value(),
+            "--scale" => opts.scale = args.value(),
             "--demo-unsound" => demo_unsound = true,
             s if s.starts_with("--") => usage(),
             s => names.push(s.to_string()),
@@ -886,61 +707,50 @@ fn verify_faults(rest: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("report") {
-        report(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        exit(bench(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("profile") {
-        exit(profile(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("oracle") {
-        exit(oracle(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("throughput") {
-        exit(throughput(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("ledger-diff") {
-        let (Some(old), Some(new)) = (args.get(1), args.get(2)) else {
-            usage()
-        };
-        exit(ledger_diff(old, new));
-    }
-    if args.first().map(String::as_str) == Some("soak") {
-        exit(soak(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        exit(serve(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("mcheck") {
-        let opts = wbe_harness::mcheck::parse(&args[1..]).unwrap_or_else(|e| {
-            eprintln!("mcheck: {e}");
-            usage()
-        });
-        exit(wbe_harness::mcheck::run(&opts));
-    }
-    // `verify` dispatches on flavour: any fault flag selects the
-    // differential harness; otherwise it is the classic file check.
-    if args.first().map(String::as_str) == Some("verify")
-        && args[1..].iter().any(|a| {
-            matches!(
-                a.as_str(),
-                "--faults" | "--seed" | "--scale" | "--demo-unsound"
-            )
-        })
-    {
-        verify_faults(&args[1..]);
-        return;
-    }
-    let (cmd, source) = match (args.first(), args.get(1)) {
-        (Some(c), Some(s)) => (c.as_str(), s.as_str()),
-        _ => usage(),
+    let Some((cmd, rest)) = args.split_first() else {
+        usage()
     };
-    let rest = &args[2..];
-    let program = load(source);
+    match cmd.as_str() {
+        "report" => report(rest),
+        "bench" => exit(bench(rest)),
+        "profile" => exit(profile(rest)),
+        "oracle" => exit(oracle(rest)),
+        "throughput" => exit(throughput(rest)),
+        "ledger-diff" => match rest {
+            [old, new, ..] => exit(ledger_diff(old, new)),
+            _ => usage(),
+        },
+        "soak" => exit(soak(rest)),
+        "serve" => exit(serve(rest)),
+        "mcheck" => {
+            let opts = wbe_harness::mcheck::parse(rest).unwrap_or_else(|e| {
+                eprintln!("mcheck: {e}");
+                usage()
+            });
+            exit(wbe_harness::mcheck::run(&opts));
+        }
+        // `verify` dispatches on flavour: any fault flag selects the
+        // differential harness; otherwise it is the classic file check.
+        "verify"
+            if rest.iter().any(|a| {
+                matches!(
+                    a.as_str(),
+                    "--faults" | "--seed" | "--scale" | "--demo-unsound"
+                )
+            }) =>
+        {
+            verify_faults(rest)
+        }
+        _ => match rest.split_first() {
+            Some((source, rest)) => on_program(cmd, source, rest),
+            None => usage(),
+        },
+    }
+}
 
+/// The commands that take a `<file.wbe|workload>` first.
+fn on_program(cmd: &str, source: &str, rest: &[String]) {
+    let program = load(source);
     match cmd {
         "verify" => {
             check(&program, source);
@@ -958,32 +768,27 @@ fn main() {
         "explain" => {
             check(&program, source);
             let a = parse_ledger_args(rest);
-            let mut ledger = build_ledger_or_exit(&program, &a);
-            if let Some(path) = &a.oracle {
-                let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                    eprintln!("cannot read {path}: {e}");
-                    exit(2)
-                });
-                let rows = wbe_harness::ledger::parse_oracle_sites(&text).unwrap_or_else(|e| {
-                    eprintln!("{path}: {e}");
-                    exit(2)
-                });
-                let joined = ledger.join_oracle(rows.iter().map(|r| {
-                    (
-                        r.method.as_str(),
-                        r.block,
-                        r.index,
-                        r.executions,
-                        r.necessary,
-                        r.witness.as_str(),
-                    )
-                }));
-                eprintln!("joined {joined}/{} oracle site records", rows.len());
-            }
-            print!(
-                "{}",
-                wbe_harness::ledger::explain(&ledger, a.method.as_deref(), a.site)
-            );
+            let (method, site) = (a.method.as_deref(), a.site);
+            // A workload has an entry point: run it and show what
+            // happened at each site under what was decided there.
+            let text = match wbe_workloads::by_name(source) {
+                Some(w) => {
+                    let spec = RunSpec {
+                        pipeline: wbe_harness::ledger::ledger_pipeline(a.mode, a.inline, a.nos),
+                        oracle: true,
+                        ..RunSpec::baseline(wbe_harness::baselines::SCALE)
+                    };
+                    let obs = observe(&w, &spec).completed().unwrap_or_else(|e| {
+                        eprintln!("{e}");
+                        exit(1)
+                    });
+                    wbe_harness::ledger::explain_sites(&obs.sites(), method, site)
+                }
+                None => {
+                    wbe_harness::ledger::explain(&build_ledger_or_exit(&program, &a), method, site)
+                }
+            };
+            print!("{text}");
         }
         "ledger" => {
             check(&program, source);
@@ -995,10 +800,7 @@ fn main() {
             let body = ledger.to_ndjson();
             match &a.out {
                 Some(path) => {
-                    if let Err(e) = std::fs::write(path, body) {
-                        eprintln!("cannot write {path}: {e}");
-                        exit(1);
-                    }
+                    write_or_exit(path, &body);
                     eprintln!(
                         "ledger written to {path} ({} records)",
                         ledger.records.len()
@@ -1013,21 +815,16 @@ fn main() {
             let mut inline = 100usize;
             let mut nos = false;
             let mut dump = false;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--mode" => match it.next().map(String::as_str) {
+            let mut args = Args::new(rest);
+            while let Some(a) = args.next() {
+                match a {
+                    "--mode" => match args.next() {
                         Some("A") => mode = OptMode::Full,
                         Some("F") => mode = OptMode::FieldOnly,
                         Some("B") => mode = OptMode::Baseline,
                         _ => usage(),
                     },
-                    "--inline" => {
-                        inline = it
-                            .next()
-                            .and_then(|n| n.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
+                    "--inline" => inline = args.value(),
                     "--nos" => nos = true,
                     "--dump" => dump = true,
                     _ => usage(),
@@ -1082,24 +879,19 @@ fn main() {
         }
         "run" => {
             check(&program, source);
-            let method_name = rest.first().unwrap_or_else(|| usage());
+            let mut args = Args::new(rest);
+            let method_name: String = args.value();
             let mut int_args: Vec<Value> = Vec::new();
             let mut elide = false;
             let mut fuel = 50_000_000u64;
-            let mut it = rest[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
+            while let Some(a) = args.next() {
+                match a {
                     "--elide" => elide = true,
-                    "--fuel" => {
-                        fuel = it
-                            .next()
-                            .and_then(|n| n.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
+                    "--fuel" => fuel = args.value(),
                     n => int_args.push(Value::Int(n.parse().unwrap_or_else(|_| usage()))),
                 }
             }
-            let Some(m) = program.method_by_name(method_name) else {
+            let Some(m) = program.method_by_name(&method_name) else {
                 eprintln!("no method named '{method_name}'");
                 exit(1);
             };

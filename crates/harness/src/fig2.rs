@@ -60,7 +60,7 @@ pub fn run(scale: f64) -> Fig2 {
             let mut elim: u64 = 0;
             let mut compile_time = Duration::ZERO;
             for w in &suite {
-                let iters = ((w.default_iters as f64 * scale) as i64).max(8);
+                let iters = crate::site::scaled_iters(w, scale);
                 let run = run_workload(
                     w,
                     mode,

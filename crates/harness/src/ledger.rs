@@ -1,6 +1,7 @@
 //! `wbe_tool` front end for the elision provenance ledger: build the
-//! post-inlining ledger for a program, render the human `explain` view,
-//! and diff two NDJSON ledgers site-by-site.
+//! post-inlining ledger for a program, render the human `explain` view
+//! — of a ledger alone, or of an observed run's per-site table — and
+//! diff two NDJSON ledgers site-by-site.
 //!
 //! The diff's exit contract (enforced by `wbe_tool ledger-diff`):
 //!
@@ -21,6 +22,15 @@ use wbe_analysis::{ElisionLedger, SiteRecord, Verdict};
 use wbe_ir::Program;
 use wbe_opt::{compile, OptMode, PipelineConfig};
 
+use crate::site::SiteReport;
+
+/// The pipeline `explain` and `ledger` show the ledger of.
+pub fn ledger_pipeline(mode: OptMode, inline_limit: usize, null_or_same: bool) -> PipelineConfig {
+    let mut cfg = PipelineConfig::new(mode, inline_limit).with_ledger();
+    cfg.null_or_same = null_or_same;
+    cfg
+}
+
 /// Compiles `program` (inlining included) and returns its ledger.
 /// `None` only for [`OptMode::Baseline`], which runs no analysis.
 pub fn build_ledger(
@@ -29,38 +39,48 @@ pub fn build_ledger(
     inline_limit: usize,
     null_or_same: bool,
 ) -> Option<ElisionLedger> {
-    let mut cfg = PipelineConfig::new(mode, inline_limit).with_ledger();
-    cfg.null_or_same = null_or_same;
-    compile(program, &cfg).ledger
+    compile(program, &ledger_pipeline(mode, inline_limit, null_or_same)).ledger
 }
 
-/// Renders the human `explain` view of `ledger`: one stanza per site,
-/// verdict first, then the evidence chain, then — for kept barriers —
-/// the first failing elision condition. `method` restricts to one
-/// (post-inlining) method; `site` to the n-th barrier site within the
-/// selection (0-based).
+/// Renders the human `explain` view of `ledger`: [`explain_sites`] of
+/// what the ledger alone knows — the view of a program nobody ran.
 pub fn explain(ledger: &ElisionLedger, method: Option<&str>, site: Option<usize>) -> String {
+    let sites: Vec<SiteReport<'_>> = ledger.records.iter().map(SiteReport::of_record).collect();
+    explain_sites(&sites, method, site)
+}
+
+/// Renders one stanza per site of the ledger: verdict first, then the
+/// evidence chain, then — for kept barriers — the first failing elision
+/// condition, then whatever a run observed there. `method` restricts
+/// to one (post-inlining) method; `site` to the n-th barrier site
+/// within the selection (0-based).
+pub fn explain_sites(
+    sites: &[SiteReport<'_>],
+    method: Option<&str>,
+    site: Option<usize>,
+) -> String {
     let mut out = String::new();
-    let selected: Vec<&SiteRecord> = ledger
-        .records
+    // A site that ran without a ledger record has no stanza to hang
+    // anything on.
+    let recorded: Vec<(&SiteReport<'_>, &SiteRecord)> =
+        sites.iter().filter_map(|s| Some((s, s.record?))).collect();
+    let selected = recorded
         .iter()
-        .filter(|r| method.is_none_or(|m| r.method == m))
-        .collect();
-    let selected: Vec<&SiteRecord> = match site {
-        Some(n) => selected.into_iter().skip(n).take(1).collect(),
-        None => selected,
-    };
-    let shown = selected.len();
-    for rec in &selected {
-        render_site(&mut out, rec);
+        .filter(|(_, rec)| method.is_none_or(|m| rec.method == m));
+    let (skip, take) = site.map_or((0, usize::MAX), |n| (n, 1));
+    let mut shown = 0;
+    for (s, rec) in selected.skip(skip).take(take) {
+        render_site(&mut out, s, rec);
+        shown += 1;
     }
     if method.is_none() && site.is_none() {
+        let count = |v: Verdict| recorded.iter().filter(|(_, rec)| rec.verdict == v).count();
         out.push_str(&format!(
             "{} sites: {} elided, {} kept, {} degraded\n",
-            ledger.records.len(),
-            ledger.elided(),
-            ledger.kept(),
-            ledger.degraded()
+            recorded.len(),
+            count(Verdict::Elide),
+            count(Verdict::Keep),
+            count(Verdict::Degraded)
         ));
     } else if shown == 0 {
         out.push_str("no matching barrier site\n");
@@ -68,7 +88,7 @@ pub fn explain(ledger: &ElisionLedger, method: Option<&str>, site: Option<usize>
     out
 }
 
-fn render_site(out: &mut String, rec: &SiteRecord) {
+fn render_site(out: &mut String, s: &SiteReport<'_>, rec: &SiteRecord) {
     use fmt::Write as _;
     let verdict = match rec.verdict {
         Verdict::Elide => "ELIDE (store overwrites null; W_none is sound)".to_string(),
@@ -100,20 +120,27 @@ fn render_site(out: &mut String, rec: &SiteRecord) {
             "  note: null-or-same (§4.3) elides this site with W_NS"
         );
     }
-    if rec.revoked {
-        let _ = writeln!(out, "  REVOKED at runtime — {}", rec.revoke_reason);
+    if let Some(reason) = s.revoked {
+        let _ = writeln!(out, "  REVOKED at runtime — {reason}");
     }
-    if rec.oracle_executions > 0 {
+    if s.kind.is_some() {
+        let _ = writeln!(
+            out,
+            "  ran: {} executions, {} over a null pre-value, {} barrier cycles",
+            s.stats.executions, s.stats.pre_null, s.stats.cycles
+        );
+    }
+    if let Some(n) = s.necessity {
         let _ = writeln!(
             out,
             "  oracle: {}/{} kept executions necessary ({:.3}%)",
-            rec.oracle_necessary,
-            rec.oracle_executions,
-            100.0 * rec.oracle_necessary as f64 / rec.oracle_executions as f64
+            n.necessary,
+            n.executions,
+            100.0 * n.necessary as f64 / n.executions as f64
         );
-        if rec.oracle_necessary == 0 && !rec.oracle_witness.is_empty() {
-            let _ = writeln!(out, "  refuting witness: {}", rec.oracle_witness);
-        }
+    }
+    if let Some(witness) = s.refuting_witness() {
+        let _ = writeln!(out, "  refuting witness: {witness}");
     }
 }
 
@@ -128,81 +155,6 @@ pub fn demo_flip(ledger: &mut ElisionLedger) {
             rec.keep_detail = "deliberately flipped for the negative control".to_string();
         }
     }
-}
-
-/// One oracle `site` record parsed back from `wbe_tool oracle --format
-/// ndjson` output: the slice [`ElisionLedger::join_oracle`] consumes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OracleSiteRow {
-    /// Post-inlining method name.
-    pub method: String,
-    /// Block id of the store site.
-    pub block: usize,
-    /// Instruction index within the block.
-    pub index: usize,
-    /// Kept-barrier executions the oracle witnessed.
-    pub executions: u64,
-    /// Of those, semantically necessary SATB enqueues.
-    pub necessary: u64,
-    /// Rendered refuting witness (empty unless never-necessary).
-    pub witness: String,
-}
-
-/// Parses oracle NDJSON, keeping only `record == "site"` lines, and
-/// aggregates repeated sites (the same site observed under several
-/// workloads) by summing counts and keeping the first non-empty
-/// witness. `Err` names the bad line.
-pub fn parse_oracle_sites(ndjson: &str) -> Result<Vec<OracleSiteRow>, String> {
-    let mut by_site: BTreeMap<(String, usize, usize), OracleSiteRow> = BTreeMap::new();
-    for (lineno, line) in ndjson.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v =
-            wbe_telemetry::json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        if v.get("record").and_then(|f| f.as_str()) != Some("site") {
-            continue;
-        }
-        let site = v
-            .get("site")
-            .and_then(|f| f.as_str())
-            .ok_or_else(|| format!("line {}: missing 'site'", lineno + 1))?;
-        // Site identity renders as `method@B<block>[<index>]`.
-        let (method, block, index) = (|| {
-            let (method, rest) = site.rsplit_once("@B")?;
-            let (block, index) = rest.strip_suffix(']')?.split_once('[')?;
-            Some((method.to_string(), block.parse().ok()?, index.parse().ok()?))
-        })()
-        .ok_or_else(|| format!("line {}: malformed site '{site}'", lineno + 1))?;
-        let get_u64 = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(|f| f.as_u64())
-                .ok_or_else(|| format!("line {}: missing integer field '{k}'", lineno + 1))
-        };
-        let executions = get_u64("executions")?;
-        let necessary = get_u64("necessary")?;
-        let witness = v
-            .get("witness")
-            .and_then(|f| f.as_str())
-            .unwrap_or("")
-            .to_string();
-        let row = by_site
-            .entry((method.clone(), block, index))
-            .or_insert_with(|| OracleSiteRow {
-                method,
-                block,
-                index,
-                executions: 0,
-                necessary: 0,
-                witness: String::new(),
-            });
-        row.executions += executions;
-        row.necessary += necessary;
-        if row.witness.is_empty() {
-            row.witness = witness;
-        }
-    }
-    Ok(by_site.into_values().collect())
 }
 
 /// One parsed site from an NDJSON ledger: just what the diff needs.
@@ -407,85 +359,90 @@ mod tests {
 
     #[test]
     fn explain_shows_runtime_revocations_without_diff_flips() {
-        let p = sample_program();
-        let ledger = build_ledger(&p, OptMode::Full, 100, false).unwrap();
-        let mut joined = ledger.clone();
-        let elided = joined
-            .records
-            .iter()
-            .find(|r| r.verdict == Verdict::Elide)
-            .cloned()
-            .unwrap();
-        assert_eq!(
-            joined.join_revocations([(
-                elided.method.as_str(),
-                elided.block,
-                elided.index,
-                "barrier panic mode: post-mark verify failed",
-            )]),
-            1
+        use crate::site::{observe, Chaos, RunSpec};
+        // Round 1 of the soak pinned in `tests/site_views.golden`: jbb
+        // heals one corrupted cycle and revokes three elisions.
+        let _guard = crate::registry_lock();
+        let w = wbe_workloads::by_name("jbb").unwrap();
+        let obs = observe(
+            &w,
+            &RunSpec {
+                gc: crate::soak::CHAOS_GC,
+                chaos: Some(Chaos {
+                    faults: wbe_heap::FaultConfig::from_seed(0xce75_5952_d302_5da7).escalate(1),
+                    max_attempts: 8,
+                }),
+                ..RunSpec::baseline(0.01)
+            },
         );
-        let text = explain(&joined, None, None);
-        assert!(
-            text.contains("REVOKED at runtime — barrier panic mode"),
+        let sites = obs.sites();
+        assert_eq!(sites.iter().filter(|s| s.revoked.is_some()).count(), 3);
+        let text = explain_sites(&sites, None, None);
+        assert_eq!(
+            text.matches("REVOKED at runtime — barrier panic mode")
+                .count(),
+            3,
             "{text}"
         );
         // Runtime revocation is provenance, not a verdict change: the
-        // diff between the static and the joined ledger stays empty.
-        let old = parse_ledger(&ledger.to_ndjson()).unwrap();
-        let new = parse_ledger(&joined.to_ndjson()).unwrap();
+        // ledger the run carried is the static one.
+        let fresh = build_ledger(&w.program, OptMode::Full, 100, false).unwrap();
+        let old = parse_ledger(&fresh.to_ndjson()).unwrap();
+        let new = parse_ledger(&obs.ledger().to_ndjson()).unwrap();
         let d = diff_ledgers(&old, &new);
         assert!(d.is_empty(), "{d}");
     }
 
     #[test]
-    fn oracle_sites_parse_aggregate_and_render_in_explain() {
-        let p = sample_program();
-        let mut ledger = build_ledger(&p, OptMode::Full, 100, false).unwrap();
-        let kept = ledger
-            .records
-            .iter()
-            .find(|r| r.verdict == Verdict::Keep)
-            .cloned()
-            .unwrap();
-        // The same site reported under two workloads: counts sum, the
-        // first non-empty witness sticks.
-        let ndjson = format!(
-            "{{\"record\":\"workload\",\"workload\":\"a\"}}\n\
-             {{\"record\":\"site\",\"workload\":\"a\",\"site\":\"{m}@B{b}[{i}]\",\
-               \"executions\":300,\"necessary\":0,\"witness\":\"\"}}\n\
-             {{\"record\":\"site\",\"workload\":\"b\",\"site\":\"{m}@B{b}[{i}]\",\
-               \"executions\":100,\"necessary\":0,\
-               \"witness\":\"receiver thread-local in 100 executions\"}}\n",
-            m = kept.method,
-            b = kept.block,
-            i = kept.index
+    fn explain_shows_what_a_run_observed_under_each_executed_site() {
+        use crate::site::{observe, RunSpec};
+        let _guard = crate::registry_lock();
+        let w = wbe_workloads::by_name("jess").unwrap();
+        let obs = observe(
+            &w,
+            &RunSpec {
+                oracle: true,
+                ..RunSpec::baseline(0.05)
+            },
         );
-        let rows = parse_oracle_sites(&ndjson).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].executions, 400);
-        assert_eq!(rows[0].witness, "receiver thread-local in 100 executions");
-        let joined = ledger.join_oracle(rows.iter().map(|r| {
-            (
-                r.method.as_str(),
-                r.block,
-                r.index,
-                r.executions,
-                r.necessary,
-                r.witness.as_str(),
-            )
-        }));
-        assert_eq!(joined, 1);
-        let text = explain(&ledger, None, None);
-        assert!(
-            text.contains("oracle: 0/400 kept executions necessary (0.000%)"),
+        let sites = obs.sites();
+        let text = explain_sites(&sites, None, None);
+        let ran = sites.iter().filter(|s| s.kind.is_some()).count();
+        let kept = sites.iter().filter(|s| s.ran_kept()).count();
+        assert!(ran > kept && kept > 0, "jess runs both kinds of site");
+        assert_eq!(text.matches("\n  ran: ").count(), ran, "{text}");
+        assert_eq!(text.matches("\n  oracle: ").count(), kept, "{text}");
+        // jess at this scale never starts a marking cycle, so no kept
+        // execution was necessary and every kept site has a witness.
+        assert_eq!(
+            text.matches("\n  refuting witness: ").count(),
+            kept,
             "{text}"
         );
         assert!(
-            text.contains("refuting witness: receiver thread-local in 100 executions"),
+            text.contains(
+                "refuting witness: enqueue vacuous in all 100 executions (dominant: marking-idle)"
+            ),
             "{text}"
         );
-        assert!(parse_oracle_sites("{\"record\":\"site\",\"site\":\"oops\"}").is_err());
+        // Take the dynamic lines away and the static view is left.
+        let stat: String = text
+            .lines()
+            .filter(|l| {
+                !["  ran: ", "  oracle: ", "  refuting witness: "]
+                    .iter()
+                    .any(|p| l.starts_with(p))
+            })
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(stat, explain(obs.ledger(), None, None));
+        // One site of one method.
+        let one = explain_sites(&sites, Some("jess_main"), Some(2));
+        assert!(
+            one.starts_with("jess_main@B7[12] aastore []: KEEP"),
+            "{one}"
+        );
+        assert_eq!(one.matches("\n  ran: ").count(), 1, "{one}");
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! The `experiments` binary prints any of them:
 //! `cargo run -p wbe-harness --bin experiments -- table1`.
 //!
-//! Beyond the experiments, [`ledger`] backs the `wbe_tool explain`,
+//! Beyond the experiments, [`site`] is the one observed run and the one
+//! per-site join that `profile`, `oracle`, `baselines`, `soak` and
+//! `wbe_tool report`/`explain` read, [`ledger`] backs the `wbe_tool explain`,
 //! `ledger`, and `ledger-diff` commands, [`baselines`] backs
 //! `wbe_tool bench --check-baselines`, and [`mcheck`] the interleaving
 //! model-checker CLI.
@@ -33,6 +35,18 @@ pub(crate) fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.get_or_init(|| std::sync::Mutex::new(()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
+}
+
+/// [`registry_lock`] with metric collection on and tracing as it was:
+/// what a suite measurement holds from its first reset to its last
+/// snapshot.
+pub(crate) fn measuring() -> std::sync::MutexGuard<'static, ()> {
+    let guard = registry_lock();
+    wbe_telemetry::configure(wbe_telemetry::TelemetryConfig {
+        metrics: true,
+        tracing: wbe_telemetry::tracing_enabled(),
+    });
+    guard
 }
 
 pub mod baselines;
@@ -49,6 +63,7 @@ pub mod profile;
 pub mod rearrange_exp;
 pub mod runner;
 pub mod serve;
+pub mod site;
 pub mod soak;
 pub mod static_counts;
 pub mod table1;

@@ -1,5 +1,6 @@
-//! The elision-headroom observatory: joins the runtime necessity
-//! oracle ([`wbe_interp::oracle`]) with the static provenance ledger.
+//! The elision-headroom observatory: the necessity view of the
+//! per-site table ([`crate::site`]), which sets the runtime oracle's
+//! verdicts ([`wbe_interp::oracle`]) beside the static ledger's.
 //!
 //! The static ledger says *why* each barrier stayed (PR 5); the cost
 //! profiler says *what it costs* (PR 6). This third plane says *whether
@@ -7,8 +8,7 @@
 //! necessity verdict (necessary, or vacuous by marking-idle / null-old
 //! / already-marked / duplicate), and every necessary enqueue is
 //! audited against snapshot reachability at the remark rendezvous.
-//! Joining verdicts against keep-codes on `(method, block, index)`
-//! yields:
+//! Verdicts beside keep-codes yield:
 //!
 //! * a per-site **necessity rate** next to the static keep-code;
 //! * the suite-wide **dynamic-upper-bound elision rate** — the fraction
@@ -29,14 +29,10 @@
 //! (CI diffs them), which folds the engine-equivalence claim into the
 //! oracle's own output.
 
-use std::collections::BTreeMap;
-
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, GcPolicy, StoreKind, Value};
-use wbe_opt::{OptMode, PipelineConfig};
+use wbe_interp::EngineKind;
 use wbe_telemetry::json::ObjWriter;
 
-use crate::runner::compile_workload_with;
+use crate::site::{observe, RunSpec, Totals};
 
 /// The frozen suite-wide *static* elision rate (percent) the dynamic
 /// upper bound is reported against — `pct_elided` in
@@ -227,11 +223,7 @@ fn pct(num: u64, den: u64) -> f64 {
 /// Runs the oracle over the requested workloads. `Err` names an
 /// unknown workload or a trapped run.
 pub fn measure(opts: &OracleOptions) -> Result<SuiteOracle, String> {
-    let _guard = crate::registry_lock();
-    wbe_telemetry::configure(wbe_telemetry::TelemetryConfig {
-        metrics: true,
-        tracing: wbe_telemetry::tracing_enabled(),
-    });
+    let _guard = crate::measuring();
     // (workload, feeds-the-headline-rates) pairs: the default set is
     // the baseline gate's — six Table 1 mimics feeding the rates, the
     // server family riding along.
@@ -303,148 +295,77 @@ pub fn measure(opts: &OracleOptions) -> Result<SuiteOracle, String> {
     })
 }
 
-/// Renders the refuting witness for a never-necessary kept site.
-/// Escape-based keep-codes are refuted by observed thread-locality,
-/// nullness-based codes by observed all-null pre-values; otherwise the
-/// dominant vacuity class is the evidence.
-fn refuting_witness(row: &SiteOracleRow, dominant: &str) -> String {
-    let escape_code = row.keep_code.contains("escape") || row.keep_code.contains("unknown");
-    if escape_code && row.receiver_escaped == 0 {
-        let what = if row.kind == "array" {
-            "array"
-        } else {
-            "receiver"
-        };
-        return format!("{what} thread-local in all {} executions", row.executions);
-    }
-    if row.keep_code.contains("non-null") && row.pre_null == row.executions {
-        return format!("pre-value null in all {} executions", row.executions);
-    }
-    format!(
-        "enqueue vacuous in all {} executions (dominant: {dominant})",
-        row.executions
-    )
-}
-
-fn oracle_workload(
+/// Runs `w` under the baseline configuration with the oracle on and
+/// folds the per-site table into its necessity view.
+pub(crate) fn oracle_workload(
     w: &wbe_workloads::Workload,
     headline: bool,
     engine: EngineKind,
     scale: f64,
 ) -> Result<WorkloadOracle, String> {
-    wbe_telemetry::registry::global().reset();
-    let cfg = PipelineConfig::new(OptMode::Full, 100).with_ledger();
-    let (compiled, elided) = compile_workload_with(w, &cfg);
-    let ledger = compiled.ledger.as_ref().expect("full mode builds a ledger");
-    let ledger_index = ledger.index();
-    let iters = ((w.default_iters as f64 * scale) as i64).max(8);
-    let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-    let mut eng = engine.build(&compiled.program, bc, MarkStyle::Satb);
-    eng.set_oracle(true);
-    eng.set_gc_policy(GcPolicy {
-        alloc_trigger: 400,
-        step_interval: 32,
-        step_budget: 4,
-    });
-    eng.run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-        .map_err(|t| format!("workload {} trapped: {t}", w.name))?;
+    let obs = observe(
+        w,
+        &RunSpec {
+            engine,
+            oracle: true,
+            ..RunSpec::baseline(scale)
+        },
+    )
+    .completed()?;
+    let table = obs.sites();
+    let sites: Vec<SiteOracleRow> = table
+        .iter()
+        .filter_map(|s| {
+            let n = s.necessity?;
+            Some(SiteOracleRow {
+                site: s.site_key(),
+                kind: s.kind_name(),
+                keep_code: s.keep_code().to_string(),
+                executions: n.executions,
+                necessary: n.necessary,
+                marking_idle: n.marking_idle,
+                null_old: n.null_old,
+                already_marked: n.already_marked,
+                duplicate: n.duplicate,
+                sole_witness: n.sole_witness,
+                shielded: n.shielded,
+                pre_null: s.stats.pre_null,
+                receiver_escaped: n.receiver_escaped,
+                witness: s.refuting_witness().unwrap_or_default(),
+            })
+        })
+        .collect();
+    let sum = |f: fn(&SiteOracleRow) -> u64| sites.iter().map(f).sum::<u64>();
+    let never = || sites.iter().filter(|s| s.never_necessary());
 
-    // Per-site dynamic counters keyed like the oracle's SiteKey, for
-    // the pre-null join.
-    let mut dyn_stats: BTreeMap<(u64, u32, u32), (u64, u64)> = BTreeMap::new();
-    let mut elided_executions = 0u64;
-    for (&(mid, addr, _), stats) in eng.stats().barrier.iter() {
-        if elided.contains(mid, addr) {
-            elided_executions += stats.executions;
-            continue;
-        }
-        let key = (u64::from(mid.0), addr.block.0, addr.index as u32);
-        let e = dyn_stats.entry(key).or_insert((0, 0));
-        e.0 += stats.executions;
-        e.1 += stats.pre_null;
-    }
-
-    let oracle = eng.oracle().expect("oracle was enabled");
-    let mut sites = Vec::new();
-    let mut necessary_executions = 0u64;
-    let mut never_necessary_executions = 0u64;
-    let mut never_necessary_sites = 0u64;
-    let mut kept_witnessed = 0u64;
-    for (&key, sn) in &oracle.sites {
-        let mid = wbe_ir::MethodId(key.0 as u32);
-        let method = compiled.program.method(mid).name.as_str();
-        let (block, index) = (key.1 as usize, key.2 as usize);
-        let keep_code = ledger_index
-            .get(&(method, block, index))
-            .filter(|rec| !rec.keep_code.is_empty())
-            .map_or_else(
-                || crate::profile::UNATTRIBUTED.to_string(),
-                |rec| rec.keep_code.clone(),
-            );
-        let (_, pre_null) = dyn_stats.get(&key).copied().unwrap_or((0, 0));
-        let mut row = SiteOracleRow {
-            site: format!("{method}@B{block}[{index}]"),
-            kind: match sn.kind {
-                Some(StoreKind::Array) => "array",
-                _ => "field",
-            },
-            keep_code,
-            executions: sn.executions,
-            necessary: sn.necessary,
-            marking_idle: sn.marking_idle,
-            null_old: sn.null_old,
-            already_marked: sn.already_marked,
-            duplicate: sn.duplicate,
-            sole_witness: sn.sole_witness,
-            shielded: sn.shielded,
-            pre_null,
-            receiver_escaped: sn.receiver_escaped,
-            witness: String::new(),
-        };
-        kept_witnessed += sn.executions;
-        necessary_executions += sn.necessary;
-        if row.never_necessary() {
-            never_necessary_sites += 1;
-            never_necessary_executions += sn.executions;
-            row.witness = refuting_witness(&row, sn.dominant());
-        }
-        sites.push(row);
-    }
-
-    let (total_executions, _) = eng.stats().barrier.totals();
-    let kept_executions = total_executions - elided_executions;
+    let totals = Totals::of(&table);
     debug_assert_eq!(
-        kept_executions, kept_witnessed,
+        totals.kept_executions(),
+        sum(|s| s.executions),
         "{}: every kept execution must carry a verdict",
         w.name
     );
-    let witness = eng
-        .heap()
-        .witness
-        .as_ref()
-        .expect("oracle enables witnesses");
+    let necessary_executions = sum(|s| s.necessary);
     // Sole/shielded are assigned at each cycle's remark audit, so a run
     // that ends inside an open marking cycle leaves that cycle's
     // necessary enqueues unaudited: sole + shielded ≤ necessary, with
     // equality when the last cycle closed before the run did.
-    let (oracle_sole, oracle_shielded) = sites
-        .iter()
-        .fold((0, 0), |(s, h), r| (s + r.sole_witness, h + r.shielded));
-    debug_assert!(oracle_sole + oracle_shielded <= necessary_executions);
+    debug_assert!(sum(|s| s.sole_witness) + sum(|s| s.shielded) <= necessary_executions);
+    let oracle = obs.oracle.as_ref().expect("the spec enabled the oracle");
     Ok(WorkloadOracle {
         workload: w.name.to_string(),
         headline,
-        total_executions,
-        elided_executions,
-        kept_executions,
+        total_executions: totals.executions,
+        elided_executions: totals.elided_executions,
+        kept_executions: totals.kept_executions(),
         necessary_executions,
-        never_necessary_executions,
-        never_necessary_sites,
+        never_necessary_executions: never().map(|s| s.executions).sum(),
+        never_necessary_sites: never().count() as u64,
+        cycles_audited: oracle.state.cycles_audited,
+        audit_violations: oracle.state.audit_violations,
+        allocated_objects: oracle.allocated_objects,
+        escaped_objects: oracle.escaped_objects,
         sites,
-        cycles_audited: oracle.cycles_audited,
-        audit_violations: oracle.audit_violations,
-        allocated_objects: witness.allocated_objects(),
-        escaped_objects: witness.escaped_objects(),
     })
 }
 
@@ -674,7 +595,7 @@ mod tests {
             assert!(
                 !wo.sites
                     .iter()
-                    .any(|s| s.keep_code == crate::profile::UNATTRIBUTED),
+                    .any(|s| s.keep_code == crate::site::UNATTRIBUTED),
                 "{}: verdicts lost ledger provenance",
                 wo.workload
             );

@@ -17,7 +17,7 @@
 use std::fmt;
 
 use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierMode, GcPolicy};
+use wbe_interp::BarrierMode;
 use wbe_opt::OptMode;
 use wbe_telemetry::registry::HistogramSnapshot;
 use wbe_workloads::by_name;
@@ -62,11 +62,6 @@ impl PauseReport {
 
 /// Runs the experiment; `scale` shrinks the workload.
 pub fn run(scale: f64) -> PauseReport {
-    let policy = GcPolicy {
-        alloc_trigger: 400,
-        step_interval: 32,
-        step_budget: 4,
-    };
     let mut rows = Vec::new();
     for (label, style) in [
         ("satb", MarkStyle::Satb),
@@ -81,7 +76,7 @@ pub fn run(scale: f64) -> PauseReport {
             iters,
             BarrierMode::Checked,
             style,
-            Some(policy),
+            Some(crate::site::BASELINE_GC),
         );
         let pauses = &r.stats.pauses;
         let hist = HistogramSnapshot::from_samples(pauses.iter().map(|p| p.work_units() as u64));

@@ -1,11 +1,11 @@
-//! Dynamic barrier-cost profiler: joins the interpreter's per-site
-//! execution/cycle counters with the elision provenance ledger.
+//! Dynamic barrier-cost profiler: the cost view of the per-site table
+//! ([`crate::site`]).
 //!
 //! The static ledger says *why* each kept barrier stayed; the dynamic
 //! counters say *how often it ran* and *what it cost* under the abstract
-//! cycle model. Joining the two on `(method, block, index)` attributes
-//! every kept-site execution and barrier cycle to the keep-code that
-//! blocked its elision — turning "the analysis kept 74% of sites" into
+//! cycle model. With the two side by side in one [`SiteReport`], every
+//! kept-site execution and barrier cycle is attributed to the keep-code
+//! that blocked its elision — turning "the analysis kept 74% of sites" into
 //! "receiver-may-escape costs 61% of remaining barrier cycles; fixing
 //! it buys the most headroom".
 //!
@@ -22,18 +22,10 @@
 
 use std::collections::BTreeMap;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierConfig, BarrierMode, GcPolicy, Interp, StoreKind, Value};
-use wbe_opt::{OptMode, PipelineConfig};
 use wbe_telemetry::json::ObjWriter;
 use wbe_telemetry::registry::HistogramSnapshot;
 
-use crate::runner::compile_workload_with;
-
-/// Keep-code used for executed kept sites missing from the ledger.
-/// Non-empty counts here mean the join lost provenance — a bug the
-/// `join_loses_nothing` test pins to zero.
-pub const UNATTRIBUTED: &str = "unattributed";
+use crate::site::{observe, RunSpec, SiteReport, Totals};
 
 /// The GC pause phases the profiler reports, as `(label, registry
 /// key, stop_the_world)`. STW phases participate in the SLO gate;
@@ -246,11 +238,7 @@ fn empty_hist() -> HistogramSnapshot {
 
 /// Profiles the requested workloads. `Err` names an unknown workload.
 pub fn measure(opts: &ProfileOptions) -> Result<SuiteProfile, String> {
-    let _guard = crate::registry_lock();
-    wbe_telemetry::configure(wbe_telemetry::TelemetryConfig {
-        metrics: true,
-        tracing: wbe_telemetry::tracing_enabled(),
-    });
+    let _guard = crate::measuring();
     let workloads: Vec<wbe_workloads::Workload> = if opts.workloads.is_empty() {
         wbe_workloads::standard_suite()
     } else {
@@ -324,6 +312,24 @@ fn sort_costs(map: BTreeMap<String, KeepCodeCost>) -> Vec<KeepCodeCost> {
     v
 }
 
+/// Cost per keep-code over the executed kept sites of one run, most
+/// expensive first.
+pub fn keep_code_costs(sites: &[SiteReport<'_>]) -> Vec<KeepCodeCost> {
+    let mut codes: BTreeMap<String, KeepCodeCost> = BTreeMap::new();
+    for s in sites.iter().filter(|s| s.ran_kept()) {
+        let e = codes
+            .entry(s.keep_code().to_string())
+            .or_insert_with(|| KeepCodeCost {
+                code: s.keep_code().to_string(),
+                ..KeepCodeCost::default()
+            });
+        e.sites += 1;
+        e.executions += s.stats.executions;
+        e.cycles += s.stats.cycles;
+    }
+    sort_costs(codes)
+}
+
 fn profile_workload(
     w: &wbe_workloads::Workload,
     top: usize,
@@ -331,65 +337,19 @@ fn profile_workload(
     suite_hists: &mut [HistogramSnapshot],
 ) -> Result<WorkloadProfile, String> {
     wbe_telemetry::registry::global().reset();
-    let cfg = PipelineConfig::new(OptMode::Full, 100).with_ledger();
-    let (compiled, elided) = compile_workload_with(w, &cfg);
-    let ledger = compiled.ledger.as_ref().expect("full mode builds a ledger");
-    let ledger_index = ledger.index();
-    let iters = ((w.default_iters as f64 * scale) as i64).max(8);
-    let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-    let mut interp = Interp::with_style(&compiled.program, bc, MarkStyle::Satb);
-    interp.set_gc_policy(GcPolicy {
-        alloc_trigger: 400,
-        step_interval: 32,
-        step_budget: 4,
-    });
-    interp
-        .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-        .map_err(|t| format!("workload {} trapped: {t}", w.name))?;
-
-    // The join: every executed site is either elided (zero cost) or
-    // attributed to the ledger keep-code at its (method, block, index).
-    let mut codes: BTreeMap<String, KeepCodeCost> = BTreeMap::new();
-    let mut hot: Vec<HotSite> = Vec::new();
-    let mut elided_executions = 0u64;
-    for (&(mid, addr, kind), stats) in interp.stats.barrier.iter() {
-        if elided.contains(mid, addr) {
-            elided_executions += stats.executions;
-            continue;
-        }
-        let method = compiled.program.method(mid).name.as_str();
-        let (code, site) = match ledger_index.get(&(method, addr.block.index(), addr.index)) {
-            Some(rec) => (
-                if rec.keep_code.is_empty() {
-                    UNATTRIBUTED.to_string()
-                } else {
-                    rec.keep_code.clone()
-                },
-                rec.site_key(),
-            ),
-            None => (
-                UNATTRIBUTED.to_string(),
-                format!("{method}@B{}[{}]", addr.block.index(), addr.index),
-            ),
-        };
-        let e = codes.entry(code.clone()).or_insert_with(|| KeepCodeCost {
-            code: code.clone(),
-            ..KeepCodeCost::default()
-        });
-        e.sites += 1;
-        e.executions += stats.executions;
-        e.cycles += stats.cycles;
-        hot.push(HotSite {
-            site,
-            kind: match kind {
-                StoreKind::Field => "field",
-                StoreKind::Array => "array",
-            },
-            code,
-            executions: stats.executions,
-            cycles: stats.cycles,
-        });
-    }
+    let obs = observe(w, &RunSpec::baseline(scale)).completed()?;
+    let sites = obs.sites();
+    let mut hot: Vec<HotSite> = sites
+        .iter()
+        .filter(|s| s.ran_kept())
+        .map(|s| HotSite {
+            site: s.site_key(),
+            kind: s.kind_name(),
+            code: s.keep_code().to_string(),
+            executions: s.stats.executions,
+            cycles: s.stats.cycles,
+        })
+        .collect();
     hot.sort_by(|a, b| {
         b.cycles
             .cmp(&a.cycles)
@@ -398,11 +358,10 @@ fn profile_workload(
     });
     hot.truncate(top);
 
-    let snap = wbe_telemetry::registry::global().snapshot();
     let empty = empty_hist();
     let mut phases = Vec::new();
     for (i, &(label, key, stw)) in PHASES.iter().enumerate() {
-        let h = snap.histogram(key).unwrap_or(&empty);
+        let h = obs.telemetry.histogram(key).unwrap_or(&empty);
         merge_hist(&mut suite_hists[i], h);
         phases.push(percentiles(label, stw, h));
     }
@@ -413,15 +372,14 @@ fn profile_workload(
         .max()
         .unwrap_or(0);
 
-    let (total, _) = interp.stats.barrier.totals();
-    let kept_executions = total - elided_executions;
+    let totals = Totals::of(&sites);
     Ok(WorkloadProfile {
         workload: w.name.to_string(),
-        barrier_executions: total,
-        elided_executions,
-        kept_executions,
-        barrier_cycles: interp.stats.barrier.total_cycles(),
-        keep_codes: sort_costs(codes),
+        barrier_executions: totals.executions,
+        elided_executions: totals.elided_executions,
+        kept_executions: totals.kept_executions(),
+        barrier_cycles: totals.cycles,
+        keep_codes: keep_code_costs(&sites),
         hot_sites: hot,
         phases,
         max_stw_pause,
@@ -745,7 +703,9 @@ mod tests {
             assert_eq!(code_cycles, wp.barrier_cycles, "{}", wp.workload);
             // Nothing fell through the ledger join.
             assert!(
-                !wp.keep_codes.iter().any(|c| c.code == UNATTRIBUTED),
+                !wp.keep_codes
+                    .iter()
+                    .any(|c| c.code == crate::site::UNATTRIBUTED),
                 "{}: unattributed kept executions",
                 wp.workload
             );

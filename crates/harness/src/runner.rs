@@ -65,39 +65,24 @@ pub fn run_workload(
     style: MarkStyle,
     gc: Option<GcPolicy>,
 ) -> WorkloadRun {
-    try_run_workload(w, mode, inline_limit, iters, barrier_mode, style, gc)
-        .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name))
-}
-
-/// Non-panicking [`run_workload`]: a trap comes back as `Err` so
-/// drivers (notably `wbe_tool`) can report it and exit nonzero instead
-/// of aborting.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_workload(
-    w: &Workload,
-    mode: OptMode,
-    inline_limit: usize,
-    iters: i64,
-    barrier_mode: BarrierMode,
-    style: MarkStyle,
-    gc: Option<GcPolicy>,
-) -> Result<WorkloadRun, wbe_interp::Trap> {
     let (compiled, elided) = compile_workload(w, mode, inline_limit);
     let config = BarrierConfig::with_elision(barrier_mode, elided.clone());
     let mut interp = Interp::with_style(&compiled.program, config, style);
     if let Some(policy) = gc {
         interp.set_gc_policy(policy);
     }
-    interp.run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))?;
+    interp
+        .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
+        .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name));
     let summary = interp.stats.barrier.summarize(&elided);
-    Ok(WorkloadRun {
+    WorkloadRun {
         name: w.name,
         gc: interp.heap.gc.stats,
         stats: interp.stats,
         compiled,
         elided,
         summary,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,437 @@
+//! One observed run, one per-site join.
+//!
+//! The paper's judgment is two conditions on a *store site*, and every
+//! dynamic question the harness asks is about a site too: how often it
+//! ran and what it cost (`profile`), whether its kept barrier was ever
+//! needed (`oracle`), whether the runtime took its elision back
+//! (`soak`), what the gate pins (`baselines`). [`observe`] compiles a
+//! workload once, runs it once and owns what came out; [`Observed::sites`]
+//! is the only place those facts are brought together, keyed by
+//! `(MethodId, InsnAddr)`. Everything else is a fold over that table.
+
+use std::collections::{BTreeMap, HashMap};
+
+use wbe_analysis::{ElisionLedger, SiteRecord, Verdict};
+use wbe_heap::gc::{GcStats, MarkStyle};
+use wbe_heap::recover::RecoveryController;
+use wbe_heap::{FaultConfig, FaultPlan, FaultStats, RecoveryPolicy};
+use wbe_interp::oracle::{OracleState, SiteNecessity};
+use wbe_interp::{
+    BarrierConfig, BarrierMode, ElidedBarriers, EngineKind, GcPolicy, RunStats, SiteStats,
+    StoreKind, Trap, Value,
+};
+use wbe_ir::{BlockId, InsnAddr, MethodId};
+use wbe_opt::{Compiled, OptMode, PipelineConfig};
+use wbe_telemetry::registry::MetricsSnapshot;
+use wbe_workloads::Workload;
+
+use crate::runner::compile_workload_with;
+
+/// The marking schedule of the baseline configuration: sparse enough
+/// that small runs stay cheap, dense enough that `jbb` and the server
+/// family complete cycles at the gate's scale.
+pub const BASELINE_GC: GcPolicy = GcPolicy {
+    alloc_trigger: 400,
+    step_interval: 32,
+    step_budget: 4,
+};
+
+/// Keep-code of an executed kept site the ledger has no record for.
+/// A non-zero count means the join lost provenance — a bug
+/// `profile::tests::join_loses_nothing` pins to zero.
+pub const UNATTRIBUTED: &str = "unattributed";
+
+/// How many iterations `w` runs at `scale` of its default size.
+pub fn scaled_iters(w: &Workload, scale: f64) -> i64 {
+    ((w.default_iters as f64 * scale) as i64).max(8)
+}
+
+/// Seeded faults with the heap verifier on and the recovery controller
+/// installed; the three only ever travel together.
+#[derive(Clone, Copy, Debug)]
+pub struct Chaos {
+    /// The fault schedule.
+    pub faults: FaultConfig,
+    /// Consecutive failed re-marks before the original trap fires.
+    pub max_attempts: u32,
+}
+
+/// What to compile and how to run it.
+#[derive(Clone, Debug)]
+pub struct RunSpec {
+    /// The compilation pipeline; its ledger is what the join reads
+    /// static verdicts from.
+    pub pipeline: PipelineConfig,
+    /// Iteration scale (see [`scaled_iters`]).
+    pub scale: f64,
+    /// Which dispatch loop runs.
+    pub engine: EngineKind,
+    /// The marking schedule.
+    pub gc: GcPolicy,
+    /// Classify every kept-barrier execution with the necessity oracle.
+    pub oracle: bool,
+    /// Inject faults and heal them.
+    pub chaos: Option<Chaos>,
+}
+
+impl RunSpec {
+    /// The configuration `baselines/suite.ndjson` is measured under and
+    /// `profile`, `oracle`, `report` and `explain` share: full analysis
+    /// at inline limit 100 with its ledger, checked SATB barriers with
+    /// the elision set applied, the classic loop, [`BASELINE_GC`].
+    pub fn baseline(scale: f64) -> RunSpec {
+        RunSpec {
+            pipeline: PipelineConfig::new(OptMode::Full, 100).with_ledger(),
+            scale,
+            engine: EngineKind::Classic,
+            gc: BASELINE_GC,
+            oracle: false,
+            chaos: None,
+        }
+    }
+}
+
+/// The oracle's half of a run.
+#[derive(Clone, Debug)]
+pub struct OracleRun {
+    /// Per-site verdict tallies and the cycle audit.
+    pub state: OracleState,
+    /// Objects the witness table saw allocated.
+    pub allocated_objects: u64,
+    /// Of those, objects that escaped their allocating thread.
+    pub escaped_objects: u64,
+}
+
+/// Everything one compile-and-run of a workload produced.
+#[derive(Debug)]
+pub struct Observed {
+    /// Workload name.
+    pub workload: &'static str,
+    /// Iterations the entry method was asked for.
+    pub iters: i64,
+    /// Compilation artefacts, ledger included when the spec asked.
+    pub compiled: Compiled,
+    /// The elision set the barriers ran under.
+    pub elided: ElidedBarriers,
+    /// The trap that ended the run, if one did. Everything below is
+    /// what had accumulated by then.
+    pub trap: Option<Trap>,
+    /// Interpreter statistics, per-site barrier counters included.
+    pub stats: RunStats,
+    /// Collector statistics.
+    pub gc: GcStats,
+    /// The global registry as the run left it. The registry is
+    /// process-wide: a caller that wants this run's histograms alone
+    /// resets it first.
+    pub telemetry: MetricsSnapshot,
+    /// Oracle state, when the spec enabled it.
+    pub oracle: Option<OracleRun>,
+    /// Faults injected (all zero without [`RunSpec::chaos`]).
+    pub faults: FaultStats,
+    /// The recovery controller as the run left it, under chaos.
+    pub recovery: Option<RecoveryController>,
+}
+
+/// Compiles `w` under `spec`, runs it once, and keeps what came out.
+pub fn observe(w: &Workload, spec: &RunSpec) -> Observed {
+    let (compiled, elided) = compile_workload_with(w, &spec.pipeline);
+    let iters = scaled_iters(w, spec.scale);
+    let config = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
+    let mut interp = spec
+        .engine
+        .build(&compiled.program, config, MarkStyle::Satb);
+    interp.set_gc_policy(spec.gc);
+    interp.set_oracle(spec.oracle);
+    if let Some(chaos) = spec.chaos {
+        interp.set_fault_plan(FaultPlan::new(chaos.faults));
+        interp.set_verify_invariants(true);
+        interp.set_recovery(RecoveryPolicy {
+            max_attempts: chaos.max_attempts,
+        });
+    }
+    let trap = interp
+        .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
+        .err();
+    let oracle = interp.oracle().map(|state| {
+        let witness = interp
+            .heap
+            .witness
+            .as_ref()
+            .expect("the oracle enables witnesses");
+        OracleRun {
+            state: state.clone(),
+            allocated_objects: witness.allocated_objects(),
+            escaped_objects: witness.escaped_objects(),
+        }
+    });
+    let faults = interp
+        .heap
+        .fault
+        .as_ref()
+        .map(|plan| plan.stats)
+        .unwrap_or_default();
+    let recovery = interp.recovery().cloned();
+    let gc = interp.heap.gc.stats;
+    let stats = std::mem::take(&mut interp.stats);
+    Observed {
+        workload: w.name,
+        iters,
+        compiled,
+        elided,
+        trap,
+        stats,
+        gc,
+        telemetry: wbe_telemetry::registry::global().snapshot(),
+        oracle,
+        faults,
+        recovery,
+    }
+}
+
+fn addr_of(rec: &SiteRecord) -> InsnAddr {
+    InsnAddr::new(BlockId(rec.block as u32), rec.index)
+}
+
+/// Everything known about one store site of an observed program.
+#[derive(Clone, Debug)]
+pub struct SiteReport<'a> {
+    /// Post-inlining method name.
+    pub method: &'a str,
+    /// Where in the method.
+    pub addr: InsnAddr,
+    /// Static verdict and evidence. `None` only for a site that ran
+    /// but that the ledger has no record of.
+    pub record: Option<&'a SiteRecord>,
+    /// Whether the run treated the barrier as elided.
+    pub elided: bool,
+    /// Field or array store, once the site has executed.
+    pub kind: Option<StoreKind>,
+    /// Executions, null pre-values and barrier cycles (zero for a site
+    /// that never ran).
+    pub stats: SiteStats,
+    /// Necessity verdicts of its kept-barrier executions.
+    pub necessity: Option<SiteNecessity>,
+    /// Why the runtime revoked its elision, if it did.
+    pub revoked: Option<&'a str>,
+}
+
+impl<'a> SiteReport<'a> {
+    /// A site nothing has been observed at yet.
+    fn unobserved(method: &'a str, addr: InsnAddr, elided: bool) -> SiteReport<'a> {
+        SiteReport {
+            method,
+            addr,
+            record: None,
+            elided,
+            kind: None,
+            stats: SiteStats::default(),
+            necessity: None,
+            revoked: None,
+        }
+    }
+
+    /// What the ledger alone says about `rec`'s site.
+    pub fn of_record(rec: &'a SiteRecord) -> SiteReport<'a> {
+        SiteReport {
+            record: Some(rec),
+            ..SiteReport::unobserved(&rec.method, addr_of(rec), rec.verdict == Verdict::Elide)
+        }
+    }
+
+    /// Stable identity: `method@B<block>[<index>]`.
+    pub fn site_key(&self) -> String {
+        format!(
+            "{}@B{}[{}]",
+            self.method,
+            self.addr.block.index(),
+            self.addr.index
+        )
+    }
+
+    /// The first failing elision condition, or [`UNATTRIBUTED`].
+    pub fn keep_code(&self) -> &'a str {
+        self.record
+            .map(|rec| rec.keep_code.as_str())
+            .filter(|code| !code.is_empty())
+            .unwrap_or(UNATTRIBUTED)
+    }
+
+    /// True once the site has executed with its barrier in place: the
+    /// sites that cost cycles and that the oracle judges.
+    pub fn ran_kept(&self) -> bool {
+        !self.elided && self.kind.is_some()
+    }
+
+    /// `"array"` for an `aastore`, `"field"` otherwise.
+    pub fn kind_name(&self) -> &'static str {
+        match self.kind {
+            Some(StoreKind::Array) => "array",
+            _ => "field",
+        }
+    }
+
+    /// What the run saw that refutes the keep-code of a kept site no
+    /// execution of which needed its barrier; `None` for any other
+    /// site. Escape-based keep-codes are refuted by observed
+    /// thread-locality, nullness-based ones by all-null pre-values;
+    /// otherwise the dominant vacuity class is the evidence.
+    pub fn refuting_witness(&self) -> Option<String> {
+        let n = self.necessity.filter(SiteNecessity::never_necessary)?;
+        let code = self.keep_code();
+        let escape_code = code.contains("escape") || code.contains("unknown");
+        Some(if escape_code && n.receiver_escaped == 0 {
+            let what = match self.kind {
+                Some(StoreKind::Array) => "array",
+                _ => "receiver",
+            };
+            format!("{what} thread-local in all {} executions", n.executions)
+        } else if code.contains("non-null") && self.stats.pre_null == n.executions {
+            format!("pre-value null in all {} executions", n.executions)
+        } else {
+            format!(
+                "enqueue vacuous in all {} executions (dominant: {})",
+                n.executions,
+                n.dominant()
+            )
+        })
+    }
+}
+
+/// Column sums of a per-site table.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Totals {
+    /// Store executions at every site.
+    pub executions: u64,
+    /// Of those, executions at sites the run elided.
+    pub elided_executions: u64,
+    /// Barrier cycles charged (all of them at kept sites).
+    pub cycles: u64,
+}
+
+impl Totals {
+    /// Sums `sites`.
+    pub fn of(sites: &[SiteReport<'_>]) -> Totals {
+        sites.iter().fold(Totals::default(), |mut t, s| {
+            t.executions += s.stats.executions;
+            t.elided_executions += if s.elided { s.stats.executions } else { 0 };
+            t.cycles += s.stats.cycles;
+            t
+        })
+    }
+
+    /// Executions at sites whose barrier stayed.
+    pub fn kept_executions(&self) -> u64 {
+        self.executions - self.elided_executions
+    }
+}
+
+impl Observed {
+    /// The static ledger of the compiled program.
+    ///
+    /// # Panics
+    ///
+    /// If the spec's pipeline built none.
+    pub fn ledger(&self) -> &ElisionLedger {
+        self.compiled
+            .ledger
+            .as_ref()
+            .expect("the spec's pipeline builds a ledger")
+    }
+
+    /// `Err` with the message every driver prints when the run trapped.
+    pub fn completed(self) -> Result<Observed, String> {
+        match &self.trap {
+            Some(t) => Err(format!("workload {} trapped: {t}", self.workload)),
+            None => Ok(self),
+        }
+    }
+
+    /// The join: one report per store site the ledger records or the
+    /// run touched, in `(method, block, index)` order — the ledger's
+    /// own order and the oracle's.
+    pub fn sites(&self) -> Vec<SiteReport<'_>> {
+        let program = &self.compiled.program;
+        let ids: HashMap<&str, MethodId> = program
+            .iter_methods()
+            .map(|(id, m)| (m.name.as_str(), id))
+            .collect();
+        // `elided` is what the run applied, not what the ledger
+        // recommends: the set also holds null-or-same sites.
+        let blank = |mid: MethodId, addr: InsnAddr| {
+            let elided = self.elided.contains(mid, addr);
+            SiteReport::unobserved(&program.method(mid).name, addr, elided)
+        };
+        let mut table: BTreeMap<(MethodId, InsnAddr), SiteReport<'_>> = BTreeMap::new();
+        for rec in &self.ledger().records {
+            let (mid, addr) = (ids[rec.method.as_str()], addr_of(rec));
+            let site = table.entry((mid, addr)).or_insert_with(|| blank(mid, addr));
+            site.record = Some(rec);
+        }
+        for (&(mid, addr, kind), stats) in self.stats.barrier.iter() {
+            let site = table.entry((mid, addr)).or_insert_with(|| blank(mid, addr));
+            site.kind = Some(kind);
+            site.stats = *stats;
+        }
+        if let Some(oracle) = &self.oracle {
+            for (&(mid, block, index), necessity) in &oracle.state.sites {
+                let (mid, addr) = (
+                    MethodId(mid as u32),
+                    InsnAddr::new(BlockId(block), index as usize),
+                );
+                let site = table.entry((mid, addr)).or_insert_with(|| blank(mid, addr));
+                site.necessity = Some(*necessity);
+            }
+        }
+        for rev in self.recovery.iter().flat_map(|rc| rc.revocations()) {
+            let mid = ids[rev.method.as_str()];
+            let addr = InsnAddr::new(BlockId(rev.block), rev.index as usize);
+            let site = table.entry((mid, addr)).or_insert_with(|| blank(mid, addr));
+            site.revoked = Some(&rev.reason);
+        }
+        table.into_values().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_join_keeps_the_ledgers_order_and_every_count() {
+        let _guard = crate::registry_lock();
+        let w = wbe_workloads::by_name("jbb").unwrap();
+        let obs = observe(
+            &w,
+            &RunSpec {
+                oracle: true,
+                ..RunSpec::baseline(0.05)
+            },
+        )
+        .completed()
+        .unwrap();
+        let sites = obs.sites();
+        // One report per ledger record, in the ledger's order, and no
+        // site ran that the ledger does not know.
+        let keys: Vec<String> = sites.iter().map(SiteReport::site_key).collect();
+        let ledger: Vec<String> = obs.ledger().records.iter().map(|r| r.site_key()).collect();
+        assert_eq!(keys, ledger);
+        assert!(sites
+            .iter()
+            .all(|s| s.keep_code() != UNATTRIBUTED || s.elided));
+        // Nothing the interpreter counted is lost or counted twice.
+        let totals = Totals::of(&sites);
+        let (executions, _) = obs.stats.barrier.totals();
+        assert_eq!(totals.executions, executions);
+        assert_eq!(totals.elided_executions, obs.stats.elided_executions);
+        assert_eq!(totals.cycles, obs.stats.barrier.total_cycles());
+        // The oracle judged exactly the sites whose barrier ran, every
+        // execution of them.
+        for s in &sites {
+            assert_eq!(s.necessity.is_some(), s.ran_kept(), "{}", s.site_key());
+            if let Some(n) = s.necessity {
+                assert_eq!(n.executions, s.stats.executions, "{}", s.site_key());
+            }
+        }
+        assert!(sites.iter().any(|s| s.ran_kept()) && totals.elided_executions > 0);
+    }
+}

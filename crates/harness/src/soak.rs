@@ -36,18 +36,15 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_heap::{FaultConfig, FaultPlan, RecoveryPolicy};
-use wbe_interp::{BarrierConfig, BarrierMode, GcPolicy, Interp, Value};
-use wbe_opt::OptMode;
+use wbe_heap::FaultConfig;
+use wbe_interp::GcPolicy;
 use wbe_telemetry::config::{configure, TelemetryConfig};
 use wbe_telemetry::export::chrome_trace_json;
 use wbe_telemetry::json::ObjWriter;
 use wbe_telemetry::trace::{self, TraceEvent};
 use wbe_workloads::standard_suite;
 
-use crate::ledger::build_ledger;
-use crate::runner::compile_workload;
+use crate::site::{observe, Chaos, RunSpec};
 
 /// Flight-recorder capacity: the newest this many trace events survive
 /// to the crash dump. Bounded so week-long soaks can't grow without
@@ -325,16 +322,14 @@ fn mix_seed(seed: u64, k: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The soak GC policy: aggressive enough that many cycles complete even
-/// at small scales, so the post-remark corruption point is consulted
-/// often.
-fn soak_policy() -> GcPolicy {
-    GcPolicy {
-        alloc_trigger: 64,
-        step_interval: 8,
-        step_budget: 4,
-    }
-}
+/// The marking schedule of chaos runs: aggressive enough that many
+/// cycles complete even at small scales, so the post-remark corruption
+/// point is consulted often.
+pub(crate) const CHAOS_GC: GcPolicy = GcPolicy {
+    alloc_trigger: 64,
+    step_interval: 8,
+    step_budget: 4,
+};
 
 /// Runs the full soak. Deterministic for a given `opts` (the fault
 /// stream is seed-derived; no wall-clock feeds any decision).
@@ -356,77 +351,54 @@ pub fn run_soak(opts: &SoakOptions) -> SoakOutcome {
         for (widx, w) in suite.iter().enumerate() {
             let k = u64::from(round) * suite.len() as u64 + widx as u64;
             let seed = mix_seed(opts.seed, k);
-            let iters = ((w.default_iters as f64 * opts.scale) as i64).max(8);
-            let mut cfg = FaultConfig::from_seed(seed).escalate(level);
+            let mut faults = FaultConfig::from_seed(seed).escalate(level);
             if opts.unrecoverable {
                 // Persistent corruption: every re-mark is re-corrupted,
                 // so the budget must exhaust and the trap must fire.
-                cfg.corrupt_mark_pm = 1000;
+                faults.corrupt_mark_pm = 1000;
             }
 
-            let (compiled, elided) = compile_workload(w, OptMode::Full, 100);
-            let barrier = BarrierConfig::with_elision(BarrierMode::Checked, elided);
-            let mut interp = Interp::with_style(&compiled.program, barrier, MarkStyle::Satb);
-            interp.set_gc_policy(soak_policy());
-            interp.set_fault_plan(FaultPlan::new(cfg));
-            interp.set_verify_invariants(true);
-            interp.set_recovery(RecoveryPolicy {
-                max_attempts: opts.max_attempts,
-            });
-
             trace::event("soak.run.start", format!("{} round {round}", w.name));
-            let result = interp.run(w.entry, &[Value::Int(iters)], w.fuel_for(iters));
-            interp.publish_metrics();
-
-            let fault = interp
-                .heap
-                .fault
-                .as_ref()
-                .map(|p| p.stats)
-                .unwrap_or_default();
+            let obs = observe(
+                w,
+                &RunSpec {
+                    gc: CHAOS_GC,
+                    chaos: Some(Chaos {
+                        faults,
+                        max_attempts: opts.max_attempts,
+                    }),
+                    ..RunSpec::baseline(opts.scale)
+                },
+            );
+            let rc = obs.recovery.as_ref().expect("chaos installs a controller");
             let mut run = SoakRun {
                 round,
                 workload: w.name,
                 seed,
                 level,
-                iters,
-                outcome: RunOutcome::Clean,
+                iters: obs.iters,
+                outcome: if rc.in_panic() {
+                    RunOutcome::Recovered
+                } else {
+                    RunOutcome::Clean
+                },
                 trap: String::new(),
-                faults_injected: fault.injected(),
-                mark_corruptions: fault.mark_corruptions,
-                recoveries_attempted: 0,
-                recoveries_succeeded: 0,
-                revoked_sites: 0,
-                gated_elisions: 0,
-                ledger_joined: 0,
-                gc_cycles: interp.stats.gc_cycles,
+                faults_injected: obs.faults.injected(),
+                mark_corruptions: obs.faults.mark_corruptions,
+                recoveries_attempted: rc.stats.attempted,
+                recoveries_succeeded: rc.stats.succeeded,
+                revoked_sites: rc.stats.revoked_sites,
+                gated_elisions: rc.stats.gated_elisions,
+                // Revocations that name a site of the static ledger —
+                // the ones `explain` can show beside a verdict.
+                ledger_joined: obs
+                    .sites()
+                    .iter()
+                    .filter(|s| s.record.is_some() && s.revoked.is_some())
+                    .count(),
+                gc_cycles: obs.stats.gc_cycles,
             };
-            if let Some(rc) = interp.recovery() {
-                run.recoveries_attempted = rc.stats.attempted;
-                run.recoveries_succeeded = rc.stats.succeeded;
-                run.revoked_sites = rc.stats.revoked_sites;
-                run.gated_elisions = rc.stats.gated_elisions;
-                if rc.in_panic() {
-                    run.outcome = RunOutcome::Recovered;
-                }
-                if !rc.revocations().is_empty() {
-                    // Join the runtime revocations back into the static
-                    // provenance ledger, the same view `wbe_tool
-                    // ledger`/`explain` render.
-                    if let Some(mut ledger) = build_ledger(&w.program, OptMode::Full, 100, false) {
-                        run.ledger_joined =
-                            ledger.join_revocations(rc.revocations().iter().map(|r| {
-                                (
-                                    r.method.as_str(),
-                                    r.block as usize,
-                                    r.index as usize,
-                                    r.reason.as_str(),
-                                )
-                            }));
-                    }
-                }
-            }
-            if let Err(trap) = result {
+            if let Some(trap) = &obs.trap {
                 run.outcome = RunOutcome::Trapped;
                 run.trap = trap.to_string();
                 trace::event("soak.run.trap", format!("{}: {trap}", w.name));

@@ -49,7 +49,7 @@ pub fn run(scale: f64) -> Table1 {
     let inline_limit = 100; // the paper's headline inlining level (§4.4)
     let mut rows = Vec::new();
     for w in standard_suite() {
-        let iters = ((w.default_iters as f64 * scale) as i64).max(8);
+        let iters = crate::site::scaled_iters(&w, scale);
         let run = run_workload(
             &w,
             OptMode::Full,

@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, GcPolicy, Interp, Value};
+use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, Interp, Value};
 use wbe_opt::OptMode;
 use wbe_workloads::Workload;
 
@@ -60,14 +60,6 @@ impl Default for ThroughputOptions {
         }
     }
 }
-
-/// The deterministic GC policy throughput runs drive (same as
-/// `wbe_tool report` and the baselines).
-pub const GC_POLICY: GcPolicy = GcPolicy {
-    alloc_trigger: 400,
-    step_interval: 32,
-    step_budget: 4,
-};
 
 /// Deterministic per-run facts for one mutator (every mutator of a row
 /// reproduces these exactly).
@@ -191,7 +183,7 @@ pub fn measure_workload(w: &Workload, opts: &ThroughputOptions) -> ThroughputRow
                 let config = realistic.clone();
                 s.spawn(move || {
                     let mut engine = opts.engine.build(program, config, MarkStyle::Satb);
-                    engine.set_gc_policy(GC_POLICY);
+                    engine.set_gc_policy(crate::site::BASELINE_GC);
                     run_mutator(&mut engine, w, opts.duration_ops)
                         .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name))
                 })

@@ -191,7 +191,7 @@ fn run_one(
 /// Runs the full differential sweep for one workload.
 pub fn verify_workload(w: &Workload, opts: &VerifyOptions) -> WorkloadVerdict {
     let (compiled, elided) = compile_workload(w, OptMode::Full, 100);
-    let iters = ((w.default_iters as f64 * opts.scale) as i64).max(8);
+    let iters = crate::site::scaled_iters(w, opts.scale);
     let fuel = w.fuel_for(iters);
     let mut verdict = WorkloadVerdict {
         name: w.name,
@@ -297,7 +297,7 @@ fn pick_victim(stats: &BarrierStats, sound: &ElidedBarriers) -> Option<(MethodId
 /// barriers — and runs the sweep expecting detection.
 pub fn demo_unsound_detection(w: &Workload, opts: &VerifyOptions) -> DemoOutcome {
     let (compiled, sound) = compile_workload(w, OptMode::Full, 100);
-    let iters = ((w.default_iters as f64 * opts.scale) as i64).max(8);
+    let iters = crate::site::scaled_iters(w, opts.scale);
     let fuel = w.fuel_for(iters);
 
     // Profile under full barriers to find a site whose pre-value is

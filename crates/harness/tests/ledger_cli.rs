@@ -78,6 +78,57 @@ fn explain_names_a_condition_for_every_kept_site_in_the_paper_examples() {
 }
 
 #[test]
+fn explain_runs_a_workload_and_shows_what_happened_at_each_site() {
+    let out = tool().args(["explain", "jess"]).output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    // Every stanza is still the static one...
+    assert!(text.contains("KEEP — array-may-escape"), "{text}");
+    assert!(text.contains("first failing condition:"), "{text}");
+    assert!(
+        text.contains("5 sites: 3 elided, 2 kept, 0 degraded"),
+        "{text}"
+    );
+    // ...with the run under it: counts at the four sites that executed
+    // (`Fact::<init>` only ever runs inlined), necessity at the two kept.
+    assert_eq!(text.matches("\n  ran: ").count(), 4, "{text}");
+    assert!(
+        text.contains("  ran: 200 executions, 64 over a null pre-value, 400 barrier cycles"),
+        "{text}"
+    );
+    assert_eq!(
+        text.matches("\n  oracle: 0/200 kept executions necessary (0.000%)")
+            .count(),
+        2,
+        "{text}"
+    );
+    assert_eq!(text.matches("\n  refuting witness: ").count(), 2, "{text}");
+    // `--site` narrows the dynamic view like the static one.
+    let one = tool()
+        .args(["explain", "jess", "--method", "jess_main", "--site", "0"])
+        .output()
+        .unwrap();
+    let one = String::from_utf8_lossy(&one.stdout);
+    assert!(
+        one.starts_with("jess_main@B6[2] putfield lhs: ELIDE"),
+        "{one}"
+    );
+    assert_eq!(one.matches("\n  ran: ").count(), 1, "{one}");
+    // A file has no entry point: nothing runs, nothing dynamic is shown.
+    let file = tool()
+        .args(["explain", &testdata("w1w2.wbe")])
+        .output()
+        .unwrap();
+    assert!(!String::from_utf8_lossy(&file.stdout).contains("  ran: "));
+    // The oracle-file round trip is gone, flag and all.
+    let old = tool()
+        .args(["explain", "jess", "--oracle", "/dev/null"])
+        .output()
+        .unwrap();
+    assert_eq!(old.status.code(), Some(2));
+}
+
+#[test]
 fn ledger_diff_exit_contract() {
     let a = tmp("a.ndjson");
     let b = tmp("b.ndjson");

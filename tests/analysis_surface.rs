@@ -12,6 +12,10 @@
 //! summary-reference and `pinned_nl` paths through the allocation
 //! transfer.
 //!
+//! Beside the golden, [`each_ablation_elides_fewer_sites_than_the_full_analysis`]
+//! holds EXPERIMENTS.md's ablation table as inequalities on suite
+//! elision counts.
+//!
 //! To regenerate after an intended behaviour change, run the test: on
 //! a mismatch it writes what it produced to the test scratch directory
 //! and names the file.
@@ -156,4 +160,67 @@ fn golden_covers_the_grid_and_is_not_vacuous() {
     for l in golden.lines().filter(|l| l.starts_with("jbb/100/A/")) {
         assert_ne!(field(l, "ledger="), field(jbb, "ledger="), "{l}");
     }
+}
+
+/// EXPERIMENTS.md, "Ablations": what each design choice DESIGN §5 calls
+/// out buys, as elided-site counts over the standard suite at inline
+/// limit 100. Stride inference is the exception the table records: the
+/// suite's four elided `aastore`s sit at constant indices, so it is
+/// Figure 2's `expand` loop that shows what it is for.
+#[test]
+fn each_ablation_elides_fewer_sites_than_the_full_analysis() {
+    use wbe_repro::analysis::Verdict;
+    use wbe_repro::ir::Program;
+    let suite: Vec<Program> = wbe_repro::workloads::standard_suite()
+        .into_iter()
+        .map(|w| w.program)
+        .collect();
+    let expand =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/expand.wbe"))
+            .expect("testdata is shipped");
+    let expand = [wbe_repro::ir::parse_program(&expand).expect("testdata parses")];
+    // (all elided sites, elided `aastore` sites) across `programs`.
+    let elided = |programs: &[Program], analysis: AnalysisConfig| -> (usize, usize) {
+        let mut config = PipelineConfig::new(OptMode::Full, 100).with_ledger();
+        config.analysis_override = Some(analysis);
+        let mut counts = (0, 0);
+        for p in programs {
+            let ledger = wbe_repro::opt::compile(p, &config)
+                .ledger
+                .expect("ledger asked for");
+            counts.0 += ledger.elided();
+            counts.1 += ledger
+                .records
+                .iter()
+                .filter(|r| r.kind == "aastore" && r.verdict == Verdict::Elide)
+                .count();
+        }
+        counts
+    };
+    let full = elided(&suite, AnalysisConfig::full());
+    assert!(full.1 > 0, "the full analysis elides array stores");
+    let single_ref = AnalysisConfig {
+        two_refs_per_site: false,
+        ..AnalysisConfig::full()
+    };
+    let classic_escape = AnalysisConfig {
+        flow_sensitive_escape: false,
+        ..AnalysisConfig::full()
+    };
+    let no_stride = AnalysisConfig {
+        stride_inference: false,
+        ..AnalysisConfig::full()
+    };
+    for (what, analysis) in [
+        ("single ref per site", single_ref),
+        ("classic escape", classic_escape),
+        ("field-only", AnalysisConfig::field_only()),
+    ] {
+        let ablated = elided(&suite, analysis);
+        assert!(ablated.0 < full.0, "{what}: {ablated:?} against {full:?}");
+    }
+    assert_eq!(elided(&suite, AnalysisConfig::field_only()).1, 0);
+    assert!(elided(&suite, no_stride).0 <= full.0);
+    assert_eq!(elided(&expand, AnalysisConfig::full()), (1, 1));
+    assert_eq!(elided(&expand, no_stride), (0, 0));
 }
