@@ -24,7 +24,6 @@ use crate::config::AnalysisConfig;
 use crate::fixpoint::MethodSolution;
 use crate::intval::IntLat;
 use crate::state::{AbsState, AbsValue};
-use crate::transfer::transfer_insn;
 
 /// Result of the bounds analysis for one method.
 #[derive(Clone, Debug, Default)]
@@ -115,22 +114,17 @@ pub fn analyze_method(program: &Program, method: &Method) -> BoundsAnalysis {
 /// the configuration `solution` was solved under: without the array
 /// analysis no length is known and every check stays.
 pub fn analyze_solved(solution: &MethodSolution<'_>) -> BoundsAnalysis {
-    let ctx = solution.ctx();
     let mut out = BoundsAnalysis::default();
-    for (bid, block) in ctx.method.iter_blocks() {
-        out.total_sites += block.insns.iter().filter(|i| is_array_access(i)).count();
-        // Degraded: every site keeps its bounds check (conservative).
-        let Some(entry) = solution.fixed_point().and_then(|s| s[bid.index()].as_ref()) else {
-            continue;
+    // Degraded: no state, so every site keeps its bounds check.
+    solution.walk(solution.fixed_point(), |step| {
+        let Some(insn) = step.insn.filter(|i| is_array_access(i)) else {
+            return;
         };
-        let mut st = entry.clone();
-        for (idx, insn) in block.insns.iter().enumerate() {
-            if is_array_access(insn) && access_is_safe(&st, insn) {
-                out.safe.insert(InsnAddr::new(bid, idx));
-            }
-            let _ = transfer_insn(&mut st, ctx, insn);
+        out.total_sites += 1;
+        if step.pre().is_some_and(|st| access_is_safe(st, insn)) {
+            out.safe.insert(step.addr);
         }
-    }
+    });
     out
 }
 

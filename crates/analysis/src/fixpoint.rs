@@ -1,44 +1,51 @@
-//! Fixed-point driver and the final elision judgment.
+//! The fixed-point engine both analysis domains run on, and the
+//! pre-null elision judgment.
 //!
-//! Standard worklist iteration in reverse postorder: process a block
-//! from its entry state, merge the out-state into each successor, repeat
+//! One worklist driver (`run_fixpoint`) solves any `Domain`: SNIPPETS
+//! §3's `ConfigurableProgramAnalysis` cut to what the two analyses use —
+//! an entry state, a per-instruction transfer that returns the site
+//! judgment, a per-edge transfer at the terminator, a merge that takes
+//! the widen flag, and a `reduce` observer. [`AbsState`] (pre-null,
+//! §2–§3) and null-or-same's state (§4.3, [`crate::nullsame`]) are its
+//! two instances. Iteration is in reverse postorder: process a block
+//! from its entry state, hand the out-state to each successor, repeat
 //! until nothing changes (§2.2). Integer components are widened to ⊤
 //! after [`AnalysisConfig::widen_after`] merges at one join point — the
 //! termination backstop for the stride-variable machinery.
 //!
-//! Elision judgments are taken in one extra pass *after* the fixed
-//! point, because "the last such judgment (at the fixed point of the
-//! analysis) is correct" (§2.4).
-//!
-//! A method's fixed point is solved **once**, into a
-//! [`MethodSolution`], and that extra pass
-//! ([`MethodSolution::replay`]) is the only judgment loop: it yields
-//! the [`MethodAnalysis`] and, when asked, the ledger's records, from
-//! which the text dump is rendered too. [`analyze_program_with`]
-//! returns any combination from one solve per method — §6's "integrated
+//! Judgments are taken in one extra pass *after* the fixed point,
+//! because "the last such judgment (at the fixed point of the analysis)
+//! is correct" (§2.4). That pass (`replay`) is the one walk over a
+//! solved domain: it serves [`MethodSolution::replay`] (the elision
+//! result and the ledger's records, from which the dump is rendered),
+//! the §6 clients ([`crate::bounds`], [`crate::stackalloc`]) and
+//! null-or-same's judgment. [`analyze_program_with`] returns any
+//! combination from one solve per method and domain — §6's "integrated
 //! static analysis framework that provides a variety of information".
 //!
-//! The driver is **guardrailed**: non-convergence within the iteration
-//! cap, wall-clock budget exhaustion, and panics inside the transfer
-//! functions all degrade the method to the conservative "elide nothing"
-//! result ([`AnalysisOutcome::Degraded`]) instead of aborting the
-//! pipeline. Degradations are counted in `wbe-telemetry` under
-//! `analysis.degraded`.
+//! The driver is **guardrailed**, for both domains alike:
+//! non-convergence within the iteration cap, wall-clock budget
+//! exhaustion, and panics inside the transfer functions degrade the
+//! method to the conservative "elide nothing" result
+//! ([`AnalysisOutcome::Degraded`]; the empty set for null-or-same)
+//! instead of aborting the pipeline. Degradations are counted in
+//! `wbe-telemetry` under `analysis.degraded`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use wbe_ir::{cfg, Insn, InsnAddr, Method, MethodId, Program};
+use wbe_ir::{cfg, BlockId, Insn, InsnAddr, Method, MethodId, Program, Terminator};
 
 use crate::config::AnalysisConfig;
 use crate::dump;
 use crate::intval::VarAlloc;
 use crate::ledger::{self, ElisionLedger, Evidence, SiteRecord};
+use crate::nullsame;
 use crate::refs::RefSet;
 use crate::state::{AbsState, MethodCtx};
-use crate::transfer::{is_barrier_site, transfer_insn, transfer_term};
+use crate::transfer::{is_barrier_site, transfer_insn, transfer_term, BarrierJudgment};
 use crate::worklist::Worklist;
 
 /// Why a method's analysis fell back to the conservative result.
@@ -130,9 +137,9 @@ pub struct ProgramAnalysis {
     pub methods: BTreeMap<MethodId, MethodAnalysis>,
     /// Wall-clock analysis time (Figure 2's compile-time axis): every
     /// method's solve plus the one replay over it. When the same pass
-    /// also builds the ledger or the dump ([`analyze_program_with`]),
-    /// rendering their evidence strings is inside this time; the fixed
-    /// points are not solved again for them.
+    /// also builds the ledger or the dump, or solves null-or-same
+    /// ([`analyze_program_with_nos`]), that work is inside this time;
+    /// the pre-null fixed points are not solved again for it.
     pub elapsed: Duration,
 }
 
@@ -188,6 +195,9 @@ pub struct Analyzed {
     pub ledger: Option<ElisionLedger>,
     /// The text dump of every method in program order, when asked for.
     pub dump: Option<String>,
+    /// Every method's §4.3 null-or-same sites; empty unless asked for
+    /// ([`analyze_program_with_nos`]).
+    pub null_or_same: BTreeMap<MethodId, BTreeSet<InsnAddr>>,
 }
 
 /// Runs the analyses on every method of `program`.
@@ -202,16 +212,38 @@ pub fn analyze_program_with(
     config: &AnalysisConfig,
     products: Products,
 ) -> Analyzed {
+    analyze_program_with_nos(program, config, products, false)
+}
+
+/// [`analyze_program_with`] and, with `null_or_same`, each method's
+/// §4.3 null-or-same sites: solved in the same per-method pass under
+/// the same guardrails, and written into that method's ledger records
+/// as it emits them.
+pub fn analyze_program_with_nos(
+    program: &Program,
+    config: &AnalysisConfig,
+    products: Products,
+    null_or_same: bool,
+) -> Analyzed {
     let _span = wbe_telemetry::span!("analysis.program");
     let start = Instant::now();
     let mut methods = BTreeMap::new();
     let mut records = Vec::new();
     let mut dump = String::new();
+    let mut nos = BTreeMap::new();
     for (mid, method) in program.iter_methods() {
         let _span = wbe_telemetry::span!("analysis.fixpoint", "{}", method.name);
         let solution = MethodSolution::solve(program, method, config);
         // The dump's per-site lines are rendered from the records.
-        let replay = solution.replay(products.ledger || products.dump);
+        let mut replay = solution.replay(products.ledger || products.dump);
+        if null_or_same {
+            let sites = nullsame::analyze_method_under(program, method, config);
+            for rec in &mut replay.records {
+                let addr = InsnAddr::new(BlockId::from_index(rec.block), rec.index);
+                rec.null_or_same = sites.contains(&addr);
+            }
+            nos.insert(mid, sites);
+        }
         if products.dump {
             dump.push_str(&dump::render(&solution, &replay.records));
         }
@@ -229,6 +261,7 @@ pub fn analyze_program_with(
             .ledger
             .then(|| ElisionLedger::from_records(records)),
         dump: products.dump.then_some(dump),
+        null_or_same: nos,
     }
 }
 
@@ -286,8 +319,8 @@ pub(crate) fn isolated<T>(isolate: bool, f: impl FnOnce() -> T) -> Result<T, Deg
 /// [`crate::Framework`]).
 ///
 /// The guardrails (iteration cap, wall-clock budget, panic isolation)
-/// are applied here and nowhere else, so a method that degrades does so
-/// identically in every product.
+/// are applied here, by the driver null-or-same shares, so a method
+/// that degrades does so identically in every product.
 #[derive(Debug)]
 pub struct MethodSolution<'p> {
     ctx: MethodCtx<'p>,
@@ -317,10 +350,21 @@ impl<'p> MethodSolution<'p> {
     /// later [`replay`](Self::replay) of the result.
     pub fn solve(program: &'p Program, method: &'p Method, config: &AnalysisConfig) -> Self {
         let isolate = config.isolate_panics;
+        let guard = Guard::new(config);
         let mut ctx = MethodCtx::new(program, method, config);
         let unreached = || vec![None; method.blocks.len()];
         let solved = isolated(isolate, || {
-            solve_method(&mut ctx, config.flow_sensitive_escape)
+            // Classic escape (the ablation) runs twice, pinning what
+            // escaped anywhere in the first run as escaped from the start
+            // of the second.
+            let mut first = 0;
+            if !config.flow_sensitive_escape {
+                let mut classic = PreNull::new(&ctx, Some(RefSet::new()));
+                first = classic.run(&guard)?.1;
+                ctx.pinned_nl = classic.nl_anywhere.unwrap_or_default();
+            }
+            let (states, second) = PreNull::new(&ctx, None).run(&guard)?;
+            Ok((states, first + second))
         })
         // Partial states from a panicked run are not trusted even for
         // reporting.
@@ -381,11 +425,25 @@ impl<'p> MethodSolution<'p> {
         (!self.outcome.is_degraded()).then_some(&self.states[..])
     }
 
+    /// The one replay walk over this method from `states` (`None`: no
+    /// block has a state): see `replay`.
+    pub(crate) fn walk(
+        &self,
+        states: Option<&[Option<AbsState>]>,
+        visit: impl FnMut(&mut Step<'_, PreNull<'_, 'p>>),
+    ) {
+        replay(
+            self.ctx.method,
+            &PreNull::new(&self.ctx, None),
+            states,
+            visit,
+        );
+    }
+
     /// The final judgment pass: replays every block from its entry
     /// state, taking the elision judgments "at the fixed point of the
     /// analysis" (§2.4) and, `with_records`, the evidence behind each.
     pub fn replay(&self, with_records: bool) -> Replay {
-        let (program, method) = (self.ctx.program, self.ctx.method);
         let degraded = match &self.outcome {
             AnalysisOutcome::Degraded(reason) => Some(reason.to_string()),
             AnalysisOutcome::Complete => None,
@@ -398,45 +456,38 @@ impl<'p> MethodSolution<'p> {
         let mut records = Vec::new();
         // A degraded method elides nothing: its states matter only to
         // the records.
-        let use_states = with_records || degraded.is_none();
-        for (bid, block) in method.iter_blocks() {
-            let mut st = self.states[bid.index()]
-                .as_ref()
-                .filter(|_| use_states)
-                .cloned();
-            for (idx, insn) in block.insns.iter().enumerate() {
-                let barrier = is_barrier_site(program, insn);
-                // Read before the transfer consumes the operands.
-                let pre = st
-                    .as_ref()
-                    .filter(|_| barrier && with_records)
-                    .map(|s| Evidence::gather(s, &self.ctx, insn));
-                let judgment = st.as_mut().and_then(|s| transfer_insn(s, &self.ctx, insn));
-                if !barrier {
-                    continue;
-                }
-                analysis.barrier_sites += 1;
-                if matches!(insn, Insn::AaStore) {
-                    analysis.array_sites += 1;
-                } else {
-                    analysis.field_sites += 1;
-                }
-                let addr = InsnAddr::new(bid, idx);
-                if judgment == Some(true) && degraded.is_none() {
-                    analysis.elided.insert(addr);
-                }
-                if with_records {
-                    records.push(ledger::site_record(
-                        &self.ctx,
-                        addr,
-                        insn,
-                        pre,
-                        judgment,
-                        degraded.as_deref(),
-                    ));
-                }
+        let states = (with_records || degraded.is_none()).then_some(&self.states[..]);
+        self.walk(states, |step| {
+            let program = self.ctx.program;
+            let Some(insn) = step.insn.filter(|i| is_barrier_site(program, i)) else {
+                return;
+            };
+            // Read before the transfer consumes the operands.
+            let pre = step
+                .pre()
+                .filter(|_| with_records)
+                .map(|s| Evidence::gather(s, &self.ctx, insn));
+            let judgment = step.judgment();
+            analysis.barrier_sites += 1;
+            if matches!(insn, Insn::AaStore) {
+                analysis.array_sites += 1;
+            } else {
+                analysis.field_sites += 1;
             }
-        }
+            if judgment == Some(true) && degraded.is_none() {
+                analysis.elided.insert(step.addr);
+            }
+            if with_records {
+                records.push(ledger::site_record(
+                    &self.ctx,
+                    step.addr,
+                    insn,
+                    pre,
+                    judgment,
+                    degraded.as_deref(),
+                ));
+            }
+        });
         Replay { analysis, records }
     }
 }
@@ -456,43 +507,67 @@ pub fn entry_states(
     }
 }
 
+/// One abstract domain the driver solves — SNIPPETS §3's
+/// `ConfigurableProgramAnalysis` cut to what the two analyses use. The
+/// implementor is the per-method analysis: what the transfer functions
+/// read, plus any side channel `merge` and `reduce` write.
+pub(crate) trait Domain {
+    /// The join-semilattice element: one per block entry.
+    type State: Clone + PartialEq;
+    /// The state on method entry.
+    fn entry(&self) -> Self::State;
+    /// Applies one instruction; the judgment at a barrier-relevant store.
+    fn transfer(&self, st: &mut Self::State, insn: &Insn) -> BarrierJudgment;
+    /// Applies `term` to the state sent along its `succ`-th edge: the
+    /// operands it pops plus what taking that edge proves (only
+    /// null-or-same's `ifnull`/`ifnonnull` prove anything).
+    fn transfer_edge(&self, st: &mut Self::State, term: &Terminator, succ: usize);
+    /// Merges `incoming` into `into` at a join point; true if `into`
+    /// changed. `widen` is set from the join's `widen_after`-th merge on.
+    fn merge(&mut self, into: &mut Self::State, incoming: &Self::State, widen: bool) -> bool;
+    /// Observes every block's out-state before its edges.
+    fn reduce(&mut self, _out: &Self::State) {}
+}
+
+/// The guardrails one solve runs under, read off its configuration as
+/// the solve starts (so the deadline is per method and domain).
+pub(crate) struct Guard {
+    max_iterations: Option<usize>,
+    deadline: Option<(Instant, Duration)>,
+    widen_after: usize,
+}
+
+impl Guard {
+    pub(crate) fn new(config: &AnalysisConfig) -> Guard {
+        Guard {
+            max_iterations: config.max_iterations,
+            deadline: config.time_budget.map(|b| (Instant::now() + b, b)),
+            widen_after: config.widen_after,
+        }
+    }
+}
+
 /// A guardrail interruption, carrying whatever per-block entry states
 /// the driver had computed when it fired.
-struct FixpointDegrade {
+pub(crate) struct FixpointDegrade<S> {
     /// The guardrail that fired.
-    reason: DegradeReason,
+    pub(crate) reason: DegradeReason,
     /// Entry states computed so far (`None` = block not yet reached).
-    partial: Vec<Option<AbsState>>,
+    partial: Vec<Option<S>>,
 }
 
-/// Runs the method-level fixed point honoring the flow-sensitivity
-/// ablation: flow-sensitive mode is one fixpoint; classic-escape mode
-/// runs twice, pinning everything that escaped anywhere as escaped from
-/// the start of the second run. Returns the entry states and the total
-/// blocks processed.
-fn solve_method(
-    ctx: &mut MethodCtx<'_>,
-    flow_sensitive: bool,
-) -> Result<(Vec<Option<AbsState>>, usize), FixpointDegrade> {
-    if flow_sensitive {
-        return run_fixpoint(ctx, None);
-    }
-    let mut nl_anywhere = RefSet::new();
-    let (_, first) = run_fixpoint(ctx, Some(&mut nl_anywhere))?;
-    ctx.pinned_nl = nl_anywhere;
-    let (states, second) = run_fixpoint(ctx, None)?;
-    Ok((states, first + second))
-}
+/// What a run of the driver gives: the per-block entry states and the
+/// blocks processed, or the guardrail that fired.
+pub(crate) type Solved<S> = Result<(Vec<Option<S>>, usize), FixpointDegrade<S>>;
 
-/// Worklist fixpoint. Returns per-block entry states and the iteration
-/// count — or the guardrail that fired, with partial states. The NL of
-/// every program point is added to `nl_anywhere` (the classic-escape
-/// ablation's first pass).
-fn run_fixpoint(
-    ctx: &MethodCtx<'_>,
-    mut nl_anywhere: Option<&mut RefSet>,
-) -> Result<(Vec<Option<AbsState>>, usize), FixpointDegrade> {
-    let method = ctx.method;
+/// The worklist fixed point of `domain` over `method`. Returns the
+/// per-block entry states and the blocks processed — or the guardrail
+/// that fired, with the states reached so far.
+pub(crate) fn run_fixpoint<D: Domain>(
+    method: &Method,
+    domain: &mut D,
+    guard: &Guard,
+) -> Solved<D::State> {
     let nblocks = method.blocks.len();
     let rpo = cfg::reverse_postorder(method);
     let mut rpo_pos = vec![usize::MAX; nblocks];
@@ -507,97 +582,194 @@ fn run_fixpoint(
     let mut incoming_edges: Vec<usize> = preds.iter().map(|p| p.len()).collect();
     incoming_edges[0] += 1; // the entry block also receives the initial state
 
-    let mut alloc = VarAlloc::new();
-    let mut entry_states: Vec<Option<AbsState>> = vec![None; nblocks];
+    let mut entry_states: Vec<Option<D::State>> = vec![None; nblocks];
     let mut merge_counts: Vec<usize> = vec![0; nblocks];
-    entry_states[0] = Some(AbsState::entry(ctx));
+    entry_states[0] = Some(domain.entry());
 
     // Worklist keyed by RPO position for fast convergence.
     let mut worklist = Worklist::new(nblocks);
     worklist.insert(0);
     let mut iterations = 0usize;
-    let mut state_merges = 0u64;
-    let mut widenings = 0u64;
     // Size-scaled default bound; configs may tighten it. Exceeding it
-    // no longer panics: the method degrades to "elide nothing".
-    let default_cap = (nblocks + 1) * (ctx.method.size + 8) * 4 + 10_000;
-    let cap = ctx.max_iterations.unwrap_or(default_cap);
+    // does not panic: the method degrades to "elide nothing".
+    let default_cap = (nblocks + 1) * (method.size + 8) * 4 + 10_000;
+    let cap = guard.max_iterations.unwrap_or(default_cap);
 
     while let Some(pos) = worklist.pop_first() {
         iterations += 1;
+        let degrade = |reason| FixpointDegrade {
+            reason,
+            partial: entry_states.clone(),
+        };
         if iterations > cap {
-            return Err(FixpointDegrade {
-                reason: DegradeReason::IterationCap { limit: cap },
-                partial: entry_states,
-            });
+            return Err(degrade(DegradeReason::IterationCap { limit: cap }));
         }
         // Amortize the clock read: check the deadline every 16 blocks
         // (and on the first, so a zero budget degrades immediately).
-        if iterations % 16 == 1 {
-            if let Some((deadline, budget)) = ctx.deadline {
-                if Instant::now() >= deadline {
-                    return Err(FixpointDegrade {
-                        reason: DegradeReason::TimeBudget { budget },
-                        partial: entry_states,
-                    });
-                }
+        if let Some((deadline, budget)) = guard.deadline.filter(|_| iterations % 16 == 1) {
+            if Instant::now() >= deadline {
+                return Err(degrade(DegradeReason::TimeBudget { budget }));
             }
         }
         let bid = rpo[pos];
         let Some(mut st) = entry_states[bid.index()].clone() else {
-            return Err(FixpointDegrade {
-                reason: DegradeReason::Internal("worklist block has no entry state"),
-                partial: entry_states,
-            });
+            return Err(degrade(DegradeReason::Internal(
+                "worklist block has no entry state",
+            )));
         };
         let block = method.block(bid);
         for insn in &block.insns {
-            let _ = transfer_insn(&mut st, ctx, insn);
+            let _ = domain.transfer(&mut st, insn);
         }
-        transfer_term(&mut st, &block.term);
-        if let Some(nl) = nl_anywhere.as_deref_mut() {
-            nl.union_with(&st.nl);
-        }
+        domain.reduce(&st);
         // The last successor takes the out-state itself, earlier ones a
         // copy.
         let mut out = Some(st);
-        let mut succs = block.term.successors().peekable();
-        while let Some(succ) = succs.next() {
-            let last = succs.peek().is_none();
-            let hand_over =
-                |out: &mut Option<AbsState>| if last { out.take() } else { out.clone() };
-            let changed = match &mut entry_states[succ.index()] {
+        let mut succs = block.term.successors().enumerate().peekable();
+        while let Some((i, succ)) = succs.next() {
+            let mut edge = if succs.peek().is_none() {
+                out.take()
+            } else {
+                out.clone()
+            }
+            .expect("taken only at the last successor");
+            domain.transfer_edge(&mut edge, &block.term, i);
+            let s = succ.index();
+            let changed = match &mut entry_states[s] {
                 slot @ None => {
-                    *slot = hand_over(&mut out);
+                    *slot = Some(edge);
                     true
                 }
-                Some(existing) if incoming_edges[succ.index()] <= 1 => {
-                    // Not a join point: the new iterate replaces the old.
-                    if out.as_ref() == Some(&*existing) {
-                        false
-                    } else {
-                        *existing = hand_over(&mut out).expect("taken only at the last successor");
-                        true
-                    }
+                // Not a join point: the new iterate replaces the old.
+                Some(existing) if incoming_edges[s] <= 1 => {
+                    let changed = edge != *existing;
+                    *existing = edge;
+                    changed
                 }
                 Some(existing) => {
-                    merge_counts[succ.index()] += 1;
-                    let widen = merge_counts[succ.index()] >= ctx.widen_after;
-                    state_merges += 1;
-                    widenings += widen as u64;
-                    let st = out.as_ref().expect("taken only at the last successor");
-                    existing.merge_from(st, ctx, &mut alloc, widen)
+                    merge_counts[s] += 1;
+                    domain.merge(existing, &edge, merge_counts[s] >= guard.widen_after)
                 }
             };
             if changed {
-                worklist.insert(rpo_pos[succ.index()]);
+                worklist.insert(rpo_pos[s]);
             }
         }
     }
-    wbe_telemetry::counter("analysis.fixpoint.blocks_processed").add(iterations as u64);
-    wbe_telemetry::counter("analysis.state_merges").add(state_merges);
-    wbe_telemetry::counter("analysis.widenings").add(widenings);
     Ok((entry_states, iterations))
+}
+
+/// One point of a `replay` — an instruction, or a block's terminator
+/// (`insn` = `None`, `addr.index` = the block's length) — with the
+/// state before it.
+pub(crate) struct Step<'s, D: Domain> {
+    domain: &'s D,
+    pub(crate) addr: InsnAddr,
+    pub(crate) insn: Option<&'s Insn>,
+    state: Option<&'s mut D::State>,
+}
+
+impl<D: Domain> Step<'_, D> {
+    /// The state before the point (`None`: its block has no state, or
+    /// [`judgment`](Self::judgment) has transferred it).
+    pub(crate) fn pre(&self) -> Option<&D::State> {
+        self.state.as_deref()
+    }
+
+    /// Transfers the instruction and returns its judgment; the walk
+    /// transfers it if `visit` does not. Call it once.
+    pub(crate) fn judgment(&mut self) -> BarrierJudgment {
+        let st = self.state.take()?;
+        self.domain.transfer(st, self.insn?)
+    }
+}
+
+/// The one walk over a solved domain: every block from its entry state
+/// in `states` (`None`: no block has one), every point handed to
+/// `visit` before it is transferred.
+pub(crate) fn replay<D: Domain>(
+    method: &Method,
+    domain: &D,
+    states: Option<&[Option<D::State>]>,
+    mut visit: impl FnMut(&mut Step<'_, D>),
+) {
+    for (bid, block) in method.iter_blocks() {
+        let mut st = states.and_then(|s| s[bid.index()].clone());
+        let points = block.insns.iter().map(Some).chain([None]);
+        for (index, insn) in points.enumerate() {
+            let mut step = Step {
+                domain,
+                addr: InsnAddr::new(bid, index),
+                insn,
+                state: st.as_mut(),
+            };
+            visit(&mut step);
+            step.judgment();
+        }
+    }
+}
+
+/// The pre-null domain as the driver solves it: the method's context,
+/// the allocator its merges name stride variables from, the merges and
+/// widenings it counts for `analysis.*`, and — on classic escape's
+/// first run — the NL of every program point.
+pub(crate) struct PreNull<'c, 'p> {
+    ctx: &'c MethodCtx<'p>,
+    alloc: VarAlloc,
+    merges: u64,
+    widenings: u64,
+    nl_anywhere: Option<RefSet>,
+}
+
+impl<'c, 'p> PreNull<'c, 'p> {
+    fn new(ctx: &'c MethodCtx<'p>, nl_anywhere: Option<RefSet>) -> Self {
+        PreNull {
+            ctx,
+            alloc: VarAlloc::new(),
+            merges: 0,
+            widenings: 0,
+            nl_anywhere,
+        }
+    }
+
+    /// One run of the driver. Only this domain's runs are counted under
+    /// `analysis.fixpoint.blocks_processed`, `analysis.state_merges`
+    /// and `analysis.widenings`, and only when they converge.
+    fn run(&mut self, guard: &Guard) -> Solved<AbsState> {
+        let solved = run_fixpoint(self.ctx.method, self, guard)?;
+        wbe_telemetry::counter("analysis.fixpoint.blocks_processed").add(solved.1 as u64);
+        wbe_telemetry::counter("analysis.state_merges").add(self.merges);
+        wbe_telemetry::counter("analysis.widenings").add(self.widenings);
+        Ok(solved)
+    }
+}
+
+impl Domain for PreNull<'_, '_> {
+    type State = AbsState;
+
+    fn entry(&self) -> AbsState {
+        AbsState::entry(self.ctx)
+    }
+
+    fn transfer(&self, st: &mut AbsState, insn: &Insn) -> BarrierJudgment {
+        transfer_insn(st, self.ctx, insn)
+    }
+
+    fn transfer_edge(&self, st: &mut AbsState, term: &Terminator, _succ: usize) {
+        transfer_term(st, term);
+    }
+
+    fn merge(&mut self, into: &mut AbsState, incoming: &AbsState, widen: bool) -> bool {
+        self.merges += 1;
+        self.widenings += u64::from(widen);
+        into.merge_from(incoming, self.ctx, &mut self.alloc, widen)
+    }
+
+    fn reduce(&mut self, out: &AbsState) {
+        if let Some(nl) = &mut self.nl_anywhere {
+            nl.union_with(&out.nl);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,15 +3,14 @@
 //! information to inform subsequent compilation steps, of which SATB
 //! write barrier removal is just one."
 //!
-//! [`Framework`] computes each method's fixed point **once**
-//! ([`MethodSolution`]) and serves every client of that domain from it:
-//! barrier elision, bounds-check removal, and stack allocation. Clients
-//! replay the solved entry states instead of re-running the iteration,
-//! so adding a client costs one linear pass, not another fixpoint.
-//! (Null-or-same works over a different domain and keeps its own.)
+//! [`Framework`] computes each method's fixed point **once** per domain,
+//! both on the one driver, and serves every client from them: barrier
+//! elision, bounds-check removal and stack allocation read the pre-null
+//! solve ([`MethodSolution`]), null-or-same its own. Clients replay the
+//! solved entry states instead of re-running the iteration, so adding a
+//! client costs one linear pass, not another fixpoint.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::{Duration, Instant};
 
 use wbe_ir::{InsnAddr, MethodId, Program, SiteId};
 
@@ -42,16 +41,15 @@ pub struct MethodInfo {
 #[derive(Debug)]
 pub struct Framework {
     methods: BTreeMap<MethodId, MethodInfo>,
-    elapsed: Duration,
 }
 
 impl Framework {
     /// Analyzes every method of `program` once and derives all client
     /// results. The bounds and stack-allocation answers reflect
     /// `config`, like the elision one (their standalone entry points
-    /// solve under [`AnalysisConfig::full`]).
+    /// solve under [`AnalysisConfig::full`]), and null-or-same runs under
+    /// its guardrails.
     pub fn analyze(program: &Program, config: &AnalysisConfig) -> Framework {
-        let start = Instant::now();
         let mut methods = BTreeMap::new();
         for (mid, method) in program.iter_methods() {
             let solution = MethodSolution::solve(program, method, config);
@@ -59,7 +57,7 @@ impl Framework {
             let bounds = bounds::analyze_solved(&solution);
             let info = MethodInfo {
                 elided: elision.elided,
-                null_or_same: nullsame::analyze_method(program, method),
+                null_or_same: nullsame::analyze_method_under(program, method, config),
                 bounds_safe: bounds.safe,
                 stack_allocatable: stackalloc::analyze_solved(&solution).stack_allocatable,
                 barrier_sites: elision.barrier_sites,
@@ -71,10 +69,7 @@ impl Framework {
             };
             methods.insert(mid, info);
         }
-        Framework {
-            methods,
-            elapsed: start.elapsed(),
-        }
+        Framework { methods }
     }
 
     /// Per-method results.
@@ -85,11 +80,6 @@ impl Framework {
     /// Iterates `(MethodId, &MethodInfo)`.
     pub fn iter(&self) -> impl Iterator<Item = (MethodId, &MethodInfo)> {
         self.methods.iter().map(|(&m, i)| (m, i))
-    }
-
-    /// Total wall-clock time for the whole framework run.
-    pub fn elapsed(&self) -> Duration {
-        self.elapsed
     }
 
     /// Every pre-null elided site across the program.

@@ -26,7 +26,11 @@
 //! Each method's fixed point is a [`MethodSolution`], solved once; the
 //! elision result, the [`ledger`], the [`dump`] and the §6 clients are
 //! all read off it ([`analyze_program_with`] for several at once).
-//! [`nullsame`] adds the §4.3 "null-or-same" extension.
+//! [`nullsame`] adds the §4.3 "null-or-same" extension, a second domain
+//! on the same engine: [`fixpoint`]'s one worklist driver solves both,
+//! under one iteration cap, time budget and panic isolation, and one
+//! replay walk takes every judgment ([`analyze_program_with_nos`]
+//! solves both in one per-method pass).
 //!
 //! # Example
 //!
@@ -78,8 +82,9 @@ mod worklist;
 pub use bounds::BoundsAnalysis;
 pub use config::AnalysisConfig;
 pub use fixpoint::{
-    analyze_method, analyze_program, analyze_program_with, AnalysisOutcome, Analyzed,
-    DegradeReason, MethodAnalysis, MethodSolution, Products, ProgramAnalysis,
+    analyze_method, analyze_program, analyze_program_with, analyze_program_with_nos,
+    AnalysisOutcome, Analyzed, DegradeReason, MethodAnalysis, MethodSolution, Products,
+    ProgramAnalysis,
 };
 pub use framework::{Framework, MethodInfo};
 pub use intval::{IntLat, IntVal, UnkId, VarId};

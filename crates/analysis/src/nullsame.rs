@@ -32,13 +32,21 @@
 //! identity or a field kills the affected facts. The analysis is only
 //! sound for single-mutator execution (or externally synchronized
 //! fields) — the same caveat §4.3 states.
+//!
+//! The analysis is the second domain of [`crate::fixpoint`]'s engine. It
+//! supplies the entry state, the transfer, the merge and the refinement
+//! on `ifnull`/`ifnonnull` edges; the one worklist driver solves it
+//! under the caller's iteration cap, time budget and panic isolation —
+//! the guardrails pre-null runs under — and the one replay walk takes
+//! its judgments. A guardrail that fires gives the method the empty set.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wbe_ir::{cfg, Cond, Insn, InsnAddr, LocalId, Method, Program, StaticId, Terminator};
+use wbe_ir::{Cond, Insn, InsnAddr, LocalId, Method, Program, StaticId, Terminator};
 
-use crate::fixpoint::{isolated, DegradeReason};
-use crate::worklist::Worklist;
+use crate::config::AnalysisConfig;
+use crate::fixpoint::{isolated, replay, run_fixpoint, DegradeReason, Domain, Guard};
+use crate::transfer::BarrierJudgment;
 
 /// An object identity the analysis can name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -148,7 +156,7 @@ impl NosState {
 
 /// Transfers one instruction; returns `Some(true)` when a reference
 /// `putfield` is null-or-same-elidable.
-fn transfer(st: &mut NosState, program: &Program, insn: &Insn) -> Option<bool> {
+fn transfer(st: &mut NosState, program: &Program, insn: &Insn) -> BarrierJudgment {
     match *insn {
         Insn::Const(_) | Insn::ConstNull => {
             st.stack.push(Tag::default());
@@ -315,42 +323,43 @@ fn transfer(st: &mut NosState, program: &Program, insn: &Insn) -> Option<bool> {
     }
 }
 
-/// Applies a terminator, returning the successor states (same order as
-/// `Terminator::successors`). This is where the path refinement lives:
-/// on the null branch of an `ifnull v`, every fact of `v` becomes known
-/// null.
-fn transfer_term(st: &NosState, term: &Terminator) -> Vec<NosState> {
-    match term {
-        Terminator::Goto(_) => vec![st.clone()],
-        Terminator::If { cond, .. } => {
-            let mut s = st.clone();
-            let popped: Vec<Tag> = match cond {
-                Cond::ICmp(_) | Cond::RefEq | Cond::RefNe => {
-                    let b = s.stack.pop().expect("verified");
-                    let a = s.stack.pop().expect("verified");
-                    vec![a, b]
-                }
-                Cond::IZero(_) | Cond::IsNull | Cond::NonNull => {
-                    vec![s.stack.pop().expect("verified")]
-                }
-            };
-            let mut then_state = s.clone();
-            let mut else_state = s;
-            match cond {
-                Cond::IsNull => {
-                    // then-branch: v == null ⇒ for every (o,f) with
-                    // `v == o.f ∨ o.f == null`, o.f is null.
-                    then_state.known_null.extend(&popped[0].nos);
-                }
-                Cond::NonNull => {
-                    // the else-branch is the null case.
-                    else_state.known_null.extend(&popped[0].nos);
-                }
-                _ => {}
-            }
-            vec![then_state, else_state]
+/// The null-or-same domain as the driver solves it.
+struct NullOrSame<'p> {
+    program: &'p Program,
+    method: &'p Method,
+}
+
+impl Domain for NullOrSame<'_> {
+    type State = NosState;
+
+    fn entry(&self) -> NosState {
+        NosState::entry(self.method)
+    }
+
+    fn transfer(&self, st: &mut NosState, insn: &Insn) -> BarrierJudgment {
+        transfer(st, self.program, insn)
+    }
+
+    /// The path refinement: on the null edge of an `ifnull v` (the
+    /// else-edge of an `ifnonnull v`), every fact of `v` becomes known
+    /// null.
+    fn transfer_edge(&self, st: &mut NosState, term: &Terminator, succ: usize) {
+        let Terminator::If { cond, .. } = *term else {
+            return;
+        };
+        let v = st.stack.pop().expect("verified");
+        if cond.pops() == 2 {
+            st.stack.pop().expect("verified");
         }
-        Terminator::Return | Terminator::ReturnValue => vec![],
+        // v == null ⇒ for every (o,f) with `v == o.f ∨ o.f == null`, o.f
+        // is null.
+        if matches!((cond, succ), (Cond::IsNull, 0) | (Cond::NonNull, 1)) {
+            st.known_null.extend(v.nos);
+        }
+    }
+
+    fn merge(&mut self, into: &mut NosState, incoming: &NosState, _widen: bool) -> bool {
+        into.merge_from(incoming)
     }
 }
 
@@ -378,70 +387,44 @@ fn can_hold_a_fact(program: &Program, method: &Method) -> bool {
 /// empty set and is counted in `wbe-telemetry` under
 /// `analysis.degraded`.
 pub fn analyze_method(program: &Program, method: &Method) -> BTreeSet<InsnAddr> {
+    analyze_method_under(program, method, &AnalysisConfig::default())
+}
+
+/// [`analyze_method`] under `config`'s guardrails — the cap, the time
+/// budget and panic isolation pre-null runs under, applied by the same
+/// driver.
+pub(crate) fn analyze_method_under(
+    program: &Program,
+    method: &Method,
+    config: &AnalysisConfig,
+) -> BTreeSet<InsnAddr> {
     if !can_hold_a_fact(program, method) {
         return BTreeSet::new();
     }
-    isolated(true, || solve(program, method))
-        .and_then(|solved| solved)
-        .unwrap_or_else(|_| {
-            wbe_telemetry::counter("analysis.degraded").inc();
-            BTreeSet::new()
-        })
+    elidable(program, method, config).unwrap_or_else(|_| {
+        wbe_telemetry::counter("analysis.degraded").inc();
+        BTreeSet::new()
+    })
 }
 
-/// The worklist fixed point and the judgment pass over it.
-fn solve(program: &Program, method: &Method) -> Result<BTreeSet<InsnAddr>, DegradeReason> {
-    let nblocks = method.blocks.len();
-    let rpo = cfg::reverse_postorder(method);
-    let mut rpo_pos = vec![usize::MAX; nblocks];
-    for (i, b) in rpo.iter().enumerate() {
-        rpo_pos[b.index()] = i;
-    }
-    let mut entry: Vec<Option<NosState>> = vec![None; nblocks];
-    entry[0] = Some(NosState::entry(method));
-    let mut worklist = Worklist::new(nblocks);
-    worklist.insert(0);
-    let cap = (nblocks + 2) * 1_000;
-    let mut iterations = 0usize;
-    while let Some(pos) = worklist.pop_first() {
-        iterations += 1;
-        if iterations >= cap {
-            return Err(DegradeReason::IterationCap { limit: cap });
-        }
-        let bid = rpo[pos];
-        let mut st = entry[bid.index()].clone().expect("on worklist ⇒ has state");
-        let block = method.block(bid);
-        for insn in &block.insns {
-            let _ = transfer(&mut st, program, insn);
-        }
-        let outs = transfer_term(&st, &block.term);
-        for (succ, out) in block.term.successors().zip(outs) {
-            let changed = match &mut entry[succ.index()] {
-                slot @ None => {
-                    *slot = Some(out);
-                    true
-                }
-                Some(existing) => existing.merge_from(&out),
-            };
-            if changed {
-                worklist.insert(rpo_pos[succ.index()]);
+/// The fixed point and the judgment replayed over it.
+fn elidable(
+    program: &Program,
+    method: &Method,
+    config: &AnalysisConfig,
+) -> Result<BTreeSet<InsnAddr>, DegradeReason> {
+    isolated(config.isolate_panics, || {
+        let mut domain = NullOrSame { program, method };
+        let guard = Guard::new(config);
+        let (states, _) = run_fixpoint(method, &mut domain, &guard).map_err(|d| d.reason)?;
+        let mut sites = BTreeSet::new();
+        replay(method, &domain, Some(&states), |step| {
+            if step.judgment() == Some(true) {
+                sites.insert(step.addr);
             }
-        }
-    }
-    // Final judgment pass at the fixed point.
-    let mut elidable = BTreeSet::new();
-    for (bid, block) in method.iter_blocks() {
-        let Some(state) = &entry[bid.index()] else {
-            continue;
-        };
-        let mut st = state.clone();
-        for (idx, insn) in block.insns.iter().enumerate() {
-            if transfer(&mut st, program, insn) == Some(true) {
-                elidable.insert(InsnAddr::new(bid, idx));
-            }
-        }
-    }
-    Ok(elidable)
+        });
+        Ok(sites)
+    })?
 }
 
 /// Runs the analysis on every method.
@@ -682,7 +665,8 @@ mod tests {
         let p = pb.finish();
         for m in [store_only, load_only, int_store] {
             assert!(!can_hold_a_fact(&p, p.method(m)), "{m}");
-            assert_eq!(solve(&p, p.method(m)), Ok(BTreeSet::new()), "{m}");
+            let solved = elidable(&p, p.method(m), &AnalysisConfig::default());
+            assert_eq!(solved, Ok(BTreeSet::new()), "{m}");
             assert!(analyze_method(&p, p.method(m)).is_empty());
         }
         assert!(can_hold_a_fact(&p, p.method(both)));

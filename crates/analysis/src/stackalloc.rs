@@ -19,8 +19,7 @@ use wbe_ir::{Insn, Method, Program, SiteId, Terminator};
 use crate::config::AnalysisConfig;
 use crate::fixpoint::MethodSolution;
 use crate::refs::Ref;
-use crate::state::{AbsState, AbsValue, MethodCtx};
-use crate::transfer::{transfer_insn, transfer_term};
+use crate::state::{AbsValue, MethodCtx};
 
 /// Result of the stack-allocation analysis for one method.
 #[derive(Clone, Debug, Default)]
@@ -58,11 +57,6 @@ fn taint_from_value(v: &AbsValue, ctx: &MethodCtx<'_>, tainted: &mut BTreeSet<Si
     tainted.extend(sites);
 }
 
-/// Peeks `depth` slots below the stack top (0 = top).
-fn peek(st: &AbsState, depth: usize) -> Option<&AbsValue> {
-    st.stack.len().checked_sub(depth + 1).map(|i| &st.stack[i])
-}
-
 /// Runs the analysis on one method, solving it under
 /// [`AnalysisConfig::full`].
 pub fn analyze_method(program: &Program, method: &Method) -> StackAllocAnalysis {
@@ -86,44 +80,22 @@ pub fn analyze_solved(solution: &MethodSolution<'_>) -> StackAllocAnalysis {
     };
 
     let mut tainted: BTreeSet<SiteId> = BTreeSet::new();
-    for (bid, block) in method.iter_blocks() {
-        let Some(entry) = &states[bid.index()] else {
-            continue;
+    solution.walk(Some(states), |step| {
+        let Some(st) = step.pre() else {
+            return;
         };
-        let mut st = entry.clone();
-        for insn in &block.insns {
-            // Taint *before* applying the instruction: the operands are
-            // what leaves the frame.
-            match insn {
-                Insn::PutField(_) | Insn::PutStatic(_) => {
-                    if let Some(v) = peek(&st, 0) {
-                        taint_from_value(v, ctx, &mut tainted);
-                    }
-                }
-                Insn::AaStore => {
-                    if let Some(v) = peek(&st, 0) {
-                        taint_from_value(v, ctx, &mut tainted);
-                    }
-                }
-                Insn::Invoke(callee) => {
-                    let n = program.method(*callee).sig.params.len();
-                    for d in 0..n {
-                        if let Some(v) = peek(&st, d) {
-                            taint_from_value(v, ctx, &mut tainted);
-                        }
-                    }
-                }
-                _ => {}
-            }
-            let _ = transfer_insn(&mut st, ctx, insn);
+        // The operands are what leaves the frame, so the state before
+        // each point is what is read.
+        let leaving = match step.insn {
+            Some(Insn::PutField(_) | Insn::PutStatic(_) | Insn::AaStore) => 1,
+            Some(Insn::Invoke(callee)) => program.method(*callee).sig.params.len(),
+            None => usize::from(method.block(step.addr.block).term == Terminator::ReturnValue),
+            Some(_) => 0,
+        };
+        for v in st.stack.iter().rev().take(leaving) {
+            taint_from_value(v, ctx, &mut tainted);
         }
-        if let Terminator::ReturnValue = block.term {
-            if let Some(v) = peek(&st, 0) {
-                taint_from_value(v, ctx, &mut tainted);
-            }
-        }
-        transfer_term(&mut st, &block.term);
-    }
+    });
 
     let all: BTreeSet<SiteId> = ctx.sites.iter().copied().collect();
     StackAllocAnalysis {

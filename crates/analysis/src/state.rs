@@ -153,17 +153,10 @@ pub struct MethodCtx<'p> {
     /// Whether merges may infer stride variables (§3.5) or widen
     /// immediately (ablation).
     pub stride_inference: bool,
-    /// Merge count at one join point before integer widening kicks in.
-    pub widen_after: usize,
     /// References forced non-thread-local everywhere (the classic-escape
     /// ablation pins every reference that escapes anywhere). Re-asserted
     /// after allocation renames.
     pub pinned_nl: RefSet,
-    /// Guardrail: iteration cap override for the fixpoint driver.
-    pub max_iterations: Option<usize>,
-    /// Guardrail: wall-clock budget and the absolute deadline derived
-    /// from it at context construction.
-    pub deadline: Option<(std::time::Instant, std::time::Duration)>,
     /// Every reference that can occur in the method, built once.
     universe: RefSet,
 }
@@ -200,12 +193,7 @@ impl<'p> MethodCtx<'p> {
             track_arrays: config.array_analysis,
             two_refs: config.two_refs_per_site,
             stride_inference: config.stride_inference,
-            widen_after: config.widen_after,
             pinned_nl: RefSet::new(),
-            max_iterations: config.max_iterations,
-            deadline: config
-                .time_budget
-                .map(|b| (std::time::Instant::now() + b, b)),
             universe,
         }
     }

@@ -1,7 +1,7 @@
 //! Transfer functions: the effects of operations on the abstract state
 //! (§2.4 for the field analysis, §3.3 for the array extension).
 
-use wbe_ir::{Cond, Insn, SiteId, Terminator, Ty};
+use wbe_ir::{Insn, SiteId, Terminator, Ty};
 
 use crate::intval::IntLat;
 #[cfg(test)]
@@ -372,21 +372,8 @@ pub fn transfer_insn(st: &mut AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Bar
 /// Applies a terminator's stack effect (conditions consume operands; no
 /// path-sensitivity is attempted, matching the paper).
 pub fn transfer_term(st: &mut AbsState, term: &Terminator) {
-    match term {
-        Terminator::Goto(_) => {}
-        Terminator::If { cond, .. } => {
-            let n = match cond {
-                Cond::ICmp(_) | Cond::RefEq | Cond::RefNe => 2,
-                Cond::IZero(_) | Cond::IsNull | Cond::NonNull => 1,
-            };
-            for _ in 0..n {
-                pop(st);
-            }
-        }
-        Terminator::Return => {}
-        Terminator::ReturnValue => {
-            pop(st);
-        }
+    for _ in 0..term.pops() {
+        pop(st);
     }
 }
 

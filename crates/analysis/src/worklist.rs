@@ -1,4 +1,4 @@
-//! The worklist both solvers iterate: a set of reverse-postorder
+//! The worklist the fixed-point driver iterates: a set of reverse-postorder
 //! positions that hands back the lowest first, so a block is revisited
 //! only after everything before it in RPO has settled.
 

@@ -6,21 +6,20 @@
 //! from "everything is fine" to "the world is stopped". This module
 //! inserts the intermediate rungs a production collector has:
 //!
-//! | rung | actuator | who applies it |
-//! |------|----------|----------------|
-//! | [`PressureLevel::Nominal`]    | none | — |
-//! | [`PressureLevel::Pacing`]     | start/boost concurrent marking early | interpreter & serve world |
-//! | [`PressureLevel::Throttling`] | stall mutator allocation | interpreter & serve world |
-//! | [`PressureLevel::Shedding`]   | reject incoming requests (admission control) | serve world only |
-//! | [`PressureLevel::Emergency`]  | forced stop-the-world collection | interpreter & serve world |
+//! | rung | actuator |
+//! |------|----------|
+//! | [`PressureLevel::Nominal`]    | none |
+//! | [`PressureLevel::Pacing`]     | start/boost concurrent marking early |
+//! | [`PressureLevel::Throttling`] | stall mutator allocation |
+//! | [`PressureLevel::Shedding`]   | reject incoming requests (admission control) |
+//! | [`PressureLevel::Emergency`]  | forced stop-the-world collection |
 //!
 //! The controller itself is a plain deterministic state machine: it
 //! *decides* the rung from observed heap occupancy against a configured
 //! budget (with hysteresis so the ladder does not flap), and *records*
 //! every transition with a machine-readable reason. The actuators live
-//! with the layers that own the resources — the interpreter paces,
-//! throttles, and pauses; the serve harness additionally sheds, because
-//! only it has an admission queue. Occupancy in, rung out: replaying
+//! with the layer that owns the resources and the admission queue, the
+//! serve world ([`crate::overload`]). Occupancy in, rung out: replaying
 //! the same occupancy sequence replays the same transitions, which is
 //! what keeps `wbe_tool serve` byte-identical for a seed.
 //!

@@ -1,8 +1,8 @@
 //! The compiled dispatch loop: [`Interp`]'s second way of executing a
 //! method, over the flat superinstruction code of [`mod@crate::translate`].
 //!
-//! It is a loop, not a machine: heap, GC driving, recovery, pressure,
-//! oracle, code cache, statistics and the store barrier
+//! It is a loop, not a machine: heap, GC driving, recovery, oracle,
+//! code cache, statistics and the store barrier
 //! (`Interp::store_barrier`) are the ones the classic loop in
 //! [`crate::machine`] uses, so the two are observably identical — same
 //! traps, same `BarrierStats`, same GC cycle and pause schedule, same
@@ -66,7 +66,7 @@ struct ActiveFrame {
 /// The instruction and cycle counters, held in loop locals (registers)
 /// instead of `RunStats` fields. [`flush_counts`] publishes them before
 /// any slow path that reads or charges the shared counters (the GC-step
-/// schedule consults `stats.insns`; pauses and pressure stalls add to
+/// schedule consults `stats.insns`; pauses and recovery barriers add to
 /// `stats.cycles`); [`reload_counts`] re-syncs after.
 struct Counts {
     insns: u64,
@@ -81,7 +81,7 @@ fn flush_counts(interp: &mut Interp, c: &Counts) {
 }
 
 /// Re-reads the shared counters after a slow path may have charged
-/// cycles (pauses, pressure stalls, recovery barriers).
+/// cycles (pauses, recovery barriers).
 #[inline(always)]
 fn reload_counts(interp: &Interp, c: &mut Counts) {
     c.insns = interp.stats.insns;
@@ -555,9 +555,7 @@ impl Interp<'_> {
                         }
                         let top = self.frames.last_mut().expect("frame stack non-empty");
                         top.stack.push(Value::from(r));
-                        let g = self.drive_gc_after_alloc();
-                        reload_counts(self, counts);
-                        g?;
+                        self.drive_gc_after_alloc();
                         pc = unstash(self, &mut af);
                     }
                     Op::NewRefArray { class } => {
@@ -574,9 +572,7 @@ impl Interp<'_> {
                             .expect("frame stack non-empty")
                             .stack
                             .push(Value::from(r));
-                        let g = self.drive_gc_after_alloc();
-                        reload_counts(self, counts);
-                        g?;
+                        self.drive_gc_after_alloc();
                         pc = unstash(self, &mut af);
                     }
                     Op::NewIntArray => {
@@ -592,9 +588,7 @@ impl Interp<'_> {
                             .expect("frame stack non-empty")
                             .stack
                             .push(Value::from(r));
-                        let g = self.drive_gc_after_alloc();
-                        reload_counts(self, counts);
-                        g?;
+                        self.drive_gc_after_alloc();
                         pc = unstash(self, &mut af);
                     }
                     Op::Invoke { callee, nparams } => {

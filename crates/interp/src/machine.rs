@@ -1,5 +1,5 @@
 //! The machine: one [`Interp`] owns the heap, the GC driving, the
-//! recovery, pressure and oracle hooks, the per-method code cache and
+//! recovery and oracle hooks, the per-method code cache and
 //! the statistics, and executes a program through one of two dispatch
 //! loops — the classic one in this file, which decodes [`Insn`]s block
 //! by block, and the compiled one in [`crate::compiled`], which runs
@@ -17,8 +17,8 @@ use std::rc::Rc;
 use wbe_heap::gc::{MarkStyle, PauseReport};
 use wbe_heap::recover::SiteKey;
 use wbe_heap::{
-    FaultPlan, FieldShape, GcRef, Heap, HeapError, PressureConfig, PressureController,
-    PressureLevel, RecoveryAction, RecoveryController, RecoveryPolicy, Value,
+    FaultPlan, FieldShape, GcRef, Heap, HeapError, RecoveryAction, RecoveryController,
+    RecoveryPolicy, Value,
 };
 use wbe_ir::{BlockId, Cond, FieldId, Insn, InsnAddr, MethodId, Program, Terminator, Ty};
 
@@ -32,12 +32,6 @@ use crate::translate::{translate, CompiledMethod, Fuse, Op};
 /// sizes, in remark work units. Complements the per-phase keys under
 /// `heap.gc.pause.*` exported by the collector itself.
 pub const PAUSE_EMERGENCY: &str = "interp.gc.pause.emergency.work_units";
-
-/// Registry histogram key for forced pauses taken on the pressure
-/// ladder's final rung (see [`wbe_heap::pressure`]), in remark work
-/// units. Kept separate from [`PAUSE_EMERGENCY`] so ladder-initiated
-/// pauses and allocation-failure pauses stay attributable.
-pub const PAUSE_PRESSURE: &str = "interp.gc.pause.pressure_emergency.work_units";
 
 /// A runtime trap: the interpreter's analogue of a JVM exception. The
 /// workloads are written not to trap; traps in tests indicate bugs (or
@@ -290,7 +284,6 @@ pub struct Interp<'p> {
     allocs_since_cycle: u64,
     verify_invariants: bool,
     recovery: Option<RecoveryController>,
-    pressure: Option<PressureController>,
     oracle: Option<OracleState>,
     pub(crate) frames: Vec<Frame>,
     published: PublishedRunStats,
@@ -360,7 +353,6 @@ impl<'p> Interp<'p> {
             allocs_since_cycle: 0,
             verify_invariants: false,
             recovery: None,
-            pressure: None,
             oracle: None,
             frames: Vec::new(),
             published: PublishedRunStats::default(),
@@ -415,24 +407,6 @@ impl<'p> Interp<'p> {
     /// state, and the per-site revocation table for the ledger join.
     pub fn recovery(&self) -> Option<&RecoveryController> {
         self.recovery.as_ref()
-    }
-
-    /// Installs the heap-pressure controller (see
-    /// [`wbe_heap::pressure`]). Consulted at every allocation: rising
-    /// occupancy walks the degradation ladder — pace concurrent marking
-    /// early, stall the mutator, and finally force a stop-the-world
-    /// collection — instead of cliff-diving straight to the emergency
-    /// pause. (The shedding rung is actuated by the serve harness,
-    /// which owns an admission queue; the interpreter has no requests
-    /// to reject.)
-    pub fn set_pressure(&mut self, cfg: PressureConfig) {
-        self.pressure = Some(PressureController::new(cfg));
-    }
-
-    /// The pressure controller, if one is installed — current rung,
-    /// transition log, and `gc.pressure.*` counters.
-    pub fn pressure(&self) -> Option<&PressureController> {
-        self.pressure.as_ref()
     }
 
     /// Enables (or disables) the barrier-necessity oracle (see
@@ -536,9 +510,6 @@ impl<'p> Interp<'p> {
         if let Some(rc) = self.recovery.as_mut() {
             rc.publish_metrics();
         }
-        if let Some(pc) = self.pressure.as_mut() {
-            pc.publish_metrics();
-        }
     }
 
     fn collect_roots(&self) -> Vec<GcRef> {
@@ -553,14 +524,16 @@ impl<'p> Interp<'p> {
         roots
     }
 
-    pub(crate) fn drive_gc_after_alloc(&mut self) -> Result<(), Trap> {
-        self.consult_pressure()?;
+    /// The post-allocation trigger: starts concurrent marking once the
+    /// policy's allocation count is due. It charges no cycles and cannot
+    /// trap.
+    pub(crate) fn drive_gc_after_alloc(&mut self) {
         let Some(policy) = self.gc_policy else {
-            return Ok(());
+            return;
         };
         self.allocs_since_cycle += 1;
         if self.heap.gc.is_marking() {
-            return Ok(());
+            return;
         }
         // Fault schedule: a *due* start may be deferred (re-rolled at the
         // next allocation), and an idle collector may be started early.
@@ -583,62 +556,6 @@ impl<'p> Interp<'p> {
                 self.allocs_since_cycle = 0;
             }
         }
-        Ok(())
-    }
-
-    /// One pressure-ladder consultation, run after every allocation
-    /// when a controller is installed. Feeds live-heap occupancy to the
-    /// controller and actuates the rung it answers with: `Pacing`
-    /// starts (or boosts) concurrent marking ahead of the allocation
-    /// trigger, `Throttling` charges stall cycles against the mutator,
-    /// and `Emergency` forces a full stop-the-world collection (rate-
-    /// limited by the controller's cooldown).
-    fn consult_pressure(&mut self) -> Result<(), Trap> {
-        let Some(mut pc) = self.pressure.take() else {
-            return Ok(());
-        };
-        let level = pc.observe(self.heap.store.live_count());
-        if level >= PressureLevel::Pacing {
-            if self.heap.gc.is_marking() {
-                // Boost: an extra concurrent mark step on top of the
-                // policy-scheduled ones, so marking outruns the burst.
-                let budget = self.gc_policy.map_or(8, |p| p.step_budget);
-                self.heap.gc.mark_step(&mut self.heap.store, budget);
-                pc.note_pace_start();
-            } else {
-                let roots = self.collect_roots();
-                if self
-                    .heap
-                    .gc
-                    .try_begin_marking(&mut self.heap.store, &roots)
-                    .is_ok()
-                {
-                    self.allocs_since_cycle = 0;
-                    pc.note_pace_start();
-                }
-            }
-        }
-        if level >= PressureLevel::Throttling {
-            self.stats.cycles += pc.note_throttle_stall();
-        }
-        if pc.emergency_pause_due() {
-            pc.note_emergency_pause();
-            if wbe_telemetry::tracing_enabled() {
-                wbe_telemetry::trace::event(
-                    "gc.pressure.emergency_pause",
-                    "ladder final rung: forced stop-the-world collection",
-                );
-            }
-            // Restore the controller before propagating a trap so its
-            // transition log survives for the post-mortem.
-            let pause = self.full_pause();
-            self.pressure = Some(pc);
-            let pause = pause?;
-            wbe_telemetry::histogram(PAUSE_PRESSURE).record(pause.work_units() as u64);
-            return Ok(());
-        }
-        self.pressure = Some(pc);
-        Ok(())
     }
 
     pub(crate) fn drive_gc_after_insn(&mut self) -> Result<(), Trap> {
@@ -1541,19 +1458,19 @@ impl<'p> Interp<'p> {
                     self.stats.stack_allocated += 1;
                 }
                 self.push(Value::from(r));
-                self.drive_gc_after_alloc()?;
+                self.drive_gc_after_alloc();
             }
             Insn::NewRefArray { class, .. } => {
                 let len = self.pop_int(mid, at)?;
                 let r = self.alloc_with_recovery(mid, at, |h| h.alloc_ref_array(class.0, len))?;
                 self.push(Value::from(r));
-                self.drive_gc_after_alloc()?;
+                self.drive_gc_after_alloc();
             }
             Insn::NewIntArray { .. } => {
                 let len = self.pop_int(mid, at)?;
                 let r = self.alloc_with_recovery(mid, at, |h| h.alloc_int_array(len))?;
                 self.push(Value::from(r));
-                self.drive_gc_after_alloc()?;
+                self.drive_gc_after_alloc();
             }
             Insn::Invoke(callee) => {
                 let nparams = self.program.method(callee).sig.params.len();
@@ -2062,112 +1979,6 @@ mod tests {
         let r = interp.run(m, &[Value::Int(200)], 1_000_000).unwrap();
         assert_eq!(r, Some(Value::Int(200)), "all 200 nodes survive GC");
         assert!(interp.stats.gc_cycles > 0, "GC actually ran");
-    }
-
-    /// Builds `n` live linked-list nodes (all reachable from a local),
-    /// so heap occupancy climbs monotonically — the shape that walks
-    /// the pressure ladder.
-    fn list_builder() -> (wbe_ir::Program, MethodId) {
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("Node");
-        let next = pb.field(c, "next", Ty::Ref(c));
-        let m = pb.method("build", vec![Ty::Int], Some(Ty::Int), 2, |mb| {
-            let n = mb.local(0);
-            let head = mb.local(1);
-            let i = mb.local(2);
-            let bhead = mb.new_block();
-            let bbody = mb.new_block();
-            let bexit = mb.new_block();
-            mb.new_object(c).store(head).iconst(1).store(i).goto_(bhead);
-            mb.switch_to(bhead)
-                .load(i)
-                .load(n)
-                .if_icmp(CmpOp::Lt, bbody, bexit);
-            mb.switch_to(bbody)
-                .new_object(c)
-                .dup()
-                .load(head)
-                .putfield(next)
-                .store(head)
-                .iinc(i, 1)
-                .goto_(bhead);
-            mb.switch_to(bexit).load(i).return_value();
-        });
-        let p = pb.finish();
-        p.validate().unwrap();
-        (p, m)
-    }
-
-    #[test]
-    fn pressure_ladder_engages_in_order_under_monotone_growth() {
-        use wbe_heap::pressure::PressureLevel;
-        let (p, m) = list_builder();
-        let mut interp = Interp::new(&p, checked());
-        interp.set_gc_policy(GcPolicy {
-            alloc_trigger: 50,
-            step_interval: 8,
-            step_budget: 4,
-        });
-        interp.set_pressure(wbe_heap::PressureConfig::with_budget(150));
-        let r = interp.run(m, &[Value::Int(400)], 1_000_000).unwrap();
-        assert_eq!(r, Some(Value::Int(400)), "all nodes survive the ladder");
-        let pc = interp.pressure().expect("controller installed");
-        assert_eq!(pc.high_water(), PressureLevel::Emergency);
-        // Each rung was entered, and the first crossing of each rung
-        // happened in escalation order.
-        let order = [
-            PressureLevel::Pacing,
-            PressureLevel::Throttling,
-            PressureLevel::Shedding,
-            PressureLevel::Emergency,
-        ];
-        let firsts: Vec<usize> = order
-            .iter()
-            .map(|l| {
-                assert!(pc.stats.entries(*l) >= 1, "{l} never entered");
-                pc.transitions()
-                    .iter()
-                    .position(|t| t.reason == l.ascend_reason())
-                    .expect("reason recorded")
-            })
-            .collect();
-        assert!(firsts.windows(2).all(|w| w[0] < w[1]), "order: {firsts:?}");
-        assert!(pc.stats.pace_starts > 0, "marking was paced");
-        assert!(pc.stats.throttle_stalls > 0, "allocation was throttled");
-        assert!(pc.stats.emergency_pauses >= 1, "final rung actuated");
-        assert!(
-            interp.stats.cycles > 0,
-            "throttle stalls charged mutator cycles"
-        );
-    }
-
-    #[test]
-    fn nominal_pressure_observes_without_intervening() {
-        let (p, m) = list_builder();
-        let mut plain = Interp::new(&p, checked());
-        plain.set_gc_policy(GcPolicy {
-            alloc_trigger: 50,
-            step_interval: 8,
-            step_budget: 4,
-        });
-        let r0 = plain.run(m, &[Value::Int(100)], 1_000_000).unwrap();
-        let mut guarded = Interp::new(&p, checked());
-        guarded.set_gc_policy(GcPolicy {
-            alloc_trigger: 50,
-            step_interval: 8,
-            step_budget: 4,
-        });
-        guarded.set_pressure(wbe_heap::PressureConfig::with_budget(1_000_000));
-        let r1 = guarded.run(m, &[Value::Int(100)], 1_000_000).unwrap();
-        assert_eq!(r0, r1);
-        let pc = guarded.pressure().unwrap();
-        assert!(pc.stats.observations > 0, "every allocation observed");
-        assert!(pc.transitions().is_empty(), "never left nominal");
-        assert_eq!(pc.stats.pace_starts + pc.stats.emergency_pauses, 0);
-        assert_eq!(
-            guarded.stats.gc_cycles, plain.stats.gc_cycles,
-            "a nominal ladder does not perturb the GC schedule"
-        );
     }
 
     #[test]

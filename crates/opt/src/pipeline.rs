@@ -10,8 +10,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
+use wbe_analysis::transfer::is_barrier_site;
 use wbe_analysis::{
-    analyze_program_with, nullsame, AnalysisConfig, ElisionLedger, Products, ProgramAnalysis,
+    analyze_program_with_nos, nullsame, AnalysisConfig, ElisionLedger, Products, ProgramAnalysis,
 };
 use wbe_ir::{InsnAddr, MethodId, Program};
 
@@ -63,7 +64,9 @@ pub struct PipelineConfig {
     /// Overrides the mode's analysis configuration (for ablations).
     pub analysis_override: Option<AnalysisConfig>,
     /// Also run the §4.3 null-or-same analysis (off by default: it is
-    /// the paper's future-work extension, not part of Tables 1-2).
+    /// the paper's future-work extension, not part of Tables 1-2). It
+    /// solves in the pre-null analysis's per-method pass, under the same
+    /// guardrails, and marks the ledger's records there.
     pub null_or_same: bool,
     /// Run constant/branch folding and dead-block removal after
     /// inlining, before the analyses (off by default so experiment
@@ -97,10 +100,7 @@ impl PipelineConfig {
         PipelineConfig {
             inline: InlineConfig::with_limit(inline_limit),
             mode,
-            analysis_override: None,
-            null_or_same: false,
-            fold: false,
-            ledger: false,
+            ..PipelineConfig::default()
         }
     }
 
@@ -187,11 +187,7 @@ impl Compiled {
         self.program
             .iter_methods()
             .flat_map(|(_, m)| m.iter_insns())
-            .filter(|(_, _, i)| match i {
-                wbe_ir::Insn::PutField(f) => self.program.field(*f).ty.is_ref_like(),
-                wbe_ir::Insn::AaStore => true,
-                _ => false,
-            })
+            .filter(|(_, _, i)| is_barrier_site(&self.program, i))
             .count()
     }
 }
@@ -226,24 +222,21 @@ fn run(program: &Program, config: &PipelineConfig, dump: bool) -> (Compiled, Opt
     let analysis_config = config
         .analysis_override
         .or_else(|| config.mode.analysis_config());
-    // One solve and one replay per method, whatever is derived from it.
+    // One solve and one replay per method and domain, whatever is
+    // derived from them.
     let products = Products {
         ledger: config.ledger,
         dump,
     };
-    let analyzed = analysis_config.map(|c| analyze_program_with(&inlined, &c, products));
-    let (analysis, mut ledger, dump) = match analyzed {
-        Some(a) => (Some(a.analysis), a.ledger, a.dump),
-        None => (None, None, None),
+    let (analysis, ledger, dump, null_or_same) = match analysis_config {
+        Some(c) => {
+            let a = analyze_program_with_nos(&inlined, &c, products, config.null_or_same);
+            (Some(a.analysis), a.ledger, a.dump, a.null_or_same)
+        }
+        // Baseline: null-or-same runs alone, under the default guardrails.
+        None if config.null_or_same => (None, None, None, nullsame::analyze_program(&inlined)),
+        None => (None, None, None, BTreeMap::new()),
     };
-    let null_or_same = if config.null_or_same {
-        nullsame::analyze_program(&inlined)
-    } else {
-        BTreeMap::new()
-    };
-    if let Some(ledger) = &mut ledger {
-        annotate_null_or_same(ledger, &inlined, &null_or_same);
-    }
     let compiled = Compiled {
         program: inlined,
         inline_stats,
@@ -264,35 +257,6 @@ fn run(program: &Program, config: &PipelineConfig, dump: bool) -> (Compiled, Opt
             .add(before.saturating_sub(after) as u64);
     }
     (compiled, dump)
-}
-
-/// Marks the records that the §4.3 null-or-same extension would elide
-/// with a `W_NS` barrier. The ledger holds each method's records
-/// together, in program order, and a method's records and its
-/// null-or-same sites are both in (block, instruction) order, so one
-/// walk over all three resolves every record.
-fn annotate_null_or_same(
-    ledger: &mut ElisionLedger,
-    program: &Program,
-    null_or_same: &BTreeMap<MethodId, BTreeSet<InsnAddr>>,
-) {
-    if null_or_same.is_empty() {
-        return;
-    }
-    let mut records = ledger.records.iter_mut().peekable();
-    for (mid, method) in program.iter_methods() {
-        let mut sites = null_or_same
-            .get(&mid)
-            .into_iter()
-            .flatten()
-            .map(|a| (a.block.index(), a.index))
-            .peekable();
-        while let Some(rec) = records.next_if(|r| r.method == method.name) {
-            let at = (rec.block, rec.index);
-            while sites.next_if(|&site| site < at).is_some() {}
-            rec.null_or_same = sites.peek() == Some(&at);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@
 //! guardrail's whole contract is "pathological input costs performance,
 //! never soundness or availability".
 
+use std::time::Duration;
+
 use wbe_repro::analysis::{analyze_program, nullsame, AnalysisConfig, AnalysisOutcome};
 use wbe_repro::interp::{BarrierConfig, BarrierMode, GcPolicy, Interp, Value};
 use wbe_repro::ir::builder::{MethodBuilder, ProgramBuilder};
@@ -98,6 +100,76 @@ fn iteration_capped_method_degrades_and_still_runs() {
         capped.methods[&m].outcome,
         AnalysisOutcome::Degraded(_)
     ));
+}
+
+/// `nullsame.rs`'s `hashtable_idiom_is_elidable` method: a looped
+/// lookup whose final `this.entry = e` is null-or-same (and not
+/// pre-null), so the null-or-same fixed point takes several blocks.
+fn hashtable_program() -> (Program, MethodId) {
+    let mut pb = ProgramBuilder::new();
+    let ent = pb.class("Entry");
+    let c = pb.class("Table");
+    let entry_f = pb.field(c, "entry", Ty::Ref(ent));
+    let types = vec![Ty::Ref(c), Ty::RefArray(ent), Ty::Int];
+    let m = pb.method("advance", types, None, 1, |mb| {
+        let (this, t, i, e) = (mb.local(0), mb.local(1), mb.local(2), mb.local(3));
+        let head = mb.new_block();
+        let check_i = mb.new_block();
+        let body = mb.new_block();
+        let exit = mb.new_block();
+        mb.load(this).getfield(entry_f).store(e).goto_(head);
+        mb.switch_to(head).load(e).if_null(check_i, exit);
+        mb.switch_to(check_i).load(i).if_zero(CmpOp::Gt, body, exit);
+        mb.switch_to(body);
+        mb.iinc(i, -1).load(t).load(i).aaload().store(e).goto_(head);
+        mb.switch_to(exit)
+            .load(this)
+            .load(e)
+            .putfield(entry_f)
+            .return_();
+    });
+    let p = pb.finish();
+    p.validate().unwrap();
+    (p, m)
+}
+
+/// Null-or-same runs under the guardrails the pipeline's analysis
+/// configuration sets, like pre-null does: a cap it cannot converge
+/// within, or a spent wall-clock budget, gives the method no
+/// null-or-same site and counts it under `analysis.degraded`.
+#[test]
+fn null_or_same_honours_the_iteration_cap_and_the_time_budget() {
+    let (program, m) = hashtable_program();
+    let plain = compile(
+        &program,
+        &PipelineConfig::new(OptMode::Full, 0).with_null_or_same(),
+    );
+    assert_eq!(
+        plain.null_or_same[&m].len(),
+        1,
+        "elidable without a guardrail"
+    );
+
+    let degraded = wbe_repro::telemetry::counter("analysis.degraded");
+    let full = AnalysisConfig::full();
+    for guarded in [
+        full.with_max_iterations(1),
+        full.with_time_budget(Duration::ZERO),
+    ] {
+        let mut config = PipelineConfig::new(OptMode::Full, 0)
+            .with_null_or_same()
+            .with_ledger();
+        config.analysis_override = Some(guarded);
+        let before = degraded.get();
+        let compiled = compile(&program, &config);
+        assert!(compiled.null_or_same[&m].is_empty(), "{guarded:?}");
+        assert!(degraded.get() > before, "{guarded:?}: counted");
+        let ledger = compiled.ledger.expect("asked for");
+        assert!(
+            ledger.records.iter().all(|r| !r.null_or_same),
+            "{guarded:?}"
+        );
+    }
 }
 
 /// The §4.3 extension is inside the same contract. A method whose IR
