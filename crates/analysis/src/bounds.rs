@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 use wbe_ir::{Insn, InsnAddr, Method, Program};
 
 use crate::config::AnalysisConfig;
-use crate::fixpoint::MethodSolution;
+use crate::fixpoint::{every_point, MethodSolution};
 use crate::intval::IntLat;
 use crate::state::{AbsState, AbsValue};
 
@@ -116,7 +116,7 @@ pub fn analyze_method(program: &Program, method: &Method) -> BoundsAnalysis {
 pub fn analyze_solved(solution: &MethodSolution<'_>) -> BoundsAnalysis {
     let mut out = BoundsAnalysis::default();
     // Degraded: no state, so every site keeps its bounds check.
-    solution.walk(solution.fixed_point(), |step| {
+    solution.walk(solution.fixed_point(), every_point, |step| {
         let Some(insn) = step.insn.filter(|i| is_array_access(i)) else {
             return;
         };

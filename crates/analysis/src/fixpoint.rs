@@ -138,7 +138,7 @@ pub struct ProgramAnalysis {
     /// Wall-clock analysis time (Figure 2's compile-time axis): every
     /// method's solve plus the one replay over it. When the same pass
     /// also builds the ledger or the dump, or solves null-or-same
-    /// ([`analyze_program_with_nos`]), that work is inside this time;
+    /// ([`Products`]), that work is inside this time;
     /// the pre-null fixed points are not solved again for it.
     pub elapsed: Duration,
 }
@@ -183,6 +183,10 @@ pub struct Products {
     pub ledger: bool,
     /// Render the text dump of every method ([`crate::dump`]).
     pub dump: bool,
+    /// Solve §4.3 null-or-same ([`crate::nullsame`]) in the same
+    /// per-method pass, under the same guardrails, and mark each ledger
+    /// record it elides as the record is emitted.
+    pub null_or_same: bool,
 }
 
 /// What one pass over a program produced: each method solved once,
@@ -195,8 +199,7 @@ pub struct Analyzed {
     pub ledger: Option<ElisionLedger>,
     /// The text dump of every method in program order, when asked for.
     pub dump: Option<String>,
-    /// Every method's §4.3 null-or-same sites; empty unless asked for
-    /// ([`analyze_program_with_nos`]).
+    /// Every method's §4.3 null-or-same sites; empty unless asked for.
     pub null_or_same: BTreeMap<MethodId, BTreeSet<InsnAddr>>,
 }
 
@@ -212,19 +215,6 @@ pub fn analyze_program_with(
     config: &AnalysisConfig,
     products: Products,
 ) -> Analyzed {
-    analyze_program_with_nos(program, config, products, false)
-}
-
-/// [`analyze_program_with`] and, with `null_or_same`, each method's
-/// §4.3 null-or-same sites: solved in the same per-method pass under
-/// the same guardrails, and written into that method's ledger records
-/// as it emits them.
-pub fn analyze_program_with_nos(
-    program: &Program,
-    config: &AnalysisConfig,
-    products: Products,
-    null_or_same: bool,
-) -> Analyzed {
     let _span = wbe_telemetry::span!("analysis.program");
     let start = Instant::now();
     let mut methods = BTreeMap::new();
@@ -236,7 +226,7 @@ pub fn analyze_program_with_nos(
         let solution = MethodSolution::solve(program, method, config);
         // The dump's per-site lines are rendered from the records.
         let mut replay = solution.replay(products.ledger || products.dump);
-        if null_or_same {
+        if products.null_or_same {
             let sites = nullsame::analyze_method_under(program, method, config);
             for rec in &mut replay.records {
                 let addr = InsnAddr::new(BlockId::from_index(rec.block), rec.index);
@@ -387,6 +377,9 @@ impl<'p> MethodSolution<'p> {
         // Partial states can include blocks the driver never got to
         // transfer, which on malformed IR may panic when replayed; find
         // out now, so that the solution handed out is safe to replay.
+        // The records' walk is the only one that transfers partial
+        // states (the clients read a fixed point or nothing), so the
+        // probe checks exactly the points later replays visit.
         if isolate && solution.outcome.is_degraded() {
             if let Err(reason) = isolated(true, || solution.replay(true)) {
                 solution.states = unreached();
@@ -426,23 +419,27 @@ impl<'p> MethodSolution<'p> {
     }
 
     /// The one replay walk over this method from `states` (`None`: no
-    /// block has a state): see `replay`.
+    /// block has a state), visiting the points `wants` names: see
+    /// `replay`.
     pub(crate) fn walk(
         &self,
         states: Option<&[Option<AbsState>]>,
+        wants: impl Fn(Option<&Insn>) -> bool,
         visit: impl FnMut(&mut Step<'_, PreNull<'_, 'p>>),
     ) {
         replay(
             self.ctx.method,
             &PreNull::new(&self.ctx, None),
             states,
+            wants,
             visit,
         );
     }
 
-    /// The final judgment pass: replays every block from its entry
-    /// state, taking the elision judgments "at the fixed point of the
-    /// analysis" (§2.4) and, `with_records`, the evidence behind each.
+    /// The final judgment pass: replays each block from its entry state
+    /// up to its last barrier site, taking the elision judgments "at the
+    /// fixed point of the analysis" (§2.4) and, `with_records`, the
+    /// evidence behind each.
     pub fn replay(&self, with_records: bool) -> Replay {
         let degraded = match &self.outcome {
             AnalysisOutcome::Degraded(reason) => Some(reason.to_string()),
@@ -457,11 +454,10 @@ impl<'p> MethodSolution<'p> {
         // A degraded method elides nothing: its states matter only to
         // the records.
         let states = (with_records || degraded.is_none()).then_some(&self.states[..]);
-        self.walk(states, |step| {
-            let program = self.ctx.program;
-            let Some(insn) = step.insn.filter(|i| is_barrier_site(program, i)) else {
-                return;
-            };
+        let program = self.ctx.program;
+        let site = |p: Option<&Insn>| p.is_some_and(|i| is_barrier_site(program, i));
+        self.walk(states, site, |step| {
+            let insn = step.insn.expect("a barrier site is an instruction");
             // Read before the transfer consumes the operands.
             let pre = step
                 .pre()
@@ -684,26 +680,46 @@ impl<D: Domain> Step<'_, D> {
     }
 }
 
-/// The one walk over a solved domain: every block from its entry state
-/// in `states` (`None`: no block has one), every point handed to
-/// `visit` before it is transferred.
+/// The `wants` of a walk that reads every point, terminators included.
+pub(crate) fn every_point(_: Option<&Insn>) -> bool {
+    true
+}
+
+/// The one walk over a solved domain. `wants` names the points `visit`
+/// reads: an instruction, or `None` for a block's terminator. A block
+/// with a wanted point is walked from its entry state in `states`
+/// (`None`: no block has one) up to its last wanted point, each wanted
+/// point handed to `visit` before it is transferred; a block without
+/// one is skipped. What lies past a block's last wanted point would
+/// only be transferred into a state nobody reads.
 pub(crate) fn replay<D: Domain>(
     method: &Method,
     domain: &D,
     states: Option<&[Option<D::State>]>,
+    wants: impl Fn(Option<&Insn>) -> bool,
     mut visit: impl FnMut(&mut Step<'_, D>),
 ) {
     for (bid, block) in method.iter_blocks() {
+        let last = if wants(None) {
+            block.insns.len()
+        } else {
+            match block.insns.iter().rposition(|i| wants(Some(i))) {
+                Some(last) => last,
+                None => continue,
+            }
+        };
         let mut st = states.and_then(|s| s[bid.index()].clone());
         let points = block.insns.iter().map(Some).chain([None]);
-        for (index, insn) in points.enumerate() {
+        for (index, insn) in points.take(last + 1).enumerate() {
             let mut step = Step {
                 domain,
                 addr: InsnAddr::new(bid, index),
                 insn,
                 state: st.as_mut(),
             };
-            visit(&mut step);
+            if wants(insn) {
+                visit(&mut step);
+            }
             step.judgment();
         }
     }
@@ -1190,12 +1206,13 @@ mod tests {
     #[test]
     fn unreplayable_partial_states_degrade_to_panicked_everywhere() {
         let (mut p, m) = looped_store_program();
-        // Underflow in the loop head, which a one-block cap leaves on
-        // the worklist with an entry state but never processes.
-        p.methods[m.index()].blocks[1]
+        // Underflow in the loop body ahead of its store: a two-block cap
+        // leaves the body on the worklist with an entry state but never
+        // processes it, and the records' walk reaches the store.
+        p.methods[m.index()].blocks[2]
             .insns
             .insert(0, wbe_ir::Insn::Pop);
-        let cfg = AnalysisConfig::full().with_max_iterations(1);
+        let cfg = AnalysisConfig::full().with_max_iterations(2);
         let solution = MethodSolution::solve(&p, p.method(m), &cfg);
         assert!(matches!(
             solution.outcome(),
@@ -1212,6 +1229,110 @@ mod tests {
             analyze_method(&p, p.method(m), &cfg).outcome,
             replay.analysis.outcome
         );
+    }
+
+    /// The panic probe checks what later replays transfer, no more: an
+    /// underflow past a block's last store is never replayed, so the
+    /// solution keeps the guardrail's own reason and its partial states.
+    #[test]
+    fn an_underflow_past_the_last_store_is_never_replayed() {
+        let (mut p, m) = looped_store_program();
+        // After the body's `putfield` (B2[2]), on an empty stack.
+        p.methods[m.index()].blocks[2]
+            .insns
+            .insert(3, wbe_ir::Insn::Pop);
+        let cfg = AnalysisConfig::full().with_max_iterations(2);
+        let solution = MethodSolution::solve(&p, p.method(m), &cfg);
+        let cap = AnalysisOutcome::Degraded(DegradeReason::IterationCap { limit: 2 });
+        assert_eq!(solution.outcome(), &cap);
+        assert!(solution.entry_states()[2].is_some());
+        let replay = solution.replay(true);
+        assert_eq!(replay.analysis.outcome, cap);
+        assert_eq!(replay.records.len(), 1);
+        assert_ne!(replay.records[0].keep_code, "not-reached");
+    }
+
+    /// A domain whose state is the block it entered, logging each
+    /// instruction `replay` transfers.
+    struct Counting {
+        transferred: std::cell::RefCell<Vec<BlockId>>,
+    }
+
+    impl Domain for Counting {
+        type State = BlockId;
+
+        fn entry(&self) -> BlockId {
+            BlockId(0)
+        }
+
+        fn transfer(&self, st: &mut BlockId, _insn: &Insn) -> BarrierJudgment {
+            self.transferred.borrow_mut().push(*st);
+            None
+        }
+
+        fn transfer_edge(&self, _st: &mut BlockId, _term: &Terminator, _succ: usize) {}
+
+        fn merge(&mut self, _into: &mut BlockId, _incoming: &BlockId, _widen: bool) -> bool {
+            false
+        }
+    }
+
+    /// The bounded walk: wanting barrier sites, it transfers each block
+    /// up to and including its last site and nothing of a block without
+    /// one, and hands `visit` the sites alone; wanting every point, it
+    /// transfers every instruction and visits every terminator.
+    #[test]
+    fn replay_stops_after_each_blocks_last_wanted_point() {
+        let mut pb = ProgramBuilder::new();
+        let c = pb.class("C");
+        let f = pb.field(c, "f", Ty::Ref(c));
+        let n = pb.field(c, "n", Ty::Int);
+        let m = pb.method("walked", vec![Ty::Ref(c)], None, 0, |mb| {
+            let o = mb.local(0);
+            let (b1, b2, b3) = (mb.new_block(), mb.new_block(), mb.new_block());
+            // B0: a site at [2], then four instructions.
+            mb.load(o).const_null().putfield(f);
+            mb.load(o).iconst(1).putfield(n).iconst(0);
+            mb.if_zero(CmpOp::Eq, b1, b2);
+            // B1: no site (an int store is not one).
+            mb.switch_to(b1).load(o).iconst(2).putfield(n).goto_(b3);
+            // B2: sites at [2] and [5], then two instructions.
+            mb.switch_to(b2).load(o).load(o).putfield(f);
+            mb.load(o).load(o).putfield(f).load(o).pop().goto_(b3);
+            // B3: no instruction at all.
+            mb.switch_to(b3).return_();
+        });
+        let prog = pb.finish();
+        prog.validate().unwrap();
+        let method = prog.method(m);
+        let states: Vec<_> = (0..4).map(|b| Some(BlockId(b))).collect();
+        let walk = |wants: &dyn Fn(Option<&Insn>) -> bool| {
+            let domain = Counting {
+                transferred: Default::default(),
+            };
+            let mut visited = Vec::new();
+            replay(method, &domain, Some(&states), wants, |step| {
+                visited.push(step.addr);
+            });
+            let transferred = domain.transferred.into_inner();
+            let per_block: Vec<_> = (0..4)
+                .map(|b| transferred.iter().filter(|&&t| t == BlockId(b)).count())
+                .collect();
+            (per_block, visited)
+        };
+        let at = |b, i| InsnAddr::new(BlockId(b), i);
+
+        let (per_block, visited) = walk(&|p| p.is_some_and(|i| is_barrier_site(&prog, i)));
+        assert_eq!(per_block, [3, 0, 6, 0]);
+        assert_eq!(visited, [at(0, 2), at(2, 2), at(2, 5)]);
+
+        let (per_block, visited) = walk(&every_point);
+        let lens: Vec<_> = method.blocks.iter().map(|b| b.insns.len()).collect();
+        assert_eq!(per_block, lens, "every instruction");
+        let every: Vec<_> = (0..4)
+            .flat_map(|b| (0..=lens[b as usize]).map(move |i| at(b, i)))
+            .collect();
+        assert_eq!(visited, every, "every point, terminators included");
     }
 
     /// Degrade reasons render for humans.

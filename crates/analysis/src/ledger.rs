@@ -113,9 +113,9 @@ pub struct SiteRecord {
     /// Degrade reason when [`Verdict::Degraded`] (empty otherwise).
     pub degraded: String,
     /// Whether the §4.3 null-or-same extension would elide this site
-    /// with a `W_NS` barrier (set by the per-method pass that solves
-    /// null-or-same too, [`analyze_program_with_nos`](crate::analyze_program_with_nos);
-    /// always `false` straight out of [`ElisionLedger::build`]).
+    /// with a `W_NS` barrier (set by the per-method pass when its
+    /// [`Products`](crate::Products) ask for null-or-same too; always
+    /// `false` straight out of [`ElisionLedger::build`]).
     pub null_or_same: bool,
 }
 

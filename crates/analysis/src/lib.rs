@@ -29,8 +29,8 @@
 //! [`nullsame`] adds the §4.3 "null-or-same" extension, a second domain
 //! on the same engine: [`fixpoint`]'s one worklist driver solves both,
 //! under one iteration cap, time budget and panic isolation, and one
-//! replay walk takes every judgment ([`analyze_program_with_nos`]
-//! solves both in one per-method pass).
+//! replay walk takes every judgment ([`analyze_program_with`] with
+//! [`Products::null_or_same`] solves both in one per-method pass).
 //!
 //! # Example
 //!
@@ -82,9 +82,8 @@ mod worklist;
 pub use bounds::BoundsAnalysis;
 pub use config::AnalysisConfig;
 pub use fixpoint::{
-    analyze_method, analyze_program, analyze_program_with, analyze_program_with_nos,
-    AnalysisOutcome, Analyzed, DegradeReason, MethodAnalysis, MethodSolution, Products,
-    ProgramAnalysis,
+    analyze_method, analyze_program, analyze_program_with, AnalysisOutcome, Analyzed,
+    DegradeReason, MethodAnalysis, MethodSolution, Products, ProgramAnalysis,
 };
 pub use framework::{Framework, MethodInfo};
 pub use intval::{IntLat, IntVal, UnkId, VarId};

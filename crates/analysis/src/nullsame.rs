@@ -418,7 +418,9 @@ fn elidable(
         let guard = Guard::new(config);
         let (states, _) = run_fixpoint(method, &mut domain, &guard).map_err(|d| d.reason)?;
         let mut sites = BTreeSet::new();
-        replay(method, &domain, Some(&states), |step| {
+        let asked =
+            |p: Option<&Insn>| matches!(p, Some(&Insn::PutField(f)) if program.field_is_ref(f));
+        replay(method, &domain, Some(&states), asked, |step| {
             if step.judgment() == Some(true) {
                 sites.insert(step.addr);
             }

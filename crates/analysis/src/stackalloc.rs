@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use wbe_ir::{Insn, Method, Program, SiteId, Terminator};
 
 use crate::config::AnalysisConfig;
-use crate::fixpoint::MethodSolution;
+use crate::fixpoint::{every_point, MethodSolution};
 use crate::refs::Ref;
 use crate::state::{AbsValue, MethodCtx};
 
@@ -80,7 +80,7 @@ pub fn analyze_solved(solution: &MethodSolution<'_>) -> StackAllocAnalysis {
     };
 
     let mut tainted: BTreeSet<SiteId> = BTreeSet::new();
-    solution.walk(Some(states), |step| {
+    solution.walk(Some(states), every_point, |step| {
         let Some(st) = step.pre() else {
             return;
         };

@@ -67,7 +67,7 @@ pub mod validate;
 
 pub use ids::{BlockId, ClassId, FieldId, LocalId, MethodId, SiteId, StaticId};
 pub use insn::{CmpOp, Cond, Insn, Terminator};
-pub use method::{Block, InsnAddr, Method, MethodSig};
+pub use method::{Block, CodeLoc, InsnAddr, Method, MethodSig};
 pub use program::{Class, FieldDecl, Program, StaticDecl, Ty};
 pub use text::{parse_program, ParseError};
 pub use typecheck::{type_check_method, type_check_program, TypeError, VType};

@@ -158,6 +158,26 @@ impl std::fmt::Display for InsnAddr {
     }
 }
 
+/// Where the IR checkers reject a method: an instruction or a block's
+/// terminator. `Copy`, so an accepted program costs no location string;
+/// it prints as `B3[7]` or `B3[term]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CodeLoc {
+    /// An instruction of a block body.
+    Insn(InsnAddr),
+    /// A block's terminator.
+    Term(BlockId),
+}
+
+impl std::fmt::Display for CodeLoc {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CodeLoc::Insn(addr) => addr.fmt(f),
+            CodeLoc::Term(block) => write!(f, "{block}[term]"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,6 +234,13 @@ mod tests {
         assert_eq!(addrs.len(), 3);
         assert_eq!(addrs[2], InsnAddr::new(BlockId(1), 0));
         assert_eq!(addrs[2].to_string(), "B1[0]");
+    }
+
+    #[test]
+    fn code_locations_print_as_the_checkers_always_did() {
+        let at = CodeLoc::Insn(InsnAddr::new(BlockId(3), 7));
+        assert_eq!(at.to_string(), "B3[7]");
+        assert_eq!(CodeLoc::Term(BlockId(3)).to_string(), "B3[term]");
     }
 
     #[test]

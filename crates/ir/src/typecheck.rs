@@ -16,7 +16,7 @@ use std::fmt;
 
 use crate::ids::{BlockId, LocalId, MethodId};
 use crate::insn::{Cond, Insn, Terminator};
-use crate::method::Method;
+use crate::method::{CodeLoc, InsnAddr, Method};
 use crate::program::{Program, Ty};
 
 /// The verifier's slot types.
@@ -55,8 +55,8 @@ impl VType {
 pub struct TypeError {
     /// Offending method.
     pub method: MethodId,
-    /// Location description.
-    pub at: String,
+    /// Where the check failed.
+    pub at: CodeLoc,
     /// Explanation.
     pub reason: String,
 }
@@ -102,15 +102,15 @@ struct Checker<'p> {
 }
 
 impl Checker<'_> {
-    fn err(&self, at: &str, reason: impl Into<String>) -> TypeError {
+    fn err(&self, at: CodeLoc, reason: impl Into<String>) -> TypeError {
         TypeError {
             method: self.method.id,
-            at: at.to_string(),
+            at,
             reason: reason.into(),
         }
     }
 
-    fn pop(&self, f: &mut Frame, at: &str, want: VType) -> Result<(), TypeError> {
+    fn pop(&self, f: &mut Frame, at: CodeLoc, want: VType) -> Result<(), TypeError> {
         let got = f
             .stack
             .pop()
@@ -121,11 +121,11 @@ impl Checker<'_> {
         Ok(())
     }
 
-    fn pop_any(&self, f: &mut Frame, at: &str) -> Result<VType, TypeError> {
+    fn pop_any(&self, f: &mut Frame, at: CodeLoc) -> Result<VType, TypeError> {
         f.stack.pop().ok_or_else(|| self.err(at, "stack underflow"))
     }
 
-    fn load_local(&self, f: &Frame, at: &str, l: LocalId) -> Result<VType, TypeError> {
+    fn load_local(&self, f: &Frame, at: CodeLoc, l: LocalId) -> Result<VType, TypeError> {
         match f.locals[l.index()] {
             VType::Uninit => Err(self.err(at, format!("read of uninitialized local {l}"))),
             VType::Conflict => Err(self.err(
@@ -136,7 +136,7 @@ impl Checker<'_> {
         }
     }
 
-    fn check_insn(&self, f: &mut Frame, at: &str, insn: &Insn) -> Result<(), TypeError> {
+    fn check_insn(&self, f: &mut Frame, at: CodeLoc, insn: &Insn) -> Result<(), TypeError> {
         use VType::{Int, Ref};
         match *insn {
             Insn::Const(_) => f.stack.push(Int),
@@ -253,7 +253,7 @@ impl Checker<'_> {
         Ok(())
     }
 
-    fn check_term(&self, f: &mut Frame, at: &str, term: &Terminator) -> Result<(), TypeError> {
+    fn check_term(&self, f: &mut Frame, at: CodeLoc, term: &Terminator) -> Result<(), TypeError> {
         use VType::{Int, Ref};
         match term {
             Terminator::Goto(_) => Ok(()),
@@ -311,11 +311,11 @@ pub fn type_check_method(program: &Program, method: &Method) -> Result<(), TypeE
         let mut frame = entry[bid.index()].clone().expect("worklist ⇒ state");
         let block = method.block(bid);
         for (idx, insn) in block.insns.iter().enumerate() {
-            let at = format!("{bid}[{idx}]");
-            checker.check_insn(&mut frame, &at, insn)?;
+            let at = CodeLoc::Insn(InsnAddr::new(bid, idx));
+            checker.check_insn(&mut frame, at, insn)?;
         }
-        let at = format!("{bid}[term]");
-        checker.check_term(&mut frame, &at, &block.term)?;
+        let at = CodeLoc::Term(bid);
+        checker.check_term(&mut frame, at, &block.term)?;
         for succ in block.term.successors() {
             match &mut entry[succ.index()] {
                 slot @ None => {
@@ -324,7 +324,7 @@ pub fn type_check_method(program: &Program, method: &Method) -> Result<(), TypeE
                 }
                 Some(existing) => {
                     if existing.stack.len() != frame.stack.len() {
-                        return Err(checker.err(&at, "stack height mismatch at join"));
+                        return Err(checker.err(at, "stack height mismatch at join"));
                     }
                     if existing.merge_from(&frame) {
                         worklist.push(succ);

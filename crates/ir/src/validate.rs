@@ -10,7 +10,7 @@ use std::fmt;
 
 use crate::ids::{BlockId, LocalId, MethodId};
 use crate::insn::{Insn, Terminator};
-use crate::method::Method;
+use crate::method::{CodeLoc, InsnAddr, Method};
 use crate::program::Program;
 
 /// A validation failure.
@@ -25,8 +25,8 @@ pub enum ValidateError {
     BadId {
         /// Offending method.
         method: MethodId,
-        /// Location description.
-        at: String,
+        /// Where the check failed.
+        at: CodeLoc,
         /// What was out of range.
         what: String,
     },
@@ -34,8 +34,8 @@ pub enum ValidateError {
     BadLocal {
         /// Offending method.
         method: MethodId,
-        /// Location description.
-        at: String,
+        /// Where the check failed.
+        at: CodeLoc,
         /// The local.
         local: LocalId,
     },
@@ -43,8 +43,8 @@ pub enum ValidateError {
     StackUnderflow {
         /// Offending method.
         method: MethodId,
-        /// Location description.
-        at: String,
+        /// Where the check failed.
+        at: CodeLoc,
     },
     /// Two paths reach a block with different stack heights.
     InconsistentStackHeight {
@@ -62,8 +62,8 @@ pub enum ValidateError {
     BadReturn {
         /// Offending method.
         method: MethodId,
-        /// Location description.
-        at: String,
+        /// Where the check failed.
+        at: CodeLoc,
         /// Explanation.
         reason: String,
     },
@@ -142,15 +142,15 @@ pub fn validate_method(program: &Program, method: &Method) -> Result<(), Validat
 
     // Range checks on every instruction, reachable or not.
     for (bid, idx, insn) in method.iter_insns() {
-        let at = format!("{bid}[{idx}]");
-        check_ids(program, method, insn, mid, &at)?;
+        let at = CodeLoc::Insn(InsnAddr::new(bid, idx));
+        check_ids(program, method, insn, mid, at)?;
     }
     for (bid, block) in method.iter_blocks() {
         for succ in block.term.successors() {
             if succ.index() >= method.blocks.len() {
                 return Err(ValidateError::BadId {
                     method: mid,
-                    at: format!("{bid}[term]"),
+                    at: CodeLoc::Term(bid),
                     what: format!("branch target {succ}"),
                 });
             }
@@ -165,14 +165,14 @@ pub fn validate_method(program: &Program, method: &Method) -> Result<(), Validat
         let mut height = entry_height[bid.index()].expect("worklist blocks have heights");
         let block = method.block(bid);
         for (idx, insn) in block.insns.iter().enumerate() {
-            let at = format!("{bid}[{idx}]");
+            let at = CodeLoc::Insn(InsnAddr::new(bid, idx));
             let (pops, pushes) = insn.stack_effect(|m| program.method(m).sig.invoke_effect());
             if height < pops {
                 return Err(ValidateError::StackUnderflow { method: mid, at });
             }
             height = height - pops + pushes;
         }
-        let at = format!("{bid}[term]");
+        let at = CodeLoc::Term(bid);
         let pops = block.term.pops();
         if height < pops {
             return Err(ValidateError::StackUnderflow { method: mid, at });
@@ -240,18 +240,18 @@ fn check_ids(
     method: &Method,
     insn: &Insn,
     mid: MethodId,
-    at: &str,
+    at: CodeLoc,
 ) -> Result<(), ValidateError> {
     let bad = |what: String| ValidateError::BadId {
         method: mid,
-        at: at.to_string(),
+        at,
         what,
     };
     let check_local = |l: LocalId| {
         if l.0 >= method.num_locals {
             Err(ValidateError::BadLocal {
                 method: mid,
-                at: at.to_string(),
+                at,
                 local: l,
             })
         } else {

@@ -1,0 +1,126 @@
+//! "A well-formed program costs the IR checkers no per-instruction
+//! allocation" as a test, not a benchmark reading.
+//!
+//! `validate` and `type_check` describe where a check failed only when
+//! one does, so what they allocate on an accepted program is their
+//! per-method and per-block bookkeeping: entry heights and frames, and
+//! the worklist. This file is a test binary of its own so that it may
+//! install a counting `#[global_allocator]`; the counts are per thread,
+//! so the harness's own threads do not show.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use wbe_ir::validate::validate_program;
+use wbe_ir::{type_check_program, Program};
+
+thread_local! {
+    /// Calls that obtain or resize memory.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // (`try_with`: a thread may allocate after its thread-locals are
+    // gone.)
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose contract is the one the caller upholds; the counter is a
+// `const`-initialised `Cell` of an integer with no destructor, so
+// touching it allocates nothing and cannot re-enter the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded; see the impl comment.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded; see the impl comment.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: forwarded; see the impl comment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded; see the impl comment.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls `f` makes on this thread.
+fn calls_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
+/// The programs `wbe_bench`'s `compile-sweep` validates in its set-up.
+const PROGRAMS: [&str; 8] = [
+    "jess",
+    "db",
+    "javac",
+    "mtrt",
+    "jack",
+    "jbb",
+    "server",
+    "server-churn",
+];
+
+/// What a checker's bookkeeping may grow with: a method's tables and
+/// worklist, and each block's heights or frames.
+fn blocks_and_methods(p: &Program) -> u64 {
+    p.methods.iter().map(|m| m.blocks.len() as u64 + 1).sum()
+}
+
+fn insns(p: &Program) -> u64 {
+    let bodies = p.methods.iter().flat_map(|m| &m.blocks);
+    bodies.map(|b| b.insns.len() as u64).sum()
+}
+
+#[test]
+fn checking_a_well_formed_program_allocates_per_block_not_per_instruction() {
+    let (mut units, mut all_insns) = (0, 0);
+    let (mut validate_calls, mut type_calls) = (0, 0);
+    for name in PROGRAMS {
+        let w = wbe_workloads::by_name(name).expect("suite program");
+        let p = &w.program;
+        let (valid, calls) = calls_of(|| validate_program(p));
+        valid.unwrap_or_else(|e| panic!("{name}: {e}"));
+        validate_calls += calls;
+        let (typed, calls) = calls_of(|| type_check_program(p));
+        typed.unwrap_or_else(|e| panic!("{name}: {e}"));
+        type_calls += calls;
+        units += blocks_and_methods(p);
+        all_insns += insns(p);
+    }
+    // The bound is a property of the checkers only if the programs have
+    // many more instructions than blocks, which they do (≈ 8 k vs ≈ 110).
+    assert!(
+        all_insns > 20 * units,
+        "{all_insns} instructions, {units} blocks + methods"
+    );
+    // Heights vector and worklist.
+    assert!(
+        validate_calls <= 2 * units,
+        "validate: {validate_calls} allocator calls for {units} blocks + methods \
+         ({all_insns} instructions)"
+    );
+    // Entry frames, their copies along edges, a frame's stack growing.
+    assert!(
+        type_calls <= 6 * units,
+        "type_check: {type_calls} allocator calls for {units} blocks + methods \
+         ({all_insns} instructions)"
+    );
+}

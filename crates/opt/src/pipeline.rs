@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use wbe_analysis::transfer::is_barrier_site;
 use wbe_analysis::{
-    analyze_program_with_nos, nullsame, AnalysisConfig, ElisionLedger, Products, ProgramAnalysis,
+    analyze_program_with, nullsame, AnalysisConfig, ElisionLedger, Products, ProgramAnalysis,
 };
 use wbe_ir::{InsnAddr, MethodId, Program};
 
@@ -227,10 +227,11 @@ fn run(program: &Program, config: &PipelineConfig, dump: bool) -> (Compiled, Opt
     let products = Products {
         ledger: config.ledger,
         dump,
+        null_or_same: config.null_or_same,
     };
     let (analysis, ledger, dump, null_or_same) = match analysis_config {
         Some(c) => {
-            let a = analyze_program_with_nos(&inlined, &c, products, config.null_or_same);
+            let a = analyze_program_with(&inlined, &c, products);
             (Some(a.analysis), a.ledger, a.dump, a.null_or_same)
         }
         // Baseline: null-or-same runs alone, under the default guardrails.

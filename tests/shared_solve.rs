@@ -180,6 +180,7 @@ fn degraded_paths_give_the_same_products_as_before() {
         let all = Products {
             ledger: true,
             dump: true,
+            ..Default::default()
         };
         let one = analyze_program_with(program, config, all);
         assert_eq!(one.analysis.degraded_count(), 1, "{config:?}");
