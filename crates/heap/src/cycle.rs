@@ -9,8 +9,8 @@
 //! down: [`CycleDriver`] owns the state; [`barrier_log`], [`poll`],
 //! [`step`] and [`force_stw`] are the protocol. A world implements
 //! [`CycleHost`] for what is its own and decides *when* ([`MarkerCtl`]).
-//! DESIGN §9.1 has the phase table and why `Interp`'s pause and
-//! `threaded.rs` are not clients.
+//! DESIGN §9.1 has the phase table and why `Interp`'s pause is not a
+//! client.
 
 use std::fmt;
 

@@ -687,6 +687,29 @@ mod tests {
         assert_eq!(h.sweep(), 0);
     }
 
+    /// The drivers (`Interp`, `cycle.rs`) rely on a refused second start
+    /// leaving the running cycle exactly as it was.
+    #[test]
+    fn try_begin_marking_while_marking_is_refused_and_changes_nothing() {
+        let mut h = Heap::new(MarkStyle::Satb);
+        let [a, b, c] = [obj(&mut h), obj(&mut h), obj(&mut h)];
+        h.set_field(a, 0, Value::from(b)).unwrap();
+        h.gc.begin_marking(&mut h.store, &[a]);
+        h.gc.mark_step(&mut h.store, 1);
+        h.gc.satb_log(c);
+        let state = |gc: &GcState| {
+            let queues = (gc.grey.clone(), gc.satb_buf.clone());
+            (gc.phase, gc.mark.words().to_vec(), queues, gc.stats)
+        };
+        let before = state(&h.gc);
+        let refused = h.gc.try_begin_marking(&mut h.store, &[c]);
+        assert_eq!((refused, state(&h.gc)), (Err(CycleInProgress), before));
+        h.gc.remark(&mut h.store, &[a]);
+        h.sweep();
+        assert_eq!(h.gc.try_begin_marking(&mut h.store, &[a]), Ok(()));
+        assert!(h.gc.is_marking());
+    }
+
     #[test]
     fn satb_allocates_black_during_marking() {
         let mut h = Heap::new(MarkStyle::Satb);

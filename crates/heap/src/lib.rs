@@ -22,9 +22,9 @@
 //!   (untraced/tracing/traced header bits plus a retrace list) used by
 //!   the optimistic array-rearrangement optimization.
 //!
-//! Concurrency is *stepped* by default — the driver interleaves mutator
-//! work and `mark_step` calls deterministically — which makes every GC
-//! test reproducible. A real-thread mode lives in [`threaded`].
+//! Concurrency is *stepped*: the driver interleaves mutator work and
+//! `mark_step` calls deterministically, and [`sched`] runs mutators as
+//! logical threads, so every GC test and schedule is reproducible.
 //!
 //! # Example
 //!
@@ -59,7 +59,6 @@ pub mod pressure;
 pub mod recover;
 pub mod safepoint;
 pub mod sched;
-pub mod threaded;
 pub mod value;
 pub mod verify;
 pub mod witness;

@@ -1,8 +1,6 @@
-//! SATB safepoint protocol primitives.
-//!
-//! Shared by the marking-cycle driver of the cooperative worlds
-//! (`cycle.rs`, which runs [`crate::sched`] and [`crate::overload`];
-//! DESIGN §9.1) and the real-thread demo ([`crate::threaded`]):
+//! SATB safepoint protocol primitives, owned by the marking-cycle
+//! driver of the cooperative worlds (`cycle.rs`, which runs
+//! [`crate::sched`] and [`crate::overload`]; DESIGN §9.1):
 //!
 //! * [`SatbBuffer`] — a per-thread SATB log buffer. The mutator's write
 //!   barrier appends overwritten non-null references here instead of
@@ -22,9 +20,8 @@
 //!   ([`EpochState::elide_allowed`]): until the thread has synchronized
 //!   with the cycle, it takes the conservative full-barrier path.
 //!
-//! The types here are plain (no atomics): the cycle driver uses them
-//! directly, and the threaded demo wraps them behind its own
-//! synchronization.
+//! The types here are plain (no atomics): the driver's logical threads
+//! are scheduled one step at a time, so nothing here is shared.
 
 use std::fmt;
 
@@ -59,36 +56,16 @@ impl fmt::Display for SnapshotBeforeAck {
 
 impl std::error::Error for SnapshotBeforeAck {}
 
-/// Counters for one per-thread SATB buffer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SatbBufferStats {
-    /// Entries logged by the owning thread's barriers.
-    pub logged: u64,
-    /// Flushes performed (safepoints + rendezvous).
-    pub flushes: u64,
-    /// Deepest the buffer ever got before a flush.
-    pub max_depth: usize,
-}
-
-/// A per-thread SATB log buffer with flush accounting.
+/// A per-thread SATB log buffer.
 #[derive(Clone, Debug, Default)]
 pub struct SatbBuffer {
     entries: Vec<GcRef>,
-    /// Lifetime counters.
-    pub stats: SatbBufferStats,
 }
 
 impl SatbBuffer {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        SatbBuffer::default()
-    }
-
     /// Barrier payload: log an overwritten non-null reference.
     pub fn log(&mut self, old: GcRef) {
         self.entries.push(old);
-        self.stats.logged += 1;
-        self.stats.max_depth = self.stats.max_depth.max(self.entries.len());
     }
 
     /// Current (unflushed) depth.
@@ -101,22 +78,9 @@ impl SatbBuffer {
     /// records).
     pub fn flush_into(&mut self, gc: &mut GcState) -> usize {
         let depth = self.entries.len();
-        self.stats.flushes += 1;
         gc.satb_flush(self.entries.drain(..));
         depth
     }
-}
-
-/// Counters for the epoch protocol.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EpochStats {
-    /// Epochs armed (cycles requested).
-    pub armed: u64,
-    /// Acknowledgements recorded.
-    pub acks: u64,
-    /// Elision attempts gated because the thread had not yet
-    /// acknowledged the armed epoch.
-    pub gated_elisions: u64,
 }
 
 /// Phase of the marking-epoch protocol, as seen by the safepoint layer.
@@ -140,8 +104,9 @@ pub struct EpochState {
     epoch: u64,
     phase: EpochPhase,
     acks: Vec<u64>,
-    /// Lifetime counters.
-    pub stats: EpochStats,
+    /// Elision attempts gated because the thread had not yet
+    /// acknowledged the armed epoch.
+    pub gated_elisions: u64,
 }
 
 impl EpochState {
@@ -152,7 +117,7 @@ impl EpochState {
             epoch: 0,
             phase: EpochPhase::Idle,
             acks: vec![0; threads],
-            stats: EpochStats::default(),
+            gated_elisions: 0,
         }
     }
 
@@ -166,13 +131,11 @@ impl EpochState {
         self.phase
     }
 
-    /// Arms a new epoch: a marking cycle was requested. Returns the new
-    /// epoch number. No mutator has acknowledged it yet.
-    pub fn arm(&mut self) -> u64 {
+    /// Arms a new epoch: a marking cycle was requested. No mutator has
+    /// acknowledged it yet.
+    pub fn arm(&mut self) {
         self.epoch += 1;
         self.phase = EpochPhase::Armed;
-        self.stats.armed += 1;
-        self.epoch
     }
 
     /// Records that the snapshot was taken (all mutators had
@@ -206,10 +169,7 @@ impl EpochState {
 
     /// Thread `tid` acknowledges the current epoch (at a safepoint).
     pub fn ack(&mut self, tid: usize) {
-        if self.acks[tid] != self.epoch {
-            self.acks[tid] = self.epoch;
-            self.stats.acks += 1;
-        }
+        self.acks[tid] = self.epoch;
     }
 
     /// Has `tid` acknowledged the current epoch?
@@ -238,7 +198,7 @@ impl EpochState {
         if self.phase == EpochPhase::Idle || self.acked(tid) {
             true
         } else {
-            self.stats.gated_elisions += 1;
+            self.gated_elisions += 1;
             false
         }
     }
@@ -257,15 +217,12 @@ mod tests {
         let a = h.alloc_object(0, &[FieldShape::Ref]).unwrap();
         let b = h.alloc_object(0, &[FieldShape::Ref]).unwrap();
         h.gc.begin_marking(&mut h.store, &[a]);
-        let mut buf = SatbBuffer::new();
+        let mut buf = SatbBuffer::default();
         buf.log(a);
         buf.log(b);
         assert_eq!(buf.depth(), 2);
         assert_eq!(buf.flush_into(&mut h.gc), 2);
         assert_eq!(buf.depth(), 0);
-        assert_eq!(buf.stats.logged, 2);
-        assert_eq!(buf.stats.flushes, 1);
-        assert_eq!(buf.stats.max_depth, 2);
         assert!(h.gc.has_pending_work());
     }
 
@@ -273,7 +230,7 @@ mod tests {
     fn idle_flush_drops_entries() {
         let mut h = Heap::new(MarkStyle::Satb);
         let a = h.alloc_object(0, &[]).unwrap();
-        let mut buf = SatbBuffer::new();
+        let mut buf = SatbBuffer::default();
         buf.log(a);
         assert_eq!(buf.flush_into(&mut h.gc), 1, "depth reported");
         assert!(!h.gc.has_pending_work(), "idle collector accepted nothing");
@@ -299,9 +256,7 @@ mod tests {
         e.end_cycle();
         assert!(!e.local_marking(0));
         assert!(e.elide_allowed(0));
-        assert_eq!(e.stats.armed, 1);
-        assert_eq!(e.stats.acks, 2);
-        assert_eq!(e.stats.gated_elisions, 1);
+        assert_eq!(e.gated_elisions, 1);
     }
 
     #[test]
@@ -324,15 +279,6 @@ mod tests {
         e.ack(2);
         e.snapshot_taken().unwrap();
         assert_eq!(e.phase(), EpochPhase::Marking);
-    }
-
-    #[test]
-    fn reacking_same_epoch_counts_once() {
-        let mut e = EpochState::new(1);
-        e.arm();
-        e.ack(0);
-        e.ack(0);
-        assert_eq!(e.stats.acks, 1);
     }
 
     #[test]

@@ -878,7 +878,7 @@ pub fn run_schedule(cfg: &SchedConfig, policy: &SchedulePolicy) -> ScheduleOutco
         world.step += 1;
     }
 
-    world.counters.gated_elisions = world.cycle.epoch().stats.gated_elisions;
+    world.counters.gated_elisions = world.cycle.epoch().gated_elisions;
     world.heap.gc.publish_metrics();
     world.counters.publish();
     ScheduleOutcome {

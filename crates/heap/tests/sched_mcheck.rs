@@ -1,10 +1,21 @@
 //! Integration tests for the deterministic scheduler + interleaving
 //! model checker, driven purely through the crate's public API (what
-//! `wbe_tool mcheck` uses).
+//! `wbe_tool mcheck` uses), and the schedule-determinism contract the
+//! checker's replay rests on.
+
+use std::sync::{Mutex, MutexGuard};
 
 use wbe_heap::mcheck::{replay_seed, run_mcheck};
 use wbe_heap::sched::run_schedule;
 use wbe_heap::{CheckerConfig, FaultConfig, Replay, Scenario, SchedConfig, SchedulePolicy};
+
+/// Every schedule publishes its `sched.*` counters into the
+/// process-global registry, so this binary's tests run one at a time:
+/// the determinism test reads registry deltas.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn stock(threads: usize, scenario: Scenario) -> SchedConfig {
     SchedConfig {
@@ -19,6 +30,7 @@ fn stock(threads: usize, scenario: Scenario) -> SchedConfig {
 /// schedules — every one sound, across all three scenarios.
 #[test]
 fn four_mutators_stock_scenarios_are_sound() {
+    let _serial = serial();
     for scenario in Scenario::ALL {
         let report = run_mcheck(&CheckerConfig {
             sched: stock(4, scenario),
@@ -41,6 +53,7 @@ fn four_mutators_stock_scenarios_are_sound() {
 /// but never break the snapshot guarantee.
 #[test]
 fn fault_plans_compose_soundly_across_seeds() {
+    let _serial = serial();
     for fault_seed in [7u64, 99, 1234] {
         let report = run_mcheck(&CheckerConfig {
             sched: SchedConfig {
@@ -64,6 +77,7 @@ fn fault_plans_compose_soundly_across_seeds() {
 /// and replaying that seed reproduces the identical trace digest.
 #[test]
 fn demo_unsound_failure_replays_to_the_same_digest() {
+    let _serial = serial();
     let sched = SchedConfig {
         demo_unsound: true,
         ..stock(2, Scenario::Churn)
@@ -88,6 +102,7 @@ fn demo_unsound_failure_replays_to_the_same_digest() {
 /// failing prefix drives the scheduler to the same digest.
 #[test]
 fn systematic_failure_prefix_is_replayable() {
+    let _serial = serial();
     let sched = SchedConfig {
         ops_per_thread: 16,
         demo_unsound: true,
@@ -120,6 +135,7 @@ fn systematic_failure_prefix_is_replayable() {
 /// identical aggregate counters.
 #[test]
 fn checker_runs_are_reproducible_end_to_end() {
+    let _serial = serial();
     let cfg = CheckerConfig {
         sched: stock(3, Scenario::Shared),
         schedules: 30,
@@ -132,4 +148,53 @@ fn checker_runs_are_reproducible_end_to_end() {
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.steps, b.steps);
     assert_eq!(a.totals, b.totals);
+}
+
+/// Schedule determinism. The same seed must reproduce a
+/// bit-identical schedule digest and identical counters — including
+/// the counters the run publishes into the global telemetry registry —
+/// across two independent runs. This is the property that makes a
+/// failing model-checker schedule replayable.
+#[test]
+fn same_seed_gives_identical_digest_and_telemetry_counters() {
+    let _serial = serial();
+    let cfg = SchedConfig {
+        threads: 3,
+        ops_per_thread: 60,
+        scenario: Scenario::Shared,
+        ..SchedConfig::default()
+    };
+    let run = |seed: u64| {
+        let before = wbe_telemetry::registry::global().snapshot();
+        let outcome = run_schedule(&cfg, &SchedulePolicy::Random { seed });
+        let after = wbe_telemetry::registry::global().snapshot();
+        let mut deltas: Vec<(String, u64)> = after
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("sched."))
+            .map(|(name, value)| {
+                let prev = before.counter(name).unwrap_or(0);
+                (name.clone(), value - prev)
+            })
+            .collect();
+        deltas.sort();
+        (outcome, deltas)
+    };
+
+    let (a, da) = run(0xfeed);
+    let (b, db) = run(0xfeed);
+    assert!(a.violations.is_empty(), "{:?}", a.violations);
+    assert_eq!(
+        a.digest(),
+        b.digest(),
+        "schedule digest must be bit-identical"
+    );
+    assert_eq!(a.trace, b.trace, "step-by-step schedule identical");
+    assert_eq!(a.counters, b.counters, "all counters identical");
+    assert_eq!(da, db, "published telemetry deltas identical");
+
+    // And a different seed takes a different schedule (sanity that the
+    // digest actually discriminates).
+    let (c, _) = run(0xbeef);
+    assert_ne!(a.digest(), c.digest());
 }
