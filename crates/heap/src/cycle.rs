@@ -337,7 +337,8 @@ fn tail<H: CycleHost>(host: &mut H) {
     let roots = host.roots();
     let heap = host.parts().1;
     let pause = heap.gc.remark(&mut heap.store, &roots);
-    for v in verify::verify_post_mark(host.parts().1, &roots) {
+    let post_mark = verify::post_mark(host.parts().1, &roots);
+    for v in post_mark.violations() {
         report(host, ViolationKind::Invariant, v.to_string());
     }
     let (cycle, heap) = host.parts();
@@ -352,7 +353,7 @@ fn tail<H: CycleHost>(host: &mut H) {
             }
         }
     }
-    for v in verify::verify_post_sweep(host.parts().1) {
+    for v in verify::post_sweep(host.parts().1, &post_mark) {
         report(host, ViolationKind::Invariant, v.to_string());
     }
     let cycle = host.parts().0;

@@ -301,6 +301,11 @@ impl GcState {
         self.mark.get(r.index())
     }
 
+    /// The mark bits as words, slot `i` at bit `i % 64` of word `i / 64`.
+    pub(crate) fn mark_words(&self) -> &[u64] {
+        self.mark.words()
+    }
+
     /// Clears `r`'s mark bit. **Fault injection only**: this forges the
     /// exact corruption an unsound elision produces (a reachable object
     /// the cycle never shaded), so the chaos harness can exercise the

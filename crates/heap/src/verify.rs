@@ -6,23 +6,41 @@
 //!   holds a reference to a freed slot. An unsound barrier elision
 //!   eventually violates this — the collector sweeps an object the
 //!   mutator can still reach.
-//! * **SATB snapshot reachability** ([`verify_post_mark`]): between
-//!   `remark` and `sweep`, everything reachable from the roots must be
-//!   marked. Reachable-now is a subset of the SATB obligation
-//!   (snapshot ∪ allocated-during-cycle), so an unmarked reachable
-//!   object proves a lost snapshot edge.
-//! * **Mark/sweep bitmap consistency** ([`verify_post_sweep`]): right
-//!   after a sweep, every surviving object carries a mark bit — the
-//!   sweep kept exactly the marked ones.
+//! * **SATB snapshot reachability** ([`post_mark`]): between `remark`
+//!   and `sweep`, everything reachable from the roots must be marked.
+//!   Reachable-now is a subset of the SATB obligation (snapshot ∪
+//!   allocated-during-cycle), so an unmarked reachable object proves a
+//!   lost snapshot edge. Includes reference integrity.
+//! * **Mark/sweep bitmap consistency** ([`post_sweep`]): right after a
+//!   sweep, every surviving object carries a mark bit — the sweep kept
+//!   exactly the marked ones. Includes reference integrity.
 //!
 //! All checks are read-only and return the full violation list rather
 //! than failing fast, so a harness can report everything at once.
 //!
-//! The checks run at every boundary of every cycle, so they are built
-//! to cost what the collector they audit costs: the reachable set is a
-//! [`ReachSet`] — the collector's bit set, one bit per slot — and each
-//! check is a linear walk that allocates nothing per object. Sets and
-//! violation lists come out in ascending slot order.
+//! The checks run at every boundary of every cycle, so a cycle's audit
+//! is one walk over the live objects and one occupancy scan, and it
+//! re-derives nothing it has already proved:
+//!
+//! * [`post_mark`]'s integrity walk also checks a *closure
+//!   certificate*: every live root is marked, and every live child of a
+//!   marked live object is marked. By induction on the path from a
+//!   root, nothing reachable is then unmarked, so the traversal from
+//!   the roots (on a [`ReachSet`], the collector's bit set) runs only
+//!   when the certificate fails.
+//! * [`post_sweep`] takes post-mark's [`PostMark`]. When post-mark was
+//!   clean and certified, nothing has been allocated and no mark bit
+//!   has changed since, and a scan of the slots finds every survivor
+//!   marked and exactly as many as there were marked live objects, the
+//!   survivors are those objects and their fields name only survivors:
+//!   only the statics are left to read. Anything else runs the full
+//!   walk.
+//!
+//! Each run of an exact path because a proof failed counts in the
+//! `heap.verify.exact_walks` counter; a clean cycle never touches it.
+//! DESIGN §16 has both proofs. [`verify_post_mark`] and
+//! [`verify_post_sweep`] are the same checks for callers that hold no
+//! token. Sets and violation lists come out in ascending slot order.
 
 use std::fmt;
 
@@ -177,7 +195,8 @@ pub fn verify_refs(heap: &Heap) -> Vec<Violation> {
     out
 }
 
-/// The traversal behind [`reachable_set`] and [`verify_post_mark`].
+/// The traversal behind [`reachable_set`] and an uncertified
+/// [`post_mark`].
 fn trace(heap: &Heap, roots: &[GcRef]) -> ReachSet {
     let store = &heap.store;
     let mut seen = ReachSet::for_store(store);
@@ -204,18 +223,123 @@ pub fn reachable_set(heap: &Heap, roots: &[GcRef]) -> ReachSet {
     trace(heap, roots)
 }
 
-/// SATB snapshot reachability, checked between `remark` and `sweep`:
-/// every object reachable from `roots` must be marked. Includes
-/// [`verify_refs`].
-pub fn verify_post_mark(heap: &Heap, roots: &[GcRef]) -> Vec<Violation> {
-    let _span = wbe_telemetry::span!("heap.verify.post_mark");
-    let mut out = verify_refs(heap);
-    for obj in trace(heap, roots).iter() {
-        if !heap.gc.is_marked(obj) {
-            out.push(Violation::UnmarkedReachable { obj });
-        }
+/// Counts one run of an exact path after a failed proof.
+fn exact_walk() {
+    wbe_telemetry::counter("heap.verify.exact_walks").inc();
+}
+
+/// What [`post_mark`] found, for [`post_sweep`] to build on.
+#[derive(Debug)]
+pub struct PostMark {
+    violations: Vec<Violation>,
+    /// Present when post-mark was clean and certified.
+    proof: Option<Proof>,
+}
+
+/// What a faithful sweep must leave for post-mark's proof to carry over.
+#[derive(Debug)]
+struct Proof {
+    /// Marked live objects: the survivors.
+    marked: usize,
+    /// `heap.stats.allocations`.
+    allocations: u64,
+    /// The mark bits.
+    marks: Vec<u64>,
+}
+
+impl PostMark {
+    /// The violations, as [`verify_post_mark`] returns them.
+    pub fn violations(&self) -> &[Violation] {
+        &self.violations
     }
-    out
+
+    /// True if the survivors of `heap` are exactly the objects post-mark
+    /// certified: nothing allocated and no mark changed since, every
+    /// survivor marked, and as many as there were marked live objects.
+    /// Reads no fields.
+    fn vouches_for(&self, heap: &Heap) -> bool {
+        let Some(proof) = &self.proof else {
+            return false;
+        };
+        if heap.stats.allocations != proof.allocations || heap.gc.mark_words() != proof.marks {
+            return false;
+        }
+        let mut survivors = 0;
+        for (obj, _) in heap.store.iter_live() {
+            if !heap.gc.is_marked(obj) {
+                return false;
+            }
+            survivors += 1;
+        }
+        survivors == proof.marked
+    }
+}
+
+/// SATB snapshot reachability, checked between `remark` and `sweep`:
+/// every object reachable from `roots` must be marked. The violations
+/// are [`verify_refs`]'s, then every unmarked reachable object in
+/// ascending order.
+///
+/// One walk over the live objects checks integrity and the closure
+/// certificate; the traversal from `roots` runs only if the certificate
+/// fails. Hand the result to [`post_sweep`] after the sweep.
+pub fn post_mark(heap: &Heap, roots: &[GcRef]) -> PostMark {
+    let _span = wbe_telemetry::span!("heap.verify.post_mark");
+    let (store, gc) = (&heap.store, &heap.gc);
+    let mut violations = Vec::new();
+    let mut closed = roots.iter().all(|&r| gc.is_marked(r) || !store.is_live(r));
+    let mut marked = 0;
+    for (from, obj) in store.iter_live() {
+        let scanned = gc.is_marked(from);
+        marked += usize::from(scanned);
+        obj.for_each_ref(|target| {
+            if !store.is_live(target) {
+                violations.push(Violation::DanglingField { from, target });
+            } else if scanned && !gc.is_marked(target) {
+                closed = false;
+            }
+        });
+    }
+    check_statics(heap, &mut violations);
+    if !closed {
+        exact_walk();
+        violations.extend(
+            trace(heap, roots)
+                .iter()
+                .filter(|&obj| !gc.is_marked(obj))
+                .map(|obj| Violation::UnmarkedReachable { obj }),
+        );
+    }
+    let proof = (closed && violations.is_empty()).then(|| Proof {
+        marked,
+        allocations: heap.stats.allocations,
+        marks: gc.mark_words().to_vec(),
+    });
+    PostMark { violations, proof }
+}
+
+/// [`post_mark`]'s violations, for callers that will not run
+/// [`post_sweep`].
+pub fn verify_post_mark(heap: &Heap, roots: &[GcRef]) -> Vec<Violation> {
+    post_mark(heap, roots).violations
+}
+
+/// Mark/sweep bitmap consistency, checked immediately after the sweep
+/// that followed `post_mark`: the same list as [`verify_post_sweep`].
+///
+/// Between the two calls the heap may be swept and nothing else. An
+/// allocation (with whatever is stored into it), a changed mark bit or
+/// a removed survivor is seen, and sends the check down the full walk;
+/// a reference store into an object post-mark saw is not.
+pub fn post_sweep(heap: &Heap, post_mark: &PostMark) -> Vec<Violation> {
+    let _span = wbe_telemetry::span!("heap.verify.post_sweep");
+    if post_mark.vouches_for(heap) {
+        let mut out = Vec::new();
+        check_statics(heap, &mut out);
+        return out;
+    }
+    exact_walk();
+    sweep_walk(heap)
 }
 
 /// Mark/sweep bitmap consistency, checked immediately after a sweep
@@ -224,6 +348,11 @@ pub fn verify_post_mark(heap: &Heap, roots: &[GcRef]) -> Vec<Violation> {
 /// gathered in one walk over the live slots.
 pub fn verify_post_sweep(heap: &Heap) -> Vec<Violation> {
     let _span = wbe_telemetry::span!("heap.verify.post_sweep");
+    sweep_walk(heap)
+}
+
+/// The walk behind [`verify_post_sweep`] and a refused [`post_sweep`].
+fn sweep_walk(heap: &Heap) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut unmarked = Vec::new();
     for (from, obj) in heap.store.iter_live() {
@@ -347,6 +476,135 @@ mod tests {
         let n = obj(&mut h);
         let v = verify_post_sweep(&h);
         assert!(v.contains(&Violation::UnmarkedLive { obj: n }));
+    }
+
+    fn mark_from(h: &mut Heap, roots: &[GcRef]) {
+        h.gc.begin_marking(&mut h.store, roots);
+        h.gc.remark(&mut h.store, roots);
+    }
+
+    /// A clean cycle certifies itself, and its post-sweep reads the
+    /// statics and nothing else — which still finds one naming garbage.
+    #[test]
+    fn clean_cycle_is_certified_and_post_sweep_reads_only_statics() {
+        let mut h = Heap::new(MarkStyle::Satb);
+        let a = obj(&mut h);
+        let b = obj(&mut h);
+        let garbage = obj(&mut h);
+        h.set_field(a, 0, Value::from(b)).unwrap();
+        h.set_field(garbage, 0, Value::from(a)).unwrap();
+        h.register_statics(&[FieldShape::Ref]);
+        h.set_static(0, Value::from(garbage)).unwrap();
+        mark_from(&mut h, &[a]);
+        let token = post_mark(&h, &[a]);
+        assert!(token.violations().is_empty());
+        assert_eq!(token.proof.as_ref().map(|p| p.marked), Some(2));
+        h.sweep();
+        assert!(token.vouches_for(&h));
+        let dangling = vec![Violation::DanglingStatic {
+            index: 0,
+            target: garbage,
+        }];
+        assert_eq!(post_sweep(&h, &token), dangling);
+        assert_eq!(verify_post_sweep(&h), dangling);
+    }
+
+    /// Marked garbage pointing at an unmarked object breaks the closure
+    /// without breaking reachability: post-mark is clean but proves
+    /// nothing, and post-sweep must walk to find the edge left dangling.
+    #[test]
+    fn marked_garbage_fails_the_certificate_but_not_the_check() {
+        let mut h = Heap::new(MarkStyle::Satb);
+        let a = obj(&mut h);
+        let floating = obj(&mut h);
+        let unmarked = obj(&mut h);
+        mark_from(&mut h, &[a, floating]);
+        h.set_field(floating, 0, Value::from(unmarked)).unwrap();
+        let token = post_mark(&h, &[a]);
+        assert!(token.violations().is_empty());
+        assert!(token.proof.is_none());
+        h.sweep();
+        let dangling = vec![Violation::DanglingField {
+            from: floating,
+            target: unmarked,
+        }];
+        assert_eq!(post_sweep(&h, &token), dangling);
+    }
+
+    /// Re-marked from other roots between post-mark and the sweep, with
+    /// as many survivors as post-mark counted: only the mark bits tell
+    /// the token that these are not the objects it certified.
+    #[test]
+    fn a_token_refuses_a_heap_re_marked_since() {
+        let mut h = Heap::new(MarkStyle::Satb);
+        let a = obj(&mut h);
+        let x = obj(&mut h);
+        let b = obj(&mut h);
+        let gone = obj(&mut h);
+        let c = obj(&mut h);
+        h.set_field(a, 0, Value::from(x)).unwrap();
+        h.set_field(b, 0, Value::from(gone)).unwrap();
+        h.set_field(b, 1, Value::from(c)).unwrap();
+        mark_from(&mut h, &[a]);
+        let token = post_mark(&h, &[a]);
+        assert!(token.proof.is_some());
+        h.store.remove(gone);
+        mark_from(&mut h, &[b]);
+        h.sweep();
+        assert_eq!(h.store.live_count(), 2, "b and c survive, as a and x would");
+        assert!(!token.vouches_for(&h));
+        assert_eq!(
+            post_sweep(&h, &token),
+            vec![Violation::DanglingField {
+                from: b,
+                target: gone
+            }]
+        );
+    }
+
+    /// An object allocated black into a freed slot during a re-mark that
+    /// rebuilds the same mark bits, holding a reference to a freed slot:
+    /// only the allocation count tells the token.
+    #[test]
+    fn a_token_refuses_a_heap_allocated_into_since() {
+        let mut h = Heap::new(MarkStyle::Satb);
+        let a = obj(&mut h);
+        let s = obj(&mut h);
+        h.store.remove(s);
+        mark_from(&mut h, &[a, s]);
+        let token = post_mark(&h, &[a, s]);
+        assert_eq!(token.proof.as_ref().map(|p| p.marked), Some(1));
+        h.store.remove(a);
+        h.gc.begin_marking(&mut h.store, &[a, s]);
+        let n = obj(&mut h);
+        assert_eq!(n, a, "the freed slot is reused");
+        h.set_field(n, 0, Value::from(s)).unwrap();
+        h.gc.remark(&mut h.store, &[a, s]);
+        h.sweep();
+        assert_eq!(h.gc.mark_words(), token.proof.as_ref().unwrap().marks);
+        assert_eq!(
+            post_sweep(&h, &token),
+            vec![Violation::DanglingField { from: n, target: s }]
+        );
+    }
+
+    /// A marked survivor removed and no sweep run: as many live objects
+    /// as post-mark counted, but one of them is unmarked garbage.
+    #[test]
+    fn a_token_refuses_an_unmarked_survivor() {
+        let mut h = Heap::new(MarkStyle::Satb);
+        let a = obj(&mut h);
+        let m = obj(&mut h);
+        let garbage = obj(&mut h);
+        h.set_field(a, 0, Value::from(m)).unwrap();
+        mark_from(&mut h, &[a]);
+        let token = post_mark(&h, &[a]);
+        h.store.remove(m);
+        let expected = vec![
+            Violation::DanglingField { from: a, target: m },
+            Violation::UnmarkedLive { obj: garbage },
+        ];
+        assert_eq!(post_sweep(&h, &token), expected);
     }
 
     #[test]

@@ -18,7 +18,12 @@
 //! list and both ends, so the file stays readable and still pins every
 //! byte.
 //!
-//! The B-tree BFS lives on below as the model of a property test.
+//! The B-tree BFS lives on below as the model of two property tests:
+//! the reachable set's, and the cycle audit's, whose model is the
+//! composition `post_mark` and `post_sweep` replaced — reference
+//! integrity, the BFS's unmarked-reachable objects, and the full
+//! post-sweep walk — on random heaps corrupted on both sides of the
+//! sweep.
 //!
 //! To regenerate after an intended behaviour change, run the test: on
 //! a mismatch it writes what it produced next to the test binary's
@@ -32,7 +37,8 @@ use proptest::prelude::*;
 use wbe_heap::debug::graph_stats;
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::verify::{
-    reachable_set, verify_post_mark, verify_post_sweep, verify_refs, Violation,
+    post_mark, post_sweep, reachable_set, verify_post_mark, verify_post_sweep, verify_refs,
+    Violation,
 };
 use wbe_heap::{FieldShape, GcRef, Heap, ObjKind, Value};
 
@@ -544,8 +550,13 @@ fn cases_cover_every_violation_and_a_mostly_free_heap() {
 /// A heap with dangling references and dead roots in it: `kinds` picks
 /// each slot's payload, `edges` are `(from, slot, to)` stores applied
 /// where they fit, `freed` slots are removed afterwards.
-fn model_heap(kinds: &[u8], edges: &[(usize, usize, usize)], freed: &[usize]) -> Heap {
-    let mut heap = Heap::new(MarkStyle::Satb);
+fn model_heap(
+    style: MarkStyle,
+    kinds: &[u8],
+    edges: &[(usize, usize, usize)],
+    freed: &[usize],
+) -> Heap {
+    let mut heap = Heap::new(style);
     let pool: Vec<GcRef> = kinds
         .iter()
         .map(|&k| {
@@ -580,7 +591,7 @@ proptest! {
         freed in proptest::collection::vec(0usize..200, 0..12),
         roots in proptest::collection::vec(0u32..260, 0..8),
     ) {
-        let heap = model_heap(&kinds, &edges, &freed);
+        let heap = model_heap(MarkStyle::Satb, &kinds, &edges, &freed);
         let roots: Vec<GcRef> = roots.into_iter().map(GcRef).collect();
         let model = model_reachable(&heap, &roots);
         let set = reachable_set(&heap, &roots);
@@ -605,5 +616,207 @@ proptest! {
         let g = graph_stats(&heap, &roots);
         prop_assert_eq!(g.reachable, expected.len());
         prop_assert_eq!(g.unreachable, heap.store.live_count() - expected.len());
+    }
+}
+
+/// Reference integrity as a walk of its own: dangling fields in slot
+/// order, then dangling statics.
+fn model_refs(heap: &Heap) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (from, obj) in heap.store.iter_live() {
+        obj.for_each_ref(|target| {
+            if !heap.store.is_live(target) {
+                out.push(Violation::DanglingField { from, target });
+            }
+        });
+    }
+    for (index, target) in heap.static_ref_slots() {
+        if !heap.store.is_live(target) {
+            out.push(Violation::DanglingStatic { index, target });
+        }
+    }
+    out
+}
+
+/// Post-mark as it was composed before the audit learned to certify
+/// itself: reference integrity, then every object the B-tree BFS
+/// reaches that carries no mark bit, ascending.
+fn model_post_mark(heap: &Heap, roots: &[GcRef]) -> Vec<Violation> {
+    let mut out = model_refs(heap);
+    out.extend(
+        model_reachable(heap, roots)
+            .into_iter()
+            .filter(|&obj| !heap.gc.is_marked(obj))
+            .map(|obj| Violation::UnmarkedReachable { obj }),
+    );
+    out
+}
+
+/// Post-sweep as the full walk: reference integrity, then every
+/// survivor without a mark bit.
+fn model_post_sweep(heap: &Heap) -> Vec<Violation> {
+    let mut out = model_refs(heap);
+    out.extend(
+        heap.store
+            .iter_live()
+            .filter(|&(obj, _)| !heap.gc.is_marked(obj))
+            .map(|(obj, _)| Violation::UnmarkedLive { obj }),
+    );
+    out
+}
+
+/// The first live object at or after `pool[at]`, wrapping, that `want`
+/// accepts.
+fn nth_live(heap: &Heap, pool: usize, at: usize, want: impl Fn(GcRef) -> bool) -> Option<GcRef> {
+    (0..pool)
+        .map(|i| GcRef(((at + i) % pool) as u32))
+        .find(|&r| heap.store.is_live(r) && want(r))
+}
+
+/// Points reference slot `slot` of `from` at `to`, where the shape has
+/// one; an int array and an empty array have none.
+fn store_ref(heap: &mut Heap, from: GcRef, slot: usize, to: GcRef) {
+    let elems = match &heap.store.get(from).expect("live").kind {
+        ObjKind::Object(_) => None,
+        ObjKind::RefArray(elems) if !elems.is_empty() => Some(elems.len()),
+        _ => return,
+    };
+    match elems {
+        None => heap.set_field(from, [0, 2][slot % 2], Value::from(to)),
+        Some(len) => heap.set_elem(from, (slot % len) as i64, Some(to)),
+    }
+    .expect("slot in range");
+}
+
+/// The corruptions applied after `remark`, before post-mark. Codes past
+/// the last arm change nothing, so most cases stay clean enough for the
+/// audit's shortcuts to be taken.
+fn corrupt_marked(
+    heap: &mut Heap,
+    pool: usize,
+    told: &mut Vec<GcRef>,
+    (code, a, b): (u8, usize, usize),
+) {
+    let at = |i: usize| GcRef((i % pool) as u32);
+    match code {
+        0 => heap.gc.clear_mark(at(a)),
+        // Freed under whatever field, element or static names it.
+        1 => heap.store.remove(at(a)),
+        // Out of range; a freed root comes from code 1.
+        2 => {
+            let beyond = GcRef((heap.store.capacity() + a % 3) as u32);
+            told.insert(b % (told.len() + 1), beyond);
+        }
+        3 if !told.is_empty() => told.push(told[a % told.len()]),
+        // The collector marked what the audit is not told is rooted.
+        4 if !told.is_empty() => {
+            told.remove(a % told.len());
+        }
+        // A marked object, reachable or garbage, pointing at an
+        // unmarked one: the closure fails whether or not it is reached.
+        5 => {
+            let from = nth_live(heap, pool, a, |r| heap.gc.is_marked(r));
+            let to = nth_live(heap, pool, b, |r| !heap.gc.is_marked(r));
+            if let (Some(from), Some(to)) = (from, to) {
+                store_ref(heap, from, b, to);
+            }
+        }
+        6 => heap
+            .set_static(0, Value::from(at(a)))
+            .expect("static 0 is a reference"),
+        _ => {}
+    }
+}
+
+/// The corruptions applied between post-mark and the sweep.
+fn corrupt_before_sweep(heap: &mut Heap, pool: usize, (code, a, b): (u8, usize, usize)) {
+    let at = |i: usize| GcRef((i % pool) as u32);
+    match code {
+        // The marks are rebuilt from other roots.
+        0 => {
+            let roots = [at(a), at(b)];
+            heap.gc.begin_marking(&mut heap.store, &roots);
+            heap.gc.remark(&mut heap.store, &roots);
+        }
+        1 => heap.gc.clear_mark(at(a)),
+        _ => {}
+    }
+}
+
+/// The corruptions applied after the sweep, before post-sweep.
+fn corrupt_swept(heap: &mut Heap, pool: usize, (code, a, b): (u8, usize, usize)) {
+    match code {
+        0 => {
+            let fresh = heap
+                .alloc_object(1, &OBJ)
+                .expect("no fault plan is installed");
+            if let Some(holder) = nth_live(heap, pool, a, |r| r != fresh) {
+                store_ref(heap, fresh, b, holder);
+            }
+        }
+        1 => {
+            if let Some(r) = nth_live(heap, pool, a, |_| true) {
+                heap.gc.clear_mark(r);
+            }
+        }
+        2 => {
+            if let Some(r) = nth_live(heap, pool, a, |r| heap.gc.is_marked(r)) {
+                heap.store.remove(r);
+            }
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    /// The audit of one cycle, on both sides of its sweep, against the
+    /// walks it replaced.
+    #[test]
+    fn cycle_audit_matches_the_exact_walks(
+        style in 0u8..2,
+        kinds in proptest::collection::vec(0u8..20, 1..120),
+        edges in proptest::collection::vec((0usize..200, 0usize..5, 0usize..200), 0..300),
+        statics in (0usize..240, 0usize..240, 0usize..240),
+        roots in proptest::collection::vec(0usize..200, 0..6),
+        marked in proptest::collection::vec((0u8..12, 0usize..200, 0usize..200), 0..4),
+        before_sweep in proptest::collection::vec((0u8..6, 0usize..200, 0usize..200), 0..2),
+        swept in proptest::collection::vec((0u8..8, 0usize..200, 0usize..200), 0..2),
+    ) {
+        let style = [MarkStyle::Satb, MarkStyle::IncrementalUpdate][usize::from(style)];
+        let mut heap = model_heap(style, &kinds, &edges, &[]);
+        let pool = kinds.len();
+        heap.register_statics(&STATICS);
+        for (index, slot) in [(0, statics.0), (2, statics.1), (3, statics.2)] {
+            // Slots past the pool leave the static null.
+            if slot < pool {
+                heap.set_static(index, Value::from(GcRef(slot as u32))).expect("reference");
+            }
+        }
+        let mut told: Vec<GcRef> = heap.static_roots();
+        told.extend(roots.iter().map(|&i| GcRef((i % pool) as u32)));
+        let collector_roots = told.clone();
+        heap.gc.begin_marking(&mut heap.store, &collector_roots);
+        while heap.gc.mark_step(&mut heap.store, 16) > 0 {}
+        heap.gc.remark(&mut heap.store, &collector_roots);
+        for &op in &marked {
+            corrupt_marked(&mut heap, pool, &mut told, op);
+        }
+
+        let expected = model_post_mark(&heap, &told);
+        let token = post_mark(&heap, &told);
+        prop_assert_eq!(token.violations(), &expected[..]);
+        prop_assert_eq!(verify_post_mark(&heap, &told), expected);
+
+        for &op in &before_sweep {
+            corrupt_before_sweep(&mut heap, pool, op);
+        }
+        heap.sweep();
+        for &op in &swept {
+            corrupt_swept(&mut heap, pool, op);
+        }
+        let expected = model_post_sweep(&heap);
+        prop_assert_eq!(verify_refs(&heap), model_refs(&heap));
+        prop_assert_eq!(post_sweep(&heap, &token), expected.clone());
+        prop_assert_eq!(verify_post_sweep(&heap), expected);
     }
 }

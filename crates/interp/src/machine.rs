@@ -627,16 +627,16 @@ impl<'p> Interp<'p> {
     /// — sweeping over a corrupt mark state would free live objects,
     /// turning a recoverable fault into permanent dangling references.
     fn finish_cycle(&mut self, roots: &[GcRef]) -> Result<(), Trap> {
-        if self.verify_invariants {
-            check_invariants(
-                wbe_heap::verify::verify_post_mark(&self.heap, roots),
-                "post-mark",
-            )?;
+        let post_mark = self
+            .verify_invariants
+            .then(|| wbe_heap::verify::post_mark(&self.heap, roots));
+        if let Some(post_mark) = &post_mark {
+            check_invariants(post_mark.violations(), "post-mark")?;
         }
         self.heap.sweep();
-        if self.verify_invariants {
+        if let Some(post_mark) = &post_mark {
             check_invariants(
-                wbe_heap::verify::verify_post_sweep(&self.heap),
+                &wbe_heap::verify::post_sweep(&self.heap, post_mark),
                 "post-sweep",
             )?;
         }
@@ -1566,7 +1566,7 @@ pub(crate) fn site_key(mid: MethodId, at: InsnAddr) -> SiteKey {
 }
 
 fn check_invariants(
-    violations: Vec<wbe_heap::verify::Violation>,
+    violations: &[wbe_heap::verify::Violation],
     when: &'static str,
 ) -> Result<(), Trap> {
     match violations.first() {
