@@ -18,12 +18,13 @@ use std::path::Path;
 
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::FaultConfig;
-use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, Value};
+use wbe_interp::{BarrierConfig, BarrierMode, EngineKind};
 use wbe_opt::OptMode;
 use wbe_telemetry::json::ObjWriter;
 
 use crate::runner::compile_workload;
 use crate::site::{observe, Chaos, RunSpec, Totals, BASELINE_GC};
+use crate::throughput::{run_mutator, MutatorFacts};
 
 /// Default location of the committed baseline file, relative to the
 /// repository root.
@@ -91,20 +92,8 @@ pub struct ThroughputBaseline {
     pub bench: String,
     /// Engine that produced the row (`classic` or `compiled`).
     pub engine: String,
-    /// Instructions executed.
-    pub insns: u64,
-    /// Abstract cycles charged.
-    pub cycles: u64,
-    /// Cycles charged to barriers.
-    pub barrier_cycles: u64,
-    /// Executions of elided stores.
-    pub elided: u64,
-    /// Objects allocated.
-    pub allocs: u64,
-    /// Completed GC cycles.
-    pub gc_cycles: u64,
-    /// Final world digest.
-    pub digest: u64,
+    /// What one `wbe_tool throughput` mutator computes.
+    pub facts: MutatorFacts,
 }
 
 /// Deterministic facts of one necessity-oracle probe cell (workload ×
@@ -241,27 +230,16 @@ fn throughput_probe() -> Vec<ThroughputBaseline> {
     for name in ["jess", "jbb"] {
         let w = wbe_workloads::by_name(name).expect("bench workload exists");
         let (compiled, elided) = compile_workload(&w, OptMode::Full, 100);
-        let chunk = (w.default_iters / 10).max(8);
         for kind in [EngineKind::Classic, EngineKind::Compiled] {
             let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
             let mut engine = kind.build(&compiled.program, bc, MarkStyle::Satb);
             engine.set_gc_policy(BASELINE_GC);
-            while engine.stats().insns < THROUGHPUT_OPS {
-                engine
-                    .run(w.entry, &[Value::Int(chunk)], w.fuel_for(chunk))
-                    .unwrap_or_else(|t| panic!("throughput probe {name} trapped: {t}"));
-            }
-            let s = engine.stats();
+            let facts = run_mutator(&mut engine, &w, THROUGHPUT_OPS)
+                .unwrap_or_else(|t| panic!("throughput probe {name} trapped: {t}"));
             rows.push(ThroughputBaseline {
                 bench: name.to_string(),
                 engine: kind.name().to_string(),
-                insns: s.insns,
-                cycles: s.cycles,
-                barrier_cycles: s.barrier_cycles,
-                elided: s.elided_executions,
-                allocs: engine.heap().stats.allocations,
-                gc_cycles: engine.heap().gc.stats.cycles,
-                digest: wbe_heap::debug::world_digest(engine.heap()),
+                facts,
             });
         }
     }
@@ -357,17 +335,18 @@ impl BaselineSuite {
         // Throughput rows come last so adding them never moves the
         // pre-existing lines of a committed file.
         for t in &self.throughput {
+            let f = &t.facts;
             let mut w = ObjWriter::new(&mut out);
             w.field_str("workload", "__throughput__")
                 .field_str("bench", &t.bench)
                 .field_str("engine", &t.engine)
-                .field_u64("insns", t.insns)
-                .field_u64("cycles", t.cycles)
-                .field_u64("barrier_cycles", t.barrier_cycles)
-                .field_u64("elided", t.elided)
-                .field_u64("allocs", t.allocs)
-                .field_u64("gc_cycles", t.gc_cycles)
-                .field_str("digest", &format!("{:#018x}", t.digest));
+                .field_u64("insns", f.insns)
+                .field_u64("cycles", f.cycles)
+                .field_u64("barrier_cycles", f.barrier_cycles)
+                .field_u64("elided", f.elided)
+                .field_u64("allocs", f.allocs)
+                .field_u64("gc_cycles", f.gc_cycles)
+                .field_str("digest", &format!("{:#018x}", f.digest));
             w.finish();
             out.push('\n');
         }
@@ -444,13 +423,15 @@ impl BaselineSuite {
                 suite.throughput.push(ThroughputBaseline {
                     bench: get_str("bench")?,
                     engine: get_str("engine")?,
-                    insns: get("insns")?,
-                    cycles: get("cycles")?,
-                    barrier_cycles: get("barrier_cycles")?,
-                    elided: get("elided")?,
-                    allocs: get("allocs")?,
-                    gc_cycles: get("gc_cycles")?,
-                    digest,
+                    facts: MutatorFacts {
+                        insns: get("insns")?,
+                        cycles: get("cycles")?,
+                        barrier_cycles: get("barrier_cycles")?,
+                        elided: get("elided")?,
+                        allocs: get("allocs")?,
+                        gc_cycles: get("gc_cycles")?,
+                        digest,
+                    },
                 });
                 continue;
             }
@@ -766,8 +747,7 @@ mod tests {
             assert_eq!(pair[0].engine, "classic");
             assert_eq!(pair[1].engine, "compiled");
             assert_eq!(
-                (pair[0].insns, pair[0].cycles, pair[0].digest),
-                (pair[1].insns, pair[1].cycles, pair[1].digest),
+                pair[0].facts, pair[1].facts,
                 "{}: engines disagree",
                 pair[0].bench
             );
@@ -805,7 +785,7 @@ mod tests {
         perturbed.pct_elided += 10.0;
         perturbed.recoveries_attempted += 1;
         perturbed.recoveries_succeeded += 2;
-        perturbed.throughput[0].digest ^= 1;
+        perturbed.throughput[0].facts.digest ^= 1;
         perturbed.oracle[0].necessary += 1;
         let violations = compare(&perturbed, &suite);
         assert!(violations.len() >= 9, "{violations:?}");

@@ -4,10 +4,11 @@
 //!
 //! A soak runs every workload in the standard suite for `rounds`
 //! rounds. Each (round, workload) pair gets its own seeded
-//! [`FaultPlan`]; with `--escalate` the schedule severity grows with
-//! the round index ([`FaultConfig::escalate`]), which from level 1 up
-//! injects post-remark mark-state corruption — exactly the damage the
-//! [`wbe_interp::Interp`] recovery controller exists to heal. Every run
+//! [`FaultPlan`](wbe_heap::FaultPlan); with `--escalate` the schedule
+//! severity grows with the round index ([`FaultConfig::escalate`]),
+//! which from level 1 up injects post-remark mark-state corruption —
+//! exactly the damage the [`wbe_interp::Interp`] recovery controller
+//! exists to heal. Every run
 //! executes with heap-invariant verification at cycle boundaries and a
 //! bounded recovery budget, so the soak continuously distinguishes
 //! three outcomes:
@@ -36,6 +37,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use wbe_heap::mcheck::mix_seed;
 use wbe_heap::FaultConfig;
 use wbe_interp::GcPolicy;
 use wbe_telemetry::config::{configure, TelemetryConfig};
@@ -311,15 +313,6 @@ impl FlightRecorder {
             self.ring.push_back(ev);
         }
     }
-}
-
-/// Derives run `k`'s fault seed from the base seed (SplitMix64
-/// finalizer, so neighbouring runs get unrelated streams).
-fn mix_seed(seed: u64, k: u64) -> u64 {
-    let mut z = seed ^ k.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The marking schedule of chaos runs: aggressive enough that many

@@ -139,7 +139,7 @@ fn overhead_pct(base: Duration, cfg: Duration) -> f64 {
 /// deterministic facts. The workload entry is re-run in fixed chunks
 /// (a pure function of the workload) until `duration_ops` instructions
 /// have executed, so equal options execute identical streams.
-fn run_mutator(
+pub(crate) fn run_mutator(
     engine: &mut Interp,
     w: &Workload,
     duration_ops: u64,

@@ -24,6 +24,7 @@ use std::cmp::Reverse;
 use std::fmt;
 
 use wbe_heap::gc::MarkStyle;
+use wbe_heap::mcheck::mix_seed;
 use wbe_heap::{debug, FaultPlan, FaultStats};
 use wbe_interp::{
     BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, GcPolicy, Interp, Trap, Value,
@@ -128,15 +129,6 @@ impl fmt::Display for WorkloadVerdict {
         }
         Ok(())
     }
-}
-
-/// Derives schedule `k`'s seed from the base seed (SplitMix64
-/// finalizer, so neighbouring `k` give unrelated streams).
-fn mix_seed(seed: u64, k: u64) -> u64 {
-    let mut z = seed ^ k.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The GC policy used for every verification run: aggressive enough

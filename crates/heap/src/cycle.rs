@@ -6,24 +6,26 @@
 //! final remark, and the sweep frees only what the snapshot did not
 //! reach. [`crate::sched`] and [`crate::overload`] run that contract
 //! over logical threads, and this module is the one place it is written
-//! down: [`CycleDriver`] owns the state; [`barrier_log`], [`poll`],
-//! [`step`] and [`force_stw`] are the protocol. A world implements
-//! [`CycleHost`] for what is its own and decides *when* ([`MarkerCtl`]).
-//! DESIGN §9.1 has the phase table and why `Interp`'s pause is not a
-//! client.
+//! down: [`CycleDriver`] owns the state — one [`CyclePhase`], an epoch
+//! counter, and per thread an SATB buffer and the epoch it last
+//! acknowledged; [`barrier_log`], [`poll`], [`step`] and [`force_stw`]
+//! are the protocol. What a thread may do (elide, skip a log, run on)
+//! is read off the phase and its acknowledgement, never stored. A world
+//! implements [`CycleHost`] for what is its own and decides *when*
+//! ([`MarkerCtl`]). DESIGN §9.1 has the phase table and why `Interp`'s
+//! pause is not a client.
 
 use std::fmt;
 
 use crate::gc::PauseReport;
 use crate::heap::Heap;
-use crate::safepoint::{EpochPhase, EpochState, SatbBuffer};
 use crate::value::GcRef;
 use crate::verify::{self, ReachSet};
 
-/// Where the marker is in the cycle. Only this module writes it, and
-/// it moves the [`EpochState`] in the same breath, so the two cannot
-/// disagree: `Idle` ⇔ [`EpochPhase::Idle`], `Arming` ⇔ `Armed`,
-/// `Marking` and `Rendezvous` ⇔ `Marking`.
+/// Where the cycle is: the protocol's only state, written only by this
+/// module. The epoch is armed in `Arming` and marking in `Marking` and
+/// `Rendezvous` ([`CyclePhase::marking`]); the stop request is up
+/// exactly in `Rendezvous`; going `Idle` ends the epoch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum CyclePhase {
     /// Between cycles; arms a new epoch when the countdown expires.
@@ -36,6 +38,13 @@ pub(crate) enum CyclePhase {
     /// Stop requested; waiting for every mutator to park, then the
     /// stop-the-world tail runs as one atomic step.
     Rendezvous,
+}
+
+impl CyclePhase {
+    /// Has this cycle's snapshot been taken?
+    pub fn marking(self) -> bool {
+        matches!(self, CyclePhase::Marking | CyclePhase::Rendezvous)
+    }
 }
 
 /// What went wrong in a cooperative world, if anything. The driver
@@ -107,7 +116,10 @@ pub(crate) enum CycleEvent {
 /// What a logical thread owns of the protocol.
 #[derive(Debug, Default)]
 struct ThreadSync {
-    satb: SatbBuffer,
+    /// Overwritten references the barrier logged since the last flush.
+    satb: Vec<GcRef>,
+    /// The last epoch this thread acknowledged.
+    acked: u64,
     /// Ops executed since the last safepoint poll.
     since_poll: u32,
     parked: bool,
@@ -119,28 +131,31 @@ struct ThreadSync {
 /// The protocol state of one cooperative world.
 #[derive(Debug)]
 pub(crate) struct CycleDriver {
-    epoch: EpochState,
     phase: CyclePhase,
+    /// Bumped by every arm; 0 until the first.
+    epoch: u64,
     /// Marker steps between the end of one cycle and arming the next.
     cycle_gap: u32,
-    stop_requested: bool,
     /// Snapshot-reachable set recorded when the current cycle's marking
     /// began, audited at its sweep.
     snapshot: Option<ReachSet>,
     threads: Vec<ThreadSync>,
+    /// Elision attempts refused because the thread had not yet
+    /// acknowledged the armed epoch.
+    gated_elisions: u64,
 }
 
 impl CycleDriver {
     pub fn new(threads: usize, cycle_gap: u32) -> Self {
         CycleDriver {
-            epoch: EpochState::new(threads),
             phase: CyclePhase::Idle {
                 countdown: cycle_gap,
             },
+            epoch: 0,
             cycle_gap,
-            stop_requested: false,
             snapshot: None,
             threads: (0..threads).map(|_| ThreadSync::default()).collect(),
+            gated_elisions: 0,
         }
     }
 
@@ -148,9 +163,35 @@ impl CycleDriver {
         self.phase
     }
 
-    /// The epoch, read-only: only the protocol advances it.
-    pub fn epoch(&self) -> &EpochState {
-        &self.epoch
+    /// Has `tid` acknowledged the current epoch?
+    pub fn acked(&self, tid: usize) -> bool {
+        self.threads[tid].acked == self.epoch
+    }
+
+    pub fn all_acked(&self) -> bool {
+        (0..self.threads.len()).all(|tid| self.acked(tid))
+    }
+
+    /// The thread's own view of "is marking on": the snapshot is taken
+    /// and the thread has acknowledged its epoch. A store by a thread
+    /// whose view is idle need not log — it happens (logically) before
+    /// the snapshot point, whose root scan sees its effect.
+    pub fn local_marking(&self, tid: usize) -> bool {
+        self.phase.marking() && self.acked(tid)
+    }
+
+    /// May `tid` run statically elided (barrier-free) code right now?
+    /// Between cycles, or once it has acknowledged the current epoch.
+    /// Until then its view lags the collector's, so it takes the full
+    /// barrier and the refusal is counted.
+    pub fn elide_allowed(&mut self, tid: usize) -> bool {
+        let allowed = matches!(self.phase, CyclePhase::Idle { .. }) || self.acked(tid);
+        self.gated_elisions += u64::from(!allowed);
+        allowed
+    }
+
+    pub fn gated_elisions(&self) -> u64 {
+        self.gated_elisions
     }
 
     /// Is `tid` parked or retired — not to be scheduled?
@@ -169,7 +210,7 @@ impl CycleDriver {
     /// Does `tid` owe the protocol a poll — an epoch to acknowledge or
     /// a stop request to honour?
     pub fn owes_poll(&self, tid: usize) -> bool {
-        !self.epoch.acked(tid) || self.stop_requested
+        !self.acked(tid) || self.phase == CyclePhase::Rendezvous
     }
 
     pub fn since_poll(&self, tid: usize) -> u32 {
@@ -179,11 +220,6 @@ impl CycleDriver {
     /// Thread `tid` executed one workload op since its last poll.
     pub fn count_op(&mut self, tid: usize) {
         self.threads[tid].since_poll += 1;
-    }
-
-    /// [`EpochState::elide_allowed`], which counts a gated attempt.
-    pub fn elide_allowed(&mut self, tid: usize) -> bool {
-        self.epoch.elide_allowed(tid)
     }
 
     /// Back to idle, the countdown to the next arm restarted.
@@ -214,16 +250,17 @@ fn report<H: CycleHost>(host: &mut H, kind: ViolationKind, detail: String) {
 /// buffer; a no-op when the thread's local view of marking is idle.
 pub(crate) fn barrier_log<H: CycleHost>(host: &mut H, tid: usize, old: GcRef) {
     let cycle = host.parts().0;
-    if cycle.epoch.local_marking(tid) {
-        cycle.threads[tid].satb.log(old);
+    if cycle.local_marking(tid) {
+        cycle.threads[tid].satb.push(old);
         host.on(CycleEvent::Logged);
     }
 }
 
 fn flush<H: CycleHost>(host: &mut H, tid: usize) {
     let (cycle, heap) = host.parts();
-    if cycle.threads[tid].satb.depth() > 0 {
-        let depth = cycle.threads[tid].satb.flush_into(&mut heap.gc);
+    let depth = cycle.threads[tid].satb.len();
+    if depth > 0 {
+        heap.gc.satb_flush(cycle.threads[tid].satb.drain(..));
         host.on(CycleEvent::Flushed(tid, depth));
     }
 }
@@ -236,12 +273,12 @@ pub(crate) fn poll<H: CycleHost>(host: &mut H, tid: usize, retiring: bool) {
     flush(host, tid);
     let cycle = host.parts().0;
     cycle.threads[tid].since_poll = 0;
-    if !cycle.epoch.acked(tid) {
-        cycle.epoch.ack(tid);
+    if !cycle.acked(tid) {
+        cycle.threads[tid].acked = cycle.epoch;
         host.on(CycleEvent::Acked(tid));
     }
     let cycle = host.parts().0;
-    if cycle.stop_requested {
+    if cycle.phase == CyclePhase::Rendezvous {
         cycle.threads[tid].parked = true;
         host.on(CycleEvent::Parked);
     } else if retiring {
@@ -252,53 +289,40 @@ pub(crate) fn poll<H: CycleHost>(host: &mut H, tid: usize, retiring: bool) {
 /// One step of the marker.
 pub(crate) fn step<H: CycleHost>(host: &mut H, ctl: MarkerCtl) {
     let (cycle, heap) = host.parts();
-    let phase = cycle.phase;
-    match phase {
+    match cycle.phase {
         CyclePhase::Idle { countdown } if countdown > 0 && !ctl.arm_now => {
             cycle.phase = CyclePhase::Idle {
                 countdown: countdown - 1,
             };
         }
         CyclePhase::Idle { .. } => {
-            cycle.epoch.arm();
+            cycle.epoch += 1;
             cycle.phase = CyclePhase::Arming;
-            for (tid, thread) in cycle.threads.iter().enumerate() {
-                if thread.retired {
-                    cycle.epoch.ack(tid);
-                }
+            for thread in cycle.threads.iter_mut().filter(|t| t.retired) {
+                thread.acked = cycle.epoch;
             }
             host.on(CycleEvent::Armed);
         }
-        CyclePhase::Arming if cycle.epoch.all_acked() => {
+        CyclePhase::Arming if cycle.all_acked() => {
             // Initial-mark pause: with every thread synchronised, take
             // the snapshot and shade the roots.
             let roots = host.roots();
             let (cycle, heap) = host.parts();
             if let Err(e) = heap.gc.try_begin_marking(&mut heap.store, &roots) {
-                cycle.epoch.end_cycle();
                 cycle.go_idle();
                 return report(host, ViolationKind::Protocol, e.to_string());
             }
             cycle.snapshot = Some(verify::reachable_set(heap, &roots));
-            let taken = cycle.epoch.snapshot_taken();
             cycle.phase = CyclePhase::Marking;
-            if let Err(e) = taken {
-                // Unreachable (the all_acked guard above) but the
-                // protocol error is reportable, not a panic.
-                report(host, ViolationKind::Protocol, e.to_string());
-            }
             host.on(CycleEvent::Snapshot(roots.len()));
         }
         CyclePhase::Arming if ctl.give_up_arm => {
             host.on(CycleEvent::Abandoned);
-            let cycle = host.parts().0;
-            cycle.epoch.end_cycle();
-            cycle.go_idle();
+            host.parts().0.go_idle();
         }
         CyclePhase::Marking => {
             let did = heap.mark_slice(ctl.budget);
             if did == Some(0) {
-                cycle.stop_requested = true;
                 cycle.phase = CyclePhase::Rendezvous;
             }
             host.on(CycleEvent::Marked(did));
@@ -327,8 +351,8 @@ pub(crate) fn force_stw<H: CycleHost>(host: &mut H) {
 
 /// The stop-the-world tail of a cycle, in the one order the contract
 /// allows: final flushes, remark, post-mark invariants, sweep, the
-/// snapshot-survives audit, post-sweep invariants, end of the epoch (if
-/// one is open — a collection forced from idle has none), resume, idle.
+/// snapshot-survives audit, post-sweep invariants, `Ended` with the
+/// world still stopped, then resume and go idle, which ends the epoch.
 fn tail<H: CycleHost>(host: &mut H) {
     let _span = host.stw_span();
     for tid in 0..host.parts().0.threads.len() {
@@ -356,13 +380,8 @@ fn tail<H: CycleHost>(host: &mut H) {
     for v in verify::post_sweep(host.parts().1, &post_mark) {
         report(host, ViolationKind::Invariant, v.to_string());
     }
-    let cycle = host.parts().0;
-    if cycle.epoch.phase() != EpochPhase::Idle {
-        cycle.epoch.end_cycle();
-    }
     host.on(CycleEvent::Ended(pause, swept));
     let cycle = host.parts().0;
-    cycle.stop_requested = false;
     for t in &mut cycle.threads {
         t.parked = false;
     }
@@ -384,9 +403,9 @@ mod tests {
         marking: bool,
         live: usize,
         snapshot_open: bool,
-        epoch: EpochPhase,
-        /// The stop request is up and every thread is parked.
-        stopped: bool,
+        phase: CyclePhase,
+        /// Every thread is parked or retired.
+        halted: bool,
     }
 
     /// A two-thread world that does nothing but record.
@@ -439,8 +458,8 @@ mod tests {
                 marking: self.heap.gc.is_marking(),
                 live: self.heap.store.live_count(),
                 snapshot_open: self.cycle.snapshot.is_some(),
-                epoch: self.cycle.epoch.phase(),
-                stopped: self.cycle.stop_requested && self.cycle.all_halted(),
+                phase: self.cycle.phase,
+                halted: self.cycle.all_halted(),
             }
         }
 
@@ -471,8 +490,6 @@ mod tests {
 
         fn assert_resumed_idle(&self) {
             assert_eq!(self.cycle.phase, CyclePhase::Idle { countdown: GAP });
-            assert_eq!(self.cycle.epoch.phase(), EpochPhase::Idle);
-            assert!(!self.cycle.stop_requested);
             assert!(!self.cycle.threads.iter().any(|t| t.parked));
             assert!(self.cycle.snapshot.is_none());
             assert!(!self.heap.gc.is_marking());
@@ -494,37 +511,37 @@ mod tests {
         w.log.clear();
         w.step(false, false);
 
-        let at = |marking, live, snapshot_open, epoch| Seen {
+        // The phase stays `Rendezvous`, every thread parked, throughout.
+        let at = |marking, live, snapshot_open| Seen {
             marking,
             live,
             snapshot_open,
-            epoch,
-            stopped: true,
+            phase: CyclePhase::Rendezvous,
+            halted: true,
         };
-        let marking = EpochPhase::Marking;
         let expected = [
             // 1. final flushes, before the remark ends marking
-            ("Flushed(0, 1)".to_string(), at(true, 4, true, marking)),
+            ("Flushed(0, 1)".to_string(), at(true, 4, true)),
             // 2. remark, 3. post-mark invariants — nothing swept yet
             (
                 format!("Violation(Invariant, \"reachable object {a} unmarked after remark (lost SATB edge)\")"),
-                at(false, 4, true, marking),
+                at(false, 4, true),
             ),
             // 4. sweep (`a` and the garbage object), 5. snapshot audit
             (
                 format!("Violation(LostObject, \"snapshot-reachable {a} freed by sweep\")"),
-                at(false, 2, false, marking),
+                at(false, 2, false),
             ),
             // 6. post-sweep invariants
             (
                 format!("Violation(Invariant, \"live object {} references freed slot {a}\")", w.shared),
-                at(false, 2, false, marking),
+                at(false, 2, false),
             ),
-            // 7. end of the epoch, with the world still stopped
-            ("Ended".to_string(), at(false, 2, false, EpochPhase::Idle)),
+            // 7. `Ended`, with the world still stopped
+            ("Ended".to_string(), at(false, 2, false)),
         ];
         assert_eq!(w.log, expected);
-        // 8. resume, 9. idle
+        // 8. resume, 9. idle — the end of the epoch
         w.assert_resumed_idle();
     }
 
@@ -557,16 +574,13 @@ mod tests {
         }
     }
 
-    /// `EpochState::end_cycle` asserts (in debug builds, which is how
-    /// tier-1 runs) that an epoch is open, so a forced collection from
-    /// idle that reached it would panic here.
     #[test]
     fn emergency_from_idle_leaves_the_epoch_alone() {
         let (mut w, ..) = Rec::new();
         force_stw(&mut w);
         let (_, seen) = w.log.last().expect("the cycle ended");
-        assert_eq!(seen.epoch, EpochPhase::Idle);
-        assert_eq!(w.cycle.epoch.epoch(), 0, "no epoch was ever armed");
+        assert_eq!(seen.phase, CyclePhase::Idle { countdown: GAP });
+        assert_eq!(w.cycle.epoch, 0, "no epoch was ever armed");
         w.assert_resumed_idle();
         // The countdown restarts: the next arm is GAP ticks away.
         for _ in 0..GAP {
@@ -587,7 +601,7 @@ mod tests {
         w.step(false, true);
         assert_eq!(w.events(), ["Armed", "Acked(0)", "Waited", "Abandoned"]);
         let (_, seen) = w.log.last().unwrap();
-        assert_eq!(seen.epoch, EpochPhase::Armed, "told before the epoch ends");
+        assert_eq!(seen.phase, CyclePhase::Arming, "told before the epoch ends");
         w.assert_resumed_idle();
         // Thread 1 still owes the abandoned epoch an ack; the next arm
         // supersedes it and the cycle completes.
@@ -602,7 +616,7 @@ mod tests {
         poll(&mut w, 1, true);
         assert!(w.cycle.halted(1) && !w.cycle.all_retired());
         w.drive_to(CyclePhase::Arming);
-        assert!(w.cycle.epoch.acked(1) && !w.cycle.epoch.acked(0));
+        assert!(w.cycle.acked(1) && !w.cycle.acked(0));
         w.drive_to(CyclePhase::Rendezvous);
         assert!(!w.cycle.all_halted());
         // A stop request wins over retirement: the thread parks, and
@@ -629,9 +643,71 @@ mod tests {
         w.step(false, false);
         barrier_log(&mut w, 0, a);
         assert_eq!(w.events().last(), Some(&"Logged"));
-        assert_eq!(w.cycle.threads[0].satb.depth(), 1);
+        assert_eq!(w.cycle.threads[0].satb, [a]);
         poll(&mut w, 0, false);
         assert_eq!(w.events().last(), Some(&"Flushed(0, 1)"));
         assert_eq!(w.cycle.since_poll(0), 0);
+    }
+
+    #[test]
+    fn epoch_protocol_gates_elision_until_ack() {
+        let (mut w, ..) = Rec::new();
+        assert!(w.cycle.elide_allowed(0) && w.cycle.elide_allowed(1));
+        w.drive_to(CyclePhase::Arming);
+        assert!(!w.cycle.elide_allowed(0), "unacked thread may not elide");
+        assert_eq!(w.cycle.gated_elisions(), 1);
+        poll(&mut w, 0, false);
+        assert!(w.cycle.elide_allowed(0));
+        assert!(!w.cycle.local_marking(0), "snapshot not yet taken");
+        poll(&mut w, 1, false);
+        w.step(false, false);
+        assert_eq!(w.events().last(), Some(&"Snapshot(1)"));
+        assert!(w.cycle.local_marking(0) && w.cycle.local_marking(1));
+        assert_eq!(w.cycle.gated_elisions(), 1);
+    }
+
+    /// A store after the arm but before the thread's ack needs no log:
+    /// the snapshot's root scan sees the post-store heap, so the
+    /// overwritten value is not part of the snapshot's obligation.
+    #[test]
+    fn pre_snapshot_store_is_sound_without_logging() {
+        let (mut w, a, b) = Rec::new();
+        w.drive_to(CyclePhase::Arming);
+        // Thread 0, unacked: `a.f0 = null` over `b`, through the barrier.
+        barrier_log(&mut w, 0, b);
+        w.heap.set_field(a, 0, Value::NULL).unwrap();
+        w.drive_to(CyclePhase::Rendezvous);
+        poll(&mut w, 0, false);
+        poll(&mut w, 1, false);
+        w.step(false, false);
+        w.assert_resumed_idle();
+        assert!(!w.heap.store.is_live(b), "b died before the snapshot");
+        assert!(!w.events().contains(&"Logged"), "nothing was logged");
+        assert!(!w.events().iter().any(|e| e.starts_with("Violation")));
+    }
+
+    /// Every per-thread view is read off the phase and the thread's ack.
+    #[test]
+    fn thread_views_derive_from_the_phase_and_the_ack() {
+        use CyclePhase::{Arming, Idle, Marking, Rendezvous};
+        // (phase, acked) → (local_marking, elide_allowed, owes_poll)
+        let table = [
+            (Idle { countdown: GAP }, true, (false, true, false)),
+            (Idle { countdown: GAP }, false, (false, true, true)),
+            (Arming, true, (false, true, false)),
+            (Arming, false, (false, false, true)),
+            (Marking, true, (true, true, false)),
+            (Marking, false, (false, false, true)),
+            (Rendezvous, true, (true, true, true)),
+            (Rendezvous, false, (false, false, true)),
+        ];
+        for (phase, acked, want) in table {
+            let mut d = CycleDriver::new(1, GAP);
+            (d.phase, d.epoch) = (phase, 1);
+            d.threads[0].acked = u64::from(acked);
+            let got = (d.local_marking(0), d.elide_allowed(0), d.owes_poll(0));
+            assert_eq!(got, want, "{phase:?}, acked {acked}");
+            assert_eq!(d.gated_elisions, u64::from(!want.1), "{phase:?}");
+        }
     }
 }

@@ -692,6 +692,28 @@ mod tests {
         assert_eq!(h.sweep(), 0);
     }
 
+    #[test]
+    fn marking_flush_queues_every_entry() {
+        let mut h = Heap::new(MarkStyle::Satb);
+        let [a, b] = [obj(&mut h), obj(&mut h)];
+        h.gc.begin_marking(&mut h.store, &[]);
+        let mut buf = vec![a, b];
+        assert_eq!(h.gc.satb_flush(buf.drain(..)), 2);
+        assert!(buf.is_empty() && h.gc.satb_pending(a) && h.gc.satb_pending(b));
+        assert_eq!(h.gc.stats.satb_logs, 2);
+    }
+
+    #[test]
+    fn idle_flush_drops_entries() {
+        let mut h = Heap::new(MarkStyle::Satb);
+        let a = obj(&mut h);
+        let mut buf = vec![a];
+        assert_eq!(h.gc.satb_flush(buf.drain(..)), 0, "nothing accepted");
+        assert!(buf.is_empty(), "the buffer was still drained");
+        assert!(!h.gc.has_pending_work());
+        assert_eq!(h.gc.stats.satb_logs, 0);
+    }
+
     /// The drivers (`Interp`, `cycle.rs`) rely on a refused second start
     /// leaving the running cycle exactly as it was.
     #[test]

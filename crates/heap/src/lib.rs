@@ -23,8 +23,11 @@
 //!   the optimistic array-rearrangement optimization.
 //!
 //! Concurrency is *stepped*: the driver interleaves mutator work and
-//! `mark_step` calls deterministically, and [`sched`] runs mutators as
-//! logical threads, so every GC test and schedule is reproducible.
+//! `mark_step` calls deterministically, and [`sched`] and [`overload`]
+//! run mutators as logical threads through one marking-cycle driver
+//! (per-thread SATB buffers, an epoch every thread acknowledges before
+//! the snapshot, a stop-the-world rendezvous), so every GC test and
+//! schedule is reproducible.
 //!
 //! # Example
 //!
@@ -57,7 +60,6 @@ pub mod object;
 pub mod overload;
 pub mod pressure;
 pub mod recover;
-pub mod safepoint;
 pub mod sched;
 pub mod value;
 pub mod verify;
@@ -72,7 +74,6 @@ pub use pressure::{
     PressureConfig, PressureController, PressureLevel, PressureStats, PressureTransition,
 };
 pub use recover::{RecoveryAction, RecoveryController, RecoveryPolicy, RecoveryStats};
-pub use safepoint::{EpochState, SatbBuffer, SnapshotBeforeAck};
 pub use sched::{Scenario, SchedConfig, SchedCounters, ScheduleOutcome, SchedulePolicy};
 pub use value::{FieldShape, GcRef, Value};
 pub use witness::{ClassWitness, WitnessTable};

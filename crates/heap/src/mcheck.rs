@@ -26,9 +26,10 @@ use crate::sched::{
     run_schedule, SchedConfig, SchedCounters, ScheduleOutcome, SchedulePolicy, ScheduleViolation,
 };
 
-/// SplitMix64 finalizer mixing a base seed with a schedule index —
-/// the same derivation the verification harness uses for workload
-/// fault seeds, so seed reporting is uniform across tools.
+/// SplitMix64 finalizer mixing a base seed with a schedule index, so
+/// neighbouring indices get unrelated streams. The one derivation of
+/// every per-run seed: the verification and soak harnesses call it for
+/// their workload fault seeds too.
 pub fn mix_seed(base: u64, k: u64) -> u64 {
     let mut z = base ^ k.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -298,12 +299,13 @@ mod tests {
     use super::*;
     use crate::sched::{Scenario, ViolationKind};
 
+    /// Every seed `mcheck`, `verify` and `soak` print is one of these
+    /// mixes: a change to the mixer moves every printed replay handle.
     #[test]
-    fn mix_seed_matches_harness_derivation() {
-        // Pinned: this must stay equal to wbe-harness's mix_seed.
-        assert_eq!(mix_seed(1, 0), mix_seed(1, 0));
-        assert_ne!(mix_seed(1, 0), mix_seed(1, 1));
-        assert_ne!(mix_seed(1, 0), mix_seed(2, 0));
+    fn mix_seed_known_answers() {
+        assert_eq!(mix_seed(1, 0), 0xe4d9_7177_1b65_2c20);
+        assert_eq!(mix_seed(1, 1), 0xbeeb_8da1_658e_ec67);
+        assert_eq!(mix_seed(42, 0), 0xbdd7_3226_2feb_6e95);
     }
 
     #[test]

@@ -534,7 +534,7 @@ impl ServeWorld {
                         true
                     }
                 }
-                CyclePhase::Arming => self.cycle.epoch().all_acked(),
+                CyclePhase::Arming => self.cycle.all_acked(),
                 CyclePhase::Marking => true,
                 CyclePhase::Rendezvous => self.cycle.all_halted(),
             };

@@ -26,8 +26,8 @@
 //!    trap fire — persistent corruption (e.g. dangling references that
 //!    no amount of re-marking can repair) still terminates the run.
 //!
-//! The controller is a plain struct (no atomics), like the rest of the
-//! safepoint layer: the deterministic interpreter owns one directly.
+//! The controller is a plain struct (no atomics), like the marking-cycle
+//! driver's state: the deterministic interpreter owns one directly.
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -38,7 +38,6 @@ use crate::fault::{FaultConfig, FaultPlan};
 use crate::gc::MarkStyle;
 use crate::heap::{Heap, HeapError};
 use crate::mix::{fnv1a, SplitMix64};
-use crate::safepoint::EpochPhase;
 use crate::value::{FieldShape, GcRef, Value};
 
 /// Hard cap on scheduler steps per schedule; exceeding it is reported
@@ -476,8 +475,7 @@ impl World {
             kind,
             step: self.step,
             // Cycles completed, plus the one between snapshot and end.
-            cycle: self.counters.cycles
-                + u64::from(self.cycle.epoch().phase() == EpochPhase::Marking),
+            cycle: self.counters.cycles + u64::from(self.cycle.phase().marking()),
             detail,
         });
     }
@@ -522,7 +520,7 @@ impl World {
                     true
                 }
             }
-            CyclePhase::Arming => self.cycle.epoch().all_acked() || self.arm_overdue(2),
+            CyclePhase::Arming => self.cycle.all_acked() || self.arm_overdue(2),
             CyclePhase::Marking => !(honor_rests && self.marker_rest),
             CyclePhase::Rendezvous => self.cycle.all_halted(),
         };
@@ -546,14 +544,14 @@ impl World {
     /// like compiler-inserted polls at loop back-edges — so a thread
     /// genuinely runs operations between an epoch being armed and its
     /// acknowledgement. That window is exactly where
-    /// [`crate::EpochState::elide_allowed`] forces the conservative
+    /// [`CycleDriver::elide_allowed`] forces the conservative
     /// full-barrier path.
     fn mutator_step(&mut self, tid: usize) {
         let retiring = self.mutators[tid].ops_done >= self.cfg.ops_per_thread;
         // Watchdog pacing hint: a thread that has left an armed epoch
         // unacknowledged past the deadline polls now instead of at its
         // usual cadence, bounding how long the snapshot can stall.
-        let paced = self.arm_overdue(1) && !self.cycle.epoch().acked(tid);
+        let paced = self.arm_overdue(1) && !self.cycle.acked(tid);
         if paced {
             self.counters.watchdog_pacing += 1;
             let (step, age) = (self.step, self.arm_age());
@@ -648,7 +646,7 @@ impl World {
         };
         let unsound = self.cfg.demo_unsound && tid == 0;
         if unsound {
-            if self.cycle.epoch().local_marking(tid) {
+            if self.cycle.local_marking(tid) {
                 self.counters.unsound_elisions += 1;
             }
         } else {
@@ -878,7 +876,7 @@ pub fn run_schedule(cfg: &SchedConfig, policy: &SchedulePolicy) -> ScheduleOutco
         world.step += 1;
     }
 
-    world.counters.gated_elisions = world.cycle.epoch().gated_elisions;
+    world.counters.gated_elisions = world.cycle.gated_elisions();
     world.heap.gc.publish_metrics();
     world.counters.publish();
     ScheduleOutcome {

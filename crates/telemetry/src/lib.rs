@@ -9,7 +9,7 @@
 //! * a **metrics registry** ([`registry`]): named counters, gauges, and
 //!   log₂-bucketed histograms backed by atomics. Handles are cheap
 //!   clones; hot paths resolve a handle once and bump it lock-free.
-//! * **hierarchical phase spans** ([`span`]): RAII guards measuring
+//! * **hierarchical phase spans** ([`span`](mod@span)): RAII guards measuring
 //!   monotonic wall time with parent attribution via a thread-local
 //!   stack. Durations land in `span.<name>` histograms; when event
 //!   tracing is on, each span also appends a [`trace::TraceEvent`].

@@ -405,8 +405,8 @@ pub fn global() -> &'static Registry {
 /// Point-in-time copy of a whole [`Registry`], ready for export.
 ///
 /// Span-duration histograms (named `span.<name>.us` by
-/// [`crate::span`]) are reported separately by the exporters; use
-/// [`MetricsSnapshot::span_names`] to enumerate them.
+/// [`crate::span`](mod@crate::span)) are reported separately by the
+/// exporters; use [`MetricsSnapshot::span_names`] to enumerate them.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Counter values by name.

@@ -11,7 +11,7 @@ pub fn vec<S: Strategy>(element: S, size: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, size }
 }
 
-/// The result of [`vec`].
+/// The result of [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,
