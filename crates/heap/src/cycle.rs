@@ -1,35 +1,41 @@
-//! The marking-cycle driver of the cooperative worlds.
+//! The marking-cycle driver of every world.
 //!
 //! The paper's elision is sound only under the SATB contract of its
 //! §2: the snapshot is taken after every mutator has synchronised,
 //! pre-values are logged while marking, every log is flushed before the
 //! final remark, and the sweep frees only what the snapshot did not
 //! reach. [`crate::sched`] and [`crate::overload`] run that contract
-//! over logical threads, and this module is the one place it is written
-//! down: [`CycleDriver`] owns the state — one [`CyclePhase`], an epoch
-//! counter, and per thread an SATB buffer and the epoch it last
-//! acknowledged; [`barrier_log`], [`poll`], [`step`] and [`force_stw`]
-//! are the protocol. What a thread may do (elide, skip a log, run on)
-//! is read off the phase and its acknowledgement, never stored. A world
-//! implements [`CycleHost`] for what is its own and decides *when*
-//! ([`MarkerCtl`]). DESIGN §9.1 has the phase table and why `Interp`'s
-//! pause is not a client.
+//! over logical threads and `wbe-interp`'s `Interp` runs it on its one
+//! thread; this module is the one place it is written down:
+//! [`CycleDriver`] owns the state — one [`CyclePhase`], an epoch
+//! counter, per thread an SATB buffer and the epoch it last
+//! acknowledged, and the world's [`RecoveryController`], if it has one;
+//! `barrier_log`, [`poll`], [`step`] and [`force_stw`] are the
+//! protocol. What a thread may do (elide, skip a log, run on) is read
+//! off the phase and its acknowledgement, never stored. A world
+//! implements [`CycleHost`] for what is its own, including what the
+//! tail does after a failed post-mark check ([`PostMarkPolicy`]), and
+//! decides *when* ([`MarkerCtl`]). DESIGN §9.1 has the phase table.
 
 use std::fmt;
 
 use crate::gc::PauseReport;
 use crate::heap::Heap;
+use crate::recover::{RecoveryAction, RecoveryController};
 use crate::value::GcRef;
-use crate::verify::{self, ReachSet};
+use crate::verify::{self, ReachSet, Violation};
 
 /// Where the cycle is: the protocol's only state, written only by this
 /// module. The epoch is armed in `Arming` and marking in `Marking` and
 /// `Rendezvous` ([`CyclePhase::marking`]); the stop request is up
 /// exactly in `Rendezvous`; going `Idle` ends the epoch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum CyclePhase {
+pub enum CyclePhase {
     /// Between cycles; arms a new epoch when the countdown expires.
-    Idle { countdown: u32 },
+    Idle {
+        /// Marker steps left before the arm.
+        countdown: u32,
+    },
     /// Epoch armed; waiting for every mutator to acknowledge before
     /// taking the snapshot.
     Arming,
@@ -81,33 +87,91 @@ impl fmt::Display for ViolationKind {
 /// arms ahead of its countdown, whether one still waiting for
 /// acknowledgements gives the arm up, and a mark slice's budget (before
 /// the fault plan scales it).
-pub(crate) struct MarkerCtl {
+#[derive(Clone, Copy, Debug)]
+pub struct MarkerCtl {
+    /// Arm now, whatever the idle countdown says.
     pub arm_now: bool,
+    /// Abandon an arm some thread has not acknowledged.
     pub give_up_arm: bool,
+    /// Work units of one concurrent mark slice.
     pub budget: usize,
+}
+
+/// What the tail does after the remark: a world's verification policy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PostMarkPolicy {
+    /// Check both boundaries, report every violation, and sweep anyway:
+    /// a checker wants the lost object that sweep produces next.
+    SweepAndReport,
+    /// Check nothing.
+    Skip,
+    /// Check both boundaries and never sweep a failed post-mark: heal
+    /// with the driver's [`RecoveryController`] — a stop-the-world
+    /// re-mark and a re-check, until one passes or the budget is spent —
+    /// and stop (`CycleEvent::Stopped`) when there is no controller or
+    /// no budget left. A post-sweep failure enters the same loop.
+    Recover,
+}
+
+/// A cycle-boundary check that failed, as a recovering tail reports it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CheckFailed {
+    /// Which check: `"post-mark"` or `"post-sweep"`.
+    pub when: &'static str,
+    /// Number of violations found.
+    pub count: usize,
+    /// Rendering of the first violation.
+    pub first: String,
+}
+
+impl fmt::Display for CheckFailed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "HEAP INVARIANT VIOLATION ({}): {} violation(s), first: {}",
+            self.when, self.count, self.first
+        )
+    }
 }
 
 /// What the protocol tells its world, as it happens. The worlds count
 /// and trace from these; the driver keeps no counters of its own.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum CycleEvent {
+pub enum CycleEvent {
     /// A barrier logged a pre-value into its thread's buffer.
     Logged,
     /// A flush moved thread `.0`'s `.1` entries to the collector.
     Flushed(usize, usize),
     /// Thread `.0` acknowledged a pending epoch at a poll.
     Acked(usize),
+    /// A thread honoured the stop request.
     Parked,
+    /// A new epoch was armed.
     Armed,
     /// The arm is about to be given up: its epoch ends with no snapshot.
     Abandoned,
-    /// The snapshot was taken over this many roots; marking began.
+    /// The snapshot was taken over this many roots; marking began —
+    /// after the arm's handshake, or with the world stopped: by
+    /// [`force_stw`] from idle, or by a recovery re-mark.
     Snapshot(usize),
     /// The marker waited (for acknowledgements or for parks).
     Waited,
     /// A mark slice's work; `None` if the fault plan skipped it.
     Marked(Option<usize>),
+    /// The cycle's remark is about to run.
+    Remarking,
+    /// A remark ran: the cycle's own, or a recovery re-mark's
+    /// (`recovery`). The mark state may be forged here, before any check
+    /// reads it.
+    Remarked {
+        /// This was a recovery re-mark.
+        recovery: bool,
+    },
+    /// A violation the driver found: its kind and detail.
     Violation(ViolationKind, String),
+    /// A [`PostMarkPolicy::Recover`] tail gave up: no controller, or no
+    /// budget left. The cycle ends here, with no `Ended`.
+    Stopped(CheckFailed),
     /// The tail closed the cycle, sweeping `.1` objects; the world is
     /// still stopped.
     Ended(PauseReport, usize),
@@ -128,9 +192,9 @@ struct ThreadSync {
     retired: bool,
 }
 
-/// The protocol state of one cooperative world.
+/// The protocol state of one world.
 #[derive(Debug)]
-pub(crate) struct CycleDriver {
+pub struct CycleDriver {
     phase: CyclePhase,
     /// Bumped by every arm; 0 until the first.
     epoch: u64,
@@ -143,9 +207,14 @@ pub(crate) struct CycleDriver {
     /// Elision attempts refused because the thread had not yet
     /// acknowledged the armed epoch.
     gated_elisions: u64,
+    /// The world's self-healing layer, consulted by a
+    /// [`PostMarkPolicy::Recover`] tail.
+    pub recovery: Option<RecoveryController>,
 }
 
 impl CycleDriver {
+    /// An idle driver for `threads` threads that arms every `cycle_gap`
+    /// marker steps.
     pub fn new(threads: usize, cycle_gap: u32) -> Self {
         CycleDriver {
             phase: CyclePhase::Idle {
@@ -156,19 +225,21 @@ impl CycleDriver {
             snapshot: None,
             threads: (0..threads).map(|_| ThreadSync::default()).collect(),
             gated_elisions: 0,
+            recovery: None,
         }
     }
 
+    /// Where the cycle is.
     pub fn phase(&self) -> CyclePhase {
         self.phase
     }
 
     /// Has `tid` acknowledged the current epoch?
-    pub fn acked(&self, tid: usize) -> bool {
+    pub(crate) fn acked(&self, tid: usize) -> bool {
         self.threads[tid].acked == self.epoch
     }
 
-    pub fn all_acked(&self) -> bool {
+    pub(crate) fn all_acked(&self) -> bool {
         (0..self.threads.len()).all(|tid| self.acked(tid))
     }
 
@@ -176,7 +247,7 @@ impl CycleDriver {
     /// and the thread has acknowledged its epoch. A store by a thread
     /// whose view is idle need not log — it happens (logically) before
     /// the snapshot point, whose root scan sees its effect.
-    pub fn local_marking(&self, tid: usize) -> bool {
+    pub(crate) fn local_marking(&self, tid: usize) -> bool {
         self.phase.marking() && self.acked(tid)
     }
 
@@ -184,41 +255,41 @@ impl CycleDriver {
     /// Between cycles, or once it has acknowledged the current epoch.
     /// Until then its view lags the collector's, so it takes the full
     /// barrier and the refusal is counted.
-    pub fn elide_allowed(&mut self, tid: usize) -> bool {
+    pub(crate) fn elide_allowed(&mut self, tid: usize) -> bool {
         let allowed = matches!(self.phase, CyclePhase::Idle { .. }) || self.acked(tid);
         self.gated_elisions += u64::from(!allowed);
         allowed
     }
 
-    pub fn gated_elisions(&self) -> u64 {
+    pub(crate) fn gated_elisions(&self) -> u64 {
         self.gated_elisions
     }
 
     /// Is `tid` parked or retired — not to be scheduled?
-    pub fn halted(&self, tid: usize) -> bool {
+    pub(crate) fn halted(&self, tid: usize) -> bool {
         self.threads[tid].parked || self.threads[tid].retired
     }
 
-    pub fn all_halted(&self) -> bool {
+    pub(crate) fn all_halted(&self) -> bool {
         (0..self.threads.len()).all(|tid| self.halted(tid))
     }
 
-    pub fn all_retired(&self) -> bool {
+    pub(crate) fn all_retired(&self) -> bool {
         self.threads.iter().all(|t| t.retired)
     }
 
     /// Does `tid` owe the protocol a poll — an epoch to acknowledge or
     /// a stop request to honour?
-    pub fn owes_poll(&self, tid: usize) -> bool {
+    pub(crate) fn owes_poll(&self, tid: usize) -> bool {
         !self.acked(tid) || self.phase == CyclePhase::Rendezvous
     }
 
-    pub fn since_poll(&self, tid: usize) -> u32 {
+    pub(crate) fn since_poll(&self, tid: usize) -> u32 {
         self.threads[tid].since_poll
     }
 
     /// Thread `tid` executed one workload op since its last poll.
-    pub fn count_op(&mut self, tid: usize) {
+    pub(crate) fn count_op(&mut self, tid: usize) {
         self.threads[tid].since_poll += 1;
     }
 
@@ -230,15 +301,25 @@ impl CycleDriver {
     }
 }
 
-/// What a cooperative world supplies to the protocol. Statically
-/// dispatched; the world owns the driver and the heap and lends both.
-pub(crate) trait CycleHost {
+/// What a world supplies to the protocol. Statically dispatched; the
+/// world owns the driver and the heap and lends both.
+pub trait CycleHost {
+    /// Does the arm record the snapshot-reachable set for the sweep's
+    /// lost-object audit? A property of the world, not a setting.
+    const AUDITS_SNAPSHOT: bool = true;
+    /// The world's driver and heap.
     fn parts(&mut self) -> (&mut CycleDriver, &mut Heap);
+    /// The world's roots, as the snapshot and the remark see them.
     fn roots(&self) -> Vec<GcRef>;
     /// A span to hold open across the stop-the-world tail.
     fn stw_span(&self) -> wbe_telemetry::SpanGuard {
         wbe_telemetry::span::noop()
     }
+    /// What the tail does after the remark.
+    fn post_mark_policy(&self) -> PostMarkPolicy {
+        PostMarkPolicy::SweepAndReport
+    }
+    /// Told of each protocol event as it happens.
     fn on(&mut self, event: CycleEvent);
 }
 
@@ -269,7 +350,7 @@ fn flush<H: CycleHost>(host: &mut H, tid: usize) {
 /// any pending epoch, honour a stop request — or, on a thread's last
 /// poll (`retiring`), retire. Entries logged before the ack are
 /// pre-snapshot; the flush drops them (collector idle), which is sound.
-pub(crate) fn poll<H: CycleHost>(host: &mut H, tid: usize, retiring: bool) {
+pub fn poll<H: CycleHost>(host: &mut H, tid: usize, retiring: bool) {
     flush(host, tid);
     let cycle = host.parts().0;
     cycle.threads[tid].since_poll = 0;
@@ -287,7 +368,7 @@ pub(crate) fn poll<H: CycleHost>(host: &mut H, tid: usize, retiring: bool) {
 }
 
 /// One step of the marker.
-pub(crate) fn step<H: CycleHost>(host: &mut H, ctl: MarkerCtl) {
+pub fn step<H: CycleHost>(host: &mut H, ctl: MarkerCtl) {
     let (cycle, heap) = host.parts();
     match cycle.phase {
         CyclePhase::Idle { countdown } if countdown > 0 && !ctl.arm_now => {
@@ -312,7 +393,7 @@ pub(crate) fn step<H: CycleHost>(host: &mut H, ctl: MarkerCtl) {
                 cycle.go_idle();
                 return report(host, ViolationKind::Protocol, e.to_string());
             }
-            cycle.snapshot = Some(verify::reachable_set(heap, &roots));
+            cycle.snapshot = H::AUDITS_SNAPSHOT.then(|| verify::reachable_set(heap, &roots));
             cycle.phase = CyclePhase::Marking;
             host.on(CycleEvent::Snapshot(roots.len()));
         }
@@ -335,7 +416,7 @@ pub(crate) fn step<H: CycleHost>(host: &mut H, ctl: MarkerCtl) {
 /// A forced stop-the-world collection as one atomic step, from any
 /// phase: every thread is flushed by fiat (an emergency safepoint), a
 /// cycle is opened if none is running, and the tail completes it.
-pub(crate) fn force_stw<H: CycleHost>(host: &mut H) {
+pub fn force_stw<H: CycleHost>(host: &mut H) {
     if !host.parts().1.gc.is_marking() {
         let roots = host.roots();
         let heap = host.parts().1;
@@ -345,30 +426,47 @@ pub(crate) fn force_stw<H: CycleHost>(host: &mut H) {
             let detail = "emergency cycle failed to open".to_string();
             return report(host, ViolationKind::Protocol, detail);
         }
+        host.on(CycleEvent::Snapshot(roots.len()));
     }
     tail(host);
 }
 
 /// The stop-the-world tail of a cycle, in the one order the contract
-/// allows: final flushes, remark, post-mark invariants, sweep, the
-/// snapshot-survives audit, post-sweep invariants, `Ended` with the
-/// world still stopped, then resume and go idle, which ends the epoch.
+/// allows: final flushes, remark, then the host's [`PostMarkPolicy`] —
+/// for the checkers post-mark invariants, sweep, the snapshot-survives
+/// audit, post-sweep invariants — then `Ended` with the world still
+/// stopped, then resume and go idle, which ends the epoch.
 fn tail<H: CycleHost>(host: &mut H) {
     let _span = host.stw_span();
     for tid in 0..host.parts().0.threads.len() {
         flush(host, tid);
     }
     let roots = host.roots();
+    host.on(CycleEvent::Remarking);
     let heap = host.parts().1;
     let pause = heap.gc.remark(&mut heap.store, &roots);
-    let post_mark = verify::post_mark(host.parts().1, &roots);
-    for v in post_mark.violations() {
-        report(host, ViolationKind::Invariant, v.to_string());
+    host.on(CycleEvent::Remarked { recovery: false });
+    let swept = match host.post_mark_policy() {
+        PostMarkPolicy::SweepAndReport => checked_sweep(host, &roots, true),
+        PostMarkPolicy::Skip => Ok(sweep(host)),
+        PostMarkPolicy::Recover => recover(host, &roots),
+    };
+    match swept {
+        Ok(swept) => host.on(CycleEvent::Ended(pause, swept)),
+        Err(failed) => host.on(CycleEvent::Stopped(failed)),
     }
+    let cycle = host.parts().0;
+    for t in &mut cycle.threads {
+        t.parked = false;
+    }
+    cycle.go_idle();
+}
+
+/// Sweeps, then audits the snapshot: SATB promises that every object in
+/// it survives this cycle's sweep.
+fn sweep<H: CycleHost>(host: &mut H) -> usize {
     let (cycle, heap) = host.parts();
     let swept = heap.sweep();
-    // SATB promises that every object in the snapshot survives this
-    // cycle's sweep.
     if let Some(snapshot) = cycle.snapshot.take() {
         for obj in snapshot.iter() {
             if !host.parts().1.store.is_live(obj) {
@@ -377,21 +475,113 @@ fn tail<H: CycleHost>(host: &mut H) {
             }
         }
     }
-    for v in verify::post_sweep(host.parts().1, &post_mark) {
-        report(host, ViolationKind::Invariant, v.to_string());
+    swept
+}
+
+/// Post-mark check, sweep, post-sweep check. With `sweep_anyway` (a
+/// checker) every violation is reported and the sweep runs regardless;
+/// otherwise a failed check ends the sequence — sweeping a corrupt mark
+/// state frees live objects and turns a recoverable fault into dangling
+/// references.
+fn checked_sweep<H: CycleHost>(
+    host: &mut H,
+    roots: &[GcRef],
+    sweep_anyway: bool,
+) -> Result<usize, CheckFailed> {
+    let post_mark = verify::post_mark(host.parts().1, roots);
+    audit(host, "post-mark", post_mark.violations(), sweep_anyway)?;
+    let swept = sweep(host);
+    let post_sweep = verify::post_sweep(host.parts().1, &post_mark);
+    audit(host, "post-sweep", &post_sweep, sweep_anyway)?;
+    Ok(swept)
+}
+
+fn audit<H: CycleHost>(
+    host: &mut H,
+    when: &'static str,
+    violations: &[Violation],
+    report_all: bool,
+) -> Result<(), CheckFailed> {
+    if report_all {
+        for v in violations {
+            report(host, ViolationKind::Invariant, v.to_string());
+        }
+        return Ok(());
     }
-    host.on(CycleEvent::Ended(pause, swept));
-    let cycle = host.parts().0;
-    for t in &mut cycle.threads {
-        t.parked = false;
+    violations.first().map_or(Ok(()), |first| {
+        let (count, first) = (violations.len(), first.to_string());
+        Err(CheckFailed { when, count, first })
+    })
+}
+
+/// [`PostMarkPolicy::Recover`]'s loop: a failed check enters barrier
+/// panic mode and re-marks from the roots with the world stopped, then
+/// checks again, until a check passes or the controller's budget of
+/// consecutive failures is spent. The sweep count of the check that
+/// passed, or the failure that ended the loop.
+fn recover<H: CycleHost>(host: &mut H, roots: &[GcRef]) -> Result<usize, CheckFailed> {
+    let mut failed = match checked_sweep(host, roots, false) {
+        Ok(swept) => return Ok(swept),
+        Err(failed) => failed,
+    };
+    let Some(mut rc) = host.parts().0.recovery.take() else {
+        return Err(failed);
+    };
+    let result = loop {
+        if enter_recovery(&mut rc, &failed.to_string()) == RecoveryAction::Trap {
+            break Err(failed);
+        }
+        wbe_telemetry::event!("gc.recovery.remark", "full STW re-mark from roots");
+        // A fresh cycle rebuilds the mark state from scratch.
+        let heap = host.parts().1;
+        if heap.gc.try_begin_marking(&mut heap.store, roots).is_ok() {
+            host.on(CycleEvent::Snapshot(roots.len()));
+        }
+        let heap = host.parts().1;
+        heap.gc.remark(&mut heap.store, roots);
+        host.on(CycleEvent::Remarked { recovery: true });
+        match checked_sweep(host, roots, false) {
+            Ok(swept) => {
+                rc.recovered();
+                wbe_telemetry::event!(
+                    "gc.recovery.resume",
+                    "invariants re-established; mutator resumes with barriers restored"
+                );
+                break Ok(swept);
+            }
+            Err(again) => {
+                rc.attempt_failed();
+                failed = again;
+            }
+        }
+    };
+    rc.publish_metrics();
+    host.parts().0.recovery = Some(rc);
+    result
+}
+
+/// The head of every recovery, whatever detected the violation: tell
+/// the controller, and trace what it decided — `gc.recovery.trap` when
+/// the budget is spent, `gc.recovery.panic` when this violation is the
+/// one that entered barrier panic mode.
+pub fn enter_recovery(rc: &mut RecoveryController, reason: &str) -> RecoveryAction {
+    let was_panicking = rc.in_panic();
+    let action = rc.on_violation(reason);
+    match action {
+        RecoveryAction::Trap => wbe_telemetry::event!("gc.recovery.trap", "{reason}"),
+        RecoveryAction::Recover if !was_panicking => {
+            wbe_telemetry::event!("gc.recovery.panic", "{}", rc.panic_reason());
+        }
+        RecoveryAction::Recover => {}
     }
-    cycle.go_idle();
+    action
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gc::MarkStyle;
+    use crate::recover::RecoveryPolicy;
     use crate::value::{FieldShape, Value};
 
     const GAP: u32 = 3;
@@ -408,12 +598,16 @@ mod tests {
         halted: bool,
     }
 
-    /// A two-thread world that does nothing but record.
+    /// A two-thread world that does nothing but record — and, for the
+    /// first `corrupt` remarks, clears the mark of `shared[0]`'s object
+    /// at the post-remark event, as the interpreter's chaos hook does.
     struct Rec {
         cycle: CycleDriver,
         heap: Heap,
         shared: GcRef,
         log: Vec<(String, Seen)>,
+        policy: PostMarkPolicy,
+        corrupt: u32,
     }
 
     impl CycleHost for Rec {
@@ -425,11 +619,21 @@ mod tests {
             vec![self.shared]
         }
 
+        fn post_mark_policy(&self) -> PostMarkPolicy {
+            self.policy
+        }
+
         fn on(&mut self, event: CycleEvent) {
             let name = match &event {
                 CycleEvent::Ended(..) => "Ended".to_string(),
+                CycleEvent::Stopped(failed) => format!("Stopped({})", failed.when),
                 other => format!("{other:?}"),
             };
+            if matches!(event, CycleEvent::Remarked { .. }) && self.corrupt > 0 {
+                self.corrupt -= 1;
+                let a = self.heap.get_elem(self.shared, 0).unwrap().unwrap();
+                self.heap.gc.clear_mark(a);
+            }
             self.log.push((name, self.seen()));
         }
     }
@@ -449,6 +653,8 @@ mod tests {
                 heap,
                 shared,
                 log: Vec::new(),
+                policy: PostMarkPolicy::SweepAndReport,
+                corrupt: 0,
             };
             (rec, a, b)
         }
@@ -522,7 +728,12 @@ mod tests {
         let expected = [
             // 1. final flushes, before the remark ends marking
             ("Flushed(0, 1)".to_string(), at(true, 4, true)),
+            ("Remarking".to_string(), at(true, 4, true)),
             // 2. remark, 3. post-mark invariants — nothing swept yet
+            (
+                "Remarked { recovery: false }".to_string(),
+                at(false, 4, true),
+            ),
             (
                 format!("Violation(Invariant, \"reachable object {a} unmarked after remark (lost SATB edge)\")"),
                 at(false, 4, true),
@@ -708,6 +919,72 @@ mod tests {
             let got = (d.local_marking(0), d.elide_allowed(0), d.owes_poll(0));
             assert_eq!(got, want, "{phase:?}, acked {acked}");
             assert_eq!(d.gated_elisions, u64::from(!want.1), "{phase:?}");
+        }
+    }
+
+    /// The host's policy after a cleared mark at the post-remark event:
+    /// what the tail does next, and whether `sweep` ran — of the four
+    /// objects, a sweep frees the garbage one and, over the corrupt mark
+    /// state, `a` too.
+    #[test]
+    fn post_mark_policy_decides_what_a_failed_check_does() {
+        use PostMarkPolicy::{Recover, Skip, SweepAndReport};
+        const HEAD: [(&str, usize); 3] = [
+            ("Snapshot(1)", 4),
+            ("Remarking", 4),
+            ("Remarked { recovery: false }", 4),
+        ];
+        const HEAL: [(&str, usize); 2] = [("Snapshot(1)", 4), ("Remarked { recovery: true }", 4)];
+        // (policy, controller budget, remarks corrupted) → the events
+        // after HEAD, each with the live count as it arrived
+        let rows = [
+            (
+                SweepAndReport,
+                None,
+                1,
+                vec![
+                    ("Violation(Invariant", 4),
+                    ("Violation(Invariant", 2),
+                    ("Ended", 2),
+                ],
+            ),
+            (Skip, None, 1, vec![("Ended", 2)]),
+            (Recover, Some(3), 0, vec![("Ended", 3)]),
+            // Never sweeps a failed post-mark: the heal comes first, and
+            // the sweep after it frees the garbage alone.
+            (Recover, Some(3), 1, [&HEAL[..], &[("Ended", 3)]].concat()),
+            (
+                Recover,
+                Some(2),
+                3,
+                [&HEAL[..], &HEAL, &[("Stopped(post-mark)", 4)]].concat(),
+            ),
+            (Recover, None, 1, vec![("Stopped(post-mark)", 4)]),
+        ];
+        for (policy, budget, corrupt, tail) in rows {
+            let (mut w, ..) = Rec::new();
+            w.policy = policy;
+            w.corrupt = corrupt;
+            w.cycle.recovery =
+                budget.map(|max_attempts| RecoveryController::new(RecoveryPolicy { max_attempts }));
+            force_stw(&mut w);
+            let got: Vec<(&str, usize)> = w
+                .log
+                .iter()
+                .map(|(name, seen)| (name.split(", \"").next().unwrap(), seen.live))
+                .collect();
+            let row = format!("{policy:?}, budget {budget:?}, {corrupt} corrupted");
+            assert_eq!(got, [&HEAD[..], &tail].concat(), "{row}");
+            w.assert_resumed_idle();
+            if let Some(rc) = &w.cycle.recovery {
+                let heals = tail.iter().filter(|(e, _)| *e == "Snapshot(1)").count() as u64;
+                assert_eq!(rc.stats.attempted, heals, "{row}");
+                assert_eq!(
+                    rc.stats.failed,
+                    heals.min(u64::from(corrupt.saturating_sub(1))),
+                    "{row}"
+                );
+            }
         }
     }
 }

@@ -24,10 +24,11 @@
 //!
 //! Concurrency is *stepped*: the driver interleaves mutator work and
 //! `mark_step` calls deterministically, and [`sched`] and [`overload`]
-//! run mutators as logical threads through one marking-cycle driver
-//! (per-thread SATB buffers, an epoch every thread acknowledges before
-//! the snapshot, a stop-the-world rendezvous), so every GC test and
-//! schedule is reproducible.
+//! run mutators as logical threads through one marking-cycle driver,
+//! [`cycle`] (per-thread SATB buffers, an epoch every thread
+//! acknowledges before the snapshot, a stop-the-world rendezvous), so
+//! every GC test and schedule is reproducible. `wbe-interp`'s
+//! interpreter is the same driver's one-thread host.
 //!
 //! # Example
 //!
@@ -49,7 +50,7 @@
 //! ```
 
 mod bitset;
-mod cycle;
+pub mod cycle;
 pub mod debug;
 pub mod fault;
 pub mod gc;

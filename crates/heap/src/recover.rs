@@ -13,9 +13,10 @@
 //!    globally revoked, so the mutator takes the conservative
 //!    full-barrier path from then on. The interpreter's barrier
 //!    dispatch consults the controller before trusting an elision.
-//! 2. The runtime forces a full **stop-the-world re-mark** from the
-//!    roots, rebuilding the mark state the violation corrupted, then
-//!    re-verifies the invariants and sweeps.
+//! 2. The marking-cycle driver's tail ([`crate::cycle`], under
+//!    `PostMarkPolicy::Recover`) forces a full **stop-the-world
+//!    re-mark** from the roots, rebuilding the mark state the violation
+//!    corrupted, then re-verifies the invariants and sweeps.
 //! 3. On success the mutator **resumes** (with barriers conservatively
 //!    restored); each elided site that executes afterwards is recorded
 //!    in a per-site revocation table, joined into the elision
@@ -26,8 +27,8 @@
 //!    trap fire — persistent corruption (e.g. dangling references that
 //!    no amount of re-marking can repair) still terminates the run.
 //!
-//! The controller is a plain struct (no atomics), like the marking-cycle
-//! driver's state: the deterministic interpreter owns one directly.
+//! The controller is a plain struct (no atomics), held by the
+//! marking-cycle driver of a world that recovers (the interpreter's).
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -749,6 +749,8 @@ impl CycleHost for World {
             CycleEvent::Marked(None) => c.fault_skipped_steps += 1,
             CycleEvent::Marked(Some(did)) => c.mark_work += did as u64,
             CycleEvent::Violation(kind, detail) => self.violation(kind, detail),
+            // The interpreter's hooks: nothing a checker counts.
+            CycleEvent::Remarking | CycleEvent::Remarked { .. } | CycleEvent::Stopped(_) => {}
             CycleEvent::Ended(pause, swept) => {
                 c.cycles += 1;
                 c.remark_drained += pause.log_drained as u64;

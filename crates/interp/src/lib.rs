@@ -24,8 +24,10 @@
 //!   null — a dynamic validation that the static elision was sound
 //!   ([`Trap::UnsoundElision`] otherwise);
 //! * the optional GC policy interleaves real SATB marking with
-//!   execution, so sweeps after marked cycles double-check that no
-//!   reachable object is lost.
+//!   execution, through the same marking-cycle driver
+//!   ([`wbe_heap::cycle`]) as the scheduled worlds; with verification
+//!   on, every cycle boundary is checked, and a failed post-mark check
+//!   is healed or trapped, never swept.
 //!
 //! # Example
 //!

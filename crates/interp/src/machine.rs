@@ -10,10 +10,18 @@
 //! [`Fuse`] verdict: the compiled loop has it baked into its op, the
 //! classic loop reads it off the cell that stands for the instruction.
 //! Nothing else in the crate decides what a store site does.
+//!
+//! Collection is not the machine's own either: `Interp` is a one-thread
+//! host of [`wbe_heap::cycle`]'s driver. The allocation trigger arms a
+//! cycle, the `step_interval` poll slices it, and the driver's tail
+//! remarks, verifies, heals and sweeps.
 
 use std::fmt;
 use std::rc::Rc;
 
+use wbe_heap::cycle::{
+    self, CheckFailed, CycleDriver, CycleEvent, CycleHost, CyclePhase, MarkerCtl, PostMarkPolicy,
+};
 use wbe_heap::gc::{MarkStyle, PauseReport};
 use wbe_heap::recover::SiteKey;
 use wbe_heap::{
@@ -127,10 +135,10 @@ impl fmt::Display for Trap {
             Trap::OutOfMemory { method, at } => {
                 write!(f, "out of memory in {method} at {at} (retries exhausted)")
             }
-            Trap::InvariantViolation { when, count, first } => write!(
-                f,
-                "HEAP INVARIANT VIOLATION ({when}): {count} violation(s), first: {first}"
-            ),
+            Trap::InvariantViolation { when, count, first } => {
+                let (when, count, first) = (*when, *count, first.clone());
+                write!(f, "{}", CheckFailed { when, count, first })
+            }
             Trap::OutOfFuel => write!(f, "out of fuel"),
             Trap::BadArgCount {
                 method,
@@ -283,7 +291,11 @@ pub struct Interp<'p> {
     field_res: Vec<FieldRes>,
     allocs_since_cycle: u64,
     verify_invariants: bool,
-    recovery: Option<RecoveryController>,
+    /// The marking-cycle driver, for one thread, with the recovery
+    /// controller if one is installed.
+    cycle: CycleDriver,
+    /// What a cycle tail that stopped left for the caller of the driver.
+    gc_trap: Option<Trap>,
     oracle: Option<OracleState>,
     pub(crate) frames: Vec<Frame>,
     published: PublishedRunStats,
@@ -352,7 +364,9 @@ impl<'p> Interp<'p> {
             field_res,
             allocs_since_cycle: 0,
             verify_invariants: false,
-            recovery: None,
+            // The one thread arms only when the policy says so.
+            cycle: CycleDriver::new(1, 0),
+            gc_trap: None,
             oracle: None,
             frames: Vec::new(),
             published: PublishedRunStats::default(),
@@ -400,13 +414,13 @@ impl<'p> Interp<'p> {
     /// of killing the run; the original trap only fires after
     /// [`RecoveryPolicy::max_attempts`] consecutive failed recoveries.
     pub fn set_recovery(&mut self, policy: RecoveryPolicy) {
-        self.recovery = Some(RecoveryController::new(policy));
+        self.cycle.recovery = Some(RecoveryController::new(policy));
     }
 
     /// The recovery controller, if one is installed — stats, panic
     /// state, and the per-site revocation table for the ledger join.
     pub fn recovery(&self) -> Option<&RecoveryController> {
-        self.recovery.as_ref()
+        self.cycle.recovery.as_ref()
     }
 
     /// Enables (or disables) the barrier-necessity oracle (see
@@ -507,26 +521,15 @@ impl<'p> Interp<'p> {
             barrier_pre_null: pre_null,
         };
         self.heap.gc.publish_metrics();
-        if let Some(rc) = self.recovery.as_mut() {
+        if let Some(rc) = self.cycle.recovery.as_mut() {
             rc.publish_metrics();
         }
     }
 
-    fn collect_roots(&self) -> Vec<GcRef> {
-        let mut roots = self.heap.static_roots();
-        for frame in &self.frames {
-            for v in frame.locals.iter().chain(frame.stack.iter()) {
-                if let Value::Ref(Some(r)) = v {
-                    roots.push(*r);
-                }
-            }
-        }
-        roots
-    }
-
-    /// The post-allocation trigger: starts concurrent marking once the
-    /// policy's allocation count is due. It charges no cycles and cannot
-    /// trap.
+    /// The post-allocation trigger: arms a cycle once the policy's
+    /// allocation count is due. The one thread is at a safepoint here,
+    /// so the arm, its acknowledgement and the snapshot all happen now.
+    /// It charges no cycles and cannot trap.
     pub(crate) fn drive_gc_after_alloc(&mut self) {
         let Some(policy) = self.gc_policy else {
             return;
@@ -539,25 +542,25 @@ impl<'p> Interp<'p> {
         // next allocation), and an idle collector may be started early.
         // Both shift the SATB snapshot point relative to mutator stores.
         let due = self.allocs_since_cycle >= policy.alloc_trigger;
-        let start = match (due, self.heap.fault.as_mut()) {
+        let arm_now = match (due, self.heap.fault.as_mut()) {
             (true, Some(plan)) => !plan.defer_marking_start(),
             (true, None) => true,
             (false, Some(plan)) => plan.early_marking_start(),
             (false, None) => false,
         };
-        if start {
-            let roots = self.collect_roots();
-            if self
-                .heap
-                .gc
-                .try_begin_marking(&mut self.heap.store, &roots)
-                .is_ok()
-            {
-                self.allocs_since_cycle = 0;
-            }
+        if arm_now {
+            let ctl = marker_ctl(policy);
+            cycle::step(self, ctl);
+            cycle::poll(self, 0, false);
+            cycle::step(self, ctl);
         }
     }
 
+    /// The marker's turn, every `step_interval` instructions while
+    /// marking: one slice. A slice that finds nothing to mark stops the
+    /// world, and the one thread parks at once, so the tail runs now.
+    /// (For SATB that means the log is drained; for incremental update
+    /// the remaining dirty set is exactly what the remark rescans.)
     pub(crate) fn drive_gc_after_insn(&mut self) -> Result<(), Trap> {
         let Some(policy) = self.gc_policy else {
             return Ok(());
@@ -568,169 +571,20 @@ impl<'p> Interp<'p> {
         if policy.step_interval == 0 || !self.stats.insns.is_multiple_of(policy.step_interval) {
             return Ok(());
         }
-        // No concurrent progress possible: finish the cycle. (For SATB,
-        // did == 0 implies the log is drained; for incremental update the
-        // remaining dirty set is exactly what the remark pause rescans.)
-        // A slice the fault plan skipped (`None`) is not that.
-        if self.heap.mark_slice(policy.step_budget) == Some(0) {
-            self.full_pause()?;
+        let ctl = marker_ctl(policy);
+        cycle::step(self, ctl);
+        if self.cycle.phase() == CyclePhase::Rendezvous {
+            cycle::poll(self, 0, false);
+            cycle::step(self, ctl);
         }
-        Ok(())
+        self.gc_trap.take().map_or(Ok(()), Err)
     }
 
     /// Finishes the current cycle — or, from idle, runs a complete
-    /// stop-the-world collection — with optional invariant verification
-    /// at both cycle boundaries. Returns the remark pause report so
-    /// callers (e.g. the emergency-allocation path) can attribute it.
-    ///
-    /// With a recovery controller installed, an invariant violation is
-    /// routed through [`Interp::recover_from`] (panic mode + bounded
-    /// re-mark attempts) instead of trapping immediately.
-    fn full_pause(&mut self) -> Result<PauseReport, Trap> {
-        let roots = self.collect_roots();
-        // From idle, open a cycle first; `Err` just means one is already
-        // running, which is exactly the state the remark below needs.
-        if self
-            .heap
-            .gc
-            .try_begin_marking(&mut self.heap.store, &roots)
-            .is_ok()
-        {
-            self.allocs_since_cycle = 0;
-        }
-        self.oracle_pre_remark(&roots);
-        let pause = self.heap.gc.remark(&mut self.heap.store, &roots);
-        self.oracle_post_remark();
-        self.chaos_after_remark();
-        if let Err(trap) = self.finish_cycle(&roots) {
-            self.recover_from(trap, &roots)?;
-        }
-        self.stats.gc_cycles += 1;
-        self.stats.pauses.push(pause);
-        // Cycle-boundary samples for the timeline: live-heap occupancy
-        // and cumulative allocation, drawn as counter tracks.
-        if wbe_telemetry::tracing_enabled() {
-            wbe_telemetry::trace::counter_event(
-                "heap.occupancy.objects",
-                self.heap.store.live_count() as u64,
-            );
-            wbe_telemetry::trace::counter_event(
-                "heap.alloc.objects_total",
-                self.heap.stats.allocations,
-            );
-        }
-        Ok(pause)
-    }
-
-    /// The tail of a cycle: post-mark verification, sweep, post-sweep
-    /// verification. A post-mark violation returns **before** the sweep
-    /// — sweeping over a corrupt mark state would free live objects,
-    /// turning a recoverable fault into permanent dangling references.
-    fn finish_cycle(&mut self, roots: &[GcRef]) -> Result<(), Trap> {
-        let post_mark = self
-            .verify_invariants
-            .then(|| wbe_heap::verify::post_mark(&self.heap, roots));
-        if let Some(post_mark) = &post_mark {
-            check_invariants(post_mark.violations(), "post-mark")?;
-        }
-        self.heap.sweep();
-        if let Some(post_mark) = &post_mark {
-            check_invariants(
-                &wbe_heap::verify::post_sweep(&self.heap, post_mark),
-                "post-sweep",
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Chaos hook: with `corrupt_mark_pm` enabled in the fault plan,
-    /// clears one mark bit right after a remark — forging exactly the
-    /// corruption an unsound elision causes, in the window where the
-    /// invariant verifier must catch it before the sweep.
-    fn chaos_after_remark(&mut self) {
-        let corrupt = self
-            .heap
-            .fault
-            .as_mut()
-            .is_some_and(|plan| plan.corrupt_post_mark());
-        if corrupt {
-            if let Some(victim) = self.heap.chaos_clear_mark() {
-                if wbe_telemetry::tracing_enabled() {
-                    wbe_telemetry::trace::event(
-                        "fault.chaos.mark_corrupted",
-                        format!("cleared mark of {victim:?}"),
-                    );
-                }
-            }
-        }
-    }
-
-    /// The recovery state machine's STW re-mark loop: on an invariant
-    /// violation with a controller installed, enter barrier panic mode,
-    /// re-mark from the roots with the world stopped, and re-verify;
-    /// repeat while attempts fail, until the controller's consecutive-
-    /// failure budget exhausts and the original trap finally fires.
-    fn recover_from(&mut self, first: Trap, roots: &[GcRef]) -> Result<(), Trap> {
-        if !matches!(first, Trap::InvariantViolation { .. }) {
-            return Err(first);
-        }
-        let Some(mut rc) = self.recovery.take() else {
-            return Err(first);
-        };
-        let mut trap = first;
-        let result = loop {
-            let reason = trap.to_string();
-            let was_panicking = rc.in_panic();
-            match rc.on_violation(&reason) {
-                RecoveryAction::Trap => {
-                    if wbe_telemetry::tracing_enabled() {
-                        wbe_telemetry::trace::event("gc.recovery.trap", reason);
-                    }
-                    break Err(trap);
-                }
-                RecoveryAction::Recover => {}
-            }
-            if wbe_telemetry::tracing_enabled() {
-                if !was_panicking {
-                    wbe_telemetry::trace::event("gc.recovery.panic", rc.panic_reason().to_string());
-                }
-                wbe_telemetry::trace::event("gc.recovery.remark", "full STW re-mark from roots");
-            }
-            // Full STW re-mark: open a fresh cycle (rebuilding the mark
-            // state from scratch) and drain it with the world stopped.
-            if self
-                .heap
-                .gc
-                .try_begin_marking(&mut self.heap.store, roots)
-                .is_ok()
-            {
-                self.allocs_since_cycle = 0;
-            }
-            let _ = self.heap.gc.remark(&mut self.heap.store, roots);
-            // Persistent corruption (the soak harness's unrecoverable
-            // mode) re-injects here and keeps the attempt failing.
-            self.chaos_after_remark();
-            match self.finish_cycle(roots) {
-                Ok(()) => {
-                    rc.recovered();
-                    if wbe_telemetry::tracing_enabled() {
-                        wbe_telemetry::trace::event(
-                            "gc.recovery.resume",
-                            "invariants re-established; mutator resumes with barriers restored",
-                        );
-                    }
-                    break Ok(());
-                }
-                Err(t @ Trap::InvariantViolation { .. }) => {
-                    rc.attempt_failed();
-                    trap = t;
-                }
-                Err(t) => break Err(t),
-            }
-        };
-        rc.publish_metrics();
-        self.recovery = Some(rc);
-        result
+    /// stop-the-world collection — through the driver's tail.
+    fn force_stw(&mut self) -> Result<(), Trap> {
+        cycle::force_stw(self);
+        self.gc_trap.take().map_or(Ok(()), Err)
     }
 
     /// Allocates via `alloc`, recovering from injected
@@ -751,14 +605,10 @@ impl<'p> Interp<'p> {
                     attempt += 1;
                     self.stats.alloc_retries += 1;
                     self.stats.emergency_pauses += 1;
-                    if wbe_telemetry::tracing_enabled() {
-                        wbe_telemetry::trace::event(
-                            "interp.gc.emergency_pause",
-                            format!("attempt {attempt}"),
-                        );
-                    }
-                    let pause = self.full_pause()?;
-                    wbe_telemetry::histogram(PAUSE_EMERGENCY).record(pause.work_units() as u64);
+                    wbe_telemetry::event!("interp.gc.emergency_pause", "attempt {attempt}");
+                    self.force_stw()?;
+                    let work = self.stats.pauses.last().map_or(0, PauseReport::work_units);
+                    wbe_telemetry::histogram(PAUSE_EMERGENCY).record(work as u64);
                 }
                 Err(HeapError::AllocationFailed) => {
                     return Err(Trap::OutOfMemory { method: mid, at })
@@ -967,7 +817,7 @@ impl<'p> Interp<'p> {
         let pre_null = old.is_none();
         let cycles = match fuse {
             Fuse::Elided(proof) => {
-                if self.recovery.is_some() && self.elision_gated(mid, at) {
+                if self.cycle.recovery.is_some() && self.elision_gated(mid, at) {
                     // The static proof is no longer trusted: the site
                     // gets the barrier of the mode in force back.
                     self.restored_barrier(mid, at, kind, Some(receiver), old)
@@ -1083,7 +933,7 @@ impl<'p> Interp<'p> {
     #[cold]
     fn elision_gated(&mut self, mid: MethodId, at: InsnAddr) -> bool {
         let site = site_key(mid, at);
-        let Some(rc) = self.recovery.as_mut() else {
+        let Some(rc) = self.cycle.recovery.as_mut() else {
             return false;
         };
         if rc.elide_allowed(site) {
@@ -1144,37 +994,24 @@ impl<'p> Interp<'p> {
         site: u32,
     ) -> Result<(), Trap> {
         let trap = Trap::UnsoundElision { method: mid, at };
-        let Some(mut rc) = self.recovery.take() else {
+        let Some(rc) = self.cycle.recovery.as_mut() else {
             return Err(trap);
         };
         let reason = trap.to_string();
-        let was_panicking = rc.in_panic();
-        if rc.on_violation(&reason) == RecoveryAction::Trap {
-            if wbe_telemetry::tracing_enabled() {
-                wbe_telemetry::trace::event("gc.recovery.trap", reason);
-            }
-            self.recovery = Some(rc);
+        if cycle::enter_recovery(rc, &reason) == RecoveryAction::Trap {
             return Err(trap);
         }
-        if wbe_telemetry::tracing_enabled() && !was_panicking {
-            wbe_telemetry::trace::event("gc.recovery.panic", reason.clone());
-        }
-        rc.revoke(
-            site_key(mid, at),
-            &self.program.method(mid).name,
-            &reason,
-            "oracle",
-        );
-        self.recovery = Some(rc);
+        let name = &self.program.method(mid).name;
+        rc.revoke(site_key(mid, at), name, &reason, "oracle");
         // Execute the barrier the elision skipped, then rebuild the
-        // mark state with a full STW cycle (a nested violation inside
-        // it is handled by `recover_from` against the same budget).
+        // mark state with a full STW cycle (a violation inside it is
+        // healed by the driver's tail against the same budget).
         let cycles = self.restored_barrier(mid, at, kind, None, old);
         self.stats.barrier_cycles += cycles;
         self.stats.cycles += cycles;
         self.site_acc[mid.index()][site as usize].cycles += cycles;
-        self.full_pause()?;
-        if let Some(rc) = self.recovery.as_mut() {
+        self.force_stw()?;
+        if let Some(rc) = self.cycle.recovery.as_mut() {
             rc.recovered();
             rc.publish_metrics();
         }
@@ -1221,30 +1058,6 @@ impl<'p> Interp<'p> {
         if let Some(oracle) = self.oracle.as_mut() {
             oracle.record(site_key(mid, at), kind, verdict, old, escaped);
         }
-    }
-
-    /// Pre-remark half of the oracle's cycle audit: snapshot
-    /// root-reachability once and classify this cycle's necessary
-    /// enqueues as sole-witness vs shielded.
-    fn oracle_pre_remark(&mut self, roots: &[GcRef]) {
-        let Some(mut oracle) = self.oracle.take() else {
-            return;
-        };
-        if oracle.cycle_open() {
-            let reachable = wbe_heap::verify::reachable_set(&self.heap, roots);
-            oracle.classify_witnesses(&reachable);
-        }
-        self.oracle = Some(oracle);
-    }
-
-    /// Post-remark half: cross-check that necessary-enqueued targets
-    /// ended the cycle marked, then reset per-cycle oracle state.
-    fn oracle_post_remark(&mut self) {
-        let Some(mut oracle) = self.oracle.take() else {
-            return;
-        };
-        oracle.finish_cycle_audit(&self.heap);
-        self.oracle = Some(oracle);
     }
 
     /// Resolves a field access against the pre-built [`FieldRes`]
@@ -1558,25 +1371,111 @@ impl<'p> Interp<'p> {
     }
 }
 
+/// The interpreter is the driver's one-thread host. Its safepoint is
+/// the allocation and the `step_interval` poll, so a cycle never waits
+/// on it. Its barriers log straight into the collector
+/// (`GcState::satb_log`), so thread 0's buffer stays empty and the
+/// tail's flush finds nothing.
+impl CycleHost for Interp<'_> {
+    /// The interpreter audits with `post_mark` alone.
+    const AUDITS_SNAPSHOT: bool = false;
+
+    fn parts(&mut self) -> (&mut CycleDriver, &mut Heap) {
+        (&mut self.cycle, &mut self.heap)
+    }
+
+    /// The statics plus every reference in a frame's locals or stack.
+    fn roots(&self) -> Vec<GcRef> {
+        let mut roots = self.heap.static_roots();
+        for frame in &self.frames {
+            for v in frame.locals.iter().chain(frame.stack.iter()) {
+                if let Value::Ref(Some(r)) = v {
+                    roots.push(*r);
+                }
+            }
+        }
+        roots
+    }
+
+    fn post_mark_policy(&self) -> PostMarkPolicy {
+        if self.verify_invariants {
+            PostMarkPolicy::Recover
+        } else {
+            PostMarkPolicy::Skip
+        }
+    }
+
+    fn on(&mut self, event: CycleEvent) {
+        match event {
+            CycleEvent::Snapshot(_) => self.allocs_since_cycle = 0,
+            // The oracle's cycle audit, pre-remark half: snapshot
+            // root-reachability once and classify this cycle's necessary
+            // enqueues as sole-witness vs shielded.
+            CycleEvent::Remarking if self.oracle.as_ref().is_some_and(OracleState::cycle_open) => {
+                let reachable = wbe_heap::verify::reachable_set(&self.heap, &self.roots());
+                if let Some(oracle) = self.oracle.as_mut() {
+                    oracle.classify_witnesses(&reachable);
+                }
+            }
+            // Post-remark half: cross-check that necessary-enqueued
+            // targets ended the cycle marked. A recovery re-mark is no
+            // cycle of the oracle's, but chaos follows either: with
+            // `corrupt_mark_pm` on, one mark bit is cleared — the
+            // corruption an unsound elision causes, where the verifier
+            // must catch it before the sweep.
+            CycleEvent::Remarked { recovery } => {
+                if let (false, Some(oracle)) = (recovery, self.oracle.as_mut()) {
+                    oracle.finish_cycle_audit(&self.heap);
+                }
+                let fault = self.heap.fault.as_mut();
+                if fault.is_some_and(|plan| plan.corrupt_post_mark()) {
+                    if let Some(victim) = self.heap.chaos_clear_mark() {
+                        wbe_telemetry::event!(
+                            "fault.chaos.mark_corrupted",
+                            "cleared mark of {victim:?}"
+                        );
+                    }
+                }
+            }
+            CycleEvent::Stopped(CheckFailed { when, count, first }) => {
+                self.gc_trap = Some(Trap::InvariantViolation { when, count, first });
+            }
+            CycleEvent::Ended(pause, _) => {
+                self.stats.gc_cycles += 1;
+                self.stats.pauses.push(pause);
+                // Cycle-boundary samples for the timeline: live-heap
+                // occupancy and cumulative allocation, drawn as counter
+                // tracks.
+                if wbe_telemetry::tracing_enabled() {
+                    wbe_telemetry::trace::counter_event(
+                        "heap.occupancy.objects",
+                        self.heap.store.live_count() as u64,
+                    );
+                    wbe_telemetry::trace::counter_event(
+                        "heap.alloc.objects_total",
+                        self.heap.stats.allocations,
+                    );
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The policy's marker step: arm when told to, slice `step_budget`.
+fn marker_ctl(policy: GcPolicy) -> MarkerCtl {
+    MarkerCtl {
+        arm_now: true,
+        give_up_arm: false,
+        budget: policy.step_budget,
+    }
+}
+
 /// Maps an interpreter store site onto the recovery layer's IR-free
 /// [`SiteKey`] — the same `(method, block, index)` triple the ledger
 /// spells as `method@B<block>[<index>]`.
 pub(crate) fn site_key(mid: MethodId, at: InsnAddr) -> SiteKey {
     (u64::from(mid.0), at.block.0, at.index as u32)
-}
-
-fn check_invariants(
-    violations: &[wbe_heap::verify::Violation],
-    when: &'static str,
-) -> Result<(), Trap> {
-    match violations.first() {
-        None => Ok(()),
-        Some(first) => Err(Trap::InvariantViolation {
-            when,
-            count: violations.len(),
-            first: first.to_string(),
-        }),
-    }
 }
 
 fn shape_of(ty: Ty) -> FieldShape {
