@@ -1,26 +1,32 @@
-//! Baseline-gated regression reports: committed per-workload
-//! expectations (`baselines/suite.ndjson`) that `wbe_tool bench
-//! --check-baselines` measures against with tolerances.
+//! Baseline-gated regression reports: committed per-workload numbers
+//! (`baselines/suite.ndjson`) that `wbe_tool bench --check-baselines`
+//! re-measures and compares line for line.
 //!
-//! Each workload line records the deterministic quantities a regression
-//! in the analysis or runtime would move: static barrier sites and
-//! elided sites (exact — the analysis is deterministic), dynamic
-//! barrier executions and eliminated executions (small relative
-//! tolerance), GC cycles, and the max-pause bucket (power-of-two bucket
-//! of the largest `heap.gc.pause.work_units` sample, ±1 bucket). The
-//! trailing `__suite__` line pins the suite-wide dynamic elision
-//! percentage and the measurement scale.
+//! Each workload line records the quantities a regression in the
+//! analysis or runtime would move: static barrier sites and elided
+//! sites, dynamic barrier executions and eliminated executions, GC
+//! cycles, the power-of-two bucket of the largest
+//! `heap.gc.pause.work_units` sample, the barrier cycles left at kept
+//! sites and the costliest keep-code. The `__suite__` line pins the
+//! suite-wide dynamic elision percentage, the measurement scale and the
+//! recovery probe; the `__throughput__` lines pin what one throughput
+//! mutator computes. Every number is a pure function of the tree, so
+//! the gate allows no slack: the measured file must equal the committed
+//! one byte for byte, and the first line that differs is the report.
+//! DESIGN §10.3 lists which numbers this file owns and which other
+//! pins it leaves to.
 //!
 //! `--update` remeasures and rewrites the file; the diff then goes
 //! through code review like any other change.
 
+use std::fmt;
 use std::path::Path;
 
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::FaultConfig;
 use wbe_interp::{BarrierConfig, BarrierMode, EngineKind};
 use wbe_opt::OptMode;
-use wbe_telemetry::json::ObjWriter;
+use wbe_telemetry::json::{ObjWriter, Value};
 
 use crate::runner::compile_workload;
 use crate::site::{observe, Chaos, RunSpec, Totals, BASELINE_GC};
@@ -35,9 +41,9 @@ pub const DEFAULT_PATH: &str = "baselines/suite.ndjson";
 pub const SCALE: f64 = 0.1;
 
 /// Pinned fault seed for the recovery probe: the baseline's recovery
-/// counters are the *exact* numbers this seed produces, so any change
-/// to the fault stream, the verifier, or the recovery state machine
-/// moves them and trips the gate.
+/// counters are the numbers this seed produces, so any change to the
+/// fault stream, the verifier, or the recovery state machine moves them
+/// and trips the gate.
 pub const RECOVERY_FAULT_SEED: u64 = 0x00C0_FFEE;
 /// Post-remark corruption rate (‰) for the recovery probe.
 const RECOVERY_CORRUPT_PM: u16 = 400;
@@ -49,15 +55,8 @@ const RECOVERY_SCALE: f64 = 0.02;
 /// small; the pinned quantities are deterministic facts, not rates).
 const THROUGHPUT_OPS: u64 = 200_000;
 
-/// Relative tolerance for dynamic counts.
-const REL_TOL: f64 = 0.02;
-/// Absolute slack for dynamic counts (covers tiny denominators).
-const ABS_TOL: u64 = 8;
-/// Absolute tolerance for the suite elision percentage (points).
-const PCT_TOL: f64 = 1.0;
-
-/// Expectations for one workload.
-#[derive(Clone, Debug, PartialEq)]
+/// Numbers for one workload.
+#[derive(Debug)]
 pub struct WorkloadBaseline {
     /// Workload name (a Table 1 class).
     pub workload: String,
@@ -81,49 +80,8 @@ pub struct WorkloadBaseline {
     pub top_keep_code: String,
 }
 
-/// Deterministic facts of one throughput-bench cell (workload ×
-/// engine), pinned exactly: the wall-clock rate is machine-dependent,
-/// but everything the run *computes* is not — and classic/compiled rows
-/// must be identical, folding the engine-equivalence claim into the
-/// baseline gate.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ThroughputBaseline {
-    /// Benchmark workload name.
-    pub bench: String,
-    /// Engine that produced the row (`classic` or `compiled`).
-    pub engine: String,
-    /// What one `wbe_tool throughput` mutator computes.
-    pub facts: MutatorFacts,
-}
-
-/// Deterministic facts of one necessity-oracle probe cell (workload ×
-/// engine), pinned exactly. Like the throughput rows, classic and
-/// compiled cells must be identical — the oracle's verdict stream is
-/// part of the engine-equivalence contract.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OracleBaseline {
-    /// Probe workload name.
-    pub bench: String,
-    /// Engine that produced the row (`classic` or `compiled`).
-    pub engine: String,
-    /// Kept-barrier executions witnessed by the oracle.
-    pub executions: u64,
-    /// Semantically necessary SATB enqueues.
-    pub necessary: u64,
-    /// Kept sites whose barrier was never necessary.
-    pub never_sites: u64,
-    /// Necessary enqueues that were the sole snapshot witness.
-    pub sole_witness: u64,
-    /// Necessary enqueues still root-reachable at remark.
-    pub shielded: u64,
-    /// Marking cycles audited at their remark.
-    pub cycles_audited: u64,
-    /// Objects that escaped their allocating logical thread.
-    pub escaped_objects: u64,
-}
-
 /// The whole baseline file: per-workload rows plus suite-level facts.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug)]
 pub struct BaselineSuite {
     /// One row per standard-suite workload, in suite order.
     pub rows: Vec<WorkloadBaseline>,
@@ -131,15 +89,15 @@ pub struct BaselineSuite {
     pub pct_elided: f64,
     /// Scale the numbers were measured at.
     pub scale: f64,
-    /// Recovery attempts taken by the pinned-seed recovery probe
-    /// (exact; see [`RECOVERY_FAULT_SEED`]).
+    /// Recovery attempts taken by the pinned-seed recovery probe (see
+    /// [`RECOVERY_FAULT_SEED`]).
     pub recoveries_attempted: u64,
-    /// Recovery attempts that healed the heap in the probe (exact).
+    /// Recovery attempts that healed the heap in the probe.
     pub recoveries_succeeded: u64,
-    /// Per-engine throughput probe rows (exact), after the suite line.
-    pub throughput: Vec<ThroughputBaseline>,
-    /// Per-engine necessity-oracle probe rows (exact), last.
-    pub oracle: Vec<OracleBaseline>,
+    /// What one `wbe_tool throughput` mutator computes on each bench
+    /// workload, after the suite line. The wall-clock rate is
+    /// machine-dependent; everything the run computes is not.
+    pub throughput: Vec<(&'static str, MutatorFacts)>,
 }
 
 fn bucket(v: u64) -> u64 {
@@ -173,8 +131,6 @@ pub fn measure(scale: f64) -> BaselineSuite {
         rows.push(measure_workload(w, scale));
     }
     let (recoveries_attempted, recoveries_succeeded) = recovery_probe();
-    let throughput = throughput_probe();
-    let oracle = oracle_probe(scale);
     BaselineSuite {
         rows,
         pct_elided: if total == 0 {
@@ -185,63 +141,27 @@ pub fn measure(scale: f64) -> BaselineSuite {
         scale,
         recoveries_attempted,
         recoveries_succeeded,
-        throughput,
-        oracle,
+        throughput: throughput_probe(),
     }
-}
-
-/// Runs the necessity-oracle probe: the bench workloads through
-/// [`crate::oracle`]'s view of the baseline run, once per engine.
-/// Every pinned quantity is exact — the oracle's verdicts are a pure
-/// function of the deterministic execution, and classic/compiled rows
-/// must match, folding the oracle side of engine equivalence into the
-/// baseline gate.
-fn oracle_probe(scale: f64) -> Vec<OracleBaseline> {
-    let mut rows = Vec::new();
-    for name in ["jess", "jbb"] {
-        let w = wbe_workloads::by_name(name).expect("bench workload exists");
-        for kind in [EngineKind::Classic, EngineKind::Compiled] {
-            let o = crate::oracle::oracle_workload(&w, true, kind, scale)
-                .unwrap_or_else(|e| panic!("oracle probe: {e}"));
-            rows.push(OracleBaseline {
-                bench: name.to_string(),
-                engine: kind.name().to_string(),
-                executions: o.kept_executions,
-                necessary: o.necessary_executions,
-                never_sites: o.never_necessary_sites,
-                sole_witness: o.sites.iter().map(|s| s.sole_witness).sum(),
-                shielded: o.sites.iter().map(|s| s.shielded).sum(),
-                cycles_audited: o.cycles_audited,
-                escaped_objects: o.escaped_objects,
-            });
-        }
-    }
-    rows
 }
 
 /// Runs the throughput probe: the bench workloads under the realistic
 /// configuration (checked barriers + elision + deterministic GC
-/// policy), once per engine, recording only the deterministic facts.
-/// A divergence between the classic and compiled rows is an engine-
-/// equivalence regression; a divergence from the committed file is a
-/// semantic change to the workload, analysis, or runtime.
-fn throughput_probe() -> Vec<ThroughputBaseline> {
+/// policy) on the compiled loop, recording only the deterministic
+/// facts. `wbe_tool throughput` runs this same configuration, and
+/// `tests/cli_exit_codes.rs` holds its classic and compiled NDJSON
+/// equal.
+fn throughput_probe() -> Vec<(&'static str, MutatorFacts)> {
     let mut rows = Vec::new();
     for name in ["jess", "jbb"] {
         let w = wbe_workloads::by_name(name).expect("bench workload exists");
         let (compiled, elided) = compile_workload(&w, OptMode::Full, 100);
-        for kind in [EngineKind::Classic, EngineKind::Compiled] {
-            let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-            let mut engine = kind.build(&compiled.program, bc, MarkStyle::Satb);
-            engine.set_gc_policy(BASELINE_GC);
-            let facts = run_mutator(&mut engine, &w, THROUGHPUT_OPS)
-                .unwrap_or_else(|t| panic!("throughput probe {name} trapped: {t}"));
-            rows.push(ThroughputBaseline {
-                bench: name.to_string(),
-                engine: kind.name().to_string(),
-                facts,
-            });
-        }
+        let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided);
+        let mut engine = EngineKind::Compiled.build(&compiled.program, bc, MarkStyle::Satb);
+        engine.set_gc_policy(BASELINE_GC);
+        let facts = run_mutator(&mut engine, &w, THROUGHPUT_OPS)
+            .unwrap_or_else(|t| panic!("throughput probe {name} trapped: {t}"));
+        rows.push((name, facts));
     }
     rows
 }
@@ -332,14 +252,13 @@ impl BaselineSuite {
             .field_u64("recoveries_succeeded", self.recoveries_succeeded);
         w.finish();
         out.push('\n');
-        // Throughput rows come last so adding them never moves the
+        // Throughput rows come last so adding them never moved the
         // pre-existing lines of a committed file.
-        for t in &self.throughput {
-            let f = &t.facts;
+        for (bench, f) in &self.throughput {
             let mut w = ObjWriter::new(&mut out);
             w.field_str("workload", "__throughput__")
-                .field_str("bench", &t.bench)
-                .field_str("engine", &t.engine)
+                .field_str("bench", bench)
+                .field_str("engine", "compiled")
                 .field_u64("insns", f.insns)
                 .field_u64("cycles", f.cycles)
                 .field_u64("barrier_cycles", f.barrier_cycles)
@@ -350,291 +269,125 @@ impl BaselineSuite {
             w.finish();
             out.push('\n');
         }
-        // Oracle rows likewise append after everything older.
-        for o in &self.oracle {
-            let mut w = ObjWriter::new(&mut out);
-            w.field_str("workload", "__oracle__")
-                .field_str("bench", &o.bench)
-                .field_str("engine", &o.engine)
-                .field_u64("executions", o.executions)
-                .field_u64("necessary", o.necessary)
-                .field_u64("never_sites", o.never_sites)
-                .field_u64("sole_witness", o.sole_witness)
-                .field_u64("shielded", o.shielded)
-                .field_u64("cycles_audited", o.cycles_audited)
-                .field_u64("escaped_objects", o.escaped_objects);
-            w.finish();
-            out.push('\n');
-        }
         out
     }
+}
 
-    /// Parses the NDJSON form back. `Err` names the offending line.
-    pub fn parse(ndjson: &str) -> Result<BaselineSuite, String> {
-        let mut suite = BaselineSuite::default();
-        for (lineno, line) in ndjson.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = wbe_telemetry::json::parse(line)
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let name = v
-                .get("workload")
-                .and_then(|f| f.as_str())
-                .ok_or_else(|| format!("line {}: missing 'workload'", lineno + 1))?
-                .to_string();
-            if name == "__suite__" {
-                suite.pct_elided = v
-                    .get("pct_elided")
-                    .and_then(|f| f.as_f64())
-                    .ok_or_else(|| format!("line {}: missing 'pct_elided'", lineno + 1))?;
-                suite.scale = v
-                    .get("scale")
-                    .and_then(|f| f.as_f64())
-                    .ok_or_else(|| format!("line {}: missing 'scale'", lineno + 1))?;
-                // Absent in pre-recovery baseline files: read as 0 so
-                // the gate reports the drift instead of failing to
-                // parse (fix with --update).
-                suite.recoveries_attempted = v
-                    .get("recoveries_attempted")
-                    .and_then(|f| f.as_u64())
-                    .unwrap_or(0);
-                suite.recoveries_succeeded = v
-                    .get("recoveries_succeeded")
-                    .and_then(|f| f.as_u64())
-                    .unwrap_or(0);
-                continue;
-            }
-            let get = |k: &str| -> Result<u64, String> {
-                v.get(k)
-                    .and_then(|f| f.as_u64())
-                    .ok_or_else(|| format!("line {}: missing integer '{k}'", lineno + 1))
-            };
-            if name == "__throughput__" {
-                let get_str = |k: &str| -> Result<String, String> {
-                    v.get(k)
-                        .and_then(|f| f.as_str())
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("line {}: missing '{k}'", lineno + 1))
-                };
-                let digest_hex = get_str("digest")?;
-                let digest = u64::from_str_radix(digest_hex.trim_start_matches("0x"), 16)
-                    .map_err(|e| format!("line {}: bad digest: {e}", lineno + 1))?;
-                suite.throughput.push(ThroughputBaseline {
-                    bench: get_str("bench")?,
-                    engine: get_str("engine")?,
-                    facts: MutatorFacts {
-                        insns: get("insns")?,
-                        cycles: get("cycles")?,
-                        barrier_cycles: get("barrier_cycles")?,
-                        elided: get("elided")?,
-                        allocs: get("allocs")?,
-                        gc_cycles: get("gc_cycles")?,
-                        digest,
-                    },
-                });
-                continue;
-            }
-            if name == "__oracle__" {
-                let get_str = |k: &str| -> Result<String, String> {
-                    v.get(k)
-                        .and_then(|f| f.as_str())
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("line {}: missing '{k}'", lineno + 1))
-                };
-                suite.oracle.push(OracleBaseline {
-                    bench: get_str("bench")?,
-                    engine: get_str("engine")?,
-                    executions: get("executions")?,
-                    necessary: get("necessary")?,
-                    never_sites: get("never_sites")?,
-                    sole_witness: get("sole_witness")?,
-                    shielded: get("shielded")?,
-                    cycles_audited: get("cycles_audited")?,
-                    escaped_objects: get("escaped_objects")?,
-                });
-                continue;
-            }
-            suite.rows.push(WorkloadBaseline {
-                workload: name,
-                static_sites: get("static_sites")?,
-                static_elided: get("static_elided")?,
-                dyn_total: get("dyn_total")?,
-                dyn_elided: get("dyn_elided")?,
-                gc_cycles: get("gc_cycles")?,
-                max_pause_bucket: get("max_pause_bucket")?,
-                kept_cycles: get("kept_cycles")?,
-                top_keep_code: v
-                    .get("top_keep_code")
-                    .and_then(|f| f.as_str())
-                    .ok_or_else(|| format!("line {}: missing 'top_keep_code'", lineno + 1))?
-                    .to_string(),
-            });
+/// The first line at which a measured baseline file departs from the
+/// committed one, named by row and, where the two lines parse, field.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Drift {
+    /// 1-based line number.
+    pub line: usize,
+    /// The row's `workload`, followed by its `bench` on probe rows.
+    pub row: String,
+    /// The first member whose key or value differs; empty when only the
+    /// lines as a whole can be compared (one is missing, one does not
+    /// parse, or they differ in formatting alone).
+    pub field: String,
+    /// The committed value (or line, or `<end of file>`).
+    pub committed: String,
+    /// The measured value (or line, or `<end of file>`).
+    pub measured: String,
+}
+
+impl fmt::Display for Drift {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {} ({})", self.line, self.row)?;
+        if !self.field.is_empty() {
+            write!(f, ": {}", self.field)?;
         }
-        Ok(suite)
+        write!(
+            f,
+            " committed {}, measured {}",
+            self.committed, self.measured
+        )
     }
 }
 
-fn within_rel(expected: u64, actual: u64) -> bool {
-    let slack = ((expected as f64 * REL_TOL) as u64).max(ABS_TOL);
-    actual.abs_diff(expected) <= slack
+/// Compares two baseline files line for line. `None` means they are
+/// byte-identical.
+pub fn first_drift(committed: &str, measured: &str) -> Option<Drift> {
+    let (mut c, mut m) = (committed.split('\n'), measured.split('\n'));
+    let mut line = 0;
+    loop {
+        line += 1;
+        match (c.next(), m.next()) {
+            (None, None) => return None,
+            (e, a) if e == a => continue,
+            (e, a) => return Some(Drift::between(line, e, a)),
+        }
+    }
 }
 
-/// Compares `actual` against the committed `expected` baselines.
-/// Returns one human-readable violation per out-of-tolerance quantity
-/// (empty means the gate passes).
-pub fn compare(expected: &BaselineSuite, actual: &BaselineSuite) -> Vec<String> {
-    let mut violations = Vec::new();
-    if expected.scale != actual.scale {
-        violations.push(format!(
-            "scale mismatch: baseline measured at {}, this run at {}",
-            expected.scale, actual.scale
-        ));
-        return violations;
-    }
-    for exp in &expected.rows {
-        let Some(act) = actual.rows.iter().find(|r| r.workload == exp.workload) else {
-            violations.push(format!("{}: missing from this run", exp.workload));
-            continue;
+impl Drift {
+    fn between(line: usize, committed: Option<&str>, measured: Option<&str>) -> Drift {
+        let (c, m) = (members(committed), members(measured));
+        let named = if c.is_empty() { &m } else { &c };
+        let row: Vec<String> = named
+            .iter()
+            .filter(|(k, _)| k == "workload" || k == "bench")
+            .map(|(_, v)| show(v))
+            .collect();
+        let row = if row.is_empty() {
+            "-".to_string()
+        } else {
+            row.join(" ")
         };
-        let mut exact = |what: &str, e: u64, a: u64| {
-            if e != a {
-                violations.push(format!("{}: {what} expected {e}, got {a}", exp.workload));
+        match (0..c.len().max(m.len())).find(|&i| c.get(i) != m.get(i)) {
+            Some(i) if !c.is_empty() && !m.is_empty() => {
+                let value = |ms: &[(String, Value)]| {
+                    ms.get(i).map_or("<absent>".to_string(), |(_, v)| show(v))
+                };
+                Drift {
+                    line,
+                    row,
+                    field: c
+                        .get(i)
+                        .or(m.get(i))
+                        .map_or(String::new(), |(k, _)| k.clone()),
+                    committed: value(&c),
+                    measured: value(&m),
+                }
             }
-        };
-        exact("static_sites", exp.static_sites, act.static_sites);
-        exact("static_elided", exp.static_elided, act.static_elided);
-        let mut rel = |what: &str, e: u64, a: u64| {
-            if !within_rel(e, a) {
-                violations.push(format!(
-                    "{}: {what} expected {e} ±{:.0}%, got {a}",
-                    exp.workload,
-                    REL_TOL * 100.0
-                ));
+            _ => {
+                let whole = |l: Option<&str>| l.unwrap_or("<end of file>").to_string();
+                Drift {
+                    line,
+                    row,
+                    field: String::new(),
+                    committed: whole(committed),
+                    measured: whole(measured),
+                }
             }
-        };
-        rel("dyn_total", exp.dyn_total, act.dyn_total);
-        rel("dyn_elided", exp.dyn_elided, act.dyn_elided);
-        rel("kept_cycles", exp.kept_cycles, act.kept_cycles);
-        if exp.top_keep_code != act.top_keep_code {
-            violations.push(format!(
-                "{}: top_keep_code expected '{}', got '{}'",
-                exp.workload, exp.top_keep_code, act.top_keep_code
-            ));
-        }
-        if act.gc_cycles.abs_diff(exp.gc_cycles) > ((exp.gc_cycles as f64 * 0.1) as u64).max(1) {
-            violations.push(format!(
-                "{}: gc_cycles expected {} ±10%, got {}",
-                exp.workload, exp.gc_cycles, act.gc_cycles
-            ));
-        }
-        if act.max_pause_bucket.abs_diff(exp.max_pause_bucket) > 1 {
-            violations.push(format!(
-                "{}: max_pause_bucket expected {} ±1, got {}",
-                exp.workload, exp.max_pause_bucket, act.max_pause_bucket
-            ));
         }
     }
-    for act in &actual.rows {
-        if !expected.rows.iter().any(|r| r.workload == act.workload) {
-            violations.push(format!(
-                "{}: not in the baseline file (run with --update)",
-                act.workload
-            ));
-        }
+}
+
+/// A line's object members in order; empty when the line is absent or
+/// is not a JSON object.
+fn members(line: Option<&str>) -> Vec<(String, Value)> {
+    match line.map(wbe_telemetry::json::parse) {
+        Some(Ok(Value::Obj(m))) => m,
+        _ => Vec::new(),
     }
-    if (expected.pct_elided - actual.pct_elided).abs() > PCT_TOL {
-        violations.push(format!(
-            "suite: pct_elided expected {:.3} ±{PCT_TOL}, got {:.3}",
-            expected.pct_elided, actual.pct_elided
-        ));
+}
+
+/// A member value as it reads in the file (strings unquoted).
+fn show(v: &Value) -> String {
+    match v {
+        Value::Str(s) => s.clone(),
+        Value::Num(n) => n.to_string(),
+        other => format!("{other:?}"),
     }
-    // The recovery probe is fully deterministic: exact equality.
-    if expected.recoveries_attempted != actual.recoveries_attempted {
-        violations.push(format!(
-            "suite: recoveries_attempted expected {}, got {}",
-            expected.recoveries_attempted, actual.recoveries_attempted
-        ));
-    }
-    if expected.recoveries_succeeded != actual.recoveries_succeeded {
-        violations.push(format!(
-            "suite: recoveries_succeeded expected {}, got {}",
-            expected.recoveries_succeeded, actual.recoveries_succeeded
-        ));
-    }
-    // Throughput probe rows are fully deterministic: exact equality,
-    // field by field.
-    for exp in &expected.throughput {
-        let Some(act) = actual
-            .throughput
-            .iter()
-            .find(|t| t.bench == exp.bench && t.engine == exp.engine)
-        else {
-            violations.push(format!(
-                "throughput {}/{}: missing from this run",
-                exp.bench, exp.engine
-            ));
-            continue;
-        };
-        if act != exp {
-            violations.push(format!(
-                "throughput {}/{}: expected {exp:?}, got {act:?}",
-                exp.bench, exp.engine
-            ));
-        }
-    }
-    for act in &actual.throughput {
-        if !expected
-            .throughput
-            .iter()
-            .any(|t| t.bench == act.bench && t.engine == act.engine)
-        {
-            violations.push(format!(
-                "throughput {}/{}: not in the baseline file (run with --update)",
-                act.bench, act.engine
-            ));
-        }
-    }
-    // Oracle probe rows are fully deterministic: exact equality.
-    for exp in &expected.oracle {
-        let Some(act) = actual
-            .oracle
-            .iter()
-            .find(|o| o.bench == exp.bench && o.engine == exp.engine)
-        else {
-            violations.push(format!(
-                "oracle {}/{}: missing from this run",
-                exp.bench, exp.engine
-            ));
-            continue;
-        };
-        if act != exp {
-            violations.push(format!(
-                "oracle {}/{}: expected {exp:?}, got {act:?}",
-                exp.bench, exp.engine
-            ));
-        }
-    }
-    for act in &actual.oracle {
-        if !expected
-            .oracle
-            .iter()
-            .any(|o| o.bench == act.bench && o.engine == act.engine)
-        {
-            violations.push(format!(
-                "oracle {}/{}: not in the baseline file (run with --update)",
-                act.bench, act.engine
-            ));
-        }
-    }
-    violations
 }
 
 /// The `wbe_tool bench --check-baselines` driver: measures, then either
-/// rewrites `path` (`update`) or gates against it. Returns the process
-/// exit code (0 pass/updated, 1 regression, 2 I/O or parse error).
+/// rewrites `path` (`update`) or compares it line for line. Returns the
+/// process exit code (0 identical/updated, 1 drift, 2 I/O error).
 pub fn run_check(path: &Path, update: bool) -> i32 {
     let actual = measure(SCALE);
+    let measured = actual.to_ndjson();
     if update {
         if let Some(dir) = path.parent() {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -642,14 +395,14 @@ pub fn run_check(path: &Path, update: bool) -> i32 {
                 return 2;
             }
         }
-        if let Err(e) = std::fs::write(path, actual.to_ndjson()) {
+        if let Err(e) = std::fs::write(path, measured) {
             eprintln!("cannot write {}: {e}", path.display());
             return 2;
         }
         println!("baselines updated: {}", path.display());
         return 0;
     }
-    let text = match std::fs::read_to_string(path) {
+    let committed = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!(
@@ -659,14 +412,6 @@ pub fn run_check(path: &Path, update: bool) -> i32 {
             return 2;
         }
     };
-    let expected = match BaselineSuite::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{}: {e}", path.display());
-            return 2;
-        }
-    };
-    let violations = compare(&expected, &actual);
     for w in &actual.rows {
         println!(
             "{:<8} static {}/{} elided, dynamic {}/{} elided, {} gc cycles, pause bucket {}, \
@@ -691,19 +436,16 @@ pub fn run_check(path: &Path, update: bool) -> i32 {
          (seed {RECOVERY_FAULT_SEED:#x})",
         actual.pct_elided, actual.recoveries_succeeded, actual.recoveries_attempted
     );
-    if violations.is_empty() {
-        println!("baselines OK ({})", path.display());
-        0
-    } else {
-        for v in &violations {
-            eprintln!("BASELINE VIOLATION: {v}");
+    match first_drift(&committed, &measured) {
+        None => {
+            println!("baselines OK ({})", path.display());
+            0
         }
-        eprintln!(
-            "{} violation(s) against {}",
-            violations.len(),
-            path.display()
-        );
-        1
+        Some(d) => {
+            eprintln!("BASELINE DRIFT at {}: {d}", path.display());
+            eprintln!("run with --update to accept the measured numbers");
+            1
+        }
     }
 }
 
@@ -711,20 +453,17 @@ pub fn run_check(path: &Path, update: bool) -> i32 {
 mod tests {
     use super::*;
 
+    const COMMITTED: &str = include_str!("../../../baselines/suite.ndjson");
+
     #[test]
-    fn measure_round_trips_and_self_compares_clean() {
+    fn measure_has_the_suite_shape_and_self_compares_clean() {
         let suite = measure(0.05);
         // Six Table 1 mimics plus the two server-family workloads.
         assert_eq!(suite.rows.len(), 8);
         assert!(suite.rows[6].workload.starts_with("server"));
         assert!(suite.rows[7].workload.starts_with("server"));
-        let parsed = BaselineSuite::parse(&suite.to_ndjson()).unwrap();
-        assert_eq!(parsed.rows.len(), suite.rows.len());
-        assert!(
-            compare(&parsed, &suite).is_empty(),
-            "{:?}",
-            compare(&parsed, &suite)
-        );
+        let text = suite.to_ndjson();
+        assert_eq!(first_drift(&text, &text), None);
         // Sanity: the suite elides a substantial share of barriers.
         assert!(suite.pct_elided > 20.0, "{}", suite.pct_elided);
         // The headline rate is computed over the six standard rows only;
@@ -738,96 +477,110 @@ mod tests {
         // attempt healed (the probe's corruption is transient).
         assert!(suite.recoveries_attempted > 0);
         assert_eq!(suite.recoveries_attempted, suite.recoveries_succeeded);
-        // Throughput rows: both engines per bench workload, and the
-        // deterministic facts agree across engines.
-        assert_eq!(suite.throughput.len(), 4);
-        assert_eq!(parsed.throughput, suite.throughput);
-        for pair in suite.throughput.chunks(2) {
-            assert_eq!(pair[0].bench, pair[1].bench);
-            assert_eq!(pair[0].engine, "classic");
-            assert_eq!(pair[1].engine, "compiled");
-            assert_eq!(
-                pair[0].facts, pair[1].facts,
-                "{}: engines disagree",
-                pair[0].bench
-            );
-        }
-        // Oracle rows: both engines per bench workload, byte-for-byte
-        // identical necessity verdicts.
-        assert_eq!(suite.oracle.len(), 4);
-        assert_eq!(parsed.oracle, suite.oracle);
-        for pair in suite.oracle.chunks(2) {
-            assert_eq!(pair[0].bench, pair[1].bench);
-            assert_eq!(pair[0].engine, "classic");
-            assert_eq!(pair[1].engine, "compiled");
-            assert!(
-                pair[0].executions > 0,
-                "{}: no kept barriers",
-                pair[0].bench
-            );
-            assert!(pair[0].necessary <= pair[0].executions);
-            let (mut a, mut b) = (pair[0].clone(), pair[1].clone());
-            a.engine.clear();
-            b.engine.clear();
-            assert_eq!(a, b, "{}: oracle engines disagree", pair[0].bench);
+        // One throughput row per bench workload.
+        let benches: Vec<&str> = suite.throughput.iter().map(|t| t.0).collect();
+        assert_eq!(benches, ["jess", "jbb"]);
+    }
+
+    /// `COMMITTED` with the first `from` replaced by `to`.
+    fn edited(from: &str, to: &str) -> String {
+        assert!(COMMITTED.contains(from), "{from}");
+        COMMITTED.replacen(from, to, 1)
+    }
+
+    fn drift(line: usize, row: &str, field: &str, committed: &str, measured: &str) -> Drift {
+        Drift {
+            line,
+            row: row.into(),
+            field: field.into(),
+            committed: committed.into(),
+            measured: measured.into(),
         }
     }
 
     #[test]
     fn perturbed_baselines_are_rejected() {
-        let suite = measure(0.05);
-        let mut perturbed = suite.clone();
-        perturbed.rows[0].static_elided += 1;
-        perturbed.rows[1].dyn_total = perturbed.rows[1].dyn_total * 3 / 2;
-        perturbed.rows[2].max_pause_bucket += 5;
-        perturbed.rows[3].kept_cycles = perturbed.rows[3].kept_cycles * 2 + 100;
-        perturbed.rows[4].top_keep_code = "no-such-code".to_string();
-        perturbed.pct_elided += 10.0;
-        perturbed.recoveries_attempted += 1;
-        perturbed.recoveries_succeeded += 2;
-        perturbed.throughput[0].facts.digest ^= 1;
-        perturbed.oracle[0].necessary += 1;
-        let violations = compare(&perturbed, &suite);
-        assert!(violations.len() >= 9, "{violations:?}");
-        assert!(
-            violations.iter().any(|v| v.contains("kept_cycles")),
-            "{violations:?}"
+        assert_eq!(first_drift(COMMITTED, COMMITTED), None);
+        let cases = [
+            (
+                edited("\"static_elided\":3,", "\"static_elided\":4,"),
+                drift(1, "jess", "static_elided", "4", "3"),
+            ),
+            // A 1.9 % shift is drift like any other.
+            (
+                edited("\"kept_cycles\":61929", "\"kept_cycles\":63105"),
+                drift(6, "jbb", "kept_cycles", "63105", "61929"),
+            ),
+            (
+                edited(
+                    "\"gc_cycles\":12,\"max_pause_bucket\":4",
+                    "\"gc_cycles\":13,\"max_pause_bucket\":4",
+                ),
+                drift(6, "jbb", "gc_cycles", "13", "12"),
+            ),
+            (
+                edited("\"max_pause_bucket\":5", "\"max_pause_bucket\":6"),
+                drift(8, "server-churn", "max_pause_bucket", "6", "5"),
+            ),
+            (
+                edited(
+                    "\"top_keep_code\":\"receiver-may-escape\"",
+                    "\"top_keep_code\":\"x\"",
+                ),
+                drift(3, "javac", "top_keep_code", "x", "receiver-may-escape"),
+            ),
+            (
+                edited("\"pct_elided\":25.770", "\"pct_elided\":25.771"),
+                drift(9, "__suite__", "pct_elided", "25.771", "25.77"),
+            ),
+            (
+                edited("\"scale\":0.1", "\"scale\":1"),
+                drift(9, "__suite__", "scale", "1", "0.1"),
+            ),
+            (
+                edited("\"recoveries_succeeded\":4", "\"recoveries_succeeded\":3"),
+                drift(9, "__suite__", "recoveries_succeeded", "3", "4"),
+            ),
+            (
+                edited("0xb8574f4c25df041d", "0xb8574f4c25df041c"),
+                drift(
+                    11,
+                    "__throughput__ jbb",
+                    "digest",
+                    "0xb8574f4c25df041c",
+                    "0xb8574f4c25df041d",
+                ),
+            ),
+            // Formatting alone: no member differs, the lines do.
+            (
+                edited("\"pct_elided\":25.770", "\"pct_elided\":25.77"),
+                drift(
+                    9,
+                    "__suite__",
+                    "",
+                    &COMMITTED.lines().nth(8).unwrap().replace("25.770", "25.77"),
+                    COMMITTED.lines().nth(8).unwrap(),
+                ),
+            ),
+        ];
+        for (committed, want) in cases {
+            assert_eq!(first_drift(&committed, COMMITTED), Some(want));
+        }
+        // A row the file lacks, or one it has too many of.
+        let last = COMMITTED.lines().last().unwrap();
+        let n = COMMITTED.lines().count();
+        let truncated = COMMITTED.replacen(&format!("{last}\n"), "", 1);
+        let d = first_drift(&truncated, COMMITTED).unwrap();
+        assert_eq!(
+            (d.line, d.row.as_str(), d.field.as_str()),
+            (n, "__throughput__ jbb", "")
         );
-        assert!(
-            violations.iter().any(|v| v.contains("top_keep_code")),
-            "{violations:?}"
-        );
-        assert!(
-            violations.iter().any(|v| v.contains("static_elided")),
-            "{violations:?}"
-        );
-        assert!(
-            violations.iter().any(|v| v.contains("dyn_total")),
-            "{violations:?}"
-        );
-        assert!(
-            violations.iter().any(|v| v.contains("max_pause_bucket")),
-            "{violations:?}"
-        );
-        assert!(
-            violations.iter().any(|v| v.contains("pct_elided")),
-            "{violations:?}"
-        );
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("recoveries_attempted")),
-            "{violations:?}"
-        );
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("recoveries_succeeded")),
-            "{violations:?}"
-        );
-        // Scale mismatch is its own violation class.
-        let mut rescaled = suite.clone();
-        rescaled.scale = 1.0;
-        assert_eq!(compare(&rescaled, &suite).len(), 1);
+        assert_eq!((d.committed.as_str(), d.measured.as_str()), ("", last));
+        let d = first_drift(COMMITTED, &truncated).unwrap();
+        assert_eq!((d.line, d.committed.as_str()), (n, last));
+        let d = first_drift(&format!("{COMMITTED}\n"), COMMITTED).unwrap();
+        assert_eq!((d.line, d.row.as_str()), (n + 2, "-"));
+        assert_eq!(d.measured, "<end of file>");
+        assert!(d.to_string().starts_with(&format!("line {}", n + 2)), "{d}");
     }
 }

@@ -67,8 +67,8 @@
 //! emits the machine view (NDJSON, deterministic);
 //! `ledger-diff` compares two such files site-by-site and exits 1 on a
 //! regression (newly-kept, newly-degraded, or vanished elided site);
-//! `bench --check-baselines` gates the standard suite's numbers against
-//! `baselines/suite.ndjson`.
+//! `bench --check-baselines` re-measures the standard suite's numbers
+//! and compares them line for line with `baselines/suite.ndjson`.
 //!
 //! `serve` runs the GC-aware overload-protection world: an open-loop
 //! request generator (arrivals never slow down for the server) drives
@@ -134,7 +134,7 @@
 //! | `verify <file>` | valid + type-checks | invalid | usage/unreadable |
 //! | `verify --faults` | all schedules sound | divergence/violation | usage/unknown workload |
 //! | `ledger-diff` | no regression | regression | usage/IO/parse |
-//! | `bench --check-baselines` | baselines hold | drift | usage/IO/parse |
+//! | `bench --check-baselines` | file matches | a line differs | usage/IO |
 //! | `profile` | SLOs met | pause SLO violated | usage/run error |
 //! | `oracle` | report produced | — | usage/run error |
 //! | `throughput` | report produced | — | usage/run error |

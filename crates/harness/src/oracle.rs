@@ -297,7 +297,7 @@ pub fn measure(opts: &OracleOptions) -> Result<SuiteOracle, String> {
 
 /// Runs `w` under the baseline configuration with the oracle on and
 /// folds the per-site table into its necessity view.
-pub(crate) fn oracle_workload(
+fn oracle_workload(
     w: &wbe_workloads::Workload,
     headline: bool,
     engine: EngineKind,

@@ -437,9 +437,19 @@ fn bench_check_baselines_against_the_committed_file() {
         1,
     );
     std::fs::write(&drifted, text.replacen(first, &bumped, 1)).unwrap();
-    assert_eq!(
-        run(&["bench", "--check-baselines", "--baselines", &drifted]).0,
-        Some(1)
+    let out = tool()
+        .args(["bench", "--check-baselines", "--baselines", &drifted])
+        .output()
+        .expect("spawn wbe_tool");
+    assert_eq!(out.status.code(), Some(1));
+    // The report names the first differing row and field.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!(
+            "line 1 (jess): static_sites committed {}, measured {n}",
+            n + 1
+        )),
+        "{stderr}"
     );
     assert_eq!(
         run(&[
