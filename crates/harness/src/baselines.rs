@@ -25,11 +25,10 @@ use std::path::Path;
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::FaultConfig;
 use wbe_interp::{BarrierConfig, BarrierMode, EngineKind};
-use wbe_opt::OptMode;
+use wbe_opt::{OptMode, PipelineConfig};
 use wbe_telemetry::json::{ObjWriter, Value};
 
-use crate::runner::compile_workload;
-use crate::site::{observe, Chaos, RunSpec, Totals, BASELINE_GC};
+use crate::site::{compile_workload_with, observe, Chaos, RunSpec, Totals, BASELINE_GC};
 use crate::throughput::{run_mutator, MutatorFacts};
 
 /// Default location of the committed baseline file, relative to the
@@ -155,7 +154,8 @@ fn throughput_probe() -> Vec<(&'static str, MutatorFacts)> {
     let mut rows = Vec::new();
     for name in ["jess", "jbb"] {
         let w = wbe_workloads::by_name(name).expect("bench workload exists");
-        let (compiled, elided) = compile_workload(&w, OptMode::Full, 100);
+        let (compiled, elided) =
+            compile_workload_with(&w, &PipelineConfig::new(OptMode::Full, 100));
         let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided);
         let mut engine = EngineKind::Compiled.build(&compiled.program, bc, MarkStyle::Satb);
         engine.set_gc_policy(BASELINE_GC);
@@ -208,7 +208,7 @@ fn recovery_probe() -> (u64, u64) {
     let obs = observe(
         &w,
         &RunSpec {
-            gc: crate::soak::CHAOS_GC,
+            gc: Some(crate::soak::CHAOS_GC),
             chaos: Some(Chaos {
                 faults: FaultConfig {
                     corrupt_mark_pm: RECOVERY_CORRUPT_PM,

@@ -1,7 +1,9 @@
 //! Command-line experiment runner.
 //!
-//! Usage: `experiments [table1|fig2|fig3|table2|pause|all] [--scale S]
-//! [--metrics-out m.json] [--trace-out t.ndjson] [--chrome-trace t.json]`
+//! Usage: `experiments
+//! [table1|fig2|fig3|table2|pause|ext|rearrange|static|clients|combined|all]
+//! [--scale S] [--metrics-out m.json] [--trace-out t.ndjson]
+//! [--chrome-trace t.json]`
 //!
 //! `--metrics-out` writes the telemetry registry snapshot collected
 //! while the experiments ran; `--trace-out` additionally enables event
@@ -75,7 +77,7 @@ fn main() {
         }
         "table2" => {
             println!("== Table 2: jbb end-to-end barrier cost ==");
-            println!("{}", wbe_harness::table2::run(scale * 0.2, 5));
+            println!("{}", wbe_harness::table2::run(scale * 0.2));
         }
         "pause" => {
             println!("== Pause: SATB vs incremental-update remark work ==");

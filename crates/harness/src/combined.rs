@@ -11,12 +11,11 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{
-    BarrierConfig, BarrierMode, GcPolicy, Interp, RearrangeRole, RearrangeSites, Value,
-};
-use wbe_opt::{compile, plan_program, OptMode, PipelineConfig, ShiftRole};
+use wbe_interp::GcPolicy;
+use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::standard_suite;
+
+use crate::site::{observe, RunSpec};
 
 /// One workload's stacked results.
 #[derive(Clone, Debug)]
@@ -41,65 +40,42 @@ pub struct CombinedReport {
 
 /// Runs the stacked experiment at `scale`.
 pub fn run(scale: f64) -> CombinedReport {
-    let mut rows = Vec::new();
-    for w in standard_suite() {
-        let iters = ((w.default_iters as f64 * scale) as i64).max(64);
-        let cfg = PipelineConfig::new(OptMode::Full, 100).with_null_or_same();
-        let compiled = compile(&w.program, &cfg);
-        let plan = plan_program(&compiled.program);
-
-        // Elision sets.
-        let mut pre_only = wbe_interp::ElidedBarriers::new();
-        for (m, a) in compiled.elided_sites() {
-            pre_only.insert(m, a);
-        }
-        let mut with_nos = pre_only.clone();
-        for (m, a) in compiled.null_or_same_sites() {
-            with_nos.insert_kind(m, a, wbe_interp::ElisionKind::NullOrSame);
-        }
-        let mut rearrange = RearrangeSites::new();
-        for (m, a, role) in plan.iter() {
-            // A site already elided statically needs no protocol.
-            if with_nos.contains(m, a) {
-                continue;
-            }
-            let r = match role {
-                ShiftRole::First => RearrangeRole::First,
-                ShiftRole::Member => RearrangeRole::Member,
+    let pre_null = RunSpec {
+        scale,
+        min_iters: 64,
+        gc: Some(GcPolicy {
+            alloc_trigger: 500,
+            step_interval: 32,
+            step_budget: 8,
+        }),
+        ..RunSpec::paper(OptMode::Full, 100)
+    };
+    let with_nos = RunSpec {
+        pipeline: PipelineConfig::new(OptMode::Full, 100).with_null_or_same(),
+        ..pre_null.clone()
+    };
+    let with_rearrange = RunSpec {
+        rearrange: true,
+        ..with_nos.clone()
+    };
+    let rows = standard_suite()
+        .iter()
+        .map(|w| {
+            let quiet_pct = |spec: &RunSpec| {
+                let obs = observe(w, spec)
+                    .completed()
+                    .expect("a sound elision never traps");
+                let quiet = obs.stats.elided_executions + obs.stats.rearrange_skipped;
+                100.0 * quiet as f64 / obs.summary().total().max(1) as f64
             };
-            rearrange.insert(m, a, r);
-        }
-
-        let run_pct = |elided: &wbe_interp::ElidedBarriers, with_protocol: bool| -> f64 {
-            let mut bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-            if with_protocol {
-                bc = bc.with_rearrange(rearrange.clone());
+            CombinedRow {
+                name: w.name,
+                pre_null: quiet_pct(&pre_null),
+                with_nos: quiet_pct(&with_nos),
+                with_rearrange: quiet_pct(&with_rearrange),
             }
-            let mut interp = Interp::with_style(&compiled.program, bc, MarkStyle::Satb);
-            interp.set_gc_policy(GcPolicy {
-                alloc_trigger: 500,
-                step_interval: 32,
-                step_budget: 8,
-            });
-            interp
-                .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-                .unwrap_or_else(|t| panic!("{}: {t}", w.name));
-            let total = interp
-                .stats
-                .barrier
-                .summarize(&wbe_interp::ElidedBarriers::new())
-                .total();
-            let quiet = interp.stats.elided_executions + interp.stats.rearrange_skipped;
-            100.0 * quiet as f64 / total.max(1) as f64
-        };
-
-        rows.push(CombinedRow {
-            name: w.name,
-            pre_null: run_pct(&pre_only, false),
-            with_nos: run_pct(&with_nos, false),
-            with_rearrange: run_pct(&with_nos, true),
-        });
-    }
+        })
+        .collect();
     CombinedReport { rows }
 }
 

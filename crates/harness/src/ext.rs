@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierConfig, BarrierMode, Interp, Value};
 use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::standard_suite;
 
-use crate::runner::compile_workload_with;
+use crate::site::{observe, RunSpec};
 
 /// One row: elimination with pre-null only vs with null-or-same added.
 #[derive(Clone, Debug)]
@@ -42,26 +40,27 @@ pub struct ExtReport {
 
 /// Runs the experiment at `scale`.
 pub fn run(scale: f64) -> ExtReport {
-    let mut rows = Vec::new();
-    for w in standard_suite() {
-        let iters = ((w.default_iters as f64 * scale) as i64).max(16);
-        let cfg = PipelineConfig::new(OptMode::Full, 100).with_null_or_same();
-        let (compiled, elided) = compile_workload_with(&w, &cfg);
-        let config = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-        let mut interp = Interp::with_style(&compiled.program, config, MarkStyle::Satb);
-        interp
-            .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-            .unwrap_or_else(|t| panic!("{} trapped: {t}", w.name));
-        // Summaries against the combined set and the pre-null-only set.
-        let with_nos = interp.stats.barrier.summarize(&elided);
-        let pre_null_only = compiled.elided_sites().into_iter().collect();
-        let pre = interp.stats.barrier.summarize(&pre_null_only);
-        rows.push(ExtRow {
-            name: w.name,
-            pct_pre_null: pre.pct_eliminated(),
-            pct_with_nos: with_nos.pct_eliminated(),
-        });
-    }
+    let spec = RunSpec {
+        pipeline: PipelineConfig::new(OptMode::Full, 100).with_null_or_same(),
+        scale,
+        min_iters: 16,
+        ..RunSpec::paper(OptMode::Full, 100)
+    };
+    let rows = standard_suite()
+        .iter()
+        .map(|w| {
+            let obs = observe(w, &spec)
+                .completed()
+                .expect("a sound elision never traps");
+            // The run's executions against the pre-null-only set too.
+            let pre_null_only = obs.compiled.elided_sites().into_iter().collect();
+            ExtRow {
+                name: w.name,
+                pct_pre_null: obs.stats.barrier.summarize(&pre_null_only).pct_eliminated(),
+                pct_with_nos: obs.summary().pct_eliminated(),
+            }
+        })
+        .collect();
     ExtReport { rows }
 }
 

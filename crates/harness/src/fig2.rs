@@ -10,12 +10,10 @@
 use std::fmt;
 use std::time::Duration;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::BarrierMode;
 use wbe_opt::OptMode;
 use wbe_workloads::standard_suite;
 
-use crate::runner::run_workload;
+use crate::site::{observe, RunSpec};
 
 /// The swept inline limits, as in the paper.
 pub const LIMITS: [usize; 5] = [0, 25, 50, 100, 200];
@@ -59,19 +57,17 @@ pub fn run(scale: f64) -> Fig2 {
             let mut total: u64 = 0;
             let mut elim: u64 = 0;
             let mut compile_time = Duration::ZERO;
+            let spec = RunSpec {
+                scale,
+                ..RunSpec::paper(mode, limit)
+            };
             for w in &suite {
-                let iters = crate::site::scaled_iters(w, scale);
-                let run = run_workload(
-                    w,
-                    mode,
-                    limit,
-                    iters,
-                    BarrierMode::Checked,
-                    MarkStyle::Satb,
-                    None,
-                );
-                total += run.summary.total();
-                elim += run.summary.eliminated();
+                let run = observe(w, &spec)
+                    .completed()
+                    .expect("a sound elision never traps");
+                let summary = run.summary();
+                total += summary.total();
+                elim += summary.eliminated();
                 compile_time += run.compiled.inline_time + run.compiled.analysis_time();
             }
             cells.push(Fig2Cell {

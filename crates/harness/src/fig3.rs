@@ -7,10 +7,8 @@
 
 use std::fmt;
 
-use wbe_opt::OptMode;
+use wbe_opt::{compile, OptMode, PipelineConfig};
 use wbe_workloads::standard_suite;
-
-use crate::runner::compile_workload;
 
 /// One benchmark's code sizes under the three modes.
 #[derive(Clone, Debug)]
@@ -41,18 +39,18 @@ pub struct Fig3 {
 
 /// Runs the experiment at inline limit 100.
 pub fn run() -> Fig3 {
-    let mut rows = Vec::new();
-    for w in standard_suite() {
-        let (b, _) = compile_workload(&w, OptMode::Baseline, 100);
-        let (f, _) = compile_workload(&w, OptMode::FieldOnly, 100);
-        let (a, _) = compile_workload(&w, OptMode::Full, 100);
-        rows.push(Fig3Row {
-            name: w.name,
-            base: b.code_size(),
-            field: f.code_size(),
-            full: a.code_size(),
-        });
-    }
+    let rows = standard_suite()
+        .iter()
+        .map(|w| {
+            let size = |mode| compile(&w.program, &PipelineConfig::new(mode, 100)).code_size();
+            Fig3Row {
+                name: w.name,
+                base: size(OptMode::Baseline),
+                field: size(OptMode::FieldOnly),
+                full: size(OptMode::Full),
+            }
+        })
+        .collect();
     Fig3 { rows }
 }
 

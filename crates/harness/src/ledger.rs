@@ -367,7 +367,7 @@ mod tests {
         let obs = observe(
             &w,
             &RunSpec {
-                gc: crate::soak::CHAOS_GC,
+                gc: Some(crate::soak::CHAOS_GC),
                 chaos: Some(Chaos {
                     faults: wbe_heap::FaultConfig::from_seed(0xce75_5952_d302_5da7).escalate(1),
                     max_attempts: 8,

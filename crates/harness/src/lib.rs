@@ -19,12 +19,13 @@
 //! The `experiments` binary prints any of them:
 //! `cargo run -p wbe-harness --bin experiments -- table1`.
 //!
-//! Beyond the experiments, [`site`] is the one observed run and the one
-//! per-site join that `profile`, `oracle`, `baselines`, `soak` and
-//! `wbe_tool report`/`explain` read, [`ledger`] backs the `wbe_tool explain`,
-//! `ledger`, and `ledger-diff` commands, [`baselines`] backs
-//! `wbe_tool bench --check-baselines`, and [`mcheck`] the interleaving
-//! model-checker CLI.
+//! [`site`] is the one observed run: every experiment that executes a
+//! workload is a fold over [`site::observe`] under a
+//! [`site::RunSpec::paper`] spec, and `profile`, `oracle`, `baselines`,
+//! `soak` and `wbe_tool report`/`explain` read its per-site join.
+//! [`ledger`] backs the `wbe_tool explain`, `ledger`, and `ledger-diff`
+//! commands, [`baselines`] backs `wbe_tool bench --check-baselines`,
+//! and [`mcheck`] the interleaving model-checker CLI.
 
 /// Serializes measurements that reset the global telemetry registry
 /// ([`baselines::measure`], [`profile::measure`]): the default test
@@ -61,7 +62,6 @@ pub mod oracle;
 pub mod pause;
 pub mod profile;
 pub mod rearrange_exp;
-pub mod runner;
 pub mod serve;
 pub mod site;
 pub mod soak;

@@ -17,12 +17,11 @@
 use std::fmt;
 
 use wbe_heap::gc::MarkStyle;
-use wbe_interp::BarrierMode;
 use wbe_opt::OptMode;
 use wbe_telemetry::registry::HistogramSnapshot;
 use wbe_workloads::by_name;
 
-use crate::runner::run_workload;
+use crate::site::{observe, RunSpec, BASELINE_GC};
 
 /// Pause statistics for one marker style.
 #[derive(Clone, Debug)]
@@ -62,22 +61,22 @@ impl PauseReport {
 
 /// Runs the experiment; `scale` shrinks the workload.
 pub fn run(scale: f64) -> PauseReport {
+    let w = by_name("jess").expect("jess exists");
     let mut rows = Vec::new();
     for (label, style) in [
         ("satb", MarkStyle::Satb),
         ("incremental-update", MarkStyle::IncrementalUpdate),
     ] {
-        let w = by_name("jess").expect("jess exists");
-        let iters = ((w.default_iters as f64 * scale) as i64).max(512);
-        let r = run_workload(
-            &w,
-            OptMode::Baseline,
-            100,
-            iters,
-            BarrierMode::Checked,
+        let spec = RunSpec {
+            scale,
+            min_iters: 512,
             style,
-            Some(crate::site::BASELINE_GC),
-        );
+            gc: Some(BASELINE_GC),
+            ..RunSpec::paper(OptMode::Baseline, 100)
+        };
+        let r = observe(&w, &spec)
+            .completed()
+            .expect("a sound elision never traps");
         let pauses = &r.stats.pauses;
         let hist = HistogramSnapshot::from_samples(pauses.iter().map(|p| p.work_units() as u64));
         rows.push(PauseRow {

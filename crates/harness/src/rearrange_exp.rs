@@ -11,12 +11,11 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{
-    BarrierConfig, BarrierMode, GcPolicy, Interp, RearrangeRole, RearrangeSites, Value,
-};
-use wbe_opt::{plan_program, OptMode, PipelineConfig, RearrangePlan, ShiftRole};
+use wbe_interp::{ElidedBarriers, GcPolicy, RearrangeRole, RearrangeSites};
+use wbe_opt::{plan_program, OptMode, RearrangePlan, ShiftRole};
 use wbe_workloads::standard_suite;
+
+use crate::site::{observe, RunSpec};
 
 /// One workload's protocol results.
 #[derive(Clone, Debug)]
@@ -52,10 +51,11 @@ pub struct RearrangeReport {
 }
 
 /// The recognizer's plan as the interpreter's site set: every store of
-/// every recognized group, with its role.
-pub fn protocol_sites(plan: &RearrangePlan) -> RearrangeSites {
+/// every recognized group, with its role, except the sites in `elided`
+/// (a barrier elided statically needs no protocol).
+pub fn protocol_sites(plan: &RearrangePlan, elided: &ElidedBarriers) -> RearrangeSites {
     let mut sites = RearrangeSites::new();
-    for (m, a, role) in plan.iter() {
+    for (m, a, role) in plan.iter().filter(|&(m, a, _)| !elided.contains(m, a)) {
         let role = match role {
             ShiftRole::First => RearrangeRole::First,
             ShiftRole::Member => RearrangeRole::Member,
@@ -67,33 +67,33 @@ pub fn protocol_sites(plan: &RearrangePlan) -> RearrangeSites {
 
 /// Runs the experiment at `scale`.
 pub fn run(scale: f64) -> RearrangeReport {
-    let mut rows = Vec::new();
-    for w in standard_suite() {
-        let iters = ((w.default_iters as f64 * scale) as i64).max(64);
-        let compiled = wbe_opt::compile(&w.program, &PipelineConfig::new(OptMode::Baseline, 100));
-        let plan = plan_program(&compiled.program);
-        let config = BarrierConfig::new(BarrierMode::Checked).with_rearrange(protocol_sites(&plan));
-        let mut interp = Interp::with_style(&compiled.program, config, MarkStyle::Satb);
-        interp.set_gc_policy(GcPolicy {
+    // Baseline elides nothing, so the protocol covers the whole plan.
+    let spec = RunSpec {
+        scale,
+        min_iters: 64,
+        gc: Some(GcPolicy {
             alloc_trigger: 200,
             step_interval: 16,
             step_budget: 4,
-        });
-        interp
-            .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-            .unwrap_or_else(|t| panic!("{} trapped under the protocol: {t}", w.name));
-        let summary = interp
-            .stats
-            .barrier
-            .summarize(&wbe_interp::ElidedBarriers::new());
-        rows.push(RearrangeRow {
-            name: w.name,
-            groups: plan.group_count(),
-            skipped: interp.stats.rearrange_skipped,
-            total: summary.total(),
-            retraces: interp.stats.retraces_scheduled,
-        });
-    }
+        }),
+        rearrange: true,
+        ..RunSpec::paper(OptMode::Baseline, 100)
+    };
+    let rows = standard_suite()
+        .iter()
+        .map(|w| {
+            let obs = observe(w, &spec)
+                .completed()
+                .expect("a sound elision never traps");
+            RearrangeRow {
+                name: w.name,
+                groups: plan_program(&obs.compiled.program).group_count(),
+                skipped: obs.stats.rearrange_skipped,
+                total: obs.summary().total(),
+                retraces: obs.stats.retraces_scheduled,
+            }
+        })
+        .collect();
     RearrangeReport { rows }
 }
 

@@ -7,7 +7,9 @@
 //! (`soak`), what the gate pins (`baselines`). [`observe`] compiles a
 //! workload once, runs it once and owns what came out; [`Observed::sites`]
 //! is the only place those facts are brought together, keyed by
-//! `(MethodId, InsnAddr)`. Everything else is a fold over that table.
+//! `(MethodId, InsnAddr)`. Everything else is a fold over that table,
+//! or, for the paper's experiments, over the run's totals
+//! ([`Observed::summary`]).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -17,15 +19,15 @@ use wbe_heap::recover::RecoveryController;
 use wbe_heap::{FaultConfig, FaultPlan, FaultStats, RecoveryPolicy};
 use wbe_interp::oracle::{OracleState, SiteNecessity};
 use wbe_interp::{
-    BarrierConfig, BarrierMode, ElidedBarriers, EngineKind, GcPolicy, RunStats, SiteStats,
-    StoreKind, Trap, Value,
+    BarrierConfig, BarrierMode, BarrierSummary, ElidedBarriers, ElisionKind, EngineKind, GcPolicy,
+    RunStats, SiteStats, StoreKind, Trap, Value,
 };
 use wbe_ir::{BlockId, InsnAddr, MethodId};
-use wbe_opt::{Compiled, OptMode, PipelineConfig};
+use wbe_opt::{compile, plan_program, Compiled, OptMode, PipelineConfig};
 use wbe_telemetry::registry::MetricsSnapshot;
 use wbe_workloads::Workload;
 
-use crate::runner::compile_workload_with;
+use crate::rearrange_exp::protocol_sites;
 
 /// The marking schedule of the baseline configuration: sparse enough
 /// that small runs stay cheap, dense enough that `jbb` and the server
@@ -41,9 +43,25 @@ pub const BASELINE_GC: GcPolicy = GcPolicy {
 /// `profile::tests::join_loses_nothing` pins to zero.
 pub const UNATTRIBUTED: &str = "unattributed";
 
-/// How many iterations `w` runs at `scale` of its default size.
-pub fn scaled_iters(w: &Workload, scale: f64) -> i64 {
-    ((w.default_iters as f64 * scale) as i64).max(8)
+/// The iteration floor of a run that asks for none of its own.
+pub const MIN_ITERS: i64 = 8;
+
+/// How many iterations `w` runs at `scale` of its default size, and at
+/// least `min_iters`.
+pub fn scaled_iters(w: &Workload, scale: f64, min_iters: i64) -> i64 {
+    ((w.default_iters as f64 * scale) as i64).max(min_iters)
+}
+
+/// Compiles `w` under `config`: the program and the elision set its
+/// analyses earn, pre-null and null-or-same sites each tagged with the
+/// oracle that checks them.
+pub fn compile_workload_with(w: &Workload, config: &PipelineConfig) -> (Compiled, ElidedBarriers) {
+    let compiled = compile(&w.program, config);
+    let mut elided: ElidedBarriers = compiled.elided_sites().into_iter().collect();
+    for (m, a) in compiled.null_or_same_sites() {
+        elided.insert_kind(m, a, ElisionKind::NullOrSame);
+    }
+    (compiled, elided)
 }
 
 /// Seeded faults with the heap verifier on and the recovery controller
@@ -64,10 +82,19 @@ pub struct RunSpec {
     pub pipeline: PipelineConfig,
     /// Iteration scale (see [`scaled_iters`]).
     pub scale: f64,
+    /// Floor on the iteration count (see [`scaled_iters`]).
+    pub min_iters: i64,
     /// Which dispatch loop runs.
     pub engine: EngineKind,
-    /// The marking schedule.
-    pub gc: GcPolicy,
+    /// The barrier flavour at sites the run keeps.
+    pub barrier: BarrierMode,
+    /// The marker the collector runs.
+    pub style: MarkStyle,
+    /// The marking schedule; with none, no cycle ever starts.
+    pub gc: Option<GcPolicy>,
+    /// Run the §4.3 rearrangement protocol at the recognizer's sites
+    /// the run does not already elide.
+    pub rearrange: bool,
     /// Classify every kept-barrier execution with the necessity oracle.
     pub oracle: bool,
     /// Inject faults and heal them.
@@ -83,8 +110,25 @@ impl RunSpec {
         RunSpec {
             pipeline: PipelineConfig::new(OptMode::Full, 100).with_ledger(),
             scale,
+            gc: Some(BASELINE_GC),
+            ..RunSpec::paper(OptMode::Full, 100)
+        }
+    }
+
+    /// The run the paper's experiments share and vary: `mode` at
+    /// inline limit `limit`, checked SATB barriers with the elision set
+    /// applied, the classic loop, no marking schedule, at least
+    /// [`MIN_ITERS`] iterations at full size.
+    pub fn paper(mode: OptMode, limit: usize) -> RunSpec {
+        RunSpec {
+            pipeline: PipelineConfig::new(mode, limit),
+            scale: 1.0,
+            min_iters: MIN_ITERS,
             engine: EngineKind::Classic,
-            gc: BASELINE_GC,
+            barrier: BarrierMode::Checked,
+            style: MarkStyle::Satb,
+            gc: None,
+            rearrange: false,
             oracle: false,
             chaos: None,
         }
@@ -135,12 +179,16 @@ pub struct Observed {
 /// Compiles `w` under `spec`, runs it once, and keeps what came out.
 pub fn observe(w: &Workload, spec: &RunSpec) -> Observed {
     let (compiled, elided) = compile_workload_with(w, &spec.pipeline);
-    let iters = scaled_iters(w, spec.scale);
-    let config = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-    let mut interp = spec
-        .engine
-        .build(&compiled.program, config, MarkStyle::Satb);
-    interp.set_gc_policy(spec.gc);
+    let iters = scaled_iters(w, spec.scale, spec.min_iters);
+    let mut config = BarrierConfig::with_elision(spec.barrier, elided.clone());
+    if spec.rearrange {
+        let plan = plan_program(&compiled.program);
+        config = config.with_rearrange(protocol_sites(&plan, &elided));
+    }
+    let mut interp = spec.engine.build(&compiled.program, config, spec.style);
+    if let Some(policy) = spec.gc {
+        interp.set_gc_policy(policy);
+    }
     interp.set_oracle(spec.oracle);
     if let Some(chaos) = spec.chaos {
         interp.set_fault_plan(FaultPlan::new(chaos.faults));
@@ -346,6 +394,12 @@ impl Observed {
         }
     }
 
+    /// The run's barrier executions summarised against the elision set
+    /// it ran under.
+    pub fn summary(&self) -> BarrierSummary {
+        self.stats.barrier.summarize(&self.elided)
+    }
+
     /// The join: one report per store site the ledger records or the
     /// run touched, in `(method, block, index)` order — the ledger's
     /// own order and the oracle's.
@@ -395,6 +449,20 @@ impl Observed {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn jess_runs_end_to_end_with_elision_oracle() {
+        let w = wbe_workloads::by_name("jess").unwrap();
+        let spec = RunSpec {
+            scale: 0.05,
+            ..RunSpec::paper(OptMode::Full, 100)
+        };
+        let obs = observe(&w, &spec).completed().unwrap();
+        let summary = obs.summary();
+        assert!(summary.total() > 0);
+        assert!(summary.eliminated() > 0, "jess must elide barriers");
+        assert!(obs.stats.elided_executions > 0);
+    }
 
     #[test]
     fn the_join_keeps_the_ledgers_order_and_every_count() {

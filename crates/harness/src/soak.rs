@@ -355,7 +355,7 @@ pub fn run_soak(opts: &SoakOptions) -> SoakOutcome {
             let obs = observe(
                 w,
                 &RunSpec {
-                    gc: CHAOS_GC,
+                    gc: Some(CHAOS_GC),
                     chaos: Some(Chaos {
                         faults,
                         max_attempts: opts.max_attempts,

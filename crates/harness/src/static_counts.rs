@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::BarrierMode;
 use wbe_opt::OptMode;
 use wbe_workloads::standard_suite;
 
-use crate::runner::run_workload;
+use crate::site::{observe, RunSpec};
 
 /// One workload's static/dynamic comparison.
 #[derive(Clone, Debug)]
@@ -44,25 +42,23 @@ pub struct StaticReport {
 
 /// Runs the experiment.
 pub fn run(scale: f64) -> StaticReport {
+    let spec = RunSpec {
+        scale,
+        min_iters: 32,
+        ..RunSpec::paper(OptMode::Full, 100)
+    };
     let mut rows = Vec::new();
     for w in standard_suite() {
-        let iters = ((w.default_iters as f64 * scale) as i64).max(32);
-        let run = run_workload(
-            &w,
-            OptMode::Full,
-            100,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::Satb,
-            None,
-        );
+        let run = observe(&w, &spec)
+            .completed()
+            .expect("a sound elision never traps");
         let analysis = run.compiled.analysis.as_ref().expect("mode A analyzes");
         let sites: usize = analysis.methods.values().map(|m| m.barrier_sites).sum();
         let array_sites: usize = analysis.methods.values().map(|m| m.array_sites).sum();
         let elided: usize = analysis.methods.values().map(|m| m.elided.len()).sum();
-        let s = &run.summary;
+        let s = run.summary();
         rows.push(StaticRow {
-            name: run.name,
+            name: w.name,
             sites,
             elided_sites: elided,
             static_array_pct: if sites == 0 {

@@ -7,12 +7,10 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::BarrierMode;
 use wbe_opt::OptMode;
 use wbe_workloads::standard_suite;
 
-use crate::runner::run_workload;
+use crate::site::{observe, RunSpec};
 
 /// One row of Table 1.
 #[derive(Clone, Debug)]
@@ -46,30 +44,29 @@ pub struct Table1 {
 /// default iteration count (1.0 reproduces the default magnitudes;
 /// tests use smaller scales).
 pub fn run(scale: f64) -> Table1 {
-    let inline_limit = 100; // the paper's headline inlining level (§4.4)
-    let mut rows = Vec::new();
-    for w in standard_suite() {
-        let iters = crate::site::scaled_iters(&w, scale);
-        let run = run_workload(
-            &w,
-            OptMode::Full,
-            inline_limit,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::Satb,
-            None,
-        );
-        let s = &run.summary;
-        rows.push(Table1Row {
-            name: run.name,
-            total: s.total(),
-            pct_elim: s.pct_eliminated(),
-            pct_potential: s.pct_potential_pre_null(),
-            pct_field: s.pct_field(),
-            field_elim: s.pct_field_eliminated(),
-            array_elim: s.pct_array_eliminated(),
-        });
-    }
+    // The paper's headline inlining level (§4.4).
+    let spec = RunSpec {
+        scale,
+        ..RunSpec::paper(OptMode::Full, 100)
+    };
+    let rows = standard_suite()
+        .iter()
+        .map(|w| {
+            let s = observe(w, &spec)
+                .completed()
+                .expect("a sound elision never traps")
+                .summary();
+            Table1Row {
+                name: w.name,
+                total: s.total(),
+                pct_elim: s.pct_eliminated(),
+                pct_potential: s.pct_potential_pre_null(),
+                pct_field: s.pct_field(),
+                field_elim: s.pct_field_eliminated(),
+                array_elim: s.pct_array_eliminated(),
+            }
+        })
+        .collect();
     Table1 { rows }
 }
 

@@ -15,12 +15,11 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
 use wbe_interp::{BarrierMode, GcPolicy};
 use wbe_opt::OptMode;
 use wbe_workloads::by_name;
 
-use crate::runner::run_workload;
+use crate::site::{observe, RunSpec};
 
 /// Modeled clock rate (the paper's 750 MHz UltraSPARC III).
 pub const CLOCK_HZ: f64 = 750.0e6;
@@ -43,43 +42,43 @@ pub struct Table2 {
     pub rows: Vec<Table2Row>,
 }
 
-/// Runs the experiment on the jbb workload. Each configuration is run
-/// `runs` times and averaged (the interpreter is deterministic, so this
-/// mirrors the paper's 5-run averaging without adding information).
-pub fn run(scale: f64, runs: usize) -> Table2 {
+/// Runs the experiment on the jbb workload, once per configuration:
+/// the interpreter is deterministic, so the paper's 5-run averaging
+/// would add no information.
+pub fn run(scale: f64) -> Table2 {
     let w = by_name("jbb").expect("jbb exists");
-    let iters = ((w.default_iters as f64 * scale) as i64).max(64);
     let mut rows = Vec::new();
     // The paper's three rows, plus a fourth showing §4.5's first
     // observation: under the ordinary *checked* barrier with marking
     // active only part of the time, barriers cost far less than in
     // always-log mode (which simulates fully incrementalized marking).
-    let configs: [(&'static str, BarrierMode, bool, bool); 4] = [
-        ("no-barrier", BarrierMode::None, false, false),
-        ("checked+gc", BarrierMode::Checked, false, true),
-        ("always-log", BarrierMode::AlwaysLog, false, false),
-        ("always-log-elim", BarrierMode::AlwaysLog, true, false),
+    let marking = GcPolicy {
+        alloc_trigger: 2_000,
+        step_interval: 64,
+        step_budget: 16,
+    };
+    let (base, full) = (OptMode::Baseline, OptMode::Full);
+    let configs = [
+        ("no-barrier", BarrierMode::None, base, None),
+        ("checked+gc", BarrierMode::Checked, base, Some(marking)),
+        ("always-log", BarrierMode::AlwaysLog, base, None),
+        ("always-log-elim", BarrierMode::AlwaysLog, full, None),
     ];
-    for (label, mode, elide, gc) in configs {
-        let mut tput = 0.0;
-        for _ in 0..runs.max(1) {
-            let opt_mode = if elide {
-                OptMode::Full
-            } else {
-                OptMode::Baseline
-            };
-            let policy = gc.then_some(GcPolicy {
-                alloc_trigger: 2_000,
-                step_interval: 64,
-                step_budget: 16,
-            });
-            let r = run_workload(&w, opt_mode, 100, iters, mode, MarkStyle::Satb, policy);
-            let seconds = r.stats.cycles as f64 / CLOCK_HZ;
-            tput += iters as f64 / seconds;
-        }
+    for (label, barrier, mode, gc) in configs {
+        let spec = RunSpec {
+            scale,
+            min_iters: 64,
+            barrier,
+            gc,
+            ..RunSpec::paper(mode, 100)
+        };
+        let r = observe(&w, &spec)
+            .completed()
+            .expect("a sound elision never traps");
+        let seconds = r.stats.cycles as f64 / CLOCK_HZ;
         rows.push(Table2Row {
             mode: label,
-            throughput: tput / runs.max(1) as f64,
+            throughput: r.iters as f64 / seconds,
             relative: 0.0,
         });
     }
@@ -114,7 +113,7 @@ mod tests {
 
     #[test]
     fn barrier_cost_and_elision_recovery() {
-        let t = run(0.02, 1);
+        let t = run(0.02);
         assert_eq!(t.rows.len(), 4);
         let (none, checked, log, elim) = (&t.rows[0], &t.rows[1], &t.rows[2], &t.rows[3]);
         // §4.5: the checked barrier with occasional marking costs much

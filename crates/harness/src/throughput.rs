@@ -27,10 +27,10 @@ use std::time::{Duration, Instant};
 
 use wbe_heap::gc::MarkStyle;
 use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, Interp, Value};
-use wbe_opt::OptMode;
+use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::Workload;
 
-use crate::runner::compile_workload;
+use crate::site::compile_workload_with;
 
 /// Options for the throughput bench.
 #[derive(Clone, Debug)]
@@ -170,7 +170,7 @@ pub(crate) fn run_mutator(
 /// Panics if the workload traps or two mutators disagree on the final
 /// heap digest — both indicate engine bugs.
 pub fn measure_workload(w: &Workload, opts: &ThroughputOptions) -> ThroughputRow {
-    let (compiled, elided) = compile_workload(w, OptMode::Full, 100);
+    let (compiled, elided) = compile_workload_with(w, &PipelineConfig::new(OptMode::Full, 100));
     let program = &compiled.program;
     let realistic = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
 

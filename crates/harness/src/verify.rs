@@ -30,10 +30,10 @@ use wbe_interp::{
     BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, GcPolicy, Interp, Trap, Value,
 };
 use wbe_ir::{InsnAddr, MethodId, Program};
-use wbe_opt::OptMode;
+use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::Workload;
 
-use crate::runner::compile_workload;
+use crate::site::{compile_workload_with, scaled_iters, MIN_ITERS};
 
 /// Options for one verification sweep.
 #[derive(Clone, Copy, Debug)]
@@ -182,8 +182,8 @@ fn run_one(
 
 /// Runs the full differential sweep for one workload.
 pub fn verify_workload(w: &Workload, opts: &VerifyOptions) -> WorkloadVerdict {
-    let (compiled, elided) = compile_workload(w, OptMode::Full, 100);
-    let iters = crate::site::scaled_iters(w, opts.scale);
+    let (compiled, elided) = compile_workload_with(w, &PipelineConfig::new(OptMode::Full, 100));
+    let iters = scaled_iters(w, opts.scale, MIN_ITERS);
     let fuel = w.fuel_for(iters);
     let mut verdict = WorkloadVerdict {
         name: w.name,
@@ -288,8 +288,8 @@ fn pick_victim(stats: &BarrierStats, sound: &ElidedBarriers) -> Option<(MethodId
 /// the most-executed site that observes non-null pre-values under full
 /// barriers — and runs the sweep expecting detection.
 pub fn demo_unsound_detection(w: &Workload, opts: &VerifyOptions) -> DemoOutcome {
-    let (compiled, sound) = compile_workload(w, OptMode::Full, 100);
-    let iters = crate::site::scaled_iters(w, opts.scale);
+    let (compiled, sound) = compile_workload_with(w, &PipelineConfig::new(OptMode::Full, 100));
+    let iters = scaled_iters(w, opts.scale, MIN_ITERS);
     let fuel = w.fuel_for(iters);
 
     // Profile under full barriers to find a site whose pre-value is

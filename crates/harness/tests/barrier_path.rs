@@ -29,7 +29,7 @@
 use std::fmt::Write as _;
 
 use wbe_harness::rearrange_exp::protocol_sites;
-use wbe_harness::runner::compile_workload;
+use wbe_harness::site::compile_workload_with;
 use wbe_heap::debug::world_digest;
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::{FaultConfig, FaultPlan, RecoveryPolicy};
@@ -304,7 +304,7 @@ fn render(kind: EngineKind) -> String {
     let gc_for = |mode: BarrierMode| (mode != BarrierMode::None).then_some(GC);
 
     for w in &workloads() {
-        let (compiled, elided) = compile_workload(w, OptMode::Full, 100);
+        let (compiled, elided) = compile_workload_with(w, &PipelineConfig::new(OptMode::Full, 100));
         let program = &compiled.program;
         let iters = iters_of(w);
         let runs = [(iters, w.fuel_for(iters))];
@@ -392,7 +392,7 @@ fn render(kind: EngineKind) -> String {
 
         // §4.3, with the sites `rearrange_exp::run` installs.
         let baseline = wbe_opt::compile(&w.program, &PipelineConfig::new(OptMode::Baseline, 100));
-        let sites = protocol_sites(&plan_program(&baseline.program));
+        let sites = protocol_sites(&plan_program(&baseline.program), &ElidedBarriers::new());
         let setup = Setup {
             gc: Some(GC),
             ..Setup::default()

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use wbe_harness::runner::compile_workload_with;
+use wbe_harness::site::compile_workload_with;
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::{FaultConfig, FaultPlan, RecoveryPolicy};
 use wbe_interp::{

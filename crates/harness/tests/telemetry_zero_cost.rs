@@ -13,7 +13,7 @@
 //! Lives in its own integration-test file so it owns the process: no
 //! other test can touch the process-global registry first.
 
-use wbe_harness::runner::compile_workload_with;
+use wbe_harness::site::compile_workload_with;
 use wbe_heap::gc::MarkStyle;
 use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, GcPolicy, Value};
 use wbe_opt::{OptMode, PipelineConfig};

@@ -8,9 +8,8 @@
 
 use std::collections::HashMap;
 
-use wbe_repro::harness::runner::run_workload;
-use wbe_repro::heap::gc::MarkStyle;
-use wbe_repro::interp::{BarrierMode, StoreKind};
+use wbe_repro::harness::site::{observe, RunSpec};
+use wbe_repro::interp::StoreKind;
 use wbe_repro::opt::OptMode;
 use wbe_repro::workloads::by_name;
 
@@ -26,16 +25,17 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(w.default_iters / 10);
 
-    let run = run_workload(
-        &w,
-        OptMode::Full,
-        100,
-        iters,
-        BarrierMode::Checked,
-        MarkStyle::Satb,
-        None,
-    );
-    let s = &run.summary;
+    // Exactly `iters` iterations: no scaled share, the count as the floor.
+    let spec = RunSpec {
+        scale: 0.0,
+        min_iters: iters,
+        ..RunSpec::paper(OptMode::Full, 100)
+    };
+    let run = observe(&w, &spec).completed().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
+    let s = run.summary();
     println!("workload {name} ({iters} iterations)");
     println!(
         "barriers: {} total | {:.1}% eliminated | {:.1}% potentially pre-null",

@@ -7,9 +7,7 @@
 //!
 //! Run with: `cargo run --example inline_sweep`
 
-use wbe_repro::harness::runner::run_workload;
-use wbe_repro::heap::gc::MarkStyle;
-use wbe_repro::interp::BarrierMode;
+use wbe_repro::harness::site::{observe, RunSpec};
 use wbe_repro::opt::OptMode;
 use wbe_repro::workloads::standard_suite;
 
@@ -20,19 +18,15 @@ fn main() {
         "workload", 0, 25, 50, 100, 200
     );
     for w in standard_suite() {
-        let iters = (w.default_iters / 10).max(32);
         let mut cells = Vec::new();
         for &limit in &limits {
-            let run = run_workload(
-                &w,
-                OptMode::Full,
-                limit,
-                iters,
-                BarrierMode::Checked,
-                MarkStyle::Satb,
-                None,
-            );
-            cells.push(run.summary.pct_eliminated());
+            let spec = RunSpec {
+                scale: 0.1,
+                min_iters: 32,
+                ..RunSpec::paper(OptMode::Full, limit)
+            };
+            let run = observe(&w, &spec).completed().unwrap();
+            cells.push(run.summary().pct_eliminated());
         }
         println!(
             "{:<9} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1}",

@@ -2,31 +2,38 @@
 //! (inline → analyze → elide → execute) with the soundness oracle and
 //! policy-driven garbage collection, under both marker styles.
 
-use wbe_repro::harness::runner::{compile_workload_with, run_workload};
+use wbe_repro::harness::site::{compile_workload_with, observe, Observed, RunSpec};
 use wbe_repro::heap::gc::MarkStyle;
 use wbe_repro::interp::{BarrierConfig, BarrierMode, GcPolicy, Interp, Value};
 use wbe_repro::opt::{OptMode, PipelineConfig};
-use wbe_repro::workloads::standard_suite;
+use wbe_repro::workloads::{standard_suite, Workload};
+
+/// A marking schedule dense enough that every workload cycles.
+const BUSY_GC: GcPolicy = GcPolicy {
+    alloc_trigger: 50,
+    step_interval: 32,
+    step_budget: 8,
+};
+
+/// Runs `w` under `spec`, failing the test on a trap.
+fn run(w: &Workload, spec: &RunSpec) -> Observed {
+    observe(w, spec)
+        .completed()
+        .unwrap_or_else(|e| panic!("{e}"))
+}
 
 /// The whole suite runs clean with elision armed and SATB GC active.
 #[test]
 fn suite_with_elision_and_satb_gc() {
+    let spec = RunSpec {
+        scale: 0.1,
+        min_iters: 64,
+        gc: Some(BUSY_GC),
+        ..RunSpec::paper(OptMode::Full, 100)
+    };
     for w in standard_suite() {
-        let iters = (w.default_iters / 10).max(64);
-        let run = run_workload(
-            &w,
-            OptMode::Full,
-            100,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::Satb,
-            Some(GcPolicy {
-                alloc_trigger: 50,
-                step_interval: 32,
-                step_budget: 8,
-            }),
-        );
-        assert!(run.summary.total() > 0, "{}", w.name);
+        let run = run(&w, &spec);
+        assert!(run.summary().total() > 0, "{}", w.name);
         assert!(
             run.stats.gc_cycles > 0,
             "{}: GC should cycle at this scale",
@@ -42,22 +49,15 @@ fn suite_with_elision_and_satb_gc() {
 /// collection must stay correct).
 #[test]
 fn suite_with_incremental_update_gc() {
+    let spec = RunSpec {
+        scale: 0.05,
+        min_iters: 32,
+        style: MarkStyle::IncrementalUpdate,
+        gc: Some(BUSY_GC),
+        ..RunSpec::paper(OptMode::Baseline, 100)
+    };
     for w in standard_suite() {
-        let iters = (w.default_iters / 20).max(32);
-        let run = run_workload(
-            &w,
-            OptMode::Baseline,
-            100,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::IncrementalUpdate,
-            Some(GcPolicy {
-                alloc_trigger: 50,
-                step_interval: 32,
-                step_budget: 8,
-            }),
-        );
-        assert!(run.stats.gc_cycles > 0, "{}", w.name);
+        assert!(run(&w, &spec).stats.gc_cycles > 0, "{}", w.name);
     }
 }
 
@@ -93,16 +93,15 @@ fn elision_is_semantically_transparent() {
 /// suite (the oracle validates each elided execution's proof).
 #[test]
 fn combined_elisions_pass_the_oracle() {
+    let spec = RunSpec {
+        pipeline: PipelineConfig::new(OptMode::Full, 100).with_null_or_same(),
+        scale: 0.1,
+        min_iters: 32,
+        gc: Some(GcPolicy::default()),
+        ..RunSpec::paper(OptMode::Full, 100)
+    };
     for w in standard_suite() {
-        let iters = (w.default_iters / 10).max(32);
-        let cfg = PipelineConfig::new(OptMode::Full, 100).with_null_or_same();
-        let (compiled, elided) = compile_workload_with(&w, &cfg);
-        let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided);
-        let mut interp = Interp::new(&compiled.program, bc);
-        interp.set_gc_policy(GcPolicy::default());
-        interp
-            .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-            .unwrap_or_else(|t| panic!("{}: {t}", w.name));
+        run(&w, &spec);
     }
 }
 
@@ -136,17 +135,13 @@ fn workloads_pass_the_full_verifier() {
 /// statically elided site must be dynamically always-pre-null.
 #[test]
 fn elided_sites_are_potentially_pre_null() {
+    let spec = RunSpec {
+        scale: 0.1,
+        min_iters: 64,
+        ..RunSpec::paper(OptMode::Full, 100)
+    };
     for w in standard_suite() {
-        let iters = (w.default_iters / 10).max(64);
-        let run = run_workload(
-            &w,
-            OptMode::Full,
-            100,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::Satb,
-            None,
-        );
+        let run = run(&w, &spec);
         for ((mid, addr, _), site) in run.stats.barrier.iter() {
             if run.elided.contains(*mid, *addr) {
                 assert!(

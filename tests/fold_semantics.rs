@@ -1,7 +1,7 @@
 //! Constant folding over the real workloads: semantics, verification,
 //! and elision soundness must all be preserved.
 
-use wbe_repro::harness::runner::compile_workload_with;
+use wbe_repro::harness::site::compile_workload_with;
 use wbe_repro::interp::{BarrierConfig, BarrierMode, Interp, Value};
 use wbe_repro::opt::{OptMode, PipelineConfig};
 use wbe_repro::workloads::standard_suite;

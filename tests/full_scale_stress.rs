@@ -4,7 +4,7 @@
 //! active simultaneously. Every oracle in the system is armed.
 
 use wbe_repro::analysis::stackalloc;
-use wbe_repro::harness::runner::compile_workload_with;
+use wbe_repro::harness::site::compile_workload_with;
 use wbe_repro::interp::{
     BarrierConfig, BarrierMode, GcPolicy, Interp, RearrangeRole, RearrangeSites, Value,
 };

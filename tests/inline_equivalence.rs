@@ -1,7 +1,7 @@
 //! Inlining must preserve workload semantics: runs at inline limit 0
 //! and 100 reach the same final heap, modulo GC scheduling.
 
-use wbe_repro::harness::runner::compile_workload_with;
+use wbe_repro::harness::site::compile_workload_with;
 use wbe_repro::heap::debug;
 use wbe_repro::interp::{BarrierConfig, BarrierMode, Interp, Value};
 use wbe_repro::opt::{OptMode, PipelineConfig};
