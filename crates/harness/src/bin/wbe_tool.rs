@@ -629,6 +629,11 @@ fn serve(rest: &[String]) -> i32 {
             _ => usage(),
         }
     }
+    let max = wbe_heap::sched::MAX_THREADS;
+    if !(1..=max).contains(&opts.connections) {
+        eprintln!("serve: --connections must be between 1 and {max}");
+        usage()
+    }
     let report = run_serve_cmd(&opts);
     emit(out.as_deref(), &report.render(), "serve report");
     if let Some(path) = &trace_out {

@@ -217,6 +217,30 @@ fn mcheck_bad_flag_exits_two() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+#[test]
+fn serve_connections_out_of_range_exit_two() {
+    // The runnable mask holds 31 connections and the marker; more used
+    // to overflow it mid-run.
+    for n in ["0", "32"] {
+        let out = tool()
+            .args(["serve", "--connections", n, "--requests", "16"])
+            .output()
+            .expect("spawn wbe_tool");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--connections {n}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "--connections {n}: no run, no report"
+        );
+        assert!(
+            stderr.contains("--connections must be between 1 and 31"),
+            "{stderr}"
+        );
+    }
+    let (code, stdout) = run(&["serve", "--connections", "31", "--requests", "16"]);
+    assert_eq!(code, Some(0), "stdout:\n{stdout}");
+}
+
 /// The sustained-overload invocation of the serve exit contract: the
 /// ladder is walked to its last rung, no SLO is set.
 fn serve_overloaded() -> Command {

@@ -42,6 +42,10 @@ pub enum HeapError {
     /// exhaustion). Recoverable: collecting may free space, so drivers
     /// retry after an emergency pause.
     AllocationFailed,
+    /// A scheduled world's configuration is out of range: more threads
+    /// than the runnable mask holds, or an empty table its mutators
+    /// index modulo its length.
+    BadWorld(&'static str),
 }
 
 impl fmt::Display for HeapError {
@@ -58,6 +62,7 @@ impl fmt::Display for HeapError {
             HeapError::StaticOutOfRange(i) => write!(f, "static {i} out of range"),
             HeapError::NegativeArrayLength(n) => write!(f, "negative array length {n}"),
             HeapError::AllocationFailed => write!(f, "allocation failed"),
+            HeapError::BadWorld(why) => write!(f, "bad world configuration: {why}"),
         }
     }
 }

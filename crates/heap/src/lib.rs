@@ -23,12 +23,15 @@
 //!   the optimistic array-rearrangement optimization.
 //!
 //! Concurrency is *stepped*: the driver interleaves mutator work and
-//! `mark_step` calls deterministically, and [`sched`] and [`overload`]
-//! run mutators as logical threads through one marking-cycle driver,
-//! [`cycle`] (per-thread SATB buffers, an epoch every thread
-//! acknowledges before the snapshot, a stop-the-world rendezvous), so
-//! every GC test and schedule is reproducible. `wbe-interp`'s
-//! interpreter is the same driver's one-thread host.
+//! `mark_step` calls deterministically. One scheduled world,
+//! [`sched::World`], runs mutators as logical threads through one
+//! marking-cycle driver, [`cycle`] (per-thread SATB buffers, an epoch
+//! every thread acknowledges before the snapshot, a stop-the-world
+//! rendezvous), with one run loop and one pick, so every GC test and
+//! schedule is reproducible; what its mutators do is a [`sched::Mix`] —
+//! [`sched`]'s list operations, which [`mcheck`] explores, or
+//! [`overload`]'s open-loop request serving under the pressure ladder.
+//! `wbe-interp`'s interpreter is the same driver's one-thread host.
 //!
 //! # Example
 //!

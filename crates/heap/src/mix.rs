@@ -13,6 +13,20 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
+
+    /// A weighted roll: index `i` with probability `weights[i]` over
+    /// their sum.
+    pub(crate) fn weighted(&mut self, weights: &[u16]) -> usize {
+        let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
+        let mut roll = self.next() % total;
+        for (i, &w) in weights.iter().enumerate() {
+            if roll < u64::from(w) {
+                return i;
+            }
+            roll -= u64::from(w);
+        }
+        0
+    }
 }
 
 /// FNV-1a over a byte stream, continuing from `seed` (0 starts a fresh

@@ -1,10 +1,9 @@
-//! Deterministic server world: open-loop load against the pressure
-//! ladder.
+//! The serve mix: open-loop load against the pressure ladder.
 //!
-//! Where [`crate::sched`] interleaves a handful of list-churning
-//! mutators to hunt *soundness* races, this module models the workload
-//! shape ROADMAP item 4 asks for — a session-store/request-handler
-//! server — to exercise *robustness under pressure*: per-request
+//! Where [`crate::sched`]'s lists mix interleaves a handful of
+//! list-churning mutators to hunt *soundness* races, this mix models the
+//! workload shape ROADMAP item 4 asks for — a session-store/request-
+//! handler server — to exercise *robustness under pressure*: per-request
 //! allocation bursts, shared LRU-cache churn, and connection-table
 //! turnover, all driven by a seeded **open-loop** arrival process that
 //! does not slow down when the collector falls behind. That is exactly
@@ -20,11 +19,13 @@
 //! * **emergency** — a forced stop-the-world collection, rate-limited
 //!   by the controller's cooldown.
 //!
-//! Connections speak the same SATB safepoint protocol as the scheduler
-//! worlds — the one in `cycle.rs`: per-thread SATB buffers, epoch
-//! arm/ack, stop-the-world rendezvous — so the overload run is also a
-//! soundness run: the snapshot audit and heap invariant checks from
-//! [`crate::verify`] run at every cycle boundary.
+//! The connections are the mutator threads of a [`World`], the one
+//! scheduled world: it owns the heap, the marking-cycle driver, the
+//! shared root array, the pick and the run loop, so the overload run is
+//! also a soundness run — the snapshot audit and heap invariant checks
+//! from [`crate::verify`] run at every cycle boundary. This module
+//! supplies the requests, the arrivals before each pick, and the ladder
+//! as the marker's host policy.
 //!
 //! Everything is a pure function of [`ServeWorldConfig`]: arrivals,
 //! request mixes, scheduling choices, and fault decisions all come from
@@ -35,17 +36,13 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use crate::cycle::{self, CycleDriver, CycleEvent, CycleHost, CyclePhase, MarkerCtl};
+use crate::cycle::{self, CycleEvent, CyclePhase, MarkerCtl};
 use crate::fault::{FaultConfig, FaultPlan};
-use crate::gc::MarkStyle;
 use crate::heap::{Heap, HeapError};
 use crate::mix::{fnv1a, SplitMix64};
 use crate::pressure::{PressureConfig, PressureController, PressureLevel, PressureTransition};
+use crate::sched::{self, Mix, SchedulePolicy, ScheduleViolation, ViolationKind, World};
 use crate::value::{FieldShape, GcRef, Value};
-
-/// Hard cap on scheduler steps per serve run; exceeding it surfaces as
-/// a protocol violation rather than a hang.
-const STEP_CAP: usize = 4_000_000;
 
 /// Field shape of session/cache/connection nodes: `f0` = next link,
 /// `f1` = payload cross-reference.
@@ -120,9 +117,10 @@ impl fmt::Display for ServeScenario {
 /// Configuration of one serve world.
 #[derive(Clone, Debug)]
 pub struct ServeWorldConfig {
-    /// Tenants (each owns a session chain slot).
+    /// Tenants (each owns a session chain slot; at least one).
     pub tenants: usize,
-    /// Connections: the mutator logical threads requests are handled on.
+    /// Connections: the mutator logical threads requests are handled on
+    /// (1 to [`sched::MAX_THREADS`]).
     pub connections: usize,
     /// Request mix.
     pub scenario: ServeScenario,
@@ -135,7 +133,7 @@ pub struct ServeWorldConfig {
     pub arrivals_per_window: u32,
     /// Allocation-burst length: work units (≈ allocations) per request.
     pub request_ops: u32,
-    /// Shared-LRU cache slots.
+    /// Shared-LRU cache slots (at least one).
     pub lru_slots: usize,
     /// Workload ops between safepoint polls per connection.
     pub poll_interval: u32,
@@ -273,25 +271,8 @@ impl ServeCounters {
     }
 }
 
-/// A soundness violation observed during a serve run (the serve world
-/// runs the same snapshot audit and invariant checks as the scheduler
-/// worlds; any entry here is a reproduction-level bug).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ServeViolation {
-    /// Scheduler step at which it was detected.
-    pub step: usize,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
-impl fmt::Display for ServeViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "step {}: {}", self.step, self.detail)
-    }
-}
-
 /// The result of one serve run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServeOutcome {
     /// Deterministic counters.
     pub counters: ServeCounters,
@@ -304,8 +285,10 @@ pub struct ServeOutcome {
     pub pressure: crate::pressure::PressureStats,
     /// The highest rung the run reached.
     pub high_water: PressureLevel,
-    /// Soundness violations (empty ⇔ the run is sound).
-    pub violations: Vec<ServeViolation>,
+    /// Soundness violations (empty ⇔ the run is sound). The serve world
+    /// runs the same snapshot audit and invariant checks as the lists
+    /// world; any entry here is a reproduction-level bug.
+    pub violations: Vec<ScheduleViolation>,
 }
 
 impl ServeOutcome {
@@ -343,7 +326,7 @@ struct Request {
 }
 
 /// Per-connection logical-thread state (its share of the safepoint
-/// protocol is in the [`CycleDriver`]).
+/// protocol is in the world's cycle driver).
 #[derive(Debug)]
 struct Connection {
     queue: VecDeque<Request>,
@@ -354,16 +337,13 @@ struct Connection {
     held: Option<GcRef>,
 }
 
-/// The serve world: heap, cycle protocol, connections, ladder.
-pub struct ServeWorld {
+/// The serve mix: connections, the arrival process and the ladder. The
+/// world's shared root array holds, at `[0..tenants)`, the session-chain
+/// heads, at `[tenants..tenants+lru_slots)` the LRU cache, and after
+/// them one connection-table entry per connection.
+pub struct ServeMix {
     cfg: ServeWorldConfig,
-    heap: Heap,
-    cycle: CycleDriver,
     conns: Vec<Connection>,
-    /// Shared root array: slots `[0..tenants)` = session-chain heads,
-    /// `[tenants..tenants+lru_slots)` = LRU cache, the rest (one per
-    /// connection) = connection-table entries.
-    shared: GcRef,
     /// Head inserts per tenant since the chain was last reset.
     chain_age: Vec<u64>,
     pressure: PressureController,
@@ -373,20 +353,172 @@ pub struct ServeWorld {
     next_conn: usize,
     next_lru: usize,
     rng_arrivals: SplitMix64,
-    rng_sched: SplitMix64,
     counters: ServeCounters,
     latencies: Vec<u64>,
-    violations: Vec<ServeViolation>,
-    step: usize,
     latency_hist: wbe_telemetry::Histogram,
 }
+
+/// The serve world.
+pub type ServeWorld = World<ServeMix>;
 
 impl ServeWorld {
     /// Builds the world: tenant tables, LRU slots, and connection-table
     /// entries are pre-allocated (bypassing the fault plan, which is
-    /// installed afterwards).
+    /// installed afterwards). A configuration with no tenant, LRU slot
+    /// or connection, or more connections than
+    /// [`sched::MAX_THREADS`], is rejected.
     pub fn new(cfg: &ServeWorldConfig) -> Result<ServeWorld, HeapError> {
-        let mut heap = Heap::new(MarkStyle::Satb);
+        World::build(cfg, &SchedulePolicy::Random { seed: cfg.seed })
+    }
+
+    /// Feeds occupancy to the ladder and latches its actuation signals
+    /// for this window.
+    fn observe_pressure(&mut self) {
+        let live = self.heap.store.live_count();
+        let m = &mut self.mix;
+        m.current_level = m.pressure.observe(live);
+        if m.pressure.emergency_pause_due() {
+            m.emergency_requested = true;
+        }
+        if wbe_telemetry::tracing_enabled() {
+            wbe_telemetry::trace::counter_event("serve.heap.occupancy", live as u64);
+        }
+    }
+
+    /// One arrival window of the open-loop generator: admit (or shed)
+    /// the base arrivals plus any fault-injected overload burst.
+    fn arrival_window(&mut self) {
+        self.observe_pressure();
+        let mut n = u64::from(self.mix.cfg.arrivals_per_window);
+        if let Some(extra) = self.heap.fault.as_mut().and_then(FaultPlan::overload_burst) {
+            self.mix.counters.overload_bursts += 1;
+            n += u64::from(extra);
+            wbe_telemetry::event!(
+                "serve.fault.overload_burst",
+                "+{extra} requests step {}",
+                self.step
+            );
+        }
+        let (step, cycles, m) = (self.step, self.cycles, &mut self.mix);
+        let weights = m.cfg.scenario.weights();
+        for _ in 0..n {
+            if m.arrivals_left == 0 {
+                break;
+            }
+            m.arrivals_left -= 1;
+            m.counters.offered += 1;
+            // Request identity is drawn whether or not it is admitted,
+            // so shedding never shifts the arrival stream.
+            let kind = m.rng_arrivals.weighted(&weights);
+            let tenant = (m.rng_arrivals.next() % m.cfg.tenants as u64) as usize;
+            if m.current_level >= PressureLevel::Shedding {
+                m.counters.shed += 1;
+                m.pressure.note_shed();
+                continue;
+            }
+            m.counters.admitted += 1;
+            let conn = m.next_conn;
+            m.next_conn = (m.next_conn + 1) % m.cfg.connections;
+            m.conns[conn].queue.push_back(Request {
+                arrived_at: step,
+                ops_left: m.cfg.request_ops.max(1),
+                kind,
+                tenant,
+                pauses_at_admit: cycles,
+            });
+        }
+    }
+
+    /// One work unit of a request: an allocation plus the store pattern
+    /// of its request type.
+    fn request_op(&mut self, tid: usize, req: &Request) {
+        let new = match self.heap.alloc_object(req.tenant as u32, &NODE) {
+            Ok(r) => r,
+            Err(HeapError::AllocationFailed) => {
+                self.mix.counters.alloc_faults += 1;
+                return;
+            }
+            Err(e) => {
+                self.violation(ViolationKind::Protocol, format!("alloc failed: {e}"));
+                return;
+            }
+        };
+        self.mix.counters.allocs += 1;
+        self.mix.conns[tid].held = Some(new);
+        let (tenants, lru_slots) = (self.mix.cfg.tenants, self.mix.cfg.lru_slots);
+        match req.kind {
+            // Session put: head-insert into the tenant chain. The
+            // `new.f0 = old_head` store is the paper's elidable pre-null
+            // initializing store; the slot overwrite carries the full
+            // deletion barrier. Every CHAIN_RESET inserts the chain is
+            // dropped wholesale (its nodes become garbage).
+            0 => {
+                let t = req.tenant as i64;
+                let old_head = self.heap.get_elem(self.shared, t).ok().flatten();
+                self.mix.chain_age[req.tenant] += 1;
+                if !self.mix.chain_age[req.tenant].is_multiple_of(CHAIN_RESET) {
+                    if let Some(h) = old_head {
+                        if self.cycle.elide_allowed(tid) {
+                            self.mix.counters.elided_stores += 1;
+                        }
+                        let _ = self.heap.set_field(new, 0, Value::from(h));
+                    }
+                }
+                if let Some(old) = old_head {
+                    cycle::barrier_log(self, tid, old);
+                }
+                let _ = self.heap.set_elem(self.shared, t, Some(new));
+            }
+            // Cache publish: round-robin LRU slot overwrite; the
+            // evicted entry becomes garbage.
+            1 => {
+                let slot = (tenants + self.mix.next_lru) as i64;
+                self.mix.next_lru = (self.mix.next_lru + 1) % lru_slots;
+                if let Ok(Some(old)) = self.heap.get_elem(self.shared, slot) {
+                    cycle::barrier_log(self, tid, old);
+                }
+                let _ = self.heap.set_elem(self.shared, slot, Some(new));
+            }
+            // Connection churn: replace this connection's table entry,
+            // cross-linking the new entry to the old (the old entry and
+            // its history die together at the next reset).
+            _ => {
+                let slot = (tenants + lru_slots + tid) as i64;
+                if let Ok(Some(old)) = self.heap.get_elem(self.shared, slot) {
+                    cycle::barrier_log(self, tid, old);
+                    let _ = self.heap.set_field(new, 1, Value::from(old));
+                }
+                let _ = self.heap.set_elem(self.shared, slot, Some(new));
+            }
+        }
+    }
+}
+
+impl Mix for ServeMix {
+    type Config = ServeWorldConfig;
+    type Outcome = ServeOutcome;
+    const PICK_SALT: u64 = 0x5c4e_d01e;
+
+    fn threads(cfg: &ServeWorldConfig) -> usize {
+        cfg.connections
+    }
+
+    fn cycle_gap(cfg: &ServeWorldConfig) -> u32 {
+        cfg.cycle_gap
+    }
+
+    fn build(
+        cfg: &ServeWorldConfig,
+        heap: &mut Heap,
+        seed: u64,
+    ) -> Result<(Self, GcRef), HeapError> {
+        // Arrivals spread over connections, pick tenants and cycle LRU
+        // slots modulo their counts.
+        if cfg.tenants == 0 || cfg.lru_slots == 0 || cfg.connections == 0 {
+            return Err(HeapError::BadWorld(
+                "a serve world needs a tenant, an LRU slot and a connection",
+            ));
+        }
         let slots = cfg.tenants + cfg.lru_slots + cfg.connections;
         let shared = heap.alloc_ref_array(u32::MAX, slots as i64)?;
         for t in 0..cfg.tenants {
@@ -402,10 +534,8 @@ impl ServeWorld {
             )?;
         }
         heap.fault = cfg.fault.map(FaultPlan::new);
-        Ok(ServeWorld {
+        let mix = ServeMix {
             cfg: cfg.clone(),
-            heap,
-            cycle: CycleDriver::new(cfg.connections, cfg.cycle_gap),
             conns: (0..cfg.connections)
                 .map(|_| Connection {
                     queue: VecDeque::new(),
@@ -413,7 +543,6 @@ impl ServeWorld {
                     held: None,
                 })
                 .collect(),
-            shared,
             chain_age: vec![0; cfg.tenants],
             pressure: PressureController::new(cfg.pressure),
             current_level: PressureLevel::Nominal,
@@ -421,368 +550,171 @@ impl ServeWorld {
             arrivals_left: cfg.requests,
             next_conn: 0,
             next_lru: 0,
-            rng_arrivals: SplitMix64(cfg.seed ^ 0xa11c_0de5),
-            rng_sched: SplitMix64(cfg.seed.rotate_left(32) ^ 0x5c4e_d01e),
+            rng_arrivals: SplitMix64(seed ^ 0xa11c_0de5),
             counters: ServeCounters::default(),
             latencies: Vec::new(),
-            violations: Vec::new(),
-            step: 0,
             latency_hist: wbe_telemetry::histogram("serve.request.latency_steps"),
-        })
+        };
+        Ok((mix, shared))
     }
 
-    fn violation(&mut self, detail: String) {
-        self.violations.push(ServeViolation {
-            step: self.step,
-            detail,
-        });
+    /// A connection steps while it has queued work or owes the protocol
+    /// a poll.
+    fn has_duty(w: &ServeWorld, tid: usize) -> bool {
+        !w.mix.conns[tid].queue.is_empty() || w.cycle.owes_poll(tid)
     }
 
-    fn work_drained(&self) -> bool {
-        self.arrivals_left == 0 && self.conns.iter().all(|c| c.queue.is_empty())
+    fn drained(w: &ServeWorld) -> bool {
+        w.mix.arrivals_left == 0 && w.mix.conns.iter().all(|c| c.queue.is_empty())
     }
 
-    fn finished(&self) -> bool {
-        self.work_drained()
-            && matches!(self.cycle.phase(), CyclePhase::Idle { .. })
-            && !self.emergency_requested
-            && self.counters.cycles > 0
+    fn stw_due(&self) -> bool {
+        self.emergency_requested
     }
 
-    /// Feeds occupancy to the ladder and latches its actuation signals
-    /// for this window.
-    fn observe_pressure(&mut self) {
-        self.current_level = self.pressure.observe(self.heap.store.live_count());
-        if self.pressure.emergency_pause_due() {
-            self.emergency_requested = true;
-        }
-        if wbe_telemetry::tracing_enabled() {
-            wbe_telemetry::trace::counter_event(
-                "serve.heap.occupancy",
-                self.heap.store.live_count() as u64,
-            );
+    /// The open-loop generator's arrival window, every
+    /// `arrival_interval` steps until the requests run out.
+    fn before_pick(w: &mut ServeWorld) {
+        if w.step.is_multiple_of(w.mix.cfg.arrival_interval as usize) && w.mix.arrivals_left > 0 {
+            w.arrival_window();
         }
     }
 
-    /// One arrival window of the open-loop generator: admit (or shed)
-    /// the base arrivals plus any fault-injected overload burst.
-    fn arrival_window(&mut self) {
-        self.observe_pressure();
-        let mut n = u64::from(self.cfg.arrivals_per_window);
-        if let Some(extra) = self.heap.fault.as_mut().and_then(FaultPlan::overload_burst) {
-            self.counters.overload_bursts += 1;
-            n += u64::from(extra);
-            wbe_telemetry::event!(
-                "serve.fault.overload_burst",
-                "+{extra} requests step {}",
-                self.step
-            );
-        }
-        let weights = self.cfg.scenario.weights();
-        let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
-        for _ in 0..n {
-            if self.arrivals_left == 0 {
-                break;
-            }
-            self.arrivals_left -= 1;
-            self.counters.offered += 1;
-            // Request identity is drawn whether or not it is admitted,
-            // so shedding never shifts the arrival stream.
-            let mut roll = self.rng_arrivals.next() % total;
-            let mut kind = 0;
-            for (i, &w) in weights.iter().enumerate() {
-                if roll < u64::from(w) {
-                    kind = i;
-                    break;
-                }
-                roll -= u64::from(w);
-            }
-            let tenant = (self.rng_arrivals.next() % self.cfg.tenants as u64) as usize;
-            if self.current_level >= PressureLevel::Shedding {
-                self.counters.shed += 1;
-                self.pressure.note_shed();
-                continue;
-            }
-            self.counters.admitted += 1;
-            let conn = self.next_conn;
-            self.next_conn = (self.next_conn + 1) % self.cfg.connections;
-            self.conns[conn].queue.push_back(Request {
-                arrived_at: self.step,
-                ops_left: self.cfg.request_ops.max(1),
-                kind,
-                tenant,
-                pauses_at_admit: self.counters.cycles,
-            });
-        }
-    }
-
-    /// Bitmask of runnable logical threads (bit `connections` = marker).
-    fn runnable_mask(&self) -> u32 {
-        let mut mask = 0u32;
-        for (tid, c) in self.conns.iter().enumerate() {
-            let has_duty = !c.queue.is_empty() || self.cycle.owes_poll(tid);
-            if has_duty && !self.cycle.halted(tid) {
-                mask |= 1 << tid;
-            }
-        }
-        let marker_runnable = self.emergency_requested
-            || match self.cycle.phase() {
-                CyclePhase::Idle { .. } => {
-                    if self.work_drained() {
-                        self.counters.cycles == 0
-                    } else {
-                        true
-                    }
-                }
-                CyclePhase::Arming => self.cycle.all_acked(),
-                CyclePhase::Marking => true,
-                CyclePhase::Rendezvous => self.cycle.all_halted(),
-            };
-        if marker_runnable {
-            mask |= 1 << self.cfg.connections;
-        }
-        mask
-    }
-
-    /// One step of connection `tid`: a safepoint poll when one is due
-    /// (or when idle with protocol duties pending), a forfeited slice
-    /// under throttling, else one unit of request work.
-    fn connection_step(&mut self, tid: usize) {
-        let idle = self.conns[tid].queue.is_empty();
-        let poll_due = self.cycle.since_poll(tid) >= self.cfg.poll_interval;
+    /// A safepoint poll when one is due (or when idle with protocol
+    /// duties pending), a forfeited slice under throttling, else one
+    /// unit of request work.
+    fn thread_step(w: &mut ServeWorld, tid: usize) {
+        let idle = w.mix.conns[tid].queue.is_empty();
+        let poll_due = w.cycle.since_poll(tid) >= w.mix.cfg.poll_interval;
         if idle || poll_due {
-            cycle::poll(self, tid, false);
+            cycle::poll(w, tid, false);
             return;
         }
-        if self.current_level >= PressureLevel::Throttling && !self.conns[tid].stalled_last {
+        let m = &mut w.mix;
+        if m.current_level >= PressureLevel::Throttling && !m.conns[tid].stalled_last {
             // Backpressure: forfeit this slice. The open-loop generator
             // keeps arriving, so the queue (and latency) grows — which
             // is the point: the mutator burns less, the marker catches
             // up.
-            self.conns[tid].stalled_last = true;
-            self.counters.throttle_stalls += self.pressure.note_throttle_stall();
+            m.conns[tid].stalled_last = true;
+            m.counters.throttle_stalls += m.pressure.note_throttle_stall();
             return;
         }
-        self.conns[tid].stalled_last = false;
-        self.cycle.count_op(tid);
-        self.counters.ops += 1;
-        let req = self.conns[tid].queue.front().copied();
-        let Some(mut req) = req else { return };
-        self.request_op(tid, &req);
+        m.conns[tid].stalled_last = false;
+        m.counters.ops += 1;
+        w.cycle.count_op(tid);
+        let Some(mut req) = w.mix.conns[tid].queue.front().copied() else {
+            return;
+        };
+        w.request_op(tid, &req);
         req.ops_left -= 1;
+        let m = &mut w.mix;
         if req.ops_left == 0 {
-            self.conns[tid].queue.pop_front();
-            self.counters.completed += 1;
-            let latency = (self.step - req.arrived_at) as u64;
-            self.latencies.push(latency);
-            self.latency_hist.record(latency);
-            if self.counters.cycles > req.pauses_at_admit {
-                self.counters.stw_overlapped += 1;
+            m.conns[tid].queue.pop_front();
+            m.counters.completed += 1;
+            let latency = (w.step - req.arrived_at) as u64;
+            m.latencies.push(latency);
+            m.latency_hist.record(latency);
+            if w.cycles > req.pauses_at_admit {
+                m.counters.stw_overlapped += 1;
             }
         } else {
-            *self.conns[tid].queue.front_mut().expect("front exists") = req;
+            *m.conns[tid].queue.front_mut().expect("front exists") = req;
         }
     }
 
-    /// One work unit of a request: an allocation plus the store pattern
-    /// of its request type.
-    fn request_op(&mut self, tid: usize, req: &Request) {
-        let new = match self.heap.alloc_object(req.tenant as u32, &NODE) {
-            Ok(r) => r,
-            Err(HeapError::AllocationFailed) => {
-                self.counters.alloc_faults += 1;
-                return;
-            }
-            Err(e) => {
-                self.violation(format!("alloc failed: {e}"));
-                return;
-            }
-        };
-        self.counters.allocs += 1;
-        self.conns[tid].held = Some(new);
-        match req.kind {
-            // Session put: head-insert into the tenant chain. The
-            // `new.f0 = old_head` store is the paper's elidable pre-null
-            // initializing store; the slot overwrite carries the full
-            // deletion barrier. Every CHAIN_RESET inserts the chain is
-            // dropped wholesale (its nodes become garbage).
-            0 => {
-                let t = req.tenant as i64;
-                let old_head = self.heap.get_elem(self.shared, t).ok().flatten();
-                self.chain_age[req.tenant] += 1;
-                if !self.chain_age[req.tenant].is_multiple_of(CHAIN_RESET) {
-                    if let Some(h) = old_head {
-                        if self.cycle.elide_allowed(tid) {
-                            self.counters.elided_stores += 1;
-                        }
-                        let _ = self.heap.set_field(new, 0, Value::from(h));
-                    }
-                }
-                if let Some(old) = old_head {
-                    cycle::barrier_log(self, tid, old);
-                }
-                let _ = self.heap.set_elem(self.shared, t, Some(new));
-            }
-            // Cache publish: round-robin LRU slot overwrite; the
-            // evicted entry becomes garbage.
-            1 => {
-                let slot = (self.cfg.tenants + self.next_lru) as i64;
-                self.next_lru = (self.next_lru + 1) % self.cfg.lru_slots;
-                if let Ok(Some(old)) = self.heap.get_elem(self.shared, slot) {
-                    cycle::barrier_log(self, tid, old);
-                }
-                let _ = self.heap.set_elem(self.shared, slot, Some(new));
-            }
-            // Connection churn: replace this connection's table entry,
-            // cross-linking the new entry to the old (the old entry and
-            // its history die together at the next reset).
-            _ => {
-                let slot = (self.cfg.tenants + self.cfg.lru_slots + tid) as i64;
-                if let Ok(Some(old)) = self.heap.get_elem(self.shared, slot) {
-                    cycle::barrier_log(self, tid, old);
-                    let _ = self.heap.set_field(new, 1, Value::from(old));
-                }
-                let _ = self.heap.set_elem(self.shared, slot, Some(new));
-            }
-        }
-    }
-
-    /// One step of the marker, with ladder pacing: at `Pacing` or above
-    /// the idle countdown collapses (the cycle arms now) and the marking
-    /// budget doubles.
-    fn marker_step(&mut self) {
-        if self.emergency_requested {
-            self.emergency_stw();
-            return;
-        }
-        if self.pacing()
-            && matches!(self.cycle.phase(), CyclePhase::Idle { countdown } if countdown > 0)
-        {
-            self.pressure.note_pace_start();
+    /// The ladder as the marker's host policy: at `Pacing` or above the
+    /// idle countdown collapses (the cycle arms now) and the marking
+    /// budget doubles; at its final rung, a forced stop-the-world
+    /// collection as one atomic step, whatever the marker was doing.
+    fn marker_ctl(w: &mut ServeWorld) -> Option<MarkerCtl> {
+        let step = w.step;
+        let m = &mut w.mix;
+        if m.emergency_requested {
+            m.emergency_requested = false;
+            m.pressure.note_emergency_pause();
+            m.counters.emergency_stw += 1;
             wbe_telemetry::event!(
-                "serve.pressure.pace_start",
-                "cycle armed early step {}",
-                self.step
+                "serve.pressure.emergency_stw",
+                "forced collection step {step}"
             );
+            return None;
         }
-        let boost = if self.pacing() { 2 } else { 1 };
-        let ctl = MarkerCtl {
-            arm_now: self.work_drained() || self.pacing(),
+        let pacing = m.current_level >= PressureLevel::Pacing;
+        if pacing && matches!(w.cycle.phase(), CyclePhase::Idle { countdown } if countdown > 0) {
+            m.pressure.note_pace_start();
+            wbe_telemetry::event!("serve.pressure.pace_start", "cycle armed early step {step}");
+        }
+        let budget = m.cfg.mark_budget.saturating_mul(if pacing { 2 } else { 1 });
+        Some(MarkerCtl {
+            arm_now: Self::drained(w) || pacing,
             give_up_arm: false,
-            budget: self.cfg.mark_budget.saturating_mul(boost),
-        };
-        cycle::step(self, ctl);
+            budget,
+        })
     }
 
-    fn pacing(&self) -> bool {
-        self.current_level >= PressureLevel::Pacing
-    }
-
-    /// The ladder's final rung: a forced stop-the-world collection as
-    /// one atomic step ([`cycle::force_stw`]), whatever the marker was
-    /// doing.
-    fn emergency_stw(&mut self) {
-        self.emergency_requested = false;
-        self.pressure.note_emergency_pause();
-        self.counters.emergency_stw += 1;
-        wbe_telemetry::event!(
-            "serve.pressure.emergency_stw",
-            "forced collection step {}",
-            self.step
-        );
-        cycle::force_stw(self);
-        self.observe_pressure();
-    }
-
-    /// Runs the world to completion.
-    fn run(mut self) -> ServeOutcome {
-        while !self.finished() {
-            if self.step >= STEP_CAP {
-                self.violation(format!("no termination after {STEP_CAP} steps"));
-                break;
-            }
-            if self.step.is_multiple_of(self.cfg.arrival_interval as usize)
-                && self.arrivals_left > 0
-            {
-                self.arrival_window();
-            }
-            let mask = self.runnable_mask();
-            if mask == 0 {
-                self.violation("no runnable thread".to_string());
-                break;
-            }
-            let n = mask.count_ones() as u64;
-            let mut k = self.rng_sched.next() % n;
-            let mut pick = self.cfg.connections;
-            for t in 0..=self.cfg.connections {
-                if mask & (1 << t) != 0 {
-                    if k == 0 {
-                        pick = t;
-                        break;
-                    }
-                    k -= 1;
-                }
-            }
-            self.counters.steps += 1;
-            if pick == self.cfg.connections {
-                self.marker_step();
-            } else {
-                self.connection_step(pick);
-            }
-            self.step += 1;
-        }
-        self.pressure.publish_metrics();
-        self.heap.gc.publish_metrics();
-        self.counters.publish();
-        ServeOutcome {
-            counters: self.counters,
-            latencies: self.latencies,
-            transitions: self.pressure.transitions().to_vec(),
-            pressure: self.pressure.stats,
-            high_water: self.pressure.high_water(),
-            violations: self.violations,
+    /// A forced collection changed occupancy: the ladder looks again.
+    fn marker_stepped(w: &mut ServeWorld, forced: bool) {
+        if forced {
+            w.observe_pressure();
         }
     }
-}
 
-impl CycleHost for ServeWorld {
-    fn parts(&mut self) -> (&mut CycleDriver, &mut Heap) {
-        (&mut self.cycle, &mut self.heap)
+    fn local_roots(&self) -> impl Iterator<Item = GcRef> + '_ {
+        self.conns.iter().filter_map(|c| c.held)
     }
 
-    /// The shared table plus every connection's held scratch.
-    fn roots(&self) -> Vec<GcRef> {
-        let mut roots = vec![self.shared];
-        roots.extend(self.conns.iter().filter_map(|c| c.held));
-        roots
-    }
-
-    fn on(&mut self, event: CycleEvent) {
-        let c = &mut self.counters;
+    fn on(w: &mut ServeWorld, event: CycleEvent) {
+        let c = &mut w.mix.counters;
         match event {
             CycleEvent::Logged => c.satb_logged += 1,
             CycleEvent::Flushed(..) => c.flushes += 1,
             CycleEvent::Acked(_) => c.safepoint_acks += 1,
             CycleEvent::Parked => c.parks += 1,
             CycleEvent::Marked(Some(did)) => c.mark_work += did as u64,
-            CycleEvent::Violation(_, detail) => self.violation(detail),
             // A collection changed occupancy: the ladder observes it
             // before any connection resumes.
             CycleEvent::Ended(pause, swept) => {
-                c.cycles += 1;
                 c.pause_work += pause.work_units() as u64;
                 c.swept += swept as u64;
                 wbe_telemetry::event!(
                     "serve.gc.stw",
                     "cycle {} pause {} swept {swept} step {}",
-                    c.cycles,
+                    w.cycles,
                     pause.work_units(),
-                    self.step
+                    w.step
                 );
-                self.observe_pressure();
+                w.observe_pressure();
             }
-            // The rest is what only the scheduler world reports.
+            // The rest is what only the lists mix reports.
             _ => {}
+        }
+    }
+
+    fn finish(mut w: ServeWorld) -> ServeOutcome {
+        w.mix.pressure.publish_metrics();
+        let counters = ServeCounters {
+            steps: w.step as u64,
+            cycles: w.cycles,
+            ..w.mix.counters
+        };
+        counters.publish();
+        let m = w.mix;
+        ServeOutcome {
+            counters,
+            latencies: m.latencies,
+            transitions: m.pressure.transitions().to_vec(),
+            pressure: m.pressure.stats,
+            high_water: m.pressure.high_water(),
+            violations: w.violations,
+        }
+    }
+
+    fn unbuilt(violation: ScheduleViolation) -> ServeOutcome {
+        let violations = vec![violation];
+        ServeOutcome {
+            violations,
+            ..ServeOutcome::default()
         }
     }
 }
@@ -790,20 +722,7 @@ impl CycleHost for ServeWorld {
 /// Runs one serve world to completion. Fully deterministic: equal
 /// configurations give equal outcomes, bit for bit.
 pub fn run_serve(cfg: &ServeWorldConfig) -> ServeOutcome {
-    match ServeWorld::new(cfg) {
-        Ok(world) => world.run(),
-        Err(e) => ServeOutcome {
-            counters: ServeCounters::default(),
-            latencies: Vec::new(),
-            transitions: Vec::new(),
-            pressure: crate::pressure::PressureStats::default(),
-            high_water: PressureLevel::Nominal,
-            violations: vec![ServeViolation {
-                step: 0,
-                detail: format!("world construction failed: {e}"),
-            }],
-        },
-    }
+    sched::run::<ServeMix>(cfg, &SchedulePolicy::Random { seed: cfg.seed })
 }
 
 #[cfg(test)]

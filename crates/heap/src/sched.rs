@@ -1,27 +1,33 @@
-//! Deterministic cooperative multi-mutator scheduler.
+//! The scheduled world: deterministic cooperative mutators over one
+//! [`Heap`].
 //!
-//! Runs N mutator machines plus the concurrent marker as *logical*
-//! threads over one [`Heap`]. Every step, a scheduling policy picks one
-//! runnable logical thread and lets it execute exactly one atomic
-//! action; the resulting interleaving is a pure function of the policy
-//! (a seed, or an explicit choice script), so any schedule — including
-//! a failing one — replays bit for bit.
+//! A [`World`] runs N mutator machines plus the concurrent marker as
+//! *logical* threads. Every step, a scheduling policy picks one runnable
+//! logical thread and lets it execute exactly one atomic action; the
+//! resulting interleaving is a pure function of the policy (a seed, or
+//! an explicit choice script), so any schedule — including a failing
+//! one — replays bit for bit.
 //!
-//! The mutators speak the real SATB safepoint protocol — per-thread
-//! buffers flushed at polls, an epoch arm every mutator acknowledges
-//! before the snapshot, a stop-the-world rendezvous for the remark +
-//! sweep — which `cycle.rs` drives for this world and for
-//! [`crate::overload`].
+//! The world owns what every schedule shares: the heap, the
+//! marking-cycle driver of `cycle.rs` (per-thread SATB buffers flushed
+//! at polls, an epoch arm every mutator acknowledges before the
+//! snapshot, a stop-the-world rendezvous for the remark + sweep), the
+//! shared root array, the step and cycle counts, the violations, the
+//! runnable mask, the pick and the run loop. What the mutators *do* is a
+//! [`Mix`], statically dispatched: this module's [`ListsMix`] — four
+//! list operations under a [`Scenario`], the world [`crate::mcheck`]
+//! explores — and [`crate::overload`]'s request-serving mix.
 //!
-//! Two scheduling *hints* model the pacing a real runtime exhibits:
-//! the marker **rests** for one scheduling decision after the snapshot
-//! and after each marking slice (incremental collectors yield between
-//! slices), and a mutator **yields** one decision after acknowledging
-//! an epoch (the safepoint handshake returns to the scheduler). Hints
-//! only bias the choice — a policy that would otherwise pick a resting
-//! thread falls back to the full runnable set — but they put the
-//! mutator-store-into-marking-window races within reach of a small
-//! preemption bound for the systematic explorer.
+//! The lists mix adds two scheduling *hints* that model the pacing a
+//! real runtime exhibits: the marker **rests** for one scheduling
+//! decision after the snapshot and after each marking slice
+//! (incremental collectors yield between slices), and a mutator
+//! **yields** one decision after acknowledging an epoch (the safepoint
+//! handshake returns to the scheduler). Hints only bias the choice — a
+//! policy that would otherwise pick a resting thread falls back to the
+//! full runnable set — but they put the mutator-store-into-marking-window
+//! races within reach of a small preemption bound for the systematic
+//! explorer.
 //!
 //! Each schedule audits itself: the snapshot-reachable set recorded at
 //! `begin_marking` must still be fully live after that cycle's sweep
@@ -40,9 +46,13 @@ use crate::heap::{Heap, HeapError};
 use crate::mix::{fnv1a, SplitMix64};
 use crate::value::{FieldShape, GcRef, Value};
 
-/// Hard cap on scheduler steps per schedule; exceeding it is reported
-/// as a livelock violation rather than hanging the checker.
-const STEP_CAP: usize = 1_000_000;
+/// Hard cap on scheduler steps per run; exceeding it is reported as a
+/// livelock violation rather than hanging the caller.
+const STEP_CAP: usize = 4_000_000;
+
+/// The most mutator threads a world runs: the runnable mask is a `u32`
+/// and the marker takes the bit after the last mutator's.
+pub const MAX_THREADS: usize = 31;
 
 /// Objects pre-built per mutator chain before scheduling starts, so
 /// every cycle's snapshot contains white, losable objects.
@@ -106,10 +116,10 @@ impl fmt::Display for Scenario {
     }
 }
 
-/// Configuration of one scheduled world.
+/// Configuration of one lists world.
 #[derive(Clone, Debug)]
 pub struct SchedConfig {
-    /// Number of mutator logical threads.
+    /// Number of mutator logical threads (at most [`MAX_THREADS`]).
     pub threads: usize,
     /// Workload operations each mutator executes.
     pub ops_per_thread: usize,
@@ -175,7 +185,7 @@ pub enum SchedulePolicy {
 
 pub use crate::cycle::ViolationKind;
 
-/// One soundness violation observed under one schedule.
+/// One soundness violation observed in one run of a world.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScheduleViolation {
     /// Violation class.
@@ -341,7 +351,7 @@ impl SchedCounters {
 }
 
 /// The result of running one schedule to completion.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ScheduleOutcome {
     /// The choice sequence actually executed (thread ids; marker =
     /// `threads`).
@@ -386,7 +396,297 @@ impl ScheduleOutcome {
     }
 }
 
-/// Per-mutator logical-thread state (what [`CycleDriver`] does not
+/// What a world's mutators are and do: every way one scheduled world
+/// differs from another. [`World`] calls these at fixed points of its
+/// one run loop and never asks which mix it runs. The defaults are a mix
+/// with no scheduling hints, no watchdog and no forced collections.
+pub trait Mix: Sized {
+    /// What the mix is built from.
+    type Config;
+    /// What a run returns.
+    type Outcome;
+    /// Salt of the random pick's stream: it is seeded with the policy's
+    /// seed rotated left by 32, xor this.
+    const PICK_SALT: u64;
+
+    /// Mutator threads `cfg` asks for.
+    fn threads(cfg: &Self::Config) -> usize;
+    /// Marker steps between the end of one cycle and arming the next.
+    fn cycle_gap(cfg: &Self::Config) -> u32;
+    /// Checks `cfg`, allocates the shared root array and whatever the
+    /// mix pre-builds in `heap`, then installs the fault plan; returns
+    /// the mix and the array. `seed` is the policy's world seed.
+    fn build(cfg: &Self::Config, heap: &mut Heap, seed: u64) -> Result<(Self, GcRef), HeapError>;
+
+    /// Has thread `tid` anything to do — work, or a duty to the
+    /// protocol? A thread with nothing to do is not runnable.
+    fn has_duty(_w: &World<Self>, _tid: usize) -> bool {
+        true
+    }
+    /// Logical threads (bit `t`; the marker's is bit `threads`) resting
+    /// for the next pick: a hint, dropped if it leaves nothing runnable.
+    fn rests(_w: &World<Self>) -> u32 {
+        0
+    }
+    /// Is the mix's work done? A drained world finishes once a cycle
+    /// has completed and the marker is idle.
+    fn drained(w: &World<Self>) -> bool;
+    /// Is a forced stop-the-world collection pending? The marker is
+    /// runnable whatever the phase, and the world cannot finish.
+    fn stw_due(&self) -> bool {
+        false
+    }
+    /// Does a marker still waiting for acknowledgements give the arm
+    /// up?
+    fn give_up_arm(_w: &World<Self>) -> bool {
+        false
+    }
+
+    /// Runs before each pick.
+    fn before_pick(_w: &mut World<Self>) {}
+    /// Told of each pick and the mask it was made from, before the
+    /// chosen thread steps.
+    fn picked(_w: &mut World<Self>, _choice: u8, _mask: u32) {}
+    /// One step of mutator thread `tid`.
+    fn thread_step(w: &mut World<Self>, tid: usize);
+    /// The marker's next step: one protocol step under this control, or
+    /// `None` for a forced stop-the-world collection
+    /// ([`cycle::force_stw`]).
+    fn marker_ctl(w: &mut World<Self>) -> Option<MarkerCtl>;
+    /// After each marker step; `forced` if it was a forced collection.
+    fn marker_stepped(_w: &mut World<Self>, _forced: bool) {}
+
+    /// The threads' own roots, beyond the shared array.
+    fn local_roots(&self) -> impl Iterator<Item = GcRef> + '_;
+    /// A span to hold open across the stop-the-world tail.
+    fn stw_span(_w: &World<Self>) -> wbe_telemetry::SpanGuard {
+        wbe_telemetry::span::noop()
+    }
+    /// Told of each protocol event but a violation, which the world
+    /// records; at `Ended` the world has already counted the cycle.
+    fn on(w: &mut World<Self>, event: CycleEvent);
+    /// The outcome of a run the loop has stopped.
+    fn finish(w: World<Self>) -> Self::Outcome;
+    /// The outcome of a world that could not be built.
+    fn unbuilt(violation: ScheduleViolation) -> Self::Outcome;
+}
+
+/// One scheduled world: heap, cycle protocol, shared roots, the pick,
+/// and a [`Mix`] of mutators.
+pub struct World<M> {
+    pub(crate) heap: Heap,
+    pub(crate) cycle: CycleDriver,
+    /// The shared root array; what its slots hold is the mix's.
+    pub(crate) shared: GcRef,
+    pub(crate) mix: M,
+    threads: usize,
+    /// The current scheduler step.
+    pub(crate) step: usize,
+    /// Marking cycles completed.
+    pub(crate) cycles: u64,
+    pub(crate) violations: Vec<ScheduleViolation>,
+    /// The random policy's stream; `None` for a scripted policy.
+    rng: Option<SplitMix64>,
+    /// The scripted policy's forced prefix.
+    script: Vec<u8>,
+    /// The previous pick.
+    last: Option<u8>,
+}
+
+impl<M: Mix> World<M> {
+    /// Builds the world of `cfg` for `policy`: a configuration with more
+    /// than [`MAX_THREADS`] threads, or one the mix rejects, fails here,
+    /// before any step.
+    pub(crate) fn build(cfg: &M::Config, policy: &SchedulePolicy) -> Result<Self, HeapError> {
+        let threads = M::threads(cfg);
+        if threads > MAX_THREADS {
+            return Err(HeapError::BadWorld(
+                "more than 31 mutator threads (the runnable mask holds 31 and the marker)",
+            ));
+        }
+        let (rng, script, seed) = match policy {
+            SchedulePolicy::Random { seed } => {
+                let rng = SplitMix64(seed.rotate_left(32) ^ M::PICK_SALT);
+                (Some(rng), Vec::new(), *seed)
+            }
+            // Scripted runs derive mutator streams from a
+            // script-independent constant so a prefix extension explores
+            // a different interleaving of the SAME program.
+            SchedulePolicy::Scripted { prefix } => (None, prefix.clone(), 0x5eed_5eed_5eed_5eed),
+        };
+        let mut heap = Heap::new(MarkStyle::Satb);
+        let (mix, shared) = M::build(cfg, &mut heap, seed)?;
+        Ok(World {
+            heap,
+            cycle: CycleDriver::new(threads, M::cycle_gap(cfg)),
+            shared,
+            mix,
+            threads,
+            step: 0,
+            cycles: 0,
+            violations: Vec::new(),
+            rng,
+            script,
+            last: None,
+        })
+    }
+
+    /// The marker's logical thread id.
+    pub(crate) fn marker(&self) -> u8 {
+        self.threads as u8
+    }
+
+    pub(crate) fn violation(&mut self, kind: ViolationKind, detail: String) {
+        self.violations.push(ScheduleViolation {
+            kind,
+            step: self.step,
+            // Cycles completed, plus the one between snapshot and end.
+            cycle: self.cycles + u64::from(self.cycle.phase().marking()),
+            detail,
+        });
+    }
+
+    /// Bitmask of runnable logical threads. A thread is runnable only if
+    /// its next step makes progress — waiting states are modelled as
+    /// not-runnable, so no policy can livelock the protocol.
+    fn runnable_mask(&self) -> u32 {
+        let mut mask = 0u32;
+        for tid in 0..self.threads {
+            if !self.cycle.halted(tid) && M::has_duty(self, tid) {
+                mask |= 1 << tid;
+            }
+        }
+        let marker_runnable = self.mix.stw_due()
+            || match self.cycle.phase() {
+                // One final cycle if none completed, else finished.
+                CyclePhase::Idle { .. } => !M::drained(self) || self.cycles == 0,
+                CyclePhase::Arming => self.cycle.all_acked() || M::give_up_arm(self),
+                CyclePhase::Marking => true,
+                CyclePhase::Rendezvous => self.cycle.all_halted(),
+            };
+        if marker_runnable {
+            mask |= 1 << self.threads;
+        }
+        mask
+    }
+
+    /// True when the run is complete.
+    fn finished(&self) -> bool {
+        M::drained(self)
+            && !self.mix.stw_due()
+            && matches!(self.cycle.phase(), CyclePhase::Idle { .. })
+            && self.cycles > 0
+    }
+
+    /// The policy's choice from `mask`: the script's while it lasts and
+    /// names a runnable thread, else a uniform draw from the seeded
+    /// stream, else the non-preemptive default.
+    fn pick(&mut self, mask: u32) -> u8 {
+        let forced = self.script.get(self.step).copied();
+        let runnable = |t: u8| mask & 1u32.checked_shl(t.into()).unwrap_or(0) != 0;
+        if let Some(t) = forced.filter(|&t| runnable(t)) {
+            return t;
+        }
+        let (marker, last) = (self.marker(), self.last);
+        match self.rng.as_mut() {
+            Some(rng) => {
+                let k = rng.next() % u64::from(mask.count_ones());
+                (0..=marker).filter(|&t| runnable(t)).nth(k as usize)
+            }
+            // The non-preemptive default: continue the last thread while
+            // runnable, else the lowest-id runnable one.
+            None => last
+                .filter(|&t| runnable(t))
+                .or_else(|| (0..=marker).find(|&t| runnable(t))),
+        }
+        .unwrap_or(marker)
+    }
+
+    fn marker_step(&mut self) {
+        let ctl = M::marker_ctl(self);
+        match ctl {
+            Some(ctl) => cycle::step(self, ctl),
+            None => cycle::force_stw(self),
+        }
+        M::marker_stepped(self, ctl.is_none());
+    }
+
+    /// Runs the world to completion.
+    pub(crate) fn run(mut self) -> M::Outcome {
+        while !self.finished() {
+            if self.step >= STEP_CAP {
+                let detail = format!("no termination after {STEP_CAP} steps");
+                self.violation(ViolationKind::Livelock, detail);
+                break;
+            }
+            M::before_pick(&mut self);
+            let mask = self.runnable_mask();
+            if mask == 0 {
+                self.violation(ViolationKind::Protocol, "no runnable thread".to_string());
+                break;
+            }
+            // Rests are hints, not blocking states: if everyone rests,
+            // the pick ignores them.
+            let rested = mask & !M::rests(&self);
+            let mask = if rested != 0 { rested } else { mask };
+            let choice = self.pick(mask);
+            M::picked(&mut self, choice, mask);
+            self.last = Some(choice);
+            if choice == self.marker() {
+                self.marker_step();
+            } else {
+                M::thread_step(&mut self, choice.into());
+            }
+            self.step += 1;
+        }
+        self.heap.gc.publish_metrics();
+        M::finish(self)
+    }
+}
+
+impl<M: Mix> CycleHost for World<M> {
+    fn parts(&mut self) -> (&mut CycleDriver, &mut Heap) {
+        (&mut self.cycle, &mut self.heap)
+    }
+
+    /// The shared array plus every thread's own roots.
+    fn roots(&self) -> Vec<GcRef> {
+        let mut roots = vec![self.shared];
+        roots.extend(self.mix.local_roots());
+        roots
+    }
+
+    fn stw_span(&self) -> wbe_telemetry::SpanGuard {
+        M::stw_span(self)
+    }
+
+    fn on(&mut self, event: CycleEvent) {
+        match event {
+            CycleEvent::Violation(kind, detail) => self.violation(kind, detail),
+            event => {
+                self.cycles += u64::from(matches!(event, CycleEvent::Ended(..)));
+                M::on(self, event);
+            }
+        }
+    }
+}
+
+/// Builds the world of `cfg` and runs it under `policy` to completion.
+/// A world that cannot be built runs no step: its outcome carries the
+/// failure as its one violation.
+pub(crate) fn run<M: Mix>(cfg: &M::Config, policy: &SchedulePolicy) -> M::Outcome {
+    match World::<M>::build(cfg, policy) {
+        Ok(world) => world.run(),
+        Err(e) => M::unbuilt(ScheduleViolation {
+            kind: ViolationKind::Protocol,
+            step: 0,
+            cycle: 0,
+            detail: format!("world construction failed: {e}"),
+        }),
+    }
+}
+
+/// Per-mutator state of the lists mix (what [`CycleDriver`] does not
 /// hold: the buffer, the poll counter and the parked flag are its).
 #[derive(Debug)]
 struct Mutator {
@@ -394,47 +694,48 @@ struct Mutator {
     /// Last node of this thread's chain (a thread-local GC root).
     tail: Option<GcRef>,
     ops_done: usize,
-    /// Set for one scheduling decision after an epoch-ack handshake:
-    /// the thread yields its slice, as a real safepoint handshake
-    /// would. Creates a free (non-preemptive) switch point.
-    yielded: bool,
 }
 
-/// The scheduled world: heap, cycle protocol, mutators.
-struct World {
+/// The lists mix: each mutator grows and trims a private chain hung
+/// from the shared array and publishes and cross-links nodes under a
+/// [`Scenario`]'s weights. Slot `tid` of the shared array is thread
+/// `tid`'s chain head, slot `threads + tid` its published object.
+pub struct ListsMix {
     cfg: SchedConfig,
-    heap: Heap,
-    cycle: CycleDriver,
     mutators: Vec<Mutator>,
-    /// Set by each marker step and consulted while marking: the marker
-    /// is *paced* — it yields to runnable mutators for one scheduling
-    /// decision between slices, like a real incremental collector
-    /// interleaving with mutator time. Without pacing, a non-preemptive
-    /// schedule would always mark to completion in one run, hiding
-    /// every race.
-    marker_rest: bool,
+    /// Logical threads resting for the next pick: the marker after a
+    /// slice that left marking on — it is *paced*, yielding to runnable
+    /// mutators like a real incremental collector; without pacing a
+    /// non-preemptive schedule would mark to completion in one run,
+    /// hiding every race — and a mutator after an epoch-ack handshake,
+    /// which yields its slice as a real safepoint handshake would (a
+    /// free, non-preemptive switch point).
+    rest: u32,
     /// Step at which the current epoch was armed; the watchdog measures
     /// ack latency against this.
     armed_at: usize,
-    /// The shared root array: slot `tid` = chain head, slot
-    /// `threads + tid` = the thread's published object.
-    shared: GcRef,
     counters: SchedCounters,
-    violations: Vec<ScheduleViolation>,
-    step: usize,
+    trace: Vec<u8>,
+    runnable: Vec<u32>,
     depth_hist: wbe_telemetry::Histogram,
 }
 
-/// The marker's logical thread id.
-fn marker_id(threads: usize) -> u8 {
-    threads as u8
-}
+impl Mix for ListsMix {
+    type Config = SchedConfig;
+    type Outcome = ScheduleOutcome;
+    const PICK_SALT: u64 = 0xace1;
 
-impl World {
-    fn new(cfg: &SchedConfig, world_seed: u64) -> Result<World, HeapError> {
-        let mut heap = Heap::new(MarkStyle::Satb);
-        // Fault injection must not break world construction: warmup
-        // allocations bypass the plan (it is installed afterwards).
+    fn threads(cfg: &SchedConfig) -> usize {
+        cfg.threads
+    }
+
+    fn cycle_gap(cfg: &SchedConfig) -> u32 {
+        cfg.cycle_gap
+    }
+
+    /// Pre-builds each thread's chain. Fault injection must not break
+    /// world construction: these allocations bypass the plan.
+    fn build(cfg: &SchedConfig, heap: &mut Heap, seed: u64) -> Result<(Self, GcRef), HeapError> {
         let shared = heap.alloc_ref_array(u32::MAX, 2 * cfg.threads as i64)?;
         let mut mutators = Vec::with_capacity(cfg.threads);
         for tid in 0..cfg.threads {
@@ -448,153 +749,223 @@ impl World {
                 prev = Some(node);
             }
             mutators.push(Mutator {
-                rng: SplitMix64(world_seed ^ (tid as u64).wrapping_mul(0x9e37_79b9)),
+                rng: SplitMix64(seed ^ (tid as u64).wrapping_mul(0x9e37_79b9)),
                 tail: prev,
                 ops_done: 0,
-                yielded: false,
             });
         }
         heap.fault = cfg.fault.map(FaultPlan::new);
-        Ok(World {
+        let mix = ListsMix {
             cfg: cfg.clone(),
-            heap,
-            cycle: CycleDriver::new(cfg.threads, cfg.cycle_gap),
             mutators,
-            marker_rest: false,
+            rest: 0,
             armed_at: 0,
-            shared,
             counters: SchedCounters::default(),
-            violations: Vec::new(),
-            step: 0,
+            trace: Vec::new(),
+            runnable: Vec::new(),
             depth_hist: wbe_telemetry::histogram("sched.satb.buffer_depth"),
+        };
+        Ok((mix, shared))
+    }
+
+    fn rests(w: &World<Self>) -> u32 {
+        w.mix.rest
+    }
+
+    fn drained(w: &World<Self>) -> bool {
+        w.cycle.all_retired()
+    }
+
+    /// Watchdog level 2: past twice the deadline, the marker abandons
+    /// the arm in an emergency rendezvous rather than stall the world.
+    fn give_up_arm(w: &World<Self>) -> bool {
+        w.arm_overdue(2)
+    }
+
+    /// Logs the pick; rests influence exactly one pick, so they clear
+    /// here and only rests set by *this* step affect the next.
+    fn picked(w: &mut World<Self>, choice: u8, mask: u32) {
+        if wbe_telemetry::tracing_enabled() && w.last != Some(choice) {
+            let who = if choice == w.marker() {
+                "marker".to_string()
+            } else {
+                format!("t{choice}")
+            };
+            wbe_telemetry::trace::event(
+                "sched.context_switch",
+                format!("-> {who} step {}", w.step),
+            );
+        }
+        let m = &mut w.mix;
+        m.trace.push(choice);
+        m.runnable.push(mask);
+        m.rest = 0;
+    }
+
+    /// A safepoint poll (flush + ack, and park or retire) when one is
+    /// due, else one workload operation.
+    ///
+    /// Polls are *periodic* — every [`SchedConfig::poll_interval`] ops,
+    /// like compiler-inserted polls at loop back-edges — so a thread
+    /// genuinely runs operations between an epoch being armed and its
+    /// acknowledgement. That window is exactly where
+    /// `CycleDriver::elide_allowed` forces the conservative
+    /// full-barrier path.
+    fn thread_step(w: &mut World<Self>, tid: usize) {
+        let retiring = w.mix.mutators[tid].ops_done >= w.mix.cfg.ops_per_thread;
+        // Watchdog pacing hint: a thread that has left an armed epoch
+        // unacknowledged past the deadline polls now instead of at its
+        // usual cadence, bounding how long the snapshot can stall.
+        let paced = w.arm_overdue(1) && !w.cycle.acked(tid);
+        if paced {
+            w.mix.counters.watchdog_pacing += 1;
+            let (step, age) = (w.step, w.arm_age());
+            wbe_telemetry::event!("sched.watchdog.pacing", "t{tid} step {step} arm age {age}");
+        }
+        if retiring || paced || w.cycle.since_poll(tid) >= w.mix.cfg.poll_interval {
+            // Safepoint poll: flush, acknowledge, honour a stop request
+            // ([`cycle::poll`]), and (last poll) retire.
+            wbe_telemetry::event!("sched.safepoint.poll", "t{tid} step {}", w.step);
+            cycle::poll(w, tid, retiring);
+            return;
+        }
+        w.cycle.count_op(tid);
+        let m = &mut w.mix;
+        m.mutators[tid].ops_done += 1;
+        m.counters.mutator_ops += 1;
+        match m.mutators[tid].rng.weighted(&m.cfg.scenario.weights()) {
+            0 => w.alloc_link(tid),
+            1 => w.unlink(tid),
+            2 => w.publish(tid),
+            _ => w.cross_link(tid),
+        }
+    }
+
+    fn marker_ctl(w: &mut World<Self>) -> Option<MarkerCtl> {
+        Some(MarkerCtl {
+            arm_now: w.cycle.all_retired(),
+            give_up_arm: Self::give_up_arm(w),
+            budget: w.mix.cfg.mark_budget,
         })
     }
 
-    fn violation(&mut self, kind: ViolationKind, detail: String) {
-        self.violations.push(ScheduleViolation {
-            kind,
-            step: self.step,
-            // Cycles completed, plus the one between snapshot and end.
-            cycle: self.counters.cycles + u64::from(self.cycle.phase().marking()),
-            detail,
-        });
+    fn marker_stepped(w: &mut World<Self>, _forced: bool) {
+        if w.cycle.phase() == CyclePhase::Marking {
+            w.mix.rest = 1 << w.marker();
+        }
     }
 
+    fn local_roots(&self) -> impl Iterator<Item = GcRef> + '_ {
+        self.mutators.iter().filter_map(|m| m.tail)
+    }
+
+    fn stw_span(w: &World<Self>) -> wbe_telemetry::SpanGuard {
+        wbe_telemetry::span!("sched.gc.stw", "cycle {}", w.cycles + 1)
+    }
+
+    fn on(w: &mut World<Self>, event: CycleEvent) {
+        let (step, age) = (w.step, w.arm_age());
+        let m = &mut w.mix;
+        let c = &mut m.counters;
+        match event {
+            CycleEvent::Logged => c.satb_logged += 1,
+            CycleEvent::Flushed(tid, depth) => {
+                c.flushes += 1;
+                c.flushed_entries += depth as u64;
+                m.depth_hist.record(depth as u64);
+                wbe_telemetry::event!("sched.satb.flush", "t{tid} depth {depth} step {step}");
+            }
+            CycleEvent::Acked(tid) => {
+                c.safepoint_acks += 1;
+                m.rest |= 1 << tid;
+                wbe_telemetry::event!("sched.safepoint.ack", "t{tid} step {step}");
+            }
+            CycleEvent::Parked => c.parks += 1,
+            CycleEvent::Armed => {
+                m.armed_at = step;
+                wbe_telemetry::event!("sched.epoch.arm", "step {step}");
+            }
+            // Watchdog level 2: some mutator never reached a safepoint
+            // within twice the deadline.
+            CycleEvent::Abandoned => {
+                c.watchdog_emergency += 1;
+                wbe_telemetry::event!("sched.watchdog.emergency", "step {step} arm age {age}");
+            }
+            CycleEvent::Snapshot(roots) => {
+                wbe_telemetry::event!("sched.epoch.snapshot", "step {step} roots {roots}");
+            }
+            CycleEvent::Waited => c.marker_waits += 1,
+            CycleEvent::Marked(None) => c.fault_skipped_steps += 1,
+            CycleEvent::Marked(Some(did)) => c.mark_work += did as u64,
+            CycleEvent::Ended(pause, swept) => {
+                c.remark_drained += pause.log_drained as u64;
+                c.swept += swept as u64;
+                let cycle = w.cycles;
+                wbe_telemetry::event!(
+                    "sched.epoch.end_cycle",
+                    "step {step} cycle {cycle} swept {swept}"
+                );
+            }
+            // The interpreter's hooks, nothing a checker counts, and the
+            // violations the world records.
+            CycleEvent::Remarking
+            | CycleEvent::Remarked { .. }
+            | CycleEvent::Stopped(_)
+            | CycleEvent::Violation(..) => {}
+        }
+    }
+
+    fn finish(w: World<Self>) -> ScheduleOutcome {
+        let counters = SchedCounters {
+            steps: w.step as u64,
+            cycles: w.cycles,
+            gated_elisions: w.cycle.gated_elisions(),
+            ..w.mix.counters
+        };
+        counters.publish();
+        ScheduleOutcome {
+            trace: w.mix.trace,
+            runnable: w.mix.runnable,
+            counters,
+            violations: w.violations,
+        }
+    }
+
+    fn unbuilt(violation: ScheduleViolation) -> ScheduleOutcome {
+        let violations = vec![violation];
+        ScheduleOutcome {
+            violations,
+            ..ScheduleOutcome::default()
+        }
+    }
+}
+
+impl World<ListsMix> {
     /// Steps the current epoch has been armed without full
     /// acknowledgement (0 when no epoch is armed).
     fn arm_age(&self) -> usize {
         match self.cycle.phase() {
-            CyclePhase::Arming => self.step - self.armed_at,
+            CyclePhase::Arming => self.step - self.mix.armed_at,
             _ => 0,
         }
     }
 
     /// The watchdog: is the arm past `level` deadlines? Past one,
     /// stalled mutators are paced (their next step polls immediately);
-    /// past two, the marker abandons the arm in an emergency rendezvous
-    /// rather than stall the world.
+    /// past two, the marker abandons the arm.
     fn arm_overdue(&self, level: usize) -> bool {
-        self.arm_age() > level * self.cfg.arm_deadline as usize
-    }
-
-    /// Bitmask of runnable logical threads. A thread is runnable only
-    /// if its next step makes progress — waiting states are modelled as
-    /// not-runnable, so no policy can livelock the protocol. With
-    /// `honor_rests`, threads that yielded (ack handshake) and a paced
-    /// marker are additionally excluded; the scheduler retries without
-    /// rests if that empties the mask.
-    fn runnable_mask(&self, honor_rests: bool) -> u32 {
-        let mut mask = 0u32;
-        for (tid, m) in self.mutators.iter().enumerate() {
-            let resting = honor_rests && m.yielded;
-            if !(self.cycle.halted(tid) || resting) {
-                mask |= 1 << tid;
-            }
-        }
-        let marker_runnable = match self.cycle.phase() {
-            CyclePhase::Idle { .. } => {
-                if self.cycle.all_retired() {
-                    // One final cycle if none completed, else finished.
-                    self.counters.cycles == 0
-                } else {
-                    true
-                }
-            }
-            CyclePhase::Arming => self.cycle.all_acked() || self.arm_overdue(2),
-            CyclePhase::Marking => !(honor_rests && self.marker_rest),
-            CyclePhase::Rendezvous => self.cycle.all_halted(),
-        };
-        if marker_runnable {
-            mask |= 1 << self.cfg.threads;
-        }
-        mask
-    }
-
-    /// True when the schedule is complete.
-    fn finished(&self) -> bool {
-        self.cycle.all_retired()
-            && matches!(self.cycle.phase(), CyclePhase::Idle { .. })
-            && self.counters.cycles > 0
-    }
-
-    /// One step of mutator `tid`: a safepoint poll (flush + ack, and
-    /// park or retire) when one is due, else one workload operation.
-    ///
-    /// Polls are *periodic* — every [`SchedConfig::poll_interval`] ops,
-    /// like compiler-inserted polls at loop back-edges — so a thread
-    /// genuinely runs operations between an epoch being armed and its
-    /// acknowledgement. That window is exactly where
-    /// [`CycleDriver::elide_allowed`] forces the conservative
-    /// full-barrier path.
-    fn mutator_step(&mut self, tid: usize) {
-        let retiring = self.mutators[tid].ops_done >= self.cfg.ops_per_thread;
-        // Watchdog pacing hint: a thread that has left an armed epoch
-        // unacknowledged past the deadline polls now instead of at its
-        // usual cadence, bounding how long the snapshot can stall.
-        let paced = self.arm_overdue(1) && !self.cycle.acked(tid);
-        if paced {
-            self.counters.watchdog_pacing += 1;
-            let (step, age) = (self.step, self.arm_age());
-            wbe_telemetry::event!("sched.watchdog.pacing", "t{tid} step {step} arm age {age}");
-        }
-        if retiring || paced || self.cycle.since_poll(tid) >= self.cfg.poll_interval {
-            // Safepoint poll: flush, acknowledge, honour a stop request
-            // ([`cycle::poll`]), and (last poll) retire.
-            wbe_telemetry::event!("sched.safepoint.poll", "t{tid} step {}", self.step);
-            cycle::poll(self, tid, retiring);
-            return;
-        }
-        self.cycle.count_op(tid);
-        self.mutators[tid].ops_done += 1;
-        self.counters.mutator_ops += 1;
-        let weights = self.cfg.scenario.weights();
-        let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
-        let mut roll = self.mutators[tid].rng.next() % total;
-        let mut op = 0;
-        for (i, &w) in weights.iter().enumerate() {
-            if roll < u64::from(w) {
-                op = i;
-                break;
-            }
-            roll -= u64::from(w);
-        }
-        match op {
-            0 => self.op_alloc_link(tid),
-            1 => self.op_unlink(tid),
-            2 => self.op_publish(tid),
-            _ => self.op_cross_link(tid),
-        }
+        self.arm_age() > level * self.mix.cfg.arm_deadline as usize
     }
 
     /// Append a fresh node at the tail. The `tail.f0 = new` store is the
     /// paper's elidable pre-null (initializing) store: the compile-time
     /// analysis proved `tail.f0` null, so the barrier is statically
     /// removed — and the oracle checks the proof at runtime.
-    fn op_alloc_link(&mut self, tid: usize) {
+    fn alloc_link(&mut self, tid: usize) {
         let new = match self.heap.alloc_object(tid as u32, &NODE) {
             Ok(r) => r,
             Err(HeapError::AllocationFailed) => {
-                self.counters.alloc_faults += 1;
+                self.mix.counters.alloc_faults += 1;
                 return;
             }
             Err(e) => {
@@ -602,8 +973,8 @@ impl World {
                 return;
             }
         };
-        self.counters.alloc_links += 1;
-        let Some(tail) = self.mutators[tid].tail else {
+        self.mix.counters.alloc_links += 1;
+        let Some(tail) = self.mix.mutators[tid].tail else {
             return;
         };
         let old = self.heap.get_field(tail, 0).unwrap_or(Value::NULL);
@@ -616,7 +987,7 @@ impl World {
                     format!("elided store on t{tid} overwrote non-null {o}"),
                 );
             }
-            self.counters.elided_stores += 1;
+            self.mix.counters.elided_stores += 1;
         } else {
             // Epoch armed but not yet acknowledged: the thread must run
             // the conservative full-barrier version of the code.
@@ -625,7 +996,7 @@ impl World {
             }
         }
         let _ = self.heap.set_field(tail, 0, Value::from(new));
-        self.mutators[tid].tail = Some(new);
+        self.mix.mutators[tid].tail = Some(new);
     }
 
     /// Drop the interior node after the chain head: `head.f0 = victim.f0`
@@ -633,8 +1004,8 @@ impl World {
     /// deletion barrier. `demo_unsound` elides it on thread 0 — the
     /// deliberately wrong "the analysis claimed this site was pre-null"
     /// negative control.
-    fn op_unlink(&mut self, tid: usize) {
-        self.counters.unlinks += 1;
+    fn unlink(&mut self, tid: usize) {
+        self.mix.counters.unlinks += 1;
         let Ok(Some(head)) = self.heap.get_elem(self.shared, tid as i64) else {
             return;
         };
@@ -644,10 +1015,10 @@ impl World {
         let Ok(rest @ Value::Ref(Some(_))) = self.heap.get_field(victim, 0) else {
             return; // victim is the tail; keep it (it is a local root)
         };
-        let unsound = self.cfg.demo_unsound && tid == 0;
+        let unsound = self.mix.cfg.demo_unsound && tid == 0;
         if unsound {
             if self.cycle.local_marking(tid) {
-                self.counters.unsound_elisions += 1;
+                self.mix.counters.unsound_elisions += 1;
             }
         } else {
             cycle::barrier_log(self, tid, victim);
@@ -658,12 +1029,12 @@ impl World {
     /// Publish the chain head into the thread's shared slot, where other
     /// threads can pick it up. Overwrites a possibly non-null slot, so
     /// it runs the full barrier.
-    fn op_publish(&mut self, tid: usize) {
-        self.counters.publishes += 1;
+    fn publish(&mut self, tid: usize) {
+        self.mix.counters.publishes += 1;
         let Ok(head) = self.heap.get_elem(self.shared, tid as i64) else {
             return;
         };
-        let slot = (self.cfg.threads + tid) as i64;
+        let slot = (self.threads + tid) as i64;
         if let Ok(Some(old)) = self.heap.get_elem(self.shared, slot) {
             cycle::barrier_log(self, tid, old);
         }
@@ -673,13 +1044,13 @@ impl World {
     /// Read the neighbour thread's published object and store it into
     /// our tail's cross-link field (full barrier: the old cross-link may
     /// be non-null).
-    fn op_cross_link(&mut self, tid: usize) {
-        self.counters.cross_links += 1;
-        let src = (self.cfg.threads + (tid + 1) % self.cfg.threads) as i64;
+    fn cross_link(&mut self, tid: usize) {
+        self.mix.counters.cross_links += 1;
+        let src = (self.threads + (tid + 1) % self.threads) as i64;
         let Ok(Some(x)) = self.heap.get_elem(self.shared, src) else {
             return;
         };
-        let Some(tail) = self.mutators[tid].tail else {
+        let Some(tail) = self.mix.mutators[tid].tail else {
             return;
         };
         if let Ok(Value::Ref(Some(old))) = self.heap.get_field(tail, 1) {
@@ -687,222 +1058,13 @@ impl World {
         }
         let _ = self.heap.set_field(tail, 1, Value::from(x));
     }
-
-    fn marker_step(&mut self) {
-        let ctl = MarkerCtl {
-            arm_now: self.cycle.all_retired(),
-            give_up_arm: self.arm_overdue(2),
-            budget: self.cfg.mark_budget,
-        };
-        cycle::step(self, ctl);
-        self.marker_rest = true;
-    }
-}
-
-impl CycleHost for World {
-    fn parts(&mut self) -> (&mut CycleDriver, &mut Heap) {
-        (&mut self.cycle, &mut self.heap)
-    }
-
-    /// The shared array plus every mutator's local tail.
-    fn roots(&self) -> Vec<GcRef> {
-        let mut roots = vec![self.shared];
-        roots.extend(self.mutators.iter().filter_map(|m| m.tail));
-        roots
-    }
-
-    fn stw_span(&self) -> wbe_telemetry::SpanGuard {
-        wbe_telemetry::span!("sched.gc.stw", "cycle {}", self.counters.cycles + 1)
-    }
-
-    fn on(&mut self, event: CycleEvent) {
-        let (step, c) = (self.step, &mut self.counters);
-        match event {
-            CycleEvent::Logged => c.satb_logged += 1,
-            CycleEvent::Flushed(tid, depth) => {
-                c.flushes += 1;
-                c.flushed_entries += depth as u64;
-                self.depth_hist.record(depth as u64);
-                wbe_telemetry::event!("sched.satb.flush", "t{tid} depth {depth} step {step}");
-            }
-            CycleEvent::Acked(tid) => {
-                c.safepoint_acks += 1;
-                self.mutators[tid].yielded = true;
-                wbe_telemetry::event!("sched.safepoint.ack", "t{tid} step {step}");
-            }
-            CycleEvent::Parked => c.parks += 1,
-            CycleEvent::Armed => {
-                self.armed_at = step;
-                wbe_telemetry::event!("sched.epoch.arm", "step {step}");
-            }
-            // Watchdog level 2: some mutator never reached a safepoint
-            // within twice the deadline.
-            CycleEvent::Abandoned => {
-                c.watchdog_emergency += 1;
-                let age = self.arm_age();
-                wbe_telemetry::event!("sched.watchdog.emergency", "step {step} arm age {age}");
-            }
-            CycleEvent::Snapshot(roots) => {
-                wbe_telemetry::event!("sched.epoch.snapshot", "step {step} roots {roots}");
-            }
-            CycleEvent::Waited => c.marker_waits += 1,
-            CycleEvent::Marked(None) => c.fault_skipped_steps += 1,
-            CycleEvent::Marked(Some(did)) => c.mark_work += did as u64,
-            CycleEvent::Violation(kind, detail) => self.violation(kind, detail),
-            // The interpreter's hooks: nothing a checker counts.
-            CycleEvent::Remarking | CycleEvent::Remarked { .. } | CycleEvent::Stopped(_) => {}
-            CycleEvent::Ended(pause, swept) => {
-                c.cycles += 1;
-                c.remark_drained += pause.log_drained as u64;
-                c.swept += swept as u64;
-                let cycle = c.cycles;
-                wbe_telemetry::event!(
-                    "sched.epoch.end_cycle",
-                    "step {step} cycle {cycle} swept {swept}"
-                );
-            }
-        }
-    }
 }
 
 /// Runs one schedule of `cfg` under `policy` to completion and returns
 /// its trace, counters, and violations. Fully deterministic: equal
 /// `(cfg, policy)` give equal outcomes, bit for bit.
 pub fn run_schedule(cfg: &SchedConfig, policy: &SchedulePolicy) -> ScheduleOutcome {
-    let world_seed = match policy {
-        SchedulePolicy::Random { seed } => *seed,
-        // Scripted runs derive mutator op streams from the script
-        // length-independent constant so a prefix extension explores a
-        // different interleaving of the SAME program.
-        SchedulePolicy::Scripted { .. } => 0x5eed_5eed_5eed_5eed,
-    };
-    let mut world = match World::new(cfg, world_seed) {
-        Ok(w) => w,
-        Err(e) => {
-            // Cannot happen (warmup ignores the fault plan), but the
-            // no-panic policy wants a reportable path, not an unwrap.
-            return ScheduleOutcome {
-                trace: Vec::new(),
-                runnable: Vec::new(),
-                counters: SchedCounters::default(),
-                violations: vec![ScheduleViolation {
-                    kind: ViolationKind::Protocol,
-                    step: 0,
-                    cycle: 0,
-                    detail: format!("world construction failed: {e}"),
-                }],
-            };
-        }
-    };
-    let mut rng = match policy {
-        SchedulePolicy::Random { seed } => Some(SplitMix64(seed.rotate_left(32) ^ 0xace1)),
-        SchedulePolicy::Scripted { .. } => None,
-    };
-    let script: &[u8] = match policy {
-        SchedulePolicy::Scripted { prefix } => prefix,
-        SchedulePolicy::Random { .. } => &[],
-    };
-    let mut trace: Vec<u8> = Vec::new();
-    let mut runnable_log: Vec<u32> = Vec::new();
-    let marker = marker_id(cfg.threads);
-
-    while !world.finished() {
-        if world.step >= STEP_CAP {
-            world.violation(
-                ViolationKind::Livelock,
-                format!("no termination after {STEP_CAP} steps"),
-            );
-            break;
-        }
-        let mut mask = world.runnable_mask(true);
-        if mask == 0 {
-            // Everyone rested at once; rests are scheduling hints, not
-            // blocking states — retry without them.
-            mask = world.runnable_mask(false);
-        }
-        if mask == 0 {
-            world.violation(ViolationKind::Protocol, "no runnable thread".to_string());
-            break;
-        }
-        let choice: u8 = if let Some(&forced) = script.get(world.step) {
-            if mask & (1u32 << forced) != 0 {
-                forced
-            } else {
-                // A forced choice that is no longer runnable (the
-                // branch moved the protocol): fall through to the
-                // default policy from here on.
-                default_choice(mask, trace.last().copied(), marker)
-            }
-        } else if let Some(rng) = rng.as_mut() {
-            let n = mask.count_ones() as u64;
-            let mut k = rng.next() % n;
-            let mut pick = 0u8;
-            for t in 0..=cfg.threads {
-                if mask & (1 << t) != 0 {
-                    if k == 0 {
-                        pick = t as u8;
-                        break;
-                    }
-                    k -= 1;
-                }
-            }
-            pick
-        } else {
-            default_choice(mask, trace.last().copied(), marker)
-        };
-        if wbe_telemetry::tracing_enabled() && trace.last() != Some(&choice) {
-            let who = if choice == marker {
-                "marker".to_string()
-            } else {
-                format!("t{choice}")
-            };
-            wbe_telemetry::trace::event(
-                "sched.context_switch",
-                format!("-> {who} step {}", world.step),
-            );
-        }
-        trace.push(choice);
-        runnable_log.push(mask);
-        world.counters.steps += 1;
-        // Rests influence exactly one scheduling decision: clear them
-        // now so only rests set by *this* step affect the next choice.
-        world.marker_rest = false;
-        for m in &mut world.mutators {
-            m.yielded = false;
-        }
-        if choice == marker {
-            world.marker_step();
-        } else {
-            world.mutator_step(choice as usize);
-        }
-        world.step += 1;
-    }
-
-    world.counters.gated_elisions = world.cycle.gated_elisions();
-    world.heap.gc.publish_metrics();
-    world.counters.publish();
-    ScheduleOutcome {
-        trace,
-        runnable: runnable_log,
-        counters: world.counters,
-        violations: world.violations,
-    }
-}
-
-/// The non-preemptive default: continue the last thread while runnable,
-/// else the lowest-id runnable mutator, else the marker.
-fn default_choice(mask: u32, last: Option<u8>, marker: u8) -> u8 {
-    if let Some(last) = last {
-        if mask & (1u32 << last) != 0 {
-            return last;
-        }
-    }
-    for t in 0..=u32::from(marker) {
-        if mask & (1 << t) != 0 {
-            return t as u8;
-        }
-    }
-    marker
+    run::<ListsMix>(cfg, policy)
 }
 
 #[cfg(test)]
@@ -1076,7 +1238,7 @@ mod tests {
             arm_deadline: 0,
             ..cfg(1, Scenario::Chain)
         };
-        let marker = marker_id(1);
+        let marker = 1u8; // the marker's id is the thread count
         let mut prefix = vec![marker; 8];
         prefix.extend(std::iter::repeat_n(0u8, 60));
         let out = run_schedule(&c, &SchedulePolicy::Scripted { prefix });
@@ -1087,6 +1249,58 @@ mod tests {
         );
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.counters.cycles >= 1, "the world still completed");
+    }
+
+    /// A world the runnable mask or a mix's tables cannot hold fails to
+    /// build, and its outcome says so, instead of overflowing the mask
+    /// or dividing by zero mid-run.
+    #[test]
+    fn out_of_range_worlds_fail_to_build() {
+        use crate::overload::{run_serve, ServeWorld, ServeWorldConfig};
+        let unbuilt = |v: &[ScheduleViolation]| {
+            v.len() == 1
+                && v[0].kind == ViolationKind::Protocol
+                && v[0]
+                    .detail
+                    .starts_with("world construction failed: bad world configuration")
+        };
+        let lists = run_schedule(
+            &cfg(MAX_THREADS + 1, Scenario::Chain),
+            &SchedulePolicy::Random { seed: 1 },
+        );
+        assert!(unbuilt(&lists.violations), "{:?}", lists.violations);
+        assert_eq!(lists.counters.steps, 0);
+        let serve = ServeWorldConfig::default;
+        for bad in [
+            ServeWorldConfig {
+                connections: MAX_THREADS + 1,
+                ..serve()
+            },
+            ServeWorldConfig {
+                tenants: 0,
+                ..serve()
+            },
+            ServeWorldConfig {
+                lru_slots: 0,
+                ..serve()
+            },
+        ] {
+            assert!(ServeWorld::new(&bad).is_err());
+            let out = run_serve(&bad);
+            assert!(unbuilt(&out.violations), "{:?}", out.violations);
+            assert_eq!(out.counters.steps, 0);
+        }
+        // The widest world the mask holds runs clean.
+        let widest = run_schedule(
+            &cfg(MAX_THREADS, Scenario::Shared),
+            &SchedulePolicy::Random { seed: 1 },
+        );
+        assert!(widest.violations.is_empty(), "{:?}", widest.violations);
+        let widest = run_serve(&ServeWorldConfig {
+            connections: MAX_THREADS,
+            ..serve()
+        });
+        assert!(widest.violations.is_empty(), "{:?}", widest.violations);
     }
 
     #[test]
