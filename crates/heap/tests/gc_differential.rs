@@ -1,14 +1,26 @@
 //! Golden differential for the collector's data structures.
 //!
-//! `gc_differential.golden` was written by this same driver running
-//! against the collector as it stood before the mark/dirty/retrace bit
-//! sets replaced `Vec<bool>` and `BTreeSet<GcRef>`. Everything the
-//! driver can observe through the public API is in the file, so byte
-//! equality pins the three order invariants the rewrite must keep: the
-//! grey stack is LIFO with children shaded in field/element order,
-//! dirty and retrace sets drain in ascending slot order, and sweep
-//! frees in ascending slot order (hence the slot-reuse order of the
-//! allocations that follow).
+//! `gc_differential.golden` was first written by this same driver
+//! running against the collector as it stood before the
+//! mark/dirty/retrace bit sets replaced `Vec<bool>` and
+//! `BTreeSet<GcRef>`; the `progress` field was added later, by a
+//! collector whose every other field still matched that file.
+//! Everything the driver can observe through the public API is in the
+//! file, so byte equality pins the three order invariants: the grey
+//! stack is LIFO with children shaded in field/element order, dirty and
+//! retrace sets drain in ascending slot order, and sweep frees in
+//! ascending slot order (hence the slot-reuse order of the allocations
+//! that follow).
+//!
+//! Order 1 shows in the final heap only through incremental-update
+//! floating garbage, which these schedules seldom create because their
+//! marker finishes early in each cycle: with the children shaded in
+//! reverse, every field but `progress` stays the same. `progress` is a
+//! hash of the mark bits and the reference arrays' trace states after
+//! each `mark_step`, and `iu_floating_garbage_follows_the_scan_order`
+//! builds the one interleaving where the order decides what survives.
+//! Reversing the children's order in `GcState::scan` or popping the grey
+//! stack first-in first-out fails both.
 //!
 //! The driver is a legal mutator: it only touches objects in `held`,
 //! which it passes as the root set to `begin_marking` and `remark`, and
@@ -32,6 +44,15 @@ const IDLE_OPS: usize = 60;
 const HELD_MAX: usize = 48;
 const BUDGETS: [usize; 3] = [1, 7, 64];
 const OBJ2: [FieldShape; 2] = [FieldShape::Ref, FieldShape::Ref];
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(h, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 struct Rng(u64);
 
@@ -208,6 +229,24 @@ impl Driver {
         }
     }
 
+    /// Folds which slots are marked and which reference arrays are
+    /// tracing or traced into `h`: the marker's progress so far.
+    fn fold_progress(&self, mut h: u64) -> u64 {
+        for i in 0..self.heap.store.capacity() {
+            let r = GcRef(i as u32);
+            let array_state = if self.heap.store.is_live(r) && self.is_ref_array(r) {
+                self.state_index(r) as u8
+            } else {
+                0
+            };
+            if self.heap.gc.is_marked(r) || array_state != 0 {
+                h = fnv1a(h, (i as u32).to_le_bytes());
+                h = fnv1a(h, [u8::from(self.heap.gc.is_marked(r)), array_state]);
+            }
+        }
+        h
+    }
+
     /// One cycle and the refill after it, rendered as one golden line.
     fn cycle(&mut self, out: &mut String) {
         for _ in 0..IDLE_OPS {
@@ -216,11 +255,13 @@ impl Driver {
         let heap = &mut self.heap;
         heap.gc.begin_marking(&mut heap.store, &self.held);
         let mut steps = 0usize;
+        let mut progress = FNV_OFFSET;
         for op in 0..OPS_PER_CYCLE {
             if op % 3 == 0 {
                 let budget = BUDGETS[self.rng.below(BUDGETS.len())];
                 let heap = &mut self.heap;
                 steps += heap.gc.mark_step(&mut heap.store, budget);
+                progress = self.fold_progress(progress);
             } else {
                 self.mutate();
             }
@@ -257,7 +298,7 @@ impl Driver {
         let next: Vec<String> = next.iter().map(|n| n.to_string()).collect();
         writeln!(
             out,
-            "steps={steps} backlog={satb_backlog}/{dirty_backlog} \
+            "steps={steps} progress={progress:016x} backlog={satb_backlog}/{dirty_backlog} \
              pause={}/{}/{}/{}/{}/{} marked={marked} arrays={} \
              retrace_states={} capacity={capacity} freed={freed} \
              stats={}/{}/{}/{}/{}/{} heap={}/{}/{} next={} digest={:016x}",
@@ -321,6 +362,43 @@ fn collector_matches_the_golden_file() {
             path.display()
         );
     }
+}
+
+/// Order 1 decides which of two unlinked grandchildren an
+/// incremental-update cycle keeps as floating garbage. `root` holds `a`
+/// then `b`, and each of those holds one child. The first slice scans
+/// `root`, shading `a` and then `b`; the second pops the top of the grey
+/// stack, `b`, and shades `b`'s child. Both children are then unlinked:
+/// `b`'s is already marked and floats, `a`'s is never reached and is
+/// freed. Shading `b` first, or popping `a` first, swaps the two.
+#[test]
+fn iu_floating_garbage_follows_the_scan_order() {
+    let mut heap = Heap::new(MarkStyle::IncrementalUpdate);
+    let [root, a, b, a_child, b_child] = [(); 5].map(|()| {
+        heap.alloc_object(1, &OBJ2)
+            .expect("no fault plan is installed")
+    });
+    for (parent, field, child) in [(root, 0, a), (root, 1, b), (a, 0, a_child), (b, 0, b_child)] {
+        heap.set_field(parent, field, Value::from(child))
+            .expect("field in range");
+    }
+    heap.gc.begin_marking(&mut heap.store, &[root]);
+    assert_eq!(heap.gc.mark_step(&mut heap.store, 1), 1, "scans root");
+    assert_eq!(heap.gc.mark_step(&mut heap.store, 1), 1, "scans b");
+    assert!(heap.gc.is_marked(b_child) && !heap.gc.is_marked(a_child));
+    for parent in [a, b] {
+        heap.gc.dirty(parent);
+        heap.set_field(parent, 0, Value::NULL)
+            .expect("field in range");
+    }
+    let pause = heap.gc.remark(&mut heap.store, &[root]);
+    assert_eq!((pause.dirty_rescanned, pause.objects_scanned), (2, 4));
+    assert_eq!(heap.sweep(), 1);
+    assert!(heap.store.is_live(b_child), "shaded before it was unlinked");
+    assert!(
+        !heap.store.is_live(a_child),
+        "unlinked before it was reached"
+    );
 }
 
 /// The schedules reach what the golden file is meant to pin.
