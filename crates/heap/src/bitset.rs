@@ -26,16 +26,23 @@ impl BitSet {
 
     /// Adds `i`, growing the set if needed. Returns true if `i` was
     /// absent.
+    #[inline]
     pub(crate) fn insert(&mut self, i: usize) -> bool {
         let word = i / 64;
         if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
+            self.grow(word);
         }
         let (w, bit) = (&mut self.words[word], 1u64 << (i % 64));
         let fresh = *w & bit == 0;
         *w |= bit;
         self.ones += usize::from(fresh);
         fresh
+    }
+
+    /// Off the shade's path: only a slot allocated since the reset.
+    #[cold]
+    fn grow(&mut self, word: usize) {
+        self.words.resize(word + 1, 0);
     }
 
     /// Removes `i`; a no-op if it is absent or out of range.

@@ -453,7 +453,7 @@ impl GcState {
         self.grey.clear();
         self.satb_buf.clear();
         for &r in roots {
-            self.shade(r);
+            self.shade(store, r);
         }
         // Initial-mark "pause": the root-scan work at cycle start.
         if let Some(m) = self.metrics() {
@@ -462,17 +462,20 @@ impl GcState {
         Ok(())
     }
 
-    /// Marks `r` grey if it is unmarked.
-    fn shade(&mut self, r: GcRef) {
+    /// Marks `r` grey if it is unmarked, prefetching the slot to scan.
+    #[inline(always)]
+    fn shade(&mut self, store: &Store, r: GcRef) {
         if self.mark.insert(r.index()) {
+            store.prefetch(r, false);
             self.grey.push(r);
         }
     }
 
     /// Scans one object: traces its outgoing references, shading each
     /// in field/element order. Returns the number of references traced.
+    #[inline(always)]
     fn scan(&mut self, store: &Store, r: GcRef) -> usize {
-        let Ok(obj) = store.get(r) else {
+        let Some(obj) = store.slot(r) else {
             return 0;
         };
         let is_array = matches!(obj.kind, ObjKind::RefArray(_));
@@ -481,7 +484,7 @@ impl GcState {
         }
         let mut traced = 0;
         obj.for_each_ref(|child| {
-            self.shade(child);
+            self.shade(store, child);
             traced += 1;
         });
         if is_array {
@@ -490,30 +493,39 @@ impl GcState {
         traced
     }
 
+    /// Pops and scans up to `budget` grey objects, LIFO, prefetching the
+    /// new top's spilled payload; returns (scanned, references traced).
+    #[inline(always)]
+    fn drain_grey(&mut self, store: &Store, budget: usize) -> (usize, usize) {
+        let (mut scanned, mut traced) = (0, 0);
+        while let Some(r) = self.grey.pop_if(|_| scanned < budget) {
+            if let Some(&next) = self.grey.last() {
+                store.prefetch(next, true);
+            }
+            traced += self.scan(store, r);
+            scanned += 1;
+        }
+        (scanned, traced)
+    }
+
     /// Performs up to `budget` units of concurrent marking work (one unit
     /// ≈ one log entry drained or one object scanned). Returns the units
     /// actually performed; `0` means the collector has no pending work
     /// (though the mutator may still generate more via barriers).
     pub fn mark_step(&mut self, store: &mut Store, budget: usize) -> usize {
         assert_eq!(self.phase, Phase::Marking, "mark_step while idle");
+        // The log, then the grey stack: shading never adds to the log.
+        // (Incremental update defers dirty objects entirely to the
+        // stop-the-world remark, in the mostly-parallel style: that
+        // deferred rescan IS the pause the experiments measure.)
         let mut done = 0;
-        while done < budget {
-            if let Some(old) = self.satb_buf.pop() {
-                self.shade(old);
-                done += 1;
-                continue;
-            }
-            // (Incremental update defers dirty objects entirely to the
-            // stop-the-world remark, in the mostly-parallel style: that
-            // deferred rescan IS the pause the experiments measure.)
-            if let Some(r) = self.grey.pop() {
-                self.scan(store, r);
-                self.stats.concurrent_scans += 1;
-                done += 1;
-                continue;
-            }
-            break;
+        while let Some(old) = self.satb_buf.pop_if(|_| done < budget) {
+            self.shade(store, old);
+            done += 1;
         }
+        let (scanned, _) = self.drain_grey(store, budget - done);
+        self.stats.concurrent_scans += scanned as u64;
+        done += scanned;
         if done > 0 {
             if let Some(m) = self.metrics() {
                 m.pause_mark_step.record(done as u64);
@@ -537,7 +549,7 @@ impl GcState {
         let mut pause = PauseReport::default();
         for &r in roots {
             pause.roots_examined += 1;
-            self.shade(r);
+            self.shade(store, r);
         }
         // §4.3: arrays whose rearrangement raced with tracing are traced
         // again, conservatively, with the world stopped.
@@ -556,11 +568,7 @@ impl GcState {
             MarkStyle::Satb => {
                 while let Some(old) = self.satb_buf.pop() {
                     pause.log_drained += 1;
-                    self.shade(old);
-                }
-                while let Some(r) = self.grey.pop() {
-                    pause.objects_scanned += 1;
-                    pause.refs_traced += self.scan(store, r);
+                    self.shade(store, old);
                 }
             }
             MarkStyle::IncrementalUpdate => {
@@ -577,12 +585,11 @@ impl GcState {
                     }
                 });
                 self.dirty = dirty;
-                while let Some(r) = self.grey.pop() {
-                    pause.objects_scanned += 1;
-                    pause.refs_traced += self.scan(store, r);
-                }
             }
         }
+        let (scanned, traced) = self.drain_grey(store, usize::MAX);
+        pause.objects_scanned += scanned;
+        pause.refs_traced += traced;
         self.phase = Phase::Idle;
         self.stats.cycles += 1;
         if let Some(m) = self.metrics() {

@@ -94,10 +94,33 @@ impl Store {
     ///
     /// [`HeapError::DanglingRef`] if `r` is not live.
     pub fn get(&self, r: GcRef) -> Result<&HeapObject, HeapError> {
-        self.slots
-            .get(r.index())
-            .and_then(|s| s.as_ref())
-            .ok_or(HeapError::DanglingRef(r))
+        self.slot(r).ok_or(HeapError::DanglingRef(r))
+    }
+
+    /// The object at `r`, or `None` if `r` is not live.
+    #[inline]
+    pub(crate) fn slot(&self, r: GcRef) -> Option<&HeapObject> {
+        self.slots.get(r.index()).and_then(Option::as_ref)
+    }
+
+    /// Prefetches `r`'s slot or, with `payload`, the spilled reference
+    /// payload of the object in it, and returns the address hinted: none
+    /// for `r` out of range, nor for the payload of a free slot, an inline
+    /// payload or an int array. A hint reads nothing: a stale ref is free.
+    #[inline(always)]
+    pub(crate) fn prefetch(&self, r: GcRef, payload: bool) -> Option<*const i8> {
+        let slot = self.slots.get(r.index())?;
+        let line = match payload {
+            true => slot.as_ref()?.spilled_refs()?,
+            false => std::ptr::from_ref(slot).cast(),
+        };
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `prefetcht0` accesses no memory, so it cannot fault or
+        // be observed whatever `line` is; SSE is in the x86_64 baseline.
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(line);
+        }
+        Some(line)
     }
 
     /// Returns the object at `r` mutably.
@@ -265,13 +288,7 @@ impl Heap {
 
     /// References currently stored in statics (GC roots).
     pub fn static_roots(&self) -> Vec<GcRef> {
-        self.statics
-            .iter()
-            .filter_map(|v| match v {
-                Value::Ref(Some(r)) => Some(*r),
-                _ => None,
-            })
-            .collect()
+        self.static_ref_slots().map(|(_, r)| r).collect()
     }
 
     /// Chaos hook: clears the mark bit of the lowest-index marked live
@@ -577,6 +594,42 @@ mod tests {
         assert_eq!(h.mark_slice(2), Some(32), "boosted ×16");
         assert_eq!(h.mark_slice(usize::MAX / 2), Some(5), "saturates");
         assert_eq!(h.mark_slice(1), Some(0), "nothing pending");
+    }
+
+    /// The marker prefetches every ref it greys or pops, stale ones
+    /// included: out of range, or for a payload the scan will not read
+    /// (a free slot's, an inline one, an int array's), it hints nothing.
+    #[test]
+    fn prefetch_hints_only_in_range_slots_and_spilled_reference_payloads() {
+        use crate::object::{INLINE_FIELDS, INLINE_REFS};
+        let mut h = heap();
+        let inline = h.alloc_ref_array(0, INLINE_REFS as i64).unwrap();
+        let spilled = h.alloc_ref_array(0, INLINE_REFS as i64 + 1).unwrap();
+        let fields = h
+            .alloc_object(0, &[FieldShape::Ref; INLINE_FIELDS + 1])
+            .unwrap();
+        let ints = h.alloc_int_array(100).unwrap();
+        let freed = h.alloc_object(0, &[]).unwrap();
+        h.store.remove(freed);
+        let out_of_range = [GcRef(h.store.capacity() as u32), GcRef(u32::MAX)];
+        for r in [inline, spilled, fields, ints, freed] {
+            let slot = std::ptr::from_ref(&h.store.slots[r.index()]);
+            assert_eq!(h.store.prefetch(r, false), Some(slot.cast()), "{r}");
+        }
+        for r in [inline, ints, freed].into_iter().chain(out_of_range) {
+            assert_eq!(h.store.prefetch(r, true), None, "{r}");
+        }
+        assert_eq!(h.store.prefetch(out_of_range[0], false), None);
+        assert_eq!(h.store.prefetch(out_of_range[1], false), None);
+        let payload = |r| match &h.store.get(r).unwrap().kind {
+            ObjKind::Object(fields) => fields.as_ptr().cast(),
+            ObjKind::RefArray(elems) => elems.as_ptr().cast(),
+            ObjKind::IntArray(_) => unreachable!("not prefetched"),
+        };
+        for r in [spilled, fields] {
+            assert_eq!(h.store.prefetch(r, true), Some(payload(r)), "{r}");
+        }
+        assert_eq!((h.store.capacity(), h.store.live_count()), (5, 4));
     }
 
     #[test]

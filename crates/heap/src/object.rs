@@ -187,7 +187,7 @@ impl HeapObject {
     /// the garbage collector must trace), in slot order. The one way
     /// to walk the object graph: collector, verifier and heap summaries
     /// all see children in this order.
-    #[inline]
+    #[inline(always)]
     pub fn for_each_ref(&self, mut f: impl FnMut(GcRef)) {
         match &self.kind {
             ObjKind::Object(fields) => {
@@ -203,6 +203,15 @@ impl HeapObject {
                 }
             }
             ObjKind::IntArray(_) => {}
+        }
+    }
+
+    /// Where a spilled reference payload lives, for the marker's prefetch.
+    pub(crate) fn spilled_refs(&self) -> Option<*const i8> {
+        match &self.kind {
+            ObjKind::Object(Payload(Repr::Spilled(fields))) => Some(fields.as_ptr().cast()),
+            ObjKind::RefArray(Payload(Repr::Spilled(elems))) => Some(elems.as_ptr().cast()),
+            _ => None,
         }
     }
 
