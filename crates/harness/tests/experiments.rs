@@ -11,7 +11,9 @@
 //! mismatching section is written to the test scratch directory and the
 //! failure names the file.
 
-use wbe_harness::{combined, ext, fig2, fig3, pause, rearrange_exp, static_counts, table2};
+use wbe_harness::{
+    clients, combined, ext, fig2, fig3, pause, rearrange_exp, static_counts, table2,
+};
 
 /// The `--scale` of `experiments all --scale 0.1`; each experiment
 /// below is called with the multiple of it the binary passes.
@@ -86,4 +88,9 @@ fn combined_is_pinned() {
 #[test]
 fn rearrangement_protocol_is_pinned() {
     check("rearrange", &rearrange_exp::run(SCALE * 0.25).to_string());
+}
+
+#[test]
+fn clients_are_pinned() {
+    check("clients", &clients::run().to_string());
 }

@@ -19,12 +19,13 @@
 //! accesses), so the only admissible trap is an oracle failure — which
 //! must never happen.
 
+mod keep_model;
 mod nullsame_model;
 
 use proptest::prelude::*;
 
 use wbe_repro::analysis::nullsame;
-use wbe_repro::analysis::{analyze_method, AnalysisConfig};
+use wbe_repro::analysis::{analyze_method, AnalysisConfig, ElisionLedger};
 use wbe_repro::heap::gc::MarkStyle;
 use wbe_repro::interp::{
     BarrierConfig, BarrierMode, ElidedBarriers, ElisionKind, EngineKind, GcPolicy, Interp, Trap,
@@ -479,6 +480,28 @@ proptest! {
         iters in 1i64..6,
     ) {
         run_case(&stmts, iters)?;
+    }
+
+    /// The ledger names the first failing condition the model in
+    /// `keep_model/` derives, on random programs under the full
+    /// analysis, field-only, both ablations, and an iteration cap that
+    /// degrades the loop (whose records then come from partial states).
+    #[test]
+    fn ledger_keep_codes_agree_with_the_model(
+        stmts in proptest::collection::vec(stmt_strategy(), 1..32),
+    ) {
+        let (program, _) = compile(&stmts);
+        for config in [
+            AnalysisConfig::full(),
+            AnalysisConfig::field_only(),
+            AnalysisConfig { two_refs_per_site: false, ..AnalysisConfig::full() },
+            AnalysisConfig { flow_sensitive_escape: false, ..AnalysisConfig::full() },
+            AnalysisConfig::full().with_max_iterations(3),
+        ] {
+            let ledger = ElisionLedger::build(&program, &config);
+            let checked = keep_model::check(&program, &config, &ledger.records);
+            prop_assert!(checked.is_ok(), "{:?} under {config:?}\nstmts: {stmts:#?}", checked);
+        }
     }
 }
 
