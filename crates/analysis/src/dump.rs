@@ -19,8 +19,9 @@ use wbe_ir::{Method, Program};
 
 use crate::config::AnalysisConfig;
 use crate::fixpoint::{AnalysisOutcome, MethodSolution};
-use crate::ledger::{SiteRecord, Verdict, WOULD_ELIDE};
+use crate::ledger::{SiteRecord, Verdict};
 use crate::state::{AbsState, AbsValue, FieldKey};
+use crate::transfer::KeepCode;
 
 /// Renders the fixed point of `method` as text. Standalone entry point:
 /// it solves the method itself;
@@ -75,7 +76,7 @@ pub(crate) fn render(solution: &MethodSolution<'_>, records: &[SiteRecord]) -> S
         for rec in sites {
             let verdict = match rec.verdict {
                 Verdict::Elide => "ELIDED (pre-null)".to_string(),
-                Verdict::Degraded if rec.keep_code == WOULD_ELIDE => {
+                Verdict::Degraded if rec.keep_code == Some(KeepCode::DegradedWouldElide) => {
                     "barrier KEPT — analysis degraded (partial state had no failing condition)"
                         .to_string()
                 }

@@ -7,13 +7,17 @@
 //! the last run". Each [`SiteRecord`] carries the verdict
 //! (elide/keep/degraded), the abstract receiver set, which receivers
 //! were non-thread-local, the σ/NR/Len facts consulted by the judgment,
-//! and — for kept barriers — the **first failing elision condition** in
-//! the order the judgment checks them (escape before field nullness,
-//! matching §2.4; escape before null-range membership for arrays, §3).
+//! and — for kept barriers — the **first failing elision condition**.
+//! That condition is the judgment's own [`KeepCode`]: the transfer
+//! function checks escape before field nullness (§2.4) and escape
+//! before null-range membership (§3) and names the first that fails, so
+//! the ledger derives no reason of its own; it only completes the two
+//! details that quote a fact (σ of the single receiver, NR of the
+//! single array) from the evidence it read.
 //!
 //! Records come out of the same replay of the same
 //! [`MethodSolution`] as the elision judgment itself
-//! ([`MethodSolution::replay`]), so ledger verdicts agree with
+//! ([`MethodSolution::replay`]), so ledger verdicts and codes agree with
 //! [`analyze_method`](crate::analyze_method) by construction and cost
 //! no second fixed point. For degraded methods the replay uses the
 //! driver's *partial* (pre-convergence) states: sites in blocks reached
@@ -33,7 +37,7 @@ use crate::config::AnalysisConfig;
 use crate::fixpoint::MethodSolution;
 use crate::refs::singleton;
 use crate::state::{AbsState, AbsValue, FieldKey, MethodCtx};
-use crate::transfer::BarrierJudgment;
+use crate::transfer::{Judgment, KeepCode};
 
 /// What the analysis decided about one store site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,17 +77,6 @@ impl std::str::FromStr for Verdict {
     }
 }
 
-/// The first failing elision condition at a kept site: a stable
-/// machine-readable `code` plus the human-readable `detail` the text
-/// dump prints.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KeepReason {
-    /// Stable kebab-case condition name (e.g. `receiver-may-escape`).
-    pub code: &'static str,
-    /// Human-readable explanation, including the offending fact.
-    pub detail: String,
-}
-
 /// Provenance for one barrier-relevant store site.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SiteRecord {
@@ -106,8 +99,8 @@ pub struct SiteRecord {
     pub nl: Vec<String>,
     /// The σ/NR/Len facts consulted by the judgment, rendered.
     pub facts: Vec<String>,
-    /// First failing condition code (empty for `Elide`).
-    pub keep_code: String,
+    /// The first failing condition; `None` for `Elide`.
+    pub keep_code: Option<KeepCode>,
     /// Human-readable first failing condition (empty for `Elide`).
     pub keep_detail: String,
     /// Degrade reason when [`Verdict::Degraded`] (empty otherwise).
@@ -139,7 +132,7 @@ impl SiteRecord {
             .field_str("receiver", &self.receiver)
             .field_raw("nl", &str_array(&self.nl))
             .field_raw("facts", &str_array(&self.facts))
-            .field_str("keep_code", &self.keep_code)
+            .field_str("keep_code", self.keep_code.map_or("", KeepCode::as_str))
             .field_str("keep_detail", &self.keep_detail)
             .field_str("degraded", &self.degraded)
             .field_bool("null_or_same", self.null_or_same);
@@ -237,57 +230,95 @@ impl ElisionLedger {
             .collect()
     }
 
-    /// Number of kept/degraded records per keep-code, in deterministic
-    /// code order. `Elide` records (empty code) are excluded.
-    pub fn keep_code_counts(&self) -> std::collections::BTreeMap<String, usize> {
+    /// Number of kept/degraded records per keep-code. `Elide` records
+    /// carry none.
+    pub fn keep_code_counts(&self) -> std::collections::BTreeMap<KeepCode, usize> {
         let mut counts = std::collections::BTreeMap::new();
-        for r in &self.records {
-            if r.verdict != Verdict::Elide && !r.keep_code.is_empty() {
-                *counts.entry(r.keep_code.clone()).or_insert(0) += 1;
-            }
+        for code in self.records.iter().filter_map(|r| r.keep_code) {
+            *counts.entry(code).or_insert(0) += 1;
         }
         counts
     }
 }
 
-/// Keep-code of a site in a degraded method whose partial state showed
-/// no failing condition.
-pub(crate) const WOULD_ELIDE: &str = "degraded-would-elide";
-
 /// What the state before a barrier site says about it, rendered while
 /// that state is still there to read: the transfer function that yields
 /// the judgment consumes it.
+#[derive(Default)]
 pub(crate) struct Evidence {
     receiver: String,
     nl: Vec<String>,
     facts: Vec<String>,
-    /// The first failing condition, should the site be kept.
-    keep: KeepReason,
+    /// σ of the single receiver's field, or NR of the single array: the
+    /// fact a [`KeepCode::names_fact`] detail ends in.
+    fact: Option<String>,
 }
 
 impl Evidence {
-    /// Reads the evidence for the barrier site `insn` off its pre-state.
+    /// Reads the evidence for the barrier site `insn` off its pre-state:
+    /// the abstract receiver set, which receivers are in NL, and the
+    /// facts the judgment consulted — σ entries for a `putfield`, NR/Len
+    /// entries plus the abstract index for an `aastore`.
     pub(crate) fn gather(pre: &AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Evidence {
-        let (receiver, nl, facts) = evidence(pre, ctx, insn);
+        let (receiver, index) = match insn {
+            Insn::PutField(_) => (operand(pre, 1), None),
+            Insn::AaStore => (operand(pre, 2), Some(operand(pre, 1))),
+            _ => return Evidence::default(),
+        };
+        let index = index.map(|idx| format!("index = {idx:?}"));
+        let AbsValue::Refs(s) = receiver else {
+            return Evidence {
+                receiver: format!("{receiver:?}"),
+                facts: index.into_iter().collect(),
+                ..Evidence::default()
+            };
+        };
+        let single = singleton(s).is_some();
+        let mut fact = None;
+        let mut facts = Vec::new();
+        for &r in s.iter() {
+            let value = match insn {
+                Insn::PutField(f) => {
+                    let v = format!("{:?}", pre.sigma_lookup(ctx, r, FieldKey::Field(*f)));
+                    facts.push(format!("σ({r}, {}) = {v}", ctx.program.field(*f).name));
+                    v
+                }
+                _ => {
+                    let v = format!("{:?}", pre.nr_lookup(r));
+                    facts.push(format!("NR({r}) = {v}"));
+                    facts.push(format!("Len({r}) = {:?}", pre.len_lookup(r)));
+                    v
+                }
+            };
+            if single {
+                fact = Some(value);
+            }
+        }
+        facts.extend(index);
         Evidence {
-            receiver,
-            nl,
+            receiver: fmt_refset(s.iter()),
+            nl: s
+                .iter()
+                .filter(|r| pre.nl.contains(r))
+                .map(|r| r.to_string())
+                .collect(),
             facts,
-            keep: keep_reason(pre, ctx, insn),
+            fact,
         }
     }
 }
 
-/// The record for the barrier site `insn` at `addr`: `pre` is what the
-/// state before it showed (`None` = its block has no entry state),
-/// `judgment` what the transfer function returned there, and `degraded`
-/// the method's degrade reason, if it degraded.
+/// The record for the barrier site `insn` at `addr`: `judged` is the
+/// evidence its pre-state showed and the judgment the transfer function
+/// returned there (`None` = its block has no entry state), `degraded`
+/// the method's degrade reason, if it degraded. The keep-code is the
+/// judgment's own; only the two details that name a fact are completed
+/// from the evidence.
 pub(crate) fn site_record(
     ctx: &MethodCtx<'_>,
     addr: InsnAddr,
     insn: &Insn,
-    pre: Option<Evidence>,
-    judgment: BarrierJudgment,
+    judged: Option<(Evidence, Judgment)>,
     degraded: Option<&str>,
 ) -> SiteRecord {
     let (kind, target) = match insn {
@@ -295,52 +326,37 @@ pub(crate) fn site_record(
         Insn::AaStore => ("aastore", "[]".to_string()),
         _ => ("", String::new()),
     };
-    let mut rec = SiteRecord {
+    let (keep_code, evidence) = match judged {
+        None if degraded.is_some() => (Some(KeepCode::NotReached), None),
+        None => (Some(KeepCode::UnreachableBlock), None),
+        Some((e, Judgment::Elide)) => (degraded.map(|_| KeepCode::DegradedWouldElide), Some(e)),
+        Some((e, Judgment::Keep(code))) => (Some(code), Some(e)),
+    };
+    let verdict = match (degraded, keep_code) {
+        (Some(_), _) => Verdict::Degraded,
+        (None, None) => Verdict::Elide,
+        (None, Some(_)) => Verdict::Keep,
+    };
+    let evidence = evidence.unwrap_or_default();
+    let mut keep_detail = keep_code.map_or("", KeepCode::detail).to_string();
+    if keep_code.is_some_and(KeepCode::names_fact) {
+        keep_detail.push_str(evidence.fact.as_deref().unwrap_or_default());
+    }
+    SiteRecord {
         method: ctx.method.name.clone(),
         block: addr.block.index(),
         index: addr.index,
         kind,
         target,
-        verdict: Verdict::Keep,
-        receiver: String::new(),
-        nl: Vec::new(),
-        facts: Vec::new(),
-        keep_code: String::new(),
-        keep_detail: String::new(),
+        verdict,
+        receiver: evidence.receiver,
+        nl: evidence.nl,
+        facts: evidence.facts,
+        keep_code,
+        keep_detail,
         degraded: degraded.unwrap_or_default().to_string(),
         null_or_same: false,
-    };
-    let reason = |code, detail: &str| KeepReason {
-        code,
-        detail: detail.to_string(),
-    };
-    let (pre, found) = pre.map(|e| (e.keep, (e.receiver, e.nl, e.facts))).unzip();
-    let keep = match (pre, degraded) {
-        (None, Some(_)) => Some(reason("not-reached", "site not reached before degradation")),
-        (None, None) => Some(reason(
-            "unreachable-block",
-            "block unreachable (no entry state)",
-        )),
-        (Some(_), None) if judgment == Some(true) => None,
-        (Some(_), Some(_)) if judgment != Some(false) => Some(reason(
-            WOULD_ELIDE,
-            "no failing condition in the partial (pre-convergence) state",
-        )),
-        (Some(pre), _) => Some(pre),
-    };
-    rec.verdict = match (degraded, &keep) {
-        (Some(_), _) => Verdict::Degraded,
-        (None, None) => Verdict::Elide,
-        (None, Some(_)) => Verdict::Keep,
-    };
-    if let Some(keep) = keep {
-        rec.keep_code = keep.code.to_string();
-        rec.keep_detail = keep.detail;
     }
-    if let Some(found) = found {
-        (rec.receiver, rec.nl, rec.facts) = found;
-    }
-    rec
 }
 
 /// The operand `depth` slots below the top of the stack. The transfer
@@ -351,143 +367,9 @@ fn operand(pre: &AbsState, depth: usize) -> &AbsValue {
     operands.nth(depth).expect("verified IR never underflows")
 }
 
-/// Renders the abstract receiver set and the facts the judgment
-/// consulted: σ entries for a `putfield`, NR/Len entries plus the
-/// abstract index for an `aastore`.
-fn evidence(
-    pre: &AbsState,
-    ctx: &MethodCtx<'_>,
-    insn: &Insn,
-) -> (String, Vec<String>, Vec<String>) {
-    match insn {
-        Insn::PutField(f) => {
-            let obj = operand(pre, 1);
-            match obj {
-                AbsValue::Refs(s) => {
-                    let fname = &ctx.program.field(*f).name;
-                    let nl = s
-                        .iter()
-                        .filter(|r| pre.nl.contains(r))
-                        .map(|r| r.to_string())
-                        .collect();
-                    let facts = s
-                        .iter()
-                        .map(|&r| {
-                            format!(
-                                "σ({r}, {fname}) = {:?}",
-                                pre.sigma_lookup(ctx, r, FieldKey::Field(*f))
-                            )
-                        })
-                        .collect();
-                    (fmt_refset(s.iter()), nl, facts)
-                }
-                other => (format!("{other:?}"), Vec::new(), Vec::new()),
-            }
-        }
-        Insn::AaStore => {
-            let arr = operand(pre, 2);
-            let idx = operand(pre, 1);
-            match arr {
-                AbsValue::Refs(s) => {
-                    let nl = s
-                        .iter()
-                        .filter(|r| pre.nl.contains(r))
-                        .map(|r| r.to_string())
-                        .collect();
-                    let mut facts: Vec<String> = Vec::new();
-                    for &r in s.iter() {
-                        facts.push(format!("NR({r}) = {:?}", pre.nr_lookup(r)));
-                        facts.push(format!("Len({r}) = {:?}", pre.len_lookup(r)));
-                    }
-                    facts.push(format!("index = {idx:?}"));
-                    (fmt_refset(s.iter()), nl, facts)
-                }
-                other => (
-                    format!("{other:?}"),
-                    Vec::new(),
-                    vec![format!("index = {idx:?}")],
-                ),
-            }
-        }
-        _ => (String::new(), Vec::new(), Vec::new()),
-    }
-}
-
 fn fmt_refset<'a, I: Iterator<Item = &'a crate::refs::Ref>>(refs: I) -> String {
     let items: Vec<String> = refs.map(|r| r.to_string()).collect();
     format!("{{{}}}", items.join(", "))
-}
-
-/// Derives the first failing elision condition at a kept site from its
-/// pre-state, in judgment order: escape first, then field nullness
-/// (§2.4) / null-range membership (§3). Shared with the text dump so
-/// `wbe_tool explain` and `wbe_analysis::dump` never disagree.
-pub(crate) fn keep_reason(pre: &AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> KeepReason {
-    match insn {
-        Insn::PutField(f) => {
-            let obj = operand(pre, 1);
-            match obj {
-                AbsValue::Refs(s) => {
-                    if s.iter().any(|r| pre.nl.contains(r)) {
-                        KeepReason {
-                            code: "receiver-may-escape",
-                            detail: "receiver may be non-thread-local".to_string(),
-                        }
-                    } else if let Some(r) = singleton(s) {
-                        KeepReason {
-                            code: "field-may-be-non-null",
-                            detail: format!(
-                                "field may be non-null: σ = {:?}",
-                                pre.sigma_lookup(ctx, r, FieldKey::Field(*f))
-                            ),
-                        }
-                    } else {
-                        KeepReason {
-                            code: "field-may-be-non-null-multi",
-                            detail: "field may be non-null on some receiver".to_string(),
-                        }
-                    }
-                }
-                _ => KeepReason {
-                    code: "receiver-unknown",
-                    detail: "receiver unknown".to_string(),
-                },
-            }
-        }
-        Insn::AaStore => {
-            if !ctx.track_arrays {
-                return KeepReason {
-                    code: "array-analysis-disabled",
-                    detail: "array analysis disabled (field-only configuration)".to_string(),
-                };
-            }
-            let arr = operand(pre, 2);
-            match arr {
-                AbsValue::Refs(s) if s.iter().any(|r| pre.nl.contains(r)) => KeepReason {
-                    code: "array-may-escape",
-                    detail: "array may be non-thread-local".to_string(),
-                },
-                AbsValue::Refs(s) => match singleton(s) {
-                    Some(r) => KeepReason {
-                        code: "index-outside-null-range",
-                        detail: format!("index not provably in null range {:?}", pre.nr_lookup(r)),
-                    },
-                    None => KeepReason {
-                        code: "multiple-arrays",
-                        detail: "multiple possible arrays".to_string(),
-                    },
-                },
-                _ => KeepReason {
-                    code: "array-unknown",
-                    detail: "array unknown".to_string(),
-                },
-            }
-        }
-        _ => KeepReason {
-            code: "not-a-barrier",
-            detail: String::new(),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -542,7 +424,7 @@ mod tests {
             .filter(|r| r.verdict == Verdict::Keep)
             .collect();
         assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].keep_code, "receiver-may-escape");
+        assert_eq!(kept[0].keep_code, Some(KeepCode::ReceiverMayEscape));
         assert!(!kept[0].nl.is_empty(), "escaped receiver listed: {kept:?}");
         assert!(
             kept[0].facts.iter().any(|f| f.starts_with("σ(")),
@@ -560,7 +442,7 @@ mod tests {
             .filter(|r| r.verdict == Verdict::Elide)
             .collect();
         assert_eq!(elided.len(), 1);
-        assert!(elided[0].keep_code.is_empty());
+        assert!(elided[0].keep_code.is_none());
         assert!(elided[0].keep_detail.is_empty());
         assert!(elided[0].receiver.starts_with('{'), "{elided:?}");
     }
@@ -598,12 +480,17 @@ mod tests {
         let entry_site = &ledger.records[0];
         assert_eq!(entry_site.block, 0);
         assert_eq!(
-            entry_site.keep_code, "receiver-may-escape",
+            entry_site.keep_code,
+            Some(KeepCode::ReceiverMayEscape),
             "reached site keeps its real reason: {entry_site:?}"
         );
         assert!(!entry_site.degraded.is_empty());
         let loop_site = &ledger.records[1];
-        assert_eq!(loop_site.keep_code, "not-reached", "{loop_site:?}");
+        assert_eq!(
+            loop_site.keep_code,
+            Some(KeepCode::NotReached),
+            "{loop_site:?}"
+        );
     }
 
     #[test]
@@ -639,7 +526,10 @@ mod tests {
         assert_eq!(ledger.records[0].kind, "aastore");
         assert!(ledger.records[0].facts.iter().any(|f| f.starts_with("NR(")));
         assert_eq!(ledger.records[2].verdict, Verdict::Keep);
-        assert_eq!(ledger.records[2].keep_code, "index-outside-null-range");
+        assert_eq!(
+            ledger.records[2].keep_code,
+            Some(KeepCode::IndexOutsideNullRange)
+        );
     }
 
     #[test]
@@ -658,7 +548,7 @@ mod tests {
             ledger.kept() + ledger.degraded(),
             "every non-elide record carries a keep code"
         );
-        assert_eq!(counts.get("receiver-may-escape"), Some(&1));
+        assert_eq!(counts.get(&KeepCode::ReceiverMayEscape), Some(&1));
     }
 
     #[test]

@@ -46,7 +46,6 @@ use wbe_ir::{Cond, Insn, InsnAddr, LocalId, Method, Program, StaticId, Terminato
 
 use crate::config::AnalysisConfig;
 use crate::fixpoint::{isolated, replay, run_fixpoint, DegradeReason, Domain, Guard};
-use crate::transfer::BarrierJudgment;
 
 /// An object identity the analysis can name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -156,7 +155,7 @@ impl NosState {
 
 /// Transfers one instruction; returns `Some(true)` when a reference
 /// `putfield` is null-or-same-elidable.
-fn transfer(st: &mut NosState, program: &Program, insn: &Insn) -> BarrierJudgment {
+fn transfer(st: &mut NosState, program: &Program, insn: &Insn) -> Option<bool> {
     match *insn {
         Insn::Const(_) | Insn::ConstNull => {
             st.stack.push(Tag::default());
@@ -331,12 +330,13 @@ struct NullOrSame<'p> {
 
 impl Domain for NullOrSame<'_> {
     type State = NosState;
+    type Judgment = bool;
 
     fn entry(&self) -> NosState {
         NosState::entry(self.method)
     }
 
-    fn transfer(&self, st: &mut NosState, insn: &Insn) -> BarrierJudgment {
+    fn transfer(&self, st: &mut NosState, insn: &Insn) -> Option<bool> {
         transfer(st, self.program, insn)
     }
 

@@ -92,7 +92,7 @@ fn render_site(out: &mut String, s: &SiteReport<'_>, rec: &SiteRecord) {
     use fmt::Write as _;
     let verdict = match rec.verdict {
         Verdict::Elide => "ELIDE (store overwrites null; W_none is sound)".to_string(),
-        Verdict::Keep => format!("KEEP — {}", rec.keep_code),
+        Verdict::Keep => format!("KEEP — {}", s.keep_code_name()),
         Verdict::Degraded => format!("DEGRADED ({})", rec.degraded),
     };
     let _ = writeln!(
@@ -146,12 +146,12 @@ fn render_site(out: &mut String, s: &SiteReport<'_>, rec: &SiteRecord) {
 
 /// Deliberately flips every `elide` record to `keep` — the ledger-diff
 /// negative control. A diff of the original against the flipped ledger
-/// must exit nonzero.
+/// must exit nonzero. No condition failed at a flipped site, so it
+/// carries no keep-code, only a detail saying why it is kept.
 pub fn demo_flip(ledger: &mut ElisionLedger) {
     for rec in &mut ledger.records {
         if rec.verdict == Verdict::Elide {
             rec.verdict = Verdict::Keep;
-            rec.keep_code = "demo-flip".to_string();
             rec.keep_detail = "deliberately flipped for the negative control".to_string();
         }
     }

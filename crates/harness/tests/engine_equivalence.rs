@@ -58,7 +58,7 @@ struct Observed {
     /// Sorted full per-site barrier map.
     barrier_map: Vec<((usize, usize, usize, String), SiteStats)>,
     /// Barrier cycles joined to ledger keep-codes (the profiler join).
-    ledger_join: BTreeMap<String, u64>,
+    ledger_join: BTreeMap<&'static str, u64>,
     digest: u64,
     recovery: Option<(u64, u64)>,
 }
@@ -105,8 +105,8 @@ fn observe(
             let method = compiled.program.method(mid).name.as_str();
             let code = index
                 .get(&(method, addr.block.index(), addr.index))
-                .filter(|rec| !rec.keep_code.is_empty())
-                .map_or_else(|| "unattributed".to_string(), |rec| rec.keep_code.clone());
+                .and_then(|rec| rec.keep_code)
+                .map_or("unattributed", |code| code.as_str());
             *ledger_join.entry(code).or_insert(0) += stats.cycles;
         }
     }
