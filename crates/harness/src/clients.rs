@@ -8,10 +8,13 @@
 //!   indices;
 //! * **stack allocation** — allocation sites whose objects cannot
 //!   outlive their frame.
+//!
+//! Both read one solve of each method: adding a client costs a replay,
+//! not another fixed point.
 
 use std::fmt;
 
-use wbe_analysis::{bounds, stackalloc};
+use wbe_analysis::{bounds, stackalloc, AnalysisConfig, MethodSolution};
 use wbe_opt::{compile, OptMode, PipelineConfig};
 use wbe_workloads::standard_suite;
 
@@ -50,10 +53,11 @@ pub fn run() -> ClientsReport {
             stack_total: 0,
         };
         for (_, m) in compiled.program.iter_methods() {
-            let b = bounds::analyze_method(&compiled.program, m);
+            let solution = MethodSolution::solve(&compiled.program, m, &AnalysisConfig::full());
+            let b = bounds::analyze_solved(&solution);
             row.bounds_safe += b.safe.len();
             row.bounds_total += b.total_sites;
-            let s = stackalloc::analyze_method(&compiled.program, m);
+            let s = stackalloc::analyze_solved(&solution);
             row.stack_ok += s.stack_allocatable.len();
             row.stack_total += s.total_sites;
         }

@@ -4,9 +4,11 @@
 //!
 //! `client_surface.golden` was written by this same test running
 //! against the analysis as it stood while null-or-same had a worklist
-//! solver of its own beside the pre-null one. Each `Framework` line
+//! solver of its own beside the pre-null one. Each client line
 //! digests, for one (program, inline limit, configuration), every
-//! method's `bounds_safe`, `stack_allocatable` and `null_or_same` sets;
+//! method's bounds-safe accesses and stack-allocatable sites (both
+//! clients read one [`MethodSolution`] of the method) and its
+//! null-or-same sites (from [`analyze_program_with`]);
 //! each `B` line digests the null-or-same sites `compile` reports in
 //! baseline mode, where no pre-null analysis runs beside it. The rows
 //! are the eight suite programs and the three `testdata/*.wbe` files.
@@ -17,7 +19,9 @@
 
 use std::collections::BTreeSet;
 
-use wbe_repro::analysis::{AnalysisConfig, Framework};
+use wbe_repro::analysis::{
+    analyze_program_with, bounds, stackalloc, AnalysisConfig, MethodSolution, Products,
+};
 use wbe_repro::ir::{parse_program, Program};
 use wbe_repro::opt::{compile, OptMode, PipelineConfig};
 
@@ -48,22 +52,31 @@ fn digest<T: std::fmt::Debug>(per_method: &[BTreeSet<T>]) -> String {
     format!("{count}:{:016x}", fnv1a(format!("{per_method:?}").bytes()))
 }
 
-fn framework_line(label: &str, program: &Program, limit: usize, config: &AnalysisConfig) -> String {
+fn clients_line(label: &str, program: &Program, limit: usize, config: &AnalysisConfig) -> String {
     let compiled = compile(program, &PipelineConfig::new(OptMode::Baseline, limit));
-    let framework = Framework::analyze(&compiled.program, config);
-    let infos: Vec<_> = framework.iter().map(|(_, info)| info).collect();
-    let of = |f: fn(&wbe_repro::analysis::MethodInfo) -> BTreeSet<String>| -> String {
-        digest(&infos.iter().map(|i| f(i)).collect::<Vec<_>>())
+    let program = &compiled.program;
+    let (mut bounds_safe, mut stack) = (Vec::new(), Vec::new());
+    for (_, method) in program.iter_methods() {
+        let solution = MethodSolution::solve(program, method, config);
+        let safe = bounds::analyze_solved(&solution).safe;
+        bounds_safe.push(safe.iter().map(|a| a.to_string()).collect::<BTreeSet<_>>());
+        let sites = stackalloc::analyze_solved(&solution).stack_allocatable;
+        stack.push(sites.iter().map(|s| format!("{s:?}")).collect());
+    }
+    let products = Products {
+        null_or_same: true,
+        ..Products::default()
     };
+    let nos: Vec<BTreeSet<String>> = analyze_program_with(program, config, products)
+        .null_or_same
+        .values()
+        .map(|sites| sites.iter().map(|a| a.to_string()).collect())
+        .collect();
     format!(
         "{label} bounds={} stack={} nos={}\n",
-        of(|i| i.bounds_safe.iter().map(|a| a.to_string()).collect()),
-        of(|i| i
-            .stack_allocatable
-            .iter()
-            .map(|s| format!("{s:?}"))
-            .collect()),
-        of(|i| i.null_or_same.iter().map(|a| a.to_string()).collect()),
+        digest(&bounds_safe),
+        digest(&stack),
+        digest(&nos),
     )
 }
 
@@ -105,7 +118,7 @@ fn render() -> String {
                 ("A/classic-escape", classic),
             ] {
                 let label = format!("{name}/{limit}/{what}");
-                out.push_str(&framework_line(&label, program, limit, &config));
+                out.push_str(&clients_line(&label, program, limit, &config));
             }
             out.push_str(&baseline_line(&format!("{name}/{limit}/B"), program, limit));
         }

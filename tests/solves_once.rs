@@ -3,7 +3,6 @@
 //! the results report. Alone in its file (hence its own process), so no
 //! other test's analyses move the process-global counter.
 
-use wbe_repro::analysis::{analyze_program, AnalysisConfig, Framework};
 use wbe_repro::opt::{compile, OptMode, PipelineConfig};
 use wbe_repro::telemetry::{configure, counter, TelemetryConfig};
 
@@ -27,23 +26,19 @@ fn each_fixed_point_is_solved_once() {
     assert_eq!(added, iterations as u64, "compile(.. with_ledger())");
     assert!(compiled.ledger.is_some());
 
-    // `Framework::analyze`: elision, bounds and stack allocation all
-    // read the one solve.
-    for config in [
-        AnalysisConfig::full(),
-        AnalysisConfig {
-            flow_sensitive_escape: false,
-            ..AnalysisConfig::full()
-        },
-    ] {
-        let expected: usize = analyze_program(&compiled.program, &config)
-            .methods
-            .values()
-            .map(|m| m.iterations)
-            .sum();
-        let before = blocks.get();
-        let framework = Framework::analyze(&compiled.program, &config);
-        assert_eq!(blocks.get() - before, expected as u64, "{config:?}");
-        assert!(!framework.all_elided().is_empty());
-    }
+    // `clients::run`: bounds-check removal and stack allocation read
+    // one solve of each method, beside the one its `compile` makes.
+    let expected: u64 = wbe_repro::workloads::standard_suite()
+        .iter()
+        .map(|w| {
+            let compiled = compile(&w.program, &PipelineConfig::new(OptMode::Full, 100));
+            let analysis = compiled.analysis.expect("analysis ran");
+            let iterations: usize = analysis.methods.values().map(|m| m.iterations).sum();
+            2 * iterations as u64
+        })
+        .sum();
+    let before = blocks.get();
+    let report = wbe_repro::harness::clients::run();
+    assert_eq!(blocks.get() - before, expected, "clients::run");
+    assert!(report.rows.iter().any(|r| r.bounds_safe > 0));
 }
