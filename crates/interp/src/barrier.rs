@@ -21,15 +21,13 @@ pub enum BarrierMode {
     AlwaysLog,
 }
 
-/// Barrier mode plus whether the static elision results are applied
-/// (Table 2's **always-log-elim** = `AlwaysLog` + `elide`).
+/// Barrier mode plus the static elision results applied under it
+/// (Table 2's **always-log-elim** = `AlwaysLog` with a non-empty set).
 #[derive(Clone, Debug, Default)]
 pub struct BarrierConfig {
     /// The barrier flavor.
     pub mode: BarrierMode,
-    /// Whether stores in the [`ElidedBarriers`] set skip their barrier.
-    pub elide: bool,
-    /// The elision set (empty by default).
+    /// The stores that skip their barrier (empty by default).
     pub elided: ElidedBarriers,
     /// §4.3 rearrangement-protocol sites (empty by default).
     pub rearrange: RearrangeSites,
@@ -40,7 +38,6 @@ impl BarrierConfig {
     pub fn new(mode: BarrierMode) -> Self {
         BarrierConfig {
             mode,
-            elide: false,
             elided: ElidedBarriers::default(),
             rearrange: RearrangeSites::default(),
         }
@@ -50,7 +47,6 @@ impl BarrierConfig {
     pub fn with_elision(mode: BarrierMode, elided: ElidedBarriers) -> Self {
         BarrierConfig {
             mode,
-            elide: true,
             elided,
             rearrange: RearrangeSites::default(),
         }

@@ -252,12 +252,10 @@ fn fuse_for(config: &BarrierConfig, style: MarkStyle, mid: MethodId, at: InsnAdd
             mark: config.mode != BarrierMode::None,
         };
     }
-    if config.elide {
-        if let Some(kind) = config.elided.kind(mid, at) {
-            return Fuse::Elided(kind);
-        }
+    match config.elided.kind(mid, at) {
+        Some(kind) => Fuse::Elided(kind),
+        None => kept(config.mode),
     }
-    kept(config.mode)
 }
 
 /// Translates one method. Pure: reads the program and configuration,
