@@ -85,19 +85,18 @@ pub fn tracing_enabled() -> bool {
     cfg!(feature = "enabled") && TRACING.load(Ordering::Relaxed)
 }
 
-/// Serializes tests that mutate the process-global gates or trace
-/// buffer (the default test runner is multi-threaded).
 #[cfg(test)]
-pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    use std::sync::{Mutex, OnceLock};
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let lock = LOCK.get_or_init(|| Mutex::new(()));
-    lock.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes tests that mutate the process-global gates or trace
+    /// buffer (the default test runner is multi-threaded).
+    pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
+        use std::sync::{Mutex, OnceLock};
+        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+        let lock = LOCK.get_or_init(|| Mutex::new(()));
+        lock.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn configure_round_trips() {

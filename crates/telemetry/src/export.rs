@@ -328,7 +328,7 @@ mod tests {
     use crate::registry::Registry;
 
     fn sample_snapshot() -> MetricsSnapshot {
-        let _guard = crate::config::test_guard();
+        let _guard = crate::config::tests::test_guard();
         crate::configure(crate::TelemetryConfig::default());
         let r = Registry::new();
         r.counter("interp.barriers.executed").add(10);

@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn end_to_end_counter_span_export() {
-        let _guard = config::test_guard();
+        let _guard = config::tests::test_guard();
         configure(TelemetryConfig::all());
         trace::drain();
         {

@@ -445,7 +445,7 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_roundtrip() {
-        let _guard = crate::config::test_guard();
+        let _guard = crate::config::tests::test_guard();
         crate::configure(crate::TelemetryConfig::default());
         let r = Registry::new();
         let c = r.counter("a.b");
@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn registry_survives_poisoned_locks() {
-        let _guard = crate::config::test_guard();
+        let _guard = crate::config::tests::test_guard();
         crate::configure(crate::TelemetryConfig::default());
         let r = Registry::new();
         r.counter("pre.poison").inc();
@@ -488,7 +488,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let _guard = crate::config::test_guard();
+        let _guard = crate::config::tests::test_guard();
         crate::configure(crate::TelemetryConfig::default());
         let r = Registry::new();
         let h = r.histogram("lat");
@@ -514,7 +514,7 @@ mod tests {
 
     #[test]
     fn from_samples_matches_live_recording() {
-        let _guard = crate::config::test_guard();
+        let _guard = crate::config::tests::test_guard();
         crate::configure(crate::TelemetryConfig::default());
         let samples = [0u64, 1, 2, 3, 4, 1000];
         let r = Registry::new();
@@ -547,7 +547,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_but_keeps_handles() {
-        let _guard = crate::config::test_guard();
+        let _guard = crate::config::tests::test_guard();
         crate::configure(crate::TelemetryConfig::default());
         let r = Registry::new();
         let c = r.counter("x");
@@ -564,7 +564,7 @@ mod tests {
 
     #[test]
     fn disabled_probes_record_nothing() {
-        let _guard = crate::config::test_guard();
+        let _guard = crate::config::tests::test_guard();
         let prev = crate::configure(crate::TelemetryConfig::off());
         let r = Registry::new();
         let c = r.counter("quiet");

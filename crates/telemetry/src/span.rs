@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn nesting_tracks_parents() {
-        let _guard = crate::config::test_guard();
+        let _guard = crate::config::tests::test_guard();
         crate::configure(crate::TelemetryConfig::all());
         trace::drain();
         {
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn disabled_span_is_inert() {
-        let _guard = crate::config::test_guard();
+        let _guard = crate::config::tests::test_guard();
         let prev = crate::configure(crate::TelemetryConfig::off());
         let g = enter("span_test.quiet", String::new());
         assert!(!g.is_recording());

@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn event_records_only_when_tracing() {
-        let _guard = crate::config::test_guard();
+        let _guard = crate::config::tests::test_guard();
         let prev = crate::configure(crate::TelemetryConfig::off());
         drain();
         event("trace_test.quiet", "");
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn buffer_survives_a_poisoned_lock() {
-        let _guard = crate::config::test_guard();
+        let _guard = crate::config::tests::test_guard();
         let prev = crate::configure(crate::TelemetryConfig::all());
         drain();
         // Panic while holding the buffer lock: the guard drops during
