@@ -35,17 +35,6 @@ pub struct BoundsAnalysis {
     pub total_sites: usize,
 }
 
-impl BoundsAnalysis {
-    /// Fraction of sites proven safe.
-    pub fn safe_rate(&self) -> f64 {
-        if self.total_sites == 0 {
-            0.0
-        } else {
-            self.safe.len() as f64 / self.total_sites as f64
-        }
-    }
-}
-
 fn is_array_access(insn: &Insn) -> bool {
     matches!(
         insn,
@@ -150,7 +139,6 @@ mod tests {
         let res = analyze_method(&p, p.method(m));
         assert_eq!(res.total_sites, 4);
         assert_eq!(res.safe.len(), 4, "{res:?}");
-        assert_eq!(res.safe_rate(), 1.0);
     }
 
     #[test]

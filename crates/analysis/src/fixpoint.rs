@@ -119,17 +119,6 @@ pub struct MethodAnalysis {
     pub outcome: AnalysisOutcome,
 }
 
-impl MethodAnalysis {
-    /// Elided sites as a fraction of barrier sites (static rate).
-    pub fn static_elim_rate(&self) -> f64 {
-        if self.barrier_sites == 0 {
-            0.0
-        } else {
-            self.elided.len() as f64 / self.barrier_sites as f64
-        }
-    }
-}
-
 /// Whole-program analysis result.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramAnalysis {
@@ -244,7 +233,6 @@ pub fn analyze_program_with(
         methods.insert(mid, replay.analysis);
     }
     let elapsed = start.elapsed();
-    wbe_telemetry::histogram("analysis.wall.us").record_duration(elapsed);
     Analyzed {
         analysis: ProgramAnalysis { methods, elapsed },
         ledger: products

@@ -229,16 +229,6 @@ impl ElisionLedger {
             .map(|r| ((r.method.as_str(), r.block, r.index), r))
             .collect()
     }
-
-    /// Number of kept/degraded records per keep-code. `Elide` records
-    /// carry none.
-    pub fn keep_code_counts(&self) -> std::collections::BTreeMap<KeepCode, usize> {
-        let mut counts = std::collections::BTreeMap::new();
-        for code in self.records.iter().filter_map(|r| r.keep_code) {
-            *counts.entry(code).or_insert(0) += 1;
-        }
-        counts
-    }
 }
 
 /// What the state before a barrier site says about it, rendered while
@@ -542,7 +532,10 @@ mod tests {
             let found = idx[&(r.method.as_str(), r.block, r.index)];
             assert_eq!(found, r);
         }
-        let counts = ledger.keep_code_counts();
+        let mut counts = std::collections::BTreeMap::new();
+        for code in ledger.records.iter().filter_map(|r| r.keep_code) {
+            *counts.entry(code).or_insert(0) += 1;
+        }
         assert_eq!(
             counts.values().sum::<usize>(),
             ledger.kept() + ledger.degraded(),

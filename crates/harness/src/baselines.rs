@@ -24,7 +24,7 @@ use std::path::Path;
 
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::FaultConfig;
-use wbe_interp::{BarrierConfig, BarrierMode, EngineKind};
+use wbe_interp::{BarrierConfig, BarrierMode, Interp};
 use wbe_opt::{OptMode, PipelineConfig};
 use wbe_telemetry::json::{ObjWriter, Value};
 
@@ -146,10 +146,8 @@ pub fn measure(scale: f64) -> BaselineSuite {
 
 /// Runs the throughput probe: the bench workloads under the realistic
 /// configuration (checked barriers + elision + deterministic GC
-/// policy) on the compiled loop, recording only the deterministic
-/// facts. `wbe_tool throughput` runs this same configuration, and
-/// `tests/cli_exit_codes.rs` holds its classic and compiled NDJSON
-/// equal.
+/// policy), recording only the deterministic facts. `wbe_tool
+/// throughput` runs this same configuration.
 fn throughput_probe() -> Vec<(&'static str, MutatorFacts)> {
     let mut rows = Vec::new();
     for name in ["jess", "jbb"] {
@@ -157,7 +155,7 @@ fn throughput_probe() -> Vec<(&'static str, MutatorFacts)> {
         let (compiled, elided) =
             compile_workload_with(&w, &PipelineConfig::new(OptMode::Full, 100));
         let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided);
-        let mut engine = EngineKind::Compiled.build(&compiled.program, bc, MarkStyle::Satb);
+        let mut engine = Interp::with_style(&compiled.program, bc, MarkStyle::Satb);
         engine.set_gc_policy(BASELINE_GC);
         let facts = run_mutator(&mut engine, &w, THROUGHPUT_OPS)
             .unwrap_or_else(|t| panic!("throughput probe {name} trapped: {t}"));

@@ -17,8 +17,8 @@
 //! wbe_tool profile [--workload W]... [--top N] [--scale S]
 //!                  [--format text|ndjson] [--out F] [--slo-max-pause N]
 //!                  [--slo-p99-pause N]
-//! wbe_tool oracle  [--workload W]... [--engine classic|compiled]
-//!                  [--scale S] [--top N] [--format text|ndjson] [--out F]
+//! wbe_tool oracle  [--workload W]... [--scale S] [--top N]
+//!                  [--format text|ndjson] [--out F]
 //! wbe_tool report  [workload|file.wbe ...] [--metrics-out m.json]
 //!                  [--trace-out t.ndjson] [--chrome-trace t.json]
 //!                  [--format text|ndjson] [--scale S]
@@ -30,9 +30,8 @@
 //!                  [--heap-budget B] [--chaos] [--overload-pm PM]
 //!                  [--slo-p99 N] [--slo-shed-pct P]
 //!                  [--format text|ndjson] [--out F] [--trace-out T]
-//! wbe_tool throughput [--engine classic|compiled] [--mutators N]
-//!                  [--duration-ops N] [--workload W]... [--format text|ndjson]
-//!                  [--out F]
+//! wbe_tool throughput [--mutators N] [--duration-ops N] [--workload W]...
+//!                  [--format text|ndjson] [--out F]
 //! wbe_tool mcheck  [--threads N] [--schedules K] [--seed S]
 //!                  [--scenario chain|churn|shared] [--systematic]
 //!                  [--preempt-bound B] [--demo-unsound] [--fault-seed S]
@@ -82,16 +81,15 @@
 //! violation (`--slo-p99` steps, `--slo-shed-pct` percent) or a
 //! soundness violation. Equal options produce byte-identical NDJSON.
 //!
-//! `throughput` measures mutator throughput under either execution
-//! engine (`--engine classic|compiled`) with `--mutators` independent
-//! mutator threads, each an isolated engine + heap executing the same
-//! deterministic instruction stream until `--duration-ops` instructions
-//! have run. The text report carries ops/sec, allocation rate, and the
-//! wall-clock barrier-overhead trio (barrier-free vs always-log kept vs
-//! always-log + elision); `--format ndjson` emits only the
-//! engine-independent facts (instruction/allocation counts, digests) —
-//! byte-identical between the two engines, which
-//! `tests/cli_exit_codes.rs` compares.
+//! `throughput` measures mutator throughput with `--mutators` (1 to
+//! 16) independent mutator threads, each an isolated interpreter + heap
+//! executing the same deterministic instruction stream until
+//! `--duration-ops` instructions have run. The text report carries
+//! ops/sec, allocation rate, and the wall-clock barrier-overhead trio
+//! (barrier-free vs always-log kept vs always-log + elision);
+//! `--format ndjson` emits only the deterministic facts
+//! (instruction/allocation counts, digests), byte-identical across
+//! runs, which `tests/cli_exit_codes.rs` checks.
 //!
 //! `profile` joins the interpreter's per-site dynamic barrier counters
 //! with the provenance ledger: per-keep-code execution/cycle
@@ -106,19 +104,18 @@
 //! `oracle` is the third observability plane, joining the static
 //! ledger (what the analysis decided) and the cost profiler (what the
 //! kept barriers cost) with *necessity*: which kept-barrier executions
-//! actually contributed to marking. Every kept barrier in either
-//! engine reports its SATB enqueue verdict (necessary, or vacuous —
-//! marking idle, null old value, already marked, duplicate), each
-//! marking cycle is audited against a snapshot-reachability check at
-//! remark, and a heap side-table of runtime witnesses (thread escape,
-//! observed nulls) supplies the refutation for each never-necessary
-//! site. The report gives per-site necessity rates, the suite-wide
+//! actually contributed to marking. Every kept barrier reports its
+//! SATB enqueue verdict (necessary, or vacuous — marking idle, null
+//! old value, already marked, duplicate), each marking cycle is
+//! audited against a snapshot-reachability check at remark, and a
+//! heap side-table of runtime witnesses (thread escape, observed
+//! nulls) supplies the refutation for each never-necessary site. The
+//! report gives per-site necessity rates, the suite-wide
 //! dynamic-upper-bound elision rate next to the frozen static 25.770%,
 //! and a ranked worklist of kept sites no execution ever needed.
-//! `--format ndjson` is deterministic *and engine-independent*:
-//! classic and compiled runs of the same seed emit byte-identical
-//! files (`tests/site_views.rs` compares them). `explain <workload>`
-//! shows the same verdicts site by site, under the static stanzas.
+//! `--format ndjson` is deterministic (`tests/site_views.rs` pins it).
+//! `explain <workload>` shows the same verdicts site by site, under
+//! the static stanzas.
 //!
 //! ## Exit codes
 //!
@@ -147,8 +144,7 @@ use std::process::exit;
 use wbe_analysis::nullsame;
 use wbe_harness::site::{observe, RunSpec};
 use wbe_interp::{
-    BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, ElisionKind, EngineKind, Interp,
-    Value,
+    BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, ElisionKind, Interp, Value,
 };
 use wbe_ir::display::{method_display, program_display};
 use wbe_ir::{parse_program, Program};
@@ -168,10 +164,9 @@ fn usage() -> ! {
          bench:   --check-baselines [--update] [--baselines PATH]\n\
          profile: [--workload W]... [--top N] [--scale S] [--format text|ndjson]\n\
                   [--out F] [--slo-max-pause N] [--slo-p99-pause N]\n\
-         oracle:  [--workload W]... [--engine classic|compiled] [--scale S] [--top N]\n\
+         oracle:  [--workload W]... [--scale S] [--top N] [--format text|ndjson] [--out F]\n\
+         throughput: [--mutators N] [--duration-ops N] [--workload W]...\n\
                   [--format text|ndjson] [--out F]\n\
-         throughput: [--engine classic|compiled] [--mutators N] [--duration-ops N]\n\
-                  [--workload W]... [--format text|ndjson] [--out F]\n\
          soak:    [--rounds N] [--seed S] [--escalate] [--scale F] [--max-attempts K]\n\
                   [--threshold D] [--unrecoverable] [--format text|ndjson] [--out F]\n\
                   [--flight-out T]\n\
@@ -219,13 +214,6 @@ impl<'a> Args<'a> {
             Some("ndjson") => true,
             _ => usage(),
         }
-    }
-
-    /// `--engine classic|compiled`.
-    fn engine(&mut self) -> EngineKind {
-        self.next()
-            .and_then(EngineKind::parse)
-            .unwrap_or_else(|| usage())
     }
 }
 
@@ -468,7 +456,34 @@ fn profile(rest: &[String]) -> i32 {
             _ => usage(),
         }
     }
-    wbe_harness::profile::run_profile(&opts, ndjson, out.as_deref())
+    let p = wbe_harness::profile::measure(&opts).unwrap_or_else(|e| {
+        eprintln!("profile: {e}");
+        exit(2)
+    });
+    let body = if ndjson {
+        wbe_harness::profile::to_ndjson(&p)
+    } else {
+        wbe_harness::profile::to_text(&p)
+    };
+    emit(out.as_deref(), &body, "profile");
+    let mut code = 0;
+    if !p.slo_max_ok() {
+        eprintln!(
+            "SLO VIOLATION: max STW pause {} > budget {}",
+            p.max_stw_pause,
+            p.slo_max_pause.unwrap_or(0)
+        );
+        code = 1;
+    }
+    if !p.slo_p99_ok() {
+        eprintln!(
+            "SLO VIOLATION: p99 STW pause {} > budget {}",
+            p.p99_stw_pause,
+            p.slo_p99_pause.unwrap_or(0)
+        );
+        code = 1;
+    }
+    code
 }
 
 /// `wbe_tool oracle`: the barrier-necessity oracle — per-site necessity
@@ -482,7 +497,6 @@ fn oracle(rest: &[String]) -> i32 {
     while let Some(a) = args.next() {
         match a {
             "--workload" => opts.workloads.push(args.value()),
-            "--engine" => opts.engine = args.engine(),
             "--scale" => opts.scale = args.value(),
             "--top" => opts.top = args.value(),
             "--format" => ndjson = args.format(),
@@ -490,24 +504,37 @@ fn oracle(rest: &[String]) -> i32 {
             _ => usage(),
         }
     }
-    wbe_harness::oracle::run_oracle(&opts, ndjson, out.as_deref())
+    let suite = wbe_harness::oracle::measure(&opts).unwrap_or_else(|e| {
+        eprintln!("oracle: {e}");
+        exit(2)
+    });
+    let body = if ndjson {
+        wbe_harness::oracle::to_ndjson(&suite)
+    } else {
+        wbe_harness::oracle::to_text(&suite)
+    };
+    emit(out.as_deref(), &body, "oracle report");
+    0
 }
 
 /// `wbe_tool throughput`: the multi-mutator throughput bench. Text
 /// output carries the timings; `--format ndjson` emits only the
-/// deterministic engine-independent facts (classic and compiled must
-/// print the same bytes).
+/// deterministic facts, byte-identical across runs.
 fn throughput(rest: &[String]) -> i32 {
-    use wbe_harness::throughput::{render_ndjson, render_text, run_throughput, ThroughputOptions};
+    use wbe_harness::throughput::{
+        render_ndjson, render_text, run_throughput, ThroughputOptions, MAX_MUTATORS,
+    };
     let mut opts = ThroughputOptions::default();
     let mut out: Option<String> = None;
     let mut args = Args::new(rest);
     while let Some(a) = args.next() {
         match a {
-            "--engine" => opts.engine = args.engine(),
             "--mutators" => {
+                // Each mutator is an OS thread with its own heap: bound
+                // the count before any of them starts.
                 opts.mutators = args.value();
-                if opts.mutators < 1 {
+                if !(1..=MAX_MUTATORS).contains(&opts.mutators) {
+                    eprintln!("throughput: --mutators must be between 1 and {MAX_MUTATORS}");
                     usage();
                 }
             }

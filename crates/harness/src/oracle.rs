@@ -24,12 +24,8 @@
 //!
 //! Determinism: workloads run under the same pinned GC policy and scale
 //! as the baseline gate, all aggregation goes through ordered maps, and
-//! the NDJSON carries no timestamps and no engine name — `--engine
-//! classic` and `--engine compiled` must produce byte-identical bytes
-//! (CI diffs them), which folds the engine-equivalence claim into the
-//! oracle's own output.
+//! the NDJSON carries no timestamps, so equal options print equal bytes.
 
-use wbe_interp::EngineKind;
 use wbe_telemetry::json::ObjWriter;
 
 use crate::site::{observe, RunSpec, Totals};
@@ -45,8 +41,6 @@ pub struct OracleOptions {
     /// Workloads to run (empty = standard suite + server family, the
     /// same set the baseline gate measures).
     pub workloads: Vec<String>,
-    /// Which engine executes the workloads.
-    pub engine: EngineKind,
     /// Iteration scale (same meaning as the baseline gate's scale).
     pub scale: f64,
     /// Maximum ranked worklist rows to emit.
@@ -57,7 +51,6 @@ impl Default for OracleOptions {
     fn default() -> Self {
         OracleOptions {
             workloads: Vec::new(),
-            engine: EngineKind::Classic,
             scale: crate::baselines::SCALE,
             top: 10,
         }
@@ -162,9 +155,6 @@ pub struct WorkloadOracle {
 /// The whole oracle run: per-workload results plus suite rollups.
 #[derive(Clone, Debug)]
 pub struct SuiteOracle {
-    /// Engine that produced the run (reported in text output only —
-    /// NDJSON omits it so both engines' bytes can be diffed).
-    pub engine: &'static str,
     /// One result per workload, in run order.
     pub workloads: Vec<WorkloadOracle>,
     /// Headline totals (Table 1 workloads only, unless explicit
@@ -250,7 +240,7 @@ pub fn measure(opts: &OracleOptions) -> Result<SuiteOracle, String> {
 
     let mut results = Vec::new();
     for (w, headline) in &workloads {
-        results.push(oracle_workload(w, *headline, opts.engine, opts.scale)?);
+        results.push(oracle_workload(w, *headline, opts.scale)?);
     }
 
     // The ranked worklist: never-necessary sites from every workload,
@@ -283,7 +273,6 @@ pub fn measure(opts: &OracleOptions) -> Result<SuiteOracle, String> {
         results.iter().filter(|r| r.headline).map(f).sum()
     };
     Ok(SuiteOracle {
-        engine: opts.engine.name(),
         total_executions: headline(&|r| r.total_executions),
         elided_executions: headline(&|r| r.elided_executions),
         kept_executions: headline(&|r| r.kept_executions),
@@ -300,13 +289,11 @@ pub fn measure(opts: &OracleOptions) -> Result<SuiteOracle, String> {
 fn oracle_workload(
     w: &wbe_workloads::Workload,
     headline: bool,
-    engine: EngineKind,
     scale: f64,
 ) -> Result<WorkloadOracle, String> {
     let obs = observe(
         w,
         &RunSpec {
-            engine,
             oracle: true,
             ..RunSpec::baseline(scale)
         },
@@ -371,8 +358,7 @@ fn oracle_workload(
 
 /// Renders the run as NDJSON: per-workload summary + site rows (run
 /// order), then the ranked worklist, then the closing `suite` line.
-/// Deliberately engine-free and timestamp-free: classic and compiled
-/// runs of the same seed must be byte-identical.
+/// Timestamp-free: runs with equal options are byte-identical.
 pub fn to_ndjson(o: &SuiteOracle) -> String {
     let mut out = String::new();
     let mut line = |f: &dyn Fn(&mut ObjWriter<'_>)| {
@@ -458,7 +444,7 @@ pub fn to_ndjson(o: &SuiteOracle) -> String {
 pub fn to_text(o: &SuiteOracle) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(out, "barrier-necessity oracle ({} engine)", o.engine);
+    let _ = writeln!(out, "barrier-necessity oracle");
     for wo in &o.workloads {
         let _ = writeln!(
             out,
@@ -530,35 +516,6 @@ pub fn to_text(o: &SuiteOracle) -> String {
         );
     }
     out
-}
-
-/// The `wbe_tool oracle` driver: measures, renders, and writes or
-/// prints the result. Returns the process exit code (0 report
-/// produced, 2 configuration/run error).
-pub fn run_oracle(opts: &OracleOptions, ndjson: bool, out_path: Option<&str>) -> i32 {
-    let suite = match measure(opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("oracle: {e}");
-            return 2;
-        }
-    };
-    let body = if ndjson {
-        to_ndjson(&suite)
-    } else {
-        to_text(&suite)
-    };
-    match out_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &body) {
-                eprintln!("cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("oracle report written to {path}");
-        }
-        None => print!("{body}"),
-    }
-    0
 }
 
 #[cfg(test)]
@@ -634,20 +591,14 @@ mod tests {
     }
 
     #[test]
-    fn ndjson_is_deterministic_and_engine_independent() {
+    fn ndjson_is_deterministic() {
         let mut opts = small_opts();
         opts.workloads = vec!["jbb".into(), "jess".into()];
-        let classic = to_ndjson(&measure(&opts).unwrap());
-        let classic2 = to_ndjson(&measure(&opts).unwrap());
-        assert_eq!(classic, classic2, "oracle NDJSON must be deterministic");
-        opts.engine = EngineKind::Compiled;
-        let compiled = to_ndjson(&measure(&opts).unwrap());
-        assert_eq!(
-            classic, compiled,
-            "classic and compiled engines must produce byte-identical verdicts"
-        );
+        let first = to_ndjson(&measure(&opts).unwrap());
+        let second = to_ndjson(&measure(&opts).unwrap());
+        assert_eq!(first, second, "oracle NDJSON must be deterministic");
         let mut kinds = std::collections::BTreeSet::new();
-        for l in classic.lines() {
+        for l in first.lines() {
             let v = wbe_telemetry::json::parse(l).expect("valid JSON");
             kinds.insert(v.get("record").unwrap().as_str().unwrap().to_string());
         }

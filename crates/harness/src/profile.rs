@@ -614,55 +614,6 @@ pub fn to_text(p: &SuiteProfile) -> String {
     out
 }
 
-/// The `wbe_tool profile` driver: measures, renders, and writes or
-/// prints the result. Returns the process exit code (0 ok, 1 SLO
-/// violation, 2 configuration/run error).
-pub fn run_profile(opts: &ProfileOptions, ndjson: bool, out_path: Option<&str>) -> i32 {
-    let profile = match measure(opts) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("profile: {e}");
-            return 2;
-        }
-    };
-    let body = if ndjson {
-        to_ndjson(&profile)
-    } else {
-        to_text(&profile)
-    };
-    match out_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &body) {
-                eprintln!("cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("profile written to {path}");
-        }
-        None => print!("{body}"),
-    }
-    let mut violated = false;
-    if !profile.slo_max_ok() {
-        eprintln!(
-            "SLO VIOLATION: max STW pause {} > budget {}",
-            profile.max_stw_pause,
-            profile.slo_max_pause.unwrap_or(0)
-        );
-        violated = true;
-    }
-    if !profile.slo_p99_ok() {
-        eprintln!(
-            "SLO VIOLATION: p99 STW pause {} > budget {}",
-            profile.p99_stw_pause,
-            profile.slo_p99_pause.unwrap_or(0)
-        );
-        violated = true;
-    }
-    if violated {
-        return 1;
-    }
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

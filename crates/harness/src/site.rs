@@ -19,7 +19,7 @@ use wbe_heap::recover::RecoveryController;
 use wbe_heap::{FaultConfig, FaultPlan, FaultStats, RecoveryPolicy};
 use wbe_interp::oracle::{OracleState, SiteNecessity};
 use wbe_interp::{
-    BarrierConfig, BarrierMode, BarrierSummary, ElidedBarriers, ElisionKind, EngineKind, GcPolicy,
+    BarrierConfig, BarrierMode, BarrierSummary, ElidedBarriers, ElisionKind, GcPolicy, Interp,
     RunStats, SiteStats, StoreKind, Trap, Value,
 };
 use wbe_ir::{BlockId, InsnAddr, MethodId};
@@ -84,8 +84,6 @@ pub struct RunSpec {
     pub scale: f64,
     /// Floor on the iteration count (see [`scaled_iters`]).
     pub min_iters: i64,
-    /// Which dispatch loop runs.
-    pub engine: EngineKind,
     /// The barrier flavour at sites the run keeps.
     pub barrier: BarrierMode,
     /// The marker the collector runs.
@@ -105,7 +103,7 @@ impl RunSpec {
     /// The configuration `baselines/suite.ndjson` is measured under and
     /// `profile`, `oracle`, `report` and `explain` share: full analysis
     /// at inline limit 100 with its ledger, checked SATB barriers with
-    /// the elision set applied, the classic loop, [`BASELINE_GC`].
+    /// the elision set applied, [`BASELINE_GC`].
     pub fn baseline(scale: f64) -> RunSpec {
         RunSpec {
             pipeline: PipelineConfig::new(OptMode::Full, 100).with_ledger(),
@@ -117,14 +115,13 @@ impl RunSpec {
 
     /// The run the paper's experiments share and vary: `mode` at
     /// inline limit `limit`, checked SATB barriers with the elision set
-    /// applied, the classic loop, no marking schedule, at least
-    /// [`MIN_ITERS`] iterations at full size.
+    /// applied, no marking schedule, at least [`MIN_ITERS`] iterations
+    /// at full size.
     pub fn paper(mode: OptMode, limit: usize) -> RunSpec {
         RunSpec {
             pipeline: PipelineConfig::new(mode, limit),
             scale: 1.0,
             min_iters: MIN_ITERS,
-            engine: EngineKind::Classic,
             barrier: BarrierMode::Checked,
             style: MarkStyle::Satb,
             gc: None,
@@ -185,7 +182,7 @@ pub fn observe(w: &Workload, spec: &RunSpec) -> Observed {
         let plan = plan_program(&compiled.program);
         config = config.with_rearrange(protocol_sites(&plan, &elided));
     }
-    let mut interp = spec.engine.build(&compiled.program, config, spec.style);
+    let mut interp = Interp::with_style(&compiled.program, config, spec.style);
     if let Some(policy) = spec.gc {
         interp.set_gc_policy(policy);
     }
@@ -532,7 +529,8 @@ mod tests {
         let (executions, _) = obs.stats.barrier.totals();
         assert_eq!(totals.executions, executions);
         assert_eq!(totals.elided_executions, obs.stats.elided_executions);
-        assert_eq!(totals.cycles, obs.stats.barrier.total_cycles());
+        let cycles: u64 = obs.stats.barrier.iter().map(|(_, s)| s.cycles).sum();
+        assert_eq!(totals.cycles, cycles);
         // The oracle judged exactly the sites whose barrier ran, every
         // execution of them.
         for s in &sites {

@@ -1,7 +1,7 @@
 //! Multi-mutator throughput bench: `wbe_tool throughput`.
 //!
 //! Measures mutator throughput (interpreted instructions per second)
-//! for either execution engine at 1/4/16 mutators, plus the paper's
+//! at 1 to [`MAX_MUTATORS`] mutators, plus the paper's
 //! Table 2 barrier-overhead deltas re-measured in *wall-clock* terms:
 //! the same workload run barrier-free (`BarrierMode::None`), with the
 //! always-log barrier at every site (kept), and with always-log plus
@@ -11,12 +11,11 @@
 //!
 //! * the **text report** carries the timing facts (ops/sec, allocation
 //!   rate, overhead percentages) — inherently machine-dependent;
-//! * the **NDJSON report** carries only engine-independent facts
+//! * the **NDJSON report** carries only deterministic facts
 //!   (instruction counts, allocation counts, barrier cycles, world
-//!   digests). Byte-identical between `--engine classic` and
-//!   `--engine compiled` for equal options — CI diffs the two.
+//!   digests), byte-identical across runs with equal options.
 //!
-//! Every mutator is an independent engine over an independent heap
+//! Every mutator is an independent interpreter over an independent heap
 //! executing the identical deterministic instruction stream (the
 //! workload entry, run in fixed chunks until the per-mutator
 //! instruction budget is met), so per-mutator digests must agree and
@@ -26,18 +25,21 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, Interp, Value};
+use wbe_interp::{BarrierConfig, BarrierMode, Interp, Value};
 use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::Workload;
 
 use crate::site::compile_workload_with;
 
+/// The most mutator threads one measurement starts: each is an OS
+/// thread with its own interpreter and heap.
+pub const MAX_MUTATORS: usize = 16;
+
 /// Options for the throughput bench.
 #[derive(Clone, Debug)]
 pub struct ThroughputOptions {
-    /// Which engine to measure.
-    pub engine: EngineKind,
-    /// Concurrent mutator threads (each with its own engine + heap).
+    /// Concurrent mutator threads (each with its own interpreter +
+    /// heap), at most [`MAX_MUTATORS`].
     pub mutators: usize,
     /// Per-mutator instruction budget: each mutator re-runs the
     /// workload entry in fixed chunks until it has executed at least
@@ -52,7 +54,6 @@ pub struct ThroughputOptions {
 impl Default for ThroughputOptions {
     fn default() -> Self {
         ThroughputOptions {
-            engine: EngineKind::Classic,
             mutators: 1,
             duration_ops: 200_000,
             workloads: Vec::new(),
@@ -168,13 +169,13 @@ pub(crate) fn run_mutator(
 /// # Panics
 ///
 /// Panics if the workload traps or two mutators disagree on the final
-/// heap digest — both indicate engine bugs.
+/// heap digest — both indicate interpreter bugs.
 pub fn measure_workload(w: &Workload, opts: &ThroughputOptions) -> ThroughputRow {
     let (compiled, elided) = compile_workload_with(w, &PipelineConfig::new(OptMode::Full, 100));
     let program = &compiled.program;
     let realistic = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
 
-    // Multi-mutator phase: N independent engines over independent
+    // Multi-mutator phase: N independent interpreters over independent
     // heaps, identical instruction streams.
     let start = Instant::now();
     let facts: Vec<MutatorFacts> = std::thread::scope(|s| {
@@ -182,7 +183,7 @@ pub fn measure_workload(w: &Workload, opts: &ThroughputOptions) -> ThroughputRow
             .map(|_| {
                 let config = realistic.clone();
                 s.spawn(move || {
-                    let mut engine = opts.engine.build(program, config, MarkStyle::Satb);
+                    let mut engine = Interp::with_style(program, config, MarkStyle::Satb);
                     engine.set_gc_policy(crate::site::BASELINE_GC);
                     run_mutator(&mut engine, w, opts.duration_ops)
                         .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name))
@@ -193,11 +194,7 @@ pub fn measure_workload(w: &Workload, opts: &ThroughputOptions) -> ThroughputRow
     });
     let wall = start.elapsed();
     for f in &facts[1..] {
-        assert_eq!(
-            f, &facts[0],
-            "{}: mutators diverged under engine {}",
-            w.name, opts.engine
-        );
+        assert_eq!(f, &facts[0], "{}: mutators diverged", w.name);
     }
 
     // Barrier-overhead trio: single mutator, GC policy off (the
@@ -206,7 +203,7 @@ pub fn measure_workload(w: &Workload, opts: &ThroughputOptions) -> ThroughputRow
     // configuration where marking is not concurrently active).
     let trio = |config: BarrierConfig| -> Duration {
         let start = Instant::now();
-        let mut engine = opts.engine.build(program, config, MarkStyle::Satb);
+        let mut engine = Interp::with_style(program, config, MarkStyle::Satb);
         run_mutator(&mut engine, w, opts.duration_ops)
             .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name));
         start.elapsed()
@@ -269,8 +266,8 @@ pub fn render_text(rows: &[ThroughputRow], opts: &ThroughputOptions) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "throughput: engine {} / {} mutator(s) / {} ops per mutator",
-        opts.engine, opts.mutators, opts.duration_ops
+        "throughput: {} mutator(s) / {} ops per mutator",
+        opts.mutators, opts.duration_ops
     );
     for r in rows {
         let _ = writeln!(
@@ -297,8 +294,7 @@ pub fn render_text(rows: &[ThroughputRow], opts: &ThroughputOptions) -> String {
 }
 
 /// Renders the deterministic NDJSON report: one line per workload,
-/// engine-independent facts only (no engine name, no wall-clock), so
-/// classic and compiled runs with equal options produce byte-identical
+/// no wall-clock, so runs with equal options produce byte-identical
 /// output.
 #[must_use]
 pub fn render_ndjson(rows: &[ThroughputRow], opts: &ThroughputOptions) -> String {
@@ -325,9 +321,8 @@ pub fn render_ndjson(rows: &[ThroughputRow], opts: &ThroughputOptions) -> String
 mod tests {
     use super::*;
 
-    fn small_opts(engine: EngineKind, mutators: usize) -> ThroughputOptions {
+    fn small_opts(mutators: usize) -> ThroughputOptions {
         ThroughputOptions {
-            engine,
             mutators,
             duration_ops: 20_000,
             workloads: vec!["jess".into()],
@@ -336,20 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn classic_and_compiled_ndjson_reports_are_identical() {
-        let classic = run_throughput(&small_opts(EngineKind::Classic, 2)).unwrap();
-        let compiled = run_throughput(&small_opts(EngineKind::Compiled, 2)).unwrap();
-        let a = render_ndjson(&classic, &small_opts(EngineKind::Classic, 2));
-        let b = render_ndjson(&compiled, &small_opts(EngineKind::Compiled, 2));
-        assert_eq!(a, b, "deterministic facts must not depend on the engine");
-        assert!(a.lines().count() == 1);
-        assert!(a.contains("\"digest\":\"0x"));
-    }
-
-    #[test]
     fn mutator_counts_scale_aggregates_not_facts() {
-        let one = run_throughput(&small_opts(EngineKind::Compiled, 1)).unwrap();
-        let four = run_throughput(&small_opts(EngineKind::Compiled, 4)).unwrap();
+        let one = run_throughput(&small_opts(1)).unwrap();
+        let four = run_throughput(&small_opts(4)).unwrap();
         // Per-mutator facts are invariant in the mutator count; only
         // the aggregate scales.
         assert_eq!(one[0].per_mutator, four[0].per_mutator);

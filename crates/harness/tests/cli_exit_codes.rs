@@ -1,7 +1,7 @@
 //! `wbe_tool` exit-code contract: 0 on success, 1 when a gate fires or
 //! a run traps, 2 when the tool could not run the check (usage, I/O,
-//! unknown workload) — plus the determinism and engine-independence
-//! contracts of the commands that print NDJSON. These were CI steps
+//! unknown workload) — plus the determinism contracts of the commands
+//! that print NDJSON. These were CI steps
 //! shelling out to the release binary; here they fail under tier-1.
 
 use std::path::PathBuf;
@@ -343,49 +343,35 @@ fn profile_is_deterministic_and_gates_the_pause_slo_both_ways() {
 }
 
 #[test]
-fn oracle_is_engine_independent_and_rejects_unknown_workloads() {
-    let (classic, compiled) = (tmp("oracle_classic.ndjson"), tmp("oracle_compiled.ndjson"));
-    for (engine, path) in [("classic", &classic), ("compiled", &compiled)] {
-        let (code, _) = run(&[
-            "oracle", "--engine", engine, "--format", "ndjson", "--out", path,
-        ]);
-        assert_eq!(code, Some(0), "{engine}");
-    }
-    let bytes = std::fs::read(&classic).unwrap();
+fn oracle_is_deterministic_and_rejects_unknown_workloads() {
+    // Once to a file, once to stdout: the same bytes.
+    let path = tmp("oracle.ndjson");
+    let (code, _) = run(&["oracle", "--format", "ndjson", "--out", &path]);
+    assert_eq!(code, Some(0));
+    let bytes = std::fs::read_to_string(&path).unwrap();
     assert!(!bytes.is_empty());
-    assert_eq!(
-        bytes,
-        std::fs::read(&compiled).unwrap(),
-        "necessity verdicts carry no engine-specific fact"
-    );
-    let (code, stdout) = run(&["oracle"]);
+    let (code, stdout) = run(&["oracle", "--format", "ndjson"]);
+    assert_eq!(code, Some(0));
+    assert_eq!(bytes, stdout, "same run, same bytes");
+    let (code, stdout) = run(&["oracle", "--workload", "jess"]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("dynamic upper bound"), "{stdout}");
     assert_eq!(
         run(&["oracle", "--workload", "no-such-workload"]).0,
         Some(2)
     );
+    // The harness runs one dispatch loop; there is nothing to choose.
+    assert_eq!(run(&["oracle", "--engine", "compiled"]).0, Some(2));
 }
 
 #[test]
-fn throughput_ndjson_is_engine_independent() {
-    let ndjson = |engine: &str| {
-        // One mutator in text mode is the smoke CI ran; four in NDJSON
-        // is the comparison.
-        let text = run(&[
-            "throughput",
-            "--engine",
-            engine,
-            "--mutators",
-            "1",
-            "--duration-ops",
-            "200000",
-        ]);
-        assert_eq!(text.0, Some(0), "{engine}");
+fn throughput_ndjson_is_deterministic() {
+    // One mutator in text mode is the smoke CI ran.
+    let (code, _) = run(&["throughput", "--mutators", "1", "--duration-ops", "200000"]);
+    assert_eq!(code, Some(0));
+    let ndjson = || {
         let (code, stdout) = run(&[
             "throughput",
-            "--engine",
-            engine,
             "--mutators",
             "4",
             "--duration-ops",
@@ -393,12 +379,32 @@ fn throughput_ndjson_is_engine_independent() {
             "--format",
             "ndjson",
         ]);
-        assert_eq!(code, Some(0), "{engine}");
+        assert_eq!(code, Some(0));
         stdout
     };
-    let classic = ndjson("classic");
-    assert!(!classic.is_empty());
-    assert_eq!(classic, ndjson("compiled"), "only deterministic facts");
+    let first = ndjson();
+    assert!(!first.is_empty());
+    assert_eq!(first, ndjson(), "only deterministic facts");
+    assert_eq!(run(&["throughput", "--engine", "classic"]).0, Some(2));
+}
+
+#[test]
+fn throughput_mutators_out_of_range_exit_two() {
+    // Each mutator is an OS thread: the parser refuses a count outside
+    // 1..=16 before any thread starts.
+    for n in ["0", "17", "100000000"] {
+        let out = tool()
+            .args(["throughput", "--mutators", n])
+            .output()
+            .expect("spawn wbe_tool");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--mutators {n}: {stderr}");
+        assert!(out.stdout.is_empty(), "--mutators {n}: no run, no report");
+        assert!(
+            stderr.contains("--mutators must be between 1 and 16"),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]

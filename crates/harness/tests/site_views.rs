@@ -9,8 +9,7 @@
 //!
 //! What is pinned, section by section: `profile` over the standard
 //! suite (NDJSON and text); `oracle` over the suite plus the server
-//! family on both engines (their NDJSON asserted equal, classic's
-//! text); `soak --rounds 3 --seed 7 --scale 0.01 --escalate
+//! family (NDJSON and text); `soak --rounds 3 --seed 7 --scale 0.01 --escalate
 //! --max-attempts 8` as NDJSON, which is where runtime revocations are
 //! counted against the ledger; `ledger jess`; and `explain` on the
 //! paper's three example programs. `baselines::measure(0.1)` is
@@ -21,7 +20,6 @@
 //! failure names the file.
 
 use wbe_harness::{baselines, ledger, oracle, profile, soak};
-use wbe_interp::EngineKind;
 use wbe_opt::OptMode;
 
 /// Compares `actual` with the stanza of the golden file headed
@@ -61,21 +59,10 @@ fn profile_views_match_the_golden_file() {
 }
 
 #[test]
-fn oracle_views_match_the_golden_file_on_both_engines() {
-    let classic = oracle::measure(&oracle::OracleOptions::default()).expect("suite runs");
-    let compiled = oracle::measure(&oracle::OracleOptions {
-        engine: EngineKind::Compiled,
-        ..oracle::OracleOptions::default()
-    })
-    .expect("suite runs");
-    let ndjson = oracle::to_ndjson(&classic);
-    assert_eq!(
-        ndjson,
-        oracle::to_ndjson(&compiled),
-        "oracle NDJSON is engine-independent"
-    );
-    check("oracle ndjson", &ndjson);
-    check("oracle text", &oracle::to_text(&classic));
+fn oracle_views_match_the_golden_file() {
+    let o = oracle::measure(&oracle::OracleOptions::default()).expect("suite runs");
+    check("oracle ndjson", &oracle::to_ndjson(&o));
+    check("oracle text", &oracle::to_text(&o));
 }
 
 #[test]

@@ -368,14 +368,6 @@ impl GcState {
         n
     }
 
-    /// True while the collector has queued work (grey objects or
-    /// undrained SATB log entries). The mutator may still generate more
-    /// via barriers, so `false` does not mean the cycle can skip its
-    /// remark rendezvous.
-    pub fn has_pending_work(&self) -> bool {
-        !self.grey.is_empty() || !self.satb_buf.is_empty()
-    }
-
     /// True if `r` sits in the undrained SATB log. A barrier enqueue of
     /// an already-pending ref is a *duplicate*: dropping it would have
     /// been harmless, since the earlier entry already guarantees the
@@ -717,7 +709,10 @@ mod tests {
         let mut buf = vec![a];
         assert_eq!(h.gc.satb_flush(buf.drain(..)), 0, "nothing accepted");
         assert!(buf.is_empty(), "the buffer was still drained");
-        assert!(!h.gc.has_pending_work());
+        assert!(
+            h.gc.grey.is_empty() && h.gc.satb_buf.is_empty(),
+            "no work queued"
+        );
         assert_eq!(h.gc.stats.satb_logs, 0);
     }
 

@@ -281,11 +281,6 @@ impl BarrierStats {
             .fold((0, 0), |(e, p), s| (e + s.executions, p + s.pre_null))
     }
 
-    /// Total abstract barrier cycles charged across every site.
-    pub fn total_cycles(&self) -> u64 {
-        self.sites.values().map(|s| s.cycles).sum()
-    }
-
     /// Aggregates the run against an elision set, producing the numbers
     /// behind one Table 1 row.
     pub fn summarize(&self, elided: &ElidedBarriers) -> BarrierSummary {
@@ -407,6 +402,11 @@ mod tests {
         InsnAddr::new(BlockId(0), i)
     }
 
+    /// Abstract barrier cycles charged across every site.
+    fn cycles(st: &BarrierStats) -> u64 {
+        st.iter().map(|(_, s)| s.cycles).sum()
+    }
+
     #[test]
     fn site_stats_potential_pre_null() {
         let mut st = BarrierStats::default();
@@ -516,14 +516,14 @@ mod tests {
         let copied: HashMap<_, _> = empty.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(copied, before);
         assert_eq!(empty.totals(), populated.totals());
-        assert_eq!(empty.total_cycles(), 12);
+        assert_eq!(cycles(&empty), 12);
 
         // empty.merge(empty) stays empty.
         let mut e1 = BarrierStats::default();
         e1.merge(&BarrierStats::default());
         assert_eq!(e1.site_count(), 0);
         assert_eq!(e1.totals(), (0, 0));
-        assert_eq!(e1.total_cycles(), 0);
+        assert_eq!(cycles(&e1), 0);
     }
 
     #[test]
@@ -584,7 +584,7 @@ mod tests {
         st.add_site(m, addr(0), StoreKind::Field, 0, 0, 7);
         assert_eq!(st.site_count(), 1);
         assert_eq!(st.totals(), (0, 0));
-        assert_eq!(st.total_cycles(), 7);
+        assert_eq!(cycles(&st), 7);
         st.add_site(m, addr(0), StoreKind::Field, 1, 0, 0);
         assert_eq!(st.totals(), (1, 0));
         // Display keeps its pinned executions/pre_null shape.

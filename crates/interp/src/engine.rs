@@ -1,28 +1,27 @@
 //! [`EngineKind`]: which of [`Interp`]'s two dispatch loops runs.
 //!
-//! * `Classic` — the switch-dispatch loop in [`crate::machine`]. The
-//!   reference semantics; every baseline, digest, and Table 1/2 row is
-//!   produced by it, and its output is pinned byte-identical across
-//!   PRs.
 //! * `Compiled` — the direct-threaded loop in [`crate::compiled`] over
-//!   [`mod@crate::translate`]'s flat code. Observably equivalent (same
-//!   traps, `BarrierStats`, GC schedule, world digests), substantially
-//!   faster per instruction.
+//!   [`mod@crate::translate`]'s flat code. It stands in for the paper's
+//!   JIT-compiled code, and it is the loop [`Interp::new`] and
+//!   [`Interp::with_style`] run: every report, experiment, baseline
+//!   and CLI run goes through it.
+//! * `Classic` — the switch-dispatch loop in [`crate::machine`] over
+//!   the IR. Observably equivalent (same traps, `BarrierStats`, GC
+//!   schedule, world digests) and slower per instruction. It is kept
+//!   as the reference the equivalence tests and the benchmark compare
+//!   the compiled loop with, and only [`EngineKind::build`] reaches it.
 //!
 //! Both are the same machine — one heap, one store barrier, one set of
-//! hooks — so an `--engine classic|compiled` flag is a constructor
-//! argument and nothing else.
+//! hooks — so the choice is a constructor argument and nothing else.
 
 use crate::machine::Interp;
 
-/// Which dispatch loop to run; parsed from `--engine`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Which dispatch loop to run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The classic switch-dispatch loop (the default: all baselines and
-    /// digests are pinned against it).
-    #[default]
+    /// The classic switch-dispatch loop, the reference.
     Classic,
-    /// The direct-threaded compiled loop.
+    /// The direct-threaded compiled loop, the one [`Interp::new`] runs.
     Compiled,
 }
 
@@ -33,16 +32,6 @@ impl EngineKind {
         match self {
             EngineKind::Classic => "classic",
             EngineKind::Compiled => "compiled",
-        }
-    }
-
-    /// Parses `"classic"` / `"compiled"`.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "classic" => Some(EngineKind::Classic),
-            "compiled" => Some(EngineKind::Compiled),
-            _ => None,
         }
     }
 

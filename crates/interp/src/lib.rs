@@ -12,8 +12,9 @@
 //! (Table 2).
 //!
 //! There is one machine, [`Interp`], with two dispatch loops picked by
-//! [`EngineKind`]: the classic loop over the IR ([`machine`]) and the
-//! compiled loop over [`mod@translate`]'s flat code ([`compiled`]). What a
+//! [`EngineKind`]: the compiled loop over [`mod@translate`]'s flat code
+//! ([`compiled`]), which [`Interp::new`] runs, and the classic loop over
+//! the IR ([`machine`]), kept as its reference. What a
 //! reference-store site does — elide, log, dirty a card, take part in
 //! a §4.3 rearrangement — is decided once per site by `translate` and
 //! executed by one function both loops call.

@@ -1,9 +1,11 @@
 //! The machine: one [`Interp`] owns the heap, the GC driving, the
 //! recovery and oracle hooks, the per-method code cache and
 //! the statistics, and executes a program through one of two dispatch
-//! loops — the classic one in this file, which decodes [`Insn`]s block
-//! by block, and the compiled one in [`crate::compiled`], which runs
-//! the flat cells of [`mod@crate::translate`].
+//! loops — the compiled one in [`crate::compiled`], which runs the flat
+//! cells of [`mod@crate::translate`] and is the one [`Interp::new`]
+//! starts, and the classic one in this file, which decodes [`Insn`]s
+//! block by block and is reached only through
+//! [`EngineKind::build`](crate::EngineKind::build).
 //!
 //! Both loops execute a reference store's barrier through
 //! `Interp::store_barrier`, handing it the site's translation-time
@@ -323,12 +325,14 @@ impl fmt::Debug for Interp<'_> {
 }
 
 impl<'p> Interp<'p> {
-    /// Creates an interpreter with an SATB-style heap.
+    /// Creates an interpreter with an SATB-style heap that runs the
+    /// compiled loop.
     pub fn new(program: &'p Program, config: BarrierConfig) -> Self {
         Self::with_style(program, config, MarkStyle::Satb)
     }
 
-    /// Creates an interpreter with the given marker style.
+    /// Creates an interpreter with the given marker style that runs the
+    /// compiled loop; [`EngineKind::build`] picks the loop.
     pub fn with_style(program: &'p Program, config: BarrierConfig, style: MarkStyle) -> Self {
         let mut heap = Heap::new(style);
         let static_shapes: Vec<FieldShape> =
@@ -370,7 +374,7 @@ impl<'p> Interp<'p> {
             oracle: None,
             frames: Vec::new(),
             published: PublishedRunStats::default(),
-            kind: EngineKind::Classic,
+            kind: EngineKind::Compiled,
             code: vec![None; program.methods.len()],
             site_acc: vec![Vec::new(); program.methods.len()],
         }

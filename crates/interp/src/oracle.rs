@@ -39,8 +39,8 @@
 //! at fixed instruction/allocation counts, the deterministic scheduler
 //! fixes logical thread interleaving, and the oracle's own pending set
 //! is engine-independent because both engines call the same hooks in
-//! the same store order. The harness pins `classic` vs `compiled`
-//! byte-identical NDJSON on top of this.
+//! the same store order. `barrier_path.golden` pins both loops' per-site
+//! verdicts and audit counters on top of this.
 
 use std::collections::{BTreeMap, BTreeSet};
 

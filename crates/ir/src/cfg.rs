@@ -47,15 +47,6 @@ pub fn reverse_postorder(method: &Method) -> Vec<BlockId> {
     postorder
 }
 
-/// Blocks unreachable from the entry.
-pub fn unreachable_blocks(method: &Method) -> Vec<BlockId> {
-    let reachable: std::collections::BTreeSet<_> = reverse_postorder(method).into_iter().collect();
-    (0..method.blocks.len())
-        .map(BlockId::from_index)
-        .filter(|b| !reachable.contains(b))
-        .collect()
-}
-
 /// True if any block's terminator can branch back to a block at the same
 /// or an earlier reverse-postorder position (a quick loop detector used
 /// for diagnostics only — the analyses never need loop structure, per the
@@ -128,11 +119,15 @@ mod tests {
 
     #[test]
     fn unreachable_blocks_found() {
+        // A block no branch reaches is left out of the order the
+        // analyses walk.
         let mut p = looped();
         p.methods[0].blocks.push(crate::method::Block::new(
             vec![],
             crate::insn::Terminator::Return,
         ));
-        assert_eq!(unreachable_blocks(&p.methods[0]), vec![BlockId(4)]);
+        let rpo = reverse_postorder(&p.methods[0]);
+        assert_eq!(rpo.len(), 4);
+        assert!(!rpo.contains(&BlockId(4)));
     }
 }

@@ -308,13 +308,6 @@ pub fn write_metrics_json(path: &Path) -> io::Result<()> {
     std::fs::write(path, metrics_json(&snap))
 }
 
-/// Drains the global trace buffer and writes [`trace_ndjson`] to
-/// `path`.
-pub fn write_trace_ndjson(path: &Path) -> io::Result<()> {
-    let events = crate::trace::drain();
-    std::fs::write(path, trace_ndjson(&events))
-}
-
 /// Drains the global trace buffer and writes [`chrome_trace_json`] to
 /// `path`.
 pub fn write_chrome_trace(path: &Path) -> io::Result<()> {

@@ -97,14 +97,6 @@ impl Drop for SpanGuard {
     }
 }
 
-impl SpanGuard {
-    /// Whether this guard is actually recording (false when telemetry
-    /// was fully disabled at `enter` time).
-    pub fn is_recording(&self) -> bool {
-        self.open.is_some()
-    }
-}
-
 /// Name of the innermost open span on this thread, if any. Useful for
 /// point events that want parent attribution.
 pub fn current() -> Option<String> {
@@ -146,7 +138,7 @@ mod tests {
         let _guard = crate::config::tests::test_guard();
         let prev = crate::configure(crate::TelemetryConfig::off());
         let g = enter("span_test.quiet", String::new());
-        assert!(!g.is_recording());
+        assert!(g.open.is_none(), "nothing is recorded");
         assert_eq!(current(), None);
         drop(g);
         crate::configure(prev);
