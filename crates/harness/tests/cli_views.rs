@@ -79,6 +79,13 @@ fn untimed(text: &str) -> String {
     out
 }
 
+/// `analyze` with its first line's `; analysis time …` suffix cut.
+fn analysis_untimed(text: &str) -> String {
+    let (first, rest) = text.split_once('\n').unwrap_or((text, ""));
+    let first = first.split("; analysis time").next().unwrap_or(first);
+    format!("{first}\n{rest}")
+}
+
 #[test]
 fn fault_verification_matches_the_golden_file() {
     check("verify --faults 3 --seed 42 --scale 0.02", all);
@@ -110,4 +117,9 @@ fn throughput_ndjson_matches_the_golden_file() {
         "throughput --format ndjson --mutators 2 --duration-ops 20000",
         all,
     );
+}
+
+#[test]
+fn analyze_dump_matches_the_golden_file() {
+    check("analyze jess --dump", analysis_untimed);
 }
