@@ -9,8 +9,9 @@
 //! `heap.gc.pause.work_units` sample, the barrier cycles left at kept
 //! sites and the costliest keep-code. The `__suite__` line pins the
 //! suite-wide dynamic elision percentage, the measurement scale and the
-//! recovery probe; the `__throughput__` lines pin what one throughput
-//! mutator computes. Every number is a pure function of the tree, so
+//! recovery probe; the `__throughput__` lines pin what one interpreter
+//! computes when it re-runs a bench workload up to an instruction
+//! budget. Every number is a pure function of the tree, so
 //! the gate allows no slack: the measured file must equal the committed
 //! one byte for byte, and the first line that differs is the report.
 //! DESIGN §10.3 lists which numbers this file owns and which other
@@ -24,12 +25,12 @@ use std::path::Path;
 
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::FaultConfig;
-use wbe_interp::{BarrierConfig, BarrierMode, Interp};
+use wbe_interp::{BarrierConfig, BarrierMode, Interp, Trap};
 use wbe_opt::{OptMode, PipelineConfig};
 use wbe_telemetry::json::{ObjWriter, Value};
+use wbe_workloads::Workload;
 
 use crate::site::{compile_workload_with, observe, Chaos, RunSpec, Totals, BASELINE_GC};
-use crate::throughput::{run_mutator, MutatorFacts};
 
 /// Default location of the committed baseline file, relative to the
 /// repository root.
@@ -50,8 +51,8 @@ const RECOVERY_CORRUPT_PM: u16 = 400;
 /// counters are exact, not statistical).
 const RECOVERY_SCALE: f64 = 0.02;
 
-/// Per-mutator instruction budget for the throughput probe rows (kept
-/// small; the pinned quantities are deterministic facts, not rates).
+/// Instruction budget for the throughput probe rows (kept small; the
+/// pinned quantities are deterministic facts, not rates).
 const THROUGHPUT_OPS: u64 = 200_000;
 
 /// Numbers for one workload.
@@ -93,10 +94,28 @@ pub struct BaselineSuite {
     pub recoveries_attempted: u64,
     /// Recovery attempts that healed the heap in the probe.
     pub recoveries_succeeded: u64,
-    /// What one `wbe_tool throughput` mutator computes on each bench
-    /// workload, after the suite line. The wall-clock rate is
-    /// machine-dependent; everything the run computes is not.
+    /// What the throughput probe computes on each bench workload, after
+    /// the suite line: every fact of the run, none of its timing.
     pub throughput: Vec<(&'static str, MutatorFacts)>,
+}
+
+/// Deterministic facts of one throughput probe run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MutatorFacts {
+    /// Instructions executed.
+    pub insns: u64,
+    /// Abstract cycles charged.
+    pub cycles: u64,
+    /// Cycles charged to barriers.
+    pub barrier_cycles: u64,
+    /// Executions of elided stores.
+    pub elided: u64,
+    /// Objects allocated.
+    pub allocs: u64,
+    /// Completed GC cycles.
+    pub gc_cycles: u64,
+    /// FNV-1a digest of the final heap.
+    pub digest: u64,
 }
 
 fn bucket(v: u64) -> u64 {
@@ -146,8 +165,7 @@ pub fn measure(scale: f64) -> BaselineSuite {
 
 /// Runs the throughput probe: the bench workloads under the realistic
 /// configuration (checked barriers + elision + deterministic GC
-/// policy), recording only the deterministic facts. `wbe_tool
-/// throughput` runs this same configuration.
+/// policy), recording only the deterministic facts.
 fn throughput_probe() -> Vec<(&'static str, MutatorFacts)> {
     let mut rows = Vec::new();
     for name in ["jess", "jbb"] {
@@ -164,8 +182,29 @@ fn throughput_probe() -> Vec<(&'static str, MutatorFacts)> {
     rows
 }
 
+/// Runs `engine` to its instruction budget and returns its facts. The
+/// workload entry is re-run in fixed chunks (a pure function of the
+/// workload) until `duration_ops` instructions have executed, so equal
+/// budgets execute identical streams.
+fn run_mutator(engine: &mut Interp, w: &Workload, duration_ops: u64) -> Result<MutatorFacts, Trap> {
+    let chunk = (w.default_iters / 10).max(8);
+    while engine.stats().insns < duration_ops {
+        engine.run(w.entry, &[wbe_interp::Value::Int(chunk)], w.fuel_for(chunk))?;
+    }
+    let s = engine.stats();
+    Ok(MutatorFacts {
+        insns: s.insns,
+        cycles: s.cycles,
+        barrier_cycles: s.barrier_cycles,
+        elided: s.elided_executions,
+        allocs: engine.heap().stats.allocations,
+        gc_cycles: engine.heap().gc.stats.cycles,
+        digest: wbe_heap::debug::world_digest(engine.heap()),
+    })
+}
+
 /// Measures one workload's baseline row.
-fn measure_workload(w: &wbe_workloads::Workload, scale: f64) -> WorkloadBaseline {
+fn measure_workload(w: &Workload, scale: f64) -> WorkloadBaseline {
     wbe_telemetry::registry::global().reset();
     let obs = observe(w, &RunSpec::baseline(scale))
         .completed()

@@ -136,22 +136,16 @@ fn main() {
         }
         println!("metrics written to {}", path.display());
     }
-    // Both trace writers consume the same buffered stream: drain once
-    // and render each requested format from the same events.
-    if trace_out.is_some() || chrome_trace.is_some() {
-        let events = wbe_telemetry::trace::drain();
-        let write = |path: &str, body: String| {
-            if let Err(e) = std::fs::write(path, body) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("trace written to {path}");
-        };
-        if let Some(path) = &trace_out {
-            write(path, wbe_telemetry::export::trace_ndjson(&events));
-        }
-        if let Some(path) = &chrome_trace {
-            write(path, wbe_telemetry::export::chrome_trace_json(&events));
-        }
+    let path = std::path::Path::new;
+    let (ndjson, chrome) = (
+        trace_out.as_deref().map(path),
+        chrome_trace.as_deref().map(path),
+    );
+    if let Err(e) = wbe_telemetry::export::write_traces(ndjson, chrome) {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
+    for path in [&trace_out, &chrome_trace].into_iter().flatten() {
+        println!("trace written to {path}");
     }
 }

@@ -30,8 +30,6 @@
 //!                  [--heap-budget B] [--chaos] [--overload-pm PM]
 //!                  [--slo-p99 N] [--slo-shed-pct P]
 //!                  [--format text|ndjson] [--out F] [--trace-out T]
-//! wbe_tool throughput [--mutators N] [--duration-ops N] [--workload W]...
-//!                  [--format text|ndjson] [--out F]
 //! wbe_tool mcheck  [--threads N] [--schedules K] [--seed S]
 //!                  [--scenario chain|churn|shared] [--systematic]
 //!                  [--preempt-bound B] [--demo-unsound] [--fault-seed S]
@@ -81,16 +79,6 @@
 //! violation (`--slo-p99` steps, `--slo-shed-pct` percent) or a
 //! soundness violation. Equal options produce byte-identical NDJSON.
 //!
-//! `throughput` measures mutator throughput with `--mutators` (1 to
-//! 16) independent mutator threads, each an isolated interpreter + heap
-//! executing the same deterministic instruction stream until
-//! `--duration-ops` instructions have run. The text report carries
-//! ops/sec, allocation rate, and the wall-clock barrier-overhead trio
-//! (barrier-free vs always-log kept vs always-log + elision);
-//! `--format ndjson` emits only the deterministic facts
-//! (instruction/allocation counts, digests), byte-identical across
-//! runs, which `tests/cli_exit_codes.rs` checks.
-//!
 //! `profile` joins the interpreter's per-site dynamic barrier counters
 //! with the provenance ledger: per-keep-code execution/cycle
 //! attribution with headroom estimates, the hottest kept sites, and
@@ -134,7 +122,6 @@
 //! | `bench --check-baselines` | file matches | a line differs | usage/IO |
 //! | `profile` | SLOs met | pause SLO violated | usage/run error |
 //! | `oracle` | report produced | — | usage/run error |
-//! | `throughput` | report produced | — | usage/run error |
 //! | `mcheck` | all schedules sound | violation found | usage |
 //! | `soak` | clean | degraded > threshold | unrecovered trap |
 //! | `serve` | nominal, SLOs met | ladder engaged, SLOs held | SLO/soundness violation |
@@ -152,7 +139,7 @@ use wbe_opt::{compile, compile_with_dump, OptMode, PipelineConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: wbe_tool <verify|dump|analyze|explain|ledger|ledger-diff|run|export|report|bench|profile|oracle|throughput|soak|serve|mcheck> [<file.wbe|workload>] [options]\n\
+        "usage: wbe_tool <verify|dump|analyze|explain|ledger|ledger-diff|run|export|report|bench|profile|oracle|soak|serve|mcheck> [<file.wbe|workload>] [options]\n\
          verify:  <file.wbe>  — or —  [workload ...] --faults N [--seed S] [--scale F] [--demo-unsound]\n\
          analyze: [--mode A|F] [--inline N] [--nos]\n\
          explain: [--method M] [--site N] [--mode A|F] [--inline N] [--nos]\n\
@@ -165,8 +152,6 @@ fn usage() -> ! {
          profile: [--workload W]... [--top N] [--scale S] [--format text|ndjson]\n\
                   [--out F] [--slo-max-pause N] [--slo-p99-pause N]\n\
          oracle:  [--workload W]... [--scale S] [--top N] [--format text|ndjson] [--out F]\n\
-         throughput: [--mutators N] [--duration-ops N] [--workload W]...\n\
-                  [--format text|ndjson] [--out F]\n\
          soak:    [--rounds N] [--seed S] [--escalate] [--scale F] [--max-attempts K]\n\
                   [--threshold D] [--unrecoverable] [--format text|ndjson] [--out F]\n\
                   [--flight-out T]\n\
@@ -181,7 +166,7 @@ fn usage() -> ! {
            profile:         1 pause SLO violated                mcheck: 1 violation found\n\
            soak:            1 degraded > threshold, 2 unrecovered trap\n\
            serve:           1 ladder engaged (SLOs held), 2 SLO/soundness violation\n\
-           oracle, throughput, run, report: no exit-1 findings",
+           oracle, run, report: no exit-1 findings",
         wbe_harness::mcheck::USAGE
     );
     exit(2)
@@ -343,20 +328,17 @@ fn report(rest: &[String]) {
         }
         println!("metrics written to {path}");
     }
-    // Both trace writers consume the same stream: drain once, write
-    // each requested format from the same event vector.
-    if trace_out.is_some() || chrome_trace.is_some() {
-        let events = wbe_telemetry::trace::drain();
-        let write = |path: &str, body: String| {
-            write_or_exit(path, &body);
-            println!("trace written to {path}");
-        };
-        if let Some(path) = &trace_out {
-            write(path, wbe_telemetry::export::trace_ndjson(&events));
-        }
-        if let Some(path) = &chrome_trace {
-            write(path, wbe_telemetry::export::chrome_trace_json(&events));
-        }
+    let path = std::path::Path::new;
+    let (ndjson, chrome) = (
+        trace_out.as_deref().map(path),
+        chrome_trace.as_deref().map(path),
+    );
+    if let Err(e) = wbe_telemetry::export::write_traces(ndjson, chrome) {
+        eprintln!("{e}");
+        exit(2);
+    }
+    for path in [&trace_out, &chrome_trace].into_iter().flatten() {
+        println!("trace written to {path}");
     }
 }
 
@@ -514,50 +496,6 @@ fn oracle(rest: &[String]) -> i32 {
         wbe_harness::oracle::to_text(&suite)
     };
     emit(out.as_deref(), &body, "oracle report");
-    0
-}
-
-/// `wbe_tool throughput`: the multi-mutator throughput bench. Text
-/// output carries the timings; `--format ndjson` emits only the
-/// deterministic facts, byte-identical across runs.
-fn throughput(rest: &[String]) -> i32 {
-    use wbe_harness::throughput::{
-        render_ndjson, render_text, run_throughput, ThroughputOptions, MAX_MUTATORS,
-    };
-    let mut opts = ThroughputOptions::default();
-    let mut out: Option<String> = None;
-    let mut args = Args::new(rest);
-    while let Some(a) = args.next() {
-        match a {
-            "--mutators" => {
-                // Each mutator is an OS thread with its own heap: bound
-                // the count before any of them starts.
-                opts.mutators = args.value();
-                if !(1..=MAX_MUTATORS).contains(&opts.mutators) {
-                    eprintln!("throughput: --mutators must be between 1 and {MAX_MUTATORS}");
-                    usage();
-                }
-            }
-            "--duration-ops" => opts.duration_ops = args.value(),
-            "--workload" => opts.workloads.push(args.value()),
-            "--format" => opts.ndjson = args.format(),
-            "--out" => out = Some(args.value()),
-            _ => usage(),
-        }
-    }
-    let rows = match run_throughput(&opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let body = if opts.ndjson {
-        render_ndjson(&rows, &opts)
-    } else {
-        render_text(&rows, &opts)
-    };
-    emit(out.as_deref(), &body, "throughput report");
     0
 }
 
@@ -747,7 +685,6 @@ fn main() {
         "bench" => exit(bench(rest)),
         "profile" => exit(profile(rest)),
         "oracle" => exit(oracle(rest)),
-        "throughput" => exit(throughput(rest)),
         "ledger-diff" => match rest {
             [old, new, ..] => exit(ledger_diff(old, new)),
             _ => usage(),
@@ -773,14 +710,22 @@ fn main() {
         {
             verify_faults(rest)
         }
-        _ => match rest.split_first() {
+        // Checked before `on_program` loads the argument, so an unknown
+        // command never reads, parses or reports on a file.
+        c if ON_PROGRAM.contains(&c) => match rest.split_first() {
             Some((source, rest)) => on_program(cmd, source, rest),
             None => usage(),
         },
+        _ => usage(),
     }
 }
 
 /// The commands that take a `<file.wbe|workload>` first.
+const ON_PROGRAM: [&str; 7] = [
+    "verify", "dump", "export", "explain", "ledger", "analyze", "run",
+];
+
+/// Runs one of the `ON_PROGRAM` commands on `source`.
 fn on_program(cmd: &str, source: &str, rest: &[String]) {
     let program = load(source);
     match cmd {
@@ -869,11 +814,7 @@ fn on_program(cmd: &str, source: &str, rest: &[String]) {
             } else {
                 (compile(&program, &cfg), None)
             };
-            println!(
-                "inlined {} calls; analysis time {:?}",
-                compiled.inline_stats.inlined_calls,
-                compiled.analysis_time()
-            );
+            println!("inlined {} calls", compiled.inline_stats.inlined_calls);
             let mut total = 0usize;
             for (mid, m) in compiled.program.iter_methods() {
                 let elided = compiled.elided_of(mid);
@@ -965,6 +906,6 @@ fn on_program(cmd: &str, source: &str, rest: &[String]) {
                 }
             }
         }
-        _ => usage(),
+        _ => unreachable!("main passes only the ON_PROGRAM commands"),
     }
 }

@@ -68,5 +68,4 @@ pub mod soak;
 pub mod static_counts;
 pub mod table1;
 pub mod table2;
-pub mod throughput;
 pub mod verify;

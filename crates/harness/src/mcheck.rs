@@ -192,14 +192,13 @@ pub fn run(o: &McheckOptions) -> i32 {
         });
     }
     let code = run_inner(o);
+    let trace_out = o.trace_out.as_deref().map(std::path::Path::new);
+    if let Err(e) = wbe_telemetry::export::write_traces(None, trace_out) {
+        eprintln!("{e}");
+        return 2;
+    }
     if let Some(path) = &o.trace_out {
-        match wbe_telemetry::export::write_chrome_trace(std::path::Path::new(path)) {
-            Ok(()) => println!("gc timeline written to {path} (chrome://tracing / Perfetto)"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                return 2;
-            }
-        }
+        println!("gc timeline written to {path} (chrome://tracing / Perfetto)");
     }
     code
 }

@@ -47,26 +47,6 @@ pub fn reverse_postorder(method: &Method) -> Vec<BlockId> {
     postorder
 }
 
-/// True if any block's terminator can branch back to a block at the same
-/// or an earlier reverse-postorder position (a quick loop detector used
-/// for diagnostics only — the analyses never need loop structure, per the
-/// paper).
-pub fn has_back_edge(method: &Method) -> bool {
-    let rpo = reverse_postorder(method);
-    let mut pos = vec![usize::MAX; method.blocks.len()];
-    for (i, b) in rpo.iter().enumerate() {
-        pos[b.index()] = i;
-    }
-    for &b in &rpo {
-        for succ in method.block(b).term.successors() {
-            if pos[succ.index()] <= pos[b.index()] {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,18 +83,6 @@ mod tests {
         let preds = predecessors(&p.methods[0]);
         // head (B1) has preds entry (B0) and body (B2).
         assert_eq!(preds[1], vec![BlockId(0), BlockId(2)]);
-    }
-
-    #[test]
-    fn back_edge_detected() {
-        let p = looped();
-        assert!(has_back_edge(&p.methods[0]));
-        let mut pb = ProgramBuilder::new();
-        pb.method("straight", vec![], None, 0, |mb| {
-            mb.return_();
-        });
-        let p2 = pb.finish();
-        assert!(!has_back_edge(&p2.methods[0]));
     }
 
     #[test]

@@ -308,11 +308,26 @@ pub fn write_metrics_json(path: &Path) -> io::Result<()> {
     std::fs::write(path, metrics_json(&snap))
 }
 
-/// Drains the global trace buffer and writes [`chrome_trace_json`] to
-/// `path`.
-pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
+/// Drains the global trace buffer once and writes the events as
+/// [`trace_ndjson`] to `ndjson` and as [`chrome_trace_json`] to
+/// `chrome`, each where a path is given. With neither, the buffer is
+/// left alone. The error names the file that could not be written.
+pub fn write_traces(ndjson: Option<&Path>, chrome: Option<&Path>) -> io::Result<()> {
+    if ndjson.is_none() && chrome.is_none() {
+        return Ok(());
+    }
     let events = crate::trace::drain();
-    std::fs::write(path, chrome_trace_json(&events))
+    let write = |path: &Path, body: String| {
+        std::fs::write(path, body)
+            .map_err(|e| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))
+    };
+    if let Some(path) = ndjson {
+        write(path, trace_ndjson(&events))?;
+    }
+    if let Some(path) = chrome {
+        write(path, chrome_trace_json(&events))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -420,6 +435,36 @@ mod tests {
             ctr.get("args").unwrap().get("value").unwrap().as_u64(),
             Some(17)
         );
+    }
+
+    #[test]
+    fn write_traces_renders_one_drain_in_both_formats() {
+        let _guard = crate::config::tests::test_guard();
+        crate::configure(crate::TelemetryConfig::all());
+        crate::trace::drain();
+        crate::trace::event("test.export.write", "x");
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let nd = dir.join(format!("wbe_telemetry_write_traces_{pid}.ndjson"));
+        let chrome = dir.join(format!("wbe_telemetry_write_traces_{pid}.json"));
+        write_traces(Some(&nd), Some(&chrome)).unwrap();
+        let nd_text = std::fs::read_to_string(&nd).unwrap();
+        let chrome_text = std::fs::read_to_string(&chrome).unwrap();
+        std::fs::remove_file(&nd).ok();
+        std::fs::remove_file(&chrome).ok();
+        assert!(nd_text.contains("test.export.write"), "{nd_text}");
+        assert!(chrome_text.contains("test.export.write"), "{chrome_text}");
+        // Nothing asked for: the buffer is not drained.
+        crate::trace::event("test.export.kept", "y");
+        write_traces(None, None).unwrap();
+        assert!(crate::trace::drain()
+            .iter()
+            .any(|e| e.name == "test.export.kept"));
+        let bad = dir
+            .join(format!("wbe_telemetry_no_such_dir_{pid}"))
+            .join("t.json");
+        let err = write_traces(None, Some(&bad)).unwrap_err();
+        assert!(err.to_string().starts_with("cannot write "), "{err}");
     }
 
     /// Pins the histogram field set both exporters promise: consumers
