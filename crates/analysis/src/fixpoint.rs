@@ -36,7 +36,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use wbe_ir::{cfg, BlockId, Insn, InsnAddr, Method, MethodId, Program, Terminator};
+use wbe_ir::{cfg, Insn, InsnAddr, Method, MethodId, Program, Terminator};
 
 use crate::config::AnalysisConfig;
 use crate::dump;
@@ -218,8 +218,7 @@ pub fn analyze_program_with(
         if products.null_or_same {
             let sites = nullsame::analyze_method_under(program, method, config);
             for rec in &mut replay.records {
-                let addr = InsnAddr::new(BlockId::from_index(rec.block), rec.index);
-                rec.null_or_same = sites.contains(&addr);
+                rec.null_or_same = sites.contains(&rec.addr());
             }
             nos.insert(mid, sites);
         }
@@ -783,7 +782,7 @@ mod tests {
     use super::*;
     use crate::transfer::KeepCode;
     use wbe_ir::builder::ProgramBuilder;
-    use wbe_ir::{CmpOp, Ty};
+    use wbe_ir::{BlockId, CmpOp, Ty};
 
     /// The paper's §3.1 expand(): every aastore in the copy loop must be
     /// proven initializing. This is the headline test of the array

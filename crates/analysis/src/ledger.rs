@@ -30,7 +30,7 @@
 //! produce a byte-identical ledger — the property `wbe_tool
 //! ledger-diff` relies on.
 
-use wbe_ir::{Insn, InsnAddr, Program};
+use wbe_ir::{BlockId, Insn, InsnAddr, MethodId, Program};
 use wbe_telemetry::json::ObjWriter;
 
 use crate::config::AnalysisConfig;
@@ -80,6 +80,10 @@ impl std::str::FromStr for Verdict {
 /// Provenance for one barrier-relevant store site.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SiteRecord {
+    /// The (post-inlining) method containing the site: with the block
+    /// and index, the site's key in every runtime table. Not
+    /// serialized; the NDJSON names the method.
+    pub method_id: MethodId,
     /// Name of the (post-inlining) method containing the site.
     pub method: String,
     /// Block index of the site.
@@ -113,10 +117,15 @@ pub struct SiteRecord {
 }
 
 impl SiteRecord {
-    /// Stable identity of the site within a program:
-    /// `method@B<block>[<index>]`.
+    /// Where in [`method_id`](Self::method_id) the site is.
+    pub fn addr(&self) -> InsnAddr {
+        InsnAddr::new(BlockId::from_index(self.block), self.index)
+    }
+
+    /// The site's label, `method@B<block>[<index>]`
+    /// ([`InsnAddr::label`]).
     pub fn site_key(&self) -> String {
-        format!("{}@B{}[{}]", self.method, self.block, self.index)
+        self.addr().label(&self.method)
     }
 
     /// Renders the record as one JSON object (no trailing newline).
@@ -218,15 +227,13 @@ impl ElisionLedger {
         self.records.iter().filter(|r| r.verdict == v).count()
     }
 
-    /// Builds a lookup keyed by `(method name, block, index)` — the
-    /// join key shared with the interpreter's per-site dynamic counters
-    /// (whose `InsnAddr` decomposes into the same block/index pair).
-    /// Records are unique per site, so later duplicates (none in
-    /// practice) would win.
-    pub fn index(&self) -> std::collections::HashMap<(&str, usize, usize), &SiteRecord> {
+    /// Builds a lookup keyed by `(MethodId, InsnAddr)`, the key of the
+    /// interpreter's per-site dynamic counters. Records are unique per
+    /// site, so later duplicates (none in practice) would win.
+    pub fn index(&self) -> std::collections::HashMap<(MethodId, InsnAddr), &SiteRecord> {
         self.records
             .iter()
-            .map(|r| ((r.method.as_str(), r.block, r.index), r))
+            .map(|r| ((r.method_id, r.addr()), r))
             .collect()
     }
 }
@@ -333,6 +340,7 @@ pub(crate) fn site_record(
         keep_detail.push_str(evidence.fact.as_deref().unwrap_or_default());
     }
     SiteRecord {
+        method_id: ctx.method.id,
         method: ctx.method.name.clone(),
         block: addr.block.index(),
         index: addr.index,
@@ -395,10 +403,9 @@ mod tests {
         assert_eq!(ledger.records.len(), res.barrier_sites);
         assert_eq!(ledger.elided(), res.elided.len());
         for rec in &ledger.records {
-            let addr = wbe_ir::InsnAddr::new(wbe_ir::BlockId(rec.block as u32), rec.index);
             assert_eq!(
                 rec.verdict == Verdict::Elide,
-                res.elided.contains(&addr),
+                res.elided.contains(&rec.addr()),
                 "{rec:?}"
             );
         }
@@ -529,7 +536,7 @@ mod tests {
         let idx = ledger.index();
         assert_eq!(idx.len(), ledger.records.len(), "sites are unique");
         for r in &ledger.records {
-            let found = idx[&(r.method.as_str(), r.block, r.index)];
+            let found = idx[&(r.method_id, r.addr())];
             assert_eq!(found, r);
         }
         let mut counts = std::collections::BTreeMap::new();

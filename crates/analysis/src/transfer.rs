@@ -9,7 +9,7 @@
 //! and every view of a site (ledger, dump, profile, oracle) reads that
 //! code rather than deriving a reason of its own.
 
-use wbe_ir::{Insn, SiteId, Terminator, Ty};
+use wbe_ir::{Insn, SiteId, Terminator};
 
 use crate::intval::IntLat;
 use crate::range::IntRange;
@@ -540,18 +540,13 @@ pub fn is_barrier_site(program: &wbe_ir::Program, insn: &Insn) -> bool {
     }
 }
 
-/// Convenience for tests: the declared type of a field.
-pub fn field_ty(program: &wbe_ir::Program, f: wbe_ir::FieldId) -> Ty {
-    program.field(f).ty
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AnalysisConfig;
     use crate::intval::IntVal;
     use wbe_ir::builder::ProgramBuilder;
-    use wbe_ir::{FieldId, MethodId, Program};
+    use wbe_ir::{FieldId, MethodId, Program, Ty};
 
     fn setup() -> Program {
         let mut pb = ProgramBuilder::new();

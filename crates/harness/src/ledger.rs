@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use wbe_analysis::{ElisionLedger, SiteRecord, Verdict};
-use wbe_ir::Program;
+use wbe_ir::{BlockId, InsnAddr, Program};
 use wbe_opt::{compile, OptMode, PipelineConfig};
 
 use crate::site::SiteReport;
@@ -190,12 +190,10 @@ pub fn parse_ledger(ndjson: &str) -> Result<BTreeMap<String, DiffSite>, String> 
         let verdict: Verdict = get_str("verdict")?
             .parse()
             .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let key = format!(
-            "{}@B{}[{}]",
-            get_str("method")?,
-            get_u64("block")?,
-            get_u64("index")?
-        );
+        let method = get_str("method")?;
+        let block = u32::try_from(get_u64("block")?)
+            .map_err(|_| format!("line {}: field 'block' out of range", lineno + 1))?;
+        let key = InsnAddr::new(BlockId(block), get_u64("index")? as usize).label(&method);
         sites.insert(
             key,
             DiffSite {
@@ -523,6 +521,10 @@ mod tests {
         assert!(parse_ledger("{\"method\":\"m\"}").is_err());
         assert!(parse_ledger(
             "{\"method\":\"m\",\"block\":0,\"index\":0,\"verdict\":\"bogus\",\"keep_code\":\"\"}"
+        )
+        .is_err());
+        assert!(parse_ledger(
+            "{\"method\":\"m\",\"block\":4294967296,\"index\":0,\"verdict\":\"keep\",\"keep_code\":\"\"}"
         )
         .is_err());
         assert!(parse_ledger("\n\n").unwrap().is_empty());

@@ -148,7 +148,7 @@ pub struct WorkloadOracle {
     pub audit_violations: u64,
     /// Objects the witness table saw allocated.
     pub allocated_objects: u64,
-    /// Of those, objects that ever escaped their allocating thread.
+    /// Of those, objects that ever escaped (became reachable from a static).
     pub escaped_objects: u64,
 }
 

@@ -26,6 +26,7 @@
 //! mismatch it writes what it produced to the test scratch directory
 //! and names the file.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use wbe_harness::rearrange_exp::protocol_sites;
@@ -34,7 +35,7 @@ use wbe_heap::debug::world_digest;
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::{FaultConfig, FaultPlan, RecoveryPolicy};
 use wbe_interp::{
-    BarrierConfig, BarrierMode, ElidedBarriers, ElisionKind, EngineKind, GcPolicy, Value,
+    site_of, BarrierConfig, BarrierMode, ElidedBarriers, ElisionKind, EngineKind, GcPolicy, Value,
 };
 use wbe_ir::builder::ProgramBuilder;
 use wbe_ir::{CmpOp, FieldId, Insn, InsnAddr, MethodId, Program, Ty};
@@ -201,10 +202,11 @@ fn stanza(
         )
         .unwrap();
         for rev in rc.revocations() {
+            let (m, at) = site_of(rev.site);
             writeln!(
                 out,
                 "revoked {} trigger={} attempt={} reason={}",
-                rev.site_key(),
+                at.label(&program.method(m).name),
                 rev.trigger,
                 rev.attempt,
                 rev.reason
@@ -219,12 +221,20 @@ fn stanza(
             o.cycles_audited, o.audit_violations
         )
         .unwrap();
-        for (&(m, b, i), n) in &o.sites {
+        let kinds: HashMap<_, _> = s
+            .barrier
+            .iter()
+            .map(|(&(m, a, k), _)| ((m, a), k))
+            .collect();
+        for (&(m, a), n) in &o.sites {
             writeln!(
                 out,
-                "verdict {m} {b} {i} {:?} exec={} necessary={} idle={} null_old={} marked={} \
+                "verdict {} {} {} {:?} exec={} necessary={} idle={} null_old={} marked={} \
                  duplicate={} sole={} shielded={} escaped={}",
-                n.kind,
+                m.0,
+                a.block.0,
+                a.index,
+                kinds.get(&(m, a)),
                 n.executions,
                 n.necessary,
                 n.marking_idle,

@@ -102,9 +102,8 @@ fn observe(
             if elided.contains(mid, addr) {
                 continue;
             }
-            let method = compiled.program.method(mid).name.as_str();
             let code = index
-                .get(&(method, addr.block.index(), addr.index))
+                .get(&(mid, addr))
                 .and_then(|rec| rec.keep_code)
                 .map_or("unattributed", |code| code.as_str());
             *ledger_join.entry(code).or_insert(0) += stats.cycles;

@@ -221,7 +221,7 @@ pub struct Heap {
     pub fault: Option<FaultPlan>,
     /// Optional runtime witness side-table (see [`crate::witness`]).
     /// When present, allocations and reference stores record escape
-    /// and provenance facts; absent (the default), every hook is a
+    /// facts; absent (the default), every hook is a
     /// single `Option` check.
     pub witness: Option<WitnessTable>,
 }
@@ -332,13 +332,12 @@ impl Heap {
 
     fn finish_alloc(&mut self, obj: HeapObject) -> GcRef {
         let words = obj.size_words() as u64;
-        let tag = obj.class_tag;
         let r = self.store.insert(obj);
         self.stats.allocations += 1;
         self.stats.words_allocated += words;
         self.gc.on_allocate(r);
         if let Some(w) = self.witness.as_mut() {
-            w.note_alloc(r, tag);
+            w.note_alloc(r);
         }
         r
     }

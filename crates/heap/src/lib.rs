@@ -80,4 +80,4 @@ pub use pressure::{
 pub use recover::{RecoveryAction, RecoveryController, RecoveryPolicy, RecoveryStats};
 pub use sched::{Scenario, SchedConfig, SchedCounters, ScheduleOutcome, SchedulePolicy};
 pub use value::{FieldShape, GcRef, Value};
-pub use witness::{ClassWitness, WitnessTable};
+pub use witness::WitnessTable;

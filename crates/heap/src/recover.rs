@@ -19,9 +19,10 @@
 //!    corrupted, then re-verifies the invariants and sweeps.
 //! 3. On success the mutator **resumes** (with barriers conservatively
 //!    restored); each elided site that executes afterwards is recorded
-//!    in a per-site revocation table, joined into the elision
-//!    provenance ledger so `wbe_tool ledger`/`explain` show runtime
-//!    revocations alongside the static keep-codes.
+//!    in a per-site revocation table keyed by [`SiteKey`], which the
+//!    harness joins with the elision provenance ledger on that key so
+//!    `wbe_tool explain` shows runtime revocations alongside the static
+//!    keep-codes.
 //! 4. Only after [`RecoveryPolicy::max_attempts`] *consecutive failed*
 //!    recoveries (the re-mark itself re-violates) does the original
 //!    trap fire — persistent corruption (e.g. dangling references that
@@ -31,11 +32,11 @@
 //! marking-cycle driver of a world that recovers (the interpreter's).
 
 use std::collections::BTreeSet;
-use std::fmt;
 
 /// A barrier site as the runtime identifies it: `(method ordinal,
 /// block, instruction index)`. The heap crate has no IR types; the
-/// interpreter maps its `(MethodId, InsnAddr)` pairs into this key.
+/// interpreter maps its `(MethodId, InsnAddr)` pairs into this key and
+/// back.
 pub type SiteKey = (u64, u32, u32);
 
 /// What the controller tells the caller to do about a violation.
@@ -82,15 +83,12 @@ pub struct RecoveryStats {
 
 /// One runtime revocation: an elided site whose barrier was restored
 /// because the run entered panic mode (or because its own oracle
-/// fired). Joined into the provenance ledger by the harness.
+/// fired). Joined with the provenance ledger by the harness, on
+/// [`site`](Self::site).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RevocationRecord {
-    /// Method name, as the ledger spells it.
-    pub method: String,
-    /// Block id of the store.
-    pub block: u32,
-    /// Instruction index within the block.
-    pub index: u32,
+    /// The revoked site.
+    pub site: SiteKey,
     /// Human-readable reason: the triggering check and its detail.
     pub reason: String,
     /// Short classifier of the trigger: `"oracle"` for a per-site
@@ -98,25 +96,6 @@ pub struct RevocationRecord {
     pub trigger: &'static str,
     /// The recovery attempt ordinal in force when the site was revoked.
     pub attempt: u64,
-}
-
-impl RevocationRecord {
-    /// The ledger's site key rendering: `method@B<block>[<index>]`.
-    pub fn site_key(&self) -> String {
-        format!("{}@B{}[{}]", self.method, self.block, self.index)
-    }
-}
-
-impl fmt::Display for RevocationRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "REVOKED {} — {} ({})",
-            self.site_key(),
-            self.reason,
-            self.trigger
-        )
-    }
 }
 
 /// The recovery state machine: panic mode, the per-site revocation
@@ -228,17 +207,15 @@ impl RecoveryController {
     }
 
     /// Records a per-site revocation (first revocation of a site wins;
-    /// later calls are no-ops). `method` is the ledger-facing method
-    /// name; `reason`/`trigger` name the check that forced it.
-    pub fn revoke(&mut self, site: SiteKey, method: &str, reason: &str, trigger: &'static str) {
+    /// later calls are no-ops). `reason`/`trigger` name the check that
+    /// forced it.
+    pub fn revoke(&mut self, site: SiteKey, reason: &str, trigger: &'static str) {
         if !self.revoked.insert(site) {
             return;
         }
         self.stats.revoked_sites += 1;
         self.revocations.push(RevocationRecord {
-            method: method.to_string(),
-            block: site.1,
-            index: site.2,
+            site,
             reason: reason.to_string(),
             trigger,
             attempt: self.stats.attempted,
@@ -327,13 +304,13 @@ mod tests {
         assert!(rc.elide_allowed(site), "normal mode: elision allowed");
         rc.on_violation("post-sweep: unmarked live");
         assert!(!rc.elide_allowed(site));
-        rc.revoke(site, "churn", "post-sweep: unmarked live", "invariant");
-        rc.revoke(site, "churn", "later duplicate", "invariant");
+        rc.revoke(site, "post-sweep: unmarked live", "invariant");
+        rc.revoke(site, "later duplicate", "invariant");
         assert_eq!(rc.revocations().len(), 1, "first revocation wins");
         assert_eq!(rc.stats.revoked_sites, 1);
         assert!(!rc.elide_allowed(site), "still gated after revocation");
         assert_eq!(rc.stats.gated_elisions, 2);
-        assert_eq!(rc.revocations()[0].site_key(), "churn@B1[0]");
+        assert_eq!(rc.revocations()[0].site, site);
         assert!(rc.site_revoked(site));
     }
 
@@ -359,14 +336,14 @@ mod tests {
         let mut rc = RecoveryController::new(RecoveryPolicy::default());
         let site = (5, 2, 7);
         rc.on_violation("first");
-        rc.revoke(site, "m", "first", "invariant");
+        rc.revoke(site, "first", "invariant");
         rc.recovered();
         let snapshot = rc.revocations().to_vec();
         // Re-revoking the same site later — other attempt, other reason,
         // other trigger — changes nothing: first revocation wins.
         rc.on_violation("second");
-        rc.revoke(site, "m", "second", "oracle");
-        rc.revoke(site, "renamed", "third", "invariant");
+        rc.revoke(site, "second", "oracle");
+        rc.revoke(site, "third", "invariant");
         rc.recovered();
         assert_eq!(rc.revocations(), snapshot.as_slice());
         assert_eq!(rc.stats.revoked_sites, 1);
@@ -388,7 +365,7 @@ mod tests {
             RecoveryAction::Recover
         );
         let site = (9, 4, 1);
-        rc.revoke(site, "m", "unmarked reachable during re-mark", "invariant");
+        rc.revoke(site, "unmarked reachable during re-mark", "invariant");
         assert_eq!(
             rc.revocations()[0].attempt,
             2,
@@ -415,11 +392,10 @@ mod tests {
         let mut rc = RecoveryController::new(RecoveryPolicy::default());
         let bad = (0, 2, 5);
         let good = (0, 2, 6);
-        rc.revoke(bad, "m", "non-null pre-value", "oracle");
+        rc.revoke(bad, "non-null pre-value", "oracle");
         assert!(!rc.elide_allowed(bad), "revoked site is gated");
         assert!(rc.elide_allowed(good), "other sites unaffected");
         assert_eq!(rc.revocations()[0].trigger, "oracle");
-        let shown = rc.revocations()[0].to_string();
-        assert!(shown.contains("REVOKED m@B2[5]"), "{shown}");
+        assert_eq!(rc.revocations()[0].site, bad);
     }
 }

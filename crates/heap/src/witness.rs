@@ -5,17 +5,12 @@
 //! receiver thread-local (`receiver-may-escape`, `array-may-escape`) or
 //! the overwritten field null (`field-may-be-non-null`). Those are
 //! *may* facts — conservative static approximations. This side-table
-//! records the corresponding *did* facts observed at run time:
+//! records the corresponding *did* fact observed at run time:
 //!
-//! * **escape**: did this object ever become reachable from another
-//!   logical thread? Three events establish escape: being stored into a
-//!   static (globally reachable), being stored into an already-escaped
-//!   object (transitive at store time), or its fields being written by
-//!   a thread other than its allocating thread (observable under the
-//!   deterministic scheduler's logical thread ids).
-//! * **allocation provenance**: which logical thread allocated the
-//!   object and under which class tag, aggregated per class so a
-//!   whole allocation site's behavior is visible at once.
+//! * **escape**: did this object ever become reachable from a static,
+//!   and so from any thread? Two events establish escape: being stored
+//!   into a static (globally reachable), or being stored into an
+//!   already-escaped object (transitive at store time).
 //!
 //! A kept site whose receiver *never* escaped across every execution we
 //! threw at it carries a refuted `receiver-may-escape`: a perfectly
@@ -38,48 +33,22 @@
 //! witness stream — and everything derived from it — is byte-identical
 //! across engines by construction.
 
-use std::collections::BTreeMap;
-
 use crate::value::GcRef;
-
-/// Witness state for one heap slot (reset on every allocation into the
-/// slot, since slots are reused after a sweep).
-#[derive(Clone, Copy, Debug)]
-struct SlotWitness {
-    /// Logical thread that allocated the current occupant.
-    alloc_thread: u32,
-    /// Class tag of the current occupant.
-    class_tag: u32,
-    /// Whether the current occupant has escaped (see module docs).
-    escaped: bool,
-}
-
-/// Per-class aggregation of the slot witnesses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClassWitness {
-    /// Objects allocated under this class tag.
-    pub allocated: u64,
-    /// Of those, how many ever escaped.
-    pub escaped: u64,
-}
 
 /// The runtime witness side-table. Install with
 /// [`crate::Heap::enable_witnesses`]; absent (the default), every hook
 /// is a single `Option` check.
 #[derive(Clone, Debug, Default)]
 pub struct WitnessTable {
-    /// The logical thread id charged to subsequent allocations and
-    /// stores. Single-threaded drivers leave it at 0; the deterministic
-    /// scheduler sets it at every context switch.
-    current_thread: u32,
-    /// Per-slot witness state, indexed by `GcRef` slot index.
-    slots: Vec<Option<SlotWitness>>,
-    /// Per-class rollups, keyed by class tag (deterministic order).
-    classes: BTreeMap<u32, ClassWitness>,
-    /// Total escape events (distinct objects, not stores).
+    /// Whether each slot's current occupant has escaped, indexed by
+    /// `GcRef` slot index; `None` for a slot allocated before the table
+    /// was installed. Reset on every allocation into the slot, since
+    /// slots are reused after a sweep.
+    escaped: Vec<Option<bool>>,
+    /// Allocations witnessed.
+    allocations: u64,
+    /// Escape events (distinct objects, not stores).
     escapes: u64,
-    /// Of those, escapes established by a cross-thread store.
-    cross_thread_escapes: u64,
 }
 
 impl WitnessTable {
@@ -88,41 +57,23 @@ impl WitnessTable {
         WitnessTable::default()
     }
 
-    /// Sets the logical thread id charged to subsequent events.
-    pub fn set_current_thread(&mut self, thread: u32) {
-        self.current_thread = thread;
-    }
-
     /// Records an allocation: the slot's previous occupant (if any) is
-    /// forgotten and the new object starts thread-local to the
-    /// allocating thread.
-    pub fn note_alloc(&mut self, r: GcRef, class_tag: u32) {
+    /// forgotten and the new object starts thread-local.
+    pub fn note_alloc(&mut self, r: GcRef) {
         let i = r.index();
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, None);
+        if i >= self.escaped.len() {
+            self.escaped.resize(i + 1, None);
         }
-        self.slots[i] = Some(SlotWitness {
-            alloc_thread: self.current_thread,
-            class_tag,
-            escaped: false,
-        });
-        self.classes.entry(class_tag).or_default().allocated += 1;
+        self.escaped[i] = Some(false);
+        self.allocations += 1;
     }
 
-    /// Records a reference store `receiver.slot = value`. Escape
-    /// events: a store performed by a thread other than the receiver's
-    /// allocating thread escapes the receiver, and any value stored
-    /// into an escaped receiver escapes with it.
+    /// Records a reference store `receiver.slot = value`: a value
+    /// stored into an escaped receiver escapes with it.
     pub fn note_ref_store(&mut self, receiver: GcRef, value: Option<GcRef>) {
-        let cross = self
-            .slot(receiver)
-            .is_some_and(|s| s.alloc_thread != self.current_thread);
-        if cross {
-            self.escape(receiver, true);
-        }
         if self.is_escaped(receiver) {
             if let Some(v) = value {
-                self.escape(v, false);
+                self.escape(v);
             }
         }
     }
@@ -131,13 +82,13 @@ impl WitnessTable {
     /// reachable, the strongest form of escape.
     pub fn note_static_store(&mut self, value: Option<GcRef>) {
         if let Some(v) = value {
-            self.escape(v, false);
+            self.escape(v);
         }
     }
 
     /// Whether `r`'s current occupant has escaped.
     pub fn is_escaped(&self, r: GcRef) -> bool {
-        self.slot(r).is_some_and(|s| s.escaped)
+        self.escaped.get(r.index()) == Some(&Some(true))
     }
 
     /// Number of distinct objects that ever escaped.
@@ -145,46 +96,21 @@ impl WitnessTable {
         self.escapes
     }
 
-    /// Number of escapes established by a cross-thread store.
-    pub fn cross_thread_escapes(&self) -> u64 {
-        self.cross_thread_escapes
-    }
-
     /// Number of objects the table has witnessed allocations for.
     pub fn allocated_objects(&self) -> u64 {
-        self.classes.values().map(|c| c.allocated).sum()
+        self.allocations
     }
 
-    /// Per-class rollups in ascending class-tag order.
-    pub fn class_rows(&self) -> impl Iterator<Item = (u32, &ClassWitness)> {
-        self.classes.iter().map(|(&tag, w)| (tag, w))
-    }
-
-    fn slot(&self, r: GcRef) -> Option<&SlotWitness> {
-        self.slots.get(r.index()).and_then(|s| s.as_ref())
-    }
-
-    fn escape(&mut self, r: GcRef, cross_thread: bool) {
-        let Some(slot) = self.slots.get_mut(r.index()).and_then(|s| s.as_mut()) else {
-            return;
-        };
-        if slot.escaped {
-            return;
-        }
-        slot.escaped = true;
-        self.escapes += 1;
-        if cross_thread {
-            self.cross_thread_escapes += 1;
-        }
-        if let Some(c) = self.classes.get_mut(&slot.class_tag) {
-            c.escaped += 1;
+    fn escape(&mut self, r: GcRef) {
+        if let Some(slot @ Some(false)) = self.escaped.get_mut(r.index()) {
+            *slot = Some(true);
+            self.escapes += 1;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::gc::MarkStyle;
     use crate::heap::Heap;
     use crate::value::{FieldShape, Value};
@@ -203,16 +129,7 @@ mod tests {
         let w = h.witness.as_ref().unwrap();
         assert!(!w.is_escaped(a));
         assert_eq!(w.allocated_objects(), 1);
-        assert_eq!(
-            w.class_rows().next(),
-            Some((
-                3,
-                &ClassWitness {
-                    allocated: 1,
-                    escaped: 0,
-                }
-            ))
-        );
+        assert_eq!(w.escaped_objects(), 0);
     }
 
     #[test]
@@ -242,17 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_store_escapes_the_receiver() {
-        let mut h = heap();
-        let a = h.alloc_object(0, &[FieldShape::Ref]).unwrap();
-        h.witness.as_mut().unwrap().set_current_thread(2);
-        h.set_field(a, 0, Value::NULL).unwrap();
-        let w = h.witness.as_ref().unwrap();
-        assert!(w.is_escaped(a), "thread 2 touched thread 0's object");
-        assert_eq!(w.cross_thread_escapes(), 1);
-    }
-
-    #[test]
     fn int_stores_and_disabled_table_are_inert() {
         let mut h = Heap::new(MarkStyle::Satb);
         // No table installed: nothing to witness.
@@ -262,9 +168,7 @@ mod tests {
 
         let mut h = heap();
         let a = h.alloc_object(0, &[FieldShape::Int]).unwrap();
-        h.witness.as_mut().unwrap().set_current_thread(5);
-        // Int stores carry no reference and are not witnessed at all,
-        // so even a cross-thread int store does not escape.
+        // Int stores carry no reference and are not witnessed at all.
         h.set_field(a, 0, Value::Int(7)).unwrap();
         assert!(!h.witness.as_ref().unwrap().is_escaped(a));
     }

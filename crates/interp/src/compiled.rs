@@ -38,7 +38,6 @@ use std::rc::Rc;
 use wbe_heap::{GcRef, HeapError, ObjKind, Value};
 use wbe_ir::{Cond, InsnAddr, MethodId};
 
-use crate::barrier::StoreKind;
 use crate::machine::{Interp, Trap, Unsound};
 use crate::translate::{Cell, CompiledMethod, Op};
 
@@ -118,7 +117,6 @@ impl Interp<'_> {
         &mut self,
         mid: MethodId,
         at: InsnAddr,
-        kind: StoreKind,
         old: Option<GcRef>,
         site: u32,
         af: &mut ActiveFrame,
@@ -127,7 +125,7 @@ impl Interp<'_> {
     ) -> Result<(), Trap> {
         stash(self, af, pc);
         flush_counts(self, counts);
-        let r = self.unsound_elision(mid, at, kind, old, site);
+        let r = self.unsound_elision(mid, at, old, site);
         reload_counts(self, counts);
         r?;
         unstash(self, af);
@@ -427,27 +425,11 @@ impl Interp<'_> {
                             },
                             _ => return Err(HeapError::WrongKind(obj).into()),
                         };
-                        match self.store_barrier(
-                            mid,
-                            at,
-                            StoreKind::Field,
-                            obj,
-                            old,
-                            new,
-                            site,
-                            fuse,
-                        ) {
+                        match self.store_barrier(mid, at, obj, old, new, site, fuse) {
                             Ok(c) => counts.cycles += c,
-                            Err(Unsound) => self.heal_unsound_store(
-                                mid,
-                                at,
-                                StoreKind::Field,
-                                old,
-                                site,
-                                &mut af,
-                                pc,
-                                counts,
-                            )?,
+                            Err(Unsound) => {
+                                self.heal_unsound_store(mid, at, old, site, &mut af, pc, counts)?
+                            }
                         }
                         self.heap.set_field(obj, off as usize, val)?;
                     }
@@ -489,27 +471,11 @@ impl Interp<'_> {
                         // Bounds check before the barrier, like the classic
                         // engine (a trapping store logs nothing).
                         let old = self.heap.get_elem(arr, idx)?;
-                        match self.store_barrier(
-                            mid,
-                            at,
-                            StoreKind::Array,
-                            arr,
-                            old,
-                            val,
-                            site,
-                            fuse,
-                        ) {
+                        match self.store_barrier(mid, at, arr, old, val, site, fuse) {
                             Ok(c) => counts.cycles += c,
-                            Err(Unsound) => self.heal_unsound_store(
-                                mid,
-                                at,
-                                StoreKind::Array,
-                                old,
-                                site,
-                                &mut af,
-                                pc,
-                                counts,
-                            )?,
+                            Err(Unsound) => {
+                                self.heal_unsound_store(mid, at, old, site, &mut af, pc, counts)?
+                            }
                         }
                         self.heap.set_elem(arr, idx, val)?;
                     }

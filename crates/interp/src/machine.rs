@@ -32,7 +32,7 @@ use wbe_heap::{
 };
 use wbe_ir::{BlockId, Cond, FieldId, Insn, InsnAddr, MethodId, Program, Terminator, Ty};
 
-use crate::barrier::{BarrierConfig, BarrierMode, BarrierStats, ElisionKind, SiteStats, StoreKind};
+use crate::barrier::{BarrierConfig, BarrierMode, BarrierStats, ElisionKind, SiteStats};
 use crate::cost;
 use crate::engine::EngineKind;
 use crate::oracle::{NecessityVerdict, OracleState};
@@ -811,7 +811,6 @@ impl<'p> Interp<'p> {
         &mut self,
         mid: MethodId,
         at: InsnAddr,
-        kind: StoreKind,
         receiver: GcRef,
         old: Option<GcRef>,
         new: Option<GcRef>,
@@ -824,7 +823,7 @@ impl<'p> Interp<'p> {
                 if self.cycle.recovery.is_some() && self.elision_gated(mid, at) {
                     // The static proof is no longer trusted: the site
                     // gets the barrier of the mode in force back.
-                    self.restored_barrier(mid, at, kind, Some(receiver), old)
+                    self.restored_barrier(mid, at, Some(receiver), old)
                 } else {
                     // Soundness oracle: the one dynamic check an elided
                     // store keeps, per proof kind.
@@ -841,10 +840,10 @@ impl<'p> Interp<'p> {
                 }
             }
             Fuse::KeptChecked => {
-                self.kept_barrier(BarrierMode::Checked, mid, at, kind, Some(receiver), old)
+                self.kept_barrier(BarrierMode::Checked, mid, at, Some(receiver), old)
             }
             Fuse::KeptAlways => {
-                self.kept_barrier(BarrierMode::AlwaysLog, mid, at, kind, Some(receiver), old)
+                self.kept_barrier(BarrierMode::AlwaysLog, mid, at, Some(receiver), old)
             }
             Fuse::KeptNone => 0,
             // Card-marking barrier: cheap and unconditional.
@@ -892,7 +891,6 @@ impl<'p> Interp<'p> {
         mode: BarrierMode,
         mid: MethodId,
         at: InsnAddr,
-        kind: StoreKind,
         receiver: Option<GcRef>,
         old: Option<GcRef>,
     ) -> u64 {
@@ -907,7 +905,7 @@ impl<'p> Interp<'p> {
             BarrierMode::AlwaysLog => (cost::always_log_barrier_cost(pre_null), true),
         };
         if self.oracle.is_some() {
-            self.oracle_note_kept(mid, at, kind, receiver, old);
+            self.oracle_note_kept(mid, at, receiver, old);
         }
         if let (true, Some(o)) = (log, old) {
             self.heap.gc.satb_log(o);
@@ -923,11 +921,10 @@ impl<'p> Interp<'p> {
         &mut self,
         mid: MethodId,
         at: InsnAddr,
-        kind: StoreKind,
         receiver: Option<GcRef>,
         old: Option<GcRef>,
     ) -> u64 {
-        self.kept_barrier(self.config.mode, mid, at, kind, receiver, old)
+        self.kept_barrier(self.config.mode, mid, at, receiver, old)
     }
 
     /// Recovery consult for an elided site, reached only with a
@@ -945,7 +942,7 @@ impl<'p> Interp<'p> {
         }
         if !rc.site_revoked(site) {
             let reason = format!("barrier panic mode: {}", rc.panic_reason());
-            rc.revoke(site, &self.program.method(mid).name, &reason, "invariant");
+            rc.revoke(site, &reason, "invariant");
         }
         true
     }
@@ -964,7 +961,6 @@ impl<'p> Interp<'p> {
         &mut self,
         mid: MethodId,
         at: InsnAddr,
-        kind: StoreKind,
         receiver: GcRef,
         old: Option<GcRef>,
         new: Option<GcRef>,
@@ -973,12 +969,12 @@ impl<'p> Interp<'p> {
         else {
             unreachable!("a reference store translates to a fused store op");
         };
-        match self.store_barrier(mid, at, kind, receiver, old, new, site, fuse) {
+        match self.store_barrier(mid, at, receiver, old, new, site, fuse) {
             Ok(cycles) => {
                 self.stats.cycles += cycles;
                 Ok(())
             }
-            Err(Unsound) => self.unsound_elision(mid, at, kind, old, site),
+            Err(Unsound) => self.unsound_elision(mid, at, old, site),
         }
     }
 
@@ -993,7 +989,6 @@ impl<'p> Interp<'p> {
         &mut self,
         mid: MethodId,
         at: InsnAddr,
-        kind: StoreKind,
         old: Option<GcRef>,
         site: u32,
     ) -> Result<(), Trap> {
@@ -1005,12 +1000,11 @@ impl<'p> Interp<'p> {
         if cycle::enter_recovery(rc, &reason) == RecoveryAction::Trap {
             return Err(trap);
         }
-        let name = &self.program.method(mid).name;
-        rc.revoke(site_key(mid, at), name, &reason, "oracle");
+        rc.revoke(site_key(mid, at), &reason, "oracle");
         // Execute the barrier the elision skipped, then rebuild the
         // mark state with a full STW cycle (a violation inside it is
         // healed by the driver's tail against the same budget).
-        let cycles = self.restored_barrier(mid, at, kind, None, old);
+        let cycles = self.restored_barrier(mid, at, None, old);
         self.stats.barrier_cycles += cycles;
         self.stats.cycles += cycles;
         self.site_acc[mid.index()][site as usize].cycles += cycles;
@@ -1029,7 +1023,6 @@ impl<'p> Interp<'p> {
         &mut self,
         mid: MethodId,
         at: InsnAddr,
-        kind: StoreKind,
         receiver: Option<GcRef>,
         old: Option<GcRef>,
     ) {
@@ -1051,16 +1044,14 @@ impl<'p> Interp<'p> {
             wbe_telemetry::trace::event(
                 "oracle.necessary",
                 format!(
-                    "{}@B{}[{}] old={}",
-                    self.program.method(mid).name,
-                    at.block.0,
-                    at.index,
+                    "{} old={}",
+                    at.label(&self.program.method(mid).name),
                     old.map_or(0, |o| o.0)
                 ),
             );
         }
         if let Some(oracle) = self.oracle.as_mut() {
-            oracle.record(site_key(mid, at), kind, verdict, old, escaped);
+            oracle.record((mid, at), verdict, old, escaped);
         }
     }
 
@@ -1200,7 +1191,7 @@ impl<'p> Interp<'p> {
                         Value::Ref(r) => r,
                         Value::Int(_) => None,
                     };
-                    self.classic_store_barrier(mid, at, StoreKind::Field, obj, old, new)?;
+                    self.classic_store_barrier(mid, at, obj, old, new)?;
                 } else {
                     let Value::Int(_) = val else {
                         return Err(Trap::TypeMismatch {
@@ -1244,7 +1235,7 @@ impl<'p> Interp<'p> {
                 // Bounds check before the barrier (a trapping store logs
                 // nothing — the §3.6 overflow argument depends on this).
                 let old = self.heap.get_elem(arr, idx)?;
-                self.classic_store_barrier(mid, at, StoreKind::Array, arr, old, val)?;
+                self.classic_store_barrier(mid, at, arr, old, val)?;
                 self.heap.set_elem(arr, idx, val)?;
             }
             Insn::IaLoad => {
@@ -1476,10 +1467,16 @@ fn marker_ctl(policy: GcPolicy) -> MarkerCtl {
 }
 
 /// Maps an interpreter store site onto the recovery layer's IR-free
-/// [`SiteKey`] — the same `(method, block, index)` triple the ledger
-/// spells as `method@B<block>[<index>]`.
+/// [`SiteKey`]; [`site_of`] maps it back.
 pub(crate) fn site_key(mid: MethodId, at: InsnAddr) -> SiteKey {
     (u64::from(mid.0), at.block.0, at.index as u32)
+}
+
+/// The store site a recovery-layer [`SiteKey`] stands for: the inverse
+/// of the map the interpreter keys its revocations with.
+pub fn site_of((mid, block, index): SiteKey) -> (MethodId, InsnAddr) {
+    let mid = u32::try_from(mid).expect("keys come from 32-bit method ids");
+    (MethodId(mid), InsnAddr::new(BlockId(block), index as usize))
 }
 
 fn shape_of(ty: Ty) -> FieldShape {
@@ -2165,7 +2162,7 @@ mod tests {
         assert_eq!(rc.stats.succeeded, 1);
         let rev = &rc.revocations()[0];
         assert_eq!(rev.trigger, "oracle");
-        assert_eq!(rev.site_key(), "overwrite@B0[7]");
+        assert_eq!(site_of(rev.site), (m, InsnAddr::new(BlockId(0), 7)));
         assert!(rev.reason.contains("UNSOUND ELISION"));
         // A second run through the same site is gated, not re-judged:
         // the revoked site takes the full-barrier path.

@@ -44,11 +44,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wbe_heap::recover::SiteKey;
 use wbe_heap::verify::ReachSet;
 use wbe_heap::GcRef;
-
-use crate::barrier::StoreKind;
+use wbe_ir::{InsnAddr, MethodId};
 
 /// The per-execution classification of one kept-barrier run, in
 /// evaluation order (the first failing clause names the verdict).
@@ -83,8 +81,6 @@ impl NecessityVerdict {
 /// Accumulated necessity verdicts for one kept store site.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SiteNecessity {
-    /// Store kind (field vs array), for keep-code attribution.
-    pub kind: Option<StoreKind>,
     /// Kept-barrier executions witnessed (sum of the five verdicts).
     pub executions: u64,
     /// Executions with an active cycle whose enqueue mattered.
@@ -103,8 +99,8 @@ pub struct SiteNecessity {
     /// Necessary enqueues whose target was still root-reachable at
     /// remark (another path would have shaded it).
     pub shielded: u64,
-    /// Executions whose receiver had already escaped its allocating
-    /// logical thread (per the heap's witness table) at store time.
+    /// Executions whose receiver had already escaped (per the heap's
+    /// witness table) at store time.
     pub receiver_escaped: u64,
 }
 
@@ -150,13 +146,14 @@ impl SiteNecessity {
 /// cross-check used by tests.
 #[derive(Clone, Debug, Default)]
 pub struct OracleState {
-    /// Per-site verdict tallies, in deterministic site order.
-    pub sites: BTreeMap<SiteKey, SiteNecessity>,
+    /// Per-site verdict tallies, keyed and ordered like the
+    /// interpreter's per-site barrier counters.
+    pub sites: BTreeMap<(MethodId, InsnAddr), SiteNecessity>,
     /// Refs this oracle observed enqueued during the current cycle.
     pending: BTreeSet<GcRef>,
     /// (site, ref) pairs judged necessary this cycle, for the remark
     /// audit.
-    cycle_enqueued: Vec<(SiteKey, GcRef)>,
+    cycle_enqueued: Vec<((MethodId, InsnAddr), GcRef)>,
     /// Marking cycles whose remark the oracle audited.
     pub cycles_audited: u64,
     /// Necessary-enqueued refs found live-but-unmarked after remark
@@ -181,14 +178,12 @@ impl OracleState {
     /// verdicts also join the pending set and the cycle audit list.
     pub fn record(
         &mut self,
-        key: SiteKey,
-        kind: StoreKind,
+        key: (MethodId, InsnAddr),
         verdict: NecessityVerdict,
         old: Option<GcRef>,
         receiver_escaped: bool,
     ) {
         let site = self.sites.entry(key).or_default();
-        site.kind.get_or_insert(kind);
         site.executions += 1;
         if receiver_escaped {
             site.receiver_escaped += 1;
@@ -259,8 +254,8 @@ impl OracleState {
 mod tests {
     use super::*;
 
-    fn key(i: u32) -> SiteKey {
-        (u64::from(i), 0, 0)
+    fn key(i: u32) -> (MethodId, InsnAddr) {
+        (MethodId(i), InsnAddr::new(wbe_ir::BlockId(0), 0))
     }
 
     fn r(i: u32) -> GcRef {
@@ -270,32 +265,14 @@ mod tests {
     #[test]
     fn verdict_tallies_and_never_necessary() {
         let mut o = OracleState::new();
-        o.record(
-            key(1),
-            StoreKind::Field,
-            NecessityVerdict::NullOld,
-            None,
-            false,
-        );
-        o.record(
-            key(1),
-            StoreKind::Field,
-            NecessityVerdict::MarkingIdle,
-            Some(r(3)),
-            true,
-        );
+        o.record(key(1), NecessityVerdict::NullOld, None, false);
+        o.record(key(1), NecessityVerdict::MarkingIdle, Some(r(3)), true);
         let s = o.sites[&key(1)];
         assert!(s.never_necessary());
         assert_eq!(s.executions, 2);
         assert_eq!(s.receiver_escaped, 1);
         assert_eq!(s.dominant(), "marking-idle"); // ties break clause order
-        o.record(
-            key(1),
-            StoreKind::Field,
-            NecessityVerdict::Necessary,
-            Some(r(3)),
-            false,
-        );
+        o.record(key(1), NecessityVerdict::Necessary, Some(r(3)), false);
         assert!(!o.sites[&key(1)].never_necessary());
         assert_eq!(o.sites[&key(1)].dominant(), "necessary");
         assert!(o.is_pending(r(3)));
@@ -304,22 +281,10 @@ mod tests {
     #[test]
     fn duplicate_detection_uses_the_pending_set() {
         let mut o = OracleState::new();
-        o.record(
-            key(1),
-            StoreKind::Array,
-            NecessityVerdict::Necessary,
-            Some(r(7)),
-            false,
-        );
+        o.record(key(1), NecessityVerdict::Necessary, Some(r(7)), false);
         assert!(o.is_pending(r(7)));
         // The caller classifies the second enqueue Duplicate.
-        o.record(
-            key(2),
-            StoreKind::Array,
-            NecessityVerdict::Duplicate,
-            Some(r(7)),
-            false,
-        );
+        o.record(key(2), NecessityVerdict::Duplicate, Some(r(7)), false);
         assert_eq!(o.sites[&key(2)].duplicate, 1);
         assert_eq!(o.total_necessary(), 1);
     }
@@ -327,20 +292,8 @@ mod tests {
     #[test]
     fn witness_classification_splits_sole_and_shielded() {
         let mut o = OracleState::new();
-        o.record(
-            key(1),
-            StoreKind::Field,
-            NecessityVerdict::Necessary,
-            Some(r(10)),
-            false,
-        );
-        o.record(
-            key(1),
-            StoreKind::Field,
-            NecessityVerdict::Necessary,
-            Some(r(11)),
-            false,
-        );
+        o.record(key(1), NecessityVerdict::Necessary, Some(r(10)), false);
+        o.record(key(1), NecessityVerdict::Necessary, Some(r(11)), false);
         let reachable: ReachSet = [r(11)].into_iter().collect();
         o.classify_witnesses(&reachable);
         let s = o.sites[&key(1)];
@@ -351,13 +304,7 @@ mod tests {
     #[test]
     fn cycle_end_clears_pending_state() {
         let mut o = OracleState::new();
-        o.record(
-            key(1),
-            StoreKind::Field,
-            NecessityVerdict::Necessary,
-            Some(r(4)),
-            false,
-        );
+        o.record(key(1), NecessityVerdict::Necessary, Some(r(4)), false);
         assert!(o.cycle_open());
         let heap = wbe_heap::Heap::new(wbe_heap::gc::MarkStyle::Satb);
         o.finish_cycle_audit(&heap);

@@ -28,7 +28,9 @@ use std::fmt::Write as _;
 
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::{FaultConfig, FaultPlan, RecoveryPolicy};
-use wbe_interp::{BarrierConfig, BarrierMode, ElidedBarriers, EngineKind, GcPolicy, Interp, Value};
+use wbe_interp::{
+    site_of, BarrierConfig, BarrierMode, ElidedBarriers, EngineKind, GcPolicy, Interp, Value,
+};
 use wbe_ir::builder::ProgramBuilder;
 use wbe_ir::{CmpOp, Insn, InsnAddr, MethodId, Program, Ty};
 
@@ -306,7 +308,16 @@ fn run_case(out: &mut String, case: Case, kind: EngineKind, style: MarkStyle) {
         )
         .unwrap();
         for rev in rc.revocations() {
-            writeln!(out, "revoked {rev} attempt={}", rev.attempt).unwrap();
+            let (m, at) = site_of(rev.site);
+            writeln!(
+                out,
+                "revoked REVOKED {} — {} ({}) attempt={}",
+                at.label(&p.method(m).name),
+                rev.reason,
+                rev.trigger,
+                rev.attempt
+            )
+            .unwrap();
         }
     }
     if let Some(oracle) = interp.oracle() {

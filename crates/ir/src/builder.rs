@@ -74,20 +74,6 @@ impl ProgramBuilder {
         self.declare_method_raw(name, params, ret, None, false)
     }
 
-    /// Declares an instance method on `class`; parameter 0 is the
-    /// receiver.
-    pub fn declare_instance_method(
-        &mut self,
-        class: ClassId,
-        name: impl Into<String>,
-        mut extra_params: Vec<Ty>,
-        ret: Option<Ty>,
-    ) -> MethodId {
-        let mut params = vec![Ty::Ref(class)];
-        params.append(&mut extra_params);
-        self.declare_method_raw(name, params, ret, Some(class), false)
-    }
-
     /// Declares a constructor for `class`; parameter 0 is the object under
     /// construction. Constructors return void and get the paper's special
     /// initial analysis state for `this`.
@@ -237,11 +223,6 @@ impl<'p> MethodBuilder<'p> {
         assert!(block.index() < self.blocks.len(), "unknown block {block}");
         self.current = block;
         self
-    }
-
-    /// The block currently being emitted into.
-    pub fn current_block(&self) -> BlockId {
-        self.current
     }
 
     /// Emits a raw instruction.
@@ -502,15 +483,6 @@ impl<'p> MethodBuilder<'p> {
     pub fn if_acmp_eq(&mut self, then_: BlockId, else_: BlockId) -> &mut Self {
         self.terminate(Terminator::If {
             cond: Cond::RefEq,
-            then_,
-            else_,
-        })
-    }
-
-    /// Pop two references, branch to `then_` if distinct.
-    pub fn if_acmp_ne(&mut self, then_: BlockId, else_: BlockId) -> &mut Self {
-        self.terminate(Terminator::If {
-            cond: Cond::RefNe,
             then_,
             else_,
         })

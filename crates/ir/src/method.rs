@@ -89,15 +89,6 @@ impl Method {
         &self.blocks[id.index()]
     }
 
-    /// Returns a mutable block by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        &mut self.blocks[id.index()]
-    }
-
     /// Iterates over `(BlockId, &Block)` pairs in index order.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, &Block)> {
         self.blocks
@@ -149,6 +140,13 @@ impl InsnAddr {
     /// Creates an address.
     pub fn new(block: BlockId, index: usize) -> Self {
         InsnAddr { block, index }
+    }
+
+    /// The label of the store site at `self` in the method named
+    /// `method`: `method@B<block>[<index>]`, how every report, ledger
+    /// and trace event names a site.
+    pub fn label(self, method: &str) -> String {
+        format!("{method}@{self}")
     }
 }
 
@@ -234,6 +232,7 @@ mod tests {
         assert_eq!(addrs.len(), 3);
         assert_eq!(addrs[2], InsnAddr::new(BlockId(1), 0));
         assert_eq!(addrs[2].to_string(), "B1[0]");
+        assert_eq!(addrs[2].label("C::<init>"), "C::<init>@B1[0]");
     }
 
     #[test]
