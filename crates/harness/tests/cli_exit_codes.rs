@@ -107,7 +107,40 @@ fn source_that_parses_or_validates_badly_exits_one() {
         "method m0 bad() locals=0\n  B0:\n    pop\n    return\n",
     )
     .unwrap();
-    assert_eq!(run(&["verify", &invalid]).0, Some(1));
+    assert_eq!(
+        run_stderr(&["verify", &invalid]),
+        (
+            Some(1),
+            format!("{invalid}: validation failed: method m0 at B0[0]: operand stack underflow\n")
+        )
+    );
+    // Well-formed, but stores an int into a reference field.
+    let ill_typed = tmp("ill_typed.wbe");
+    std::fs::write(
+        &ill_typed,
+        "class C0 T {\n  f: T\n}\nmethod m0 bad(a0: T) locals=1\n  B0:\n    load l0\n    \
+         const 1\n    putfield T.f\n    return\n",
+    )
+    .unwrap();
+    assert_eq!(
+        run_stderr(&["verify", &ill_typed]),
+        (
+            Some(1),
+            format!(
+                "{ill_typed}: type check failed: method m0 at B0[2]: \
+                 expected Ref operand, found Int\n"
+            )
+        )
+    );
+}
+
+/// Runs `wbe_tool` with `args`; returns its exit code and stderr.
+fn run_stderr(args: &[&str]) -> (Option<i32>, String) {
+    let out = tool().args(args).output().expect("spawn wbe_tool");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
