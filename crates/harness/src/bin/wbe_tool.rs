@@ -1,7 +1,7 @@
 //! `wbe-tool` — command-line front end for `.wbe` IR files.
 //!
 //! ```text
-//! wbe_tool verify  <file.wbe>                      validate + type-check
+//! wbe_tool verify  <file.wbe>                      check ids, stack heights, types
 //! wbe_tool verify  [workload ...] --faults N [--seed S] [--scale F]
 //!                  [--demo-unsound]                differential fault harness
 //! wbe_tool dump    <file.wbe|workload>             pretty-print the IR
@@ -116,7 +116,7 @@
 //!
 //! | command | 0 | 1 | 2 |
 //! |---------|---|---|---|
-//! | `verify <file>` | valid + type-checks | invalid | usage/unreadable |
+//! | `verify <file>` | passes the IR checker | invalid | usage/unreadable |
 //! | `verify --faults` | all schedules sound | divergence/violation | usage/unknown workload |
 //! | `ledger-diff` | no regression | regression | usage/IO/parse |
 //! | `bench --check-baselines` | file matches | a line differs | usage/IO |
@@ -134,7 +134,7 @@ use wbe_interp::{
     BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, ElisionKind, Interp, Value,
 };
 use wbe_ir::display::{method_display, program_display};
-use wbe_ir::{parse_program, Program};
+use wbe_ir::{parse_program, Program, ValidateError};
 use wbe_opt::{compile, compile_with_dump, OptMode, PipelineConfig};
 
 fn usage() -> ! {
@@ -227,11 +227,11 @@ fn load(source: &str) -> Program {
 
 fn check(program: &Program, source: &str) {
     if let Err(e) = program.validate() {
-        eprintln!("{source}: validation failed: {e}");
-        exit(1);
-    }
-    if let Err(e) = wbe_ir::type_check_program(program) {
-        eprintln!("{source}: type check failed: {e}");
+        let what = match e {
+            ValidateError::Type { .. } => "type check",
+            _ => "validation",
+        };
+        eprintln!("{source}: {what} failed: {e}");
         exit(1);
     }
 }

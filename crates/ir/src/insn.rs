@@ -194,43 +194,6 @@ pub enum Insn {
 }
 
 impl Insn {
-    /// Returns `(pops, pushes)` stack effect, given a resolver for method
-    /// signatures (only [`Insn::Invoke`] needs it).
-    pub fn stack_effect(
-        &self,
-        invoke_effect: impl Fn(MethodId) -> (usize, usize),
-    ) -> (usize, usize) {
-        match *self {
-            Insn::Const(_) | Insn::ConstNull | Insn::Load(_) => (0, 1),
-            Insn::Store(_) | Insn::Pop => (1, 0),
-            Insn::IInc(..) => (0, 0),
-            Insn::Dup => (1, 2),
-            Insn::DupX1 => (2, 3),
-            Insn::Swap => (2, 2),
-            Insn::Add
-            | Insn::Sub
-            | Insn::Mul
-            | Insn::Div
-            | Insn::Rem
-            | Insn::And
-            | Insn::Or
-            | Insn::Xor
-            | Insn::Shl
-            | Insn::Shr => (2, 1),
-            Insn::Neg => (1, 1),
-            Insn::GetField(_) => (1, 1),
-            Insn::PutField(_) => (2, 0),
-            Insn::GetStatic(_) => (0, 1),
-            Insn::PutStatic(_) => (1, 0),
-            Insn::AaLoad | Insn::IaLoad => (2, 1),
-            Insn::AaStore | Insn::IaStore => (3, 0),
-            Insn::ArrayLength => (1, 1),
-            Insn::New { .. } => (0, 1),
-            Insn::NewRefArray { .. } | Insn::NewIntArray { .. } => (1, 1),
-            Insn::Invoke(m) => invoke_effect(m),
-        }
-    }
-
     /// Returns the allocation site, if this instruction allocates.
     pub fn allocation_site(&self) -> Option<SiteId> {
         match *self {
@@ -316,15 +279,6 @@ mod tests {
                 assert_eq!(op.eval(a, b), op.flip().eval(b, a), "{op:?} {a} {b}");
             }
         }
-    }
-
-    #[test]
-    fn stack_effects_balance() {
-        let effect = |_m: MethodId| (2, 1);
-        assert_eq!(Insn::Const(1).stack_effect(effect), (0, 1));
-        assert_eq!(Insn::AaStore.stack_effect(effect), (3, 0));
-        assert_eq!(Insn::Invoke(MethodId(0)).stack_effect(effect), (2, 1));
-        assert_eq!(Insn::DupX1.stack_effect(effect), (2, 3));
     }
 
     #[test]

@@ -18,12 +18,6 @@ impl MethodSig {
     pub fn new(params: Vec<Ty>, ret: Option<Ty>) -> Self {
         MethodSig { params, ret }
     }
-
-    /// Stack effect of invoking a method with this signature:
-    /// `(params popped, values pushed)`.
-    pub fn invoke_effect(&self) -> (usize, usize) {
-        (self.params.len(), usize::from(self.ret.is_some()))
-    }
 }
 
 /// A basic block: straight-line instructions plus one terminator.
@@ -240,13 +234,5 @@ mod tests {
         let at = CodeLoc::Insn(InsnAddr::new(BlockId(3), 7));
         assert_eq!(at.to_string(), "B3[7]");
         assert_eq!(CodeLoc::Term(BlockId(3)).to_string(), "B3[term]");
-    }
-
-    #[test]
-    fn invoke_effect_matches_signature() {
-        let sig = MethodSig::new(vec![Ty::Int, Ty::Int], None);
-        assert_eq!(sig.invoke_effect(), (2, 0));
-        let sig = MethodSig::new(vec![], Some(Ty::Int));
-        assert_eq!(sig.invoke_effect(), (0, 1));
     }
 }

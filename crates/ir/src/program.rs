@@ -158,9 +158,10 @@ impl Program {
             .map(|(i, m)| (MethodId::from_index(i), m))
     }
 
-    /// Validates the whole program; see [`crate::validate`].
-    pub fn validate(&self) -> Result<(), crate::validate::ValidateError> {
-        crate::validate::validate_program(self)
+    /// Checks the whole program: ids, stack heights, returns and slot
+    /// types. [`crate::check`] says which of several faults is reported.
+    pub fn validate(&self) -> Result<(), crate::check::ValidateError> {
+        crate::check::check_program(self)
     }
 
     /// Total instruction count across all methods.

@@ -1,18 +1,17 @@
-//! "A well-formed program costs the IR checkers no per-instruction
+//! "A well-formed program costs the IR checker no per-instruction
 //! allocation" as a test, not a benchmark reading.
 //!
-//! `validate` and `type_check` describe where a check failed only when
-//! one does, so what they allocate on an accepted program is their
-//! per-method and per-block bookkeeping: entry heights and frames, and
-//! the worklist. This file is a test binary of its own so that it may
+//! `Program::validate` describes where a check failed only when one
+//! does, so what it allocates on an accepted program is its per-method
+//! and per-block bookkeeping: entry frames, the working frame and the
+//! worklist. This file is a test binary of its own so that it may
 //! install a counting `#[global_allocator]`; the counts are per thread,
 //! so the harness's own threads do not show.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use wbe_ir::validate::validate_program;
-use wbe_ir::{type_check_program, Program};
+use wbe_ir::Program;
 
 thread_local! {
     /// Calls that obtain or resize memory.
@@ -78,8 +77,8 @@ const PROGRAMS: [&str; 8] = [
     "server-churn",
 ];
 
-/// What a checker's bookkeeping may grow with: a method's tables and
-/// worklist, and each block's heights or frames.
+/// What the checker's bookkeeping may grow with: a method's tables and
+/// worklist, and each block's entry frame.
 fn blocks_and_methods(p: &Program) -> u64 {
     p.methods.iter().map(|m| m.blocks.len() as u64 + 1).sum()
 }
@@ -91,36 +90,26 @@ fn insns(p: &Program) -> u64 {
 
 #[test]
 fn checking_a_well_formed_program_allocates_per_block_not_per_instruction() {
-    let (mut units, mut all_insns) = (0, 0);
-    let (mut validate_calls, mut type_calls) = (0, 0);
+    let (mut units, mut all_insns, mut check_calls) = (0, 0, 0);
     for name in PROGRAMS {
         let w = wbe_workloads::by_name(name).expect("suite program");
         let p = &w.program;
-        let (valid, calls) = calls_of(|| validate_program(p));
-        valid.unwrap_or_else(|e| panic!("{name}: {e}"));
-        validate_calls += calls;
-        let (typed, calls) = calls_of(|| type_check_program(p));
-        typed.unwrap_or_else(|e| panic!("{name}: {e}"));
-        type_calls += calls;
+        let (checked, calls) = calls_of(|| p.validate());
+        checked.unwrap_or_else(|e| panic!("{name}: {e}"));
+        check_calls += calls;
         units += blocks_and_methods(p);
         all_insns += insns(p);
     }
-    // The bound is a property of the checkers only if the programs have
+    // The bound is a property of the checker only if the programs have
     // many more instructions than blocks, which they do (≈ 8 k vs ≈ 110).
     assert!(
         all_insns > 20 * units,
         "{all_insns} instructions, {units} blocks + methods"
     );
-    // Heights vector and worklist.
+    // An entry frame per block, the working frame, the worklist.
     assert!(
-        validate_calls <= 2 * units,
-        "validate: {validate_calls} allocator calls for {units} blocks + methods \
-         ({all_insns} instructions)"
-    );
-    // Entry frames, their copies along edges, a frame's stack growing.
-    assert!(
-        type_calls <= 6 * units,
-        "type_check: {type_calls} allocator calls for {units} blocks + methods \
+        check_calls <= 2 * units,
+        "validate: {check_calls} allocator calls for {units} blocks + methods \
          ({all_insns} instructions)"
     );
 }

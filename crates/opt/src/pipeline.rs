@@ -213,12 +213,10 @@ fn run(program: &Program, config: &PipelineConfig, dump: bool) -> (Compiled, Opt
     }
     let inlined = inlined;
     let inline_time = t0.elapsed();
-    debug_assert!(inlined.validate().is_ok(), "inliner broke the program");
-    debug_assert!(
-        wbe_ir::type_check_program(&inlined).is_ok(),
-        "inliner broke typing: {:?}",
-        wbe_ir::type_check_program(&inlined)
-    );
+    #[cfg(debug_assertions)]
+    if let Err(e) = inlined.validate() {
+        panic!("inliner broke the program: {e}");
+    }
     let analysis_config = config
         .analysis_override
         .or_else(|| config.mode.analysis_config());

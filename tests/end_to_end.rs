@@ -122,10 +122,13 @@ fn entry_points_stable_across_pipeline() {
 #[test]
 fn workloads_pass_the_full_verifier() {
     for w in standard_suite() {
-        w.program.validate().unwrap();
-        wbe_repro::ir::type_check_program(&w.program).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        w.program
+            .validate()
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let (compiled, _) = compile_workload_with(&w, &PipelineConfig::new(OptMode::Full, 100));
-        wbe_repro::ir::type_check_program(&compiled.program)
+        compiled
+            .program
+            .validate()
             .unwrap_or_else(|e| panic!("{} (inlined): {e}", w.name));
     }
 }

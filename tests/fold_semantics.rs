@@ -15,7 +15,6 @@ fn folding_preserves_workload_semantics_and_elision() {
             cfg.fold = fold;
             let (compiled, elided) = compile_workload_with(&w, &cfg);
             compiled.program.validate().unwrap();
-            wbe_repro::ir::type_check_program(&compiled.program).unwrap();
             let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided);
             let mut interp = Interp::new(&compiled.program, bc);
             interp

@@ -337,14 +337,9 @@ fn emit_stmt(mb: &mut MethodBuilder<'_>, ctx: &mut Ctx, s: &Stmt) {
 /// elision oracle — which this property asserts never fires.
 fn run_case(stmts: &[Stmt], iters: i64) -> Result<(), TestCaseError> {
     let (program, main) = compile(stmts);
-    prop_assert!(program.validate().is_ok());
     // Generated programs are well-typed by construction; the verifier
     // must agree (and then no TypeMismatch trap can occur at run time).
-    prop_assert!(
-        wbe_repro::ir::type_check_program(&program).is_ok(),
-        "{:?}",
-        wbe_repro::ir::type_check_program(&program)
-    );
+    prop_assert!(program.validate().is_ok(), "{:?}", program.validate());
 
     // Text round trip must reconstruct the program exactly.
     {
