@@ -101,9 +101,9 @@ fn render_entry_state(out: &mut String, program: &Program, bid: wbe_ir::BlockId,
     }
     let nl: Vec<String> = entry.nl.iter().map(|r| r.to_string()).collect();
     let _ = writeln!(out, "    NL = {{{}}}", nl.join(", "));
-    for ((r, key), v) in entry.sigma() {
+    for (r, key, v) in entry.sigma() {
         let keyname = match key {
-            FieldKey::Field(f) => program.field(*f).name.clone(),
+            FieldKey::Field(f) => program.field(f).name.clone(),
             FieldKey::Elems => "[*]".to_string(),
         };
         let _ = writeln!(out, "    σ({r}, {keyname}) = {v:?}");

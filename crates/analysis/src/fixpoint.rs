@@ -562,9 +562,13 @@ pub(crate) fn run_fixpoint<D: Domain>(
     // Blocks with a single incoming edge are not join points: their
     // entry state is replaced, not merged (merging successive iterates
     // would needlessly widen stride variables to ⊤).
-    let preds = cfg::predecessors(method);
-    let mut incoming_edges: Vec<usize> = preds.iter().map(|p| p.len()).collect();
+    let mut incoming_edges = vec![0usize; nblocks];
     incoming_edges[0] += 1; // the entry block also receives the initial state
+    for (_, block) in method.iter_blocks() {
+        for succ in block.term.successors() {
+            incoming_edges[succ.index()] += 1;
+        }
+    }
 
     let mut entry_states: Vec<Option<D::State>> = vec![None; nblocks];
     let mut merge_counts: Vec<usize> = vec![0; nblocks];
@@ -574,6 +578,10 @@ pub(crate) fn run_fixpoint<D: Domain>(
     let mut worklist = Worklist::new(nblocks);
     worklist.insert(0);
     let mut iterations = 0usize;
+    // The state a visit works on and the copy each edge but the last
+    // takes: copied into, visit after visit, so that their buffers are
+    // allocated once per solve rather than once per visit.
+    let (mut work, mut edge_work) = (None, None);
     // Size-scaled default bound; configs may tighten it. Exceeding it
     // does not panic: the method degrades to "elide nothing".
     let default_cap = (nblocks + 1) * (method.size + 8) * 4 + 10_000;
@@ -596,43 +604,46 @@ pub(crate) fn run_fixpoint<D: Domain>(
             }
         }
         let bid = rpo[pos];
-        let Some(mut st) = entry_states[bid.index()].clone() else {
+        let Some(entry) = &entry_states[bid.index()] else {
             return Err(degrade(DegradeReason::Internal(
                 "worklist block has no entry state",
             )));
         };
+        let st = copy_into(&mut work, entry);
         let block = method.block(bid);
         for insn in &block.insns {
-            let _ = domain.transfer(&mut st, insn);
+            let _ = domain.transfer(st, insn);
         }
-        domain.reduce(&st);
+        domain.reduce(st);
         // The last successor takes the out-state itself, earlier ones a
-        // copy.
-        let mut out = Some(st);
+        // copy. A successor's first state is moved in, and a state that
+        // replaces another swaps with it, so the old one's buffers are
+        // what the next visit copies into.
         let mut succs = block.term.successors().enumerate().peekable();
         while let Some((i, succ)) = succs.next() {
-            let mut edge = if succs.peek().is_none() {
-                out.take()
+            let edge = if succs.peek().is_none() {
+                &mut work
             } else {
-                out.clone()
-            }
-            .expect("taken only at the last successor");
-            domain.transfer_edge(&mut edge, &block.term, i);
+                copy_into(&mut edge_work, work.as_ref().expect("visited"));
+                &mut edge_work
+            };
+            let out = edge.as_mut().expect("filled above");
+            domain.transfer_edge(out, &block.term, i);
             let s = succ.index();
             let changed = match &mut entry_states[s] {
                 slot @ None => {
-                    *slot = Some(edge);
+                    *slot = edge.take();
                     true
                 }
                 // Not a join point: the new iterate replaces the old.
                 Some(existing) if incoming_edges[s] <= 1 => {
-                    let changed = edge != *existing;
-                    *existing = edge;
+                    let changed = *out != *existing;
+                    std::mem::swap(existing, out);
                     changed
                 }
                 Some(existing) => {
                     merge_counts[s] += 1;
-                    domain.merge(existing, &edge, merge_counts[s] >= guard.widen_after)
+                    domain.merge(existing, out, merge_counts[s] >= guard.widen_after)
                 }
             };
             if changed {
@@ -641,6 +652,17 @@ pub(crate) fn run_fixpoint<D: Domain>(
         }
     }
     Ok((entry_states, iterations))
+}
+
+/// `from` copied into `slot`'s state, reusing its buffers.
+fn copy_into<'s, S: Clone>(slot: &'s mut Option<S>, from: &S) -> &'s mut S {
+    match slot {
+        Some(s) => {
+            s.clone_from(from);
+            s
+        }
+        None => slot.insert(from.clone()),
+    }
 }
 
 /// One point of a `replay` — an instruction, or a block's terminator
@@ -687,6 +709,7 @@ pub(crate) fn replay<D: Domain>(
     wants: impl Fn(Option<&Insn>) -> bool,
     mut visit: impl FnMut(&mut Step<'_, D>),
 ) {
+    let mut work = None;
     for (bid, block) in method.iter_blocks() {
         let last = if wants(None) {
             block.insns.len()
@@ -696,14 +719,15 @@ pub(crate) fn replay<D: Domain>(
                 None => continue,
             }
         };
-        let mut st = states.and_then(|s| s[bid.index()].clone());
+        let entry = states.and_then(|s| s[bid.index()].as_ref());
+        let mut st = entry.map(|entry| copy_into(&mut work, entry));
         let points = block.insns.iter().map(Some).chain([None]);
         for (index, insn) in points.take(last + 1).enumerate() {
             let mut step = Step {
                 domain,
                 addr: InsnAddr::new(bid, index),
                 insn,
-                state: st.as_mut(),
+                state: st.as_deref_mut(),
             };
             if wants(insn) {
                 visit(&mut step);

@@ -15,6 +15,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::num::NonZeroI64;
+
+use crate::sigma::ordered_walk;
 
 /// A *variable unknown*: may represent different values in different
 /// states (created by merges).
@@ -46,14 +50,97 @@ impl VarAlloc {
     }
 }
 
+/// Constant-unknown terms an [`IntVal`] holds without touching the
+/// heap. Most values carry none or one (an argument's value, an input
+/// array's length) and a sum of two still fits; more spill to a sorted
+/// vector.
+const INLINE: usize = 2;
+
+/// The constant-unknown terms `Σ kᵢ·cᵢ`, ascending by unknown, each
+/// coefficient non-zero. Equality is slice equality whichever
+/// representation holds the terms.
+#[derive(Clone)]
+enum Terms {
+    /// `items[..len]` are the terms; the rest is padding.
+    Inline {
+        len: u8,
+        items: [(UnkId, i64); INLINE],
+    },
+    Spilled(Vec<(UnkId, i64)>),
+}
+
+impl Terms {
+    const fn new() -> Terms {
+        Terms::Inline {
+            len: 0,
+            items: [(UnkId(0), 0); INLINE],
+        }
+    }
+
+    fn as_slice(&self) -> &[(UnkId, i64)] {
+        match self {
+            Terms::Inline { len, items } => &items[..*len as usize],
+            Terms::Spilled(v) => v,
+        }
+    }
+
+    /// Appends `k·c`, whose unknown is above every term held.
+    fn push(&mut self, c: UnkId, k: i64) {
+        debug_assert!(self.as_slice().last().is_none_or(|&(last, _)| last < c));
+        match self {
+            Terms::Inline { len, items } if (*len as usize) < INLINE => {
+                items[*len as usize] = (c, k);
+                *len += 1;
+            }
+            Terms::Inline { items, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(items);
+                v.push((c, k));
+                *self = Terms::Spilled(v);
+            }
+            Terms::Spilled(v) => v.push((c, k)),
+        }
+    }
+
+    /// Every coefficient through `f`; `None` if `f` fails on one.
+    /// `f` must not map a non-zero coefficient to zero.
+    fn try_map(&self, f: impl Fn(i64) -> Option<i64>) -> Option<Terms> {
+        let mut out = Terms::new();
+        for &(c, k) in self.as_slice() {
+            out.push(c, f(k)?);
+        }
+        Some(out)
+    }
+}
+
+impl Default for Terms {
+    fn default() -> Terms {
+        Terms::new()
+    }
+}
+
+impl PartialEq for Terms {
+    fn eq(&self, other: &Terms) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Terms {}
+
+impl Hash for Terms {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
 /// A linear combination `a·v + Σ kᵢ·cᵢ + b`.
 ///
-/// Invariants: the variable coefficient `a` is non-zero when present;
-/// constant-unknown coefficients are non-zero.
+/// Invariants: the variable coefficient `a` is non-zero when present
+/// (the type says so); constant-unknown coefficients are non-zero.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct IntVal {
-    var: Option<(i64, VarId)>,
-    consts: BTreeMap<UnkId, i64>,
+    var: Option<(NonZeroI64, VarId)>,
+    consts: Terms,
     b: i64,
 }
 
@@ -62,16 +149,18 @@ impl IntVal {
     pub fn constant(b: i64) -> Self {
         IntVal {
             var: None,
-            consts: BTreeMap::new(),
+            consts: Terms::new(),
             b,
         }
     }
 
     /// The constant unknown `c` (coefficient 1).
     pub fn unknown(c: UnkId) -> Self {
+        let mut consts = Terms::new();
+        consts.push(c, 1);
         IntVal {
             var: None,
-            consts: [(c, 1)].into_iter().collect(),
+            consts,
             b: 0,
         }
     }
@@ -79,20 +168,20 @@ impl IntVal {
     /// The variable unknown `v` (coefficient 1).
     pub fn variable(v: VarId) -> Self {
         IntVal {
-            var: Some((1, v)),
-            consts: BTreeMap::new(),
+            var: Some((NonZeroI64::new(1).expect("1 is not 0"), v)),
+            consts: Terms::new(),
             b: 0,
         }
     }
 
     /// The variable term `(a, v)` if present.
     pub fn var_term(&self) -> Option<(i64, VarId)> {
-        self.var
+        self.var.map(|(a, v)| (a.get(), v))
     }
 
     /// True if this is a literal integer constant (no unknowns at all).
     pub fn as_literal(&self) -> Option<i64> {
-        if self.var.is_none() && self.consts.is_empty() {
+        if self.var.is_none() && self.consts.as_slice().is_empty() {
             Some(self.b)
         } else {
             None
@@ -106,35 +195,30 @@ impl IntVal {
 
     fn checked_map2(&self, other: &IntVal, f: impl Fn(i64, i64) -> Option<i64>) -> Option<IntVal> {
         // Combine variable terms (missing side contributes coefficient 0).
-        let var = match (self.var, other.var) {
+        let var = match (self.var_term(), other.var_term()) {
             (None, None) => None,
-            (Some((a, v)), None) => {
-                let c = f(a, 0)?;
-                (c != 0).then_some((c, v))
-            }
-            (None, Some((a, v))) => {
-                let c = f(0, a)?;
-                (c != 0).then_some((c, v))
-            }
+            (Some((a, v)), None) => NonZeroI64::new(f(a, 0)?).map(|c| (c, v)),
+            (None, Some((a, v))) => NonZeroI64::new(f(0, a)?).map(|c| (c, v)),
             (Some((a1, v1)), Some((a2, v2))) => {
                 if v1 != v2 {
                     return None; // two distinct variable unknowns
                 }
-                let c = f(a1, a2)?;
-                (c != 0).then_some((c, v1))
+                NonZeroI64::new(f(a1, a2)?).map(|c| (c, v1))
             }
         };
-        let mut consts = BTreeMap::new();
-        for k in self.consts.keys().chain(other.consts.keys()) {
-            if consts.contains_key(k) {
-                continue;
+        // Constant terms: one ordered walk over both sides' unknowns.
+        let mut consts = Terms::new();
+        let mut overflow = false;
+        let (x, y) = (self.consts.as_slice(), other.consts.as_slice());
+        ordered_walk(x.iter().copied(), y.iter().copied(), |c, a, b| {
+            match f(a.unwrap_or(0), b.unwrap_or(0)) {
+                Some(0) => {}
+                Some(k) => consts.push(c, k),
+                None => overflow = true,
             }
-            let a = self.consts.get(k).copied().unwrap_or(0);
-            let b = other.consts.get(k).copied().unwrap_or(0);
-            let c = f(a, b)?;
-            if c != 0 {
-                consts.insert(*k, c);
-            }
+        });
+        if overflow {
+            return None;
         }
         let b = f(self.b, other.b)?;
         Some(IntVal { var, consts, b })
@@ -163,15 +247,11 @@ impl IntVal {
         }
         let var = match self.var {
             None => None,
-            Some((a, v)) => Some((a.checked_mul(k)?, v)),
+            Some((a, v)) => Some((a.checked_mul(NonZeroI64::new(k)?)?, v)),
         };
-        let mut consts = BTreeMap::new();
-        for (&c, &a) in &self.consts {
-            consts.insert(c, a.checked_mul(k)?);
-        }
         Some(IntVal {
             var,
-            consts,
+            consts: self.consts.try_map(|a| a.checked_mul(k))?,
             b: self.b.checked_mul(k)?,
         })
     }
@@ -184,7 +264,7 @@ impl IntVal {
     /// Substitutes `v → s` (used when validating merges); `None` on
     /// overflow or unrepresentable result.
     pub fn subst_var(&self, v: VarId, s: &IntVal) -> Option<IntVal> {
-        match self.var {
+        match self.var_term() {
             Some((a, var)) if var == v => {
                 let rest = IntVal {
                     var: None,
@@ -201,7 +281,7 @@ impl IntVal {
 impl fmt::Debug for IntVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut wrote = false;
-        if let Some((a, v)) = self.var {
+        if let Some((a, v)) = self.var_term() {
             if a == 1 {
                 write!(f, "v{}", v.0)?;
             } else {
@@ -209,7 +289,7 @@ impl fmt::Debug for IntVal {
             }
             wrote = true;
         }
-        for (c, a) in &self.consts {
+        for (c, a) in self.consts.as_slice() {
             if wrote {
                 write!(f, "{}", if *a >= 0 { "+" } else { "" })?;
             }
@@ -405,14 +485,7 @@ fn div_exact(v: &IntVal, k: i64) -> Option<IntVal> {
         return None;
     }
     out.b = v.literal_part() / k;
-    let mut consts = BTreeMap::new();
-    for (c, a) in &v.consts {
-        if a % k != 0 {
-            return None;
-        }
-        consts.insert(*c, a / k);
-    }
-    out.consts = consts;
+    out.consts = v.consts.try_map(|a| (a % k == 0).then(|| a / k))?;
     Some(out)
 }
 

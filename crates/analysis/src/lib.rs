@@ -73,6 +73,7 @@ pub mod ledger;
 pub mod nullsame;
 pub mod range;
 pub mod refs;
+mod sigma;
 pub mod stackalloc;
 pub mod state;
 pub mod transfer;

@@ -67,12 +67,30 @@ struct Tag {
     nos: BTreeSet<Fact>,
 }
 
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct NosState {
     locals: Vec<Tag>,
     stack: Vec<Tag>,
     /// Fields known to be null on this path.
     known_null: BTreeSet<Fact>,
+}
+
+/// `clone_from` copies into the target's vectors (the driver's working
+/// state, as for `AbsState`).
+impl Clone for NosState {
+    fn clone(&self) -> Self {
+        NosState {
+            locals: self.locals.clone(),
+            stack: self.stack.clone(),
+            known_null: self.known_null.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.locals.clone_from(&source.locals);
+        self.stack.clone_from(&source.stack);
+        self.known_null.clone_from(&source.known_null);
+    }
 }
 
 impl NosState {

@@ -69,7 +69,6 @@ const INLINE: usize = 4;
 /// Stored sorted and duplicate-free, so iteration is in `Ref`'s `Ord`
 /// order (what every dump and ledger line renders) and equality is
 /// slice equality whichever representation holds the elements.
-#[derive(Clone)]
 pub struct RefSet(Repr);
 
 #[derive(Clone)]
@@ -174,6 +173,20 @@ impl RefSet {
         let mut out = self.clone();
         out.union_with(other);
         out
+    }
+}
+
+/// `clone_from` into a spilled set reuses its vector.
+impl Clone for RefSet {
+    fn clone(&self) -> RefSet {
+        RefSet(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &RefSet) {
+        match (&mut self.0, &source.0) {
+            (Repr::Spilled(v), Repr::Spilled(s)) => v.clone_from(s),
+            _ => *self = source.clone(),
+        }
     }
 }
 

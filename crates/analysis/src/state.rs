@@ -5,15 +5,17 @@
 //! *canonical*: entries equal to their context-determined default are
 //! absent, so structural equality detects fixed points.
 //!
-//! The three maps are *shared until written*: copies of a state point
-//! at the same map, and the first write through
-//! [`AbsState::sigma_set`] / [`len_set`](AbsState::len_set) /
-//! [`nr_set`](AbsState::nr_set) takes a private copy. Most blocks never
-//! write σ, so the fixed-point driver's per-visit copy of an entry
-//! state, its hand-over to each successor and the equality test on the
-//! way cost the locals and the stack, not the store.
+//! The store is *shared until written*: copies of a state point at the
+//! same σ index and rows and the same `Len` and `NR` maps, and the
+//! first write through [`AbsState::sigma_set`] /
+//! [`len_set`](AbsState::len_set) / [`nr_set`](AbsState::nr_set) takes
+//! a private copy of what it touches — for σ, the index and the one
+//! receiver's row. Most blocks never write σ, so the fixed-point
+//! driver's per-visit copy of an entry state, its hand-over to each
+//! successor and the equality test on the way cost the locals and the
+//! stack, not the store; and a block that does write pays for the rows
+//! it writes, not for all of σ.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
@@ -25,6 +27,7 @@ use crate::config::AnalysisConfig;
 use crate::intval::{merge_intvals, IntLat, IntVal, MergeCtx, UnkId};
 use crate::range::IntRange;
 use crate::refs::{subst, Ref, RefSet};
+use crate::sigma::{ordered_walk, Sigma};
 
 /// Field identifier within the abstract store σ: a named field, or the
 /// single pseudo-field `f_elems` that collapses all elements of an
@@ -69,15 +72,9 @@ impl AbsValue {
         AbsValue::Int(IntLat::constant(b))
     }
 
-    /// Merge (the lattice meet the paper calls it; union for ref sets,
-    /// Figure 1 for integers, `Any` on type confusion).
-    pub fn merge(&self, other: &AbsValue, ctx: &mut MergeCtx<'_>) -> AbsValue {
-        let mut out = self.clone();
-        out.merge_into(other, ctx);
-        out
-    }
-
-    /// [`merge`](Self::merge) in place; returns true if `self` changed.
+    /// Merges `other` into `self` (the lattice meet the paper calls
+    /// it; union for ref sets, Figure 1 for integers, `Any` on type
+    /// confusion); returns true if `self` changed.
     pub fn merge_into(&mut self, other: &AbsValue, ctx: &mut MergeCtx<'_>) -> bool {
         match (&mut *self, other) {
             (_, AbsValue::Bottom) | (AbsValue::Any, _) => false,
@@ -259,7 +256,8 @@ impl<'p> MethodCtx<'p> {
     }
 }
 
-/// A map that copies of a state share until one of them writes it.
+/// A map that copies of a state share until one of them writes it
+/// (`Len` and `NR`; σ is a [`Sigma`]).
 ///
 /// Equality is pointer-first: two copies that were never written since
 /// they were taken are equal without looking at an entry, which is the
@@ -299,6 +297,33 @@ impl<K: Ord + Clone, V: Clone + PartialEq> Shared<K, V> {
             None => self.to_mut().remove(&key),
         };
     }
+
+    /// Merges `other` into `self` key by key, in ascending order — not
+    /// at all if the two are one map still shared. Absence absorbs: a
+    /// key present on one side only becomes absent, and where both
+    /// sides differ `merge` gives the entry (`None` = absent). Returns
+    /// true if `self` changed.
+    fn merge_from(&mut self, other: &Self, mut merge: impl FnMut(&V, &V) -> Option<V>) -> bool {
+        if Rc::ptr_eq(&self.0, &other.0) {
+            return false;
+        }
+        let mut updates = Vec::new();
+        ordered_walk(&*self.0, &*other.0, |key, a, b| match (a, b) {
+            (Some(a), Some(b)) if a != b => {
+                let merged = merge(a, b);
+                if merged.as_ref() != Some(a) {
+                    updates.push((key.clone(), merged));
+                }
+            }
+            (Some(_), None) => updates.push((key.clone(), None)),
+            _ => {}
+        });
+        let changed = !updates.is_empty();
+        for (key, v) in updates {
+            self.set(key, v);
+        }
+        changed
+    }
 }
 
 /// The abstract program state at one program point.
@@ -307,7 +332,7 @@ impl<K: Ord + Clone, V: Clone + PartialEq> Shared<K, V> {
 /// [`sigma_set`](Self::sigma_set), [`len_set`](Self::len_set) and
 /// [`nr_set`](Self::nr_set), which keep them canonical and take the
 /// private copy a shared map needs before its first write.
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(PartialEq, Eq, Default)]
 pub struct AbsState {
     /// `ρ`: local variable slots.
     pub locals: Vec<AbsValue>,
@@ -315,12 +340,37 @@ pub struct AbsState {
     pub stack: Vec<AbsValue>,
     /// `NL`: references known possibly non-thread-local (escaped).
     pub nl: RefSet,
-    /// `σ`: abstract store (canonical: defaults absent).
-    sigma: Shared<(Ref, FieldKey), AbsValue>,
+    /// `σ`: abstract store, one row per receiver (canonical: defaults
+    /// absent, no empty row).
+    sigma: Sigma,
     /// `Len`: array lengths (canonical: ⊤ absent).
     len: Shared<Ref, IntLat>,
     /// `NR`: null ranges of object arrays (canonical: empty absent).
     nr: Shared<Ref, IntRange>,
+}
+
+/// `clone_from` copies into the target's own buffers, which is how the
+/// fixed-point driver reuses one working state across visits.
+impl Clone for AbsState {
+    fn clone(&self) -> Self {
+        AbsState {
+            locals: self.locals.clone(),
+            stack: self.stack.clone(),
+            nl: self.nl.clone(),
+            sigma: self.sigma.clone(),
+            len: self.len.clone(),
+            nr: self.nr.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.locals.clone_from(&source.locals);
+        self.stack.clone_from(&source.stack);
+        self.nl.clone_from(&source.nl);
+        self.sigma.clone_from(&source.sigma);
+        self.len.clone_from(&source.len);
+        self.nr.clone_from(&source.nr);
+    }
 }
 
 impl fmt::Debug for AbsState {
@@ -328,40 +378,9 @@ impl fmt::Debug for AbsState {
         writeln!(f, "locals: {:?}", self.locals)?;
         writeln!(f, "stack:  {:?}", self.stack)?;
         writeln!(f, "NL:     {:?}", self.nl)?;
-        writeln!(f, "sigma:  {:?}", self.sigma())?;
+        writeln!(f, "sigma:  {:?}", self.sigma)?;
         writeln!(f, "len:    {:?}", self.len())?;
         write!(f, "NR:     {:?}", self.nr())
-    }
-}
-
-/// The σ keys of `r`'s fields and elements.
-fn fields_of(r: Ref) -> std::ops::RangeInclusive<(Ref, FieldKey)> {
-    (r, FieldKey::Field(FieldId(0)))..=(r, FieldKey::Elems)
-}
-
-/// Calls `f` for every key of either map, in ascending order, with
-/// each side's entry — unless the two sides are one map still shared,
-/// which has no entry a merge could change.
-fn for_each_key<K: Ord, V>(
-    a: &Shared<K, V>,
-    b: &Shared<K, V>,
-    mut f: impl FnMut(&K, Option<&V>, Option<&V>),
-) {
-    if Rc::ptr_eq(&a.0, &b.0) {
-        return;
-    }
-    let (mut a, mut b) = (a.0.iter().peekable(), b.0.iter().peekable());
-    loop {
-        let order = match (a.peek(), b.peek()) {
-            (None, None) => return,
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
-        };
-        let left = if order.is_le() { a.next() } else { None };
-        let right = if order.is_ge() { b.next() } else { None };
-        let key = left.or(right).expect("one side has a key").0;
-        f(key, left.map(|e| e.1), right.map(|e| e.1));
     }
 }
 
@@ -400,15 +419,22 @@ impl AbsState {
             locals,
             stack: Vec::new(),
             nl,
-            sigma: Shared::default(),
+            sigma: Sigma::default(),
             len,
             nr: Shared::default(),
         }
     }
 
-    /// `σ`'s explicit entries, in key order (defaults are absent).
-    pub fn sigma(&self) -> &BTreeMap<(Ref, FieldKey), AbsValue> {
-        &self.sigma.0
+    /// `σ`'s explicit entries, in `(Ref, FieldKey)` order (defaults
+    /// are absent).
+    pub fn sigma(&self) -> impl Iterator<Item = (Ref, FieldKey, &AbsValue)> {
+        self.sigma.iter()
+    }
+
+    /// The number of receivers σ holds a row for: in canonical form,
+    /// those with an explicit entry.
+    pub fn sigma_rows(&self) -> usize {
+        self.sigma.row_count()
     }
 
     /// `Len`'s explicit entries, in key order (⊤ is absent).
@@ -441,8 +467,8 @@ impl AbsState {
     /// Raw σ entry (explicit or default), ignoring NL — used by escape
     /// closure.
     pub fn sigma_raw(&self, ctx: &MethodCtx<'_>, r: Ref, key: FieldKey) -> AbsValue {
-        self.sigma()
-            .get(&(r, key))
+        self.sigma
+            .get(r, key)
             .cloned()
             .unwrap_or_else(|| ctx.sigma_default(r, key))
     }
@@ -450,7 +476,7 @@ impl AbsState {
     /// Stores into σ, keeping the map canonical.
     pub fn sigma_set(&mut self, ctx: &MethodCtx<'_>, r: Ref, key: FieldKey, v: AbsValue) {
         let explicit = v != ctx.sigma_default(r, key);
-        self.sigma.set((r, key), explicit.then_some(v));
+        self.sigma.set(r, key, explicit.then_some(v));
     }
 
     /// `Len` lookup (⊤ when unknown).
@@ -477,28 +503,23 @@ impl AbsState {
     /// through σ (the paper's `AllNonTL` reachability).
     pub fn reachable_from(&self, _ctx: &MethodCtx<'_>, roots: &RefSet) -> RefSet {
         let mut seen = RefSet::new();
-        let mut work: Vec<Ref> = roots.iter().copied().collect();
-        while let Some(r) = work.pop() {
-            if !seen.insert(r) {
-                continue;
-            }
+        // References yet to follow: a set, so that a small closure
+        // stays inline.
+        let mut work = roots.clone();
+        while let Some(&r) = work.as_slice().last() {
+            work.remove(&r);
+            seen.insert(r);
             // Follow every σ entry of r: explicit entries plus the
             // defaults for reference-shaped keys. Defaults for site refs
-            // are null (nothing to follow); for args/global they are
-            // {Global}, which we add directly.
-            match r {
-                Ref::Global | Ref::Arg(_)
-                    // Escaped-by-default contents collapse to Global.
-                    if seen.insert(Ref::Global) => {
-                        work.push(Ref::Global);
-                    }
-                _ => {}
+            // are null (nothing to follow); for args they are {Global}.
+            if matches!(r, Ref::Arg(_)) && !seen.contains(&Ref::Global) {
+                work.insert(Ref::Global);
             }
-            for (_, v) in self.sigma().range(fields_of(r)) {
+            for (_, v) in self.sigma.row(r) {
                 if let AbsValue::Refs(s) = v {
                     for &child in s {
                         if !seen.contains(&child) {
-                            work.push(child);
+                            work.insert(child);
                         }
                     }
                 }
@@ -539,59 +560,28 @@ impl AbsState {
         changed |= self.nl.union_with(&incoming.nl);
 
         // σ, Len and NR walk the union of both sides' keys in order (the
-        // order stride variables are named in); an absent entry is its
-        // default. Entries equal on both sides merge to themselves, so
-        // only the differing ones are merged and written back.
-        let mut sigma_updates = Vec::new();
-        for_each_key(&self.sigma, &incoming.sigma, |&(r, key), a, b| {
+        // order stride variables are named in), skipping whatever both
+        // sides still share; an absent entry is its default. Entries
+        // equal on both sides merge to themselves, so only the
+        // differing ones are merged and written back.
+        changed |= self.sigma.merge_from(&incoming.sigma, |r, key, a, b| {
             if a.is_some() && a == b {
-                return;
+                return None;
             }
             let default = ctx.sigma_default(r, key);
-            let a = a.unwrap_or(&default);
-            let merged = a.merge(b.unwrap_or(&default), &mut mctx);
-            if merged != *a {
-                sigma_updates.push((r, key, merged));
-            }
+            let mut merged = a.unwrap_or(&default).clone();
+            let changed = merged.merge_into(b.unwrap_or(&default), &mut mctx);
+            changed.then(|| (merged != default).then_some(merged))
         });
-        changed |= !sigma_updates.is_empty();
-        for (r, key, v) in sigma_updates {
-            self.sigma_set(ctx, r, key, v);
-        }
 
         // Len: absent = ⊤, which absorbs whatever the other side has.
-        let mut len_updates = Vec::new();
-        for_each_key(&self.len, &incoming.len, |&r, a, b| match (a, b) {
-            (Some(a), Some(b)) if a != b => {
-                let merged = merge_intvals(a, b, &mut mctx);
-                if merged != *a {
-                    len_updates.push((r, merged));
-                }
-            }
-            (Some(_), None) => len_updates.push((r, IntLat::Top)),
-            _ => {}
+        changed |= self.len.merge_from(&incoming.len, |a, b| {
+            Some(merge_intvals(a, b, &mut mctx)).filter(|l| *l != IntLat::Top)
         });
-        changed |= !len_updates.is_empty();
-        for (r, v) in len_updates {
-            self.len_set(r, v);
-        }
-
         // NR: absent = empty, likewise absorbing.
-        let mut nr_updates = Vec::new();
-        for_each_key(&self.nr, &incoming.nr, |&r, a, b| match (a, b) {
-            (Some(a), Some(b)) if a != b => {
-                let merged = a.merge(b, &mut mctx);
-                if merged != *a {
-                    nr_updates.push((r, merged));
-                }
-            }
-            (Some(_), None) => nr_updates.push((r, IntRange::Empty)),
-            _ => {}
+        changed |= self.nr.merge_from(&incoming.nr, |a, b| {
+            Some(a.merge(b, &mut mctx)).filter(|n| *n != IntRange::Empty)
         });
-        changed |= !nr_updates.is_empty();
-        for (r, v) in nr_updates {
-            self.nr_set(r, v);
-        }
         changed
     }
 
@@ -617,27 +607,19 @@ impl AbsState {
             self.nl.insert(b);
         }
         // transfer on σ: substitute in the values that name A, then
-        // move A's entries onto B's. Where both `(A, k)` and `(B, k)`
-        // are explicit the two merge; an entry moved alone keeps its
-        // value, the allocation-zeroed default being the same for both
-        // names. Neither step can produce a default, so σ stays
-        // canonical; `sigma_set` checks all the same.
-        let names_a = |v: &AbsValue| matches!(v, AbsValue::Refs(s) if s.contains(&a));
-        if self.sigma().values().any(names_a) {
-            self.sigma
-                .to_mut()
-                .values_mut()
-                .filter(|v| names_a(v))
-                .for_each(rename);
-        }
-        let moved: Vec<FieldKey> = self.sigma().range(fields_of(a)).map(|(k, _)| k.1).collect();
-        for key in moved {
-            let v = self.sigma.to_mut().remove(&(a, key)).expect("just seen");
-            let merged = match self.sigma().get(&(b, key)) {
+        // move A's row onto B's. Where both `(A, k)` and `(B, k)` are
+        // explicit the two merge; an entry moved alone keeps its value,
+        // the allocation-zeroed default being the same for both names.
+        // Neither step can produce a default, so σ stays canonical;
+        // `sigma_set` checks all the same. A row that is neither A's
+        // nor B's and holds no value naming A stays shared.
+        self.sigma.subst(a, b);
+        for (key, v) in self.sigma.take_row(a).iter().flat_map(|row| row.iter()) {
+            let merged = match self.sigma.get(b, *key) {
                 Some(summary) => v.merge_plain(summary),
-                None => v,
+                None => v.clone(),
             };
-            self.sigma_set(ctx, b, key, merged);
+            self.sigma_set(ctx, b, *key, merged);
         }
 
         // Len / NR: A's info merges into B's conservative default
@@ -823,11 +805,9 @@ mod tests {
         assert_eq!(st.locals[3], AbsValue::single(b));
         assert_eq!(st.stack[0], AbsValue::single(b));
         assert!(st.nl.contains(&b) && !st.nl.contains(&a));
-        assert_eq!(
-            st.sigma().get(&(b, FieldKey::Field(FieldId(0)))),
-            Some(&AbsValue::single(b))
-        );
-        assert!(!st.sigma().contains_key(&(a, FieldKey::Field(FieldId(0)))));
+        let sigma: Vec<_> = st.sigma().collect();
+        let f = FieldKey::Field(FieldId(0));
+        assert_eq!(sigma, [(b, f, &AbsValue::single(b))]);
         // Len/NR for A are conservatively dropped (B summary keeps only
         // agreeing info; here B had none).
         assert_eq!(st.len_lookup(b), IntLat::Top);
@@ -854,6 +834,14 @@ mod tests {
     }
 
     #[test]
+    fn an_abstract_value_is_64_bytes() {
+        // Two inline constant unknowns and a variable term whose
+        // non-zero coefficient leaves a niche: every slot and σ entry
+        // stays at 64 bytes.
+        assert_eq!(std::mem::size_of::<AbsValue>(), 64);
+    }
+
+    #[test]
     fn canonical_maps_drop_defaults() {
         let p = simple_program();
         let m = p.method(MethodId(1));
@@ -861,7 +849,10 @@ mod tests {
         let a = Ref::SiteA(wbe_ir::SiteId(0));
         let mut st = AbsState::entry(&ctx);
         st.sigma_set(&ctx, a, FieldKey::Field(FieldId(0)), AbsValue::null());
-        assert!(st.sigma().is_empty(), "default entries are not stored");
+        assert!(
+            st.sigma().next().is_none(),
+            "default entries are not stored"
+        );
         st.len_set(a, IntLat::Top);
         assert!(!st.len().contains_key(&a));
         st.nr_set(a, IntRange::Empty);

@@ -5,15 +5,23 @@
 //! * The rebuild is kept here, verbatim but for going through the
 //!   state's public accessors, as the model the in-place rename must
 //!   agree with on every component — and leave canonical.
-//! * A copy of a state shares its maps with the original until one of
-//!   them writes; whatever is then done to the copy, the original reads
-//!   exactly as it did, and the copy exactly as a deep copy would.
+//! * A copy of a state shares its σ rows and maps with the original
+//!   until one of them writes; whatever is then done to the copy, the
+//!   original reads exactly as it did, and the copy exactly as a deep
+//!   copy would.
+//! * After every operation σ is in its canonical row form: entries
+//!   strictly ascending by `(Ref, FieldKey)`, none equal to its
+//!   default, and one row per receiver that has an entry — no empty
+//!   row.
+//! * `merge_from`, which walks σ row by row and skips shared rows,
+//!   agrees with the merge over one flat map it replaced: every key of
+//!   either side in `(Ref, FieldKey)` order, through one `MergeCtx`.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use wbe_analysis::intval::{IntVal, VarAlloc};
+use wbe_analysis::intval::{merge_intvals, IntVal, MergeCtx, VarAlloc};
 use wbe_analysis::{
     AbsState, AbsValue, AnalysisConfig, FieldKey, IntLat, IntRange, MethodCtx, Ref, RefSet,
 };
@@ -132,14 +140,13 @@ fn build(ctx: &MethodCtx<'_>, parts: &Parts) -> AbsState {
 
 /// A copy of `st` that shares no map with it.
 fn deep(ctx: &MethodCtx<'_>, st: &AbsState) -> AbsState {
-    let entries = |(&(r, key), v): (&(Ref, FieldKey), &AbsValue)| (r, key, v.clone());
     build(
         ctx,
         &Parts {
             locals: st.locals.clone(),
             stack: st.stack.clone(),
             nl: st.nl.clone(),
-            sigma: st.sigma().iter().map(entries).collect(),
+            sigma: st.sigma().map(|(r, key, v)| (r, key, v.clone())).collect(),
             len: st.len().iter().map(|(&r, l)| (r, l.clone())).collect(),
             nr: st.nr().iter().map(|(&r, n)| (r, n.clone())).collect(),
         },
@@ -159,7 +166,7 @@ fn model_retire(st: &AbsState, ctx: &MethodCtx<'_>, site: SiteId) -> AbsState {
     // transfer on σ: move/merge A's entries into B's, substituting in
     // values everywhere.
     let mut merged_entries: BTreeMap<(Ref, FieldKey), AbsValue> = BTreeMap::new();
-    for (&(r, key), v) in st.sigma() {
+    for (r, key, v) in st.sigma() {
         let r2 = if r == a { b } else { r };
         let v2 = v.subst_ref(a, b);
         match merged_entries.entry((r2, key)) {
@@ -210,22 +217,121 @@ fn model_retire(st: &AbsState, ctx: &MethodCtx<'_>, site: SiteId) -> AbsState {
     out
 }
 
-/// Every component equal, rendered the same, and every map canonical.
+/// `merge_from` as it was while σ was one map: every key of either side
+/// in order, σ then `Len` then `NR` through one `MergeCtx`, each
+/// differing entry merged (absence standing for the default) and the
+/// changes written back through the setters.
+fn model_merge(
+    st: &AbsState,
+    incoming: &AbsState,
+    ctx: &MethodCtx<'_>,
+    alloc: &mut VarAlloc,
+    widen: bool,
+) -> (AbsState, bool) {
+    let mut mctx = MergeCtx::new(alloc, widen || !ctx.stride_inference);
+    let mut out = deep(ctx, st);
+    let mut changed = false;
+    let slots = out.locals.iter_mut().chain(out.stack.iter_mut());
+    for (mine, theirs) in slots.zip(incoming.locals.iter().chain(&incoming.stack)) {
+        changed |= mine.merge_into(theirs, &mut mctx);
+    }
+    changed |= out.nl.union_with(&incoming.nl);
+    let flat = |s: &AbsState| -> BTreeMap<(Ref, FieldKey), AbsValue> {
+        s.sigma().map(|(r, key, v)| ((r, key), v.clone())).collect()
+    };
+    let (a, b) = (flat(st), flat(incoming));
+    let keys: std::collections::BTreeSet<_> = a.keys().chain(b.keys()).copied().collect();
+    for (r, key) in keys {
+        let (x, y) = (a.get(&(r, key)), b.get(&(r, key)));
+        if x.is_some() && x == y {
+            continue;
+        }
+        let default = ctx.sigma_default(r, key);
+        let mut merged = x.unwrap_or(&default).clone();
+        if merged.merge_into(y.unwrap_or(&default), &mut mctx) {
+            out.sigma_set(ctx, r, key, merged);
+            changed = true;
+        }
+    }
+    let keys: std::collections::BTreeSet<Ref> = st
+        .len()
+        .keys()
+        .chain(incoming.len().keys())
+        .copied()
+        .collect();
+    for r in keys {
+        match (st.len().get(&r), incoming.len().get(&r)) {
+            (Some(x), Some(y)) if x != y => {
+                let merged = merge_intvals(x, y, &mut mctx);
+                changed |= merged != *x;
+                out.len_set(r, merged);
+            }
+            (Some(_), None) => {
+                out.len_set(r, IntLat::Top);
+                changed = true;
+            }
+            _ => {}
+        }
+    }
+    let keys: std::collections::BTreeSet<Ref> = st
+        .nr()
+        .keys()
+        .chain(incoming.nr().keys())
+        .copied()
+        .collect();
+    for r in keys {
+        match (st.nr().get(&r), incoming.nr().get(&r)) {
+            (Some(x), Some(y)) if x != y => {
+                let merged = x.merge(y, &mut mctx);
+                changed |= merged != *x;
+                out.nr_set(r, merged);
+            }
+            (Some(_), None) => {
+                out.nr_set(r, IntRange::Empty);
+                changed = true;
+            }
+            _ => {}
+        }
+    }
+    (out, changed)
+}
+
+/// σ in canonical row form and `Len`/`NR` without a default entry.
+fn canonical(st: &AbsState, ctx: &MethodCtx<'_>) -> Result<(), TestCaseError> {
+    let sigma: Vec<(Ref, FieldKey, &AbsValue)> = st.sigma().collect();
+    for pair in sigma.windows(2) {
+        prop_assert!(
+            (pair[0].0, pair[0].1) < (pair[1].0, pair[1].1),
+            "{:?}",
+            pair
+        );
+    }
+    for &(r, key, v) in &sigma {
+        prop_assert_ne!(v, &ctx.sigma_default(r, key));
+    }
+    let mut receivers: Vec<Ref> = sigma.iter().map(|e| e.0).collect();
+    receivers.dedup();
+    prop_assert_eq!(st.sigma_rows(), receivers.len(), "an empty row");
+    prop_assert!(st.len().values().all(|l| *l != IntLat::Top));
+    prop_assert!(st.nr().values().all(|r| *r != IntRange::Empty));
+    Ok(())
+}
+
+/// Every component equal, rendered the same, and both canonical.
 fn agrees(got: &AbsState, want: &AbsState, ctx: &MethodCtx<'_>) -> Result<(), TestCaseError> {
     prop_assert_eq!(&got.locals, &want.locals);
     prop_assert_eq!(&got.stack, &want.stack);
     prop_assert_eq!(&got.nl, &want.nl);
-    prop_assert_eq!(got.sigma(), want.sigma());
+    prop_assert_eq!(
+        got.sigma().collect::<Vec<_>>(),
+        want.sigma().collect::<Vec<_>>()
+    );
     prop_assert_eq!(got.len(), want.len());
     prop_assert_eq!(got.nr(), want.nr());
     prop_assert_eq!(got, want);
     prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
-    for (&(r, key), v) in got.sigma() {
-        prop_assert_ne!(v, &ctx.sigma_default(r, key));
-    }
-    prop_assert!(got.len().values().all(|l| *l != IntLat::Top));
-    prop_assert!(got.nr().values().all(|r| *r != IntRange::Empty));
-    Ok(())
+    canonical(got, ctx)?;
+    canonical(want, ctx)
 }
 
 /// Something done to a state.
@@ -293,6 +399,39 @@ proptest! {
         let once = deep(&ctx, &got);
         got.retire_site(&ctx, SiteId(site));
         agrees(&got, &once, &ctx)?;
+    }
+
+    /// Merges, one after another into the same state through one
+    /// variable allocator per side, give what the flat-map merge gave,
+    /// verdicts included — whether the incoming state shares rows with
+    /// the one it merges into (a copy with a few writes) or not.
+    #[test]
+    fn merge_matches_the_flat_map_merge(
+        parts in any_parts(),
+        incoming in proptest::collection::vec(
+            (any_parts(), proptest::collection::vec((any_ref(), any_key(), any_value()), 0..3)),
+            1..4,
+        ),
+        widen in 0u8..2,
+    ) {
+        let p = program();
+        let ctx = MethodCtx::new(&p, p.method(MethodId(0)), &AnalysisConfig::full());
+        let mut got = build(&ctx, &parts);
+        let mut want = deep(&ctx, &got);
+        let (mut alloc_got, mut alloc_want) = (VarAlloc::new(), VarAlloc::new());
+        for (i, (other, writes)) in incoming.iter().enumerate() {
+            // Odd rounds merge a written copy of the state itself, which
+            // still shares every row the writes did not touch.
+            let mut other = if i % 2 == 1 { got.clone() } else { build(&ctx, other) };
+            for (r, key, v) in writes {
+                other.sigma_set(&ctx, *r, *key, v.clone());
+            }
+            let changed = got.merge_from(&other, &ctx, &mut alloc_got, widen == 1);
+            let (merged, expected) = model_merge(&want, &other, &ctx, &mut alloc_want, widen == 1);
+            want = merged;
+            prop_assert_eq!(changed, expected);
+            agrees(&got, &want, &ctx)?;
+        }
     }
 
     /// Writes to a copy never show through the original, and the copy

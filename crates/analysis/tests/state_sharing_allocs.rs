@@ -1,21 +1,26 @@
 //! "A state copy does not copy σ" as a test, not a benchmark reading.
 //!
-//! σ, `Len` and `NR` are shared between the copies of a state until one
-//! of them is written, so copying a state costs its locals and its
-//! stack whatever the store holds; an allocation at a site the state
-//! does not name leaves all three maps alone; and the null-or-same
-//! analysis does not solve a method in which no fact can be born. This
-//! file is a test binary of its own so that it may install a counting
-//! `#[global_allocator]`; the counts are per thread, so the harness's
-//! own threads do not show.
+//! σ's rows, `Len` and `NR` are shared between the copies of a state
+//! until one of them is written, so copying a state costs its locals
+//! and its stack whatever the store holds; an allocation at a site the
+//! state does not name leaves the whole store alone; and the
+//! null-or-same analysis does not solve a method in which no fact can
+//! be born. σ is shared row by row: a write copies the index and the
+//! one row it lands in, whatever the number of rows, and a merge of two
+//! copies that differ in one row copies that row at most. A symbolic
+//! integer with up to two constant unknowns holds them inline, so
+//! copying or adding one allocates nothing. This file is a test binary
+//! of its own so that it may install a counting `#[global_allocator]`;
+//! the counts are per thread, so the harness's own threads do not show.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use wbe_analysis::intval::IntVal;
+use wbe_analysis::intval::{IntVal, UnkId, VarAlloc, VarId};
 use wbe_analysis::transfer::transfer_insn;
 use wbe_analysis::{
     nullsame, AbsState, AbsValue, AnalysisConfig, FieldKey, IntLat, IntRange, MethodCtx, Ref,
+    RefSet,
 };
 use wbe_ir::builder::ProgramBuilder;
 use wbe_ir::{ClassId, FieldId, Insn, MethodId, Program, SiteId, Ty};
@@ -94,15 +99,23 @@ fn program() -> Program {
     pb.finish()
 }
 
-/// A state with 32 σ, 8 `Len` and 8 `NR` entries on sites `1..`, none
-/// of which names site 0, and reference-only locals and stack (whose
-/// values sit inline, so copying the two vectors is one call each).
-fn populated(ctx: &MethodCtx<'_>) -> AbsState {
+/// A state with σ rows for `rows` receivers, one entry each.
+fn with_rows(ctx: &MethodCtx<'_>, rows: u32) -> AbsState {
     let mut st = AbsState::entry(ctx);
-    for s in 1..SITES {
+    for s in 1..=rows {
         let value = AbsValue::single(Ref::SiteB(SiteId(s)));
         st.sigma_set(ctx, Ref::SiteA(SiteId(s)), F, value);
     }
+    assert_eq!(st.sigma_rows(), rows as usize);
+    st
+}
+
+/// A state with 32 σ rows, 8 `Len` and 8 `NR` entries on sites `1..`,
+/// none of which names site 0, and reference-only locals and stack
+/// (whose values sit inline, so copying the two vectors is one call
+/// each).
+fn populated(ctx: &MethodCtx<'_>) -> AbsState {
+    let mut st = with_rows(ctx, SITES - 1);
     for s in 1..=8 {
         st.len_set(Ref::SiteA(SiteId(s)), IntLat::constant(4));
         st.nr_set(
@@ -162,4 +175,81 @@ fn a_method_without_getfield_is_not_solved() {
     let (sites, calls) = calls_of(|| nullsame::analyze_method(&p, store_only));
     assert!(sites.is_empty());
     assert_eq!(calls, 0);
+}
+
+#[test]
+fn a_sigma_write_copies_the_index_and_one_row_whatever_the_row_count() {
+    let p = program();
+    let ctx = MethodCtx::new(&p, p.method(MethodId(0)), &AnalysisConfig::full());
+    let write = |rows: u32| {
+        let st = with_rows(&ctx, rows);
+        let mut copy = st.clone();
+        let (_, calls) = calls_of(|| {
+            copy.sigma_set(
+                &ctx,
+                Ref::SiteA(SiteId(1)),
+                F,
+                AbsValue::single(Ref::Global),
+            );
+        });
+        // A second write to the row the copy now owns copies nothing.
+        let g = AbsValue::single(Ref::Arg(0));
+        let (_, again) = calls_of(|| copy.sigma_set(&ctx, Ref::SiteA(SiteId(1)), F, g));
+        assert_eq!(again, 0);
+        assert_ne!(copy, st);
+        calls
+    };
+    let (few, many) = (write(2), write(SITES - 1));
+    assert_eq!(few, many, "allocator calls grow with the row count");
+    assert!(
+        many <= 4,
+        "{many} allocator calls: an index and a row, two each"
+    );
+}
+
+#[test]
+fn merging_copies_that_differ_in_one_row_copies_that_row_at_most() {
+    let p = program();
+    let ctx = MethodCtx::new(&p, p.method(MethodId(0)), &AnalysisConfig::full());
+    let st = with_rows(&ctx, SITES - 1);
+    let mut alloc = VarAlloc::new();
+    // Two copies still sharing every row: nothing is walked.
+    let mut into = st.clone();
+    let (changed, calls) = calls_of(|| into.merge_from(&st, &ctx, &mut alloc, false));
+    assert!(!changed);
+    assert_eq!(calls, 0);
+    // One row differs and the merge grows it: the index, that row, and
+    // the list of updates.
+    let mut grown = st.clone();
+    let r = Ref::SiteA(SiteId(7));
+    let both: RefSet = [Ref::SiteB(SiteId(7)), Ref::Global].into_iter().collect();
+    grown.sigma_set(&ctx, r, F, AbsValue::Refs(both.clone()));
+    let (changed, calls) = calls_of(|| into.merge_from(&grown, &ctx, &mut alloc, false));
+    assert!(changed);
+    assert!(calls <= 5, "{calls} allocator calls for one differing row");
+    assert_eq!(into, grown);
+    // One row differs and the merge leaves `into` as it is: no copy.
+    let (changed, calls) = calls_of(|| into.merge_from(&st, &ctx, &mut alloc, false));
+    assert!(!changed);
+    assert_eq!(calls, 0);
+}
+
+#[test]
+fn an_int_with_two_constant_unknowns_is_copied_and_added_in_place() {
+    let two = IntVal::unknown(UnkId(0))
+        .add(&IntVal::unknown(UnkId(3)).mul_literal(2).unwrap())
+        .unwrap()
+        .add_literal(5)
+        .unwrap();
+    let other = IntVal::variable(VarId(0))
+        .add(&IntVal::unknown(UnkId(3)))
+        .unwrap();
+    let (copy, calls) = calls_of(|| two.clone());
+    assert_eq!(calls, 0);
+    let (sum, calls) = calls_of(|| copy.add(&other).and_then(|s| s.sub(&two)));
+    assert_eq!(calls, 0);
+    assert_eq!(sum, Some(other));
+    let (lat, calls) = calls_of(|| AbsValue::Int(IntLat::Val(two.clone())).clone());
+    assert_eq!(calls, 0);
+    assert_eq!(lat, AbsValue::Int(IntLat::Val(two)));
 }
