@@ -6,7 +6,11 @@
 //! negative control on `jess`; `explain` on `jess` and `jbb`, which
 //! run the workload with the oracle on; `run` of `jbb_main` under the
 //! analysis' elision set; `report` without its `histograms:` and
-//! `spans` sections, which hold timings; and `analyze jess --dump`.
+//! `spans` sections, which hold timings; `analyze jess --dump`; and
+//! two selections the suite-wide views in `site_views.rs` do not make:
+//! `oracle` over two named workloads, both of which feed the headline,
+//! with its worklist cut at 3, and `profile` of one workload with its
+//! hot sites cut at 2.
 //! Every run figure in them comes out of the interpreter's dispatch
 //! loop, so a change to the loop that alters any observable run fails
 //! here.
@@ -108,4 +112,13 @@ fn report_matches_the_golden_file() {
 #[test]
 fn analyze_dump_matches_the_golden_file() {
     check("analyze jess --dump", all);
+}
+
+#[test]
+fn selected_workload_views_match_the_golden_file() {
+    check(
+        "oracle --workload jbb --workload server-churn --top 3 --format ndjson",
+        all,
+    );
+    check("profile --workload db --top 2", all);
 }
