@@ -23,9 +23,6 @@ pub struct AnalysisConfig {
     /// `false`: unequal integers merge straight to ⊤, which disables all
     /// array elision in loops.
     pub stride_inference: bool,
-    /// Number of merges at one join point before integer components are
-    /// widened to ⊤ (termination backstop; see DESIGN.md §7).
-    pub widen_after: usize,
     /// Hard cap on worklist blocks processed per fixpoint run. `None`
     /// uses a bound scaled to the method's size. Exceeding the cap does
     /// not panic: the method degrades to "elide nothing"
@@ -34,9 +31,6 @@ pub struct AnalysisConfig {
     /// Wall-clock budget per method. `None` means unlimited. A method
     /// that exhausts its budget degrades to "elide nothing".
     pub time_budget: Option<Duration>,
-    /// Isolate per-method panics with `catch_unwind`: a pathological
-    /// method degrades instead of killing the whole pipeline.
-    pub isolate_panics: bool,
 }
 
 impl Default for AnalysisConfig {
@@ -46,10 +40,8 @@ impl Default for AnalysisConfig {
             two_refs_per_site: true,
             flow_sensitive_escape: true,
             stride_inference: true,
-            widen_after: 16,
             max_iterations: None,
             time_budget: None,
-            isolate_panics: true,
         }
     }
 }
@@ -90,10 +82,8 @@ mod tests {
         assert!(AnalysisConfig::full().array_analysis);
         assert!(!AnalysisConfig::field_only().array_analysis);
         assert!(AnalysisConfig::default().two_refs_per_site);
-        assert_eq!(AnalysisConfig::default().widen_after, 16);
         assert!(AnalysisConfig::default().max_iterations.is_none());
         assert!(AnalysisConfig::default().time_budget.is_none());
-        assert!(AnalysisConfig::default().isolate_panics);
     }
 
     #[test]

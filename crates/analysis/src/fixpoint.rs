@@ -10,7 +10,7 @@
 //! two instances. Iteration is in reverse postorder: process a block
 //! from its entry state, hand the out-state to each successor, repeat
 //! until nothing changes (§2.2). Integer components are widened to ⊤
-//! after [`AnalysisConfig::widen_after`] merges at one join point — the
+//! after [`WIDEN_AFTER`] merges at one join point — the
 //! termination backstop for the stride-variable machinery.
 //!
 //! Judgments are taken in one extra pass *after* the fixed point,
@@ -272,12 +272,9 @@ fn publish_method(result: &MethodAnalysis) {
     wbe_telemetry::histogram("analysis.fixpoint.iterations").record(result.iterations as u64);
 }
 
-/// Runs `f`, turning a panic into [`DegradeReason::Panicked`] when
-/// `isolate` is set ([`AnalysisConfig::isolate_panics`]).
-pub(crate) fn isolated<T>(isolate: bool, f: impl FnOnce() -> T) -> Result<T, DegradeReason> {
-    if !isolate {
-        return Ok(f());
-    }
+/// Runs `f`, turning a panic into [`DegradeReason::Panicked`]: a
+/// pathological method degrades instead of killing the pipeline.
+pub(crate) fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, DegradeReason> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         let message = if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
@@ -321,15 +318,13 @@ pub struct Replay {
 impl<'p> MethodSolution<'p> {
     /// Solves `method`'s fixed point under `config`.
     ///
-    /// Never panics on any input program when
-    /// [`AnalysisConfig::isolate_panics`] is set, and neither does any
-    /// later [`replay`](Self::replay) of the result.
+    /// Never panics on any input program, and neither does any later
+    /// [`replay`](Self::replay) of the result.
     pub fn solve(program: &'p Program, method: &'p Method, config: &AnalysisConfig) -> Self {
-        let isolate = config.isolate_panics;
         let guard = Guard::new(config);
         let mut ctx = MethodCtx::new(program, method, config);
         let unreached = || vec![None; method.blocks.len()];
-        let solved = isolated(isolate, || {
+        let solved = isolated(|| {
             // Classic escape (the ablation) runs twice, pinning what
             // escaped anywhere in the first run as escaped from the start
             // of the second.
@@ -366,8 +361,8 @@ impl<'p> MethodSolution<'p> {
         // The records' walk is the only one that transfers partial
         // states (the clients read a fixed point or nothing), so the
         // probe checks exactly the points later replays visit.
-        if isolate && solution.outcome.is_degraded() {
-            if let Err(reason) = isolated(true, || solution.replay(true)) {
+        if solution.outcome.is_degraded() {
+            if let Err(reason) = isolated(|| solution.replay(true)) {
                 solution.states = unreached();
                 solution.outcome = AnalysisOutcome::Degraded(reason);
             }
@@ -507,18 +502,22 @@ pub(crate) trait Domain {
     /// null-or-same's `ifnull`/`ifnonnull` prove anything).
     fn transfer_edge(&self, st: &mut Self::State, term: &Terminator, succ: usize);
     /// Merges `incoming` into `into` at a join point; true if `into`
-    /// changed. `widen` is set from the join's `widen_after`-th merge on.
+    /// changed. `widen` is set from the join's [`WIDEN_AFTER`]-th merge
+    /// on.
     fn merge(&mut self, into: &mut Self::State, incoming: &Self::State, widen: bool) -> bool;
     /// Observes every block's out-state before its edges.
     fn reduce(&mut self, _out: &Self::State) {}
 }
+
+/// Merges at one join point before integer components are widened to
+/// ⊤: the termination backstop (DESIGN.md §7).
+pub const WIDEN_AFTER: usize = 16;
 
 /// The guardrails one solve runs under, read off its configuration as
 /// the solve starts (so the deadline is per method and domain).
 pub(crate) struct Guard {
     max_iterations: Option<usize>,
     deadline: Option<(Instant, Duration)>,
-    widen_after: usize,
 }
 
 impl Guard {
@@ -526,7 +525,6 @@ impl Guard {
         Guard {
             max_iterations: config.max_iterations,
             deadline: config.time_budget.map(|b| (Instant::now() + b, b)),
-            widen_after: config.widen_after,
         }
     }
 }
@@ -643,7 +641,7 @@ pub(crate) fn run_fixpoint<D: Domain>(
                 }
                 Some(existing) => {
                     merge_counts[s] += 1;
-                    domain.merge(existing, out, merge_counts[s] >= guard.widen_after)
+                    domain.merge(existing, out, merge_counts[s] >= WIDEN_AFTER)
                 }
             };
             if changed {
@@ -1204,13 +1202,6 @@ mod tests {
             "{res:?}"
         );
         assert!(res.elided.is_empty());
-        // With isolation off the panic propagates to the caller.
-        let cfg = AnalysisConfig {
-            isolate_panics: false,
-            ..AnalysisConfig::full()
-        };
-        let hit = catch_unwind(AssertUnwindSafe(|| analyze_method(&p, &p.methods[0], &cfg)));
-        assert!(hit.is_err());
     }
 
     /// A guardrail can stop the driver before it has transferred a

@@ -431,7 +431,7 @@ fn elidable(
     method: &Method,
     config: &AnalysisConfig,
 ) -> Result<BTreeSet<InsnAddr>, DegradeReason> {
-    isolated(config.isolate_panics, || {
+    isolated(|| {
         let mut domain = NullOrSame { program, method };
         let guard = Guard::new(config);
         let (states, _) = run_fixpoint(method, &mut domain, &guard).map_err(|d| d.reason)?;

@@ -151,11 +151,7 @@ pub fn measure(scale: f64) -> BaselineSuite {
     let (recoveries_attempted, recoveries_succeeded) = recovery_probe();
     BaselineSuite {
         rows,
-        pct_elided: if total == 0 {
-            0.0
-        } else {
-            100.0 * elim as f64 / total as f64
-        },
+        pct_elided: crate::pct(elim, total),
         scale,
         recoveries_attempted,
         recoveries_succeeded,

@@ -73,11 +73,7 @@ pub fn run(scale: f64) -> Fig2 {
             cells.push(Fig2Cell {
                 limit,
                 mode,
-                pct_elim: if total == 0 {
-                    0.0
-                } else {
-                    100.0 * elim as f64 / total as f64
-                },
+                pct_elim: crate::pct(elim, total),
                 compile_time,
             });
         }

@@ -136,7 +136,7 @@ fn render_site(out: &mut String, s: &SiteReport<'_>, rec: &SiteRecord) {
             "  oracle: {}/{} kept executions necessary ({:.3}%)",
             n.necessary,
             n.executions,
-            100.0 * n.necessary as f64 / n.executions as f64
+            crate::pct(n.necessary, n.executions)
         );
     }
     if let Some(witness) = s.refuting_witness() {

@@ -50,6 +50,15 @@ pub(crate) fn measuring() -> std::sync::MutexGuard<'static, ()> {
     guard
 }
 
+/// `num` as a percentage of `den`, and 0 when `den` is.
+pub(crate) fn pct(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        100.0 * num as f64 / den as f64
+    }
+}
+
 pub mod baselines;
 pub mod clients;
 pub mod combined;

@@ -22,13 +22,22 @@
 //!   or the dominant vacuity class) — the target list for the
 //!   interprocedural-precision roadmap item.
 //!
+//! Each [`WorkloadOracle`] keeps its run's [`Observed`] and the column
+//! sums of its table ([`Totals`]). Every per-site figure the renderers
+//! print or rank is read from a [`SiteReport`] of that table where it
+//! is used, and the worklist is a sort of those reports: this module
+//! has no row type of its own.
+//!
 //! Determinism: workloads run under the same pinned GC policy and scale
 //! as the baseline gate, all aggregation goes through ordered maps, and
 //! the NDJSON carries no timestamps, so equal options print equal bytes.
 
+use wbe_interp::oracle::SiteNecessity;
 use wbe_telemetry::json::ObjWriter;
 
-use crate::site::{observe, RunSpec, Totals};
+use crate::pct;
+
+use crate::site::{observe, select_workloads, Observed, OracleRun, RunSpec, SiteReport, Totals};
 
 /// The frozen suite-wide *static* elision rate (percent) the dynamic
 /// upper bound is reported against — `pct_elided` in
@@ -57,122 +66,46 @@ impl Default for OracleOptions {
     }
 }
 
-/// One kept site's joined static + dynamic record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SiteOracleRow {
-    /// Stable site identity (`method@B<block>[<index>]`).
-    pub site: String,
-    /// `"field"` or `"array"`.
-    pub kind: &'static str,
-    /// The name of the static keep-code blocking elision at this site.
-    pub keep_code: &'static str,
-    /// Kept-barrier executions witnessed.
-    pub executions: u64,
-    /// Executions whose SATB enqueue was semantically necessary.
-    pub necessary: u64,
-    /// Vacuous: marking idle.
-    pub marking_idle: u64,
-    /// Vacuous: null old value.
-    pub null_old: u64,
-    /// Vacuous: old value already marked.
-    pub already_marked: u64,
-    /// Vacuous: old value already pending in the SATB log.
-    pub duplicate: u64,
-    /// Necessary enqueues that were the sole snapshot witness.
-    pub sole_witness: u64,
-    /// Necessary enqueues still root-reachable at remark.
-    pub shielded: u64,
-    /// Executions whose pre-value was null (all executions, not just
-    /// those during marking — the interpreter's per-site counter).
-    pub pre_null: u64,
-    /// Executions whose receiver had already escaped its allocating
-    /// logical thread.
-    pub receiver_escaped: u64,
-    /// The refuting witness for never-necessary sites (empty when some
-    /// execution was necessary).
-    pub witness: String,
-}
-
-impl SiteOracleRow {
-    /// True if no execution ever needed this site's enqueue.
-    #[must_use]
-    pub fn never_necessary(&self) -> bool {
-        self.executions > 0 && self.necessary == 0
-    }
-}
-
-/// One ranked worklist entry: a never-necessary kept site and the
-/// runtime witness refuting its keep-code.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorklistRow {
-    /// Workload the evidence comes from.
-    pub workload: String,
-    /// Site identity.
-    pub site: String,
-    /// The name of the static keep-code the witness refutes.
-    pub keep_code: &'static str,
-    /// Kept executions wasted at this site.
-    pub executions: u64,
-    /// The refuting witness, rendered.
-    pub witness: String,
-}
-
 /// The oracle's view of one workload run.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WorkloadOracle {
-    /// Workload name.
-    pub workload: String,
+    /// The run, the oracle's verdicts included; its per-site table is
+    /// [`Observed::sites`].
+    pub observed: Observed,
     /// Whether this workload feeds the headline rates (the six Table 1
     /// mimics do; server-family rows ride along without moving the
     /// frozen static number, exactly as in the baseline gate).
     pub headline: bool,
-    /// Total dynamic barrier executions (kept + elided).
-    pub total_executions: u64,
-    /// Executions at statically elided sites.
-    pub elided_executions: u64,
-    /// Executions at kept sites (all witnessed by the oracle).
-    pub kept_executions: u64,
-    /// Of those, semantically necessary enqueues.
-    pub necessary_executions: u64,
-    /// Kept executions at never-necessary sites — elidable by a
-    /// perfect analysis on these executions.
-    pub never_necessary_executions: u64,
-    /// Never-necessary kept sites.
-    pub never_necessary_sites: u64,
-    /// Per-site joined rows, in deterministic site order.
-    pub sites: Vec<SiteOracleRow>,
-    /// Marking cycles the oracle audited at their remark.
-    pub cycles_audited: u64,
-    /// Necessary-enqueued refs found live-but-unmarked after remark
-    /// (zero unless fault injection corrupted a cycle).
-    pub audit_violations: u64,
-    /// Objects the witness table saw allocated.
-    pub allocated_objects: u64,
-    /// Of those, objects that ever escaped (became reachable from a static).
-    pub escaped_objects: u64,
+    /// Column sums of its per-site table.
+    pub totals: Totals,
+}
+
+impl WorkloadOracle {
+    /// The sites the oracle judged, those whose barrier ran, in site
+    /// order, each with its verdicts.
+    pub fn judged(&self) -> Vec<(SiteReport<'_>, SiteNecessity)> {
+        let sites = self.observed.sites().into_iter();
+        sites.filter_map(|s| s.necessity.map(|n| (s, n))).collect()
+    }
+
+    /// The oracle's half of the run.
+    pub fn oracle(&self) -> &OracleRun {
+        self.observed
+            .oracle
+            .as_ref()
+            .expect("the spec enabled the oracle")
+    }
 }
 
 /// The whole oracle run: per-workload results plus suite rollups.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SuiteOracle {
     /// One result per workload, in run order.
     pub workloads: Vec<WorkloadOracle>,
-    /// Headline totals (Table 1 workloads only, unless explicit
-    /// workloads were requested).
-    pub total_executions: u64,
-    /// Headline executions at elided sites.
-    pub elided_executions: u64,
-    /// Headline executions at kept sites.
-    pub kept_executions: u64,
-    /// Headline necessary enqueues.
-    pub necessary_executions: u64,
-    /// Headline kept executions at never-necessary sites.
-    pub never_necessary_executions: u64,
-    /// Ranked worklist of never-necessary kept sites (all workloads),
-    /// at most `top` rows.
-    pub worklist: Vec<WorklistRow>,
-    /// Never-necessary kept sites across all workloads.
-    pub never_necessary_sites: u64,
+    /// Column sums over the headline workloads.
+    pub headline: Totals,
+    /// Maximum ranked worklist rows to emit.
+    pub top: usize,
 }
 
 impl SuiteOracle {
@@ -181,16 +114,17 @@ impl SuiteOracle {
     /// default set.
     #[must_use]
     pub fn static_rate(&self) -> f64 {
-        pct(self.elided_executions, self.total_executions)
+        pct(self.headline.elided_executions, self.headline.executions)
     }
 
     /// The dynamic-upper-bound elision rate (percent): executions a
     /// perfect analysis could have elided on these runs.
     #[must_use]
     pub fn dynamic_rate(&self) -> f64 {
+        let t = &self.headline;
         pct(
-            self.elided_executions + self.never_necessary_executions,
-            self.total_executions,
+            t.elided_executions + t.never_necessary_executions,
+            t.executions,
         )
     }
 
@@ -200,13 +134,28 @@ impl SuiteOracle {
     pub fn headroom_points(&self) -> f64 {
         self.dynamic_rate() - self.static_rate()
     }
-}
 
-fn pct(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        100.0 * num as f64 / den as f64
+    /// The ranked worklist, uncut: the never-necessary kept sites of
+    /// every workload, each with the workload it ran in, most wasted
+    /// executions first (tie: workload, then site label).
+    pub fn worklist(&self) -> Vec<(&'static str, SiteReport<'_>, SiteNecessity)> {
+        let mut list: Vec<_> = self
+            .workloads
+            .iter()
+            .flat_map(|wo| {
+                wo.judged()
+                    .into_iter()
+                    .map(|(s, n)| (wo.observed.workload, s, n))
+            })
+            .filter(|(_, _, n)| n.never_necessary())
+            .collect();
+        list.sort_by(|(wa, a, na), (wb, b, nb)| {
+            nb.executions
+                .cmp(&na.executions)
+                .then_with(|| wa.cmp(wb))
+                .then_with(|| a.site_key().cmp(&b.site_key()))
+        });
+        list
     }
 }
 
@@ -214,84 +163,30 @@ fn pct(num: u64, den: u64) -> f64 {
 /// unknown workload or a trapped run.
 pub fn measure(opts: &OracleOptions) -> Result<SuiteOracle, String> {
     let _guard = crate::measuring();
-    // (workload, feeds-the-headline-rates) pairs: the default set is
-    // the baseline gate's — six Table 1 mimics feeding the rates, the
-    // server family riding along.
-    let workloads: Vec<(wbe_workloads::Workload, bool)> = if opts.workloads.is_empty() {
-        wbe_workloads::standard_suite()
-            .into_iter()
-            .map(|w| (w, true))
-            .chain(
-                wbe_workloads::server_family()
-                    .into_iter()
-                    .map(|w| (w, false)),
-            )
-            .collect()
-    } else {
-        opts.workloads
-            .iter()
-            .map(|n| {
-                wbe_workloads::by_name(n)
-                    .map(|w| (w, true))
-                    .ok_or_else(|| format!("unknown workload '{n}'"))
-            })
-            .collect::<Result<_, _>>()?
-    };
-
-    let mut results = Vec::new();
-    for (w, headline) in &workloads {
-        results.push(oracle_workload(w, *headline, opts.scale)?);
+    // The default set is the baseline gate's: six Table 1 mimics
+    // feeding the rates, the server family riding along.
+    let mut workloads = Vec::new();
+    for (w, headline) in &select_workloads(&opts.workloads, wbe_workloads::server_family)? {
+        workloads.push(oracle_workload(w, *headline, opts.scale)?);
     }
-
-    // The ranked worklist: never-necessary sites from every workload,
-    // most wasted executions first (tie: workload, then site).
-    let mut worklist: Vec<WorklistRow> = results
-        .iter()
-        .flat_map(|r| {
-            r.sites
-                .iter()
-                .filter(|s| s.never_necessary())
-                .map(|s| WorklistRow {
-                    workload: r.workload.clone(),
-                    site: s.site.clone(),
-                    keep_code: s.keep_code,
-                    executions: s.executions,
-                    witness: s.witness.clone(),
-                })
-        })
-        .collect();
-    let never_necessary_sites = worklist.len() as u64;
-    worklist.sort_by(|a, b| {
-        b.executions
-            .cmp(&a.executions)
-            .then_with(|| a.workload.cmp(&b.workload))
-            .then_with(|| a.site.cmp(&b.site))
-    });
-    worklist.truncate(opts.top);
-
-    let headline = |f: &dyn Fn(&WorkloadOracle) -> u64| -> u64 {
-        results.iter().filter(|r| r.headline).map(f).sum()
-    };
     Ok(SuiteOracle {
-        total_executions: headline(&|r| r.total_executions),
-        elided_executions: headline(&|r| r.elided_executions),
-        kept_executions: headline(&|r| r.kept_executions),
-        necessary_executions: headline(&|r| r.necessary_executions),
-        never_necessary_executions: headline(&|r| r.never_necessary_executions),
-        worklist,
-        never_necessary_sites,
-        workloads: results,
+        headline: workloads
+            .iter()
+            .filter(|r| r.headline)
+            .map(|r| r.totals)
+            .sum(),
+        workloads,
+        top: opts.top,
     })
 }
 
-/// Runs `w` under the baseline configuration with the oracle on and
-/// folds the per-site table into its necessity view.
+/// Runs `w` under the baseline configuration with the oracle on.
 fn oracle_workload(
     w: &wbe_workloads::Workload,
     headline: bool,
     scale: f64,
 ) -> Result<WorkloadOracle, String> {
-    let obs = observe(
+    let observed = observe(
         w,
         &RunSpec {
             oracle: true,
@@ -299,60 +194,26 @@ fn oracle_workload(
         },
     )
     .completed()?;
-    let table = obs.sites();
-    let sites: Vec<SiteOracleRow> = table
-        .iter()
-        .filter_map(|s| {
-            let n = s.necessity?;
-            Some(SiteOracleRow {
-                site: s.site_key(),
-                kind: s.kind_name(),
-                keep_code: s.keep_code_name(),
-                executions: n.executions,
-                necessary: n.necessary,
-                marking_idle: n.marking_idle,
-                null_old: n.null_old,
-                already_marked: n.already_marked,
-                duplicate: n.duplicate,
-                sole_witness: n.sole_witness,
-                shielded: n.shielded,
-                pre_null: s.stats.pre_null,
-                receiver_escaped: n.receiver_escaped,
-                witness: s.refuting_witness().unwrap_or_default(),
-            })
-        })
-        .collect();
-    let sum = |f: fn(&SiteOracleRow) -> u64| sites.iter().map(f).sum::<u64>();
-    let never = || sites.iter().filter(|s| s.never_necessary());
-
+    let table = observed.sites();
     let totals = Totals::of(&table);
+    let judged = || table.iter().filter_map(|s| s.necessity);
     debug_assert_eq!(
         totals.kept_executions(),
-        sum(|s| s.executions),
+        judged().map(|n| n.executions).sum::<u64>(),
         "{}: every kept execution must carry a verdict",
         w.name
     );
-    let necessary_executions = sum(|s| s.necessary);
     // Sole/shielded are assigned at each cycle's remark audit, so a run
     // that ends inside an open marking cycle leaves that cycle's
     // necessary enqueues unaudited: sole + shielded ≤ necessary, with
     // equality when the last cycle closed before the run did.
-    debug_assert!(sum(|s| s.sole_witness) + sum(|s| s.shielded) <= necessary_executions);
-    let oracle = obs.oracle.as_ref().expect("the spec enabled the oracle");
+    debug_assert!(
+        judged().map(|n| n.sole_witness + n.shielded).sum::<u64>() <= totals.necessary_executions
+    );
     Ok(WorkloadOracle {
-        workload: w.name.to_string(),
+        observed,
         headline,
-        total_executions: totals.executions,
-        elided_executions: totals.elided_executions,
-        kept_executions: totals.kept_executions(),
-        necessary_executions,
-        never_necessary_executions: never().map(|s| s.executions).sum(),
-        never_necessary_sites: never().count() as u64,
-        cycles_audited: oracle.state.cycles_audited,
-        audit_violations: oracle.state.audit_violations,
-        allocated_objects: oracle.allocated_objects,
-        escaped_objects: oracle.escaped_objects,
-        sites,
+        totals,
     })
 }
 
@@ -370,66 +231,70 @@ pub fn to_ndjson(o: &SuiteOracle) -> String {
         out.push('\n');
     };
     for wo in &o.workloads {
+        let (t, run, judged) = (&wo.totals, wo.oracle(), wo.judged());
+        let workload = wo.observed.workload;
         line(&|w| {
             w.field_str("record", "workload")
-                .field_str("workload", &wo.workload)
+                .field_str("workload", workload)
                 .field_bool("headline", wo.headline)
-                .field_u64("total_executions", wo.total_executions)
-                .field_u64("elided_executions", wo.elided_executions)
-                .field_u64("kept_executions", wo.kept_executions)
-                .field_u64("necessary_executions", wo.necessary_executions)
-                .field_u64("never_necessary_executions", wo.never_necessary_executions)
-                .field_u64("never_necessary_sites", wo.never_necessary_sites)
-                .field_u64("cycles_audited", wo.cycles_audited)
-                .field_u64("audit_violations", wo.audit_violations)
-                .field_u64("allocated_objects", wo.allocated_objects)
-                .field_u64("escaped_objects", wo.escaped_objects);
+                .field_u64("total_executions", t.executions)
+                .field_u64("elided_executions", t.elided_executions)
+                .field_u64("kept_executions", t.kept_executions())
+                .field_u64("necessary_executions", t.necessary_executions)
+                .field_u64("never_necessary_executions", t.never_necessary_executions)
+                .field_u64("never_necessary_sites", never_necessary_sites(&judged))
+                .field_u64("cycles_audited", run.state.cycles_audited)
+                .field_u64("audit_violations", run.state.audit_violations)
+                .field_u64("allocated_objects", run.allocated_objects)
+                .field_u64("escaped_objects", run.escaped_objects);
         });
-        for s in &wo.sites {
+        for (s, n) in &judged {
             line(&|w| {
                 w.field_str("record", "site")
-                    .field_str("workload", &wo.workload)
-                    .field_str("site", &s.site)
-                    .field_str("kind", s.kind)
-                    .field_str("keep_code", s.keep_code)
-                    .field_u64("executions", s.executions)
-                    .field_u64("necessary", s.necessary)
+                    .field_str("workload", workload)
+                    .field_str("site", &s.site_key())
+                    .field_str("kind", s.kind_name())
+                    .field_str("keep_code", s.keep_code_name())
+                    .field_u64("executions", n.executions)
+                    .field_u64("necessary", n.necessary)
                     .field_raw(
                         "necessity_pct",
-                        &format!("{:.3}", pct(s.necessary, s.executions)),
+                        &format!("{:.3}", pct(n.necessary, n.executions)),
                     )
-                    .field_u64("marking_idle", s.marking_idle)
-                    .field_u64("null_old", s.null_old)
-                    .field_u64("already_marked", s.already_marked)
-                    .field_u64("duplicate", s.duplicate)
-                    .field_u64("sole_witness", s.sole_witness)
-                    .field_u64("shielded", s.shielded)
-                    .field_u64("pre_null", s.pre_null)
-                    .field_u64("receiver_escaped", s.receiver_escaped)
-                    .field_bool("never_necessary", s.never_necessary())
-                    .field_str("witness", &s.witness);
+                    .field_u64("marking_idle", n.marking_idle)
+                    .field_u64("null_old", n.null_old)
+                    .field_u64("already_marked", n.already_marked)
+                    .field_u64("duplicate", n.duplicate)
+                    .field_u64("sole_witness", n.sole_witness)
+                    .field_u64("shielded", n.shielded)
+                    .field_u64("pre_null", s.stats.pre_null)
+                    .field_u64("receiver_escaped", n.receiver_escaped)
+                    .field_bool("never_necessary", n.never_necessary())
+                    .field_str("witness", &s.refuting_witness().unwrap_or_default());
             });
         }
     }
-    for (rank, r) in o.worklist.iter().enumerate() {
+    let worklist = o.worklist();
+    for (rank, (workload, s, n)) in worklist.iter().take(o.top).enumerate() {
         line(&|w| {
             w.field_str("record", "worklist")
                 .field_u64("rank", rank as u64 + 1)
-                .field_str("workload", &r.workload)
-                .field_str("site", &r.site)
-                .field_str("keep_code", r.keep_code)
-                .field_u64("executions", r.executions)
-                .field_str("witness", &r.witness);
+                .field_str("workload", workload)
+                .field_str("site", &s.site_key())
+                .field_str("keep_code", s.keep_code_name())
+                .field_u64("executions", n.executions)
+                .field_str("witness", &s.refuting_witness().unwrap_or_default());
         });
     }
+    let t = &o.headline;
     line(&|w| {
         w.field_str("record", "suite")
-            .field_u64("total_executions", o.total_executions)
-            .field_u64("elided_executions", o.elided_executions)
-            .field_u64("kept_executions", o.kept_executions)
-            .field_u64("necessary_executions", o.necessary_executions)
-            .field_u64("never_necessary_executions", o.never_necessary_executions)
-            .field_u64("never_necessary_sites", o.never_necessary_sites)
+            .field_u64("total_executions", t.executions)
+            .field_u64("elided_executions", t.elided_executions)
+            .field_u64("kept_executions", t.kept_executions())
+            .field_u64("necessary_executions", t.necessary_executions)
+            .field_u64("never_necessary_executions", t.never_necessary_executions)
+            .field_u64("never_necessary_sites", worklist.len() as u64)
             .field_raw("static_elision_pct", &format!("{:.3}", o.static_rate()))
             .field_raw(
                 "dynamic_upper_bound_pct",
@@ -440,26 +305,32 @@ pub fn to_ndjson(o: &SuiteOracle) -> String {
     out
 }
 
+/// How many of `judged` never needed their barrier.
+fn never_necessary_sites(judged: &[(SiteReport<'_>, SiteNecessity)]) -> u64 {
+    judged.iter().filter(|(_, n)| n.never_necessary()).count() as u64
+}
+
 /// Renders the run as a human-readable report.
 pub fn to_text(o: &SuiteOracle) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "barrier-necessity oracle");
     for wo in &o.workloads {
+        let (t, run, judged) = (&wo.totals, wo.oracle(), wo.judged());
         let _ = writeln!(
             out,
             "{}: {} executions ({} elided, {} kept), {} necessary, \
              {} never-necessary sites ({} executions), {} cycles audited{}",
-            wo.workload,
-            wo.total_executions,
-            wo.elided_executions,
-            wo.kept_executions,
-            wo.necessary_executions,
-            wo.never_necessary_sites,
-            wo.never_necessary_executions,
-            wo.cycles_audited,
-            if wo.audit_violations > 0 {
-                format!(", {} AUDIT VIOLATIONS", wo.audit_violations)
+            wo.observed.workload,
+            t.executions,
+            t.elided_executions,
+            t.kept_executions(),
+            t.necessary_executions,
+            never_necessary_sites(&judged),
+            t.never_necessary_executions,
+            run.state.cycles_audited,
+            if run.state.audit_violations > 0 {
+                format!(", {} AUDIT VIOLATIONS", run.state.audit_violations)
             } else {
                 String::new()
             }
@@ -467,25 +338,30 @@ pub fn to_text(o: &SuiteOracle) -> String {
         let _ = writeln!(
             out,
             "  witnesses: {}/{} objects escaped their allocating thread",
-            wo.escaped_objects, wo.allocated_objects
+            run.escaped_objects, run.allocated_objects
         );
-        for s in wo.sites.iter().filter(|s| s.necessary > 0) {
+        for (s, n) in judged.iter().filter(|(_, n)| n.necessary > 0) {
             let _ = writeln!(
                 out,
                 "  {:<44} {:<24} {:>8} execs {:>6.3}% necessary ({} sole, {} shielded)",
-                s.site,
-                s.keep_code,
-                s.executions,
-                pct(s.necessary, s.executions),
-                s.sole_witness,
-                s.shielded
+                s.site_key(),
+                s.keep_code_name(),
+                n.executions,
+                pct(n.necessary, n.executions),
+                n.sole_witness,
+                n.shielded
             );
         }
     }
+    let t = &o.headline;
+    let worklist = o.worklist();
     let _ = writeln!(
         out,
         "suite: {} executions, {} elided, {} kept, {} necessary",
-        o.total_executions, o.elided_executions, o.kept_executions, o.necessary_executions
+        t.executions,
+        t.elided_executions,
+        t.kept_executions(),
+        t.necessary_executions
     );
     let _ = writeln!(
         out,
@@ -501,18 +377,18 @@ pub fn to_text(o: &SuiteOracle) -> String {
     let _ = writeln!(
         out,
         "  never-necessary kept sites: {} (worklist below)",
-        o.never_necessary_sites
+        worklist.len()
     );
-    for (rank, r) in o.worklist.iter().enumerate() {
+    for (rank, (workload, s, n)) in worklist.iter().take(o.top).enumerate() {
         let _ = writeln!(
             out,
             "  #{:<2} {:<10} {:<44} {:<24} {:>8} execs — {}",
             rank + 1,
-            r.workload,
-            r.site,
-            r.keep_code,
-            r.executions,
-            r.witness
+            workload,
+            s.site_key(),
+            s.keep_code_name(),
+            n.executions,
+            s.refuting_witness().unwrap_or_default()
         );
     }
     out
@@ -534,27 +410,27 @@ mod tests {
         let o = measure(&small_opts()).unwrap();
         assert_eq!(o.workloads.len(), 8, "six Table 1 mimics + server family");
         for wo in &o.workloads {
-            let site_execs: u64 = wo.sites.iter().map(|s| s.executions).sum();
-            assert_eq!(site_execs, wo.kept_executions, "{}", wo.workload);
+            let (t, name, judged) = (&wo.totals, wo.observed.workload, wo.judged());
+            let site_execs: u64 = judged.iter().map(|(_, n)| n.executions).sum();
+            assert_eq!(site_execs, t.kept_executions(), "{name}");
             assert_eq!(
-                wo.kept_executions + wo.elided_executions,
-                wo.total_executions,
-                "{}",
-                wo.workload
+                t.kept_executions() + t.elided_executions,
+                t.executions,
+                "{name}"
             );
-            let verdicts: u64 = wo
-                .sites
+            let verdicts: u64 = judged
                 .iter()
-                .map(|s| s.necessary + s.marking_idle + s.null_old + s.already_marked + s.duplicate)
+                .map(|(_, n)| {
+                    n.necessary + n.marking_idle + n.null_old + n.already_marked + n.duplicate
+                })
                 .sum();
-            assert_eq!(verdicts, wo.kept_executions, "{}", wo.workload);
-            assert_eq!(wo.audit_violations, 0, "{}", wo.workload);
+            assert_eq!(verdicts, t.kept_executions(), "{name}");
+            assert_eq!(wo.oracle().state.audit_violations, 0, "{name}");
             assert!(
-                !wo.sites
+                !judged
                     .iter()
-                    .any(|s| s.keep_code == crate::site::UNATTRIBUTED),
-                "{}: verdicts lost ledger provenance",
-                wo.workload
+                    .any(|(s, _)| s.keep_code_name() == crate::site::UNATTRIBUTED),
+                "{name}: verdicts lost ledger provenance"
             );
         }
     }
@@ -573,19 +449,21 @@ mod tests {
             "dynamic upper bound {:.3} must exceed the static rate",
             o.dynamic_rate()
         );
-        assert!(!o.worklist.is_empty(), "worklist must be non-empty");
+        let worklist = o.worklist();
+        let top = &worklist[..o.top.min(worklist.len())];
+        assert!(!top.is_empty(), "worklist must be non-empty");
+        let codes: Vec<&str> = top.iter().map(|(_, s, _)| s.keep_code_name()).collect();
         assert!(
-            o.worklist
+            codes
                 .iter()
-                .any(|r| r.keep_code == "receiver-may-escape" || r.keep_code == "array-may-escape"),
-            "worklist must name escape-kept sites: {:?}",
-            o.worklist
+                .any(|&c| c == "receiver-may-escape" || c == "array-may-escape"),
+            "worklist must name escape-kept sites: {codes:?}"
         );
-        for r in &o.worklist {
+        for (_, s, _) in top {
             assert!(
-                !r.witness.is_empty(),
+                s.refuting_witness().is_some(),
                 "{}: worklist rows carry evidence",
-                r.site
+                s.site_key()
             );
         }
     }
@@ -615,16 +493,19 @@ mod tests {
         opts.workloads = vec!["jbb".into()];
         let o = measure(&opts).unwrap();
         let wo = &o.workloads[0];
-        assert!(wo.cycles_audited > 0, "jbb must run marking cycles");
+        assert!(
+            wo.oracle().state.cycles_audited > 0,
+            "jbb must run marking cycles"
+        );
         let (mut audited, mut necessary) = (0u64, 0u64);
-        for s in &wo.sites {
+        for (s, n) in &wo.judged() {
             assert!(
-                s.sole_witness + s.shielded <= s.necessary,
+                n.sole_witness + n.shielded <= n.necessary,
                 "{}: audited enqueues cannot exceed necessary ones",
-                s.site
+                s.site_key()
             );
-            audited += s.sole_witness + s.shielded;
-            necessary += s.necessary;
+            audited += n.sole_witness + n.shielded;
+            necessary += n.necessary;
         }
         assert!(
             necessary == 0 || audited > 0,

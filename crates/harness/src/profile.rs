@@ -15,6 +15,12 @@
 //! SLO: `--slo-max-pause N` exits nonzero when any stop-the-world pause
 //! exceeded `N` work units.
 //!
+//! Each [`WorkloadProfile`] keeps its run's [`Observed`], the column
+//! sums of its table ([`Totals`]) and its keep-code costs. The hottest
+//! kept sites are a sort of that table's [`SiteReport`]s, and every
+//! per-site figure printed is read from the report where it is used:
+//! this module has no row type of its own.
+//!
 //! All output is deterministic: the join aggregates through ordered
 //! maps, pause sizes are work units (not wall time), and the NDJSON
 //! rendering contains no timestamps — running the profiler twice yields
@@ -25,7 +31,8 @@ use std::collections::BTreeMap;
 use wbe_telemetry::json::ObjWriter;
 use wbe_telemetry::registry::HistogramSnapshot;
 
-use crate::site::{observe, RunSpec, SiteReport, Totals};
+use crate::pct;
+use crate::site::{observe, select_workloads, Observed, RunSpec, SiteReport, Totals};
 
 /// The GC pause phases the profiler reports, as `(label, registry
 /// key, stop_the_world)`. STW phases participate in the SLO gate;
@@ -82,21 +89,6 @@ pub struct KeepCodeCost {
     pub cycles: u64,
 }
 
-/// One row of the "hottest kept sites" table.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HotSite {
-    /// Stable site identity (`method@B<block>[<index>]`).
-    pub site: String,
-    /// `"field"` or `"array"`.
-    pub kind: &'static str,
-    /// The name of the keep-code blocking elision at this site.
-    pub code: &'static str,
-    /// Barrier executions at the site.
-    pub executions: u64,
-    /// Abstract barrier cycles charged at the site.
-    pub cycles: u64,
-}
-
 /// Pause percentiles for one GC phase (work units).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhasePercentiles {
@@ -119,44 +111,51 @@ pub struct PhasePercentiles {
 }
 
 /// The profile of one workload run.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WorkloadProfile {
-    /// Workload name.
-    pub workload: String,
-    /// Total dynamic barrier executions (kept + elided).
-    pub barrier_executions: u64,
-    /// Executions at statically elided sites (zero barrier cost).
-    pub elided_executions: u64,
-    /// Executions at kept sites — always the sum of the per-keep-code
-    /// execution counts.
-    pub kept_executions: u64,
-    /// Total abstract barrier cycles charged.
-    pub barrier_cycles: u64,
+    /// The run. Its per-site table is [`Observed::sites`], and the
+    /// registry is reset before it, so its telemetry holds this run's
+    /// pause histograms alone.
+    pub observed: Observed,
+    /// Column sums of its per-site table.
+    pub totals: Totals,
     /// Per-keep-code attribution, most expensive first.
     pub keep_codes: Vec<KeepCodeCost>,
-    /// Hottest kept sites by cycles, at most `top` rows.
-    pub hot_sites: Vec<HotSite>,
     /// Per-phase pause percentiles, in [`PHASES`] order.
     pub phases: Vec<PhasePercentiles>,
     /// Largest stop-the-world pause observed (work units).
     pub max_stw_pause: u64,
 }
 
+impl WorkloadProfile {
+    /// The hottest executed kept sites, at most `top` of them: most
+    /// cycles first, then most executions, then by site label.
+    pub fn hot_sites(&self, top: usize) -> Vec<SiteReport<'_>> {
+        let mut hot = self.observed.sites();
+        hot.retain(SiteReport::ran_kept);
+        hot.sort_by(|a, b| {
+            b.stats
+                .cycles
+                .cmp(&a.stats.cycles)
+                .then(b.stats.executions.cmp(&a.stats.executions))
+                .then_with(|| a.site_key().cmp(&b.site_key()))
+        });
+        hot.truncate(top);
+        hot
+    }
+}
+
 /// The whole profiling run: per-workload profiles plus suite rollups.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SuiteProfile {
     /// One profile per workload, in request order.
     pub workloads: Vec<WorkloadProfile>,
+    /// How many hottest kept sites to list per workload.
+    pub top: usize,
     /// Suite-wide keep-code attribution, most expensive first.
     pub keep_codes: Vec<KeepCodeCost>,
-    /// Suite totals.
-    pub barrier_executions: u64,
-    /// Suite executions at elided sites.
-    pub elided_executions: u64,
-    /// Suite executions at kept sites.
-    pub kept_executions: u64,
-    /// Suite barrier cycles.
-    pub barrier_cycles: u64,
+    /// Column sums over every workload.
+    pub totals: Totals,
     /// Suite per-phase percentiles (bucket-merged across workloads).
     pub phases: Vec<PhasePercentiles>,
     /// Largest stop-the-world pause across the suite.
@@ -190,15 +189,7 @@ impl SuiteProfile {
     /// Headroom of one keep-code: the percentage of all charged barrier
     /// cycles that would disappear if the code's sites became elidable.
     pub fn headroom_pct(&self, cost: &KeepCodeCost) -> f64 {
-        pct(cost.cycles, self.barrier_cycles)
-    }
-}
-
-fn pct(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        100.0 * num as f64 / den as f64
+        pct(cost.cycles, self.totals.cycles)
     }
 }
 
@@ -239,77 +230,42 @@ fn empty_hist() -> HistogramSnapshot {
 /// Profiles the requested workloads. `Err` names an unknown workload.
 pub fn measure(opts: &ProfileOptions) -> Result<SuiteProfile, String> {
     let _guard = crate::measuring();
-    let workloads: Vec<wbe_workloads::Workload> = if opts.workloads.is_empty() {
-        wbe_workloads::standard_suite()
-    } else {
-        opts.workloads
-            .iter()
-            .map(|n| wbe_workloads::by_name(n).ok_or_else(|| format!("unknown workload '{n}'")))
-            .collect::<Result<_, _>>()?
-    };
-
     let mut profiles = Vec::new();
-    let mut suite_codes: BTreeMap<&'static str, KeepCodeCost> = BTreeMap::new();
     let mut suite_hists: Vec<HistogramSnapshot> = PHASES.iter().map(|_| empty_hist()).collect();
-    for w in &workloads {
-        let p = profile_workload(w, opts.top, opts.scale, &mut suite_hists)?;
-        for c in &p.keep_codes {
-            let e = suite_codes.entry(c.code).or_default();
-            e.code = c.code;
-            e.sites += c.sites;
-            e.executions += c.executions;
-            e.cycles += c.cycles;
-        }
-        profiles.push(p);
+    for (w, _) in &select_workloads(&opts.workloads, Vec::new)? {
+        profiles.push(profile_workload(w, opts.scale, &mut suite_hists)?);
     }
-
+    // The suite's attribution is the same fold over every workload's
+    // table at once.
+    let every_site: Vec<SiteReport<'_>> =
+        profiles.iter().flat_map(|p| p.observed.sites()).collect();
+    let keep_codes = keep_code_costs(&every_site);
     let phases: Vec<PhasePercentiles> = PHASES
         .iter()
         .zip(&suite_hists)
         .map(|(&(label, _, stw), h)| percentiles(label, stw, h))
         .collect();
-    let max_stw_pause = phases
-        .iter()
-        .filter(|p| p.stw)
-        .map(|p| p.max)
-        .max()
-        .unwrap_or(0);
-    let p99_stw_pause = phases
-        .iter()
-        .filter(|p| p.stw)
-        .map(|p| p.p99)
-        .max()
-        .unwrap_or(0);
     Ok(SuiteProfile {
-        barrier_executions: profiles.iter().map(|p| p.barrier_executions).sum(),
-        elided_executions: profiles.iter().map(|p| p.elided_executions).sum(),
-        kept_executions: profiles.iter().map(|p| p.kept_executions).sum(),
-        barrier_cycles: profiles.iter().map(|p| p.barrier_cycles).sum(),
-        keep_codes: sort_costs(suite_codes),
+        totals: profiles.iter().map(|p| p.totals).sum(),
+        keep_codes,
         workloads: profiles,
+        top: opts.top,
+        max_stw_pause: stw_max(&phases, |p| p.max),
+        p99_stw_pause: stw_max(&phases, |p| p.p99),
         phases,
-        max_stw_pause,
-        p99_stw_pause,
         slo_max_pause: opts.slo_max_pause,
         slo_p99_pause: opts.slo_p99_pause,
     })
 }
 
-/// Deterministic cost order: cycles desc, then executions desc, then
-/// code asc (the tiebreak keeps equal-cost codes stable).
-fn sort_costs(map: BTreeMap<&'static str, KeepCodeCost>) -> Vec<KeepCodeCost> {
-    let mut v: Vec<KeepCodeCost> = map.into_values().collect();
-    v.sort_by(|a, b| {
-        b.cycles
-            .cmp(&a.cycles)
-            .then(b.executions.cmp(&a.executions))
-            .then(a.code.cmp(b.code))
-    });
-    v
+/// The largest `f` among the stop-the-world `phases`.
+fn stw_max(phases: &[PhasePercentiles], f: fn(&PhasePercentiles) -> u64) -> u64 {
+    phases.iter().filter(|p| p.stw).map(f).max().unwrap_or(0)
 }
 
-/// Cost per keep-code over the executed kept sites of one run, most
-/// expensive first.
+/// Cost per keep-code over the executed kept sites of `sites`, most
+/// expensive first: cycles desc, then executions desc, then code asc
+/// (the tiebreak keeps equal-cost codes stable).
 pub fn keep_code_costs(sites: &[SiteReport<'_>]) -> Vec<KeepCodeCost> {
     let mut codes: BTreeMap<&'static str, KeepCodeCost> = BTreeMap::new();
     for s in sites.iter().filter(|s| s.ran_kept()) {
@@ -319,62 +275,38 @@ pub fn keep_code_costs(sites: &[SiteReport<'_>]) -> Vec<KeepCodeCost> {
         e.executions += s.stats.executions;
         e.cycles += s.stats.cycles;
     }
-    sort_costs(codes)
+    let mut v: Vec<KeepCodeCost> = codes.into_values().collect();
+    v.sort_by(|a, b| {
+        b.cycles
+            .cmp(&a.cycles)
+            .then(b.executions.cmp(&a.executions))
+            .then(a.code.cmp(b.code))
+    });
+    v
 }
 
 fn profile_workload(
     w: &wbe_workloads::Workload,
-    top: usize,
     scale: f64,
     suite_hists: &mut [HistogramSnapshot],
 ) -> Result<WorkloadProfile, String> {
     wbe_telemetry::registry::global().reset();
-    let obs = observe(w, &RunSpec::baseline(scale)).completed()?;
-    let sites = obs.sites();
-    let mut hot: Vec<HotSite> = sites
-        .iter()
-        .filter(|s| s.ran_kept())
-        .map(|s| HotSite {
-            site: s.site_key(),
-            kind: s.kind_name(),
-            code: s.keep_code_name(),
-            executions: s.stats.executions,
-            cycles: s.stats.cycles,
-        })
-        .collect();
-    hot.sort_by(|a, b| {
-        b.cycles
-            .cmp(&a.cycles)
-            .then(b.executions.cmp(&a.executions))
-            .then(a.site.cmp(&b.site))
-    });
-    hot.truncate(top);
-
+    let observed = observe(w, &RunSpec::baseline(scale)).completed()?;
     let empty = empty_hist();
     let mut phases = Vec::new();
     for (i, &(label, key, stw)) in PHASES.iter().enumerate() {
-        let h = obs.telemetry.histogram(key).unwrap_or(&empty);
+        let h = observed.telemetry.histogram(key).unwrap_or(&empty);
         merge_hist(&mut suite_hists[i], h);
         phases.push(percentiles(label, stw, h));
     }
-    let max_stw_pause = phases
-        .iter()
-        .filter(|p| p.stw)
-        .map(|p| p.max)
-        .max()
-        .unwrap_or(0);
-
-    let totals = Totals::of(&sites);
+    let sites = observed.sites();
+    let (totals, keep_codes) = (Totals::of(&sites), keep_code_costs(&sites));
     Ok(WorkloadProfile {
-        workload: w.name.to_string(),
-        barrier_executions: totals.executions,
-        elided_executions: totals.elided_executions,
-        kept_executions: totals.kept_executions(),
-        barrier_cycles: totals.cycles,
-        keep_codes: keep_code_costs(&sites),
-        hot_sites: hot,
+        observed,
+        totals,
+        keep_codes,
+        max_stw_pause: stw_max(&phases, |p| p.max),
         phases,
-        max_stw_pause,
     })
 }
 
@@ -393,69 +325,54 @@ pub fn to_ndjson(p: &SuiteProfile) -> String {
         out.push('\n');
     };
     for wp in &p.workloads {
+        let (t, workload) = (&wp.totals, wp.observed.workload);
         line(&|w| {
             w.field_str("record", "workload")
-                .field_str("workload", &wp.workload)
-                .field_u64("barrier_executions", wp.barrier_executions)
-                .field_u64("elided_executions", wp.elided_executions)
-                .field_u64("kept_executions", wp.kept_executions)
-                .field_u64("barrier_cycles", wp.barrier_cycles)
+                .field_str("workload", workload)
+                .field_u64("barrier_executions", t.executions)
+                .field_u64("elided_executions", t.elided_executions)
+                .field_u64("kept_executions", t.kept_executions())
+                .field_u64("barrier_cycles", t.cycles)
                 .field_u64("max_stw_pause", wp.max_stw_pause);
         });
         for c in &wp.keep_codes {
             line(&|w| {
-                w.field_str("record", "keep_code")
-                    .field_str("workload", &wp.workload)
-                    .field_str("code", c.code)
-                    .field_u64("sites", c.sites)
-                    .field_u64("executions", c.executions)
-                    .field_u64("cycles", c.cycles)
-                    .field_raw(
-                        "pct_of_cycles",
-                        &format!("{:.3}", pct(c.cycles, wp.barrier_cycles)),
-                    );
+                emit_cost(w, workload, c)
+                    .field_raw("pct_of_cycles", &format!("{:.3}", pct(c.cycles, t.cycles)));
             });
         }
-        for (rank, h) in wp.hot_sites.iter().enumerate() {
+        for (rank, s) in wp.hot_sites(p.top).iter().enumerate() {
             line(&|w| {
                 w.field_str("record", "hot_site")
-                    .field_str("workload", &wp.workload)
+                    .field_str("workload", workload)
                     .field_u64("rank", rank as u64 + 1)
-                    .field_str("site", &h.site)
-                    .field_str("kind", h.kind)
-                    .field_str("code", h.code)
-                    .field_u64("executions", h.executions)
-                    .field_u64("cycles", h.cycles);
+                    .field_str("site", &s.site_key())
+                    .field_str("kind", s.kind_name())
+                    .field_str("code", s.keep_code_name())
+                    .field_u64("executions", s.stats.executions)
+                    .field_u64("cycles", s.stats.cycles);
             });
         }
         for ph in &wp.phases {
-            line(&|w| {
-                emit_phase(w, &wp.workload, ph);
-            });
+            line(&|w| emit_phase(w, workload, ph));
         }
     }
     for c in &p.keep_codes {
         line(&|w| {
-            w.field_str("record", "keep_code")
-                .field_str("workload", "__suite__")
-                .field_str("code", c.code)
-                .field_u64("sites", c.sites)
-                .field_u64("executions", c.executions)
-                .field_u64("cycles", c.cycles)
+            emit_cost(w, "__suite__", c)
                 .field_raw("headroom_pct", &format!("{:.3}", p.headroom_pct(c)));
         });
     }
     for ph in &p.phases {
-        line(&|w| {
-            emit_phase(w, "__suite__", ph);
-        });
+        line(&|w| emit_phase(w, "__suite__", ph));
     }
+    let t = &p.totals;
     line(&|w| {
         w.field_str("record", "suite")
-            .field_u64("barrier_executions", p.barrier_executions)
-            .field_u64("elided_executions", p.elided_executions)
-            .field_u64("kept_executions", p.kept_executions)
-            .field_u64("barrier_cycles", p.barrier_cycles)
+            .field_u64("barrier_executions", t.executions)
+            .field_u64("elided_executions", t.elided_executions)
+            .field_u64("kept_executions", t.kept_executions())
+            .field_u64("barrier_cycles", t.cycles)
             .field_u64("max_stw_pause", p.max_stw_pause)
             .field_u64("p99_stw_pause", p.p99_stw_pause);
         match p.slo_max_pause {
@@ -469,6 +386,21 @@ pub fn to_ndjson(p: &SuiteProfile) -> String {
         w.field_bool("slo_ok", p.slo_ok());
     });
     out
+}
+
+/// The fields a `keep_code` record shares between a workload and the
+/// suite; the caller adds its percentage.
+fn emit_cost<'w, 'o>(
+    w: &'w mut ObjWriter<'o>,
+    workload: &str,
+    c: &KeepCodeCost,
+) -> &'w mut ObjWriter<'o> {
+    w.field_str("record", "keep_code")
+        .field_str("workload", workload)
+        .field_str("code", c.code)
+        .field_u64("sites", c.sites)
+        .field_u64("executions", c.executions)
+        .field_u64("cycles", c.cycles)
 }
 
 fn emit_phase(w: &mut ObjWriter<'_>, workload: &str, ph: &PhasePercentiles) {
@@ -490,14 +422,15 @@ pub fn to_text(p: &SuiteProfile) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for wp in &p.workloads {
+        let t = &wp.totals;
         let _ = writeln!(
             out,
             "{}: {} barrier executions ({} elided, {} kept), {} barrier cycles, max STW pause {}",
-            wp.workload,
-            wp.barrier_executions,
-            wp.elided_executions,
-            wp.kept_executions,
-            wp.barrier_cycles,
+            wp.observed.workload,
+            t.executions,
+            t.elided_executions,
+            t.kept_executions(),
+            t.cycles,
             wp.max_stw_pause
         );
         if !wp.keep_codes.is_empty() {
@@ -510,45 +443,36 @@ pub fn to_text(p: &SuiteProfile) -> String {
                     c.sites,
                     c.executions,
                     c.cycles,
-                    pct(c.cycles, wp.barrier_cycles)
+                    pct(c.cycles, t.cycles)
                 );
             }
         }
-        if !wp.hot_sites.is_empty() {
+        let hot = wp.hot_sites(p.top);
+        if !hot.is_empty() {
             let _ = writeln!(out, "  hottest kept sites:");
-            for (rank, h) in wp.hot_sites.iter().enumerate() {
+            for (rank, s) in hot.iter().enumerate() {
                 let _ = writeln!(
                     out,
                     "    #{:<2} {:<40} {:<5} {:<28} {:>8} execs {:>8} cycles",
                     rank + 1,
-                    h.site,
-                    h.kind,
-                    h.code,
-                    h.executions,
-                    h.cycles
+                    s.site_key(),
+                    s.kind_name(),
+                    s.keep_code_name(),
+                    s.stats.executions,
+                    s.stats.cycles
                 );
             }
         }
-        let _ = writeln!(out, "  pause percentiles (work units):");
-        for ph in &wp.phases {
-            let _ = writeln!(
-                out,
-                "    {:<13}{} count {:>6}  p50 {:>6}  p90 {:>6}  p99 {:>6}  p99.9 {:>6}  max {:>6}",
-                ph.phase,
-                if ph.stw { " [STW]" } else { "      " },
-                ph.count,
-                ph.p50,
-                ph.p90,
-                ph.p99,
-                ph.p999,
-                ph.max
-            );
-        }
+        write_phases(&mut out, "  pause percentiles (work units):", &wp.phases);
     }
+    let t = &p.totals;
     let _ = writeln!(
         out,
         "suite: {} barrier executions ({} elided, {} kept), {} barrier cycles",
-        p.barrier_executions, p.elided_executions, p.kept_executions, p.barrier_cycles
+        t.executions,
+        t.elided_executions,
+        t.kept_executions(),
+        t.cycles
     );
     let _ = writeln!(out, "  headroom by keep-code:");
     for c in &p.keep_codes {
@@ -562,8 +486,34 @@ pub fn to_text(p: &SuiteProfile) -> String {
             p.headroom_pct(c)
         );
     }
-    let _ = writeln!(out, "  suite pause percentiles (work units):");
-    for ph in &p.phases {
+    write_phases(
+        &mut out,
+        "  suite pause percentiles (work units):",
+        &p.phases,
+    );
+    for (gate, budget, ok, pause) in [
+        ("max", p.slo_max_pause, p.slo_max_ok(), p.max_stw_pause),
+        ("p99", p.slo_p99_pause, p.slo_p99_ok(), p.p99_stw_pause),
+    ] {
+        match budget {
+            Some(b) if ok => {
+                let _ = writeln!(out, "SLO OK: {gate} STW pause {pause} <= budget {b}");
+            }
+            Some(b) => {
+                let _ = writeln!(out, "SLO VIOLATION: {gate} STW pause {pause} > budget {b}");
+            }
+            None => {}
+        }
+    }
+    out
+}
+
+/// Writes `heading` and one line per phase of `phases`: the pause
+/// percentiles of a workload and of the suite.
+fn write_phases(out: &mut String, heading: &str, phases: &[PhasePercentiles]) {
+    use std::fmt::Write as _;
+    let _ = writeln!(out, "{heading}");
+    for ph in phases {
         let _ = writeln!(
             out,
             "    {:<13}{} count {:>6}  p50 {:>6}  p90 {:>6}  p99 {:>6}  p99.9 {:>6}  max {:>6}",
@@ -577,41 +527,6 @@ pub fn to_text(p: &SuiteProfile) -> String {
             ph.max
         );
     }
-    match p.slo_max_pause {
-        Some(b) if p.slo_max_ok() => {
-            let _ = writeln!(
-                out,
-                "SLO OK: max STW pause {} <= budget {b}",
-                p.max_stw_pause
-            );
-        }
-        Some(b) => {
-            let _ = writeln!(
-                out,
-                "SLO VIOLATION: max STW pause {} > budget {b}",
-                p.max_stw_pause
-            );
-        }
-        None => {}
-    }
-    match p.slo_p99_pause {
-        Some(b) if p.slo_p99_ok() => {
-            let _ = writeln!(
-                out,
-                "SLO OK: p99 STW pause {} <= budget {b}",
-                p.p99_stw_pause
-            );
-        }
-        Some(b) => {
-            let _ = writeln!(
-                out,
-                "SLO VIOLATION: p99 STW pause {} > budget {b}",
-                p.p99_stw_pause
-            );
-        }
-        None => {}
-    }
-    out
 }
 
 #[cfg(test)]
@@ -630,41 +545,37 @@ mod tests {
         let p = measure(&small_opts()).unwrap();
         assert_eq!(p.workloads.len(), 6);
         for wp in &p.workloads {
+            let (t, name) = (&wp.totals, wp.observed.workload);
             // Per-keep-code executions sum exactly to the kept total,
             // and kept + elided is the full dynamic count.
             let code_execs: u64 = wp.keep_codes.iter().map(|c| c.executions).sum();
-            assert_eq!(code_execs, wp.kept_executions, "{}", wp.workload);
+            assert_eq!(code_execs, t.kept_executions(), "{name}");
             assert_eq!(
-                wp.kept_executions + wp.elided_executions,
-                wp.barrier_executions,
-                "{}",
-                wp.workload
+                t.kept_executions() + t.elided_executions,
+                t.executions,
+                "{name}"
             );
             // Every charged cycle is attributed to some keep-code
             // (elided executions charge nothing).
             let code_cycles: u64 = wp.keep_codes.iter().map(|c| c.cycles).sum();
-            assert_eq!(code_cycles, wp.barrier_cycles, "{}", wp.workload);
+            assert_eq!(code_cycles, t.cycles, "{name}");
             // Nothing fell through the ledger join.
             assert!(
                 !wp.keep_codes
                     .iter()
                     .any(|c| c.code == crate::site::UNATTRIBUTED),
-                "{}: unattributed kept executions",
-                wp.workload
+                "{name}: unattributed kept executions"
             );
-            assert!(wp.barrier_cycles > 0, "{}", wp.workload);
+            assert!(t.cycles > 0, "{name}");
         }
         // Suite rollups are the column sums.
         assert_eq!(
-            p.barrier_executions,
-            p.workloads
-                .iter()
-                .map(|w| w.barrier_executions)
-                .sum::<u64>()
+            p.totals.executions,
+            p.workloads.iter().map(|w| w.totals.executions).sum::<u64>()
         );
         assert_eq!(
             p.keep_codes.iter().map(|c| c.executions).sum::<u64>(),
-            p.kept_executions
+            p.totals.kept_executions()
         );
         // Headroom over all codes covers 100% of charged cycles.
         let total_headroom: f64 = p.keep_codes.iter().map(|c| p.headroom_pct(c)).sum();

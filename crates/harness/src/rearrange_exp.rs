@@ -35,11 +35,7 @@ pub struct RearrangeRow {
 impl RearrangeRow {
     /// Percentage of barrier executions under the protocol.
     pub fn pct_skipped(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            100.0 * self.skipped as f64 / self.total as f64
-        }
+        crate::pct(self.skipped, self.total)
     }
 }
 

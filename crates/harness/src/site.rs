@@ -352,15 +352,23 @@ pub struct Totals {
     pub elided_executions: u64,
     /// Barrier cycles charged (all of them at kept sites).
     pub cycles: u64,
+    /// Kept executions whose enqueue the oracle judged necessary.
+    pub necessary_executions: u64,
+    /// Kept executions at sites none of whose executions needed the
+    /// barrier: what a perfect analysis could have elided on this run.
+    pub never_necessary_executions: u64,
 }
 
 impl Totals {
     /// Sums `sites`.
     pub fn of(sites: &[SiteReport<'_>]) -> Totals {
         sites.iter().fold(Totals::default(), |mut t, s| {
+            let n = s.necessity.unwrap_or_default();
             t.executions += s.stats.executions;
             t.elided_executions += if s.elided { s.stats.executions } else { 0 };
             t.cycles += s.stats.cycles;
+            t.necessary_executions += n.necessary;
+            t.never_necessary_executions += if n.never_necessary() { n.executions } else { 0 };
             t
         })
     }
@@ -369,6 +377,45 @@ impl Totals {
     pub fn kept_executions(&self) -> u64 {
         self.executions - self.elided_executions
     }
+}
+
+impl std::iter::Sum for Totals {
+    fn sum<I: Iterator<Item = Totals>>(iter: I) -> Totals {
+        iter.fold(Totals::default(), |a, b| Totals {
+            executions: a.executions + b.executions,
+            elided_executions: a.elided_executions + b.elided_executions,
+            cycles: a.cycles + b.cycles,
+            necessary_executions: a.necessary_executions + b.necessary_executions,
+            never_necessary_executions: a.never_necessary_executions + b.never_necessary_executions,
+        })
+    }
+}
+
+/// The workloads a per-site view runs, each with whether it feeds the
+/// view's headline: the ones `names` asks for, in that order, all of
+/// them headline; or, when it names none, the standard suite (headline)
+/// followed by `extra()` (riding along). `Err` names an unknown
+/// workload.
+pub fn select_workloads(
+    names: &[String],
+    extra: fn() -> Vec<Workload>,
+) -> Result<Vec<(Workload, bool)>, String> {
+    if names.is_empty() {
+        let suite = wbe_workloads::standard_suite()
+            .into_iter()
+            .map(|w| (w, true));
+        return Ok(suite
+            .chain(extra().into_iter().map(|w| (w, false)))
+            .collect());
+    }
+    names
+        .iter()
+        .map(|n| {
+            wbe_workloads::by_name(n)
+                .map(|w| (w, true))
+                .ok_or_else(|| format!("unknown workload '{n}'"))
+        })
+        .collect()
 }
 
 impl Observed {

@@ -1,11 +1,13 @@
 //! Golden for every per-site view the harness renders.
 //!
 //! `profile`, `oracle`, the baseline gate, `soak`, `ledger` and
-//! `explain` each answer "what happened at this store site" from their
-//! own run of the workload and their own join of the ledger with the
-//! interpreter's counters. `site_views.golden` was written by this
-//! driver while each of them still did: byte equality afterwards says
-//! that whatever they read the answer from now, it is the same answer.
+//! `explain` each answer "what happened at this store site" by reading
+//! one table: `site::Observed::sites`, the join of the ledger with the
+//! run's counters, verdicts and revocations. None of them keeps a row
+//! type of its own. `site_views.golden` was written while each of them
+//! still ran the workload and joined the ledger itself; byte equality
+//! since then says that the one table gives the same answer the
+//! separate joins did.
 //!
 //! What is pinned, section by section: `profile` over the standard
 //! suite (NDJSON and text); `oracle` over the suite plus the server

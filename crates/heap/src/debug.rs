@@ -1,59 +1,14 @@
-//! Heap introspection: summaries, object dumps, and reachability
+//! Heap introspection: the world digest, object dumps, and reachability
 //! statistics for debugging GC behaviour and writing assertions in
 //! tests.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
+use std::collections::VecDeque;
 
 use crate::heap::Heap;
 use crate::mix::fnv1a;
 use crate::object::ObjKind;
 use crate::value::{GcRef, Value};
 use crate::verify::ReachSet;
-
-/// Aggregate heap statistics.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HeapSummary {
-    /// Live objects.
-    pub live: usize,
-    /// Free (reusable) slots.
-    pub free_slots: usize,
-    /// Total live words (headers + payload).
-    pub live_words: usize,
-    /// Live objects per class tag.
-    pub by_class: BTreeMap<u32, usize>,
-    /// Total reference edges between live objects.
-    pub ref_edges: usize,
-}
-
-/// Computes a [`HeapSummary`].
-pub fn summarize(heap: &Heap) -> HeapSummary {
-    let mut s = HeapSummary {
-        free_slots: heap.store.capacity() - heap.store.live_count(),
-        ..HeapSummary::default()
-    };
-    for (_, obj) in heap.store.iter_live() {
-        s.live += 1;
-        s.live_words += obj.size_words();
-        *s.by_class.entry(obj.class_tag).or_default() += 1;
-        obj.for_each_ref(|_| s.ref_edges += 1);
-    }
-    s
-}
-
-impl fmt::Display for HeapSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} live objects ({} words, {} ref edges), {} free slots",
-            self.live, self.live_words, self.ref_edges, self.free_slots
-        )?;
-        for (tag, n) in &self.by_class {
-            writeln!(f, "  class #{tag}: {n}")?;
-        }
-        Ok(())
-    }
-}
 
 fn value_bytes(v: Value) -> [u8; 9] {
     let (tag, payload) = match v {
@@ -193,18 +148,6 @@ mod tests {
         h.set_field(a, 0, Value::from(b)).unwrap();
         h.set_elem(arr, 0, Some(a)).unwrap();
         (h, a, b, arr)
-    }
-
-    #[test]
-    fn summary_counts_everything() {
-        let (h, ..) = setup();
-        let s = summarize(&h);
-        assert_eq!(s.live, 3);
-        assert_eq!(s.free_slots, 0);
-        assert_eq!(s.by_class.len(), 3);
-        // a→b and arr[0]→a.
-        assert_eq!(s.ref_edges, 2);
-        assert!(s.to_string().contains("3 live objects"));
     }
 
     #[test]

@@ -3,20 +3,6 @@
 use crate::ids::BlockId;
 use crate::method::Method;
 
-/// Predecessor lists for every block of `method`, indexed by block.
-///
-/// Each list is in deterministic (block, edge) order and may contain a
-/// predecessor twice if both edges of an `If` target the same block.
-pub fn predecessors(method: &Method) -> Vec<Vec<BlockId>> {
-    let mut preds = vec![Vec::new(); method.blocks.len()];
-    for (bid, block) in method.iter_blocks() {
-        for succ in block.term.successors() {
-            preds[succ.index()].push(bid);
-        }
-    }
-    preds
-}
-
 /// Blocks reachable from the entry, in reverse postorder.
 ///
 /// Reverse postorder visits a block before its successors on forward
@@ -75,14 +61,6 @@ mod tests {
         let rpo = reverse_postorder(&p.methods[0]);
         assert_eq!(rpo[0], BlockId(0));
         assert_eq!(rpo.len(), 4);
-    }
-
-    #[test]
-    fn predecessors_of_loop_head() {
-        let p = looped();
-        let preds = predecessors(&p.methods[0]);
-        // head (B1) has preds entry (B0) and body (B2).
-        assert_eq!(preds[1], vec![BlockId(0), BlockId(2)]);
     }
 
     #[test]
