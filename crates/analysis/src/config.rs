@@ -1,7 +1,5 @@
-//! Analysis configuration, including the ablation switches DESIGN.md
-//! calls out and the guardrails that bound per-method analysis effort.
-
-use std::time::Duration;
+//! Analysis configuration: the ablation switches DESIGN.md calls out
+//! and the iteration cap that bounds per-method analysis effort.
 
 /// Configuration for the barrier-elision analyses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,9 +26,6 @@ pub struct AnalysisConfig {
     /// not panic: the method degrades to "elide nothing"
     /// ([`crate::AnalysisOutcome::Degraded`]).
     pub max_iterations: Option<usize>,
-    /// Wall-clock budget per method. `None` means unlimited. A method
-    /// that exhausts its budget degrades to "elide nothing".
-    pub time_budget: Option<Duration>,
 }
 
 impl Default for AnalysisConfig {
@@ -41,7 +36,6 @@ impl Default for AnalysisConfig {
             flow_sensitive_escape: true,
             stride_inference: true,
             max_iterations: None,
-            time_budget: None,
         }
     }
 }
@@ -65,12 +59,6 @@ impl AnalysisConfig {
         self.max_iterations = Some(cap);
         self
     }
-
-    /// Sets a per-method wall-clock budget.
-    pub fn with_time_budget(mut self, budget: Duration) -> Self {
-        self.time_budget = Some(budget);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -83,15 +71,11 @@ mod tests {
         assert!(!AnalysisConfig::field_only().array_analysis);
         assert!(AnalysisConfig::default().two_refs_per_site);
         assert!(AnalysisConfig::default().max_iterations.is_none());
-        assert!(AnalysisConfig::default().time_budget.is_none());
     }
 
     #[test]
     fn guardrail_builders() {
-        let c = AnalysisConfig::full()
-            .with_max_iterations(7)
-            .with_time_budget(Duration::from_millis(5));
+        let c = AnalysisConfig::full().with_max_iterations(7);
         assert_eq!(c.max_iterations, Some(7));
-        assert_eq!(c.time_budget, Some(Duration::from_millis(5)));
     }
 }

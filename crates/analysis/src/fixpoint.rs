@@ -24,12 +24,13 @@
 //! static analysis framework that provides a variety of information".
 //!
 //! The driver is **guardrailed**, for both domains alike:
-//! non-convergence within the iteration cap, wall-clock budget
-//! exhaustion, and panics inside the transfer functions degrade the
-//! method to the conservative "elide nothing" result
-//! ([`AnalysisOutcome::Degraded`]; the empty set for null-or-same)
-//! instead of aborting the pipeline. Degradations are counted in
-//! `wbe-telemetry` under `analysis.degraded`.
+//! non-convergence within the iteration cap and panics inside the
+//! transfer functions degrade the method to the conservative "elide
+//! nothing" result ([`AnalysisOutcome::Degraded`]; the empty set for
+//! null-or-same) instead of aborting the pipeline. Degradations are
+//! counted in `wbe-telemetry` under `analysis.degraded`. No guardrail
+//! reads a clock: whether a store keeps its barrier is a compile-time
+//! fact, not a function of machine speed.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -56,11 +57,6 @@ pub enum DegradeReason {
         /// The cap that was exceeded (configured or size-scaled).
         limit: usize,
     },
-    /// The per-method wall-clock budget was exhausted.
-    TimeBudget {
-        /// The budget that was exhausted.
-        budget: Duration,
-    },
     /// The analysis panicked and was isolated by `catch_unwind`.
     Panicked {
         /// The panic payload, if it was a string.
@@ -75,9 +71,6 @@ impl fmt::Display for DegradeReason {
         match self {
             DegradeReason::IterationCap { limit } => {
                 write!(f, "iteration cap exceeded ({limit} blocks)")
-            }
-            DegradeReason::TimeBudget { budget } => {
-                write!(f, "wall-clock budget exhausted ({budget:?})")
             }
             DegradeReason::Panicked { message } => write!(f, "analysis panicked: {message}"),
             DegradeReason::Internal(what) => write!(f, "internal driver error: {what}"),
@@ -291,7 +284,7 @@ pub(crate) fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, DegradeReason> {
 /// derived from: the elision result, the ledger's records, the text
 /// dump, and the §6 clients ([`crate::bounds`], [`crate::stackalloc`]).
 ///
-/// The guardrails (iteration cap, wall-clock budget, panic isolation)
+/// The guardrails (iteration cap, panic isolation)
 /// are applied here, by the driver null-or-same shares, so a method
 /// that degrades does so identically in every product.
 #[derive(Debug)]
@@ -321,7 +314,6 @@ impl<'p> MethodSolution<'p> {
     /// Never panics on any input program, and neither does any later
     /// [`replay`](Self::replay) of the result.
     pub fn solve(program: &'p Program, method: &'p Method, config: &AnalysisConfig) -> Self {
-        let guard = Guard::new(config);
         let mut ctx = MethodCtx::new(program, method, config);
         let unreached = || vec![None; method.blocks.len()];
         let solved = isolated(|| {
@@ -331,10 +323,10 @@ impl<'p> MethodSolution<'p> {
             let mut first = 0;
             if !config.flow_sensitive_escape {
                 let mut classic = PreNull::new(&ctx, Some(RefSet::new()));
-                first = classic.run(&guard)?.1;
+                first = classic.run(config.max_iterations)?.1;
                 ctx.pinned_nl = classic.nl_anywhere.unwrap_or_default();
             }
-            let (states, second) = PreNull::new(&ctx, None).run(&guard)?;
+            let (states, second) = PreNull::new(&ctx, None).run(config.max_iterations)?;
             Ok((states, first + second))
         })
         // Partial states from a panicked run are not trusted even for
@@ -513,22 +505,6 @@ pub(crate) trait Domain {
 /// ⊤: the termination backstop (DESIGN.md §7).
 pub const WIDEN_AFTER: usize = 16;
 
-/// The guardrails one solve runs under, read off its configuration as
-/// the solve starts (so the deadline is per method and domain).
-pub(crate) struct Guard {
-    max_iterations: Option<usize>,
-    deadline: Option<(Instant, Duration)>,
-}
-
-impl Guard {
-    pub(crate) fn new(config: &AnalysisConfig) -> Guard {
-        Guard {
-            max_iterations: config.max_iterations,
-            deadline: config.time_budget.map(|b| (Instant::now() + b, b)),
-        }
-    }
-}
-
 /// A guardrail interruption, carrying whatever per-block entry states
 /// the driver had computed when it fired.
 pub(crate) struct FixpointDegrade<S> {
@@ -544,11 +520,12 @@ pub(crate) type Solved<S> = Result<(Vec<Option<S>>, usize), FixpointDegrade<S>>;
 
 /// The worklist fixed point of `domain` over `method`. Returns the
 /// per-block entry states and the blocks processed — or the guardrail
-/// that fired, with the states reached so far.
+/// that fired, with the states reached so far. `max_iterations` caps the
+/// blocks processed ([`AnalysisConfig::max_iterations`]).
 pub(crate) fn run_fixpoint<D: Domain>(
     method: &Method,
     domain: &mut D,
-    guard: &Guard,
+    max_iterations: Option<usize>,
 ) -> Solved<D::State> {
     let nblocks = method.blocks.len();
     let rpo = cfg::reverse_postorder(method);
@@ -583,7 +560,7 @@ pub(crate) fn run_fixpoint<D: Domain>(
     // Size-scaled default bound; configs may tighten it. Exceeding it
     // does not panic: the method degrades to "elide nothing".
     let default_cap = (nblocks + 1) * (method.size + 8) * 4 + 10_000;
-    let cap = guard.max_iterations.unwrap_or(default_cap);
+    let cap = max_iterations.unwrap_or(default_cap);
 
     while let Some(pos) = worklist.pop_first() {
         iterations += 1;
@@ -593,13 +570,6 @@ pub(crate) fn run_fixpoint<D: Domain>(
         };
         if iterations > cap {
             return Err(degrade(DegradeReason::IterationCap { limit: cap }));
-        }
-        // Amortize the clock read: check the deadline every 16 blocks
-        // (and on the first, so a zero budget degrades immediately).
-        if let Some((deadline, budget)) = guard.deadline.filter(|_| iterations % 16 == 1) {
-            if Instant::now() >= deadline {
-                return Err(degrade(DegradeReason::TimeBudget { budget }));
-            }
         }
         let bid = rpo[pos];
         let Some(entry) = &entry_states[bid.index()] else {
@@ -761,8 +731,8 @@ impl<'c, 'p> PreNull<'c, 'p> {
     /// One run of the driver. Only this domain's runs are counted under
     /// `analysis.fixpoint.blocks_processed`, `analysis.state_merges`
     /// and `analysis.widenings`, and only when they converge.
-    fn run(&mut self, guard: &Guard) -> Solved<AbsState> {
-        let solved = run_fixpoint(self.ctx.method, self, guard)?;
+    fn run(&mut self, max_iterations: Option<usize>) -> Solved<AbsState> {
+        let solved = run_fixpoint(self.ctx.method, self, max_iterations)?;
         wbe_telemetry::counter("analysis.fixpoint.blocks_processed").add(solved.1 as u64);
         wbe_telemetry::counter("analysis.state_merges").add(self.merges);
         wbe_telemetry::counter("analysis.widenings").add(self.widenings);
@@ -1141,20 +1111,6 @@ mod tests {
         assert_eq!(res.outcome, AnalysisOutcome::Complete);
     }
 
-    /// Guardrail: a zero wall-clock budget degrades immediately.
-    #[test]
-    fn zero_time_budget_degrades() {
-        let (p, m) = looped_store_program();
-        let cfg = AnalysisConfig::full().with_time_budget(Duration::ZERO);
-        let res = analyze_method(&p, p.method(m), &cfg);
-        assert!(res.outcome.is_degraded(), "{res:?}");
-        assert!(matches!(
-            res.outcome,
-            AnalysisOutcome::Degraded(DegradeReason::TimeBudget { .. })
-        ));
-        assert!(res.elided.is_empty());
-    }
-
     /// Guardrail: degradation applies to the classic-escape ablation's
     /// double fixpoint too.
     #[test]
@@ -1347,11 +1303,6 @@ mod tests {
         assert!(DegradeReason::IterationCap { limit: 3 }
             .to_string()
             .contains("3"));
-        assert!(DegradeReason::TimeBudget {
-            budget: Duration::from_millis(1)
-        }
-        .to_string()
-        .contains("budget"));
         assert!(DegradeReason::Panicked {
             message: "boom".into()
         }

@@ -28,8 +28,8 @@
 //! all read off it ([`analyze_program_with`] for several at once).
 //! [`nullsame`] adds the §4.3 "null-or-same" extension, a second domain
 //! on the same engine: [`fixpoint`]'s one worklist driver solves both,
-//! under one iteration cap, time budget and panic isolation, and one
-//! replay walk takes every judgment ([`analyze_program_with`] with
+//! under one iteration cap and panic isolation, and one replay walk
+//! takes every judgment ([`analyze_program_with`] with
 //! [`Products::null_or_same`] solves both in one per-method pass).
 //!
 //! # Example

@@ -36,16 +36,16 @@
 //! The analysis is the second domain of [`crate::fixpoint`]'s engine. It
 //! supplies the entry state, the transfer, the merge and the refinement
 //! on `ifnull`/`ifnonnull` edges; the one worklist driver solves it
-//! under the caller's iteration cap, time budget and panic isolation —
-//! the guardrails pre-null runs under — and the one replay walk takes
-//! its judgments. A guardrail that fires gives the method the empty set.
+//! under the caller's iteration cap and panic isolation — the
+//! guardrails pre-null runs under — and the one replay walk takes its
+//! judgments. A guardrail that fires gives the method the empty set.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use wbe_ir::{Cond, Insn, InsnAddr, LocalId, Method, Program, StaticId, Terminator};
 
 use crate::config::AnalysisConfig;
-use crate::fixpoint::{isolated, replay, run_fixpoint, DegradeReason, Domain, Guard};
+use crate::fixpoint::{isolated, replay, run_fixpoint, DegradeReason, Domain};
 
 /// An object identity the analysis can name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -408,9 +408,8 @@ pub fn analyze_method(program: &Program, method: &Method) -> BTreeSet<InsnAddr> 
     analyze_method_under(program, method, &AnalysisConfig::default())
 }
 
-/// [`analyze_method`] under `config`'s guardrails — the cap, the time
-/// budget and panic isolation pre-null runs under, applied by the same
-/// driver.
+/// [`analyze_method`] under `config`'s guardrails — the cap and panic
+/// isolation pre-null runs under, applied by the same driver.
 pub(crate) fn analyze_method_under(
     program: &Program,
     method: &Method,
@@ -433,8 +432,8 @@ fn elidable(
 ) -> Result<BTreeSet<InsnAddr>, DegradeReason> {
     isolated(|| {
         let mut domain = NullOrSame { program, method };
-        let guard = Guard::new(config);
-        let (states, _) = run_fixpoint(method, &mut domain, &guard).map_err(|d| d.reason)?;
+        let (states, _) =
+            run_fixpoint(method, &mut domain, config.max_iterations).map_err(|d| d.reason)?;
         let mut sites = BTreeSet::new();
         let asked =
             |p: Option<&Insn>| matches!(p, Some(&Insn::PutField(f)) if program.field_is_ref(f));

@@ -66,7 +66,7 @@ pub fn run(scale: f64) -> CombinedReport {
                     .completed()
                     .expect("a sound elision never traps");
                 let quiet = obs.stats.elided_executions + obs.stats.rearrange_skipped;
-                100.0 * quiet as f64 / obs.summary().total().max(1) as f64
+                crate::pct(quiet, obs.summary().total())
             };
             CombinedRow {
                 name: w.name,

@@ -247,7 +247,6 @@ fn run_inner(o: &McheckOptions) -> i32 {
             seed: o.seed,
             systematic: o.systematic,
             preempt_bound: o.preempt_bound,
-            ..CheckerConfig::default()
         };
         let report = run_mcheck(&cfg);
         explored += report.explored;

@@ -61,17 +61,9 @@ pub fn run(scale: f64) -> StaticReport {
             name: w.name,
             sites,
             elided_sites: elided,
-            static_array_pct: if sites == 0 {
-                0.0
-            } else {
-                100.0 * array_sites as f64 / sites as f64
-            },
+            static_array_pct: crate::pct(array_sites as u64, sites as u64),
             dynamic_array_pct: 100.0 - s.pct_field(),
-            static_elim_pct: if sites == 0 {
-                0.0
-            } else {
-                100.0 * elided as f64 / sites as f64
-            },
+            static_elim_pct: crate::pct(elided as u64, sites as u64),
             dynamic_elim_pct: s.pct_eliminated(),
         });
     }

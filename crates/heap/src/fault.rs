@@ -18,6 +18,9 @@ use std::fmt;
 
 use crate::mix::SplitMix64;
 
+/// Budget multiplier applied on a drain-pressure boost.
+const DRAIN_BOOST_FACTOR: usize = 16;
+
 /// Probabilities (in per-mille) and knobs for one fault schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultConfig {
@@ -34,8 +37,6 @@ pub struct FaultConfig {
     /// ‰ chance a scheduled mark step gets a drain-pressure boost
     /// (multiplied budget, forcing deep SATB-buffer drains).
     pub drain_boost_pm: u16,
-    /// Budget multiplier applied on a drain-pressure boost.
-    pub drain_boost_factor: usize,
     /// ‰ chance an allocation fails, exercising the emergency
     /// full-pause retry path.
     pub alloc_fail_pm: u16,
@@ -68,7 +69,6 @@ impl FaultConfig {
             early_start_pm: 60,
             skip_step_pm: 250,
             drain_boost_pm: 150,
-            drain_boost_factor: 16,
             alloc_fail_pm: 15,
             alloc_grace: 16,
             corrupt_mark_pm: 0,
@@ -93,7 +93,6 @@ impl FaultConfig {
             early_start_pm: scale(self.early_start_pm),
             skip_step_pm: scale(self.skip_step_pm),
             drain_boost_pm: scale(self.drain_boost_pm),
-            drain_boost_factor: self.drain_boost_factor,
             alloc_fail_pm: scale(self.alloc_fail_pm),
             alloc_grace: (self.alloc_grace >> level.min(4)).max(2),
             corrupt_mark_pm: if level == 0 {
@@ -224,7 +223,7 @@ impl FaultPlan {
     pub fn drain_pressure(&mut self) -> Option<usize> {
         if self.roll(self.cfg.drain_boost_pm) {
             self.stats.drain_boosts += 1;
-            Some(self.cfg.drain_boost_factor)
+            Some(DRAIN_BOOST_FACTOR)
         } else {
             None
         }

@@ -16,8 +16,8 @@
 //!   Failing schedules are reported with the forced choice prefix that
 //!   replays them.
 //!
-//! Both strategies stop early once [`CheckerConfig::max_failures`]
-//! failing schedules are collected, and both cap total work at
+//! Both strategies stop early once three failing schedules
+//! (`MAX_FAILURES`) are collected, and both cap total work at
 //! [`CheckerConfig::schedules`] runs.
 
 use std::fmt;
@@ -25,6 +25,9 @@ use std::fmt;
 use crate::sched::{
     run_schedule, SchedConfig, SchedCounters, ScheduleOutcome, SchedulePolicy, ScheduleViolation,
 };
+
+/// Failing schedules collected before exploration stops.
+const MAX_FAILURES: usize = 3;
 
 /// SplitMix64 finalizer mixing a base seed with a schedule index, so
 /// neighbouring indices get unrelated streams. The one derivation of
@@ -50,8 +53,6 @@ pub struct CheckerConfig {
     pub systematic: bool,
     /// Preemption bound for the systematic explorer.
     pub preempt_bound: usize,
-    /// Stop exploring after this many failing schedules.
-    pub max_failures: usize,
 }
 
 impl Default for CheckerConfig {
@@ -62,7 +63,6 @@ impl Default for CheckerConfig {
             seed: 1,
             systematic: false,
             preempt_bound: 2,
-            max_failures: 3,
         }
     }
 }
@@ -199,7 +199,7 @@ pub fn run_mcheck(cfg: &CheckerConfig) -> McheckReport {
             accumulate(&mut report, &out);
             if !out.violations.is_empty() {
                 record_failure(&mut report, k, Replay::Seed(seed), &out);
-                if report.failures.len() >= cfg.max_failures {
+                if report.failures.len() >= MAX_FAILURES {
                     break;
                 }
             }
@@ -241,7 +241,7 @@ fn explore_systematic(cfg: &CheckerConfig, report: &mut McheckReport) {
     // Bound frontier memory independently of trace lengths.
     let frontier_cap = (cfg.schedules as usize).saturating_mul(8).max(64);
     while !frontier.is_empty() {
-        if report.explored >= cfg.schedules || report.failures.len() >= cfg.max_failures {
+        if report.explored >= cfg.schedules || report.failures.len() >= MAX_FAILURES {
             break;
         }
         // Pop the fewest-preemption, shallowest prefix.
@@ -337,7 +337,6 @@ mod tests {
             },
             schedules: 200,
             seed: 1,
-            max_failures: 1,
             ..CheckerConfig::default()
         };
         let report = run_mcheck(&cfg);
@@ -388,7 +387,6 @@ mod tests {
             schedules: 400,
             systematic: true,
             preempt_bound: 2,
-            max_failures: 1,
             ..CheckerConfig::default()
         };
         let report = run_mcheck(&cfg);
@@ -412,7 +410,6 @@ mod tests {
             },
             schedules: 200,
             seed: 1,
-            max_failures: 1,
             ..CheckerConfig::default()
         };
         let report = run_mcheck(&cfg);

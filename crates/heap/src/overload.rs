@@ -53,6 +53,13 @@ const NODE: [FieldShape; 2] = [FieldShape::Ref, FieldShape::Ref];
 /// collector has something to reclaim.
 const CHAIN_RESET: u64 = 8;
 
+/// Shared-LRU cache slots.
+const LRU_SLOTS: usize = 8;
+
+/// Concurrent-marking budget per scheduled marker step (doubled while
+/// pacing).
+const MARK_BUDGET: usize = 4;
+
 /// Request-mix shape: relative weights of the three request types
 /// (session put, cache publish, connection churn).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -133,15 +140,6 @@ pub struct ServeWorldConfig {
     pub arrivals_per_window: u32,
     /// Allocation-burst length: work units (≈ allocations) per request.
     pub request_ops: u32,
-    /// Shared-LRU cache slots (at least one).
-    pub lru_slots: usize,
-    /// Workload ops between safepoint polls per connection.
-    pub poll_interval: u32,
-    /// Marker steps between cycles (shrunk to zero while pacing).
-    pub cycle_gap: u32,
-    /// Concurrent-marking budget per scheduled marker step (doubled
-    /// while pacing).
-    pub mark_budget: usize,
     /// Seed for arrivals, request mixes, and scheduling choices.
     pub seed: u64,
     /// The pressure ladder in force.
@@ -161,10 +159,6 @@ impl Default for ServeWorldConfig {
             arrival_interval: 8,
             arrivals_per_window: 2,
             request_ops: 6,
-            lru_slots: 8,
-            poll_interval: 4,
-            cycle_gap: 6,
-            mark_budget: 4,
             seed: 0x5e12_7e00,
             pressure: PressureConfig::default(),
             fault: None,
@@ -339,7 +333,7 @@ struct Connection {
 
 /// The serve mix: connections, the arrival process and the ladder. The
 /// world's shared root array holds, at `[0..tenants)`, the session-chain
-/// heads, at `[tenants..tenants+lru_slots)` the LRU cache, and after
+/// heads, at `[tenants..tenants+LRU_SLOTS)` the LRU cache, and after
 /// them one connection-table entry per connection.
 pub struct ServeMix {
     cfg: ServeWorldConfig,
@@ -445,7 +439,7 @@ impl ServeWorld {
         };
         self.mix.counters.allocs += 1;
         self.mix.conns[tid].held = Some(new);
-        let (tenants, lru_slots) = (self.mix.cfg.tenants, self.mix.cfg.lru_slots);
+        let tenants = self.mix.cfg.tenants;
         match req.kind {
             // Session put: head-insert into the tenant chain. The
             // `new.f0 = old_head` store is the paper's elidable pre-null
@@ -473,7 +467,7 @@ impl ServeWorld {
             // evicted entry becomes garbage.
             1 => {
                 let slot = (tenants + self.mix.next_lru) as i64;
-                self.mix.next_lru = (self.mix.next_lru + 1) % lru_slots;
+                self.mix.next_lru = (self.mix.next_lru + 1) % LRU_SLOTS;
                 if let Ok(Some(old)) = self.heap.get_elem(self.shared, slot) {
                     cycle::barrier_log(self, tid, old);
                 }
@@ -483,7 +477,7 @@ impl ServeWorld {
             // cross-linking the new entry to the old (the old entry and
             // its history die together at the next reset).
             _ => {
-                let slot = (tenants + lru_slots + tid) as i64;
+                let slot = (tenants + LRU_SLOTS + tid) as i64;
                 if let Ok(Some(old)) = self.heap.get_elem(self.shared, slot) {
                     cycle::barrier_log(self, tid, old);
                     let _ = self.heap.set_field(new, 1, Value::from(old));
@@ -503,23 +497,19 @@ impl Mix for ServeMix {
         cfg.connections
     }
 
-    fn cycle_gap(cfg: &ServeWorldConfig) -> u32 {
-        cfg.cycle_gap
-    }
-
     fn build(
         cfg: &ServeWorldConfig,
         heap: &mut Heap,
         seed: u64,
     ) -> Result<(Self, GcRef), HeapError> {
-        // Arrivals spread over connections, pick tenants and cycle LRU
-        // slots modulo their counts.
-        if cfg.tenants == 0 || cfg.lru_slots == 0 || cfg.connections == 0 {
+        // Arrivals spread over connections and pick tenants modulo
+        // their counts.
+        if cfg.tenants == 0 || cfg.connections == 0 {
             return Err(HeapError::BadWorld(
-                "a serve world needs a tenant, an LRU slot and a connection",
+                "a serve world needs a tenant and a connection",
             ));
         }
-        let slots = cfg.tenants + cfg.lru_slots + cfg.connections;
+        let slots = cfg.tenants + LRU_SLOTS + cfg.connections;
         let shared = heap.alloc_ref_array(u32::MAX, slots as i64)?;
         for t in 0..cfg.tenants {
             let head = heap.alloc_object(t as u32, &NODE)?;
@@ -527,11 +517,7 @@ impl Mix for ServeMix {
         }
         for c in 0..cfg.connections {
             let entry = heap.alloc_object(u32::MAX - 1, &NODE)?;
-            heap.set_elem(
-                shared,
-                (cfg.tenants + cfg.lru_slots + c) as i64,
-                Some(entry),
-            )?;
+            heap.set_elem(shared, (cfg.tenants + LRU_SLOTS + c) as i64, Some(entry))?;
         }
         heap.fault = cfg.fault.map(FaultPlan::new);
         let mix = ServeMix {
@@ -585,7 +571,7 @@ impl Mix for ServeMix {
     /// unit of request work.
     fn thread_step(w: &mut ServeWorld, tid: usize) {
         let idle = w.mix.conns[tid].queue.is_empty();
-        let poll_due = w.cycle.since_poll(tid) >= w.mix.cfg.poll_interval;
+        let poll_due = w.cycle.since_poll(tid) >= sched::POLL_INTERVAL;
         if idle || poll_due {
             cycle::poll(w, tid, false);
             return;
@@ -645,7 +631,7 @@ impl Mix for ServeMix {
             m.pressure.note_pace_start();
             wbe_telemetry::event!("serve.pressure.pace_start", "cycle armed early step {step}");
         }
-        let budget = m.cfg.mark_budget.saturating_mul(if pacing { 2 } else { 1 });
+        let budget = MARK_BUDGET * if pacing { 2 } else { 1 };
         Some(MarkerCtl {
             arm_now: Self::drained(w) || pacing,
             give_up_arm: false,
@@ -841,27 +827,6 @@ mod tests {
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.counters.overload_bursts > 0, "no burst ever fired");
         assert_eq!(run_serve(&cfg).digest(), out.digest());
-    }
-
-    #[test]
-    fn paced_and_boosted_mark_budget_saturates() {
-        // Pacing doubles the budget and every slice takes the drain
-        // boost (×16) on top: both scalings must saturate, where an
-        // unchecked `*=` panics a debug build.
-        for mark_budget in [usize::MAX / 2, usize::MAX] {
-            let cfg = ServeWorldConfig {
-                mark_budget,
-                fault: Some(FaultConfig {
-                    drain_boost_pm: 1000,
-                    skip_step_pm: 0,
-                    ..FaultConfig::from_seed(3)
-                }),
-                ..overloaded()
-            };
-            let out = run_serve(&cfg);
-            assert!(out.violations.is_empty(), "{:?}", out.violations);
-            assert!(out.pressure.pace_starts > 0, "the ladder paced");
-        }
     }
 
     #[test]

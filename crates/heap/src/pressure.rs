@@ -96,63 +96,55 @@ impl fmt::Display for PressureLevel {
 /// Machine-readable reason for stepping one rung back down.
 pub const DESCEND_REASON: &str = "occupancy-recovered";
 
-/// Tunables for the ladder.
+/// Occupancy ≥ this % of the budget enters [`PressureLevel::Pacing`].
+const PACE_PCT: usize = 60;
+/// Occupancy ≥ this % enters [`PressureLevel::Throttling`].
+const THROTTLE_PCT: usize = 75;
+/// Occupancy ≥ this % enters [`PressureLevel::Shedding`].
+const SHED_PCT: usize = 85;
+/// Occupancy ≥ this % enters [`PressureLevel::Emergency`].
+const EMERGENCY_PCT: usize = 95;
+/// Hysteresis in percentage points: the controller steps down one rung
+/// only once occupancy has dropped this far below the current rung's
+/// threshold, so the ladder does not flap around a boundary.
+const HYSTERESIS_PCT: usize = 5;
+/// Abstract stall cycles an actuator charges per allocation while at
+/// [`PressureLevel::Throttling`] or above.
+const THROTTLE_STALL: u64 = 16;
+/// Observations that must pass after a forced emergency pause before
+/// the controller asks for another, bounding worst-case pause
+/// clustering when the live set simply does not shrink.
+const EMERGENCY_COOLDOWN: u64 = 32;
+
+/// The ladder's budget; its thresholds are fixed percentages of it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PressureConfig {
     /// Heap occupancy budget (live objects) the thresholds are
     /// percentages of. This is a *policy* budget, not an allocator
     /// limit: the store itself never refuses an allocation.
     pub budget: usize,
-    /// Occupancy ≥ this % of budget enters [`PressureLevel::Pacing`].
-    pub pace_pct: u32,
-    /// Occupancy ≥ this % enters [`PressureLevel::Throttling`].
-    pub throttle_pct: u32,
-    /// Occupancy ≥ this % enters [`PressureLevel::Shedding`].
-    pub shed_pct: u32,
-    /// Occupancy ≥ this % enters [`PressureLevel::Emergency`].
-    pub emergency_pct: u32,
-    /// Hysteresis in percentage points: the controller steps down one
-    /// rung only once occupancy has dropped this far below the current
-    /// rung's threshold, so the ladder does not flap around a boundary.
-    pub hysteresis_pct: u32,
-    /// Abstract stall cycles an actuator charges per allocation while
-    /// at [`PressureLevel::Throttling`] or above.
-    pub throttle_stall: u64,
-    /// Observations that must pass after a forced emergency pause
-    /// before the controller asks for another, bounding worst-case
-    /// pause clustering when the live set simply does not shrink.
-    pub emergency_cooldown: u64,
 }
 
 impl PressureConfig {
     /// The standard ladder shape over an explicit budget.
     pub fn with_budget(budget: usize) -> Self {
-        PressureConfig {
-            budget,
-            pace_pct: 60,
-            throttle_pct: 75,
-            shed_pct: 85,
-            emergency_pct: 95,
-            hysteresis_pct: 5,
-            throttle_stall: 16,
-            emergency_cooldown: 32,
-        }
+        PressureConfig { budget }
     }
 
     /// The occupancy (in objects) at which `level` engages.
     pub fn threshold(&self, level: PressureLevel) -> usize {
         let pct = match level {
             PressureLevel::Nominal => return 0,
-            PressureLevel::Pacing => self.pace_pct,
-            PressureLevel::Throttling => self.throttle_pct,
-            PressureLevel::Shedding => self.shed_pct,
-            PressureLevel::Emergency => self.emergency_pct,
+            PressureLevel::Pacing => PACE_PCT,
+            PressureLevel::Throttling => THROTTLE_PCT,
+            PressureLevel::Shedding => SHED_PCT,
+            PressureLevel::Emergency => EMERGENCY_PCT,
         };
-        (self.budget.saturating_mul(pct as usize)) / 100
+        self.budget.saturating_mul(pct) / 100
     }
 
     fn hysteresis(&self) -> usize {
-        (self.budget.saturating_mul(self.hysteresis_pct as usize)) / 100
+        self.budget.saturating_mul(HYSTERESIS_PCT) / 100
     }
 }
 
@@ -359,7 +351,7 @@ impl PressureController {
     /// Returns the stall size to charge (abstract cycles).
     pub fn note_throttle_stall(&mut self) -> u64 {
         self.stats.throttle_stalls += 1;
-        self.cfg.throttle_stall
+        THROTTLE_STALL
     }
 
     /// Admission-control report: one request was shed.
@@ -373,7 +365,7 @@ impl PressureController {
     /// [`PressureController::note_emergency_pause`].
     pub fn emergency_pause_due(&self) -> bool {
         self.level == PressureLevel::Emergency
-            && self.observations_since_emergency >= self.cfg.emergency_cooldown
+            && self.observations_since_emergency >= EMERGENCY_COOLDOWN
     }
 
     /// Actuator report: a forced stop-the-world pause was taken. Starts
@@ -490,17 +482,15 @@ mod tests {
 
     #[test]
     fn emergency_cooldown_bounds_pause_clustering() {
-        let mut pc = PressureController::new(PressureConfig {
-            emergency_cooldown: 3,
-            ..PressureConfig::with_budget(100)
-        });
+        let mut pc = ctl();
         pc.observe(99);
         assert!(pc.emergency_pause_due(), "first pause is immediate");
         pc.note_emergency_pause();
         pc.observe(99);
         assert!(!pc.emergency_pause_due(), "cooldown holds");
-        pc.observe(99);
-        pc.observe(99);
+        for _ in 1..EMERGENCY_COOLDOWN {
+            pc.observe(99);
+        }
         assert!(pc.emergency_pause_due(), "cooldown elapsed");
         assert_eq!(pc.stats.emergency_pauses, 1);
     }
@@ -554,24 +544,23 @@ mod tests {
 
     #[test]
     fn cooldown_boundary_is_inclusive_and_reentry_restarts_it() {
-        let mut pc = PressureController::new(PressureConfig {
-            emergency_cooldown: 3,
-            ..PressureConfig::with_budget(100)
-        });
+        let mut pc = ctl();
         pc.observe(99);
         pc.note_emergency_pause();
-        // Cooldown 3: due again exactly when 3 observations have passed
-        // since the pause, not one earlier.
+        // Due again exactly when EMERGENCY_COOLDOWN observations have
+        // passed since the pause, not one earlier.
+        for _ in 1..EMERGENCY_COOLDOWN {
+            pc.observe(99);
+        }
+        assert!(!pc.emergency_pause_due(), "one short: still cooling");
         pc.observe(99);
-        pc.observe(99);
-        assert!(!pc.emergency_pause_due(), "2 observations: still cooling");
-        pc.observe(99);
-        assert!(pc.emergency_pause_due(), "3 observations: due again");
+        assert!(pc.emergency_pause_due(), "the full cooldown: due again");
         // Taking the second pause restarts the window from zero.
         pc.note_emergency_pause();
         assert!(!pc.emergency_pause_due());
-        pc.observe(99);
-        pc.observe(99);
+        for _ in 1..EMERGENCY_COOLDOWN {
+            pc.observe(99);
+        }
         assert!(!pc.emergency_pause_due());
         pc.observe(99);
         assert!(pc.emergency_pause_due());
@@ -590,7 +579,7 @@ mod tests {
         let mut pc = ctl();
         pc.observe(76);
         pc.note_pace_start();
-        assert_eq!(pc.note_throttle_stall(), pc.config().throttle_stall);
+        assert_eq!(pc.note_throttle_stall(), THROTTLE_STALL);
         pc.note_shed();
         pc.note_emergency_pause();
         assert_eq!(pc.stats.pace_starts, 1);

@@ -58,6 +58,18 @@ pub const MAX_THREADS: usize = 31;
 /// every cycle's snapshot contains white, losable objects.
 const WARMUP_CHAIN: usize = 4;
 
+/// Marker steps between the end of one cycle and arming the next, in
+/// every scheduled world.
+const CYCLE_GAP: u32 = 6;
+
+/// Workload ops between a mutator's safepoint polls in every scheduled
+/// world (the compiler-inserted poll cadence). Larger values widen the
+/// window in which an armed epoch is not yet acknowledged.
+pub(crate) const POLL_INTERVAL: u32 = 4;
+
+/// The lists mix's concurrent-marking budget per scheduled marker step.
+const MARK_BUDGET: usize = 2;
+
 /// Field shape of every chain node: `f0` = next link, `f1` = cross-link.
 const NODE: [FieldShape; 2] = [FieldShape::Ref, FieldShape::Ref];
 
@@ -125,14 +137,6 @@ pub struct SchedConfig {
     pub ops_per_thread: usize,
     /// Workload shape.
     pub scenario: Scenario,
-    /// Marker steps between the end of one cycle and arming the next.
-    pub cycle_gap: u32,
-    /// Workload ops between safepoint polls (the compiler-inserted
-    /// poll cadence). Larger values widen the window in which an armed
-    /// epoch is not yet acknowledged.
-    pub poll_interval: u32,
-    /// Concurrent-marking budget per scheduled marker step.
-    pub mark_budget: usize,
     /// Deliberately elide the (non-pre-null) unlink barrier on thread 0
     /// — the negative control.
     pub demo_unsound: bool,
@@ -155,9 +159,6 @@ impl Default for SchedConfig {
             threads: 2,
             ops_per_thread: 40,
             scenario: Scenario::Chain,
-            cycle_gap: 6,
-            poll_interval: 4,
-            mark_budget: 2,
             demo_unsound: false,
             fault: None,
             arm_deadline: 10_000,
@@ -411,8 +412,6 @@ pub trait Mix: Sized {
 
     /// Mutator threads `cfg` asks for.
     fn threads(cfg: &Self::Config) -> usize;
-    /// Marker steps between the end of one cycle and arming the next.
-    fn cycle_gap(cfg: &Self::Config) -> u32;
     /// Checks `cfg`, allocates the shared root array and whatever the
     /// mix pre-builds in `heap`, then installs the fault plan; returns
     /// the mix and the array. `seed` is the policy's world seed.
@@ -518,7 +517,7 @@ impl<M: Mix> World<M> {
         let (mix, shared) = M::build(cfg, &mut heap, seed)?;
         Ok(World {
             heap,
-            cycle: CycleDriver::new(threads, M::cycle_gap(cfg)),
+            cycle: CycleDriver::new(threads, CYCLE_GAP),
             shared,
             mix,
             threads,
@@ -729,10 +728,6 @@ impl Mix for ListsMix {
         cfg.threads
     }
 
-    fn cycle_gap(cfg: &SchedConfig) -> u32 {
-        cfg.cycle_gap
-    }
-
     /// Pre-builds each thread's chain. Fault injection must not break
     /// world construction: these allocations bypass the plan.
     fn build(cfg: &SchedConfig, heap: &mut Heap, seed: u64) -> Result<(Self, GcRef), HeapError> {
@@ -805,8 +800,8 @@ impl Mix for ListsMix {
     /// A safepoint poll (flush + ack, and park or retire) when one is
     /// due, else one workload operation.
     ///
-    /// Polls are *periodic* — every [`SchedConfig::poll_interval`] ops,
-    /// like compiler-inserted polls at loop back-edges — so a thread
+    /// Polls are *periodic* — every `POLL_INTERVAL` ops, like
+    /// compiler-inserted polls at loop back-edges — so a thread
     /// genuinely runs operations between an epoch being armed and its
     /// acknowledgement. That window is exactly where
     /// `CycleDriver::elide_allowed` forces the conservative
@@ -822,7 +817,7 @@ impl Mix for ListsMix {
             let (step, age) = (w.step, w.arm_age());
             wbe_telemetry::event!("sched.watchdog.pacing", "t{tid} step {step} arm age {age}");
         }
-        if retiring || paced || w.cycle.since_poll(tid) >= w.mix.cfg.poll_interval {
+        if retiring || paced || w.cycle.since_poll(tid) >= POLL_INTERVAL {
             // Safepoint poll: flush, acknowledge, honour a stop request
             // ([`cycle::poll`]), and (last poll) retire.
             wbe_telemetry::event!("sched.safepoint.poll", "t{tid} step {}", w.step);
@@ -845,7 +840,7 @@ impl Mix for ListsMix {
         Some(MarkerCtl {
             arm_now: w.cycle.all_retired(),
             give_up_arm: Self::give_up_arm(w),
-            budget: w.mix.cfg.mark_budget,
+            budget: MARK_BUDGET,
         })
     }
 
@@ -1189,24 +1184,6 @@ mod tests {
     }
 
     #[test]
-    fn boosted_mark_budget_saturates() {
-        // Every slice takes the drain boost (×16): a budget this large
-        // must saturate, where an unchecked `*=` panics a debug build.
-        let c = SchedConfig {
-            mark_budget: usize::MAX / 2,
-            fault: Some(FaultConfig {
-                drain_boost_pm: 1000,
-                skip_step_pm: 0,
-                ..FaultConfig::from_seed(3)
-            }),
-            ..cfg(2, Scenario::Churn)
-        };
-        let out = run_schedule(&c, &SchedulePolicy::Random { seed: 1 });
-        assert!(out.violations.is_empty(), "{:?}", out.violations);
-        assert!(out.counters.cycles >= 1);
-    }
-
-    #[test]
     fn watchdog_pacing_forces_overdue_acks() {
         // Deadline 0: an armed epoch is overdue after a single step, so
         // any stalled mutator's next slice is forced to poll. The
@@ -1278,10 +1255,6 @@ mod tests {
             },
             ServeWorldConfig {
                 tenants: 0,
-                ..serve()
-            },
-            ServeWorldConfig {
-                lru_slots: 0,
                 ..serve()
             },
         ] {

@@ -136,7 +136,6 @@ fn render_systematic(out: &mut String) {
         seed: 1,
         systematic: true,
         preempt_bound: 2,
-        ..CheckerConfig::default()
     });
     writeln!(
         out,

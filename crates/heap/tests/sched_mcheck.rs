@@ -114,7 +114,6 @@ fn systematic_failure_prefix_is_replayable() {
         seed: 1,
         systematic: true,
         preempt_bound: 2,
-        ..CheckerConfig::default()
     });
     assert!(!report.sound(), "bounded search must find the lost object");
     let failure = &report.failures[0];

@@ -14,37 +14,32 @@
 
 use wbe_ir::{Block, BlockId, Insn, LocalId, MethodId, Program, Terminator};
 
+/// Whole-method inline passes per method (bounds nested inlining
+/// depth).
+const MAX_PASSES: usize = 4;
+
+/// A method stops growing once it exceeds this multiple of its original
+/// size (plus a fixed allowance of 256).
+const GROWTH_FACTOR: usize = 12;
+
 /// Inlining parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InlineConfig {
     /// Maximum bytecode size (instruction count) of an inlined callee —
     /// the paper's inline-limit knob. Zero disables inlining.
     pub limit: usize,
-    /// Maximum number of whole-method inline passes (bounds nested
-    /// inlining depth).
-    pub max_passes: usize,
-    /// A method stops growing once it exceeds this multiple of its
-    /// original size (plus a fixed allowance).
-    pub growth_factor: usize,
 }
 
 impl Default for InlineConfig {
     fn default() -> Self {
-        InlineConfig {
-            limit: 100,
-            max_passes: 4,
-            growth_factor: 12,
-        }
+        InlineConfig { limit: 100 }
     }
 }
 
 impl InlineConfig {
-    /// Config with the given limit and default depth/growth bounds.
+    /// Config with the given limit.
     pub fn with_limit(limit: usize) -> Self {
-        InlineConfig {
-            limit,
-            ..InlineConfig::default()
-        }
+        InlineConfig { limit }
     }
 }
 
@@ -67,7 +62,7 @@ pub fn inline_program(program: &Program, config: InlineConfig) -> (Program, Inli
     let _span = wbe_telemetry::span!("opt.inline", "limit {}", config.limit);
     let mut out = program.clone();
     let mut stats = InlineStats::default();
-    if config.limit == 0 || config.max_passes == 0 {
+    if config.limit == 0 {
         return (out, stats);
     }
     // Callee bodies come from the original snapshot, like a JIT inlining
@@ -76,8 +71,8 @@ pub fn inline_program(program: &Program, config: InlineConfig) -> (Program, Inli
     for mid in 0..out.methods.len() {
         let mid = MethodId::from_index(mid);
         let original_size = snapshot.method(mid).size.max(1);
-        let max_size = original_size * config.growth_factor + 256;
-        for _pass in 0..config.max_passes {
+        let max_size = original_size * GROWTH_FACTOR + 256;
+        for _pass in 0..MAX_PASSES {
             let mut any = false;
             loop {
                 let site = find_eligible_call(&out, mid, &snapshot, config, max_size, &mut stats);
@@ -588,18 +583,13 @@ mod growth_tests {
         });
         let p = pb.finish();
         let original = p.method(caller).size;
-        let config = InlineConfig {
-            limit: 100,
-            max_passes: 4,
-            growth_factor: 3,
-        };
-        let (out, stats) = inline_program(&p, config);
+        let (out, stats) = inline_program(&p, InlineConfig::with_limit(100));
         out.validate().unwrap();
         let grown = out.method(caller).compute_size();
         assert!(
-            grown <= original * config.growth_factor + 256 + 100,
+            grown <= original * GROWTH_FACTOR + 256 + 100,
             "{grown} vs cap around {}",
-            original * config.growth_factor + 256
+            original * GROWTH_FACTOR + 256
         );
         // Some calls inlined, the rest left behind once the cap hit.
         assert!(stats.inlined_calls > 0);

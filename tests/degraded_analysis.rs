@@ -4,8 +4,6 @@
 //! guardrail's whole contract is "pathological input costs performance,
 //! never soundness or availability".
 
-use std::time::Duration;
-
 use wbe_repro::analysis::{analyze_program, nullsame, AnalysisConfig, AnalysisOutcome};
 use wbe_repro::interp::{BarrierConfig, BarrierMode, GcPolicy, Interp, Value};
 use wbe_repro::ir::builder::{MethodBuilder, ProgramBuilder};
@@ -133,12 +131,12 @@ fn hashtable_program() -> (Program, MethodId) {
     (p, m)
 }
 
-/// Null-or-same runs under the guardrails the pipeline's analysis
+/// Null-or-same runs under the iteration cap the pipeline's analysis
 /// configuration sets, like pre-null does: a cap it cannot converge
-/// within, or a spent wall-clock budget, gives the method no
-/// null-or-same site and counts it under `analysis.degraded`.
+/// within gives the method no null-or-same site and counts it under
+/// `analysis.degraded`.
 #[test]
-fn null_or_same_honours_the_iteration_cap_and_the_time_budget() {
+fn null_or_same_honours_the_iteration_cap() {
     let (program, m) = hashtable_program();
     let plain = compile(
         &program,
@@ -151,25 +149,20 @@ fn null_or_same_honours_the_iteration_cap_and_the_time_budget() {
     );
 
     let degraded = wbe_repro::telemetry::counter("analysis.degraded");
-    let full = AnalysisConfig::full();
-    for guarded in [
-        full.with_max_iterations(1),
-        full.with_time_budget(Duration::ZERO),
-    ] {
-        let mut config = PipelineConfig::new(OptMode::Full, 0)
-            .with_null_or_same()
-            .with_ledger();
-        config.analysis_override = Some(guarded);
-        let before = degraded.get();
-        let compiled = compile(&program, &config);
-        assert!(compiled.null_or_same[&m].is_empty(), "{guarded:?}");
-        assert!(degraded.get() > before, "{guarded:?}: counted");
-        let ledger = compiled.ledger.expect("asked for");
-        assert!(
-            ledger.records.iter().all(|r| !r.null_or_same),
-            "{guarded:?}"
-        );
-    }
+    let guarded = AnalysisConfig::full().with_max_iterations(1);
+    let mut config = PipelineConfig::new(OptMode::Full, 0)
+        .with_null_or_same()
+        .with_ledger();
+    config.analysis_override = Some(guarded);
+    let before = degraded.get();
+    let compiled = compile(&program, &config);
+    assert!(compiled.null_or_same[&m].is_empty(), "{guarded:?}");
+    assert!(degraded.get() > before, "{guarded:?}: counted");
+    let ledger = compiled.ledger.expect("asked for");
+    assert!(
+        ledger.records.iter().all(|r| !r.null_or_same),
+        "{guarded:?}"
+    );
 }
 
 /// The §4.3 extension is inside the same contract. A method whose IR

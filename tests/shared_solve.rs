@@ -6,7 +6,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use wbe_repro::analysis::dump::dump_method;
 use wbe_repro::analysis::{
@@ -171,7 +170,6 @@ fn degraded_paths_give_the_same_products_as_before() {
     let cases = [
         (&deg, full.with_max_iterations(1)),
         (&deg, full.with_max_iterations(2)),
-        (&deg, full.with_time_budget(Duration::ZERO)),
         (&bad, full),
     ];
 
