@@ -352,7 +352,6 @@ pub fn run_serve_cmd(opts: &ServeOptions) -> ServeReport {
     let _ = trace::drain();
 
     let outcome = run_serve(&opts.world_config());
-    outcome.counters.publish();
     let events = trace::drain();
     configure(prev);
 
