@@ -241,28 +241,6 @@ impl ServeCounters {
             0,
         ]
     }
-
-    /// Mirrors the counters into the global telemetry registry under
-    /// `serve.*`.
-    pub fn publish(&self) {
-        let pairs: [(&str, u64); 12] = [
-            ("serve.steps", self.steps),
-            ("serve.requests.offered", self.offered),
-            ("serve.requests.admitted", self.admitted),
-            ("serve.requests.shed", self.shed),
-            ("serve.requests.completed", self.completed),
-            ("serve.requests.stw_overlapped", self.stw_overlapped),
-            ("serve.throttle_stalls", self.throttle_stalls),
-            ("serve.allocs", self.allocs),
-            ("serve.alloc_faults", self.alloc_faults),
-            ("serve.overload_bursts", self.overload_bursts),
-            ("serve.gc.cycles", self.cycles),
-            ("serve.gc.emergency_stw", self.emergency_stw),
-        ];
-        for (name, v) in pairs {
-            wbe_telemetry::counter(name).add(v);
-        }
-    }
 }
 
 /// The result of one serve run.
@@ -684,7 +662,20 @@ impl Mix for ServeMix {
             cycles: w.cycles,
             ..w.mix.counters
         };
-        counters.publish();
+        wbe_telemetry::Deltas::default().publish([
+            ("serve.steps", counters.steps),
+            ("serve.requests.offered", counters.offered),
+            ("serve.requests.admitted", counters.admitted),
+            ("serve.requests.shed", counters.shed),
+            ("serve.requests.completed", counters.completed),
+            ("serve.requests.stw_overlapped", counters.stw_overlapped),
+            ("serve.throttle_stalls", counters.throttle_stalls),
+            ("serve.allocs", counters.allocs),
+            ("serve.alloc_faults", counters.alloc_faults),
+            ("serve.overload_bursts", counters.overload_bursts),
+            ("serve.gc.cycles", counters.cycles),
+            ("serve.gc.emergency_stw", counters.emergency_stw),
+        ]);
         let m = w.mix;
         ServeOutcome {
             counters,

@@ -23,7 +23,9 @@
 //! the same occupancy sequence replays the same transitions, which is
 //! what keeps `wbe_tool serve` byte-identical for a seed.
 //!
-//! Counters mirror into the registry under `gc.pressure.*`.
+//! [`PressureStats`] reach the `gc.pressure.*` registry counters
+//! through one [`wbe_telemetry::Deltas`]; the current rung is the
+//! `gc.pressure.level` gauge.
 
 use std::fmt;
 
@@ -230,7 +232,7 @@ pub struct PressureController {
     observations_since_emergency: u64,
     /// Lifetime counters.
     pub stats: PressureStats,
-    published: PressureStats,
+    mirror: wbe_telemetry::Deltas<10>,
 }
 
 impl PressureController {
@@ -243,13 +245,8 @@ impl PressureController {
             transitions: Vec::new(),
             observations_since_emergency: u64::MAX,
             stats: PressureStats::default(),
-            published: PressureStats::default(),
+            mirror: wbe_telemetry::Deltas::default(),
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &PressureConfig {
-        &self.cfg
     }
 
     /// The current rung.
@@ -382,43 +379,20 @@ impl PressureController {
         if !wbe_telemetry::metrics_enabled() {
             return;
         }
-        let (s, p) = (&self.stats, &self.published);
-        for (name, cur, old) in [
-            ("gc.pressure.observations", s.observations, p.observations),
-            ("gc.pressure.pace_entries", s.pace_entries, p.pace_entries),
-            (
-                "gc.pressure.throttle_entries",
-                s.throttle_entries,
-                p.throttle_entries,
-            ),
-            ("gc.pressure.shed_entries", s.shed_entries, p.shed_entries),
-            (
-                "gc.pressure.emergency_entries",
-                s.emergency_entries,
-                p.emergency_entries,
-            ),
-            ("gc.pressure.step_downs", s.step_downs, p.step_downs),
-            ("gc.pressure.pace_starts", s.pace_starts, p.pace_starts),
-            (
-                "gc.pressure.throttle_stalls",
-                s.throttle_stalls,
-                p.throttle_stalls,
-            ),
-            (
-                "gc.pressure.shed_requests",
-                s.shed_requests,
-                p.shed_requests,
-            ),
-            (
-                "gc.pressure.emergency_pauses",
-                s.emergency_pauses,
-                p.emergency_pauses,
-            ),
-        ] {
-            wbe_telemetry::counter(name).add(cur - old);
-        }
+        let s = self.stats;
+        self.mirror.publish([
+            ("gc.pressure.observations", s.observations),
+            ("gc.pressure.pace_entries", s.pace_entries),
+            ("gc.pressure.throttle_entries", s.throttle_entries),
+            ("gc.pressure.shed_entries", s.shed_entries),
+            ("gc.pressure.emergency_entries", s.emergency_entries),
+            ("gc.pressure.step_downs", s.step_downs),
+            ("gc.pressure.pace_starts", s.pace_starts),
+            ("gc.pressure.throttle_stalls", s.throttle_stalls),
+            ("gc.pressure.shed_requests", s.shed_requests),
+            ("gc.pressure.emergency_pauses", s.emergency_pauses),
+        ]);
         wbe_telemetry::gauge("gc.pressure.level").set(self.level.index() as u64);
-        self.published = self.stats;
     }
 }
 
@@ -514,13 +488,14 @@ mod tests {
                 "{level}: {} must stay below",
                 threshold - 1
             );
-            let mut pc = PressureController::new(PressureConfig::with_budget(1000));
+            let cfg = PressureConfig::with_budget(1000);
+            let mut pc = PressureController::new(cfg);
             assert_eq!(
                 pc.observe(threshold),
                 level,
                 "{level}: exact threshold {threshold} engages"
             );
-            assert_eq!(pc.config().threshold(level), threshold);
+            assert_eq!(cfg.threshold(level), threshold);
         }
     }
 

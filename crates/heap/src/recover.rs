@@ -30,6 +30,8 @@
 //!
 //! The controller is a plain struct (no atomics), held by the
 //! marking-cycle driver of a world that recovers (the interpreter's).
+//! Its [`RecoveryStats`] reach the `gc.recovery.*` registry counters
+//! through one [`wbe_telemetry::Deltas`].
 
 use std::collections::BTreeSet;
 
@@ -113,7 +115,7 @@ pub struct RecoveryController {
     revocations: Vec<RevocationRecord>,
     /// Lifetime counters.
     pub stats: RecoveryStats,
-    published: RecoveryStats,
+    mirror: wbe_telemetry::Deltas<6>,
 }
 
 impl RecoveryController {
@@ -128,7 +130,7 @@ impl RecoveryController {
             revoked: BTreeSet::new(),
             revocations: Vec::new(),
             stats: RecoveryStats::default(),
-            published: RecoveryStats::default(),
+            mirror: wbe_telemetry::Deltas::default(),
         }
     }
 
@@ -230,33 +232,15 @@ impl RecoveryController {
     /// Mirrors counter deltas since the previous publish into the
     /// global registry under `gc.recovery.*`.
     pub fn publish_metrics(&mut self) {
-        if !wbe_telemetry::metrics_enabled() {
-            return;
-        }
-        let (s, p) = (&self.stats, &self.published);
-        for (name, cur, old) in [
-            ("gc.recovery.attempted", s.attempted, p.attempted),
-            ("gc.recovery.succeeded", s.succeeded, p.succeeded),
-            ("gc.recovery.failed", s.failed, p.failed),
-            (
-                "gc.recovery.revoked_sites",
-                s.revoked_sites,
-                p.revoked_sites,
-            ),
-            (
-                "gc.recovery.gated_elisions",
-                s.gated_elisions,
-                p.gated_elisions,
-            ),
-            (
-                "gc.recovery.panic_entries",
-                s.panic_entries,
-                p.panic_entries,
-            ),
-        ] {
-            wbe_telemetry::counter(name).add(cur - old);
-        }
-        self.published = self.stats;
+        let s = self.stats;
+        self.mirror.publish([
+            ("gc.recovery.attempted", s.attempted),
+            ("gc.recovery.succeeded", s.succeeded),
+            ("gc.recovery.failed", s.failed),
+            ("gc.recovery.revoked_sites", s.revoked_sites),
+            ("gc.recovery.gated_elisions", s.gated_elisions),
+            ("gc.recovery.panic_entries", s.panic_entries),
+        ]);
     }
 }
 

@@ -322,33 +322,6 @@ impl SchedCounters {
         self.watchdog_pacing += other.watchdog_pacing;
         self.watchdog_emergency += other.watchdog_emergency;
     }
-
-    /// Mirrors the counters into the global telemetry registry under
-    /// `sched.*`.
-    pub fn publish(&self) {
-        let pairs: [(&str, u64); 14] = [
-            ("sched.steps", self.steps),
-            ("sched.ops", self.mutator_ops),
-            ("sched.elided_stores", self.elided_stores),
-            ("sched.gated_elisions", self.gated_elisions),
-            ("sched.satb.logged", self.satb_logged),
-            ("sched.satb.flushes", self.flushes),
-            ("sched.safepoint.acks", self.safepoint_acks),
-            ("sched.safepoint.parks", self.parks),
-            ("sched.safepoint.marker_waits", self.marker_waits),
-            ("sched.cycles", self.cycles),
-            ("sched.swept", self.swept),
-            ("sched.alloc_faults", self.alloc_faults),
-            ("sched.watchdog.pacing_hints", self.watchdog_pacing),
-            (
-                "sched.watchdog.emergency_rendezvous",
-                self.watchdog_emergency,
-            ),
-        ];
-        for (name, v) in pairs {
-            wbe_telemetry::counter(name).add(v);
-        }
-    }
 }
 
 /// The result of running one schedule to completion.
@@ -917,7 +890,25 @@ impl Mix for ListsMix {
             gated_elisions: w.cycle.gated_elisions(),
             ..w.mix.counters
         };
-        counters.publish();
+        wbe_telemetry::Deltas::default().publish([
+            ("sched.steps", counters.steps),
+            ("sched.ops", counters.mutator_ops),
+            ("sched.elided_stores", counters.elided_stores),
+            ("sched.gated_elisions", counters.gated_elisions),
+            ("sched.satb.logged", counters.satb_logged),
+            ("sched.satb.flushes", counters.flushes),
+            ("sched.safepoint.acks", counters.safepoint_acks),
+            ("sched.safepoint.parks", counters.parks),
+            ("sched.safepoint.marker_waits", counters.marker_waits),
+            ("sched.cycles", counters.cycles),
+            ("sched.swept", counters.swept),
+            ("sched.alloc_faults", counters.alloc_faults),
+            ("sched.watchdog.pacing_hints", counters.watchdog_pacing),
+            (
+                "sched.watchdog.emergency_rendezvous",
+                counters.watchdog_emergency,
+            ),
+        ]);
         ScheduleOutcome {
             trace: w.mix.trace,
             runnable: w.mix.runnable,

@@ -216,28 +216,6 @@ pub struct RunStats {
     pub pauses: Vec<PauseReport>,
 }
 
-/// Scalar snapshot of [`RunStats`] as of the last telemetry publish.
-/// Publishing deltas at run boundaries keeps the interpreter loop free
-/// of atomics: `RunStats` stays a plain struct, and the registry only
-/// sees the difference since the previous snapshot.
-#[derive(Clone, Copy, Debug, Default)]
-struct PublishedRunStats {
-    insns: u64,
-    cycles: u64,
-    barrier_cycles: u64,
-    elided_executions: u64,
-    rearrange_skipped: u64,
-    retraces_scheduled: u64,
-    stack_allocated: u64,
-    stack_freed: u64,
-    gc_cycles: u64,
-    emergency_pauses: u64,
-    alloc_retries: u64,
-    fault_injected: u64,
-    barrier_executions: u64,
-    barrier_pre_null: u64,
-}
-
 pub(crate) struct Frame {
     pub(crate) method: MethodId,
     pub(crate) block: BlockId,
@@ -300,7 +278,8 @@ pub struct Interp<'p> {
     gc_trap: Option<Trap>,
     oracle: Option<OracleState>,
     pub(crate) frames: Vec<Frame>,
-    published: PublishedRunStats,
+    /// `stats`' mirror in the `interp.*` registry counters.
+    mirror: wbe_telemetry::Deltas<14>,
     /// Which dispatch loop [`Interp::run`] enters.
     pub(crate) kind: EngineKind,
     /// Translated methods, indexed by `MethodId` and filled on first
@@ -373,7 +352,7 @@ impl<'p> Interp<'p> {
             gc_trap: None,
             oracle: None,
             frames: Vec::new(),
-            published: PublishedRunStats::default(),
+            mirror: wbe_telemetry::Deltas::default(),
             kind: EngineKind::Compiled,
             code: vec![None; program.methods.len()],
             site_acc: vec![Vec::new(); program.methods.len()],
@@ -471,59 +450,30 @@ impl<'p> Interp<'p> {
             return;
         }
         let (exec, pre_null) = self.stats.barrier.totals();
-        let (s, p) = (&self.stats, &self.published);
-        let add = |name: &str, delta: u64| wbe_telemetry::counter(name).add(delta);
-        add("interp.insns", s.insns - p.insns);
-        add("interp.cycles", s.cycles - p.cycles);
-        add("interp.barrier.cycles", s.barrier_cycles - p.barrier_cycles);
-        add("interp.barrier.executed", exec - p.barrier_executions);
-        add("interp.barrier.pre_null", pre_null - p.barrier_pre_null);
-        add(
-            "interp.barrier.elided_executions",
-            s.elided_executions - p.elided_executions,
-        );
-        add(
-            "interp.barrier.rearrange_skipped",
-            s.rearrange_skipped - p.rearrange_skipped,
-        );
-        add(
-            "interp.retraces_scheduled",
-            s.retraces_scheduled - p.retraces_scheduled,
-        );
-        add(
-            "interp.stack_allocated",
-            s.stack_allocated - p.stack_allocated,
-        );
-        add("interp.stack_freed", s.stack_freed - p.stack_freed);
-        add("interp.gc.cycles", s.gc_cycles - p.gc_cycles);
-        add(
-            "interp.gc.emergency_pauses",
-            s.emergency_pauses - p.emergency_pauses,
-        );
-        add("interp.gc.alloc_retries", s.alloc_retries - p.alloc_retries);
+        let s = &self.stats;
+        // With no plan the count stays where it was last published.
         let fault_injected = self
             .heap
             .fault
             .as_ref()
-            .map_or(p.fault_injected, |plan| plan.stats.injected());
-        add("interp.fault.injected", fault_injected - p.fault_injected);
+            .map_or(self.mirror.last()[0], |plan| plan.stats.injected());
+        self.mirror.publish([
+            ("interp.fault.injected", fault_injected),
+            ("interp.insns", s.insns),
+            ("interp.cycles", s.cycles),
+            ("interp.barrier.cycles", s.barrier_cycles),
+            ("interp.barrier.executed", exec),
+            ("interp.barrier.pre_null", pre_null),
+            ("interp.barrier.elided_executions", s.elided_executions),
+            ("interp.barrier.rearrange_skipped", s.rearrange_skipped),
+            ("interp.retraces_scheduled", s.retraces_scheduled),
+            ("interp.stack_allocated", s.stack_allocated),
+            ("interp.stack_freed", s.stack_freed),
+            ("interp.gc.cycles", s.gc_cycles),
+            ("interp.gc.emergency_pauses", s.emergency_pauses),
+            ("interp.gc.alloc_retries", s.alloc_retries),
+        ]);
         wbe_telemetry::gauge("interp.barrier.sites").set(s.barrier.site_count() as u64);
-        self.published = PublishedRunStats {
-            insns: s.insns,
-            cycles: s.cycles,
-            barrier_cycles: s.barrier_cycles,
-            elided_executions: s.elided_executions,
-            rearrange_skipped: s.rearrange_skipped,
-            retraces_scheduled: s.retraces_scheduled,
-            stack_allocated: s.stack_allocated,
-            stack_freed: s.stack_freed,
-            gc_cycles: s.gc_cycles,
-            emergency_pauses: s.emergency_pauses,
-            alloc_retries: s.alloc_retries,
-            fault_injected,
-            barrier_executions: exec,
-            barrier_pre_null: pre_null,
-        };
         self.heap.gc.publish_metrics();
         if let Some(rc) = self.cycle.recovery.as_mut() {
             rc.publish_metrics();
