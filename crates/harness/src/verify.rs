@@ -25,7 +25,7 @@ use std::fmt;
 
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::mcheck::mix_seed;
-use wbe_heap::{debug, FaultPlan, FaultStats};
+use wbe_heap::{verify, FaultPlan, FaultStats};
 use wbe_interp::{
     BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, GcPolicy, Interp, Trap, Value,
 };
@@ -166,12 +166,11 @@ fn run_one(
     interp.set_verify_invariants(true);
     let result = interp.run(entry, &[Value::Int(iters)], fuel)?;
     let roots = interp.heap.static_roots();
-    let graph = debug::graph_stats(&interp.heap, &roots);
     Ok(RunOutcome {
         obs: Observables {
             result,
             allocations: interp.heap.stats.allocations,
-            reachable: graph.reachable,
+            reachable: verify::reachable_set(&interp.heap, &roots).len(),
         },
         fault: interp.heap.fault.as_ref().map(|p| p.stats),
         digest: interp.heap.fault.as_ref().map(|p| p.digest()),

@@ -1,14 +1,10 @@
-//! Heap introspection: the world digest, object dumps, and reachability
-//! statistics for debugging GC behaviour and writing assertions in
-//! tests.
-
-use std::collections::VecDeque;
+//! Heap introspection: the world digest and object dumps, for
+//! debugging GC behaviour and writing assertions in tests.
 
 use crate::heap::Heap;
 use crate::mix::fnv1a;
 use crate::object::ObjKind;
 use crate::value::{GcRef, Value};
-use crate::verify::ReachSet;
 
 fn value_bytes(v: Value) -> [u8; 9] {
     let (tag, payload) = match v {
@@ -61,48 +57,6 @@ pub fn world_digest(heap: &Heap) -> u64 {
     h
 }
 
-/// Reachability statistics from a root set.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GraphStats {
-    /// Objects reachable from the roots.
-    pub reachable: usize,
-    /// Live objects not reachable (floating garbage).
-    pub unreachable: usize,
-    /// Longest shortest-path distance from any root (BFS depth).
-    pub max_depth: usize,
-}
-
-/// BFS over the live object graph from `roots`: the verifier's visited
-/// set, filled first-in first-out because depth is reported.
-pub fn graph_stats(heap: &Heap, roots: &[GcRef]) -> GraphStats {
-    let store = &heap.store;
-    let mut seen = ReachSet::for_store(store);
-    let mut queue: VecDeque<(GcRef, usize)> = VecDeque::new();
-    queue.extend(
-        roots
-            .iter()
-            .copied()
-            .filter(|&r| seen.reach(store, r))
-            .map(|r| (r, 0)),
-    );
-    let mut max_depth = 0;
-    while let Some((r, d)) = queue.pop_front() {
-        max_depth = max_depth.max(d);
-        if let Ok(obj) = store.get(r) {
-            obj.for_each_ref(|child| {
-                if seen.reach(store, child) {
-                    queue.push_back((child, d + 1));
-                }
-            });
-        }
-    }
-    GraphStats {
-        reachable: seen.len(),
-        unreachable: heap.store.live_count() - seen.len(),
-        max_depth,
-    }
-}
-
 /// Renders one object (shallow).
 pub fn dump_object(heap: &Heap, r: GcRef) -> String {
     match heap.store.get(r) {
@@ -148,18 +102,6 @@ mod tests {
         h.set_field(a, 0, Value::from(b)).unwrap();
         h.set_elem(arr, 0, Some(a)).unwrap();
         (h, a, b, arr)
-    }
-
-    #[test]
-    fn graph_stats_reports_depth_and_garbage() {
-        let (h, a, _b, arr) = setup();
-        let g = graph_stats(&h, &[arr]);
-        assert_eq!(g.reachable, 3); // arr → a → b
-        assert_eq!(g.unreachable, 0);
-        assert_eq!(g.max_depth, 2);
-        let g2 = graph_stats(&h, &[a]);
-        assert_eq!(g2.reachable, 2);
-        assert_eq!(g2.unreachable, 1, "arr floats");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::fmt;
 use crate::mix::SplitMix64;
 
 /// Budget multiplier applied on a drain-pressure boost.
-const DRAIN_BOOST_FACTOR: usize = 16;
+pub(crate) const DRAIN_BOOST_FACTOR: usize = 16;
 
 /// Probabilities (in per-mille) and knobs for one fault schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -218,15 +218,12 @@ impl FaultPlan {
         hit
     }
 
-    /// Drain pressure: a budget multiplier for this mark step, if the
-    /// schedule injects one.
-    pub fn drain_pressure(&mut self) -> Option<usize> {
-        if self.roll(self.cfg.drain_boost_pm) {
-            self.stats.drain_boosts += 1;
-            Some(DRAIN_BOOST_FACTOR)
-        } else {
-            None
-        }
+    /// Drain pressure: should this mark step's budget be multiplied by
+    /// the boost factor?
+    pub fn drain_pressure(&mut self) -> bool {
+        let hit = self.roll(self.cfg.drain_boost_pm);
+        self.stats.drain_boosts += u64::from(hit);
+        hit
     }
 
     /// Should this allocation fail? After an injected failure, the next

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, DRAIN_BOOST_FACTOR};
 use crate::gc::{GcState, MarkStyle};
 use crate::object::{HeapObject, ObjKind, Payload};
 use crate::value::{FieldShape, GcRef, Value};
@@ -545,8 +545,8 @@ impl Heap {
             if plan.skip_mark_step() {
                 return None;
             }
-            if let Some(factor) = plan.drain_pressure() {
-                budget = budget.saturating_mul(factor);
+            if plan.drain_pressure() {
+                budget = budget.saturating_mul(DRAIN_BOOST_FACTOR);
             }
         }
         Some(self.gc.mark_step(&mut self.store, budget))

@@ -6,10 +6,11 @@
 //! B-tree of its own. Everything the verifier reports through the
 //! public API is in the file — the members of the reachable set in the
 //! order its by-value iterator yields them, its `len`, the three
-//! violation lists as their `Display` strings in list order, and
-//! `graph_stats` — for clean heaps and for each corruption the audit
-//! exists to catch, at capacities on both sides of a 64-slot word
-//! boundary. Byte equality therefore pins what a change of set
+//! violation lists as their `Display` strings in list order, and the
+//! line `graph_stats` wrote (the function is gone; the line now comes
+//! from the reachable set and the model BFS's depth) — for clean heaps
+//! and for each corruption the audit exists to catch, at capacities on
+//! both sides of a 64-slot word boundary. Byte equality therefore pins what a change of set
 //! representation must keep: ascending-slot iteration, dead and
 //! out-of-range roots and children ignored, duplicates counted once,
 //! reference-integrity violations ahead of mark violations.
@@ -34,7 +35,6 @@ use std::fmt::Write as _;
 
 use proptest::prelude::*;
 
-use wbe_heap::debug::graph_stats;
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::verify::{
     post_mark, post_sweep, reachable_set, verify_post_mark, verify_post_sweep, verify_refs,
@@ -80,23 +80,31 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The traversal `reachable_set` replaced, kept as the reference.
 fn model_reachable(heap: &Heap, roots: &[GcRef]) -> BTreeSet<GcRef> {
+    model_bfs(heap, roots).0
+}
+
+/// First-in first-out walk from `roots`: the reachable set and the
+/// longest shortest-path distance from any root.
+fn model_bfs(heap: &Heap, roots: &[GcRef]) -> (BTreeSet<GcRef>, usize) {
     let mut seen: BTreeSet<GcRef> = BTreeSet::new();
-    let mut queue: VecDeque<GcRef> = VecDeque::new();
+    let mut queue: VecDeque<(GcRef, usize)> = VecDeque::new();
     for &r in roots {
         if heap.store.is_live(r) && seen.insert(r) {
-            queue.push_back(r);
+            queue.push_back((r, 0));
         }
     }
-    while let Some(r) = queue.pop_front() {
+    let mut max_depth = 0;
+    while let Some((r, d)) = queue.pop_front() {
+        max_depth = max_depth.max(d);
         if let Ok(obj) = heap.store.get(r) {
             obj.for_each_ref(|child| {
                 if heap.store.is_live(child) && seen.insert(child) {
-                    queue.push_back(child);
+                    queue.push_back((child, d + 1));
                 }
             });
         }
     }
-    seen
+    (seen, max_depth)
 }
 
 /// One heap shape of the golden file.
@@ -366,11 +374,13 @@ fn stage(out: &mut String, name: &str, heap: &Heap, roots: &[GcRef]) {
     violations(out, "verify_refs", verify_refs(heap));
     violations(out, "verify_post_mark", verify_post_mark(heap, roots));
     violations(out, "verify_post_sweep", verify_post_sweep(heap));
-    let g = graph_stats(heap, roots);
+    // The line the deleted `debug::graph_stats` wrote, now from the
+    // reachable set and the model's depth.
+    let (_, max_depth) = model_bfs(heap, roots);
     writeln!(
         out,
-        "  graph_stats: reachable={} unreachable={} max_depth={}",
-        g.reachable, g.unreachable, g.max_depth
+        "  graph_stats: reachable={len} unreachable={} max_depth={max_depth}",
+        heap.store.live_count() - len
     )
     .expect("String");
 }
@@ -613,9 +623,6 @@ proptest! {
             .map(|&obj| Violation::UnmarkedReachable { obj })
             .collect();
         prop_assert_eq!(&post_mark[refs.len()..], &unmarked[..]);
-        let g = graph_stats(&heap, &roots);
-        prop_assert_eq!(g.reachable, expected.len());
-        prop_assert_eq!(g.unreachable, heap.store.live_count() - expected.len());
     }
 }
 

@@ -2,7 +2,7 @@
 //! and 100 reach the same final heap, modulo GC scheduling.
 
 use wbe_repro::harness::site::compile_workload_with;
-use wbe_repro::heap::debug;
+use wbe_repro::heap::verify::reachable_set;
 use wbe_repro::interp::{BarrierConfig, BarrierMode, Interp, Value};
 use wbe_repro::opt::{OptMode, PipelineConfig};
 use wbe_repro::workloads::standard_suite;
@@ -20,8 +20,8 @@ fn inlining_preserves_workload_heaps() {
                 .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
                 .unwrap_or_else(|t| panic!("{} @ limit {limit}: {t}", w.name));
             let roots = interp.heap.static_roots();
-            let g = debug::graph_stats(&interp.heap, &roots);
-            (interp.heap.stats.allocations, g.reachable, g.max_depth)
+            let reachable: Vec<_> = reachable_set(&interp.heap, &roots).into_iter().collect();
+            (interp.heap.stats.allocations, reachable)
         };
         assert_eq!(run(0), run(100), "{}", w.name);
     }

@@ -391,12 +391,12 @@ fn run_case(stmts: &[Stmt], iters: i64) -> Result<(), TestCaseError> {
         });
         let result = interp.run(main, &[Value::Int(iters)], 4_000_000)?;
         let roots = interp.heap.static_roots();
-        let stats = wbe_repro::heap::debug::graph_stats(&interp.heap, &roots);
+        let reachable = wbe_repro::heap::verify::reachable_set(&interp.heap, &roots).len();
         let s = &interp.stats;
         Ok((
             result,
             [s.insns, s.cycles, s.barrier_cycles, s.elided_executions],
-            (interp.heap.stats.allocations, stats.reachable),
+            (interp.heap.stats.allocations, reachable),
         ))
     };
 
@@ -425,8 +425,8 @@ fn run_case(stmts: &[Stmt], iters: i64) -> Result<(), TestCaseError> {
     // reachable heap (from statics), not raw live counts.
     let reachable_state = |interp: &Interp<'_>| {
         let roots = interp.heap.static_roots();
-        let stats = wbe_repro::heap::debug::graph_stats(&interp.heap, &roots);
-        (interp.heap.stats.allocations, stats.reachable)
+        let reachable = wbe_repro::heap::verify::reachable_set(&interp.heap, &roots).len();
+        (interp.heap.stats.allocations, reachable)
     };
     let run_reachable = |p: &Program, elided: ElidedBarriers| -> Result<(u64, usize), Trap> {
         let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided);
