@@ -80,7 +80,7 @@ pub(crate) fn render(solution: &MethodSolution<'_>, records: &[SiteRecord]) -> S
                     "barrier KEPT — analysis degraded (partial state had no failing condition)"
                         .to_string()
                 }
-                _ => format!("barrier KEPT — {}", rec.keep_detail),
+                _ => format!("barrier KEPT — {}", rec.keep_detail()),
             };
             let (idx, insn) = (rec.index, &block.insns[rec.index]);
             let _ = writeln!(out, "  {bid}[{idx}] {insn:?}: {verdict}");

@@ -35,9 +35,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wbe_ir::{cfg, Insn, InsnAddr, Method, MethodId, Program, Terminator};
+use wbe_ir::{cfg, BlockId, Insn, InsnAddr, Method, MethodId, Program, Terminator};
 
 use crate::config::AnalysisConfig;
 use crate::dump;
@@ -200,29 +201,41 @@ pub fn analyze_program_with(
     let _span = wbe_telemetry::span!("analysis.program");
     let start = Instant::now();
     let mut methods = BTreeMap::new();
+    // The dump's per-site lines are rendered from the records.
+    let with_records = products.ledger || products.dump;
+    // One record per barrier site, in one buffer sized for the program.
     let mut records = Vec::new();
+    if with_records {
+        let insns = program.iter_methods().flat_map(|(_, m)| m.iter_insns());
+        records.reserve_exact(
+            insns
+                .filter(|(_, _, i)| is_barrier_site(program, i))
+                .count(),
+        );
+    }
     let mut dump = String::new();
     let mut nos = BTreeMap::new();
     for (mid, method) in program.iter_methods() {
         let _span = wbe_telemetry::span!("analysis.fixpoint", "{}", method.name);
         let solution = MethodSolution::solve(program, method, config);
-        // The dump's per-site lines are rendered from the records.
-        let mut replay = solution.replay(products.ledger || products.dump);
+        let first = records.len();
+        let analysis = solution.replay_into(with_records.then_some(&mut records));
+        let method_records = &mut records[first..];
         if products.null_or_same {
-            let sites = nullsame::analyze_method_under(program, method, config);
-            for rec in &mut replay.records {
+            let sites = nullsame::analyze_method_under(program, method, config, solution.shape());
+            for rec in method_records.iter_mut() {
                 rec.null_or_same = sites.contains(&rec.addr());
             }
             nos.insert(mid, sites);
         }
         if products.dump {
-            dump.push_str(&dump::render(&solution, &replay.records));
+            dump.push_str(&dump::render(&solution, method_records));
         }
-        if products.ledger {
-            records.extend(replay.records);
+        if !products.ledger {
+            records.truncate(first);
         }
-        publish_method(&replay.analysis);
-        methods.insert(mid, replay.analysis);
+        publish_method(&analysis);
+        methods.insert(mid, analysis);
     }
     let elapsed = start.elapsed();
     Analyzed {
@@ -290,6 +303,9 @@ pub(crate) fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, DegradeReason> {
 #[derive(Debug)]
 pub struct MethodSolution<'p> {
     ctx: MethodCtx<'p>,
+    /// The method's control-flow shape, for the other domains' runs
+    /// over it (`None` if working it out panicked).
+    shape: Option<Shape>,
     /// Per-block entry states: the fixed point when `outcome` is
     /// `Complete`; otherwise whatever the driver had reached when the
     /// guardrail fired (nothing, after a panic).
@@ -316,19 +332,24 @@ impl<'p> MethodSolution<'p> {
     pub fn solve(program: &'p Program, method: &'p Method, config: &AnalysisConfig) -> Self {
         let mut ctx = MethodCtx::new(program, method, config);
         let unreached = || vec![None; method.blocks.len()];
-        let solved = isolated(|| {
-            // Classic escape (the ablation) runs twice, pinning what
-            // escaped anywhere in the first run as escaped from the start
-            // of the second.
-            let mut first = 0;
-            if !config.flow_sensitive_escape {
-                let mut classic = PreNull::new(&ctx, Some(RefSet::new()));
-                first = classic.run(config.max_iterations)?.1;
-                ctx.pinned_nl = classic.nl_anywhere.unwrap_or_default();
-            }
-            let (states, second) = PreNull::new(&ctx, None).run(config.max_iterations)?;
-            Ok((states, first + second))
-        })
+        let shape = isolated(|| Shape::of(method));
+        let solved = match &shape {
+            Ok(shape) => isolated(|| {
+                // Classic escape (the ablation) runs twice, pinning what
+                // escaped anywhere in the first run as escaped from the
+                // start of the second.
+                let mut first = 0;
+                if !config.flow_sensitive_escape {
+                    let mut classic = PreNull::new(&ctx, Some(RefSet::new()));
+                    first = classic.run(shape, config.max_iterations)?.1;
+                    ctx.pinned_nl = classic.nl_anywhere.unwrap_or_default();
+                }
+                let (states, second) =
+                    PreNull::new(&ctx, None).run(shape, config.max_iterations)?;
+                Ok((states, first + second))
+            }),
+            Err(reason) => Err(reason.clone()),
+        }
         // Partial states from a panicked run are not trusted even for
         // reporting.
         .unwrap_or_else(|reason| {
@@ -343,6 +364,7 @@ impl<'p> MethodSolution<'p> {
         };
         let mut solution = MethodSolution {
             ctx,
+            shape: shape.ok(),
             states,
             iterations,
             outcome,
@@ -365,6 +387,12 @@ impl<'p> MethodSolution<'p> {
     /// The analysis context the solution was computed in.
     pub fn ctx(&self) -> &MethodCtx<'p> {
         &self.ctx
+    }
+
+    /// The method's control-flow shape (`None` if working it out
+    /// panicked).
+    pub(crate) fn shape(&self) -> Option<&Shape> {
+        self.shape.as_ref()
     }
 
     /// How the solve concluded.
@@ -414,6 +442,15 @@ impl<'p> MethodSolution<'p> {
     /// fixed point of the analysis" (§2.4) and, `with_records`, the
     /// evidence behind each.
     pub fn replay(&self, with_records: bool) -> Replay {
+        let mut records = Vec::new();
+        let analysis = self.replay_into(with_records.then_some(&mut records));
+        Replay { analysis, records }
+    }
+
+    /// [`replay`](Self::replay), appending the records, if asked for,
+    /// to `records`.
+    pub(crate) fn replay_into(&self, mut records: Option<&mut Vec<SiteRecord>>) -> MethodAnalysis {
+        let with_records = records.is_some();
         let degraded = match &self.outcome {
             AnalysisOutcome::Degraded(reason) => Some(reason.to_string()),
             AnalysisOutcome::Complete => None,
@@ -423,12 +460,13 @@ impl<'p> MethodSolution<'p> {
             outcome: self.outcome.clone(),
             ..MethodAnalysis::default()
         };
-        let mut records = Vec::new();
         // A degraded method elides nothing: its states matter only to
         // the records.
         let states = (with_records || degraded.is_none()).then_some(&self.states[..]);
         let program = self.ctx.program;
         let site = |p: Option<&Insn>| p.is_some_and(|i| is_barrier_site(program, i));
+        // Made with the method's first record, shared by the rest.
+        let mut name = None;
         self.walk(states, site, |step| {
             let insn = step.insn.expect("a barrier site is an instruction");
             // Read before the transfer consumes the operands.
@@ -446,9 +484,11 @@ impl<'p> MethodSolution<'p> {
             if judgment == Some(Judgment::Elide) && degraded.is_none() {
                 analysis.elided.insert(step.addr);
             }
-            if with_records {
+            if let Some(records) = records.as_deref_mut() {
+                let name = name.get_or_insert_with(|| Arc::from(&*self.ctx.method.name));
                 records.push(ledger::site_record(
                     &self.ctx,
+                    name,
                     step.addr,
                     insn,
                     evidence.zip(judgment),
@@ -456,7 +496,7 @@ impl<'p> MethodSolution<'p> {
                 ));
             }
         });
-        Replay { analysis, records }
+        analysis
     }
 }
 
@@ -518,39 +558,91 @@ pub(crate) struct FixpointDegrade<S> {
 /// blocks processed, or the guardrail that fired.
 pub(crate) type Solved<S> = Result<(Vec<Option<S>>, usize), FixpointDegrade<S>>;
 
-/// The worklist fixed point of `domain` over `method`. Returns the
-/// per-block entry states and the blocks processed — or the guardrail
-/// that fired, with the states reached so far. `max_iterations` caps the
-/// blocks processed ([`AnalysisConfig::max_iterations`]).
+/// What the driver reads of a method's control flow, worked out once
+/// per method and shared by every run over it — classic escape's first
+/// pre-null run, the pre-null run and null-or-same's: the reachable
+/// blocks in reverse postorder and, per block, its position in that
+/// order and whether it is a join point.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    rpo: Vec<BlockId>,
+    blocks: Vec<BlockShape>,
+    /// The number of join points.
+    joins: usize,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct BlockShape {
+    /// Position in the reverse postorder (`usize::MAX`: unreachable).
+    rpo_pos: usize,
+    /// Edges into the block; the entry block's initial state counts as
+    /// one.
+    incoming: usize,
+    /// The block's index among the join points, if it is one.
+    join: Option<usize>,
+}
+
+impl Shape {
+    /// `method`'s shape. Panics on a branch to a block that does not
+    /// exist; callers work it out under [`isolated`].
+    pub(crate) fn of(method: &Method) -> Shape {
+        let rpo = cfg::reverse_postorder(method);
+        let unreached = BlockShape {
+            rpo_pos: usize::MAX,
+            incoming: 0,
+            join: None,
+        };
+        let mut blocks = vec![unreached; method.blocks.len()];
+        for (i, b) in rpo.iter().enumerate() {
+            blocks[b.index()].rpo_pos = i;
+        }
+        blocks[method.entry().index()].incoming += 1;
+        for (_, block) in method.iter_blocks() {
+            for succ in block.term.successors() {
+                blocks[succ.index()].incoming += 1;
+            }
+        }
+        // Blocks with a single incoming edge are not join points: their
+        // entry state is replaced, not merged (merging successive
+        // iterates would needlessly widen stride variables to ⊤).
+        let mut joins = 0;
+        for b in blocks.iter_mut().filter(|b| b.incoming > 1) {
+            b.join = Some(joins);
+            joins += 1;
+        }
+        Shape { rpo, blocks, joins }
+    }
+}
+
+/// The worklist fixed point of `domain` over `method`, whose shape is
+/// `shape`. Returns the per-block entry states and the blocks processed
+/// — or the guardrail that fired, with the states reached so far.
+/// `max_iterations` caps the blocks processed
+/// ([`AnalysisConfig::max_iterations`]).
 pub(crate) fn run_fixpoint<D: Domain>(
     method: &Method,
+    shape: &Shape,
     domain: &mut D,
     max_iterations: Option<usize>,
 ) -> Solved<D::State> {
     let nblocks = method.blocks.len();
-    let rpo = cfg::reverse_postorder(method);
-    let mut rpo_pos = vec![usize::MAX; nblocks];
-    for (i, b) in rpo.iter().enumerate() {
-        rpo_pos[b.index()] = i;
-    }
-
-    // Blocks with a single incoming edge are not join points: their
-    // entry state is replaced, not merged (merging successive iterates
-    // would needlessly widen stride variables to ⊤).
-    let mut incoming_edges = vec![0usize; nblocks];
-    incoming_edges[0] += 1; // the entry block also receives the initial state
-    for (_, block) in method.iter_blocks() {
-        for succ in block.term.successors() {
-            incoming_edges[succ.index()] += 1;
-        }
-    }
-
     let mut entry_states: Vec<Option<D::State>> = vec![None; nblocks];
-    let mut merge_counts: Vec<usize> = vec![0; nblocks];
     entry_states[0] = Some(domain.entry());
 
-    // Worklist keyed by RPO position for fast convergence.
-    let mut worklist = Worklist::new(nblocks);
+    // The run's own counters in one buffer: each join point's merges so
+    // far, then the worklist, keyed by RPO position for fast
+    // convergence. A buffer of one word, a method of up to 64 blocks
+    // with no join point, stays on the stack.
+    let words = shape.joins + Worklist::words(nblocks);
+    let (mut one, mut spilled) = ([0u64; 1], Vec::new());
+    let counters = if words <= one.len() {
+        &mut one[..words]
+    } else {
+        spilled.resize(words, 0);
+        &mut spilled[..]
+    };
+    let (merge_counts, worklist) = counters.split_at_mut(shape.joins);
+    let mut worklist = Worklist::new(worklist);
     worklist.insert(0);
     let mut iterations = 0usize;
     // The state a visit works on and the copy each edge but the last
@@ -571,7 +663,7 @@ pub(crate) fn run_fixpoint<D: Domain>(
         if iterations > cap {
             return Err(degrade(DegradeReason::IterationCap { limit: cap }));
         }
-        let bid = rpo[pos];
+        let bid = shape.rpo[pos];
         let Some(entry) = &entry_states[bid.index()] else {
             return Err(degrade(DegradeReason::Internal(
                 "worklist block has no entry state",
@@ -597,25 +689,26 @@ pub(crate) fn run_fixpoint<D: Domain>(
             };
             let out = edge.as_mut().expect("filled above");
             domain.transfer_edge(out, &block.term, i);
-            let s = succ.index();
-            let changed = match &mut entry_states[s] {
-                slot @ None => {
+            let to = shape.blocks[succ.index()];
+            let changed = match (&mut entry_states[succ.index()], to.join) {
+                (slot @ None, _) => {
                     *slot = edge.take();
                     true
                 }
                 // Not a join point: the new iterate replaces the old.
-                Some(existing) if incoming_edges[s] <= 1 => {
+                (Some(existing), None) => {
                     let changed = *out != *existing;
                     std::mem::swap(existing, out);
                     changed
                 }
-                Some(existing) => {
-                    merge_counts[s] += 1;
-                    domain.merge(existing, out, merge_counts[s] >= WIDEN_AFTER)
+                (Some(existing), Some(join)) => {
+                    merge_counts[join] += 1;
+                    let widen = merge_counts[join] >= WIDEN_AFTER as u64;
+                    domain.merge(existing, out, widen)
                 }
             };
             if changed {
-                worklist.insert(rpo_pos[s]);
+                worklist.insert(to.rpo_pos);
             }
         }
     }
@@ -731,8 +824,8 @@ impl<'c, 'p> PreNull<'c, 'p> {
     /// One run of the driver. Only this domain's runs are counted under
     /// `analysis.fixpoint.blocks_processed`, `analysis.state_merges`
     /// and `analysis.widenings`, and only when they converge.
-    fn run(&mut self, max_iterations: Option<usize>) -> Solved<AbsState> {
-        let solved = run_fixpoint(self.ctx.method, self, max_iterations)?;
+    fn run(&mut self, shape: &Shape, max_iterations: Option<usize>) -> Solved<AbsState> {
+        let solved = run_fixpoint(self.ctx.method, shape, self, max_iterations)?;
         wbe_telemetry::counter("analysis.fixpoint.blocks_processed").add(solved.1 as u64);
         wbe_telemetry::counter("analysis.state_merges").add(self.merges);
         wbe_telemetry::counter("analysis.widenings").add(self.widenings);

@@ -25,17 +25,32 @@
 //! marked; everything in a degraded method has verdict `Degraded`
 //! because a degraded method elides nothing.
 //!
+//! A record keeps what the judgment read as values — the receiver, its
+//! non-thread-local members, each member's σ entry or NR and Len, the
+//! index — and renders them only when a view asks:
+//! [`SiteRecord::receiver`], [`nl`](SiteRecord::nl),
+//! [`facts`](SiteRecord::facts) and
+//! [`keep_detail`](SiteRecord::keep_detail) are the one renderer behind
+//! the NDJSON, `wbe_tool explain` and the dump's per-site lines, so
+//! building records on the compile path formats nothing.
+//!
 //! Serialization is NDJSON (one record per line) with no timestamps or
 //! other run-varying data, so the same program and configuration
 //! produce a byte-identical ledger — the property `wbe_tool
 //! ledger-diff` relies on.
+
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 use wbe_ir::{BlockId, Insn, InsnAddr, MethodId, Program};
 use wbe_telemetry::json::ObjWriter;
 
 use crate::config::AnalysisConfig;
 use crate::fixpoint::MethodSolution;
-use crate::refs::singleton;
+use crate::intval::IntLat;
+use crate::range::IntRange;
+use crate::refs::{Ref, RefSet};
 use crate::state::{AbsState, AbsValue, FieldKey, MethodCtx};
 use crate::transfer::{Judgment, KeepCode};
 
@@ -84,8 +99,9 @@ pub struct SiteRecord {
     /// and index, the site's key in every runtime table. Not
     /// serialized; the NDJSON names the method.
     pub method_id: MethodId,
-    /// Name of the (post-inlining) method containing the site.
-    pub method: String,
+    /// Name of the (post-inlining) method containing the site, shared
+    /// by every record of the method.
+    pub method: Arc<str>,
     /// Block index of the site.
     pub block: usize,
     /// Instruction index within the block.
@@ -93,20 +109,11 @@ pub struct SiteRecord {
     /// `"putfield"` or `"aastore"`.
     pub kind: &'static str,
     /// Field name for `putfield`; `"[]"` for `aastore`.
-    pub target: String,
+    pub target: Cow<'static, str>,
     /// The verdict.
     pub verdict: Verdict,
-    /// Abstract receiver set at the site (`{A0.s1}`-style), or a
-    /// description like `Any` when no reference set is known.
-    pub receiver: String,
-    /// Receivers that are (possibly) non-thread-local at the site.
-    pub nl: Vec<String>,
-    /// The σ/NR/Len facts consulted by the judgment, rendered.
-    pub facts: Vec<String>,
     /// The first failing condition; `None` for `Elide`.
     pub keep_code: Option<KeepCode>,
-    /// Human-readable first failing condition (empty for `Elide`).
-    pub keep_detail: String,
     /// Degrade reason when [`Verdict::Degraded`] (empty otherwise).
     pub degraded: String,
     /// Whether the §4.3 null-or-same extension would elide this site
@@ -114,6 +121,11 @@ pub struct SiteRecord {
     /// [`Products`](crate::Products) ask for null-or-same too; always
     /// `false` straight out of [`ElisionLedger::build`]).
     pub null_or_same: bool,
+    /// What the judgment read, as values.
+    evidence: Evidence,
+    /// A detail set by hand ([`set_keep_detail`](Self::set_keep_detail))
+    /// in place of the one the keep-code and the evidence give.
+    detail_override: Option<&'static str>,
 }
 
 impl SiteRecord {
@@ -128,38 +140,148 @@ impl SiteRecord {
         self.addr().label(&self.method)
     }
 
+    /// The abstract receiver set at the site (`{A0.s1}`-style), a
+    /// description like `Any` when no reference set is known, or
+    /// nothing when the site's block has no state.
+    pub fn receiver(&self) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| match &self.evidence.receiver {
+            None => Ok(()),
+            Some(AbsValue::Refs(s)) => {
+                f.write_char('{')?;
+                for (i, r) in s.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(", ")?;
+                    }
+                    write!(f, "{r}")?;
+                }
+                f.write_char('}')
+            }
+            Some(other) => write!(f, "{other:?}"),
+        })
+    }
+
+    /// The receivers that are (possibly) non-thread-local at the site.
+    pub fn nl(&self) -> &[Ref] {
+        self.evidence.nl.as_slice()
+    }
+
+    /// The σ/NR/Len facts the judgment consulted, in order: per
+    /// receiver, σ of the stored field (`putfield`) or NR and Len
+    /// (`aastore`); then an `aastore`'s index.
+    pub fn facts(&self) -> impl Iterator<Item = impl fmt::Display + '_> + '_ {
+        let Evidence {
+            receiver,
+            members,
+            index,
+            ..
+        } = &self.evidence;
+        let refs = receiver.as_ref().map_or(&[][..], refs_of);
+        let field = &*self.target;
+        let per_member = refs
+            .iter()
+            .zip(members.as_slice())
+            .flat_map(move |(&r, c)| {
+                let facts = match c {
+                    Consulted::Sigma(v) => [Some(Fact::Sigma(r, field, v)), None],
+                    Consulted::Array(nr, len) => [Some(Fact::Nr(r, nr)), Some(Fact::Len(r, len))],
+                };
+                facts.into_iter().flatten()
+            });
+        per_member.chain(index.as_ref().map(Fact::Index))
+    }
+
+    /// The first failing condition, human-readable (empty for
+    /// `Elide`). A detail that quotes a fact
+    /// ([`KeepCode::names_fact`]) ends in the single receiver's σ
+    /// entry or NR.
+    pub fn keep_detail(&self) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| {
+            if let Some(detail) = self.detail_override {
+                return f.write_str(detail);
+            }
+            let Some(code) = self.keep_code else {
+                return Ok(());
+            };
+            f.write_str(code.detail())?;
+            match self.evidence.members.as_slice() {
+                [Consulted::Sigma(v)] if code.names_fact() => write!(f, "{v:?}"),
+                [Consulted::Array(nr, _)] if code.names_fact() => write!(f, "{nr:?}"),
+                _ => Ok(()),
+            }
+        })
+    }
+
+    /// Replaces the rendered first failing condition with `detail`, for
+    /// a record whose verdict was set by hand.
+    pub fn set_keep_detail(&mut self, detail: &'static str) {
+        self.detail_override = Some(detail);
+    }
+
     /// Renders the record as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        let mut w = ObjWriter::new(&mut out);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`to_json`](Self::to_json)'s object to `out`.
+    fn write_json(&self, out: &mut String) {
+        let receiver = self.receiver().to_string();
+        let nl = str_array(self.nl());
+        let facts = str_array(self.facts());
+        let keep_detail = self.keep_detail().to_string();
+        let mut w = ObjWriter::new(out);
         w.field_str("method", &self.method)
             .field_u64("block", self.block as u64)
             .field_u64("index", self.index as u64)
             .field_str("kind", self.kind)
             .field_str("target", &self.target)
             .field_str("verdict", self.verdict.as_str())
-            .field_str("receiver", &self.receiver)
-            .field_raw("nl", &str_array(&self.nl))
-            .field_raw("facts", &str_array(&self.facts))
+            .field_str("receiver", &receiver)
+            .field_raw("nl", &nl)
+            .field_raw("facts", &facts)
             .field_str("keep_code", self.keep_code.map_or("", KeepCode::as_str))
-            .field_str("keep_detail", &self.keep_detail)
+            .field_str("keep_detail", &keep_detail)
             .field_str("degraded", &self.degraded)
             .field_bool("null_or_same", self.null_or_same);
         w.finish();
-        out
     }
 }
 
-fn str_array(items: &[String]) -> String {
+/// `items`, each rendered, as a JSON array of strings.
+fn str_array(items: impl IntoIterator<Item = impl fmt::Display>) -> String {
     let mut out = String::from("[");
-    for (i, s) in items.iter().enumerate() {
+    for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        wbe_telemetry::json::push_str_escaped(&mut out, s);
+        wbe_telemetry::json::push_str_escaped(&mut out, &item.to_string());
     }
     out.push(']');
     out
+}
+
+/// One fact a judgment consulted, as [`SiteRecord::facts`] renders it.
+enum Fact<'r> {
+    /// σ of a receiver's field.
+    Sigma(Ref, &'r str, &'r AbsValue),
+    /// NR of an array.
+    Nr(Ref, &'r IntRange),
+    /// Len of an array.
+    Len(Ref, &'r IntLat),
+    /// An `aastore`'s index.
+    Index(&'r AbsValue),
+}
+
+impl fmt::Display for Fact<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Fact::Sigma(r, field, v) => write!(f, "σ({r}, {field}) = {v:?}"),
+            Fact::Nr(r, nr) => write!(f, "NR({r}) = {nr:?}"),
+            Fact::Len(r, len) => write!(f, "Len({r}) = {len:?}"),
+            Fact::Index(idx) => write!(f, "index = {idx:?}"),
+        }
+    }
 }
 
 /// The whole-program ledger: every barrier-relevant store site, in
@@ -202,7 +324,7 @@ impl ElisionLedger {
     pub fn to_ndjson(&self) -> String {
         let mut out = String::new();
         for rec in &self.records {
-            out.push_str(&rec.to_json());
+            rec.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -238,17 +360,60 @@ impl ElisionLedger {
     }
 }
 
-/// What the state before a barrier site says about it, rendered while
-/// that state is still there to read: the transfer function that yields
-/// the judgment consumes it.
-#[derive(Default)]
+/// What the state before a barrier site says about it, read while that
+/// state is still there (the transfer function that yields the judgment
+/// consumes it) and kept as values until a view renders them. The
+/// default is a site whose block has no state: nothing was read.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Evidence {
-    receiver: String,
-    nl: Vec<String>,
-    facts: Vec<String>,
-    /// σ of the single receiver's field, or NR of the single array: the
-    /// fact a [`KeepCode::names_fact`] detail ends in.
-    fact: Option<String>,
+    /// The object a `putfield` stores into, the array of an `aastore`.
+    receiver: Option<AbsValue>,
+    /// The receiver's members in NL.
+    nl: RefSet,
+    /// What was consulted of each member of a reference-set receiver,
+    /// in member order.
+    members: Members,
+    /// An `aastore`'s index.
+    index: Option<AbsValue>,
+}
+
+/// What a judgment consulted of one receiver.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Consulted {
+    /// σ of the stored field.
+    Sigma(AbsValue),
+    /// NR and Len of the array.
+    Array(IntRange, IntLat),
+}
+
+/// [`Consulted`] per member, the common single member held inline.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Members {
+    One(Consulted),
+    Many(Vec<Consulted>),
+}
+
+impl Default for Members {
+    fn default() -> Self {
+        Members::Many(Vec::new())
+    }
+}
+
+impl Members {
+    fn as_slice(&self) -> &[Consulted] {
+        match self {
+            Members::One(one) => std::slice::from_ref(one),
+            Members::Many(many) => many,
+        }
+    }
+}
+
+/// The members of a reference-set receiver; none for any other value.
+fn refs_of(receiver: &AbsValue) -> &[Ref] {
+    match receiver {
+        AbsValue::Refs(s) => s.as_slice(),
+        _ => &[],
+    }
 }
 
 impl Evidence {
@@ -259,69 +424,48 @@ impl Evidence {
     pub(crate) fn gather(pre: &AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Evidence {
         let (receiver, index) = match insn {
             Insn::PutField(_) => (operand(pre, 1), None),
-            Insn::AaStore => (operand(pre, 2), Some(operand(pre, 1))),
+            Insn::AaStore => (operand(pre, 2), Some(operand(pre, 1).clone())),
             _ => return Evidence::default(),
         };
-        let index = index.map(|idx| format!("index = {idx:?}"));
-        let AbsValue::Refs(s) = receiver else {
-            return Evidence {
-                receiver: format!("{receiver:?}"),
-                facts: index.into_iter().collect(),
-                ..Evidence::default()
-            };
+        let refs = refs_of(receiver);
+        let consult = |r: Ref| match insn {
+            Insn::PutField(f) => Consulted::Sigma(pre.sigma_lookup(ctx, r, FieldKey::Field(*f))),
+            _ => Consulted::Array(pre.nr_lookup(r), pre.len_lookup(r)),
         };
-        let single = singleton(s).is_some();
-        let mut fact = None;
-        let mut facts = Vec::new();
-        for &r in s.iter() {
-            let value = match insn {
-                Insn::PutField(f) => {
-                    let v = format!("{:?}", pre.sigma_lookup(ctx, r, FieldKey::Field(*f)));
-                    facts.push(format!("σ({r}, {}) = {v}", ctx.program.field(*f).name));
-                    v
-                }
-                _ => {
-                    let v = format!("{:?}", pre.nr_lookup(r));
-                    facts.push(format!("NR({r}) = {v}"));
-                    facts.push(format!("Len({r}) = {:?}", pre.len_lookup(r)));
-                    v
-                }
-            };
-            if single {
-                fact = Some(value);
-            }
-        }
-        facts.extend(index);
         Evidence {
-            receiver: fmt_refset(s.iter()),
-            nl: s
+            receiver: Some(receiver.clone()),
+            nl: refs
                 .iter()
                 .filter(|r| pre.nl.contains(r))
-                .map(|r| r.to_string())
+                .copied()
                 .collect(),
-            facts,
-            fact,
+            members: match refs {
+                &[one] => Members::One(consult(one)),
+                _ => Members::Many(refs.iter().map(|&r| consult(r)).collect()),
+            },
+            index,
         }
     }
 }
 
-/// The record for the barrier site `insn` at `addr`: `judged` is the
-/// evidence its pre-state showed and the judgment the transfer function
-/// returned there (`None` = its block has no entry state), `degraded`
-/// the method's degrade reason, if it degraded. The keep-code is the
-/// judgment's own; only the two details that name a fact are completed
-/// from the evidence.
+/// The record for the barrier site `insn` at `addr` of `ctx`'s method,
+/// named `method`: `judged` is the evidence its pre-state showed and
+/// the judgment the transfer function returned there (`None` = its
+/// block has no entry state), `degraded` the method's degrade reason,
+/// if it degraded. The keep-code is the judgment's own; only the two
+/// details that name a fact are completed from the evidence.
 pub(crate) fn site_record(
     ctx: &MethodCtx<'_>,
+    method: &Arc<str>,
     addr: InsnAddr,
     insn: &Insn,
     judged: Option<(Evidence, Judgment)>,
     degraded: Option<&str>,
 ) -> SiteRecord {
     let (kind, target) = match insn {
-        Insn::PutField(f) => ("putfield", ctx.program.field(*f).name.clone()),
-        Insn::AaStore => ("aastore", "[]".to_string()),
-        _ => ("", String::new()),
+        Insn::PutField(f) => ("putfield", ctx.program.field(*f).name.clone().into()),
+        Insn::AaStore => ("aastore", "[]".into()),
+        _ => ("", "".into()),
     };
     let (keep_code, evidence) = match judged {
         None if degraded.is_some() => (Some(KeepCode::NotReached), None),
@@ -334,26 +478,19 @@ pub(crate) fn site_record(
         (None, None) => Verdict::Elide,
         (None, Some(_)) => Verdict::Keep,
     };
-    let evidence = evidence.unwrap_or_default();
-    let mut keep_detail = keep_code.map_or("", KeepCode::detail).to_string();
-    if keep_code.is_some_and(KeepCode::names_fact) {
-        keep_detail.push_str(evidence.fact.as_deref().unwrap_or_default());
-    }
     SiteRecord {
         method_id: ctx.method.id,
-        method: ctx.method.name.clone(),
+        method: Arc::clone(method),
         block: addr.block.index(),
         index: addr.index,
         kind,
         target,
         verdict,
-        receiver: evidence.receiver,
-        nl: evidence.nl,
-        facts: evidence.facts,
         keep_code,
-        keep_detail,
         degraded: degraded.unwrap_or_default().to_string(),
         null_or_same: false,
+        evidence: evidence.unwrap_or_default(),
+        detail_override: None,
     }
 }
 
@@ -363,11 +500,6 @@ pub(crate) fn site_record(
 fn operand(pre: &AbsState, depth: usize) -> &AbsValue {
     let mut operands = pre.stack.iter().rev();
     operands.nth(depth).expect("verified IR never underflows")
-}
-
-fn fmt_refset<'a, I: Iterator<Item = &'a crate::refs::Ref>>(refs: I) -> String {
-    let items: Vec<String> = refs.map(|r| r.to_string()).collect();
-    format!("{{{}}}", items.join(", "))
 }
 
 #[cfg(test)]
@@ -422,9 +554,12 @@ mod tests {
             .collect();
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].keep_code, Some(KeepCode::ReceiverMayEscape));
-        assert!(!kept[0].nl.is_empty(), "escaped receiver listed: {kept:?}");
         assert!(
-            kept[0].facts.iter().any(|f| f.starts_with("σ(")),
+            !kept[0].nl().is_empty(),
+            "escaped receiver listed: {kept:?}"
+        );
+        assert!(
+            kept[0].facts().any(|f| f.to_string().starts_with("σ(")),
             "{kept:?}"
         );
     }
@@ -440,8 +575,11 @@ mod tests {
             .collect();
         assert_eq!(elided.len(), 1);
         assert!(elided[0].keep_code.is_none());
-        assert!(elided[0].keep_detail.is_empty());
-        assert!(elided[0].receiver.starts_with('{'), "{elided:?}");
+        assert!(elided[0].keep_detail().to_string().is_empty());
+        assert!(
+            elided[0].receiver().to_string().starts_with('{'),
+            "{elided:?}"
+        );
     }
 
     #[test]
@@ -521,7 +659,9 @@ mod tests {
         assert_eq!(ledger.records.len(), 3);
         assert_eq!(ledger.records[0].verdict, Verdict::Elide);
         assert_eq!(ledger.records[0].kind, "aastore");
-        assert!(ledger.records[0].facts.iter().any(|f| f.starts_with("NR(")));
+        assert!(ledger.records[0]
+            .facts()
+            .any(|f| f.to_string().starts_with("NR(")));
         assert_eq!(ledger.records[2].verdict, Verdict::Keep);
         assert_eq!(
             ledger.records[2].keep_code,

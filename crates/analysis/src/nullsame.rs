@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use wbe_ir::{Cond, Insn, InsnAddr, LocalId, Method, Program, StaticId, Terminator};
 
 use crate::config::AnalysisConfig;
-use crate::fixpoint::{isolated, replay, run_fixpoint, DegradeReason, Domain};
+use crate::fixpoint::{isolated, replay, run_fixpoint, DegradeReason, Domain, Shape};
 
 /// An object identity the analysis can name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -405,20 +405,23 @@ fn can_hold_a_fact(program: &Program, method: &Method) -> bool {
 /// empty set and is counted in `wbe-telemetry` under
 /// `analysis.degraded`.
 pub fn analyze_method(program: &Program, method: &Method) -> BTreeSet<InsnAddr> {
-    analyze_method_under(program, method, &AnalysisConfig::default())
+    analyze_method_under(program, method, &AnalysisConfig::default(), None)
 }
 
 /// [`analyze_method`] under `config`'s guardrails — the cap and panic
-/// isolation pre-null runs under, applied by the same driver.
+/// isolation pre-null runs under, applied by the same driver — over
+/// `shape`, the method's [`Shape`] if a pre-null solve has worked it
+/// out.
 pub(crate) fn analyze_method_under(
     program: &Program,
     method: &Method,
     config: &AnalysisConfig,
+    shape: Option<&Shape>,
 ) -> BTreeSet<InsnAddr> {
     if !can_hold_a_fact(program, method) {
         return BTreeSet::new();
     }
-    elidable(program, method, config).unwrap_or_else(|_| {
+    elidable(program, method, config, shape).unwrap_or_else(|_| {
         wbe_telemetry::counter("analysis.degraded").inc();
         BTreeSet::new()
     })
@@ -429,11 +432,20 @@ fn elidable(
     program: &Program,
     method: &Method,
     config: &AnalysisConfig,
+    shape: Option<&Shape>,
 ) -> Result<BTreeSet<InsnAddr>, DegradeReason> {
     isolated(|| {
+        let own;
+        let shape = match shape {
+            Some(shape) => shape,
+            None => {
+                own = Shape::of(method);
+                &own
+            }
+        };
         let mut domain = NullOrSame { program, method };
-        let (states, _) =
-            run_fixpoint(method, &mut domain, config.max_iterations).map_err(|d| d.reason)?;
+        let (states, _) = run_fixpoint(method, shape, &mut domain, config.max_iterations)
+            .map_err(|d| d.reason)?;
         let mut sites = BTreeSet::new();
         let asked =
             |p: Option<&Insn>| matches!(p, Some(&Insn::PutField(f)) if program.field_is_ref(f));
@@ -684,7 +696,7 @@ mod tests {
         let p = pb.finish();
         for m in [store_only, load_only, int_store] {
             assert!(!can_hold_a_fact(&p, p.method(m)), "{m}");
-            let solved = elidable(&p, p.method(m), &AnalysisConfig::default());
+            let solved = elidable(&p, p.method(m), &AnalysisConfig::default(), None);
             assert_eq!(solved, Ok(BTreeSet::new()), "{m}");
             assert!(analyze_method(&p, p.method(m)).is_empty());
         }

@@ -22,9 +22,20 @@ type Row = Vec<(FieldKey, AbsValue)>;
 
 /// The abstract store. Copies share the index and every row; a write
 /// copies the index and the one row it touches, unless the copy
-/// writing already owns them.
-#[derive(Clone, Default)]
+/// writing already owns them. An empty store costs no allocation: it
+/// shares its thread's one empty index until it is written.
+#[derive(Clone)]
 pub(crate) struct Sigma(Rc<Vec<(Ref, Rc<Row>)>>);
+
+thread_local! {
+    static EMPTY: Rc<Vec<(Ref, Rc<Row>)>> = Rc::default();
+}
+
+impl Default for Sigma {
+    fn default() -> Self {
+        Sigma(EMPTY.with(Rc::clone))
+    }
+}
 
 impl Sigma {
     /// `r`'s explicit entries, ascending by key (empty when it has

@@ -263,12 +263,26 @@ impl<'p> MethodCtx<'p> {
 /// they were taken are equal without looking at an entry, which is the
 /// common answer when the fixed-point driver asks whether a block's
 /// out-state still equals its successor's entry state.
+///
+/// An empty map costs no allocation: every empty `Len` or `NR` made on
+/// a thread shares that thread's one empty map until it is written.
 #[derive(Clone)]
 struct Shared<K, V>(Rc<BTreeMap<K, V>>);
 
-impl<K, V> Default for Shared<K, V> {
+thread_local! {
+    static EMPTY_LEN: Rc<BTreeMap<Ref, IntLat>> = Rc::default();
+    static EMPTY_NR: Rc<BTreeMap<Ref, IntRange>> = Rc::default();
+}
+
+impl Default for Shared<Ref, IntLat> {
     fn default() -> Self {
-        Shared(Rc::new(BTreeMap::new()))
+        Shared(EMPTY_LEN.with(Rc::clone))
+    }
+}
+
+impl Default for Shared<Ref, IntRange> {
+    fn default() -> Self {
+        Shared(EMPTY_NR.with(Rc::clone))
     }
 }
 

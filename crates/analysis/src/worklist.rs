@@ -2,18 +2,24 @@
 //! positions that hands back the lowest first, so a block is revisited
 //! only after everything before it in RPO has settled.
 
-/// A set of positions `0..n`, one bit each.
+/// A set of positions `0..n`, one bit each, in words the caller owns
+/// (the driver keeps them in one buffer with its merge counts).
 #[derive(Debug)]
-pub(crate) struct Worklist {
-    words: Vec<u64>,
+pub(crate) struct Worklist<'w> {
+    words: &'w mut [u64],
 }
 
-impl Worklist {
-    /// The empty set over positions `0..n`.
-    pub(crate) fn new(n: usize) -> Worklist {
-        Worklist {
-            words: vec![0; n.div_ceil(64)],
-        }
+impl<'w> Worklist<'w> {
+    /// The words a set over positions `0..n` takes.
+    pub(crate) fn words(n: usize) -> usize {
+        n.div_ceil(64)
+    }
+
+    /// The empty set in `words`, which are zero and as many as
+    /// [`words`](Self::words) gives.
+    pub(crate) fn new(words: &'w mut [u64]) -> Worklist<'w> {
+        debug_assert!(words.iter().all(|&w| w == 0));
+        Worklist { words }
     }
 
     /// Adds `pos` (no effect if it is already there).
@@ -47,7 +53,8 @@ mod tests {
             n in 1usize..200,
             ops in proptest::collection::vec((0u8..3, 0usize..200), 0..400),
         ) {
-            let mut worklist = Worklist::new(n);
+            let mut words = vec![0; Worklist::words(n)];
+            let mut worklist = Worklist::new(&mut words);
             let mut model = BTreeSet::new();
             for (op, pos) in ops {
                 if op > 0 {

@@ -66,7 +66,7 @@ pub fn explain_sites(
         sites.iter().filter_map(|s| Some((s, s.record?))).collect();
     let selected = recorded
         .iter()
-        .filter(|(_, rec)| method.is_none_or(|m| rec.method == m));
+        .filter(|(_, rec)| method.is_none_or(|m| *rec.method == *m));
     let (skip, take) = site.map_or((0, usize::MAX), |n| (n, 1));
     let mut shown = 0;
     for (s, rec) in selected.skip(skip).take(take) {
@@ -102,17 +102,23 @@ fn render_site(out: &mut String, s: &SiteReport<'_>, rec: &SiteRecord) {
         rec.kind,
         rec.target
     );
-    if !rec.receiver.is_empty() {
-        let _ = writeln!(out, "  receiver: {}", rec.receiver);
+    let receiver = rec.receiver().to_string();
+    if !receiver.is_empty() {
+        let _ = writeln!(out, "  receiver: {receiver}");
     }
-    if !rec.nl.is_empty() {
-        let _ = writeln!(out, "  non-thread-local: {}", rec.nl.join(", "));
+    if let [first, rest @ ..] = rec.nl() {
+        let _ = write!(out, "  non-thread-local: {first}");
+        for r in rest {
+            let _ = write!(out, ", {r}");
+        }
+        out.push('\n');
     }
-    for fact in &rec.facts {
+    for fact in rec.facts() {
         let _ = writeln!(out, "  fact: {fact}");
     }
-    if !rec.keep_detail.is_empty() {
-        let _ = writeln!(out, "  first failing condition: {}", rec.keep_detail);
+    let detail = rec.keep_detail().to_string();
+    if !detail.is_empty() {
+        let _ = writeln!(out, "  first failing condition: {detail}");
     }
     if rec.null_or_same {
         let _ = writeln!(
@@ -152,7 +158,7 @@ pub fn demo_flip(ledger: &mut ElisionLedger) {
     for rec in &mut ledger.records {
         if rec.verdict == Verdict::Elide {
             rec.verdict = Verdict::Keep;
-            rec.keep_detail = "deliberately flipped for the negative control".to_string();
+            rec.set_keep_detail("deliberately flipped for the negative control");
         }
     }
 }

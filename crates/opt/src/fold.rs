@@ -169,16 +169,19 @@ fn fold_branch(block: &mut Block) -> bool {
 
 /// Removes blocks unreachable from the entry, remapping branch targets.
 fn remove_unreachable(method: &mut Method) -> usize {
-    let reachable: std::collections::BTreeSet<BlockId> =
-        wbe_ir::cfg::reverse_postorder(method).into_iter().collect();
-    if reachable.len() == method.blocks.len() {
+    let order = wbe_ir::cfg::reverse_postorder(method);
+    // The common case: every block is reachable.
+    if order.len() == method.blocks.len() {
         return 0;
+    }
+    let mut reachable = vec![false; method.blocks.len()];
+    for bid in order {
+        reachable[bid.index()] = true;
     }
     let mut remap = vec![None; method.blocks.len()];
     let mut kept = Vec::new();
     for (i, block) in method.blocks.drain(..).enumerate() {
-        let bid = BlockId::from_index(i);
-        if reachable.contains(&bid) {
+        if reachable[i] {
             remap[i] = Some(BlockId::from_index(kept.len()));
             kept.push(block);
         }

@@ -65,9 +65,10 @@ pub fn inline_program(program: &Program, config: InlineConfig) -> (Program, Inli
     if config.limit == 0 {
         return (out, stats);
     }
-    // Callee bodies come from the original snapshot, like a JIT inlining
-    // bytecode (not already-inlined copies).
-    let snapshot = program.clone();
+    // Callee bodies come from the original program, like a JIT inlining
+    // bytecode (not already-inlined copies). Only `out` is written, so
+    // the input itself is that snapshot.
+    let snapshot = program;
     for mid in 0..out.methods.len() {
         let mid = MethodId::from_index(mid);
         let original_size = snapshot.method(mid).size.max(1);
@@ -75,11 +76,11 @@ pub fn inline_program(program: &Program, config: InlineConfig) -> (Program, Inli
         for _pass in 0..MAX_PASSES {
             let mut any = false;
             loop {
-                let site = find_eligible_call(&out, mid, &snapshot, config, max_size, &mut stats);
+                let site = find_eligible_call(&out, mid, snapshot, config, max_size, &mut stats);
                 let Some((bid, idx, callee)) = site else {
                     break;
                 };
-                inline_call_site(&mut out, mid, bid, idx, &snapshot, callee);
+                inline_call_site(&mut out, mid, bid, idx, snapshot, callee);
                 stats.inlined_calls += 1;
                 any = true;
             }
@@ -139,7 +140,7 @@ fn inline_call_site(
     snapshot: &Program,
     callee_id: MethodId,
 ) {
-    let callee = snapshot.method(callee_id).clone();
+    let callee = snapshot.method(callee_id);
     let nparams = callee.sig.params.len();
 
     // Fresh allocation sites for the inlined copy.

@@ -392,7 +392,7 @@ mod tests {
         let rec = ledger
             .records
             .iter()
-            .find(|r| r.method == "refresh")
+            .find(|r| &*r.method == "refresh")
             .unwrap();
         assert_eq!(rec.verdict, wbe_analysis::Verdict::Keep);
         assert!(rec.null_or_same, "W_NS-elidable site annotated: {rec:?}");

@@ -66,9 +66,10 @@ pub use trace::TraceEvent;
 
 /// Resolves (registering on first use) a counter in the global registry.
 ///
-/// With metrics disabled this returns a *detached* handle instead:
-/// writes land in a private cell nobody reads, and the registry is not
-/// touched at all (no lock, no name registration). A long-lived holder
+/// With metrics disabled this returns a *detached* handle instead: it
+/// has no cell, so writes are dropped and it reads 0 (even once metrics
+/// are on), and neither the registry (no lock, no name registration)
+/// nor the allocator is touched. A long-lived holder
 /// that must survive `configure` flips should re-resolve lazily at use
 /// time rather than caching a handle obtained while disabled.
 pub fn counter(name: &str) -> Counter {

@@ -138,9 +138,9 @@ pub fn judged_elidable(pre: &AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> bool
 
 /// The keep-code and detail the ledger wrote for `rec` (empty for an
 /// elided site).
-fn recorded(rec: &SiteRecord) -> (&str, &str) {
+fn recorded(rec: &SiteRecord) -> (&str, String) {
     let code = rec.keep_code.map_or("", |c| c.as_str());
-    (code, rec.keep_detail.as_str())
+    (code, rec.keep_detail().to_string())
 }
 
 /// Holds every record of `records` (a ledger of `program` under
@@ -155,7 +155,7 @@ pub fn check(
 ) -> Result<BTreeMap<String, usize>, String> {
     let by_site: HashMap<(&str, usize, usize), &SiteRecord> = records
         .iter()
-        .map(|r| ((r.method.as_str(), r.block, r.index), r))
+        .map(|r| ((&*r.method, r.block, r.index), r))
         .collect();
     let mut codes = BTreeMap::new();
     let mut sites = 0;
@@ -197,7 +197,7 @@ pub fn check(
                             (verdict, reason.code, reason.detail)
                         }
                     };
-                    if rec.verdict != verdict || recorded(rec) != (code, detail.as_str()) {
+                    if rec.verdict != verdict || recorded(rec) != (code, detail.clone()) {
                         return Err(format!(
                             "{}: ledger says {:?} {:?}, the model {verdict:?} ({code:?}, {detail:?})",
                             rec.site_key(),

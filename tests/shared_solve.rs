@@ -68,7 +68,7 @@ fn compile_with_ledger_equals_the_standalone_entry_points() {
                     .iter()
                     .flat_map(|l| &l.records)
                     .filter(|r| r.null_or_same)
-                    .map(|r| (r.method.as_str(), r.block, r.index))
+                    .map(|r| (&*r.method, r.block, r.index))
                     .collect();
                 let expected: BTreeSet<_> = nos
                     .null_or_same_sites()
