@@ -152,6 +152,11 @@ fn unwritable_output_exits_two() {
     for flag in ["--metrics-out", "--trace-out", "--chrome-trace"] {
         let (code, _) = run(&["report", "jess", "--scale", "0.01", flag, nowhere]);
         assert_eq!(code, Some(2), "report {flag}");
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["fig3", flag, nowhere])
+            .output()
+            .expect("spawn experiments");
+        assert_eq!(out.status.code(), Some(2), "experiments fig3 {flag}");
     }
 }
 
