@@ -58,10 +58,6 @@ fn main() {
             }
         }
     }
-    wbe_telemetry::configure(wbe_telemetry::TelemetryConfig {
-        metrics: true,
-        tracing: trace_out.is_some() || chrome_trace.is_some(),
-    });
     let run_one = |name: &str| match name {
         "table1" => {
             println!("== Table 1: dynamic barrier elimination (inline limit 100, mode A) ==");
@@ -110,42 +106,24 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if which == "all" {
-        for name in [
-            "table1",
-            "fig2",
-            "fig3",
-            "table2",
-            "pause",
-            "ext",
-            "rearrange",
-            "static",
-            "clients",
-            "combined",
-        ] {
-            run_one(name);
-        }
-    } else {
-        run_one(&which);
-    }
-    if let Some(path) = &metrics_out {
-        let path = std::path::Path::new(path);
-        if let Err(e) = wbe_telemetry::export::write_metrics_json(path) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("metrics written to {}", path.display());
-    }
-    let path = std::path::Path::new;
-    let (ndjson, chrome) = (
-        trace_out.as_deref().map(path),
-        chrome_trace.as_deref().map(path),
+    let all = [
+        "table1",
+        "fig2",
+        "fig3",
+        "table2",
+        "pause",
+        "ext",
+        "rearrange",
+        "static",
+        "clients",
+        "combined",
+    ];
+    let one = [which.as_str()];
+    let names = if which == "all" { &all[..] } else { &one[..] };
+    wbe_harness::with_telemetry_files(
+        metrics_out.as_deref(),
+        trace_out.as_deref(),
+        chrome_trace.as_deref(),
+        || names.iter().for_each(|name| run_one(name)),
     );
-    if let Err(e) = wbe_telemetry::export::write_traces(ndjson, chrome) {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
-    for path in [&trace_out, &chrome_trace].into_iter().flatten() {
-        println!("trace written to {path}");
-    }
 }

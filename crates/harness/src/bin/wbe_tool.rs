@@ -269,77 +269,61 @@ fn report(rest: &[String]) {
             s => sources.push(s.to_string()),
         }
     }
-    wbe_telemetry::configure(wbe_telemetry::TelemetryConfig {
-        metrics: true,
-        tracing: trace_out.is_some() || chrome_trace.is_some(),
-    });
-
-    // Built-in workloads run end-to-end (instrumenting analysis, interp,
-    // and heap); bare .wbe files are compiled and analyzed only.
-    let mut gc_total = wbe_heap::gc::GcStats::default();
-    let mut barriers = BarrierStats::default();
-    let mut run_builtin = |w: &wbe_workloads::Workload| {
-        let obs = observe(w, &RunSpec::baseline(scale))
-            .completed()
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                exit(1)
-            });
-        gc_total.merge(&obs.gc);
-        barriers.merge(&obs.stats.barrier);
-        println!(
-            "{:<8} barriers: {}; gc: {}",
-            obs.workload, obs.stats.barrier, obs.gc
-        );
-    };
-    if sources.is_empty() {
-        for w in wbe_workloads::standard_suite() {
-            run_builtin(&w);
-        }
-    } else {
-        for s in &sources {
-            if let Some(w) = wbe_workloads::by_name(s) {
-                run_builtin(&w);
-            } else {
-                let program = load(s);
-                check(&program, s);
-                let compiled = compile(&program, &PipelineConfig::default());
+    wbe_harness::with_telemetry_files(
+        metrics_out.as_deref(),
+        trace_out.as_deref(),
+        chrome_trace.as_deref(),
+        || {
+            // Built-in workloads run end-to-end (instrumenting analysis,
+            // interp, and heap); bare .wbe files are compiled and
+            // analyzed only.
+            let mut gc_total = wbe_heap::gc::GcStats::default();
+            let mut barriers = BarrierStats::default();
+            let mut run_builtin = |w: &wbe_workloads::Workload| {
+                let obs = observe(w, &RunSpec::baseline(scale))
+                    .completed()
+                    .unwrap_or_else(|e| {
+                        eprintln!("{e}");
+                        exit(1)
+                    });
+                gc_total.merge(&obs.gc);
+                barriers.merge(&obs.stats.barrier);
                 println!(
-                    "{s:<8} analyzed: {} elided sites, code size {} bytes",
-                    compiled.elided_sites().len(),
-                    compiled.code_size()
+                    "{:<8} barriers: {}; gc: {}",
+                    obs.workload, obs.stats.barrier, obs.gc
                 );
+            };
+            if sources.is_empty() {
+                for w in wbe_workloads::standard_suite() {
+                    run_builtin(&w);
+                }
+            } else {
+                for s in &sources {
+                    if let Some(w) = wbe_workloads::by_name(s) {
+                        run_builtin(&w);
+                    } else {
+                        let program = load(s);
+                        check(&program, s);
+                        let compiled = compile(&program, &PipelineConfig::default());
+                        println!(
+                            "{s:<8} analyzed: {} elided sites, code size {} bytes",
+                            compiled.elided_sites().len(),
+                            compiled.code_size()
+                        );
+                    }
+                }
             }
-        }
-    }
-    println!("suite    barriers: {barriers}; gc: {gc_total}");
-    println!();
+            println!("suite    barriers: {barriers}; gc: {gc_total}");
+            println!();
 
-    let snap = wbe_telemetry::registry::global().snapshot();
-    if ndjson {
-        print!("{}", wbe_telemetry::export::metrics_ndjson(&snap));
-    } else {
-        print!("{}", wbe_telemetry::export::metrics_text(&snap));
-    }
-    if let Some(path) = &metrics_out {
-        if let Err(e) = wbe_telemetry::export::write_metrics_json(std::path::Path::new(path)) {
-            eprintln!("cannot write {path}: {e}");
-            exit(2);
-        }
-        println!("metrics written to {path}");
-    }
-    let path = std::path::Path::new;
-    let (ndjson, chrome) = (
-        trace_out.as_deref().map(path),
-        chrome_trace.as_deref().map(path),
+            let snap = wbe_telemetry::registry::global().snapshot();
+            if ndjson {
+                print!("{}", wbe_telemetry::export::metrics_ndjson(&snap));
+            } else {
+                print!("{}", wbe_telemetry::export::metrics_text(&snap));
+            }
+        },
     );
-    if let Err(e) = wbe_telemetry::export::write_traces(ndjson, chrome) {
-        eprintln!("{e}");
-        exit(2);
-    }
-    for path in [&trace_out, &chrome_trace].into_iter().flatten() {
-        println!("trace written to {path}");
-    }
 }
 
 /// Flags shared by `explain` and `ledger`: the pipeline whose ledger is

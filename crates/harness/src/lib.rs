@@ -50,6 +50,41 @@ pub(crate) fn measuring() -> std::sync::MutexGuard<'static, ()> {
     guard
 }
 
+/// Runs `body` with metrics on, and tracing too when a trace file is
+/// named, then writes the files the telemetry flags name: the metrics
+/// snapshot as JSON to `metrics_out`, the trace stream as NDJSON to
+/// `trace_out` and as Chrome trace-event JSON to `chrome_trace`, each
+/// followed by a "… written to" line. A file that cannot be written
+/// exits 2: the tool could not do what it was asked.
+pub fn with_telemetry_files(
+    metrics_out: Option<&str>,
+    trace_out: Option<&str>,
+    chrome_trace: Option<&str>,
+    body: impl FnOnce(),
+) {
+    wbe_telemetry::configure(wbe_telemetry::TelemetryConfig {
+        metrics: true,
+        tracing: trace_out.is_some() || chrome_trace.is_some(),
+    });
+    body();
+    let path = std::path::Path::new;
+    if let Some(out) = metrics_out {
+        if let Err(e) = wbe_telemetry::export::write_metrics_json(path(out)) {
+            eprintln!("cannot write {out}: {e}");
+            std::process::exit(2);
+        }
+        println!("metrics written to {out}");
+    }
+    if let Err(e) = wbe_telemetry::export::write_traces(trace_out.map(path), chrome_trace.map(path))
+    {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+    for out in [trace_out, chrome_trace].into_iter().flatten() {
+        println!("trace written to {out}");
+    }
+}
+
 /// `num` as a percentage of `den`, and 0 when `den` is.
 pub(crate) fn pct(num: u64, den: u64) -> f64 {
     if den == 0 {
