@@ -26,6 +26,16 @@ fn histogram_json(h: &HistogramSnapshot) -> String {
 
     let mut out = String::new();
     let mut w = ObjWriter::new(&mut out);
+    histogram_fields(&mut w, h).field_raw("buckets", &buckets);
+    w.finish();
+    out
+}
+
+/// Writes a histogram's ten summary fields, `count` through `p999`.
+fn histogram_fields<'w, 'a>(
+    w: &'w mut ObjWriter<'a>,
+    h: &HistogramSnapshot,
+) -> &'w mut ObjWriter<'a> {
     w.field_u64("count", h.count)
         .field_u64("samples", h.count)
         .field_u64("sum", h.sum)
@@ -36,9 +46,12 @@ fn histogram_json(h: &HistogramSnapshot) -> String {
         .field_u64("p90", h.quantile(0.90))
         .field_u64("p99", h.quantile(0.99))
         .field_u64("p999", h.quantile(0.999))
-        .field_raw("buckets", &buckets);
-    w.finish();
-    out
+}
+
+/// The span name in a registry key `span.<name>.us`; `None` for the
+/// key of a plain histogram.
+fn span_name(key: &str) -> Option<&str> {
+    key.strip_prefix("span.")?.strip_suffix(".us")
 }
 
 fn map_json<'a, I>(entries: I) -> String
@@ -68,21 +81,16 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> String {
     );
     let gauges = map_json(snap.gauges.iter().map(|(k, v)| (k.as_str(), v.to_string())));
 
-    let is_span_key = |k: &str| k.starts_with("span.") && k.ends_with(".us");
     let histograms = map_json(
         snap.histograms
             .iter()
-            .filter(|(k, _)| !is_span_key(k))
+            .filter(|(k, _)| span_name(k).is_none())
             .map(|(k, h)| (k.as_str(), histogram_json(h))),
     );
     let spans = map_json(
         snap.histograms
             .iter()
-            .filter(|(k, _)| is_span_key(k))
-            .map(|(k, h)| {
-                let name = &k["span.".len()..k.len() - ".us".len()];
-                (name, histogram_json(h))
-            }),
+            .filter_map(|(k, h)| Some((span_name(k)?, histogram_json(h)))),
     );
 
     let mut out = String::new();
@@ -195,7 +203,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 /// sibling of [`metrics_json`], sharing one line-oriented format with
 /// the elision-ledger export.
 pub fn metrics_ndjson(snap: &MetricsSnapshot) -> String {
-    let is_span_key = |k: &str| k.starts_with("span.") && k.ends_with(".us");
     let mut out = String::new();
     for (k, v) in &snap.counters {
         let mut w = ObjWriter::new(&mut out);
@@ -214,24 +221,13 @@ pub fn metrics_ndjson(snap: &MetricsSnapshot) -> String {
         out.push('\n');
     }
     for (k, h) in &snap.histograms {
-        let (kind, name) = if is_span_key(k) {
-            ("span", &k["span.".len()..k.len() - ".us".len()])
-        } else {
-            ("histogram", k.as_str())
+        let (kind, name) = match span_name(k) {
+            Some(name) => ("span", name),
+            None => ("histogram", k.as_str()),
         };
         let mut w = ObjWriter::new(&mut out);
-        w.field_str("kind", kind)
-            .field_str("name", name)
-            .field_u64("count", h.count)
-            .field_u64("samples", h.count)
-            .field_u64("sum", h.sum)
-            .field_u64("min", h.min)
-            .field_u64("max", h.max)
-            .field_f64("mean", h.mean())
-            .field_u64("p50", h.quantile(0.50))
-            .field_u64("p90", h.quantile(0.90))
-            .field_u64("p99", h.quantile(0.99))
-            .field_u64("p999", h.quantile(0.999));
+        w.field_str("kind", kind).field_str("name", name);
+        histogram_fields(&mut w, h);
         w.finish();
         out.push('\n');
     }
@@ -241,8 +237,6 @@ pub fn metrics_ndjson(snap: &MetricsSnapshot) -> String {
 /// Renders a [`MetricsSnapshot`] as an aligned human-readable report.
 pub fn metrics_text(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    let is_span_key = |k: &str| k.starts_with("span.") && k.ends_with(".us");
-
     if !snap.counters.is_empty() {
         out.push_str("counters:\n");
         for (k, v) in &snap.counters {
@@ -258,7 +252,7 @@ pub fn metrics_text(snap: &MetricsSnapshot) -> String {
     let hists: Vec<_> = snap
         .histograms
         .iter()
-        .filter(|(k, _)| !is_span_key(k))
+        .filter(|(k, _)| span_name(k).is_none())
         .collect();
     if !hists.is_empty() {
         out.push_str("histograms:\n");
@@ -278,12 +272,11 @@ pub fn metrics_text(snap: &MetricsSnapshot) -> String {
     let spans: Vec<_> = snap
         .histograms
         .iter()
-        .filter(|(k, _)| is_span_key(k))
+        .filter_map(|(k, h)| Some((span_name(k)?, h)))
         .collect();
     if !spans.is_empty() {
         out.push_str("spans (durations in us):\n");
-        for (k, h) in spans {
-            let name = &k["span.".len()..k.len() - ".us".len()];
+        for (name, h) in spans {
             let _ = writeln!(
                 out,
                 "  {name:<44} n={} total={} mean={:.1} p99={} p999={} max={}",
