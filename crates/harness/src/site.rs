@@ -8,10 +8,10 @@
 //! workload once, runs it once and owns what came out; [`Observed::sites`]
 //! is the only place those facts are brought together, keyed by
 //! `(MethodId, InsnAddr)`. Every table it folds is keyed that way too —
-//! the ledger's records carry the `MethodId` they were solved in, and a
-//! revocation's `SiteKey` maps back through [`wbe_interp::site_of`] — so
-//! no method name is looked up, and two methods that share one (two
-//! overloaded constructors) keep a row each. Everything else is a fold
+//! the ledger's records carry the `MethodId` they were solved in, and
+//! `RunStats` keeps the run's counters and revocations under that key —
+//! so no key is converted, no method name is looked up, and two methods
+//! that share one (two overloaded constructors) keep a row each. Everything else is a fold
 //! over that table, or, for the paper's experiments, over the run's
 //! totals ([`Observed::summary`]).
 
@@ -23,8 +23,8 @@ use wbe_heap::recover::RecoveryController;
 use wbe_heap::{FaultConfig, FaultPlan, FaultStats, RecoveryPolicy};
 use wbe_interp::oracle::{OracleState, SiteNecessity};
 use wbe_interp::{
-    site_of, BarrierConfig, BarrierMode, BarrierSummary, ElidedBarriers, ElisionKind, GcPolicy,
-    Interp, RunStats, SiteStats, StoreKind, Trap, Value,
+    BarrierConfig, BarrierMode, BarrierSummary, ElidedBarriers, ElisionKind, GcPolicy, Interp,
+    RunStats, SiteStats, StoreKind, Trap, Value,
 };
 use wbe_ir::{InsnAddr, MethodId};
 use wbe_opt::{compile, plan_program, Compiled, OptMode, PipelineConfig};
@@ -70,7 +70,9 @@ pub fn compile_workload_with(w: &Workload, config: &PipelineConfig) -> (Compiled
 }
 
 /// Seeded faults with the heap verifier on and the recovery controller
-/// installed; the three only ever travel together.
+/// installed: a run that heals what the faults break. (`verify` runs
+/// faults and the verifier without a controller, so that a violation
+/// ends its run.)
 #[derive(Clone, Copy, Debug)]
 pub struct Chaos {
     /// The fault schedule.
@@ -471,8 +473,7 @@ impl Observed {
         for (&key, necessity) in self.oracle.iter().flat_map(|o| &o.state.sites) {
             table.entry(key).or_insert_with(|| blank(key)).necessity = Some(*necessity);
         }
-        for rev in self.recovery.iter().flat_map(|rc| rc.revocations()) {
-            let key = site_of(rev.site);
+        for (&key, rev) in &self.stats.revocations {
             table.entry(key).or_insert_with(|| blank(key)).revoked = Some(&rev.reason);
         }
         table.into_values().collect()

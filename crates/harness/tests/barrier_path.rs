@@ -35,7 +35,7 @@ use wbe_heap::debug::world_digest;
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::{FaultConfig, FaultPlan, RecoveryPolicy};
 use wbe_interp::{
-    site_of, BarrierConfig, BarrierMode, ElidedBarriers, ElisionKind, EngineKind, GcPolicy, Value,
+    BarrierConfig, BarrierMode, ElidedBarriers, ElisionKind, EngineKind, GcPolicy, Value,
 };
 use wbe_ir::builder::ProgramBuilder;
 use wbe_ir::{CmpOp, FieldId, Insn, InsnAddr, MethodId, Program, Ty};
@@ -201,8 +201,9 @@ fn stanza(
             rc.in_panic()
         )
         .unwrap();
-        for rev in rc.revocations() {
-            let (m, at) = site_of(rev.site);
+        let mut revs: Vec<_> = s.revocations.iter().collect();
+        revs.sort_by_key(|(_, rev)| rev.order);
+        for (&(m, at), rev) in revs {
             writeln!(
                 out,
                 "revoked {} trigger={} attempt={} reason={}",

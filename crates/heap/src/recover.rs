@@ -18,11 +18,13 @@
 //!    re-mark** from the roots, rebuilding the mark state the violation
 //!    corrupted, then re-verifies the invariants and sweeps.
 //! 3. On success the mutator **resumes** (with barriers conservatively
-//!    restored); each elided site that executes afterwards is recorded
-//!    in a per-site revocation table keyed by [`SiteKey`], which the
-//!    harness joins with the elision provenance ledger on that key so
-//!    `wbe_tool explain` shows runtime revocations alongside the static
-//!    keep-codes.
+//!    restored). The controller keeps no per-site table: every
+//!    revocation happens in panic mode, so the interpreter records
+//!    each revoked site itself, in its `RunStats` under the
+//!    `(MethodId, InsnAddr)` key of its other per-site tables, and
+//!    bumps [`RecoveryStats::revoked_sites`]. The harness joins that
+//!    record with the elision provenance ledger, so `wbe_tool explain`
+//!    shows runtime revocations alongside the static keep-codes.
 //! 4. Only after [`RecoveryPolicy::max_attempts`] *consecutive failed*
 //!    recoveries (the re-mark itself re-violates) does the original
 //!    trap fire — persistent corruption (e.g. dangling references that
@@ -32,14 +34,6 @@
 //! marking-cycle driver of a world that recovers (the interpreter's).
 //! Its [`RecoveryStats`] reach the `gc.recovery.*` registry counters
 //! through one [`wbe_telemetry::Deltas`].
-
-use std::collections::BTreeSet;
-
-/// A barrier site as the runtime identifies it: `(method ordinal,
-/// block, instruction index)`. The heap crate has no IR types; the
-/// interpreter maps its `(MethodId, InsnAddr)` pairs into this key and
-/// back.
-pub type SiteKey = (u64, u32, u32);
 
 /// What the controller tells the caller to do about a violation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,7 +68,7 @@ pub struct RecoveryStats {
     pub succeeded: u64,
     /// Attempts whose re-mark re-violated.
     pub failed: u64,
-    /// Distinct sites with a runtime revocation record.
+    /// Distinct sites the interpreter recorded a revocation for.
     pub revoked_sites: u64,
     /// Elided executions gated to the full-barrier path by panic mode.
     pub gated_elisions: u64,
@@ -83,36 +77,18 @@ pub struct RecoveryStats {
     pub panic_entries: u64,
 }
 
-/// One runtime revocation: an elided site whose barrier was restored
-/// because the run entered panic mode (or because its own oracle
-/// fired). Joined with the provenance ledger by the harness, on
-/// [`site`](Self::site).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RevocationRecord {
-    /// The revoked site.
-    pub site: SiteKey,
-    /// Human-readable reason: the triggering check and its detail.
-    pub reason: String,
-    /// Short classifier of the trigger: `"oracle"` for a per-site
-    /// pre-null oracle failure, `"invariant"` for a verifier failure.
-    pub trigger: &'static str,
-    /// The recovery attempt ordinal in force when the site was revoked.
-    pub attempt: u64,
-}
-
-/// The recovery state machine: panic mode, the per-site revocation
-/// table, and the consecutive-failure budget.
+/// The recovery state machine: panic mode and the consecutive-failure
+/// budget.
 #[derive(Clone, Debug)]
 pub struct RecoveryController {
     policy: RecoveryPolicy,
     panic_mode: bool,
     /// Reason panic mode was entered (the first triggering check);
-    /// copied into revocation records created while gating.
+    /// the interpreter quotes it in the revocations it records while
+    /// gating.
     panic_reason: String,
     consecutive_failures: u32,
     in_attempt: bool,
-    revoked: BTreeSet<SiteKey>,
-    revocations: Vec<RevocationRecord>,
     /// Lifetime counters.
     pub stats: RecoveryStats,
     mirror: wbe_telemetry::Deltas<6>,
@@ -127,16 +103,9 @@ impl RecoveryController {
             panic_reason: String::new(),
             consecutive_failures: 0,
             in_attempt: false,
-            revoked: BTreeSet::new(),
-            revocations: Vec::new(),
             stats: RecoveryStats::default(),
             mirror: wbe_telemetry::Deltas::default(),
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
     }
 
     /// Is barrier panic mode engaged? Panic is sticky: once a violation
@@ -191,42 +160,14 @@ impl RecoveryController {
         self.consecutive_failures = 0;
     }
 
-    /// Barrier-dispatch consult: may the statically-elided site run
-    /// without its barrier? False once panic mode engaged or the site
-    /// was individually revoked; each gating is counted.
-    pub fn elide_allowed(&mut self, site: SiteKey) -> bool {
-        if self.panic_mode || self.revoked.contains(&site) {
+    /// Barrier-dispatch consult: may a statically-elided site run
+    /// without its barrier? False once panic mode is engaged; each
+    /// gating is counted.
+    pub fn elide_allowed(&mut self) -> bool {
+        if self.panic_mode {
             self.stats.gated_elisions += 1;
-            false
-        } else {
-            true
         }
-    }
-
-    /// Is there a revocation record for `site` already?
-    pub fn site_revoked(&self, site: SiteKey) -> bool {
-        self.revoked.contains(&site)
-    }
-
-    /// Records a per-site revocation (first revocation of a site wins;
-    /// later calls are no-ops). `reason`/`trigger` name the check that
-    /// forced it.
-    pub fn revoke(&mut self, site: SiteKey, reason: &str, trigger: &'static str) {
-        if !self.revoked.insert(site) {
-            return;
-        }
-        self.stats.revoked_sites += 1;
-        self.revocations.push(RevocationRecord {
-            site,
-            reason: reason.to_string(),
-            trigger,
-            attempt: self.stats.attempted,
-        });
-    }
-
-    /// The revocation table, in revocation order.
-    pub fn revocations(&self) -> &[RevocationRecord] {
-        &self.revocations
+        !self.panic_mode
     }
 
     /// Mirrors counter deltas since the previous publish into the
@@ -279,107 +220,5 @@ mod tests {
         assert_eq!(rc.on_violation("b"), RecoveryAction::Trap);
         assert_eq!(rc.stats.succeeded, 1);
         assert_eq!(rc.stats.panic_entries, 1, "one sticky entry");
-    }
-
-    #[test]
-    fn panic_gates_elision_and_records_each_site_once() {
-        let mut rc = RecoveryController::new(RecoveryPolicy::default());
-        let site = (3, 1, 0);
-        assert!(rc.elide_allowed(site), "normal mode: elision allowed");
-        rc.on_violation("post-sweep: unmarked live");
-        assert!(!rc.elide_allowed(site));
-        rc.revoke(site, "post-sweep: unmarked live", "invariant");
-        rc.revoke(site, "later duplicate", "invariant");
-        assert_eq!(rc.revocations().len(), 1, "first revocation wins");
-        assert_eq!(rc.stats.revoked_sites, 1);
-        assert!(!rc.elide_allowed(site), "still gated after revocation");
-        assert_eq!(rc.stats.gated_elisions, 2);
-        assert_eq!(rc.revocations()[0].site, site);
-        assert!(rc.site_revoked(site));
-    }
-
-    #[test]
-    fn empty_revocation_table_is_inert() {
-        let mut rc = RecoveryController::new(RecoveryPolicy::default());
-        assert!(rc.revocations().is_empty());
-        assert!(!rc.site_revoked((0, 0, 0)));
-        assert_eq!(rc.stats.revoked_sites, 0);
-        // Every site elides freely and nothing is counted as gated.
-        for site in [(0, 0, 0), (7, 3, 2), (u64::MAX, u32::MAX, u32::MAX)] {
-            assert!(rc.elide_allowed(site));
-        }
-        assert_eq!(rc.stats.gated_elisions, 0);
-        // Publishing an empty table is a no-op, not a panic.
-        rc.publish_metrics();
-        assert!(!rc.in_panic());
-        assert_eq!(rc.panic_reason(), "");
-    }
-
-    #[test]
-    fn repeated_revocation_is_idempotent_across_attempts() {
-        let mut rc = RecoveryController::new(RecoveryPolicy::default());
-        let site = (5, 2, 7);
-        rc.on_violation("first");
-        rc.revoke(site, "first", "invariant");
-        rc.recovered();
-        let snapshot = rc.revocations().to_vec();
-        // Re-revoking the same site later — other attempt, other reason,
-        // other trigger — changes nothing: first revocation wins.
-        rc.on_violation("second");
-        rc.revoke(site, "second", "oracle");
-        rc.revoke(site, "third", "invariant");
-        rc.recovered();
-        assert_eq!(rc.revocations(), snapshot.as_slice());
-        assert_eq!(rc.stats.revoked_sites, 1);
-        assert_eq!(rc.revocations()[0].reason, "first");
-        assert_eq!(rc.revocations()[0].attempt, 1, "records the first attempt");
-        assert!(rc.site_revoked(site));
-    }
-
-    #[test]
-    fn revocation_during_inflight_remark_lands_in_the_open_attempt() {
-        let mut rc = RecoveryController::new(RecoveryPolicy { max_attempts: 3 });
-        // First violation + successful re-mark: attempt 1 closes.
-        rc.on_violation("warmup");
-        rc.recovered();
-        // Second violation opens attempt 2; the STW re-mark it forces
-        // discovers a bad site *while the attempt is still open*.
-        assert_eq!(
-            rc.on_violation("post-mark: lost snapshot"),
-            RecoveryAction::Recover
-        );
-        let site = (9, 4, 1);
-        rc.revoke(site, "unmarked reachable during re-mark", "invariant");
-        assert_eq!(
-            rc.revocations()[0].attempt,
-            2,
-            "attributed to the open attempt"
-        );
-        // The site is gated immediately, before the attempt resolves.
-        assert!(!rc.elide_allowed(site));
-        rc.recovered();
-        // Resolution doesn't disturb the table, and the budget reset
-        // didn't clear the sticky panic or the revocation.
-        assert_eq!(rc.revocations().len(), 1);
-        assert!(rc.in_panic());
-        assert!(rc.site_revoked(site));
-        assert_eq!(rc.stats.succeeded, 2);
-        // A failed re-mark after the revocation leaves the record alone.
-        rc.on_violation("again");
-        rc.attempt_failed();
-        assert_eq!(rc.revocations().len(), 1);
-        assert_eq!(rc.stats.revoked_sites, 1);
-    }
-
-    #[test]
-    fn single_site_revocation_without_panic() {
-        let mut rc = RecoveryController::new(RecoveryPolicy::default());
-        let bad = (0, 2, 5);
-        let good = (0, 2, 6);
-        rc.revoke(bad, "non-null pre-value", "oracle");
-        assert!(!rc.elide_allowed(bad), "revoked site is gated");
-        assert!(rc.elide_allowed(good), "other sites unaffected");
-        assert_eq!(rc.revocations()[0].trigger, "oracle");
-        assert_eq!(rc.revocations()[0].site, bad);
     }
 }

@@ -64,7 +64,7 @@ pub use barrier::{
     RearrangeRole, RearrangeSites, SiteStats, StoreKind,
 };
 pub use engine::EngineKind;
-pub use machine::{site_of, GcPolicy, Interp, RunStats, Trap, PAUSE_EMERGENCY};
+pub use machine::{GcPolicy, Interp, Revocation, RunStats, Trap, PAUSE_EMERGENCY};
 pub use oracle::{NecessityVerdict, OracleState, SiteNecessity};
 pub use translate::{translate, CompiledMethod, Fuse, Op};
 pub use wbe_heap::Value;

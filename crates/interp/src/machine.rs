@@ -18,6 +18,8 @@
 //! cycle, the `step_interval` poll slices it, and the driver's tail
 //! remarks, verifies, heals and sweeps.
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -25,7 +27,6 @@ use wbe_heap::cycle::{
     self, CheckFailed, CycleDriver, CycleEvent, CycleHost, CyclePhase, MarkerCtl, PostMarkPolicy,
 };
 use wbe_heap::gc::{MarkStyle, PauseReport};
-use wbe_heap::recover::SiteKey;
 use wbe_heap::{
     FaultPlan, FieldShape, GcRef, Heap, HeapError, RecoveryAction, RecoveryController,
     RecoveryPolicy, Value,
@@ -202,6 +203,9 @@ pub struct RunStats {
     pub retraces_scheduled: u64,
     /// Per-site barrier counters.
     pub barrier: BarrierStats,
+    /// The elided sites whose barrier recovery restored, one record
+    /// per site; [`Revocation::order`] is their revocation order.
+    pub revocations: BTreeMap<(MethodId, InsnAddr), Revocation>,
     /// Objects allocated in frame arenas (stack allocation).
     pub stack_allocated: u64,
     /// Frame-arena objects freed at frame pop.
@@ -214,6 +218,45 @@ pub struct RunStats {
     pub alloc_retries: u64,
     /// Pause reports of completed cycles.
     pub pauses: Vec<PauseReport>,
+}
+
+/// One runtime revocation: an elided store site whose barrier came back
+/// because the run entered barrier panic mode.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Revocation {
+    /// How many sites were revoked before this one.
+    pub order: usize,
+    /// The check that forced it, and its detail.
+    pub reason: String,
+    /// `"oracle"` when the site's own pre-null oracle failed,
+    /// `"invariant"` when panic mode gated it.
+    pub trigger: &'static str,
+    /// The recovery attempt in force when the site was revoked.
+    pub attempt: u64,
+}
+
+impl RunStats {
+    /// Records the revocation of `site` unless it has one already: the
+    /// first revocation of a site wins, and a site that has one costs a
+    /// map lookup and no allocation. A new record is counted in `rc`.
+    fn revoke(
+        &mut self,
+        rc: &mut RecoveryController,
+        site: (MethodId, InsnAddr),
+        trigger: &'static str,
+        reason: impl FnOnce(&RecoveryController) -> String,
+    ) {
+        let order = self.revocations.len();
+        if let Entry::Vacant(slot) = self.revocations.entry(site) {
+            slot.insert(Revocation {
+                order,
+                reason: reason(rc),
+                trigger,
+                attempt: rc.stats.attempted,
+            });
+            rc.stats.revoked_sites += 1;
+        }
+    }
 }
 
 pub(crate) struct Frame {
@@ -400,8 +443,8 @@ impl<'p> Interp<'p> {
         self.cycle.recovery = Some(RecoveryController::new(policy));
     }
 
-    /// The recovery controller, if one is installed — stats, panic
-    /// state, and the per-site revocation table for the ledger join.
+    /// The recovery controller, if one is installed — its stats and
+    /// panic state. The sites it revoked are in `stats().revocations`.
     pub fn recovery(&self) -> Option<&RecoveryController> {
         self.cycle.recovery.as_ref()
     }
@@ -878,22 +921,20 @@ impl<'p> Interp<'p> {
     }
 
     /// Recovery consult for an elided site, reached only with a
-    /// controller installed: true once the static proof is no longer
-    /// trusted (barrier panic mode, or this site revoked). The
-    /// revocation is recorded the first time a gated site executes.
+    /// controller installed: true once barrier panic mode no longer
+    /// trusts static proofs. The revocation is recorded the first time
+    /// a gated site executes.
     #[cold]
     fn elision_gated(&mut self, mid: MethodId, at: InsnAddr) -> bool {
-        let site = site_key(mid, at);
         let Some(rc) = self.cycle.recovery.as_mut() else {
             return false;
         };
-        if rc.elide_allowed(site) {
+        if rc.elide_allowed() {
             return false;
         }
-        if !rc.site_revoked(site) {
-            let reason = format!("barrier panic mode: {}", rc.panic_reason());
-            rc.revoke(site, &reason, "invariant");
-        }
+        self.stats.revoke(rc, (mid, at), "invariant", |rc| {
+            format!("barrier panic mode: {}", rc.panic_reason())
+        });
         true
     }
 
@@ -950,7 +991,7 @@ impl<'p> Interp<'p> {
         if cycle::enter_recovery(rc, &reason) == RecoveryAction::Trap {
             return Err(trap);
         }
-        rc.revoke(site_key(mid, at), &reason, "oracle");
+        self.stats.revoke(rc, (mid, at), "oracle", |_| reason);
         // Execute the barrier the elision skipped, then rebuild the
         // mark state with a full STW cycle (a violation inside it is
         // healed by the driver's tail against the same budget).
@@ -1414,19 +1455,6 @@ fn marker_ctl(policy: GcPolicy) -> MarkerCtl {
         give_up_arm: false,
         budget: policy.step_budget,
     }
-}
-
-/// Maps an interpreter store site onto the recovery layer's IR-free
-/// [`SiteKey`]; [`site_of`] maps it back.
-pub(crate) fn site_key(mid: MethodId, at: InsnAddr) -> SiteKey {
-    (u64::from(mid.0), at.block.0, at.index as u32)
-}
-
-/// The store site a recovery-layer [`SiteKey`] stands for: the inverse
-/// of the map the interpreter keys its revocations with.
-pub fn site_of((mid, block, index): SiteKey) -> (MethodId, InsnAddr) {
-    let mid = u32::try_from(mid).expect("keys come from 32-bit method ids");
-    (MethodId(mid), InsnAddr::new(BlockId(block), index as usize))
 }
 
 fn shape_of(ty: Ty) -> FieldShape {
@@ -2110,9 +2138,9 @@ mod tests {
         assert!(rc.in_panic());
         assert_eq!(rc.stats.attempted, 1);
         assert_eq!(rc.stats.succeeded, 1);
-        let rev = &rc.revocations()[0];
+        let (site, rev) = &revocations(&interp)[0];
         assert_eq!(rev.trigger, "oracle");
-        assert_eq!(site_of(rev.site), (m, InsnAddr::new(BlockId(0), 7)));
+        assert_eq!(*site, (m, InsnAddr::new(BlockId(0), 7)));
         assert!(rev.reason.contains("UNSOUND ELISION"));
         // A second run through the same site is gated, not re-judged:
         // the revoked site takes the full-barrier path.
@@ -2120,6 +2148,194 @@ mod tests {
         let rc = interp.recovery().unwrap();
         assert_eq!(rc.stats.attempted, 1, "no new attempt: site was gated");
         assert!(rc.stats.gated_elisions > 0);
+    }
+
+    /// `interp`'s revocations in revocation order.
+    fn revocations(interp: &Interp<'_>) -> Vec<((MethodId, InsnAddr), Revocation)> {
+        let mut revs: Vec<_> = interp
+            .stats
+            .revocations
+            .iter()
+            .map(|(&site, r)| (site, r.clone()))
+            .collect();
+        revs.sort_by_key(|(_, r)| r.order);
+        revs
+    }
+
+    /// The store site of each [`elided_pair`] method.
+    const PAIR_SITE: InsnAddr = InsnAddr {
+        block: BlockId(0),
+        index: 4,
+    };
+
+    /// Methods `a` and `b`, each storing a fresh object into its own
+    /// field at [`PAIR_SITE`]: a pre-null store, elided soundly.
+    fn elided_pair() -> (Program, [MethodId; 2], BarrierConfig) {
+        let mut pb = ProgramBuilder::new();
+        let c = pb.class("C");
+        let f = pb.field(c, "f", Ty::Ref(c));
+        let methods = ["a", "b"].map(|name| {
+            pb.method(name, vec![], None, 1, |mb| {
+                let o = mb.local(0);
+                mb.new_object(c).store(o);
+                mb.load(o).load(o).putfield(f);
+                mb.return_();
+            })
+        });
+        let elided: ElidedBarriers = methods.iter().map(|&m| (m, PAIR_SITE)).collect();
+        let cfg = BarrierConfig::with_elision(BarrierMode::Checked, elided);
+        (pb.finish(), methods, cfg)
+    }
+
+    /// The installed controller, for a test that reports violations
+    /// itself.
+    fn controller<'a>(interp: &'a mut Interp<'_>) -> &'a mut RecoveryController {
+        interp.cycle.recovery.as_mut().expect("recovery installed")
+    }
+
+    #[test]
+    fn panic_gates_elision_and_records_each_site_once() {
+        let (p, [a, _], cfg) = elided_pair();
+        let mut interp = Interp::new(&p, cfg);
+        interp.set_recovery(RecoveryPolicy::default());
+        interp.run(a, &[], 100).unwrap();
+        assert_eq!(
+            interp.stats.elided_executions, 1,
+            "normal mode: elision allowed"
+        );
+        controller(&mut interp).on_violation("post-sweep: unmarked live");
+        interp.run(a, &[], 100).unwrap();
+        interp.run(a, &[], 100).unwrap();
+        let revs = revocations(&interp);
+        assert_eq!(revs.len(), 1, "first revocation wins");
+        let rc = interp.recovery().unwrap();
+        assert_eq!(rc.stats.revoked_sites, 1);
+        assert_eq!(rc.stats.gated_elisions, 2);
+        assert_eq!(
+            interp.stats.elided_executions, 1,
+            "still gated after revocation"
+        );
+        let (site, rev) = &revs[0];
+        assert_eq!(*site, (a, PAIR_SITE));
+        assert_eq!(rev.reason, "barrier panic mode: post-sweep: unmarked live");
+        assert_eq!((rev.trigger, rev.attempt, rev.order), ("invariant", 1, 0));
+    }
+
+    #[test]
+    fn empty_revocation_table_is_inert() {
+        let (p, methods, cfg) = elided_pair();
+        let mut interp = Interp::new(&p, cfg);
+        interp.set_recovery(RecoveryPolicy::default());
+        // Every site elides freely and nothing is counted as gated.
+        for m in methods {
+            interp.run(m, &[], 100).unwrap();
+        }
+        assert_eq!(interp.stats.elided_executions, 2);
+        assert!(interp.stats.revocations.is_empty());
+        let rc = controller(&mut interp);
+        assert_eq!(rc.stats.revoked_sites, 0);
+        assert_eq!(rc.stats.gated_elisions, 0);
+        // Publishing with nothing revoked is a no-op, not a panic.
+        rc.publish_metrics();
+        assert!(!rc.in_panic());
+        assert_eq!(rc.panic_reason(), "");
+    }
+
+    #[test]
+    fn repeated_revocation_is_idempotent_across_attempts() {
+        let (p, [a, _], cfg) = elided_pair();
+        let mut interp = Interp::new(&p, cfg);
+        interp.set_recovery(RecoveryPolicy::default());
+        controller(&mut interp).on_violation("first");
+        interp.run(a, &[], 100).unwrap();
+        controller(&mut interp).recovered();
+        let snapshot = revocations(&interp);
+        // Revoking the same site later — other attempt, other reason,
+        // other trigger — changes nothing: first revocation wins.
+        interp.unsound_elision(a, PAIR_SITE, None, 0).unwrap();
+        controller(&mut interp).on_violation("third");
+        interp.run(a, &[], 100).unwrap();
+        controller(&mut interp).recovered();
+        assert_eq!(interp.recovery().unwrap().stats.attempted, 3);
+        assert_eq!(revocations(&interp), snapshot);
+        assert_eq!(interp.recovery().unwrap().stats.revoked_sites, 1);
+        let rev = &snapshot[0].1;
+        assert_eq!(rev.reason, "barrier panic mode: first");
+        assert_eq!(rev.attempt, 1, "records the first attempt");
+        assert!(interp.stats.revocations.contains_key(&(a, PAIR_SITE)));
+    }
+
+    #[test]
+    fn revocation_during_inflight_remark_lands_in_the_open_attempt() {
+        let (p, [a, _], cfg) = elided_pair();
+        let mut interp = Interp::new(&p, cfg);
+        interp.set_recovery(RecoveryPolicy { max_attempts: 3 });
+        // First violation + successful re-mark: attempt 1 closes.
+        controller(&mut interp).on_violation("warmup");
+        controller(&mut interp).recovered();
+        // Second violation opens attempt 2; the site executes while the
+        // attempt is still open.
+        assert_eq!(
+            controller(&mut interp).on_violation("post-mark: lost snapshot"),
+            RecoveryAction::Recover
+        );
+        interp.run(a, &[], 100).unwrap();
+        assert_eq!(
+            revocations(&interp)[0].1.attempt,
+            2,
+            "attributed to the open attempt"
+        );
+        // The site is gated at once, before the attempt resolves.
+        assert_eq!(interp.recovery().unwrap().stats.gated_elisions, 1);
+        controller(&mut interp).recovered();
+        // Resolution doesn't disturb the record, and the budget reset
+        // didn't clear the sticky panic or the revocation.
+        assert_eq!(revocations(&interp).len(), 1);
+        let rc = interp.recovery().unwrap();
+        assert!(rc.in_panic());
+        assert_eq!(rc.stats.succeeded, 2);
+        // A failed re-mark after the revocation leaves the record alone.
+        controller(&mut interp).on_violation("again");
+        controller(&mut interp).attempt_failed();
+        interp.run(a, &[], 100).unwrap();
+        assert_eq!(revocations(&interp).len(), 1);
+        assert_eq!(interp.recovery().unwrap().stats.revoked_sites, 1);
+    }
+
+    /// After panic mode, an elided site that runs `n` times is revoked
+    /// once and gated `n` times. Revocation order is not address order:
+    /// `b`'s site, revoked first, stays first though `a`'s sorts lower
+    /// (as `barrier_path.golden` pins mtrt's `B7[26]` before `B6[2]`).
+    #[test]
+    fn a_gated_site_is_revoked_once_in_revocation_order() {
+        let (p, [a, b], cfg) = elided_pair();
+        let mut interp = Interp::new(&p, cfg);
+        interp.set_recovery(RecoveryPolicy::default());
+        controller(&mut interp).on_violation("post-mark");
+        let n = 5;
+        for _ in 0..n {
+            interp.run(b, &[], 100).unwrap();
+        }
+        let rc = interp.recovery().unwrap();
+        assert_eq!((rc.stats.gated_elisions, rc.stats.revoked_sites), (n, 1));
+        interp.run(a, &[], 100).unwrap();
+        let rc = interp.recovery().unwrap();
+        assert_eq!(
+            (rc.stats.gated_elisions, rc.stats.revoked_sites),
+            (n + 1, 2)
+        );
+        let by_address: Vec<_> = interp.stats.revocations.keys().copied().collect();
+        assert_eq!(by_address, [(a, PAIR_SITE), (b, PAIR_SITE)]);
+        let by_order: Vec<_> = revocations(&interp)
+            .into_iter()
+            .map(|(site, r)| (site, r.order))
+            .collect();
+        assert_eq!(by_order, [((b, PAIR_SITE), 0), ((a, PAIR_SITE), 1)]);
+        assert_eq!(
+            interp.stats.barrier.totals().0,
+            n + 1,
+            "a gated run still executes"
+        );
     }
 
     #[test]

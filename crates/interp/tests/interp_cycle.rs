@@ -28,9 +28,7 @@ use std::fmt::Write as _;
 
 use wbe_heap::gc::MarkStyle;
 use wbe_heap::{FaultConfig, FaultPlan, RecoveryPolicy};
-use wbe_interp::{
-    site_of, BarrierConfig, BarrierMode, ElidedBarriers, EngineKind, GcPolicy, Interp, Value,
-};
+use wbe_interp::{BarrierConfig, BarrierMode, ElidedBarriers, EngineKind, GcPolicy, Interp, Value};
 use wbe_ir::builder::ProgramBuilder;
 use wbe_ir::{CmpOp, Insn, InsnAddr, MethodId, Program, Ty};
 
@@ -307,8 +305,9 @@ fn run_case(out: &mut String, case: Case, kind: EngineKind, style: MarkStyle) {
             rc.panic_reason()
         )
         .unwrap();
-        for rev in rc.revocations() {
-            let (m, at) = site_of(rev.site);
+        let mut revs: Vec<_> = s.revocations.iter().collect();
+        revs.sort_by_key(|(_, rev)| rev.order);
+        for (&(m, at), rev) in revs {
             writeln!(
                 out,
                 "revoked REVOKED {} — {} ({}) attempt={}",
