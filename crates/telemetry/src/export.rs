@@ -430,6 +430,26 @@ mod tests {
         );
     }
 
+    /// A span that closes within a microsecond is still a span: its
+    /// Chrome kind must not depend on the clock.
+    #[test]
+    fn a_span_shorter_than_a_microsecond_exports_as_a_span() {
+        let _guard = crate::config::tests::test_guard();
+        let prev = crate::configure(crate::TelemetryConfig::all());
+        crate::trace::drain();
+        for _ in 0..1000 {
+            drop(crate::span!("test.export.empty"));
+        }
+        let out = chrome_trace_json(&crate::trace::drain());
+        crate::configure(prev);
+        let doc = crate::json::parse(&out).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        assert_eq!(events.len(), 1000);
+        for ev in events {
+            assert_eq!(ev.get("ph").unwrap().as_str(), Some("X"), "{out}");
+        }
+    }
+
     #[test]
     fn write_traces_renders_one_drain_in_both_formats() {
         let _guard = crate::config::tests::test_guard();
