@@ -499,3 +499,25 @@ fn bench_check_baselines_against_the_committed_file() {
         Some(2)
     );
 }
+
+/// `serve` prints its seed as `0x…`; handing that text back must run
+/// the same world as the decimal spelling of the same number.
+#[test]
+fn serve_takes_back_the_seed_it_prints() {
+    let seed = wbe_harness::serve::ServeOptions::default().seed;
+    let args = |seed: &str| {
+        run(&[
+            "serve",
+            "--requests",
+            "64",
+            "--format",
+            "ndjson",
+            "--seed",
+            seed,
+        ])
+    };
+    let hex = args(&format!("{seed:#018x}"));
+    let decimal = args(&seed.to_string());
+    assert_eq!(hex.0, decimal.0, "hex seed exit code");
+    assert_eq!(hex.1, decimal.1);
+}
