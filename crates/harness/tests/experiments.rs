@@ -94,3 +94,25 @@ fn rearrangement_protocol_is_pinned() {
 fn clients_are_pinned() {
     check("clients", &clients::run().to_string());
 }
+
+/// `combined`'s three runs of a workload share one compile: six
+/// workloads, six `opt.compile` spans. The binary runs alone in its
+/// process, so no concurrent test adds spans to its registry.
+#[test]
+fn combined_compiles_each_workload_once() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("combined_metrics.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["combined", "--scale", "0.01", "--metrics-out"])
+        .arg(&path)
+        .output()
+        .expect("spawn experiments");
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&path).expect("metrics written");
+    let doc = wbe_telemetry::json::parse(&text).expect("metrics JSON");
+    let compiles = doc
+        .get("spans")
+        .and_then(|s| s.get("opt.compile"))
+        .and_then(|s| s.get("count"))
+        .and_then(|c| c.as_u64());
+    assert_eq!(compiles, Some(6));
+}
