@@ -224,7 +224,7 @@ fn measure_workload(w: &Workload, scale: f64) -> WorkloadBaseline {
         static_elided: obs.ledger().elided() as u64,
         dyn_total: totals.executions,
         dyn_elided: totals.elided_executions,
-        gc_cycles: obs.gc.cycles,
+        gc_cycles: obs.heap.gc.stats.cycles,
         max_pause_bucket: bucket(max_pause),
         kept_cycles: totals.cycles,
         top_keep_code,
@@ -243,10 +243,10 @@ fn recovery_probe() -> (u64, u64) {
         &RunSpec {
             gc: Some(crate::soak::CHAOS_GC),
             chaos: Some(Chaos {
-                faults: FaultConfig {
+                faults: Some(FaultConfig {
                     corrupt_mark_pm: RECOVERY_CORRUPT_PM,
                     ..FaultConfig::from_seed(RECOVERY_FAULT_SEED)
-                },
+                }),
                 max_attempts: 5,
             }),
             ..RunSpec::baseline(RECOVERY_SCALE)

@@ -128,11 +128,8 @@
 
 use std::process::exit;
 
-use wbe_analysis::nullsame;
-use wbe_harness::site::{observe, RunSpec};
-use wbe_interp::{
-    BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, ElisionKind, Interp, Value,
-};
+use wbe_harness::site::{elision_set, observe, RunSpec};
+use wbe_interp::{BarrierConfig, BarrierMode, BarrierStats, Interp, Value};
 use wbe_ir::display::{method_display, program_display};
 use wbe_ir::{parse_program, Program, ValidateError};
 use wbe_opt::{compile, compile_with_dump, OptMode, PipelineConfig};
@@ -187,9 +184,7 @@ impl<'a> Args<'a> {
 
     /// The value of the flag just read.
     fn value<T: std::str::FromStr>(&mut self) -> T {
-        self.next()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| usage())
+        wbe_harness::flag_value(&mut self.0).unwrap_or_else(|_| usage())
     }
 
     /// `--format text|ndjson`: whether NDJSON was asked for.
@@ -286,11 +281,11 @@ fn report(rest: &[String]) {
                         eprintln!("{e}");
                         exit(1)
                     });
-                gc_total.merge(&obs.gc);
+                gc_total.merge(&obs.heap.gc.stats);
                 barriers.merge(&obs.stats.barrier);
                 println!(
                     "{:<8} barriers: {}; gc: {}",
-                    obs.workload, obs.stats.barrier, obs.gc
+                    obs.workload, obs.stats.barrier, obs.heap.gc.stats
                 );
             };
             if sources.is_empty() {
@@ -854,14 +849,10 @@ fn on_program(cmd: &str, source: &str, rest: &[String]) {
             };
             let mid = m.id;
             let bc = if elide {
-                let res =
-                    wbe_analysis::analyze_program(&program, &wbe_analysis::AnalysisConfig::full());
-                let mut elided: ElidedBarriers = res.iter_elided().collect();
-                for (nm, sites) in nullsame::analyze_program(&program) {
-                    for a in sites {
-                        elided.insert_kind(nm, a, ElisionKind::NullOrSame);
-                    }
-                }
+                // Limit 0 inlines nothing and nothing folds: the build
+                // runs `program` itself.
+                let config = PipelineConfig::new(OptMode::Full, 0).with_null_or_same();
+                let elided = elision_set(&compile(&program, &config));
                 println!("elided {} sites", elided.len());
                 BarrierConfig::with_elision(BarrierMode::Checked, elided)
             } else {

@@ -11,11 +11,11 @@
 
 use std::fmt;
 
-use wbe_interp::GcPolicy;
+use wbe_interp::{ElidedBarriers, GcPolicy};
 use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::standard_suite;
 
-use crate::site::{observe, RunSpec};
+use crate::site::{compile_workload_with, observe_compiled, RunSpec};
 
 /// One workload's stacked results.
 #[derive(Clone, Debug)]
@@ -38,9 +38,11 @@ pub struct CombinedReport {
     pub rows: Vec<CombinedRow>,
 }
 
-/// Runs the stacked experiment at `scale`.
+/// Runs the stacked experiment at `scale`. Each workload compiles once,
+/// with null-or-same on: that changes neither inlining nor the pre-null
+/// verdicts, so the pre-null run takes the build's pre-null sites alone.
 pub fn run(scale: f64) -> CombinedReport {
-    let pre_null = RunSpec {
+    let spec = RunSpec {
         scale,
         min_iters: 64,
         gc: Some(GcPolicy {
@@ -50,19 +52,18 @@ pub fn run(scale: f64) -> CombinedReport {
         }),
         ..RunSpec::paper(OptMode::Full, 100)
     };
-    let with_nos = RunSpec {
-        pipeline: PipelineConfig::new(OptMode::Full, 100).with_null_or_same(),
-        ..pre_null.clone()
-    };
     let with_rearrange = RunSpec {
         rearrange: true,
-        ..with_nos.clone()
+        ..spec.clone()
     };
+    let config = PipelineConfig::new(OptMode::Full, 100).with_null_or_same();
     let rows = standard_suite()
         .iter()
         .map(|w| {
-            let quiet_pct = |spec: &RunSpec| {
-                let obs = observe(w, spec)
+            let (compiled, with_nos) = compile_workload_with(w, &config);
+            let pre_null: ElidedBarriers = compiled.elided_sites().into_iter().collect();
+            let quiet_pct = |elided: &ElidedBarriers, spec: &RunSpec| {
+                let obs = observe_compiled(w, compiled.clone(), elided.clone(), spec)
                     .completed()
                     .expect("a sound elision never traps");
                 let quiet = obs.stats.elided_executions + obs.stats.rearrange_skipped;
@@ -70,9 +71,9 @@ pub fn run(scale: f64) -> CombinedReport {
             };
             CombinedRow {
                 name: w.name,
-                pre_null: quiet_pct(&pre_null),
-                with_nos: quiet_pct(&with_nos),
-                with_rearrange: quiet_pct(&with_rearrange),
+                pre_null: quiet_pct(&pre_null, &spec),
+                with_nos: quiet_pct(&with_nos, &spec),
+                with_rearrange: quiet_pct(&with_nos, &with_rearrange),
             }
         })
         .collect();

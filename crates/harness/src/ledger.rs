@@ -373,7 +373,9 @@ mod tests {
             &RunSpec {
                 gc: Some(crate::soak::CHAOS_GC),
                 chaos: Some(Chaos {
-                    faults: wbe_heap::FaultConfig::from_seed(0xce75_5952_d302_5da7).escalate(1),
+                    faults: Some(
+                        wbe_heap::FaultConfig::from_seed(0xce75_5952_d302_5da7).escalate(1),
+                    ),
                     max_attempts: 8,
                 }),
                 ..RunSpec::baseline(0.01)

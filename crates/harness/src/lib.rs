@@ -85,6 +85,22 @@ pub fn with_telemetry_files(
     }
 }
 
+/// The value of the flag `args` just yielded. A number reads as the
+/// tool prints one: in decimal, or in hex after `0x` (seeds print that
+/// way). `Err` says what was wrong, for stderr.
+pub fn flag_value<T: std::str::FromStr>(
+    args: &mut std::slice::Iter<'_, String>,
+) -> Result<T, String> {
+    let raw = args.next().ok_or("flag needs a value")?;
+    raw.parse()
+        .ok()
+        .or_else(|| {
+            let hex = u64::from_str_radix(raw.strip_prefix("0x")?, 16).ok()?;
+            hex.to_string().parse().ok()
+        })
+        .ok_or_else(|| format!("bad number '{raw}'"))
+}
+
 /// `num` as a percentage of `den`, and 0 when `den` is.
 pub(crate) fn pct(num: u64, den: u64) -> f64 {
     if den == 0 {

@@ -18,6 +18,8 @@ use wbe_heap::mcheck::{replay_seed, run_mcheck, CheckerConfig, Replay};
 use wbe_heap::sched::run_schedule;
 use wbe_heap::{FaultConfig, Scenario, SchedConfig, SchedulePolicy};
 
+use crate::flag_value;
+
 /// Parsed `wbe_tool mcheck` options.
 #[derive(Clone, Debug)]
 pub struct McheckOptions {
@@ -74,19 +76,6 @@ pub const USAGE: &str = "mcheck:  [--threads N] [--schedules K] [--seed S] [--op
      [--demo-unsound] [--fault-seed S] [--replay SEED | --replay-prefix HEX] \
      [--trace-out trace.json]";
 
-fn parse_num<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>) -> Result<T, String> {
-    let raw = it.next().ok_or("flag needs a value")?;
-    // Seeds print as hex in replay handles; accept both bases.
-    if let Some(hex) = raw.strip_prefix("0x") {
-        if let Ok(v) = u64::from_str_radix(hex, 16) {
-            if let Ok(t) = v.to_string().parse() {
-                return Ok(t);
-            }
-        }
-    }
-    raw.parse().map_err(|_| format!("bad number '{raw}'"))
-}
-
 /// Parses `mcheck` arguments. `Err` carries the message for stderr;
 /// the caller exits 2.
 pub fn parse(rest: &[String]) -> Result<McheckOptions, String> {
@@ -94,19 +83,19 @@ pub fn parse(rest: &[String]) -> Result<McheckOptions, String> {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => o.threads = parse_num(&mut it)?,
-            "--schedules" => o.schedules = parse_num(&mut it)?,
-            "--seed" => o.seed = parse_num(&mut it)?,
-            "--ops" => o.ops = parse_num(&mut it)?,
+            "--threads" => o.threads = flag_value(&mut it)?,
+            "--schedules" => o.schedules = flag_value(&mut it)?,
+            "--seed" => o.seed = flag_value(&mut it)?,
+            "--ops" => o.ops = flag_value(&mut it)?,
             "--scenario" => {
                 let name = it.next().ok_or("--scenario needs a name")?;
                 o.scenario = Some(name.parse::<Scenario>().map_err(|e| e.to_string())?);
             }
             "--systematic" => o.systematic = true,
-            "--preempt-bound" => o.preempt_bound = parse_num(&mut it)?,
+            "--preempt-bound" => o.preempt_bound = flag_value(&mut it)?,
             "--demo-unsound" => o.demo_unsound = true,
-            "--fault-seed" => o.fault_seed = Some(parse_num(&mut it)?),
-            "--replay" => o.replay = Some(parse_num(&mut it)?),
+            "--fault-seed" => o.fault_seed = Some(flag_value(&mut it)?),
+            "--replay" => o.replay = Some(flag_value(&mut it)?),
             "--trace-out" => {
                 o.trace_out = Some(it.next().ok_or("--trace-out needs a path")?.clone());
             }

@@ -32,12 +32,13 @@
 //! as the baseline gate, all aggregation goes through ordered maps, and
 //! the NDJSON carries no timestamps, so equal options print equal bytes.
 
-use wbe_interp::oracle::SiteNecessity;
+use wbe_heap::witness::WitnessTable;
+use wbe_interp::oracle::{OracleState, SiteNecessity};
 use wbe_telemetry::json::ObjWriter;
 
 use crate::pct;
 
-use crate::site::{observe, select_workloads, Observed, OracleRun, RunSpec, SiteReport, Totals};
+use crate::site::{observe, select_workloads, Observed, RunSpec, SiteReport, Totals};
 
 /// The frozen suite-wide *static* elision rate (percent) the dynamic
 /// upper bound is reported against — `pct_elided` in
@@ -88,12 +89,12 @@ impl WorkloadOracle {
         sites.filter_map(|s| s.necessity.map(|n| (s, n))).collect()
     }
 
-    /// The oracle's half of the run.
-    pub fn oracle(&self) -> &OracleRun {
-        self.observed
-            .oracle
-            .as_ref()
-            .expect("the spec enabled the oracle")
+    /// The oracle's half of the run: its per-site tallies and cycle
+    /// audit, and the heap's witness table.
+    pub fn oracle(&self) -> (&OracleState, &WitnessTable) {
+        let (obs, enabled) = (&self.observed, "the spec enabled the oracle");
+        let witness = obs.heap.witness.as_ref().expect(enabled);
+        (obs.oracle.as_ref().expect(enabled), witness)
     }
 }
 
@@ -231,7 +232,7 @@ pub fn to_ndjson(o: &SuiteOracle) -> String {
         out.push('\n');
     };
     for wo in &o.workloads {
-        let (t, run, judged) = (&wo.totals, wo.oracle(), wo.judged());
+        let (t, (oracle, witness), judged) = (&wo.totals, wo.oracle(), wo.judged());
         let workload = wo.observed.workload;
         line(&|w| {
             w.field_str("record", "workload")
@@ -243,10 +244,10 @@ pub fn to_ndjson(o: &SuiteOracle) -> String {
                 .field_u64("necessary_executions", t.necessary_executions)
                 .field_u64("never_necessary_executions", t.never_necessary_executions)
                 .field_u64("never_necessary_sites", never_necessary_sites(&judged))
-                .field_u64("cycles_audited", run.state.cycles_audited)
-                .field_u64("audit_violations", run.state.audit_violations)
-                .field_u64("allocated_objects", run.allocated_objects)
-                .field_u64("escaped_objects", run.escaped_objects);
+                .field_u64("cycles_audited", oracle.cycles_audited)
+                .field_u64("audit_violations", oracle.audit_violations)
+                .field_u64("allocated_objects", witness.allocated_objects())
+                .field_u64("escaped_objects", witness.escaped_objects());
         });
         for (s, n) in &judged {
             line(&|w| {
@@ -316,7 +317,7 @@ pub fn to_text(o: &SuiteOracle) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "barrier-necessity oracle");
     for wo in &o.workloads {
-        let (t, run, judged) = (&wo.totals, wo.oracle(), wo.judged());
+        let (t, (oracle, witness), judged) = (&wo.totals, wo.oracle(), wo.judged());
         let _ = writeln!(
             out,
             "{}: {} executions ({} elided, {} kept), {} necessary, \
@@ -328,9 +329,9 @@ pub fn to_text(o: &SuiteOracle) -> String {
             t.necessary_executions,
             never_necessary_sites(&judged),
             t.never_necessary_executions,
-            run.state.cycles_audited,
-            if run.state.audit_violations > 0 {
-                format!(", {} AUDIT VIOLATIONS", run.state.audit_violations)
+            oracle.cycles_audited,
+            if oracle.audit_violations > 0 {
+                format!(", {} AUDIT VIOLATIONS", oracle.audit_violations)
             } else {
                 String::new()
             }
@@ -338,7 +339,8 @@ pub fn to_text(o: &SuiteOracle) -> String {
         let _ = writeln!(
             out,
             "  witnesses: {}/{} objects escaped their allocating thread",
-            run.escaped_objects, run.allocated_objects
+            witness.escaped_objects(),
+            witness.allocated_objects()
         );
         for (s, n) in judged.iter().filter(|(_, n)| n.necessary > 0) {
             let _ = writeln!(
@@ -425,7 +427,7 @@ mod tests {
                 })
                 .sum();
             assert_eq!(verdicts, t.kept_executions(), "{name}");
-            assert_eq!(wo.oracle().state.audit_violations, 0, "{name}");
+            assert_eq!(wo.oracle().0.audit_violations, 0, "{name}");
             assert!(
                 !judged
                     .iter()
@@ -494,7 +496,7 @@ mod tests {
         let o = measure(&opts).unwrap();
         let wo = &o.workloads[0];
         assert!(
-            wo.oracle().state.cycles_audited > 0,
+            wo.oracle().0.cycles_audited > 0,
             "jbb must run marking cycles"
         );
         let (mut audited, mut necessary) = (0u64, 0u64);

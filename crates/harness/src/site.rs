@@ -4,10 +4,13 @@
 //! dynamic question the harness asks is about a site too: how often it
 //! ran and what it cost (`profile`), whether its kept barrier was ever
 //! needed (`oracle`), whether the runtime took its elision back
-//! (`soak`), what the gate pins (`baselines`). [`observe`] compiles a
-//! workload once, runs it once and owns what came out; [`Observed::sites`]
-//! is the only place those facts are brought together, keyed by
-//! `(MethodId, InsnAddr)`. Every table it folds is keyed that way too —
+//! (`soak`), what the gate pins (`baselines`), whether an elided run
+//! behaves like a full-barrier one (`verify`). [`observe`] compiles a
+//! workload and runs it once; [`observe_compiled`] runs a build the
+//! caller already has, so a driver that varies only the elision set
+//! compiles once. Either way the [`Observed`] owns what came out, the
+//! heap included; [`Observed::sites`] is the only place those facts
+//! are brought together, keyed by `(MethodId, InsnAddr)`. Every table it folds is keyed that way too —
 //! the ledger's records carry the `MethodId` they were solved in, and
 //! `RunStats` keeps the run's counters and revocations under that key —
 //! so no key is converted, no method name is looked up, and two methods
@@ -18,9 +21,9 @@
 use std::collections::BTreeMap;
 
 use wbe_analysis::{Condition, ElisionLedger, KeepCode, SiteRecord, Verdict};
-use wbe_heap::gc::{GcStats, MarkStyle};
+use wbe_heap::gc::MarkStyle;
 use wbe_heap::recover::RecoveryController;
-use wbe_heap::{FaultConfig, FaultPlan, FaultStats, RecoveryPolicy};
+use wbe_heap::{FaultConfig, FaultPlan, Heap, RecoveryPolicy};
 use wbe_interp::oracle::{OracleState, SiteNecessity};
 use wbe_interp::{
     BarrierConfig, BarrierMode, BarrierSummary, ElidedBarriers, ElisionKind, GcPolicy, Interp,
@@ -57,26 +60,34 @@ pub fn scaled_iters(w: &Workload, scale: f64, min_iters: i64) -> i64 {
     ((w.default_iters as f64 * scale) as i64).max(min_iters)
 }
 
-/// Compiles `w` under `config`: the program and the elision set its
-/// analyses earn, pre-null and null-or-same sites each tagged with the
-/// oracle that checks them.
-pub fn compile_workload_with(w: &Workload, config: &PipelineConfig) -> (Compiled, ElidedBarriers) {
-    let compiled = compile(&w.program, config);
+/// The elision set `compiled` earns: its pre-null and null-or-same
+/// sites, each tagged with the oracle that checks it.
+pub fn elision_set(compiled: &Compiled) -> ElidedBarriers {
     let mut elided: ElidedBarriers = compiled.elided_sites().into_iter().collect();
     for (m, a) in compiled.null_or_same_sites() {
         elided.insert_kind(m, a, ElisionKind::NullOrSame);
     }
+    elided
+}
+
+/// Compiles `w` under `config`: the program and its [`elision_set`].
+pub fn compile_workload_with(w: &Workload, config: &PipelineConfig) -> (Compiled, ElidedBarriers) {
+    let compiled = compile(&w.program, config);
+    let elided = elision_set(&compiled);
     (compiled, elided)
 }
 
-/// Seeded faults with the heap verifier on and the recovery controller
-/// installed: a run that heals what the faults break. (`verify` runs
-/// faults and the verifier without a controller, so that a violation
-/// ends its run.)
+/// The heap verifier at every cycle boundary, a recovery controller
+/// that allows `max_attempts` consecutive failed re-marks, and seeded
+/// faults if any: a run that heals what the faults break. With
+/// `max_attempts: 0` nothing heals — the first violation ends the run
+/// with the trap it would end with under no controller, which is how
+/// `verify` runs.
 #[derive(Clone, Copy, Debug)]
 pub struct Chaos {
-    /// The fault schedule.
-    pub faults: FaultConfig,
+    /// The fault schedule; `None` runs the verifier over an unperturbed
+    /// collector.
+    pub faults: Option<FaultConfig>,
     /// Consecutive failed re-marks before the original trap fires.
     pub max_attempts: u32,
 }
@@ -85,7 +96,7 @@ pub struct Chaos {
 #[derive(Clone, Debug)]
 pub struct RunSpec {
     /// The compilation pipeline; its ledger is what the join reads
-    /// static verdicts from.
+    /// static verdicts from. Only [`observe`] reads it.
     pub pipeline: PipelineConfig,
     /// Iteration scale (see [`scaled_iters`]).
     pub scale: f64,
@@ -139,18 +150,7 @@ impl RunSpec {
     }
 }
 
-/// The oracle's half of a run.
-#[derive(Clone, Debug)]
-pub struct OracleRun {
-    /// Per-site verdict tallies and the cycle audit.
-    pub state: OracleState,
-    /// Objects the witness table saw allocated.
-    pub allocated_objects: u64,
-    /// Of those, objects that escaped (became reachable from a static).
-    pub escaped_objects: u64,
-}
-
-/// Everything one compile-and-run of a workload produced.
+/// Everything one run of a workload produced.
 #[derive(Debug)]
 pub struct Observed {
     /// Workload name.
@@ -161,28 +161,42 @@ pub struct Observed {
     pub compiled: Compiled,
     /// The elision set the barriers ran under.
     pub elided: ElidedBarriers,
-    /// The trap that ended the run, if one did. Everything below is
-    /// what had accumulated by then.
-    pub trap: Option<Trap>,
+    /// What the entry method returned, or the trap that ended the run.
+    /// Everything below is what had accumulated by then.
+    pub result: Result<Option<Value>, Trap>,
     /// Interpreter statistics, per-site barrier counters included.
     pub stats: RunStats,
-    /// Collector statistics.
-    pub gc: GcStats,
+    /// The heap as the run left it: the collector's statistics
+    /// (`heap.gc.stats`), the fault plan and what it injected
+    /// (`heap.fault`), and under the oracle the witness table.
+    pub heap: Heap,
     /// The global registry as the run left it. The registry is
     /// process-wide: a caller that wants this run's histograms alone
     /// resets it first.
     pub telemetry: MetricsSnapshot,
-    /// Oracle state, when the spec enabled it.
-    pub oracle: Option<OracleRun>,
-    /// Faults injected (all zero without [`RunSpec::chaos`]).
-    pub faults: FaultStats,
+    /// Per-site necessity tallies and the cycle audit, when the spec
+    /// enabled the oracle.
+    pub oracle: Option<OracleState>,
     /// The recovery controller as the run left it, under chaos.
     pub recovery: Option<RecoveryController>,
 }
 
-/// Compiles `w` under `spec`, runs it once, and keeps what came out.
+/// Compiles `w` under `spec.pipeline` and runs it once
+/// ([`observe_compiled`]).
 pub fn observe(w: &Workload, spec: &RunSpec) -> Observed {
     let (compiled, elided) = compile_workload_with(w, &spec.pipeline);
+    observe_compiled(w, compiled, elided, spec)
+}
+
+/// Runs `compiled`, a build of `w`, once with `elided` as its elision
+/// set and `spec` for everything but the pipeline, and keeps what came
+/// out. A driver that runs one build several times clones it per run.
+pub fn observe_compiled(
+    w: &Workload,
+    compiled: Compiled,
+    elided: ElidedBarriers,
+    spec: &RunSpec,
+) -> Observed {
     let iters = scaled_iters(w, spec.scale, spec.min_iters);
     let mut config = BarrierConfig::with_elision(spec.barrier, elided.clone());
     if spec.rearrange {
@@ -195,48 +209,27 @@ pub fn observe(w: &Workload, spec: &RunSpec) -> Observed {
     }
     interp.set_oracle(spec.oracle);
     if let Some(chaos) = spec.chaos {
-        interp.set_fault_plan(FaultPlan::new(chaos.faults));
+        if let Some(faults) = chaos.faults {
+            interp.set_fault_plan(FaultPlan::new(faults));
+        }
         interp.set_verify_invariants(true);
         interp.set_recovery(RecoveryPolicy {
             max_attempts: chaos.max_attempts,
         });
     }
-    let trap = interp
-        .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-        .err();
-    let oracle = interp.oracle().map(|state| {
-        let witness = interp
-            .heap
-            .witness
-            .as_ref()
-            .expect("the oracle enables witnesses");
-        OracleRun {
-            state: state.clone(),
-            allocated_objects: witness.allocated_objects(),
-            escaped_objects: witness.escaped_objects(),
-        }
-    });
-    let faults = interp
-        .heap
-        .fault
-        .as_ref()
-        .map(|plan| plan.stats)
-        .unwrap_or_default();
-    let recovery = interp.recovery().cloned();
-    let gc = interp.heap.gc.stats;
-    let stats = std::mem::take(&mut interp.stats);
+    let result = interp.run(w.entry, &[Value::Int(iters)], w.fuel_for(iters));
     Observed {
         workload: w.name,
         iters,
-        compiled,
         elided,
-        trap,
-        stats,
-        gc,
+        result,
+        stats: std::mem::take(&mut interp.stats),
+        heap: std::mem::replace(&mut interp.heap, Heap::new(spec.style)),
         telemetry: wbe_telemetry::registry::global().snapshot(),
-        oracle,
-        faults,
-        recovery,
+        oracle: interp.oracle().cloned(),
+        recovery: interp.recovery().cloned(),
+        // Last: the interpreter borrows the program until here.
+        compiled,
     }
 }
 
@@ -435,9 +428,9 @@ impl Observed {
 
     /// `Err` with the message every driver prints when the run trapped.
     pub fn completed(self) -> Result<Observed, String> {
-        match &self.trap {
-            Some(t) => Err(format!("workload {} trapped: {t}", self.workload)),
-            None => Ok(self),
+        match &self.result {
+            Err(t) => Err(format!("workload {} trapped: {t}", self.workload)),
+            Ok(_) => Ok(self),
         }
     }
 
@@ -470,7 +463,7 @@ impl Observed {
             site.kind = Some(kind);
             site.stats = *stats;
         }
-        for (&key, necessity) in self.oracle.iter().flat_map(|o| &o.state.sites) {
+        for (&key, necessity) in self.oracle.iter().flat_map(|o| &o.sites) {
             table.entry(key).or_insert_with(|| blank(key)).necessity = Some(*necessity);
         }
         for (&key, rev) in &self.stats.revocations {
@@ -589,6 +582,59 @@ mod tests {
             .map(SiteReport::site_key)
             .collect();
         assert!(unattributed.is_empty(), "{unattributed:?}");
+    }
+
+    /// `verify` runs under a controller that allows no re-mark: a
+    /// violation must end the run as it does with no controller at all.
+    #[test]
+    fn a_controller_with_no_attempts_traps_like_none() {
+        let w = wbe_workloads::by_name("db").unwrap();
+        let faults = FaultConfig {
+            corrupt_mark_pm: 1000,
+            ..FaultConfig::from_seed(7)
+        };
+        let obs = observe(
+            &w,
+            &RunSpec {
+                scale: 0.02,
+                gc: Some(crate::soak::CHAOS_GC),
+                chaos: Some(Chaos {
+                    faults: Some(faults),
+                    max_attempts: 0,
+                }),
+                ..RunSpec::paper(OptMode::Full, 100)
+            },
+        );
+        let config = BarrierConfig::with_elision(BarrierMode::Checked, obs.elided.clone());
+        let mut interp = Interp::new(&obs.compiled.program, config);
+        interp.set_gc_policy(crate::soak::CHAOS_GC);
+        interp.set_fault_plan(FaultPlan::new(faults));
+        interp.set_verify_invariants(true);
+        let args = [Value::Int(obs.iters)];
+        let trap = interp
+            .run(w.entry, &args, w.fuel_for(obs.iters))
+            .unwrap_err();
+        assert!(trap.to_string().contains("INVARIANT VIOLATION"), "{trap}");
+        assert_eq!(
+            obs.result.as_ref().unwrap_err().to_string(),
+            trap.to_string()
+        );
+        let counters = |s: &RunStats| {
+            let scalars = [s.insns, s.cycles, s.barrier_cycles, s.elided_executions];
+            let gc = [s.gc_cycles, s.emergency_pauses, s.alloc_retries];
+            let (revoked, pauses) = (s.revocations.len(), s.pauses.len());
+            (
+                scalars,
+                gc,
+                s.rearrange_skipped,
+                s.barrier.totals(),
+                revoked,
+                pauses,
+            )
+        };
+        assert_eq!(counters(&obs.stats), counters(&interp.stats));
+        let rc = obs.recovery.expect("chaos installs a controller");
+        assert_eq!((rc.in_panic(), rc.stats.attempted), (false, 0));
     }
 
     #[test]

@@ -357,13 +357,14 @@ pub fn run_soak(opts: &SoakOptions) -> SoakOutcome {
                 &RunSpec {
                     gc: Some(CHAOS_GC),
                     chaos: Some(Chaos {
-                        faults,
+                        faults: Some(faults),
                         max_attempts: opts.max_attempts,
                     }),
                     ..RunSpec::baseline(opts.scale)
                 },
             );
             let rc = obs.recovery.as_ref().expect("chaos installs a controller");
+            let faults = obs.heap.fault.as_ref().expect("the run had faults").stats;
             let mut run = SoakRun {
                 round,
                 workload: w.name,
@@ -376,8 +377,8 @@ pub fn run_soak(opts: &SoakOptions) -> SoakOutcome {
                     RunOutcome::Clean
                 },
                 trap: String::new(),
-                faults_injected: obs.faults.injected(),
-                mark_corruptions: obs.faults.mark_corruptions,
+                faults_injected: faults.injected(),
+                mark_corruptions: faults.mark_corruptions,
                 recoveries_attempted: rc.stats.attempted,
                 recoveries_succeeded: rc.stats.succeeded,
                 revoked_sites: rc.stats.revoked_sites,
@@ -391,7 +392,7 @@ pub fn run_soak(opts: &SoakOptions) -> SoakOutcome {
                     .count(),
                 gc_cycles: obs.stats.gc_cycles,
             };
-            if let Some(trap) = &obs.trap {
+            if let Err(trap) = &obs.result {
                 run.outcome = RunOutcome::Trapped;
                 run.trap = trap.to_string();
                 trace::event("soak.run.trap", format!("{}: {trap}", w.name));
@@ -562,9 +563,8 @@ mod tests {
                     parent: String::new(),
                     detail: String::new(),
                     start_us: 0,
-                    dur_us: 0,
                     tid: 1,
-                    value: None,
+                    kind: wbe_telemetry::trace::EventKind::Instant,
                 })
                 .collect();
             rec.absorb_events(events);

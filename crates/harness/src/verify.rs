@@ -23,17 +23,14 @@
 use std::cmp::Reverse;
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
 use wbe_heap::mcheck::mix_seed;
-use wbe_heap::{verify, FaultPlan, FaultStats};
-use wbe_interp::{
-    BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, GcPolicy, Interp, Trap, Value,
-};
-use wbe_ir::{InsnAddr, MethodId, Program};
-use wbe_opt::{OptMode, PipelineConfig};
+use wbe_heap::{verify, FaultConfig, FaultPlan};
+use wbe_interp::{BarrierStats, ElidedBarriers, GcPolicy, Trap, Value};
+use wbe_ir::{InsnAddr, MethodId};
+use wbe_opt::{Compiled, OptMode, PipelineConfig};
 use wbe_workloads::Workload;
 
-use crate::site::{compile_workload_with, scaled_iters, MIN_ITERS};
+use crate::site::{compile_workload_with, observe_compiled, Chaos, Observed, RunSpec};
 
 /// Options for one verification sweep.
 #[derive(Clone, Copy, Debug)]
@@ -68,6 +65,18 @@ pub struct Observables {
     pub allocations: u64,
     /// Live objects reachable from statics after the run.
     pub reachable: usize,
+}
+
+impl Observables {
+    /// What `obs` left that must not depend on the schedule, or the
+    /// trap that ended it.
+    fn of(obs: &Observed) -> Result<Observables, &Trap> {
+        Ok(Observables {
+            result: *obs.result.as_ref()?,
+            allocations: obs.heap.stats.allocations,
+            reachable: verify::reachable_set(&obs.heap, &obs.heap.static_roots()).len(),
+        })
+    }
 }
 
 impl fmt::Display for Observables {
@@ -131,59 +140,47 @@ impl fmt::Display for WorkloadVerdict {
     }
 }
 
-/// The GC policy used for every verification run: aggressive enough
+/// The marking schedule of every verification run: aggressive enough
 /// that several cycles complete even at small scales.
-fn verify_policy() -> GcPolicy {
-    GcPolicy {
-        alloc_trigger: 200,
-        step_interval: 16,
-        step_budget: 4,
-    }
-}
+const VERIFY_GC: GcPolicy = GcPolicy {
+    alloc_trigger: 200,
+    step_interval: 16,
+    step_budget: 4,
+};
 
-struct RunOutcome {
-    obs: Observables,
-    fault: Option<FaultStats>,
-    digest: Option<u64>,
-    emergency_pauses: u64,
-    gc_cycles: u64,
-}
-
-fn run_one(
-    program: &Program,
-    entry: MethodId,
-    iters: i64,
-    fuel: u64,
-    elided: ElidedBarriers,
-    fault_seed: Option<u64>,
-) -> Result<RunOutcome, Trap> {
-    let config = BarrierConfig::with_elision(BarrierMode::Checked, elided);
-    let mut interp = Interp::with_style(program, config, MarkStyle::Satb);
-    interp.set_gc_policy(verify_policy());
-    if let Some(seed) = fault_seed {
-        interp.set_fault_plan(FaultPlan::from_seed(seed));
-    }
-    interp.set_verify_invariants(true);
-    let result = interp.run(entry, &[Value::Int(iters)], fuel)?;
-    let roots = interp.heap.static_roots();
-    Ok(RunOutcome {
-        obs: Observables {
-            result,
-            allocations: interp.heap.stats.allocations,
-            reachable: verify::reachable_set(&interp.heap, &roots).len(),
-        },
-        fault: interp.heap.fault.as_ref().map(|p| p.stats),
-        digest: interp.heap.fault.as_ref().map(|p| p.digest()),
-        emergency_pauses: interp.stats.emergency_pauses,
-        gc_cycles: interp.stats.gc_cycles,
+/// The heap verifier at every cycle boundary, under `fault_seed`'s
+/// schedule if one is given; the first violation ends the run.
+fn verified(fault_seed: Option<u64>) -> Option<Chaos> {
+    Some(Chaos {
+        faults: fault_seed.map(FaultConfig::from_seed),
+        max_attempts: 0,
     })
+}
+
+/// Runs of `compiled`, a build of `w`, at `scale`, each under an
+/// elision set and a [`Chaos`] of its own: checked SATB barriers on
+/// [`VERIFY_GC`].
+fn runs<'a>(
+    w: &'a Workload,
+    compiled: &'a Compiled,
+    scale: f64,
+) -> impl Fn(&ElidedBarriers, Option<Chaos>) -> Observed + 'a {
+    move |elided, chaos| {
+        let spec = RunSpec {
+            scale,
+            gc: Some(VERIFY_GC),
+            chaos,
+            ..RunSpec::paper(OptMode::Full, 100)
+        };
+        observe_compiled(w, compiled.clone(), elided.clone(), &spec)
+    }
 }
 
 /// Runs the full differential sweep for one workload.
 pub fn verify_workload(w: &Workload, opts: &VerifyOptions) -> WorkloadVerdict {
     let (compiled, elided) = compile_workload_with(w, &PipelineConfig::new(OptMode::Full, 100));
-    let iters = scaled_iters(w, opts.scale, MIN_ITERS);
-    let fuel = w.fuel_for(iters);
+    let full = ElidedBarriers::new();
+    let run = runs(w, &compiled, opts.scale);
     let mut verdict = WorkloadVerdict {
         name: w.name,
         schedules: opts.schedules,
@@ -194,15 +191,8 @@ pub fn verify_workload(w: &Workload, opts: &VerifyOptions) -> WorkloadVerdict {
         problems: Vec::new(),
     };
 
-    let baseline = match run_one(
-        &compiled.program,
-        w.entry,
-        iters,
-        fuel,
-        ElidedBarriers::new(),
-        None,
-    ) {
-        Ok(out) => out,
+    let baseline = match Observables::of(&run(&full, verified(None))) {
+        Ok(obs) => obs,
         Err(t) => {
             verdict.problems.push(format!("baseline run trapped: {t}"));
             return verdict;
@@ -212,24 +202,22 @@ pub fn verify_workload(w: &Workload, opts: &VerifyOptions) -> WorkloadVerdict {
     let mut first_digest: Option<u64> = None;
     for k in 0..opts.schedules {
         let seed = mix_seed(opts.seed, u64::from(k));
-        for (label, el) in [
-            ("elided", elided.clone()),
-            ("full-barrier", ElidedBarriers::new()),
-        ] {
-            match run_one(&compiled.program, w.entry, iters, fuel, el, Some(seed)) {
-                Ok(out) => {
-                    if out.obs != baseline.obs {
+        for (label, el) in [("elided", &elided), ("full-barrier", &full)] {
+            let out = run(el, verified(Some(seed)));
+            match Observables::of(&out) {
+                Ok(obs) => {
+                    if obs != baseline {
                         verdict.problems.push(format!(
                             "schedule {k} (seed {seed:#018x}) {label}: observables diverged: \
-                             [{}] vs baseline [{}]",
-                            out.obs, baseline.obs
+                             [{obs}] vs baseline [{baseline}]"
                         ));
                     }
-                    verdict.faults_injected += out.fault.map_or(0, |f| f.injected());
-                    verdict.emergency_pauses += out.emergency_pauses;
-                    verdict.gc_cycles += out.gc_cycles;
+                    let plan = out.heap.fault.as_ref().expect("a seeded run has a plan");
+                    verdict.faults_injected += plan.stats.injected();
+                    verdict.emergency_pauses += out.stats.emergency_pauses;
+                    verdict.gc_cycles += out.stats.gc_cycles;
                     if k == 0 && label == "elided" {
-                        first_digest = out.digest;
+                        first_digest = Some(plan.digest());
                     }
                 }
                 Err(t) => verdict.problems.push(format!(
@@ -243,11 +231,12 @@ pub fn verify_workload(w: &Workload, opts: &VerifyOptions) -> WorkloadVerdict {
     // same decision stream (digest covers every decision taken).
     if let Some(d0) = first_digest {
         let seed = mix_seed(opts.seed, 0);
-        match run_one(&compiled.program, w.entry, iters, fuel, elided, Some(seed)) {
-            Ok(out) if out.digest != Some(d0) => verdict.problems.push(format!(
+        let out = run(&elided, verified(Some(seed)));
+        let digest = out.heap.fault.as_ref().map(FaultPlan::digest);
+        match &out.result {
+            Ok(_) if digest != Some(d0) => verdict.problems.push(format!(
                 "seed {seed:#018x} did not reproduce its fault schedule \
-                 (digest {:?} vs {d0:#x})",
-                out.digest
+                 (digest {digest:?} vs {d0:#x})"
             )),
             Ok(_) => {}
             Err(t) => verdict
@@ -288,21 +277,16 @@ fn pick_victim(stats: &BarrierStats, sound: &ElidedBarriers) -> Option<(MethodId
 /// barriers — and runs the sweep expecting detection.
 pub fn demo_unsound_detection(w: &Workload, opts: &VerifyOptions) -> DemoOutcome {
     let (compiled, sound) = compile_workload_with(w, &PipelineConfig::new(OptMode::Full, 100));
-    let iters = scaled_iters(w, opts.scale, MIN_ITERS);
-    let fuel = w.fuel_for(iters);
+    let full = ElidedBarriers::new();
+    let run = runs(w, &compiled, opts.scale);
 
     // Profile under full barriers to find a site whose pre-value is
     // sometimes non-null — exactly what a sound elision must never touch.
-    let mut profiler = Interp::with_style(
-        &compiled.program,
-        BarrierConfig::new(BarrierMode::Checked),
-        MarkStyle::Satb,
-    );
-    profiler.set_gc_policy(verify_policy());
-    if let Err(t) = profiler.run(w.entry, &[Value::Int(iters)], fuel) {
+    let profile = run(&full, None);
+    if let Err(t) = &profile.result {
         return DemoOutcome::Missed(format!("{}: profiling run trapped: {t}", w.name));
     }
-    let Some((m, a)) = pick_victim(&profiler.stats.barrier, &sound) else {
+    let Some((m, a)) = pick_victim(&profile.stats.barrier, &sound) else {
         return DemoOutcome::NoCandidate(format!(
             "{}: every executed store is pre-null on this input; \
              no elision can be dynamically unsound",
@@ -310,40 +294,26 @@ pub fn demo_unsound_detection(w: &Workload, opts: &VerifyOptions) -> DemoOutcome
         ));
     };
 
-    let mut unsound = sound.clone();
+    let mut unsound = sound;
     unsound.insert(m, a);
-    let baseline = match run_one(
-        &compiled.program,
-        w.entry,
-        iters,
-        fuel,
-        ElidedBarriers::new(),
-        None,
-    ) {
-        Ok(out) => out,
+    let baseline = match Observables::of(&run(&full, verified(None))) {
+        Ok(obs) => obs,
         Err(t) => return DemoOutcome::Missed(format!("{}: baseline run trapped: {t}", w.name)),
     };
     for k in 0..opts.schedules.max(1) {
         let seed = mix_seed(opts.seed, u64::from(k));
-        match run_one(
-            &compiled.program,
-            w.entry,
-            iters,
-            fuel,
-            unsound.clone(),
-            Some(seed),
-        ) {
+        match Observables::of(&run(&unsound, verified(Some(seed)))) {
             Err(t) => {
                 return DemoOutcome::Detected(format!(
                     "{}: unsound elision of {m} {a} detected on schedule {k}: {t}",
                     w.name
                 ))
             }
-            Ok(out) if out.obs != baseline.obs => {
+            Ok(obs) if obs != baseline => {
                 return DemoOutcome::Detected(format!(
                     "{}: unsound elision of {m} {a} detected on schedule {k}: \
-                     observables diverged ([{}] vs [{}])",
-                    w.name, out.obs, baseline.obs
+                     observables diverged ([{obs}] vs [{baseline}])",
+                    w.name
                 ))
             }
             Ok(_) => {}

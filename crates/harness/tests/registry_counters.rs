@@ -52,10 +52,10 @@ fn render() -> String {
                 step_budget: 4,
             }),
             chaos: Some(Chaos {
-                faults: FaultConfig {
+                faults: Some(FaultConfig {
                     corrupt_mark_pm: 400,
                     ..FaultConfig::from_seed(RECOVERY_FAULT_SEED)
-                },
+                }),
                 max_attempts: 5,
             }),
             ..RunSpec::baseline(0.02)

@@ -281,7 +281,7 @@ fn traced(out: &mut String, title: &str, f: impl FnOnce()) {
         if !e.detail.is_empty() {
             write!(out, " {}", e.detail).unwrap();
         }
-        if let Some(v) = e.value {
+        if let wbe_telemetry::trace::EventKind::Counter { value: v } = e.kind {
             write!(out, " value={v}").unwrap();
         }
         out.push('\n');

@@ -351,7 +351,7 @@ fn run_case(out: &mut String, case: Case, kind: EngineKind, style: MarkStyle) {
         if !e.detail.is_empty() {
             write!(out, " {}", e.detail).unwrap();
         }
-        if let Some(v) = e.value {
+        if let wbe_telemetry::trace::EventKind::Counter { value: v } = e.kind {
             write!(out, " value={v}").unwrap();
         }
         out.push('\n');

@@ -124,7 +124,7 @@ impl PipelineConfig {
 }
 
 /// A compiled program: the inlined code plus elision results and costs.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Compiled {
     /// The program after inlining.
     pub program: Program,

@@ -12,7 +12,7 @@ use std::path::Path;
 
 use crate::json::{push_str_escaped, ObjWriter};
 use crate::registry::{HistogramSnapshot, MetricsSnapshot};
-use crate::trace::TraceEvent;
+use crate::trace::{EventKind, TraceEvent};
 
 fn histogram_json(h: &HistogramSnapshot) -> String {
     let mut buckets = String::from("[");
@@ -109,14 +109,19 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> String {
 pub fn trace_ndjson(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     for ev in events {
+        let (dur_us, value) = match ev.kind {
+            EventKind::Span { dur_us } => (dur_us, None),
+            EventKind::Instant => (0, None),
+            EventKind::Counter { value } => (0, Some(value)),
+        };
         let mut w = ObjWriter::new(&mut out);
         w.field_str("name", &ev.name)
             .field_str("parent", &ev.parent)
             .field_str("detail", &ev.detail)
             .field_u64("start_us", ev.start_us)
-            .field_u64("dur_us", ev.dur_us)
+            .field_u64("dur_us", dur_us)
             .field_u64("tid", ev.tid);
-        if let Some(v) = ev.value {
+        if let Some(v) = value {
             w.field_u64("value", v);
         }
         w.finish();
@@ -129,56 +134,48 @@ pub fn trace_ndjson(events: &[TraceEvent]) -> String {
 /// `{"traceEvents":[...]}` object format), loadable in
 /// `chrome://tracing` and Perfetto.
 ///
-/// Spans (`dur_us > 0`) become complete events (`"ph":"X"`); instants
+/// Spans become complete events (`"ph":"X"`), however short; instants
 /// become thread-scoped instant events (`"ph":"i"`); counter samples
-/// (`value` set) become counter events (`"ph":"C"`) that viewers draw
-/// as a value-over-time track. Parent span and detail payload ride
-/// along under `"args"` (for counters, `"args"` carries the sampled
-/// value, as the format requires). All events share `"pid":1`; `tid`
-/// is the recording thread's stable track index, so mutator and marker
-/// threads land on separate rows.
+/// become counter events (`"ph":"C"`) that viewers draw as a
+/// value-over-time track. Parent span and detail payload ride along
+/// under `"args"` (for counters, `"args"` carries the sampled value, as
+/// the format requires). All events share `"pid":1`; `tid` is the
+/// recording thread's stable track index, so mutator and marker threads
+/// land on separate rows.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut items = String::from("[");
     for (i, ev) in events.iter().enumerate() {
         if i > 0 {
             items.push(',');
         }
-        if let Some(v) = ev.value {
-            // Counter event: args holds {"value": v} and the track is
-            // named by the event.
-            let mut args = String::new();
-            {
-                let mut w = ObjWriter::new(&mut args);
-                w.field_u64("value", v);
-                w.finish();
-            }
-            let mut w = ObjWriter::new(&mut items);
-            w.field_str("name", &ev.name)
-                .field_str("cat", "counter")
-                .field_str("ph", "C")
-                .field_u64("ts", ev.start_us)
-                .field_u64("pid", 1)
-                .field_u64("tid", ev.tid)
-                .field_raw("args", &args);
-            w.finish();
-            continue;
-        }
         let mut args = String::new();
         {
             let mut w = ObjWriter::new(&mut args);
-            w.field_str("parent", &ev.parent)
-                .field_str("detail", &ev.detail);
+            match ev.kind {
+                EventKind::Counter { value } => w.field_u64("value", value),
+                _ => w
+                    .field_str("parent", &ev.parent)
+                    .field_str("detail", &ev.detail),
+            };
             w.finish();
         }
         let mut w = ObjWriter::new(&mut items);
-        w.field_str("name", &ev.name)
-            .field_str("cat", if ev.dur_us > 0 { "span" } else { "instant" })
-            .field_str("ph", if ev.dur_us > 0 { "X" } else { "i" });
-        if ev.dur_us > 0 {
-            w.field_u64("dur", ev.dur_us);
-        } else {
+        w.field_str("name", &ev.name);
+        match ev.kind {
+            EventKind::Span { dur_us } => {
+                w.field_str("cat", "span")
+                    .field_str("ph", "X")
+                    .field_u64("dur", dur_us);
+            }
             // Instant scope: thread.
-            w.field_str("s", "t");
+            EventKind::Instant => {
+                w.field_str("cat", "instant")
+                    .field_str("ph", "i")
+                    .field_str("s", "t");
+            }
+            EventKind::Counter { .. } => {
+                w.field_str("cat", "counter").field_str("ph", "C");
+            }
         }
         w.field_u64("ts", ev.start_us)
             .field_u64("pid", 1)
@@ -359,27 +356,24 @@ mod tests {
                 parent: String::new(),
                 detail: "d\"q".into(),
                 start_us: 1,
-                dur_us: 2,
                 tid: 1,
-                value: None,
+                kind: EventKind::Span { dur_us: 2 },
             },
             TraceEvent {
                 name: "b".into(),
                 parent: "a".into(),
                 detail: String::new(),
                 start_us: 3,
-                dur_us: 0,
                 tid: 2,
-                value: None,
+                kind: EventKind::Instant,
             },
             TraceEvent {
                 name: "heap.occupancy".into(),
                 parent: String::new(),
                 detail: String::new(),
                 start_us: 4,
-                dur_us: 0,
                 tid: 1,
-                value: Some(17),
+                kind: EventKind::Counter { value: 17 },
             },
         ]
     }

@@ -89,9 +89,10 @@ impl Drop for SpanGuard {
                 parent: open.parent,
                 detail: open.detail,
                 start_us: open.start_us,
-                dur_us: dur.as_micros().min(u64::MAX as u128) as u64,
                 tid: trace::current_tid(),
-                value: None,
+                kind: trace::EventKind::Span {
+                    dur_us: dur.as_micros().min(u64::MAX as u128) as u64,
+                },
             });
         }
     }

@@ -14,7 +14,27 @@ use crate::config::tracing_enabled;
 /// Maximum buffered events before new ones are dropped.
 pub const TRACE_CAP: usize = 1 << 18;
 
-/// One completed span or instant event.
+/// What a [`TraceEvent`] records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EventKind {
+    /// A closed span, with its duration in microseconds — 0 for one
+    /// that closed within a microsecond, which is still a span.
+    Span {
+        /// Microseconds from open to close.
+        dur_us: u64,
+    },
+    /// A point in time.
+    Instant,
+    /// One sample of a counter series (heap occupancy, allocation
+    /// totals); Chrome trace renders these as `"ph":"C"` counter
+    /// tracks.
+    Counter {
+        /// The sampled value.
+        value: u64,
+    },
+}
+
+/// One completed span, instant or counter sample.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Span/event name (`analysis.fixpoint`, `heap.gc.remark`, …).
@@ -25,16 +45,12 @@ pub struct TraceEvent {
     pub detail: String,
     /// Microseconds from process telemetry epoch to span open.
     pub start_us: u64,
-    /// Span duration in microseconds (0 for instant events).
-    pub dur_us: u64,
     /// Stable per-OS-thread index (first telemetry use on a thread
     /// assigns the next one; the main thread is usually 1). Lets
     /// timeline viewers lay concurrent spans out on separate tracks.
     pub tid: u64,
-    /// Sampled value for counter-series events (heap occupancy,
-    /// allocation totals); `None` for spans and plain instants. Counter
-    /// events render as Chrome trace `"ph":"C"` counter tracks.
-    pub value: Option<u64>,
+    /// Span, instant or counter sample.
+    pub kind: EventKind,
 }
 
 /// The calling OS thread's stable trace track index.
@@ -96,9 +112,8 @@ pub fn event(name: &str, detail: impl Into<String>) {
         parent: crate::span::current().unwrap_or_default(),
         detail: detail.into(),
         start_us: since_epoch_us(),
-        dur_us: 0,
         tid: current_tid(),
-        value: None,
+        kind: EventKind::Instant,
     });
 }
 
@@ -114,9 +129,8 @@ pub fn counter_event(name: &str, value: u64) {
         parent: crate::span::current().unwrap_or_default(),
         detail: String::new(),
         start_us: since_epoch_us(),
-        dur_us: 0,
         tid: current_tid(),
-        value: Some(value),
+        kind: EventKind::Counter { value },
     });
 }
 
@@ -148,7 +162,7 @@ mod tests {
         let events = drain();
         let ev = events.iter().find(|e| e.name == "trace_test.loud").unwrap();
         assert_eq!(ev.detail, "payload");
-        assert_eq!(ev.dur_us, 0);
+        assert_eq!(ev.kind, EventKind::Instant);
         crate::configure(prev);
     }
 
